@@ -5,8 +5,7 @@ Subcommands::
     repro list                      # artifacts and agent kinds
     repro run fig1 [fig2 ...]       # named table/figure reproductions
     repro fleet --nodes 64 --agent overclock --workers 8
-    repro reproduce-all [--parallel] [--granularity series|artifact]
-                        [--quick] [--only ARTIFACT ...]
+    repro reproduce-all [--parallel] [--quick] [--only ARTIFACT ...]
                         [--no-cache] [--cache-dir PATH]
                         [--emit-experiments PATH]
     repro sweep run SPEC.toml [--workers 8] [--no-cache]
@@ -60,7 +59,6 @@ from repro.experiments.driver import (
     ArtifactRun,
     FleetDriver,
     reproduce_all,
-    runs_digest,
 )
 from repro.fleet.config import (
     AGENT_KINDS,
@@ -72,7 +70,12 @@ from repro.journal.cli import add_runs_parser, cmd_runs, journal_status_line
 from repro.journal.lease import LeaseHeldError
 from repro.obs import run_tracing
 from repro.obs.cli import add_trace_parser, cmd_trace
-from repro.serve.cli import add_serve_parser, cmd_serve
+from repro.resilience import shutdown_shared_pool
+from repro.serve.cli import (
+    add_serve_parser,
+    cmd_serve,
+    submission_config,
+)
 
 __all__ = ["main"]
 
@@ -182,12 +185,6 @@ def _build_parser() -> argparse.ArgumentParser:
     rall.add_argument("--parallel", action="store_true",
                       help="shard the pass across worker processes")
     rall.add_argument("--workers", type=int, default=None)
-    rall.add_argument(
-        "--granularity", choices=("series", "artifact"), default="series",
-        help="parallel work-unit size: independent (artifact, series) "
-             "scenarios (default; scales past the artifact count) or "
-             "whole artifacts (the pre-sharding behavior)",
-    )
     rall.add_argument("--quick", action="store_true")
     rall.add_argument(
         "--scale", type=float, default=None, metavar="FRACTION",
@@ -550,7 +547,7 @@ def _cmd_reproduce_all(args: argparse.Namespace) -> int:
         cache = ResultCache(args.cache_dir or default_cache_dir())
     quarantine = _quarantine_log(cache)
     journal = None
-    if args.journal and args.granularity == "series":
+    if args.journal:
         from repro.journal.pipelines import open_reproduce_journal
 
         journal = open_reproduce_journal(
@@ -559,8 +556,7 @@ def _cmd_reproduce_all(args: argparse.Namespace) -> int:
         )
     elif args.resume:
         raise SystemExit(
-            "repro: error: --resume needs the journal "
-            "(series granularity, no --no-journal)"
+            "repro: error: --resume needs the journal (no --no-journal)"
         )
     started = time.perf_counter()
     try:
@@ -574,16 +570,13 @@ def _cmd_reproduce_all(args: argparse.Namespace) -> int:
                 scale=scale,
                 only=args.only,
                 on_result=_print_run,
-                granularity=args.granularity,
                 cache=cache,
                 resilience=_retry_policy(args),
                 quarantine=quarantine,
                 journal=journal,
             )
         wall = time.perf_counter() - started
-        mode = (
-            f"parallel/{args.granularity}" if args.parallel else "serial"
-        )
+        mode = "parallel/series" if args.parallel else "serial"
         partial = sum(1 for run in runs if run.partial)
         summary = f"[reproduce-all: {len(runs)} artifacts"
         if partial:
@@ -761,7 +754,6 @@ def _chaos_reproduce(args, plan, policy, quarantine) -> List[str]:
             workers=args.workers,
             scale=args.scale,
             only=args.only,
-            granularity="series",
             cache=cache,
             resilience=policy,
             quarantine=quarantine if chaos is not None or cache else None,
@@ -896,78 +888,6 @@ def _kill_parent_command(args: argparse.Namespace) -> List[str]:
     return ["sweep", "run", args.spec, "--workers", str(args.workers)]
 
 
-def _kill_parent_baseline(args: argparse.Namespace) -> str:
-    """The uninterrupted run's digest (no journal, no cache)."""
-    if args.target == "fleet":
-        config = FleetConfig(
-            n_nodes=args.nodes, agent=args.agent, seed=args.seed,
-            duration_s=args.seconds,
-        )
-        return FleetDriver(config, workers=args.workers).run().digest()
-    if args.target == "reproduce":
-        runs = reproduce_all(
-            scale=args.scale, only=args.only, granularity="series"
-        )
-        return runs_digest(runs)
-    from repro.sweep import SweepRunner, load_spec
-
-    return SweepRunner(load_spec(args.spec)).run().digest()
-
-
-def _kill_parent_resume(args: argparse.Namespace, root: str, run_id: str):
-    """Resume the interrupted run in-process; returns its journal."""
-    from repro.journal.pipelines import (
-        fleet_config_from_payload,
-        open_fleet_journal,
-        open_reproduce_journal,
-        open_sweep_journal,
-        reproduce_selection_from_payload,
-        spec_from_payload,
-    )
-    from repro.journal.registry import inspect_run
-
-    info = inspect_run(root, run_id)
-    assert info is not None
-    cache = ResultCache(root)
-    if info.kind == "fleet":
-        config = fleet_config_from_payload(info.manifest["config"])
-        with open_fleet_journal(
-            root, config, args.workers, resume=True, run_id=run_id
-        ) as journal:
-            # A resumed run appends a second process segment to the
-            # sidecar the killed orchestrator started — the merged
-            # trace carries both (DESIGN.md §14).
-            with run_tracing(journal, kind="fleet", resumed=True):
-                FleetDriver(
-                    config, workers=args.workers, journal=journal
-                ).run()
-        return journal
-    if info.kind == "reproduce":
-        names, scale = reproduce_selection_from_payload(
-            info.manifest["config"]
-        )
-        with open_reproduce_journal(
-            root, names, scale, resume=True, run_id=run_id
-        ) as journal:
-            with run_tracing(journal, kind="reproduce", resumed=True):
-                reproduce_all(
-                    parallel=args.workers > 1, workers=args.workers,
-                    scale=scale, only=names, cache=cache, journal=journal,
-                )
-        return journal
-    spec = spec_from_payload(info.manifest["config"])
-    from repro.sweep import SweepRunner
-
-    with open_sweep_journal(
-        root, spec, resume=True, run_id=run_id
-    ) as journal:
-        with run_tracing(journal, kind="sweep", resumed=True):
-            SweepRunner(
-                spec, workers=args.workers, cache=cache, journal=journal
-            ).run()
-    return journal
-
-
 def _chaos_kill_parent(args: argparse.Namespace) -> int:
     """Crash-consistency proof (DESIGN.md §12): SIGKILL the orchestrator
     mid-run in a subprocess, resume from the journal, and require (a)
@@ -979,11 +899,14 @@ def _chaos_kill_parent(args: argparse.Namespace) -> int:
     import tempfile
 
     from repro.journal.log import KILL_AFTER_ENV
+    from repro.journal.pipelines import baseline_digest, resume_pipeline
     from repro.journal.registry import list_runs
 
     print(f"== chaos {args.target}: kill-parent after record "
           f"#{args.kill_parent} ==")
-    baseline = _kill_parent_baseline(args)
+    baseline = baseline_digest(
+        args.target, submission_config(args.target, args)
+    )
     print(f"[baseline: digest {baseline}]")
     root = tempfile.mkdtemp(prefix="repro-kill-parent-")
     failures: List[str] = []
@@ -1031,7 +954,13 @@ def _chaos_kill_parent(args: argparse.Namespace) -> int:
             failures.append("run sealed before the kill landed; "
                             "lower --kill-parent")
             return _kill_parent_verdict(failures)
-        journal = _kill_parent_resume(args, root, info.run_id)
+        # A resumed run appends a second process segment to the
+        # sidecar the killed orchestrator started — the merged trace
+        # carries both (DESIGN.md §14).
+        _result, journal, _cache = resume_pipeline(
+            root, info.kind, info.manifest["config"], info.run_id,
+            workers=args.workers, resumed=True,
+        )
         stats = journal.stats
         re_executed = info.done_units - stats.replayed
         print(
@@ -1109,7 +1038,9 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             )
         from repro.serve.harness import run_kill_server_harness
 
-        return run_kill_server_harness(args)
+        return run_kill_server_harness(
+            args, submission_config(args.job, args)
+        )
     if args.kill_server is not None:
         raise SystemExit(
             "repro: error: --kill-server is only meaningful for the "
@@ -1308,14 +1239,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         # The supervised dispatcher already tore the worker pool down on
         # its way out (DESIGN.md §11); resetting here as well covers a
         # Ctrl-C that lands outside any dispatch.  130 = 128 + SIGINT.
-        from repro.experiments.driver import shutdown_shared_pool
-
         shutdown_shared_pool()
         print("repro: interrupted", file=sys.stderr)
         return 130
     except _Terminated:
-        from repro.experiments.driver import shutdown_shared_pool
-
         shutdown_shared_pool()
         print("repro: terminated", file=sys.stderr)
         return 143

@@ -1,58 +1,41 @@
-"""Parallel experiment driver: shard fleets and reproductions over a pool.
+"""Experiment driver: fleets and reproductions as executor plans.
 
-Two fan-outs live here (DESIGN.md §5):
+Both pipelines here run their work units through the one unit executor,
+:func:`repro.resilience.executor.run_units` (DESIGN.md §11.1), and each
+is three small pieces — a plan, a pure unit function, and an
+order-independent reducer:
 
-* :class:`FleetDriver` shards the nodes of a
-  :class:`~repro.fleet.config.FleetConfig` across a ``multiprocessing``
-  pool.  Because each node's spec and seed derive only from
-  ``(fleet seed, node_id)``, shard shape and completion order cannot
-  affect results; aggregates from ``workers=1`` and ``workers=N`` are
-  bit-identical (the tests pin this via
+* :class:`FleetDriver` (DESIGN.md §5) shards the nodes of a
+  :class:`~repro.fleet.config.FleetConfig` into chunks.  Each node's
+  spec and seed derive only from ``(fleet seed, node_id)``, so chunk
+  shape and completion order cannot affect results: aggregates from
+  ``workers=1`` and ``workers=N`` are bit-identical (the tests pin
   :meth:`~repro.fleet.aggregate.FleetAggregate.digest`).
 
-* :func:`reproduce_all` runs every paper table/figure — serially, or
-  sharded below artifact granularity: every decomposed figure
-  (see :data:`SERIES_SPECS`) contributes one work unit per independent
-  ``(artifact, series)`` scenario, so the full pass scales past the
-  twelve artifacts and fig7's nine 1500-sim-second scenarios spread
-  across the pool instead of wall-clocking the tail.  Every unit is
-  deterministic given its arguments alone, so the parallel pass
-  reproduces the serial rows exactly; only wall-clock changes.
+* :func:`reproduce_all` (DESIGN.md §7, §8) runs every paper
+  table/figure as independent ``(artifact, series)`` units (see
+  :data:`SERIES_SPECS`), so a parallel pass scales past the twelve
+  artifacts.  Every unit is deterministic given its arguments alone, so
+  parallel, cached and resumed passes reproduce the serial rows
+  exactly.  Executed unit walls are recorded (and persisted with the
+  cache) and fed back into longest-first dispatch.
 
-Incremental reproduction (DESIGN.md §8) builds on the same unit
-purity: with a :class:`~repro.cache.ResultCache`, every unit is looked
-up by content address before being executed, executed payloads are
-stored as they stream back, and figures assemble from cached rows —
-a warm re-run executes zero units and emits bit-identical digests.
-Executed unit walls are recorded (and persisted with the cache) and
-fed back into longest-first dispatch, replacing the simulated-seconds
-estimate for every unit that has been measured before.
-
-Workers are plain processes; each imports :mod:`repro` afresh, so the
-pool works both with an installed package and with the ``src/``-path
-bootstrap (the worker bootstrap replays this process's ``sys.path``).
-The pool itself is *warm*: one process-wide pool is created on first
-use and reused by every fleet run, ``reproduce_all`` pass,
-``repro bench`` invocation, and robustness-campaign sweep
-(:class:`repro.sweep.SweepRunner`) in the process, so repeated runs
-stop paying pool spawn + re-import per call (:func:`shared_pool`).
-
-Since DESIGN.md §11 the warm pool is a
-:class:`~repro.resilience.pool.SupervisedPool` and every parallel path
-dispatches through :func:`~repro.resilience.supervisor.supervised_map`:
-units get heartbeat-checked deadlines, failed/timed-out units retry
-with deterministic backoff, repeat offenders are quarantined, and the
-run degrades to an explicit partial result instead of dying.
+The warm worker pool lives in :mod:`repro.resilience.pool`; its three
+accessors are re-exported here for callers that import them from the
+driver.
 """
 
 from __future__ import annotations
 
-import atexit
+import contextlib
+import hashlib
+import json
 import os
-import sys
-import time
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from collections import Counter
+from dataclasses import dataclass
+from typing import (
+    Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple,
+)
 
 from repro.cache import ResultCache, unit_key
 from repro.experiments.common import ExperimentResult, experiment_digest
@@ -62,12 +45,15 @@ from repro.fleet.aggregate import FleetAggregate, FleetAggregateBuilder
 from repro.fleet.config import FleetConfig
 from repro.fleet.node import NodeResult
 from repro.fleet.scenario import FleetScenario
-from repro.journal.run import RunJournal
 from repro.resilience.chaos import ChaosPlan
+from repro.resilience.executor import Plan, WorkUnit, run_units
 from repro.resilience.policy import RetryPolicy
-from repro.resilience.pool import PoolCounters, SupervisedPool
+from repro.resilience.pool import (
+    shared_pool,
+    shared_pool_counters,
+    shutdown_shared_pool,
+)
 from repro.resilience.quarantine import QuarantineLog
-from repro.resilience.supervisor import supervised_map
 
 __all__ = [
     "ARTIFACTS",
@@ -75,73 +61,16 @@ __all__ = [
     "ArtifactRun",
     "FleetDriver",
     "artifact_units",
+    "assemble_artifact",
     "reproduce_all",
+    "reproduce_plan",
+    "run_series_unit",
     "runs_digest",
+    "select_artifacts",
     "shared_pool",
     "shared_pool_counters",
     "shutdown_shared_pool",
 ]
-
-
-# -- warm worker pool --------------------------------------------------------
-
-_shared_pool: Optional[SupervisedPool] = None
-_shared_pool_size = 0
-
-
-def shared_pool(workers: int) -> SupervisedPool:
-    """The process-wide warm worker pool, sized for ``workers``.
-
-    Created on first use and reused by every subsequent fleet run,
-    ``reproduce_all`` pass, sweep, and bench invocation in this process
-    — the spawn + re-import cost is paid once, not per call.  A request
-    for more workers than the current pool holds replaces it with a
-    larger one; a request for fewer reuses the existing pool (idle
-    workers are near-free, and shard/unit results never depend on pool
-    size — DESIGN.md §5/§7 — so only wall-clock could differ).
-
-    The pool is a :class:`~repro.resilience.pool.SupervisedPool`
-    (DESIGN.md §11): per-worker queues, observable liveness, targeted
-    kill + respawn — the substrate :func:`supervised_map` needs to
-    retry and quarantine instead of hanging on a dead worker.
-    """
-    global _shared_pool, _shared_pool_size
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    if _shared_pool is not None and _shared_pool_size < workers:
-        shutdown_shared_pool()
-    if _shared_pool is None:
-        _shared_pool = SupervisedPool(
-            processes=workers, path=list(sys.path)
-        )
-        _shared_pool_size = workers
-    return _shared_pool
-
-
-def shared_pool_counters() -> Dict[str, int]:
-    """Observability snapshot of the warm pool (all zeros when cold).
-
-    ``size`` is the live pool's worker count (0 with no pool); the rest
-    are the pool's cumulative :class:`~repro.resilience.pool.
-    PoolCounters`.  Counters reset with the pool — a grow-replacement
-    or shutdown starts them over, which is the honest reading (they
-    describe *this* pool's lifetime).
-    """
-    if _shared_pool is None:
-        return {"size": 0, **PoolCounters().snapshot()}
-    return {"size": _shared_pool.size, **_shared_pool.counters.snapshot()}
-
-
-def shutdown_shared_pool() -> None:
-    """Terminate the warm pool (no-op when none exists)."""
-    global _shared_pool, _shared_pool_size
-    if _shared_pool is not None:
-        _shared_pool.terminate()
-        _shared_pool = None
-        _shared_pool_size = 0
-
-
-atexit.register(shutdown_shared_pool)
 
 
 def _run_shard(
@@ -156,7 +85,7 @@ class FleetDriver:
 
     Args:
         config: the fleet to simulate.
-        workers: worker processes; ``1`` (or a one-node fleet) runs
+        workers: worker processes; ``1`` (or a one-chunk fleet) runs
             in-process with no pool at all.
         resilience: retry/backoff/deadline policy for pooled dispatch
             (default :class:`~repro.resilience.policy.RetryPolicy`()).
@@ -164,11 +93,10 @@ class FleetDriver:
         chaos: fault-injection plan override (tests/harness only; the
             ``REPRO_CHAOS_PLAN`` environment variable otherwise).
         journal: crash-consistent run ledger (DESIGN.md §12).  A
-            journaled run is always chunk-granular (even ``workers=1``)
-            and uses the *manifest's* frozen chunk plan, replays
-            journaled chunks instead of re-simulating them, records
-            every dispatch/completion durably, and seals with the
-            aggregate digest.
+            journaled run uses the *manifest's* frozen chunk plan,
+            replays journaled chunks instead of re-simulating them,
+            records every dispatch/completion durably, and seals with
+            the aggregate digest.
     """
 
     def __init__(
@@ -178,7 +106,7 @@ class FleetDriver:
         resilience: Optional[RetryPolicy] = None,
         quarantine: Optional[QuarantineLog] = None,
         chaos: Optional[ChaosPlan] = None,
-        journal: Optional[RunJournal] = None,
+        journal: Any = None,
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
@@ -203,7 +131,7 @@ class FleetDriver:
         ]
 
     def chunks(self) -> List[Tuple[int, ...]]:
-        """Node-id chunks sized for ``imap_unordered`` dispatch.
+        """Node-id chunks, the fleet's work units.
 
         Several small chunks per worker (rather than one shard each)
         keep the pool busy when node costs are skewed — a straggler
@@ -220,134 +148,75 @@ class FleetDriver:
             )
         return chunks
 
+    def chunk_plan(self) -> Dict[str, List[int]]:
+        """Unit id -> node ids, in dispatch order: the one place the
+        chunk-id format is built (the journal freezes this mapping into
+        its manifest, :func:`~repro.journal.pipelines.open_fleet_journal`).
+        """
+        return {
+            f"chunk{index:03d}(n{chunk[0]}+{len(chunk)})": list(chunk)
+            for index, chunk in enumerate(self.chunks())
+        }
+
+    def plan(self) -> Plan:
+        """The executor plan: the journal's frozen chunks when journaled
+        (never re-derived — a resume under a different ``--workers``
+        executes exactly the un-journaled chunks of the original plan),
+        else :meth:`chunk_plan`.  Cost is the chunk length."""
+        if self.journal is None:
+            chunks = self.chunk_plan()
+        else:
+            frozen = self.journal.manifest["plan"]["chunks"]
+            chunks = {
+                unit_id: frozen[unit_id] for unit_id in self.journal.units
+            }
+        return Plan(
+            "fleet",
+            tuple(
+                WorkUnit(
+                    unit_id,
+                    (self.config, tuple(int(n) for n in nodes)),
+                    cost=float(len(nodes)),
+                )
+                for unit_id, nodes in chunks.items()
+            ),
+        )
+
     def run(self) -> FleetAggregate:
         """Simulate the whole fleet and return the aggregate.
 
-        The parallel path streams each finished chunk into a
-        :class:`FleetAggregateBuilder` as it lands (completion order is
-        irrelevant — the reduction is order-independent and the builder
-        canonicalizes node order), so no per-shard result lists are
-        materialized and aggregation overlaps the remaining simulation.
-        A single-chunk work list runs inline: a pool cannot overlap
-        anything when there is only one unit of work to hand out.
-        Multi-chunk runs dispatch through :func:`supervised_map` onto
-        the process-wide warm pool (:func:`shared_pool`): chunks whose
-        workers die or stall are retried under the driver's
-        :class:`RetryPolicy`, and chunks that keep failing are
-        quarantined — the aggregate then reports their node ids as
-        explicit ``holes`` instead of the run dying.
+        Chunks run through :func:`~repro.resilience.executor.run_units`
+        (DESIGN.md §11.1); each finished chunk streams into a
+        :class:`FleetAggregateBuilder` as it lands.  The reduction is
+        order-independent and the builder canonicalizes node order, and
+        chunk shape cannot move a node's simulation (DESIGN.md §5), so
+        inline, pooled, and interrupted-then-resumed runs produce a
+        bit-identical digest.  Chunks that exhaust their retries are
+        quarantined — the aggregate reports their node ids as explicit
+        ``holes`` instead of the run dying.
         """
         with obs.span(
             "pipeline", cat="fleet",
             nodes=self.config.n_nodes, workers=self.workers,
         ):
-            return self._run()
-
-    def _run(self) -> FleetAggregate:
-        if self.journal is not None:
-            return self._run_journaled()
-        if self.workers == 1:
-            return FleetScenario(self.config).run_fleet()
-        chunks = self.chunks()
-        builder = FleetAggregateBuilder()
-        if len(chunks) <= 1:
-            for chunk in chunks:
-                builder.add_many(_run_shard((self.config, chunk)))
-            return builder.build()
-        units: List[Tuple[str, Any]] = []
-        nodes_by_unit: Dict[str, Tuple[int, ...]] = {}
-        for index, chunk in enumerate(chunks):
-            unit_id = f"chunk{index:03d}(n{chunk[0]}+{len(chunk)})"
-            units.append((unit_id, (self.config, chunk)))
-            nodes_by_unit[unit_id] = chunk
-        outcome = supervised_map(
-            _run_shard,
-            units,
-            workers=self.workers,
-            pool_factory=shared_pool,
-            pool_shutdown=shutdown_shared_pool,
-            policy=self.resilience,
-            quarantine=self.quarantine,
-            chaos=self.chaos,
-            on_result=lambda _unit_id, results: builder.add_many(results),
-            context="fleet",
-        )
-        holes = tuple(
-            sorted(
-                node_id
-                for unit_id in outcome.holes
-                for node_id in nodes_by_unit[unit_id]
+            builder = FleetAggregateBuilder()
+            hole_nodes: List[int] = []
+            outcome = run_units(
+                self.plan(),
+                _run_shard,
+                workers=self.workers,
+                journal=self.journal,
+                policy=self.resilience,
+                quarantine=self.quarantine,
+                chaos=self.chaos,
+                on_result=lambda _unit, results, _wall: builder.add_many(
+                    results
+                ),
+                on_hole=lambda unit: hole_nodes.extend(unit.payload[1]),
             )
-        )
-        return builder.build(holes=holes)
-
-    def _run_journaled(self) -> FleetAggregate:
-        """Journaled fleet run: replay durable chunks, execute the rest.
-
-        The chunk plan comes from the journal's manifest (frozen at the
-        run's first invocation), never re-derived — so a resume under a
-        different ``--workers`` executes exactly the un-journaled chunks
-        of the original plan.  The run seals with the aggregate digest;
-        chunk shape cannot move a node's simulation (DESIGN.md §5), so
-        the resumed digest is bit-identical to an uninterrupted run.
-        """
-        journal = self.journal
-        assert journal is not None
-        plan = journal.manifest["plan"]["chunks"]
-        builder = FleetAggregateBuilder()
-        hole_nodes: List[int] = []
-        pending: List[Tuple[str, Any]] = []
-        nodes_by_unit: Dict[str, Tuple[int, ...]] = {}
-        for unit_id in journal.units:
-            chunk = tuple(int(n) for n in plan[unit_id])
-            nodes_by_unit[unit_id] = chunk
-            if journal.is_done(unit_id):
-                builder.add_many(journal.replayed[unit_id])
-            elif unit_id in journal.replayed_quarantined:
-                hole_nodes.extend(chunk)
-            else:
-                pending.append((unit_id, (self.config, chunk)))
-
-        def handle_result(unit_id: str, results: List[NodeResult]) -> None:
-            journal.record_done(unit_id, results, 0.0)
-            builder.add_many(results)
-
-        if pending:
-            if self.workers == 1 or len(pending) == 1:
-                for unit_id, payload in pending:
-                    journal.record_dispatched(unit_id, 0)
-                    started = time.perf_counter()
-                    with obs.span(unit_id, cat="unit", context="fleet"):
-                        results = _run_shard(payload)
-                    journal.record_done(
-                        unit_id, results, time.perf_counter() - started
-                    )
-                    builder.add_many(results)
-            else:
-                outcome = supervised_map(
-                    _run_shard,
-                    pending,
-                    workers=self.workers,
-                    pool_factory=shared_pool,
-                    pool_shutdown=shutdown_shared_pool,
-                    policy=self.resilience,
-                    quarantine=self.quarantine,
-                    chaos=self.chaos,
-                    on_dispatch=journal.record_dispatched,
-                    on_result=handle_result,
-                    on_quarantine=lambda record: journal.record_quarantined(
-                        record.unit_id, record.kind
-                    ),
-                    context="fleet",
-                )
-                hole_nodes.extend(
-                    node_id
-                    for unit_id in outcome.holes
-                    for node_id in nodes_by_unit[unit_id]
-                )
-        aggregate = builder.build(holes=tuple(sorted(hole_nodes)))
-        journal.seal(aggregate.digest())
-        return aggregate
+            aggregate = builder.build(holes=hole_nodes)
+            outcome.seal(aggregate.digest)
+            return aggregate
 
 
 # -- reproduce-all ----------------------------------------------------------
@@ -385,35 +254,24 @@ ARTIFACT_SPECS: Dict[str, Tuple[str, Callable[[float], Dict[str, Any]]]] = {
 ARTIFACTS: Tuple[str, ...] = tuple(ARTIFACT_SPECS)
 
 #: Sub-artifact series registry (DESIGN.md §7): artifact -> the dotted
-#: paths of its ``series``/``unit``/``assemble`` triple.  Artifacts not
-#: listed here (tables, the fig5 time series) are single-kernel and run
-#: whole.  Each triple obeys the work-unit contract: ``series(**kwargs)``
-#: lists canonical unit keys without simulating anything, ``unit(key,
-#: **kwargs)`` runs one key to a small picklable payload seeded only by
-#: its arguments, and ``assemble(units, **kwargs)`` derives the rows —
-#: so shard shape and completion order cannot affect a single row bit.
-SERIES_SPECS: Dict[str, Tuple[str, str, str]] = {
-    "fig1": ("overclock.fig1_series", "overclock.fig1_unit",
-             "overclock.fig1_assemble"),
-    "fig2": ("overclock.fig2_series", "overclock.fig2_unit",
-             "overclock.fig2_assemble"),
-    "fig3": ("overclock.fig3_series", "overclock.fig3_unit",
-             "overclock.fig3_assemble"),
-    "fig4": ("overclock.fig4_series", "overclock.fig4_unit",
-             "overclock.fig4_assemble"),
-    "fig6-left": ("harvest.fig6_invalid_data_series",
-                  "harvest.fig6_invalid_data_unit",
-                  "harvest.fig6_invalid_data_assemble"),
-    "fig6-middle": ("harvest.fig6_broken_model_series",
-                    "harvest.fig6_broken_model_unit",
-                    "harvest.fig6_broken_model_assemble"),
-    "fig6-right": ("harvest.fig6_delayed_predictions_series",
-                   "harvest.fig6_delayed_predictions_unit",
-                   "harvest.fig6_delayed_predictions_assemble"),
-    "fig7": ("memory.fig7_series", "memory.fig7_unit",
-             "memory.fig7_assemble"),
-    "fig8": ("memory.fig8_series", "memory.fig8_unit",
-             "memory.fig8_assemble"),
+#: stem of its ``<stem>_series`` / ``_unit`` / ``_assemble`` triple.
+#: Artifacts not listed here (tables, the fig5 time series) are
+#: single-kernel and run whole.  Each triple obeys the work-unit
+#: contract: ``series(**kwargs)`` lists canonical unit keys without
+#: simulating anything, ``unit(key, **kwargs)`` runs one key to a small
+#: picklable payload seeded only by its arguments, and ``assemble(units,
+#: **kwargs)`` derives the rows — so shard shape and completion order
+#: cannot affect a single row bit.
+SERIES_SPECS: Dict[str, str] = {
+    "fig1": "overclock.fig1",
+    "fig2": "overclock.fig2",
+    "fig3": "overclock.fig3",
+    "fig4": "overclock.fig4",
+    "fig6-left": "harvest.fig6_invalid_data",
+    "fig6-middle": "harvest.fig6_broken_model",
+    "fig6-right": "harvest.fig6_delayed_predictions",
+    "fig7": "memory.fig7",
+    "fig8": "memory.fig8",
 }
 
 
@@ -468,27 +326,16 @@ def _hole_run(
     return ArtifactRun(name, result, wall_seconds, holes=tuple(ordered))
 
 
-def _run_artifact(payload: Tuple[str, float]) -> ArtifactRun:
-    name, scale = payload
-    path, kwargs_builder = ARTIFACT_SPECS[name]
-    started = time.perf_counter()
-    result = _resolve(path)(**kwargs_builder(scale))
-    return ArtifactRun(name, result, time.perf_counter() - started)
-
-
-def _run_series_unit(
-    payload: Tuple[str, Optional[str], float]
-) -> Tuple[str, Optional[str], Any, float]:
-    """Worker entry: one ``(artifact, series)`` unit (or whole artifact)."""
+def run_series_unit(payload: Tuple[str, Optional[str], float]) -> Any:
+    """The reproduce unit function: one ``(artifact, series, scale)``
+    scenario to its payload (``series=None``: the whole single-kernel
+    artifact, whose payload *is* the result)."""
     name, series, scale = payload
-    started = time.perf_counter()
+    path, kwargs_builder = ARTIFACT_SPECS[name]
     if series is None:
-        run = _run_artifact((name, scale))
-        return name, None, run.result, run.wall_seconds
-    _series_path, unit_path, _assemble_path = SERIES_SPECS[name]
-    _path, kwargs_builder = ARTIFACT_SPECS[name]
-    result = _resolve(unit_path)(series, **kwargs_builder(scale))
-    return name, series, result, time.perf_counter() - started
+        return _resolve(path)(**kwargs_builder(scale))
+    unit = _resolve(SERIES_SPECS[name] + "_unit")
+    return unit(series, **kwargs_builder(scale))
 
 
 def artifact_units(name: str, scale: float) -> List[Tuple[str, Optional[str]]]:
@@ -497,27 +344,26 @@ def artifact_units(name: str, scale: float) -> List[Tuple[str, Optional[str]]]:
     Single-kernel artifacts yield one ``(name, None)`` unit; decomposed
     artifacts yield one unit per series key, in canonical key order.
     """
-    spec = SERIES_SPECS.get(name)
-    if spec is None:
+    if name not in SERIES_SPECS:
         return [(name, None)]
-    series_path, _unit_path, _assemble_path = spec
     _path, kwargs_builder = ARTIFACT_SPECS[name]
-    keys = _resolve(series_path)(**kwargs_builder(scale))
+    keys = _resolve(SERIES_SPECS[name] + "_series")(**kwargs_builder(scale))
     return [(name, key) for key in keys]
 
 
-def _estimated_unit_cost(name: str, n_units: int, scale: float) -> float:
-    """Rough per-unit cost for longest-first dispatch (simulated seconds
-    split across the artifact's units; tables get a nominal epsilon).
-    Fallback only: measured walls take priority (:func:`_dispatch_costs`)."""
-    _path, kwargs_builder = ARTIFACT_SPECS[name]
-    seconds = kwargs_builder(scale).get("seconds", 0)
-    return max(float(seconds), 1.0) / max(n_units, 1)
+def select_artifacts(only: Optional[Sequence[str]]) -> List[str]:
+    """``only`` validated and put in canonical (paper) order.
+
+    Raises:
+        ValueError: ``only`` names an artifact that does not exist.
+    """
+    unknown = set(only or ()) - set(ARTIFACTS)
+    if unknown:
+        raise ValueError(f"unknown artifacts: {sorted(unknown)}")
+    return [n for n in ARTIFACTS if only is None or n in only]
 
 
 # -- incremental reproduction (DESIGN.md §8) ---------------------------------
-
-_CACHE_MISS = object()
 
 #: Measured wall-time histograms per work unit, keyed by
 #: ``"artifact/series@scale"`` (DESIGN.md §14).  Session-wide; merged
@@ -533,79 +379,96 @@ def _wall_key(name: str, series: Optional[str], scale: float) -> str:
     return f"{name}/{series or ''}@{scale!r}"
 
 
-def _cache_key(name: str, series: Optional[str], scale: float) -> str:
+def _cache_key(payload: Tuple[str, Optional[str], float]) -> str:
+    name, series, scale = payload
     _path, kwargs_builder = ARTIFACT_SPECS[name]
     return unit_key(name, series, scale, kwargs_builder(scale))
 
 
-def _record_wall(
-    name: str,
-    series: Optional[str],
-    scale: float,
-    wall: float,
-    executed: Optional[Dict[str, float]] = None,
-) -> None:
-    """Record one executed unit's measured wall (the single site both
-    the cached-serial and the series-granular paths call)."""
-    key = _wall_key(name, series, scale)
-    _unit_timings.observe(key, wall)
-    if executed is not None:
-        executed[key] = wall
-
-
 def _dispatch_costs(
     payloads: Sequence[Tuple[str, Optional[str], float]],
-    units_by_artifact: Dict[str, List[Tuple[str, Optional[str]]]],
-    scale: float,
-) -> Dict[Tuple[str, Optional[str]], float]:
+) -> List[float]:
     """Per-unit dispatch cost: measured wall where known, calibrated
     estimate otherwise.
 
-    Measured walls (seconds) and the simulated-seconds heuristic live on
-    different scales, so when both appear in one work list the heuristic
-    is multiplied by the median measured-to-estimated ratio of the units
-    that have both — keeping longest-first meaningful for the not-yet-
-    measured remainder.  Purely cosmetic for results (dispatch order
-    cannot affect a row bit); it only shapes the makespan.
+    The estimate is the artifact's simulated seconds split across its
+    units (tables get a nominal epsilon).  Measured walls (seconds) and
+    that heuristic live on different scales, so when both appear in one
+    work list the heuristic is multiplied by the median
+    measured-to-estimated ratio of the units that have both — keeping
+    longest-first meaningful for the not-yet-measured remainder.
+    Purely cosmetic for results (dispatch order cannot affect a row
+    bit); it only shapes the makespan.
     """
-    measured: Dict[Tuple[str, Optional[str]], float] = {}
-    estimated: Dict[Tuple[str, Optional[str]], float] = {}
+    n_units = Counter(name for name, _series, _scale in payloads)
+    estimated: List[float] = []
+    measured: List[Optional[float]] = []
     ratios: List[float] = []
-    for name, series, _scale in payloads:
-        estimate = _estimated_unit_cost(
-            name, len(units_by_artifact[name]), scale
-        )
-        estimated[(name, series)] = estimate
+    for name, series, scale in payloads:
+        _path, kwargs_builder = ARTIFACT_SPECS[name]
+        seconds = kwargs_builder(scale).get("seconds", 0)
+        estimate = max(float(seconds), 1.0) / n_units[name]
         wall = _unit_timings.last(_wall_key(name, series, scale))
+        estimated.append(estimate)
+        measured.append(wall)
         if wall is not None:
-            measured[(name, series)] = wall
             ratios.append(wall / estimate)
     if not ratios:
         return estimated
     ratios.sort()
     calibration = ratios[len(ratios) // 2]
-    return {
-        unit: measured.get(unit, estimate * calibration)
-        for unit, estimate in estimated.items()
-    }
+    return [
+        estimate * calibration if wall is None else wall
+        for estimate, wall in zip(estimated, measured)
+    ]
 
 
-def _load_recorded_walls(cache: Optional[ResultCache]) -> None:
-    if cache is not None:
-        # Session-recorded observations win over persisted summaries
-        # (the old ``setdefault`` merge): the family keeps its own
-        # ``last`` for keys measured this session.
-        _unit_timings.absorb(cache.load_unit_timings())
+def reproduce_plan(only: Optional[Sequence[str]], scale: float) -> Plan:
+    """The reproduce plan: every ``(artifact, series)`` unit of the
+    selected artifacts in canonical order, ids ``artifact/series@scale``
+    (what the journal's manifest lists), costs from
+    :func:`_dispatch_costs`.
+
+    Raises:
+        ValueError: ``only`` names an artifact that does not exist.
+    """
+    payloads = [
+        (name, series, scale)
+        for name in select_artifacts(only)
+        for _name, series in artifact_units(name, scale)
+    ]
+    return Plan(
+        "reproduce",
+        tuple(
+            WorkUnit(_wall_key(*payload), payload, cost=cost)
+            for payload, cost in zip(payloads, _dispatch_costs(payloads))
+        ),
+        cache_key=_cache_key,
+    )
 
 
-def _persist_recorded_walls(
-    cache: Optional[ResultCache], executed: Dict[str, float]
-) -> None:
-    if cache is not None and executed:
-        cache.save_unit_timings(_unit_timings.export(executed))
+@contextlib.contextmanager
+def _recorded_walls(
+    cache: Optional[ResultCache],
+) -> Iterator[Dict[str, float]]:
+    """Load the cache's persisted unit timings on entry; on exit —
+    success or not, completed units are already cached, so their walls
+    are kept too — persist the walls recorded into the yielded dict."""
+    executed: Dict[str, float] = {}
+    if cache is None:
+        yield executed
+        return
+    # Session-recorded observations win over persisted summaries: the
+    # family keeps its own ``last`` for keys measured this session.
+    _unit_timings.absorb(cache.load_unit_timings())
+    try:
+        yield executed
+    finally:
+        if executed:
+            cache.save_unit_timings(_unit_timings.export(executed))
 
 
-def _assemble_artifact(
+def assemble_artifact(
     name: str,
     scale: float,
     units: Dict[Optional[str], Any],
@@ -613,10 +476,11 @@ def _assemble_artifact(
 ) -> ArtifactRun:
     if None in units:  # whole-artifact unit: the result *is* the payload
         return ArtifactRun(name, units[None], wall_seconds)
-    _series_path, _unit_path, assemble_path = SERIES_SPECS[name]
     _path, kwargs_builder = ARTIFACT_SPECS[name]
-    result = _resolve(assemble_path)(units, **kwargs_builder(scale))
-    return ArtifactRun(name, result, wall_seconds)
+    assemble = _resolve(SERIES_SPECS[name] + "_assemble")
+    return ArtifactRun(
+        name, assemble(units, **kwargs_builder(scale)), wall_seconds
+    )
 
 
 def runs_digest(runs: Sequence[ArtifactRun]) -> str:
@@ -626,9 +490,6 @@ def runs_digest(runs: Sequence[ArtifactRun]) -> str:
     interrupted-then-resumed pass seals with the same digest as an
     uninterrupted one iff every artifact's rows agree bit-for-bit.
     """
-    import hashlib
-    import json
-
     payload = json.dumps(
         [
             {
@@ -643,35 +504,98 @@ def runs_digest(runs: Sequence[ArtifactRun]) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
+class _ArtifactReducer:
+    """Fold unit payloads into artifacts; emit them in canonical order.
+
+    Order-independent: units may land in any order (longest-first
+    dispatch, pool completion order, replay-then-execute); an artifact
+    assembles the moment its last unit lands, and finished artifacts
+    are buffered and released in plan order — the ``on_result``
+    streaming contract.  An artifact with a quarantined unit cannot be
+    assembled and degrades to an explicit partial (:func:`_hole_run`).
+    """
+
+    def __init__(
+        self,
+        plan: Plan,
+        on_result: Optional[Callable[[ArtifactRun], None]],
+        executed_walls: Dict[str, float],
+    ) -> None:
+        self.on_result = on_result
+        self.executed_walls = executed_walls
+        self.runs: List[ArtifactRun] = []
+        self.remaining = Counter(unit.payload[0] for unit in plan.units)
+        self.names = list(self.remaining)  # plan (canonical) order
+        self.collected: Dict[str, Dict[Optional[str], Any]] = {
+            name: {} for name in self.names
+        }
+        self.walls = dict.fromkeys(self.names, 0.0)
+        self.holes: Dict[str, List[str]] = {name: [] for name in self.names}
+        self.assembled: Dict[str, ArtifactRun] = {}
+
+    def add(
+        self, unit: WorkUnit, payload: Any, wall: Optional[float]
+    ) -> None:
+        name, series, scale = unit.payload
+        if wall is not None:
+            _unit_timings.observe(unit.unit_id, wall)
+            self.executed_walls[unit.unit_id] = wall
+            self.walls[name] += wall
+        self.collected[name][series] = payload
+        self._settle(name, scale)
+
+    def hole(self, unit: WorkUnit) -> None:
+        name, _series, scale = unit.payload
+        self.holes[name].append(unit.unit_id)
+        self._settle(name, scale)
+
+    def _settle(self, name: str, scale: float) -> None:
+        self.remaining[name] -= 1
+        if self.remaining[name]:
+            return
+        units = self.collected.pop(name)
+        if self.holes[name]:
+            self.assembled[name] = _hole_run(
+                name, self.holes[name], self.walls[name]
+            )
+        else:
+            self.assembled[name] = assemble_artifact(
+                name, scale, units, self.walls[name]
+            )
+        while len(self.runs) < len(self.names):
+            ready = self.assembled.pop(self.names[len(self.runs)], None)
+            if ready is None:
+                break
+            self.runs.append(ready)
+            if self.on_result is not None:
+                self.on_result(ready)
+
+
 def reproduce_all(
     parallel: bool = False,
     workers: Optional[int] = None,
     scale: float = 1.0,
     only: Optional[Sequence[str]] = None,
     on_result: Optional[Callable[[ArtifactRun], None]] = None,
-    granularity: str = "series",
     cache: Optional[ResultCache] = None,
     resilience: Optional[RetryPolicy] = None,
     quarantine: Optional[QuarantineLog] = None,
     chaos: Optional[ChaosPlan] = None,
-    journal: Optional[RunJournal] = None,
+    journal: Any = None,
 ) -> List[ArtifactRun]:
     """Regenerate every table and figure, serially or sharded.
 
     Args:
-        parallel: shard the pass across worker processes.
+        parallel: shard the pass across worker processes (one
+            ``(artifact, series)`` scenario per unit); otherwise units
+            run inline, pool-free.
         workers: pool size (default: CPU count, capped at the number of
-            work units).
+            pending units).
         scale: duration scale; ``~0.33`` is the ``--quick`` pass.
         only: restrict to these artifact names (canonical order kept).
         on_result: called with each run as soon as it is available, in
             canonical order — lets callers stream output during a
             minutes-long full pass instead of printing at the end.
-        granularity: ``"series"`` (default) dispatches independent
-            ``(artifact, series)`` units so the pass scales past the
-            twelve artifacts and fig7's nine scenarios no longer
-            serialize the tail; ``"artifact"`` keeps the pre-sharding
-            one-artifact-per-unit behavior (the bench baseline).
         cache: consult (and fill) this result cache per work unit —
             unchanged units load instead of executing, so a warm re-run
             assembles every figure without running a single simulation,
@@ -680,378 +604,33 @@ def reproduce_all(
             (default :class:`RetryPolicy`(); DESIGN.md §11).
         quarantine: where poisoned units are persisted (optional).
         chaos: fault-injection plan override (tests/harness only).
-        journal: crash-consistent run ledger (DESIGN.md §12).  A
-            journaled pass is always series-granular (``granularity``
-            must stay ``"series"``): journaled units replay instead of
-            executing (or probing the cache), completions are recorded
-            durably, and the pass seals with :func:`runs_digest`.
+        journal: crash-consistent run ledger (DESIGN.md §12): journaled
+            units replay instead of executing (or probing the cache),
+            completions are recorded durably, and the pass seals with
+            :func:`runs_digest`.
 
     Returns:
         Runs in canonical (paper) order regardless of completion order.
-        In parallel series mode (and any cached pass) each run's
-        ``wall_seconds`` is the *sum* of its executed units' walls (its
-        CPU cost — near zero on a warm cache), not its elapsed span.
+        Each run's ``wall_seconds`` is the *sum* of its executed units'
+        walls (its CPU cost — zero on a warm cache), not its elapsed
+        span.
     """
     with obs.span(
-        "pipeline", cat="reproduce",
-        scale=scale, parallel=parallel, granularity=granularity,
-    ):
-        return _reproduce_all_impl(
-            parallel, workers, scale, only, on_result, granularity,
-            cache, resilience, quarantine, chaos, journal,
-        )
-
-
-def _reproduce_all_impl(
-    parallel: bool,
-    workers: Optional[int],
-    scale: float,
-    only: Optional[Sequence[str]],
-    on_result: Optional[Callable[[ArtifactRun], None]],
-    granularity: str,
-    cache: Optional[ResultCache],
-    resilience: Optional[RetryPolicy],
-    quarantine: Optional[QuarantineLog],
-    chaos: Optional[ChaosPlan],
-    journal: Optional[RunJournal],
-) -> List[ArtifactRun]:
-    if granularity not in ("series", "artifact"):
-        raise ValueError(f"unknown granularity {granularity!r}")
-    if journal is not None and granularity != "series":
-        raise ValueError(
-            "journaled reproduce passes are series-granular; "
-            "use granularity='series' or journal=None"
-        )
-    names = [n for n in ARTIFACTS if only is None or n in only]
-    unknown = set(only or ()) - set(ARTIFACTS)
-    if unknown:
-        raise ValueError(f"unknown artifacts: {sorted(unknown)}")
-    _load_recorded_walls(cache)
-    if journal is not None:
-        # Journaled passes always go through the series-granular path —
-        # the journal's unit list *is* the series expansion, and the
-        # inline mode keeps serial passes pool-free.
-        return _reproduce_series_granular(
-            names, workers, scale, on_result, cache,
-            resilience, quarantine, chaos,
-            journal=journal, inline=not parallel,
-        )
-    # Series granularity can shard a *single* artifact (fig7 alone is
-    # nine units), so the serial fallback keys on the work-unit count,
-    # not the artifact count.
-    shardable = len(names) > 1 or (
-        granularity == "series"
-        and len(names) == 1
-        and len(artifact_units(names[0], scale)) > 1
-    )
-    runs: List[ArtifactRun] = []
-    if not parallel or not shardable:
-        executed: Dict[str, float] = {}
-        for name in names:
-            if cache is None:
-                runs.append(_run_artifact((name, scale)))
-            else:
-                runs.append(
-                    _run_artifact_cached(name, scale, cache, executed)
-                )
-            if on_result is not None:
-                on_result(runs[-1])
-        _persist_recorded_walls(cache, executed)
-        return runs
-    if granularity == "artifact":
-        return _reproduce_artifact_granular(
-            names, workers, scale, on_result, cache,
-            resilience, quarantine, chaos,
-        )
-    return _reproduce_series_granular(
-        names, workers, scale, on_result, cache,
-        resilience, quarantine, chaos,
-    )
-
-
-def _run_artifact_cached(
-    name: str,
-    scale: float,
-    cache: ResultCache,
-    executed: Dict[str, float],
-) -> ArtifactRun:
-    """One artifact through the cache: load hit units, run+store misses."""
-    collected: Dict[Optional[str], Any] = {}
-    wall = 0.0
-    for _name, series in artifact_units(name, scale):
-        key = _cache_key(name, series, scale)
-        payload = cache.get(key, _CACHE_MISS)
-        if payload is _CACHE_MISS:
-            with obs.span(
-                _wall_key(name, series, scale), cat="unit",
-                context="reproduce",
-            ):
-                _n, _s, payload, unit_wall = _run_series_unit(
-                    (name, series, scale)
-                )
-            cache.put(key, payload)
-            wall += unit_wall
-            _record_wall(name, series, scale, unit_wall, executed)
-        collected[series] = payload
-    return _assemble_artifact(name, scale, collected, wall)
-
-
-#: Key namespace marker for whole-artifact payloads cached by the
-#: artifact-granular path (distinct from the series-unit key space).
-_WHOLE_ARTIFACT = "::artifact::"
-
-
-def _reproduce_artifact_granular(
-    names: List[str],
-    workers: Optional[int],
-    scale: float,
-    on_result: Optional[Callable[[ArtifactRun], None]],
-    cache: Optional[ResultCache] = None,
-    resilience: Optional[RetryPolicy] = None,
-    quarantine: Optional[QuarantineLog] = None,
-    chaos: Optional[ChaosPlan] = None,
-) -> List[ArtifactRun]:
-    """One artifact per work unit (the pre-sharding parallel path)."""
-    pending: List[Tuple[str, float]] = []
-    completed: Dict[str, ArtifactRun] = {}
-    for name in names:
-        if cache is not None:
-            payload = cache.get(
-                _cache_key(name, _WHOLE_ARTIFACT, scale), _CACHE_MISS
-            )
-            if payload is not _CACHE_MISS:
-                completed[name] = ArtifactRun(name, payload, 0.0)
-                continue
-        pending.append((name, scale))
-    runs: List[ArtifactRun] = []
-    emit_index = 0
-
-    def emit_ready() -> None:
-        nonlocal emit_index
-        while emit_index < len(names) and names[emit_index] in completed:
-            ready = completed.pop(names[emit_index])
-            emit_index += 1
-            runs.append(ready)
-            if on_result is not None:
-                on_result(ready)
-
-    def handle_result(_unit_id: str, run: ArtifactRun) -> None:
-        if cache is not None:
-            cache.put(
-                _cache_key(run.name, _WHOLE_ARTIFACT, scale), run.result
-            )
-        completed[run.name] = run
-        emit_ready()
-
-    def handle_quarantine(record) -> None:
-        name = record.unit_id.split(":", 1)[1]
-        completed[name] = _hole_run(name, [record.unit_id], 0.0)
-        emit_ready()
-
-    emit_ready()
-    if pending:
-        # Supervised, unordered dispatch so a straggler (fig7 dominates
-        # the full pass) never idles the pool behind canonical order;
-        # completed runs are buffered and re-emitted in canonical order
-        # as their turn comes, keeping the on_result streaming contract.
-        supervised_map(
-            _run_artifact,
-            [(f"artifact:{name}", (name, scale)) for name, _ in pending],
-            workers=min(workers or os.cpu_count() or 1, len(pending)),
-            pool_factory=shared_pool,
-            pool_shutdown=shutdown_shared_pool,
+        "pipeline", cat="reproduce", scale=scale, parallel=parallel
+    ), _recorded_walls(cache) as executed_walls:
+        plan = reproduce_plan(only, scale)
+        reducer = _ArtifactReducer(plan, on_result, executed_walls)
+        outcome = run_units(
+            plan,
+            run_series_unit,
+            workers=(workers or os.cpu_count() or 1) if parallel else 1,
+            cache=cache,
+            journal=journal,
             policy=resilience,
             quarantine=quarantine,
             chaos=chaos,
-            on_result=handle_result,
-            on_quarantine=handle_quarantine,
-            context="reproduce",
+            on_result=reducer.add,
+            on_hole=reducer.hole,
         )
-    return runs
-
-
-def _reproduce_series_granular(
-    names: List[str],
-    workers: Optional[int],
-    scale: float,
-    on_result: Optional[Callable[[ArtifactRun], None]],
-    cache: Optional[ResultCache] = None,
-    resilience: Optional[RetryPolicy] = None,
-    quarantine: Optional[QuarantineLog] = None,
-    chaos: Optional[ChaosPlan] = None,
-    journal: Optional[RunJournal] = None,
-    inline: bool = False,
-) -> List[ArtifactRun]:
-    """Sub-artifact sharding: one (artifact, series) scenario per unit.
-
-    With a ``journal``, replayed units join their artifact before the
-    cache is even probed, every completion (cache hits included) is
-    recorded durably, and ``inline=True`` executes the remaining units
-    serially in-process — the journaled serial mode, pool-free.
-    """
-    units_by_artifact = {name: artifact_units(name, scale) for name in names}
-    collected: Dict[str, Dict[Optional[str], Any]] = {n: {} for n in names}
-    walls: Dict[str, float] = {n: 0.0 for n in names}
-    remaining: Dict[str, int] = {
-        n: len(units_by_artifact[n]) for n in names
-    }
-    holes_by_artifact: Dict[str, List[str]] = {n: [] for n in names}
-    executed_walls: Dict[str, float] = {}
-    # Journal replay first, then the cache probe: hit units join their
-    # artifact immediately; only the misses are dispatched.  A fully-
-    # warm (or fully-journaled) pass therefore never touches the pool.
-    payloads: List[Tuple[str, Optional[str], float]] = []
-    for name in names:
-        for _name, series in units_by_artifact[name]:
-            unit_id = _wall_key(name, series, scale)
-            if journal is not None and journal.is_done(unit_id):
-                collected[name][series] = journal.replayed[unit_id]
-                remaining[name] -= 1
-                continue
-            if (
-                journal is not None
-                and unit_id in journal.replayed_quarantined
-            ):
-                holes_by_artifact[name].append(unit_id)
-                remaining[name] -= 1
-                continue
-            payload = (
-                _CACHE_MISS if cache is None
-                else cache.get(_cache_key(name, series, scale), _CACHE_MISS)
-            )
-            if payload is _CACHE_MISS:
-                payloads.append((name, series, scale))
-            else:
-                collected[name][series] = payload
-                remaining[name] -= 1
-                if journal is not None:
-                    journal.record_done(
-                        unit_id, payload, 0.0, executed=False
-                    )
-    # Longest-first dispatch keeps the 1500-sim-second fig7 scenarios
-    # from landing last and re-creating the straggler tail the
-    # decomposition exists to remove.  Costs are measured unit walls
-    # where available (recorded this session or persisted with the
-    # cache), the calibrated simulated-seconds estimate otherwise.  The
-    # sort is deterministic (cost, then canonical order) and cannot
-    # affect results, only wall time.
-    costs = _dispatch_costs(payloads, units_by_artifact, scale)
-    order = {name: i for i, name in enumerate(names)}
-    payloads.sort(
-        key=lambda p: (-costs[(p[0], p[1])], order[p[0]])
-    )
-    assembled: Dict[str, ArtifactRun] = {}
-    runs: List[ArtifactRun] = []
-    emit_index = 0
-
-    def finish_artifact(name: str) -> None:
-        holes = holes_by_artifact[name]
-        if holes:
-            # At least one unit was poisoned: the artifact cannot be
-            # assembled.  Degrade to an explicit partial instead of
-            # dying (DESIGN.md §11).
-            collected.pop(name, None)
-            assembled[name] = _hole_run(name, holes, walls[name])
-        else:
-            assembled[name] = _assemble_artifact(
-                name, scale, collected.pop(name), walls[name]
-            )
-
-    def emit_ready() -> None:
-        nonlocal emit_index
-        while emit_index < len(names) and names[emit_index] in assembled:
-            ready = assembled.pop(names[emit_index])
-            emit_index += 1
-            runs.append(ready)
-            if on_result is not None:
-                on_result(ready)
-
-    for name in names:  # artifacts fully served from cache
-        if remaining[name] == 0:
-            finish_artifact(name)
-    emit_ready()
-    if payloads:
-
-        def handle_result(
-            unit_id: str,
-            unit_result: Tuple[str, Optional[str], Any, float],
-        ) -> None:
-            name, series, payload, wall = unit_result
-            if cache is not None:
-                cache.put(_cache_key(name, series, scale), payload)
-            if journal is not None:
-                # After the cache write: a kill between the two leaves
-                # a cached-but-unjournaled unit, which a resume simply
-                # re-loads from the cache (never re-executes twice).
-                journal.record_done(unit_id, payload, wall)
-            _record_wall(name, series, scale, wall, executed_walls)
-            collected[name][series] = payload
-            walls[name] += wall
-            remaining[name] -= 1
-            if remaining[name] == 0:
-                finish_artifact(name)
-            emit_ready()
-
-        unit_coords = {
-            _wall_key(name, series, scale): name
-            for name, series, _scale in payloads
-        }
-
-        def handle_quarantine(record) -> None:
-            if journal is not None:
-                journal.record_quarantined(record.unit_id, record.kind)
-            name = unit_coords[record.unit_id]
-            holes_by_artifact[name].append(record.unit_id)
-            remaining[name] -= 1
-            if remaining[name] == 0:
-                finish_artifact(name)
-            emit_ready()
-
-        try:
-            if inline:
-                for name, series, _scale in payloads:
-                    unit_id = _wall_key(name, series, scale)
-                    if journal is not None:
-                        journal.record_dispatched(unit_id, 0)
-                    with obs.span(
-                        unit_id, cat="unit", context="reproduce"
-                    ):
-                        unit_result = _run_series_unit(
-                            (name, series, scale)
-                        )
-                    handle_result(unit_id, unit_result)
-            else:
-                supervised_map(
-                    _run_series_unit,
-                    [
-                        (
-                            _wall_key(name, series, scale),
-                            (name, series, scale),
-                        )
-                        for name, series, _scale in payloads
-                    ],
-                    workers=min(
-                        workers or os.cpu_count() or 1, len(payloads)
-                    ),
-                    pool_factory=shared_pool,
-                    pool_shutdown=shutdown_shared_pool,
-                    policy=resilience,
-                    quarantine=quarantine,
-                    chaos=chaos,
-                    on_dispatch=(
-                        journal.record_dispatched
-                        if journal is not None else None
-                    ),
-                    on_result=handle_result,
-                    on_quarantine=handle_quarantine,
-                    context="reproduce",
-                )
-        except BaseException:
-            # Completed units are already cached; keep their walls too
-            # (supervised_map has already reset the shared pool).
-            _persist_recorded_walls(cache, executed_walls)
-            raise
-    _persist_recorded_walls(cache, executed_walls)
-    if journal is not None:
-        journal.seal(runs_digest(runs))
-    return runs
+        outcome.seal(lambda: runs_digest(reducer.runs))
+        return reducer.runs

@@ -7,6 +7,9 @@ Subcommands::
     repro runs resume RUN_ID [--workers N] [--no-trace] [--cache-dir PATH]
     repro runs prune [--keep N] [--sealed-only] [--cache-dir PATH]
 
+``RUN_ID`` may be ``latest`` (the most recently created run), here and
+in ``repro trace export``.
+
 ``show --timing`` reconstructs a per-unit wall / attempts / source
 table purely from the run's durable journal records, so the breakdown
 works for interrupted runs too; units slower than 3x the median wall
@@ -28,11 +31,10 @@ import shutil
 import time
 from typing import List, Optional, Tuple
 
-from repro.cache import ResultCache, default_cache_dir
+from repro.cache import default_cache_dir
 from repro.journal.log import replay_records
-from repro.journal.registry import RunInfo, inspect_run, list_runs
+from repro.journal.registry import RunInfo, list_runs, resolve_run
 from repro.journal.run import RunJournal, runs_root
-from repro.obs import run_tracing
 from repro.obs.sidecar import read_trace, segments, trace_path
 
 __all__ = [
@@ -261,7 +263,7 @@ def _print_timing(info: RunInfo) -> None:
 
 def _cmd_runs_show(args: argparse.Namespace) -> int:
     root = _cache_root(args)
-    info = inspect_run(root, args.run_id)
+    info = resolve_run(root, args.run_id)
     if info is None:
         print(f"repro: error: no journaled run {args.run_id!r} "
               f"under {root}")
@@ -298,89 +300,36 @@ def resume_run(
 
     Returns a process exit code (0 on success, 1 for unknown runs).
     """
-    from repro.journal.pipelines import (
-        fleet_config_from_payload,
-        open_fleet_journal,
-        open_reproduce_journal,
-        open_sweep_journal,
-        reproduce_selection_from_payload,
-        spec_from_payload,
-    )
+    from repro.journal.pipelines import PIPELINES, resume_pipeline
 
-    info = inspect_run(cache_root, run_id)
+    info = resolve_run(cache_root, run_id)
     if info is None:
         print(f"repro: error: no journaled run {run_id!r} under "
               f"{cache_root}")
         return 1
-    cache = ResultCache(cache_root) if use_cache else None
-    if info.kind == "fleet":
-        config = fleet_config_from_payload(info.manifest["config"])
-        plan_workers = int(
-            info.manifest.get("plan", {}).get("workers", 1)
-        )
-        effective = workers if workers is not None else plan_workers
-        from repro.experiments.driver import FleetDriver
-
-        with open_fleet_journal(
-            cache_root, config, effective, resume=True, run_id=run_id
-        ) as journal:
-            with run_tracing(
-                journal, enabled_=trace, kind="fleet", resumed=True
-            ):
-                aggregate = FleetDriver(
-                    config, workers=effective, journal=journal
-                ).run()
-            print(aggregate.render())
-            print(journal_status_line(journal))
-        return 0
+    if info.kind not in PIPELINES:
+        print(f"repro: error: run {info.run_id} has unknown kind "
+              f"{info.kind!r}")
+        return 1
+    if workers is None:
+        # A fleet resumes at the pool size its manifest froze.
+        workers = int(info.manifest.get("plan", {}).get("workers", 1))
+    result, journal, _cache = resume_pipeline(
+        cache_root, info.kind, info.manifest["config"], info.run_id,
+        workers=workers, use_cache=use_cache, trace=trace, resumed=True,
+    )
     if info.kind == "reproduce":
-        names, scale = reproduce_selection_from_payload(
-            info.manifest["config"]
-        )
         from repro.experiments.common import experiment_digest
-        from repro.experiments.driver import reproduce_all
 
-        effective = workers if workers is not None else 1
-        with open_reproduce_journal(
-            cache_root, names, scale, resume=True, run_id=run_id
-        ) as journal:
-            with run_tracing(
-                journal, enabled_=trace, kind="reproduce", resumed=True
-            ):
-                runs = reproduce_all(
-                    parallel=effective > 1,
-                    workers=effective,
-                    scale=scale,
-                    only=names,
-                    cache=cache,
-                    journal=journal,
-                )
-            for run in runs:
-                print(
-                    f"[digest {run.result.name} "
-                    f"{experiment_digest(run.result)}]"
-                )
-            print(journal_status_line(journal))
-        return 0
-    if info.kind == "sweep":
-        spec = spec_from_payload(info.manifest["config"])
-        from repro.sweep import SweepRunner
-
-        effective = workers if workers is not None else 1
-        with open_sweep_journal(
-            cache_root, spec, resume=True, run_id=run_id
-        ) as journal:
-            with run_tracing(
-                journal, enabled_=trace, kind="sweep", resumed=True
-            ):
-                report = SweepRunner(
-                    spec, workers=effective, cache=cache, journal=journal
-                ).run()
-            print(report.render())
-            print(journal_status_line(journal))
-        return 0
-    print(f"repro: error: run {run_id} has unknown kind {info.kind!r}")
-    return 1
+        for run in result:
+            print(
+                f"[digest {run.result.name} "
+                f"{experiment_digest(run.result)}]"
+            )
+    else:
+        print(result.render())
+    print(journal_status_line(journal))
+    return 0
 
 
 def prune_runs(

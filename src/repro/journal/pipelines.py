@@ -2,38 +2,45 @@
 
 Each pipeline gets a **config payload** (the exact dict its
 deterministic ``run_id`` hashes over and its manifest records) and an
-``open_*_journal`` helper that expands the run's unit list the same way
-the pipeline itself will.  The payload is also sufficient to
-*reconstruct* the pipeline — ``repro runs resume <run_id>`` rebuilds
-the fleet config / artifact selection / campaign spec from the manifest
-alone, so a resume needs no memory of the original command line.
+``open_*_journal`` helper whose unit list is the pipeline's own plan
+(:meth:`FleetDriver.chunk_plan`, :func:`reproduce_plan`,
+:func:`sweep_plan`) — unit identities are built in one place and
+cannot drift from what the executor will run.  The payload is also
+sufficient to *reconstruct* the pipeline: :data:`PIPELINES` is the one
+per-kind table of "payload → config → journal → run → digest", and
+:func:`resume_pipeline` / :func:`baseline_digest` are the only two
+ladders over it — ``repro runs resume``, the ``--kill-parent`` and
+``--kill-server`` chaos harnesses, and every ``repro serve`` job go
+through them, so a resume needs no memory of the original command line.
 
-Unit identities must match the pipeline's own ids bit-for-bit:
-
-* fleet: the chunk ids of :meth:`FleetDriver.chunks` (the chunk plan is
-  frozen into the manifest, so a resume under a different ``--workers``
-  replays the *original* chunking — chunk shape cannot move results,
-  but the journal's unit list must stay stable);
-* reproduce: ``artifact/series@scale`` unit keys
-  (:func:`repro.experiments.driver._wall_key`);
-* sweep: :meth:`SweepUnit.unit_id` in canonical expansion order.
+The fleet chunk plan is frozen into the manifest, so a resume under a
+different ``--workers`` replays the *original* chunking — chunk shape
+cannot move results, but the journal's unit list must stay stable.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.cache import ResultCache
 from repro.experiments.driver import (
-    ARTIFACTS,
     FleetDriver,
-    artifact_units,
-    _wall_key,
+    reproduce_all,
+    reproduce_plan,
+    runs_digest,
+    select_artifacts,
 )
 from repro.fleet.config import FaultPlan, FleetConfig
 from repro.journal.run import RunJournal, open_run
+from repro.obs import run_tracing
+from repro.sweep.runner import SweepRunner, sweep_plan
 from repro.sweep.spec import CampaignSpec
 
 __all__ = [
+    "PIPELINES",
+    "Pipeline",
+    "baseline_digest",
     "fleet_config_from_payload",
     "fleet_payload",
     "open_fleet_journal",
@@ -41,6 +48,7 @@ __all__ = [
     "open_sweep_journal",
     "reproduce_payload",
     "reproduce_selection_from_payload",
+    "resume_pipeline",
     "spec_from_payload",
     "sweep_payload",
 ]
@@ -91,13 +99,7 @@ def fleet_config_from_payload(payload: Dict[str, Any]) -> FleetConfig:
 
 
 def open_fleet_journal(
-    cache_root: str,
-    config: FleetConfig,
-    workers: int,
-    *,
-    resume: bool = False,
-    run_id: Optional[str] = None,
-    lease_ttl_s: float = 30.0,
+    cache_root: str, config: FleetConfig, workers: int, **options: Any
 ) -> RunJournal:
     """Journal for one fleet run; the chunk plan freezes in the manifest.
 
@@ -105,25 +107,20 @@ def open_fleet_journal(
     same fleet maps to the same journal no matter the pool size, and a
     resume adopts the manifest's chunk plan (``verify_units=False``)
     rather than re-deriving chunks from the current worker count.
+    ``options`` (here and in the two openers below) are
+    :func:`~repro.journal.run.open_run`'s ``resume``, ``run_id`` and
+    ``lease_ttl_s``.
     """
     driver = FleetDriver(config, workers=workers)
-    chunks = driver.chunks()
-    unit_ids: List[str] = []
-    plan_chunks: Dict[str, List[int]] = {}
-    for index, chunk in enumerate(chunks):
-        unit_id = f"chunk{index:03d}(n{chunk[0]}+{len(chunk)})"
-        unit_ids.append(unit_id)
-        plan_chunks[unit_id] = list(chunk)
+    chunks = driver.chunk_plan()
     return open_run(
         cache_root,
         kind="fleet",
         config=fleet_payload(config),
-        plan={"chunks": plan_chunks, "workers": driver.workers},
-        units=unit_ids,
-        resume=resume,
-        run_id=run_id,
+        plan={"chunks": chunks, "workers": driver.workers},
+        units=list(chunks),
         verify_units=False,
-        lease_ttl_s=lease_ttl_s,
+        **options,
     )
 
 
@@ -131,18 +128,22 @@ def open_fleet_journal(
 
 
 def reproduce_payload(
-    names: Sequence[str], scale: float
+    only: Optional[Sequence[str]], scale: float
 ) -> Dict[str, Any]:
+    """Canonical reproduce payload: validated names in paper order.
+
+    Raises:
+        ValueError: ``only`` names an artifact that does not exist.
+    """
     return {
-        "artifacts": list(names),
+        "artifacts": select_artifacts(only),
         "scale": float(scale),
-        "granularity": "series",
     }
 
 
 def reproduce_selection_from_payload(
     payload: Dict[str, Any],
-) -> "tuple[List[str], float]":
+) -> Tuple[List[str], float]:
     names = [str(n) for n in payload["artifacts"]]
     return names, float(payload["scale"])
 
@@ -151,29 +152,16 @@ def open_reproduce_journal(
     cache_root: str,
     only: Optional[Sequence[str]],
     scale: float,
-    *,
-    resume: bool = False,
-    run_id: Optional[str] = None,
-    lease_ttl_s: float = 30.0,
+    **options: Any,
 ) -> RunJournal:
-    names = [n for n in ARTIFACTS if only is None or n in only]
-    unknown = set(only or ()) - set(ARTIFACTS)
-    if unknown:
-        raise ValueError(f"unknown artifacts: {sorted(unknown)}")
-    unit_ids = [
-        _wall_key(name, series, scale)
-        for name in names
-        for _name, series in artifact_units(name, scale)
-    ]
+    config = reproduce_payload(only, scale)
     return open_run(
         cache_root,
         kind="reproduce",
-        config=reproduce_payload(names, scale),
-        plan={"artifacts": list(names)},
-        units=unit_ids,
-        resume=resume,
-        run_id=run_id,
-        lease_ttl_s=lease_ttl_s,
+        config=config,
+        plan={"artifacts": config["artifacts"]},
+        units=reproduce_plan(config["artifacts"], scale).unit_ids,
+        **options,
     )
 
 
@@ -207,21 +195,118 @@ def spec_from_payload(payload: Dict[str, Any]) -> CampaignSpec:
 
 
 def open_sweep_journal(
-    cache_root: str,
-    spec: CampaignSpec,
-    *,
-    resume: bool = False,
-    run_id: Optional[str] = None,
-    lease_ttl_s: float = 30.0,
+    cache_root: str, spec: CampaignSpec, **options: Any
 ) -> RunJournal:
-    unit_ids = [unit.unit_id() for unit in spec.expand()]
     return open_run(
         cache_root,
         kind="sweep",
         config=sweep_payload(spec),
         plan={"campaign": spec.name},
-        units=unit_ids,
-        resume=resume,
-        run_id=run_id,
-        lease_ttl_s=lease_ttl_s,
+        units=sweep_plan(spec).unit_ids,
+        **options,
     )
+
+
+# -- the per-kind table ------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Pipeline:
+    """How one pipeline kind is rebuilt from its payload and run.
+
+    ``config_from_payload`` inverts the kind's ``*_payload``;
+    ``open_journal(cache_root, config, workers, **open_run_options)``
+    claims the run's journal; ``run(config, workers, cache, journal)``
+    drives the pipeline to its result; ``digest(result)`` is what the
+    run seals with; ``cached`` says whether the kind has a cache tier.
+    """
+
+    config_from_payload: Callable[[Dict[str, Any]], Any]
+    open_journal: Callable[..., RunJournal]
+    run: Callable[[Any, int, Optional[ResultCache], Any], Any]
+    digest: Callable[[Any], str]
+    cached: bool = True
+
+
+PIPELINES: Dict[str, Pipeline] = {
+    "fleet": Pipeline(
+        config_from_payload=fleet_config_from_payload,
+        open_journal=open_fleet_journal,
+        run=lambda config, workers, _cache, journal: FleetDriver(
+            config, workers=workers, journal=journal
+        ).run(),
+        digest=lambda aggregate: aggregate.digest(),
+        cached=False,
+    ),
+    "reproduce": Pipeline(
+        config_from_payload=reproduce_selection_from_payload,
+        open_journal=lambda root, selection, _workers, **options: (
+            open_reproduce_journal(root, *selection, **options)
+        ),
+        run=lambda selection, workers, cache, journal: reproduce_all(
+            parallel=workers > 1, workers=workers, only=selection[0],
+            scale=selection[1], cache=cache, journal=journal,
+        ),
+        digest=runs_digest,
+    ),
+    "sweep": Pipeline(
+        config_from_payload=spec_from_payload,
+        open_journal=lambda root, spec, _workers, **options: (
+            open_sweep_journal(root, spec, **options)
+        ),
+        run=lambda spec, workers, cache, journal: SweepRunner(
+            spec, workers=workers, cache=cache, journal=journal
+        ).run(),
+        digest=lambda report: report.digest(),
+    ),
+}
+
+
+def baseline_digest(kind: str, payload: Dict[str, Any]) -> str:
+    """The uninterrupted digest of ``payload``: the pipeline run inline
+    in this process with no journal and no cache — the ground truth the
+    kill-parent and kill-server proofs compare a resumed run against."""
+    pipeline = PIPELINES[kind]
+    config = pipeline.config_from_payload(payload)
+    return pipeline.digest(pipeline.run(config, 1, None, None))
+
+
+def resume_pipeline(
+    cache_root: str,
+    kind: str,
+    payload: Dict[str, Any],
+    run_id: str,
+    *,
+    workers: int,
+    use_cache: bool = True,
+    tap: Callable[[RunJournal], Any] = lambda journal: journal,
+    trace: bool = True,
+    **span_args: Any,
+) -> Tuple[Any, RunJournal, Optional[ResultCache]]:
+    """Adopt-or-create run ``run_id`` and drive it to its seal.
+
+    The one "payload → config → ``open_*_journal(resume=True)`` →
+    pipeline" ladder: journaled units replay, only the rest execute.
+    ``tap`` wraps the journal the pipeline records through (``repro
+    serve`` turns durable records into events with it); the run is
+    traced (:func:`~repro.obs.run_tracing`) unless ``trace`` is off,
+    with ``span_args`` on its root span.  The journal is closed — lease
+    released — on the way out, success or not.
+
+    Returns:
+        ``(result, journal, cache)``: the closed journal still carries
+        its stats and seal; ``cache`` is ``None`` for an uncached kind
+        or ``use_cache=False``.
+    """
+    pipeline = PIPELINES[kind]
+    config = pipeline.config_from_payload(payload)
+    cache = (
+        ResultCache(cache_root) if use_cache and pipeline.cached else None
+    )
+    with pipeline.open_journal(
+        cache_root, config, workers, resume=True, run_id=run_id
+    ) as journal:
+        recorder = tap(journal)
+        with run_tracing(journal, enabled_=trace, kind=kind, **span_args):
+            result = pipeline.run(config, workers, cache, recorder)
+    return result, journal, cache

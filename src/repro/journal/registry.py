@@ -23,7 +23,13 @@ from repro.journal.lease import _read_state, _stale
 from repro.journal.log import replay_records
 from repro.journal.run import runs_root
 
-__all__ = ["RunInfo", "inspect_run", "interrupted_runs", "list_runs"]
+__all__ = [
+    "RunInfo",
+    "inspect_run",
+    "interrupted_runs",
+    "list_runs",
+    "resolve_run",
+]
 
 
 @dataclass(frozen=True)
@@ -143,6 +149,15 @@ def list_runs(cache_root: str) -> List[RunInfo]:
             runs.append(info)
     runs.sort(key=lambda info: (-info.created_at, info.run_id))
     return runs
+
+
+def resolve_run(cache_root: str, run_id: str) -> Optional[RunInfo]:
+    """:func:`inspect_run`, with ``"latest"`` naming the most recently
+    created run — the one spelling every ``RUN_ID`` argument accepts."""
+    if run_id == "latest":
+        runs = list_runs(cache_root)
+        return runs[0] if runs else None
+    return inspect_run(cache_root, run_id)
 
 
 def interrupted_runs(cache_root: str) -> List[RunInfo]:

@@ -82,7 +82,8 @@ __all__ = [
 
 def default_metrics_snapshot() -> Dict[str, Any]:
     """Process-wide metrics every traced run records: pool counters."""
-    from repro.experiments.driver import shared_pool_counters
+    # Deferred: resilience builds on this package's spans.
+    from repro.resilience.pool import shared_pool_counters
 
     return {"pool": shared_pool_counters()}
 

@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from typing import Optional
 
 from repro.obs.export import chrome_trace
 from repro.obs.sidecar import read_trace, segments, trace_path
@@ -58,28 +57,19 @@ def add_trace_parser(sub) -> None:
     )
 
 
-def _resolve_run_dir(cache_root: str, run_id: str) -> Optional[str]:
-    from repro.journal.registry import inspect_run, list_runs
-
-    if run_id == "latest":
-        runs = list_runs(cache_root)
-        return runs[0].directory if runs else None
-    info = inspect_run(cache_root, run_id)
-    return info.directory if info is not None else None
-
-
 def cmd_trace(args: argparse.Namespace) -> int:
     from repro.cache import default_cache_dir
+    from repro.journal.registry import resolve_run
 
     cache_root = args.cache_dir or default_cache_dir()
-    directory = _resolve_run_dir(cache_root, args.run_id)
-    if directory is None:
+    info = resolve_run(cache_root, args.run_id)
+    if info is None:
         print(
             f"trace: no journaled run {args.run_id!r} under {cache_root}",
             file=sys.stderr,
         )
         return 2
-    path = trace_path(directory)
+    path = trace_path(info.directory)
     if not os.path.exists(path):
         print(
             f"trace: run has no telemetry sidecar ({path}); "

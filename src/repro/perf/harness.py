@@ -230,9 +230,10 @@ def run_ml_end_to_end(workers: int = 8) -> Dict[str, Any]:
     from repro.experiments.common import experiment_digest
     from repro.experiments.driver import (
         ARTIFACTS,
-        _run_series_unit,
         artifact_units,
+        assemble_artifact,
         reproduce_all,
+        run_series_unit,
     )
 
     # Measure every (artifact, series) unit once at full scale.  The
@@ -245,13 +246,11 @@ def run_ml_end_to_end(workers: int = 8) -> Dict[str, Any]:
         unit_walls[name] = []
         collected[name] = {}
         for _name, series in artifact_units(name, scale=1.0):
-            _n, key, payload, wall = _run_series_unit((name, series, 1.0))
-            unit_walls[name].append(wall)
-            collected[name][key] = payload
-    from repro.experiments.driver import _assemble_artifact
-
+            unit_started = time.perf_counter()
+            collected[name][series] = run_series_unit((name, series, 1.0))
+            unit_walls[name].append(time.perf_counter() - unit_started)
     for name in ARTIFACTS:
-        run = _assemble_artifact(
+        run = assemble_artifact(
             name, 1.0, collected[name], sum(unit_walls[name])
         )
         digests[name] = experiment_digest(run.result)
@@ -270,7 +269,6 @@ def run_ml_end_to_end(workers: int = 8) -> Dict[str, Any]:
         workers=2,
         only=list(GOLDEN_EXPERIMENT_DIGESTS),
         scale=GOLDEN_EXPERIMENT_SCALE,
-        granularity="series",
     )
     golden_ok = all(
         experiment_digest(run.result) == GOLDEN_EXPERIMENT_DIGESTS[run.name]

@@ -29,13 +29,15 @@ interrupt the *dispatcher* (which then resets the shared pool), not
 leave half the workers dead behind a live parent.
 
 The pool is engine only; retry/backoff/quarantine policy lives in
-:mod:`repro.resilience.supervisor`.  The process-wide warm instance is
-still owned by :func:`repro.experiments.driver.shared_pool`, which
-hands out this class (DESIGN.md §11).
+:mod:`repro.resilience.supervisor`.  The process-wide warm instance
+(:func:`shared_pool`) lives at the bottom of this module; the unit
+executor (:mod:`repro.resilience.executor`) is its one dispatcher
+(DESIGN.md §11).
 """
 
 from __future__ import annotations
 
+import atexit
 import multiprocessing
 import os
 import pickle
@@ -49,7 +51,14 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.obs import spans as obs
 from repro.obs.metrics import MetricsRegistry, counter_property
 
-__all__ = ["PoolCounters", "SupervisedPool", "WorkerEvent"]
+__all__ = [
+    "PoolCounters",
+    "SupervisedPool",
+    "WorkerEvent",
+    "shared_pool",
+    "shared_pool_counters",
+    "shutdown_shared_pool",
+]
 
 #: One worker outcome: ``(kind, task_id, attempt, worker_id, payload)``
 #: where ``kind`` is ``"done"`` (payload is the result), ``"error"``
@@ -434,3 +443,64 @@ class SupervisedPool:
                 self.counters.respawns += 1
                 return True
         return False
+
+
+# -- warm worker pool --------------------------------------------------------
+
+_shared_pool: Optional[SupervisedPool] = None
+_shared_pool_size = 0
+
+
+def shared_pool(workers: int) -> SupervisedPool:
+    """The process-wide warm worker pool, sized for ``workers``.
+
+    Created on first use and reused by every subsequent fleet run,
+    ``reproduce_all`` pass, sweep, and bench invocation in this process
+    — the spawn + re-import cost is paid once, not per call.  A request
+    for more workers than the current pool holds replaces it with a
+    larger one; a request for fewer reuses the existing pool (idle
+    workers are near-free, and shard/unit results never depend on pool
+    size — DESIGN.md §5/§7 — so only wall-clock could differ).
+
+    The pool is a :class:`~repro.resilience.pool.SupervisedPool`
+    (DESIGN.md §11): per-worker queues, observable liveness, targeted
+    kill + respawn — the substrate :func:`supervised_map` needs to
+    retry and quarantine instead of hanging on a dead worker.
+    """
+    global _shared_pool, _shared_pool_size
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    if _shared_pool is not None and _shared_pool_size < workers:
+        shutdown_shared_pool()
+    if _shared_pool is None:
+        _shared_pool = SupervisedPool(
+            processes=workers, path=list(sys.path)
+        )
+        _shared_pool_size = workers
+    return _shared_pool
+
+
+def shared_pool_counters() -> Dict[str, int]:
+    """Observability snapshot of the warm pool (all zeros when cold).
+
+    ``size`` is the live pool's worker count (0 with no pool); the rest
+    are the pool's cumulative :class:`~repro.resilience.pool.
+    PoolCounters`.  Counters reset with the pool — a grow-replacement
+    or shutdown starts them over, which is the honest reading (they
+    describe *this* pool's lifetime).
+    """
+    if _shared_pool is None:
+        return {"size": 0, **PoolCounters().snapshot()}
+    return {"size": _shared_pool.size, **_shared_pool.counters.snapshot()}
+
+
+def shutdown_shared_pool() -> None:
+    """Terminate the warm pool (no-op when none exists)."""
+    global _shared_pool, _shared_pool_size
+    if _shared_pool is not None:
+        _shared_pool.terminate()
+        _shared_pool = None
+        _shared_pool_size = 0
+
+
+atexit.register(shutdown_shared_pool)

@@ -142,7 +142,7 @@ def supervised_map(
             canonicalize).
         workers: pool size to request from ``pool_factory``.
         pool_factory: the warm-pool accessor (normally
-            :func:`repro.experiments.driver.shared_pool`), resolved per
+            :func:`repro.resilience.pool.shared_pool`), resolved per
             call so tests can substitute it.
         pool_shutdown: tears down (and resets) the shared pool; called
             before re-raising any escaping exception.

@@ -27,7 +27,7 @@ from typing import Any, Dict, Optional
 
 from repro.cache import default_cache_dir
 
-__all__ = ["add_serve_parser", "cmd_serve"]
+__all__ = ["add_serve_parser", "cmd_serve", "submission_config"]
 
 
 def _add_client_flags(parser: argparse.ArgumentParser) -> None:
@@ -188,14 +188,17 @@ def _cmd_start(args: argparse.Namespace) -> int:
     return asyncio.run(server.run())
 
 
-def _submission_config(args: argparse.Namespace) -> Dict[str, Any]:
+def submission_config(kind: str, args: argparse.Namespace) -> Dict[str, Any]:
+    """The journal config payload of a ``kind`` job described by the
+    shared ``--nodes/--agent/--seed/--seconds``, ``--only/--scale`` and
+    ``--spec`` flags (``serve submit`` and the chaos harnesses)."""
     from repro.journal.pipelines import (
         fleet_payload,
         reproduce_payload,
         sweep_payload,
     )
 
-    if args.submit_kind == "fleet":
+    if kind == "fleet":
         from repro.fleet.config import FleetConfig
 
         return fleet_payload(FleetConfig(
@@ -204,12 +207,9 @@ def _submission_config(args: argparse.Namespace) -> Dict[str, Any]:
             seed=args.seed,
             duration_s=args.seconds,
         ))
-    if args.submit_kind == "reproduce":
-        from repro.experiments.driver import ARTIFACTS
-
-        names = args.only or list(ARTIFACTS)
-        return reproduce_payload(names, args.scale)
-    assert args.submit_kind == "sweep"
+    if kind == "reproduce":
+        return reproduce_payload(args.only, args.scale)
+    assert kind == "sweep"
     from repro.sweep import load_spec
 
     try:
@@ -225,7 +225,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     client = _client(args)
     reply = client.submit(
         args.submit_kind,
-        _submission_config(args),
+        submission_config(args.submit_kind, args),
         workers=args.workers,
         deadline_s=args.deadline,
     )

@@ -41,54 +41,6 @@ SERVER_DEATH_TIMEOUT_S = 600.0
 JOB_TIMEOUT_S = 600.0
 
 
-def _job_config(args: argparse.Namespace) -> Dict[str, Any]:
-    """The submission config payload for the harness job."""
-    from repro.journal.pipelines import (
-        fleet_payload,
-        reproduce_payload,
-        sweep_payload,
-    )
-
-    if args.job == "fleet":
-        from repro.fleet.config import FleetConfig
-
-        return fleet_payload(FleetConfig(
-            n_nodes=args.nodes, agent=args.agent, seed=args.seed,
-            duration_s=args.seconds,
-        ))
-    if args.job == "reproduce":
-        from repro.experiments.driver import ARTIFACTS
-
-        names = list(args.only) if args.only else list(ARTIFACTS)
-        return reproduce_payload(names, args.scale)
-    from repro.sweep import load_spec
-
-    return sweep_payload(load_spec(args.spec))
-
-
-def _baseline_digest(args: argparse.Namespace) -> str:
-    """The uninterrupted digest, computed in this process."""
-    if args.job == "fleet":
-        from repro.experiments.driver import FleetDriver
-        from repro.fleet.config import FleetConfig
-
-        config = FleetConfig(
-            n_nodes=args.nodes, agent=args.agent, seed=args.seed,
-            duration_s=args.seconds,
-        )
-        return FleetDriver(config, workers=args.workers).run().digest()
-    if args.job == "reproduce":
-        from repro.experiments.driver import reproduce_all, runs_digest
-
-        runs = reproduce_all(
-            scale=args.scale, only=args.only, granularity="series"
-        )
-        return runs_digest(runs)
-    from repro.sweep import SweepRunner, load_spec
-
-    return SweepRunner(load_spec(args.spec)).run().digest()
-
-
 def _server_command(
     root: str, socket_path: str, extra: Tuple[str, ...] = ()
 ) -> List[str]:
@@ -166,14 +118,17 @@ def _verdict(failures: List[str]) -> int:
 
 
 def _phase_kill_resume(
-    args: argparse.Namespace, root: str, failures: List[str]
+    args: argparse.Namespace,
+    config: Dict[str, Any],
+    root: str,
+    failures: List[str],
 ) -> None:
     """Steps 1–4: SIGKILL the serving orchestrator, adopt, verify."""
+    from repro.journal.pipelines import baseline_digest
     from repro.journal.registry import inspect_run
     from repro.serve.client import ServeClient, wait_for_server
 
-    config = _job_config(args)
-    baseline = _baseline_digest(args)
+    baseline = baseline_digest(args.job, config)
     print(f"[baseline: digest {baseline}]")
 
     socket_path = os.path.join(root, "serve.sock")
@@ -382,8 +337,11 @@ def _phase_backpressure_drain(
         print("[drain: all journal leases released]")
 
 
-def run_kill_server_harness(args: argparse.Namespace) -> int:
-    """``repro chaos serve --kill-server N --job KIND`` entry point."""
+def run_kill_server_harness(
+    args: argparse.Namespace, config: Dict[str, Any]
+) -> int:
+    """``repro chaos serve --kill-server N --job KIND`` entry point;
+    ``config`` is the job's submission payload."""
     import shutil
 
     print(f"== chaos serve: kill-server after record "
@@ -391,7 +349,7 @@ def run_kill_server_harness(args: argparse.Namespace) -> int:
     root = tempfile.mkdtemp(prefix="repro-kill-server-")
     failures: List[str] = []
     try:
-        _phase_kill_resume(args, root, failures)
+        _phase_kill_resume(args, config, root, failures)
         if not failures:
             _phase_backpressure_drain(
                 args, os.path.join(root, "phase-b"), failures

@@ -25,7 +25,7 @@ exactly "what became durable", in order.  Cancellation is cooperative
 and two-pronged: the thread's ambient
 :func:`~repro.resilience.supervisor.cancel_token` stops pooled
 dispatch between poll iterations (in-flight workers killed, pool kept
-warm), and the tap's ``record_dispatched`` hook stops inline
+warm), and the tap's dispatch-intent hook stops inline
 (``workers=1``) execution between units.  Either way the journal is
 left unsealed — resumable — and the lease is released.
 """
@@ -39,7 +39,6 @@ from typing import Any, Callable, Dict, Optional
 
 from repro.journal.registry import RunInfo
 from repro.journal.run import RunJournal, derive_run_id
-from repro.obs import run_tracing
 from repro.resilience.supervisor import (
     DispatchCancelled,
     set_cancel_token,
@@ -142,16 +141,9 @@ def _normalized_payload(kind: str, config: Dict[str, Any]) -> Dict[str, Any]:
         if kind == "fleet":
             return fleet_payload(fleet_config_from_payload(config))
         if kind == "reproduce":
-            from repro.experiments.driver import ARTIFACTS
-
-            names, scale = reproduce_selection_from_payload(config)
-            unknown = set(names) - set(ARTIFACTS)
-            if unknown:
-                raise ValueError(
-                    f"unknown artifacts: {sorted(unknown)}"
-                )
-            ordered = [n for n in ARTIFACTS if n in names]
-            return reproduce_payload(ordered, scale)
+            return reproduce_payload(
+                *reproduce_selection_from_payload(config)
+            )
         if kind == "sweep":
             return sweep_payload(spec_from_payload(config))
     except (KeyError, TypeError, AttributeError) as exc:
@@ -286,9 +278,10 @@ def execute_job(
 ) -> Dict[str, Any]:
     """Run one job to completion in the calling (worker) thread.
 
-    Opens the job's journal in resume mode (adopt-or-create), installs
-    the thread's cancel token, runs the pipeline, and always closes the
-    journal — releasing the lease — on the way out, success or not.
+    Installs the thread's cancel token and drives the job through
+    :func:`~repro.journal.pipelines.resume_pipeline`: the job's journal
+    opens in resume mode (adopt-or-create) and is always closed —
+    releasing the lease — on the way out, success or not.
 
     Returns:
         ``{"digest", "journal": {...counts...}, "cache": {...stats...}}``.
@@ -297,102 +290,44 @@ def execute_job(
         DispatchCancelled: the job was cancelled (journal resumable).
         Exception: whatever the pipeline raised (job failed).
     """
-    from functools import partial
+    from repro.journal.pipelines import resume_pipeline
 
-    from repro.cache import ResultCache
-    from repro.journal.pipelines import (
-        fleet_config_from_payload,
-        open_fleet_journal,
-        open_reproduce_journal,
-        open_sweep_journal,
-        reproduce_selection_from_payload,
-        spec_from_payload,
-    )
-
-    set_cancel_token(job.cancel)
-    journal: Optional[RunJournal] = None
-    cache: Optional[ResultCache] = None
-    try:
-        if job.kind == "fleet":
-            from repro.experiments.driver import FleetDriver
-
-            config = fleet_config_from_payload(job.payload)
-            journal = open_fleet_journal(
-                cache_root, config, job.workers,
-                resume=True, run_id=job.run_id,
-            )
-            tap = JournalTap(journal, job, emit)
-            run_pipeline = FleetDriver(
-                config, workers=job.workers, journal=tap
-            ).run
-        elif job.kind == "reproduce":
-            from repro.experiments.driver import reproduce_all
-
-            names, scale = reproduce_selection_from_payload(job.payload)
-            journal = open_reproduce_journal(
-                cache_root, names, scale,
-                resume=True, run_id=job.run_id,
-            )
-            cache = ResultCache(cache_root)
-            tap = JournalTap(journal, job, emit)
-            run_pipeline = partial(
-                reproduce_all,
-                parallel=job.workers > 1,
-                workers=job.workers,
-                scale=scale,
-                only=names,
-                cache=cache,
-                journal=tap,
-            )
-        elif job.kind == "sweep":
-            from repro.sweep import SweepRunner
-
-            spec = spec_from_payload(job.payload)
-            journal = open_sweep_journal(
-                cache_root, spec, resume=True, run_id=job.run_id
-            )
-            cache = ResultCache(cache_root)
-            tap = JournalTap(journal, job, emit)
-            run_pipeline = SweepRunner(
-                spec, workers=job.workers, cache=cache, journal=tap
-            ).run
-        else:  # pragma: no cover — admission validates kinds
-            raise ValueError(f"unknown job kind {job.kind!r}")
+    def tap(journal: RunJournal) -> JournalTap:
         emit(
             "started",
             run_id=journal.run_id,
             units=len(journal.units),
             replayed=journal.stats.replayed,
         )
-        # The admission→execution span: the job's whole pipeline runs
-        # under a traced root whose sidecar lands next to the journal
-        # (DESIGN.md §14); queue wait is admission-to-start.
-        queue_wait_s = max(
-            0.0, (job.started_at or time.time()) - job.submitted_at
-        )
-        with run_tracing(
-            journal,
+        return JournalTap(journal, job, emit)
+
+    # The admission→execution span: the job's whole pipeline runs
+    # under a traced root whose sidecar lands next to the journal
+    # (DESIGN.md §14); queue wait is admission-to-start.
+    queue_wait_s = max(
+        0.0, (job.started_at or time.time()) - job.submitted_at
+    )
+    set_cancel_token(job.cancel)
+    try:
+        _result, journal, cache = resume_pipeline(
+            cache_root, job.kind, job.payload, job.run_id,
+            workers=job.workers,
+            tap=tap,
             job_id=job.job_id,
-            kind=job.kind,
             adopted=job.adopted,
             queue_wait_s=round(queue_wait_s, 6),
-        ):
-            run_pipeline()
-        stats = journal.stats
-        return {
-            "digest": journal.sealed_digest,
-            "journal": {
-                "replayed": stats.replayed,
-                "executed": stats.executed,
-                "cached": stats.cached,
-                "quarantined": stats.quarantined,
-                "total": len(journal.units),
-            },
-            "cache": (
-                cache.stats.snapshot() if cache is not None else {}
-            ),
-        }
+        )
     finally:
         set_cancel_token(None)
-        if journal is not None:
-            journal.close()
+    stats = journal.stats
+    return {
+        "digest": journal.sealed_digest,
+        "journal": {
+            "replayed": stats.replayed,
+            "executed": stats.executed,
+            "cached": stats.cached,
+            "quarantined": stats.quarantined,
+            "total": len(journal.units),
+        },
+        "cache": cache.stats.snapshot() if cache is not None else {},
+    }

@@ -3,7 +3,7 @@
 Aggregates the four layers a control-plane operator cares about —
 admission (queue depth/limit, accepted/rejected/deduplicated/adopted
 counters), jobs (per-status population), the shared worker pool
-(:func:`~repro.experiments.driver.shared_pool_counters`), and the
+(:func:`~repro.resilience.pool.shared_pool_counters`), and the
 durable substrate (journal unit counters and cache stats accumulated
 across finished jobs).  Everything is plain JSON-serializable ints and
 strings so the snapshot travels the wire protocol unchanged.
@@ -20,6 +20,7 @@ from __future__ import annotations
 from typing import Any, Dict, Iterable, Optional
 
 from repro.obs.metrics import MetricsRegistry, counter_property
+from repro.resilience.pool import shared_pool_counters
 from repro.serve.jobs import Job
 
 __all__ = ["ServeMetrics"]
@@ -93,8 +94,6 @@ class ServeMetrics:
         by_status: Dict[str, int] = {}
         for job in jobs:
             by_status[job.status] = by_status.get(job.status, 0) + 1
-        from repro.experiments.driver import shared_pool_counters
-
         return {
             "queue": {
                 "depth": int(queue_depth),

@@ -6,7 +6,7 @@ sweep jobs; the server validates at admission time, queues onto a
 *bounded* admission queue (full queue → explicit backpressure reply
 with a retry-after hint, never unbounded buffering), and executes jobs
 one at a time on the process-wide warm
-:func:`~repro.experiments.driver.shared_pool` (``supervised_map`` is
+:func:`~repro.resilience.pool.shared_pool` (``supervised_map`` is
 deliberately not reentrant, so the scheduler serializes — the pool
 itself still fans each job out across workers).
 
@@ -42,6 +42,7 @@ from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, Optional
 
 from repro.journal.registry import interrupted_runs
+from repro.resilience.pool import shutdown_shared_pool
 from repro.resilience.supervisor import DispatchCancelled
 from repro.serve import protocol
 from repro.serve.jobs import (
@@ -167,8 +168,6 @@ class ServeServer:
             await server.wait_closed()
             await self._finish_scheduler(scheduler)
             self._cleanup_socket()
-            from repro.experiments.driver import shutdown_shared_pool
-
             shutdown_shared_pool()
             self._log(f"[serve: exit {self.exit_code}]")
         return self.exit_code

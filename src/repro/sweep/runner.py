@@ -1,13 +1,14 @@
-"""The campaign engine: cache-aware, longest-first parallel dispatch.
+"""The campaign engine: a sweep as an executor plan.
 
 :class:`SweepRunner` executes a :class:`~repro.sweep.spec.CampaignSpec`
-the same way ``reproduce_all`` executes the paper's artifacts
-(DESIGN.md §8): every cell is first probed in the content-addressed
+the same way ``reproduce_all`` executes the paper's artifacts: through
+the one unit executor, :func:`repro.resilience.executor.run_units`
+(DESIGN.md §11.1).  Every cell is first probed in the content-addressed
 result cache under its ``sweep::`` key; only misses are dispatched, and
 they go longest-first (estimated node-seconds) through the process-wide
-warm worker pool (:func:`repro.experiments.driver.shared_pool`).  A
-warm re-run therefore executes zero cells, and editing one axis of a
-campaign re-executes only the changed cells — everything else loads.
+warm worker pool.  A warm re-run therefore executes zero cells, and
+editing one axis of a campaign re-executes only the changed cells —
+everything else loads.
 
 Cell results are pure functions of cell coordinates, so completion
 order and worker count cannot change a record bit; the
@@ -17,22 +18,38 @@ order and worker count cannot change a record bit; the
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from repro.cache import ResultCache, sweep_unit_key
-from repro.journal.run import RunJournal
 from repro.obs import spans as obs
 from repro.resilience.chaos import ChaosPlan
+from repro.resilience.executor import Plan, WorkUnit, run_units
 from repro.resilience.policy import RetryPolicy
 from repro.resilience.quarantine import QuarantineLog
-from repro.resilience.supervisor import supervised_map
 from repro.sweep.safety import CampaignReport, SafetyRecord
 from repro.sweep.spec import CampaignSpec
 from repro.sweep.units import SweepUnit, run_unit
 
-__all__ = ["SweepRunner"]
+__all__ = ["SweepRunner", "sweep_plan"]
 
-_CACHE_MISS = object()
+
+def _cell_key(unit: SweepUnit) -> str:
+    return sweep_unit_key(unit.cache_payload())
+
+
+def sweep_plan(spec: CampaignSpec) -> Plan:
+    """The sweep plan: every cell in canonical expansion order, ids
+    :meth:`SweepUnit.unit_id` (what the journal's manifest lists), cost
+    the cell's estimated node-seconds — the biggest fleets land first so
+    they never trail the makespan."""
+    return Plan(
+        "sweep",
+        tuple(
+            WorkUnit(unit.unit_id(), unit, cost=unit.estimated_cost())
+            for unit in spec.expand()
+        ),
+        cache_key=_cell_key,
+    )
 
 
 class SweepRunner:
@@ -64,7 +81,7 @@ class SweepRunner:
         resilience: Optional[RetryPolicy] = None,
         quarantine: Optional[QuarantineLog] = None,
         chaos: Optional[ChaosPlan] = None,
-        journal: Optional[RunJournal] = None,
+        journal: Any = None,
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
@@ -82,126 +99,35 @@ class SweepRunner:
             "pipeline", cat="sweep",
             campaign=self.spec.name, workers=self.workers,
         ):
-            return self._run()
+            started = time.perf_counter()
+            records: Dict[str, SafetyRecord] = {}
 
-    def _run(self) -> CampaignReport:
-        started = time.perf_counter()
-        units = self.spec.expand()
-        records: Dict[str, SafetyRecord] = {}
-        misses: List[SweepUnit] = []
-        replayed_holes: List[str] = []
-        for unit in units:
-            unit_id = unit.unit_id()
-            if self.journal is not None and self.journal.is_done(unit_id):
-                records[unit_id] = self.journal.replayed[unit_id]
-                continue
-            if (
-                self.journal is not None
-                and unit_id in self.journal.replayed_quarantined
-            ):
-                replayed_holes.append(unit_id)
-                continue
-            payload = (
-                _CACHE_MISS
-                if self.cache is None
-                else self.cache.get(
-                    sweep_unit_key(unit.cache_payload()), _CACHE_MISS
-                )
+            def collect(
+                unit: WorkUnit, record: SafetyRecord, _wall: Optional[float]
+            ) -> None:
+                records[unit.unit_id] = record
+
+            outcome = run_units(
+                sweep_plan(self.spec),
+                run_unit,
+                workers=self.workers,
+                cache=self.cache,
+                journal=self.journal,
+                policy=self.resilience,
+                quarantine=self.quarantine,
+                chaos=self.chaos,
+                on_result=collect,
             )
-            if payload is _CACHE_MISS:
-                misses.append(unit)
-            else:
-                records[unit_id] = payload
-                if self.journal is not None:
-                    self.journal.record_done(
-                        unit_id, payload, 0.0, executed=False
-                    )
-        # Longest-first dispatch (estimated node-seconds, then canonical
-        # order): the biggest fleets land first so they never trail the
-        # makespan.  Purely a wall-clock concern — results cannot move.
-        misses.sort(key=lambda u: (-u.estimated_cost(), u.sort_key()))
-        executed_holes = self._execute(misses, records)
-        holes = sorted(executed_holes + replayed_holes)
-        report = CampaignReport.build(
-            self.spec.name,
-            records.values(),
-            executed=len(misses) - len(executed_holes),
-            from_cache=len(units) - len(misses) - len(replayed_holes),
-            wall_seconds=time.perf_counter() - started,
-            holes=holes,
-        )
-        if self.journal is not None:
-            self.journal.seal(report.digest())
-        return report
-
-    def _execute(
-        self,
-        misses: List[SweepUnit],
-        records: Dict[str, SafetyRecord],
-    ) -> List[str]:
-        """Run every miss into ``records``; returns quarantined cell ids."""
-        if not misses:
-            return []
-        journal = self.journal
-        workers = min(self.workers, len(misses))
-        if workers == 1 or len(misses) == 1:
-            for unit in misses:
-                unit_id = unit.unit_id()
-                started = time.perf_counter()
-                if journal is not None:
-                    journal.record_dispatched(unit_id, 0)
-                with obs.span(unit_id, cat="unit", context="sweep"):
-                    record = run_unit(unit)
-                if self.cache is not None:
-                    self.cache.put(
-                        sweep_unit_key(unit.cache_payload()), record
-                    )
-                if journal is not None:
-                    journal.record_done(
-                        unit_id, record, time.perf_counter() - started
-                    )
-                records[unit_id] = record
-            return []
-        # Imported lazily so a serial sweep never touches the pool
-        # machinery; the pool itself is the process-wide warm pool the
-        # fleet driver and reproduce_all already share.
-        from repro.experiments.driver import shared_pool, shutdown_shared_pool
-
-        by_id = {unit.unit_id(): unit for unit in misses}
-
-        def handle_result(unit_id: str, record: SafetyRecord) -> None:
-            if self.cache is not None:
-                self.cache.put(
-                    sweep_unit_key(by_id[unit_id].cache_payload()), record
-                )
-            if journal is not None:
-                # After the cache write: a kill between the two leaves
-                # a cached-but-unjournaled cell a resume loads from the
-                # cache instead of re-executing.
-                journal.record_done(unit_id, record, 0.0)
-            records[unit_id] = record
-
-        outcome = supervised_map(
-            run_unit,
-            [(unit.unit_id(), unit) for unit in misses],
-            workers=workers,
-            pool_factory=shared_pool,
-            pool_shutdown=shutdown_shared_pool,
-            policy=self.resilience,
-            quarantine=self.quarantine,
-            chaos=self.chaos,
-            on_dispatch=(
-                journal.record_dispatched if journal is not None else None
-            ),
-            on_result=handle_result,
-            on_quarantine=(
-                (
-                    lambda record: journal.record_quarantined(
-                        record.unit_id, record.kind
-                    )
-                )
-                if journal is not None else None
-            ),
-            context="sweep",
-        )
-        return outcome.holes
+            # executed / from_cache are run accounting, not results:
+            # they stay out of the campaign digest.  Journal-replayed
+            # cells are neither (the ``[journal: ...]`` line counts them).
+            report = CampaignReport.build(
+                self.spec.name,
+                records.values(),
+                executed=outcome.executed,
+                from_cache=outcome.cached,
+                wall_seconds=time.perf_counter() - started,
+                holes=outcome.holes,
+            )
+            outcome.seal(report.digest)
+            return report

@@ -18,6 +18,7 @@ from repro.cache.store import CACHE_DIR_ENV, default_cache_dir
 from repro.experiments import driver
 from repro.experiments.common import experiment_digest
 from repro.experiments.driver import reproduce_all
+from repro.resilience import executor
 
 
 # -- keys --------------------------------------------------------------------
@@ -234,7 +235,7 @@ def test_parallel_warm_pass_skips_the_pool(tmp_path, monkeypatch):
     def poisoned_pool(workers):
         raise AssertionError("warm pass requested a worker pool")
 
-    monkeypatch.setattr(driver, "shared_pool", poisoned_pool)
+    monkeypatch.setattr(executor, "shared_pool", poisoned_pool)
     warm_cache = ResultCache(str(tmp_path))
     warm = reproduce_all(
         only=["fig6-right"], scale=SCALE, parallel=True, workers=2,
@@ -253,21 +254,6 @@ def test_parallel_cold_pass_stores_and_matches_serial(tmp_path):
     )
     assert cache.stats.stores > 0
     assert _digests(serial) == _digests(parallel)
-
-
-def test_artifact_granularity_caches_whole_artifacts(tmp_path):
-    cache = ResultCache(str(tmp_path))
-    cold = reproduce_all(
-        only=["table1", "table2"], scale=SCALE, parallel=True, workers=2,
-        granularity="artifact", cache=cache,
-    )
-    warm_cache = ResultCache(str(tmp_path))
-    warm = reproduce_all(
-        only=["table1", "table2"], scale=SCALE, parallel=True, workers=2,
-        granularity="artifact", cache=warm_cache,
-    )
-    assert warm_cache.stats.misses == 0
-    assert _digests(cold) == _digests(warm)
 
 
 def test_code_salt_change_invalidates(tmp_path, monkeypatch):
@@ -300,17 +286,18 @@ def test_executed_walls_recorded_and_persisted(tmp_path):
 
 
 def test_dispatch_costs_prefer_recorded_walls():
-    payloads = [("fig7", "a", 1.0), ("fig7", "b", 1.0)]
-    units = {"fig7": [("fig7", "a"), ("fig7", "b")]}
+    measured, *rest = driver.reproduce_plan(["fig7"], 1.0).units
     try:
-        driver._unit_timings.observe(
-            driver._wall_key("fig7", "a", 1.0), 9.0
-        )
-        costs = driver._dispatch_costs(payloads, units, 1.0)
-        assert costs[("fig7", "a")] == 9.0
-        # the unmeasured unit gets the calibrated estimate, comparable
+        driver._unit_timings.observe(measured.unit_id, 9.0)
+        costs = {
+            unit.unit_id: unit.cost
+            for unit in driver.reproduce_plan(["fig7"], 1.0).units
+        }
+        assert costs[measured.unit_id] == 9.0
+        # the unmeasured units get the calibrated estimate, comparable
         # in magnitude to the measured wall (same heuristic => same cost)
-        assert costs[("fig7", "b")] == pytest.approx(9.0)
+        for unit in rest:
+            assert costs[unit.unit_id] == pytest.approx(9.0)
     finally:
         driver._unit_timings.clear()
 

@@ -39,10 +39,10 @@ def test_every_artifact_yields_work_units():
 
 
 def test_series_spec_paths_resolve():
-    for name, (series_path, unit_path, assemble_path) in SERIES_SPECS.items():
+    for name, stem in SERIES_SPECS.items():
         assert name in ARTIFACT_SPECS
-        for path in (series_path, unit_path, assemble_path):
-            assert callable(_resolve(path))
+        for part in ("series", "unit", "assemble"):
+            assert callable(_resolve(f"{stem}_{part}"))
 
 
 def test_decomposition_shrinks_the_straggler():
@@ -62,7 +62,6 @@ def test_sharded_golden_artifacts_keep_seed_digests():
         workers=2,
         only=list(GOLDEN_EXPERIMENT_DIGESTS),
         scale=GOLDEN_EXPERIMENT_SCALE,
-        granularity="series",
     )
     got = {run.name: experiment_digest(run.result) for run in runs}
     assert got == GOLDEN_EXPERIMENT_DIGESTS
@@ -74,7 +73,6 @@ def test_fig7_sharded_equals_serial():
     serial = reproduce_all(only=["fig7"], scale=0.25)
     parallel = reproduce_all(
         parallel=True, workers=3, only=["fig7"], scale=0.25,
-        granularity="series",
     )
     assert _rows(serial) == _rows(parallel)
 
@@ -85,26 +83,8 @@ def test_fig2_sharded_equals_serial():
     serial = reproduce_all(only=["fig2"], scale=0.1)
     parallel = reproduce_all(
         parallel=True, workers=4, only=["fig2"], scale=0.1,
-        granularity="series",
     )
     assert _rows(serial) == _rows(parallel)
-
-
-def test_artifact_granularity_still_matches_serial():
-    """The pre-sharding parallel path remains available as the bench
-    baseline and still reproduces serial rows."""
-    only = ["table1", "table2"]
-    serial = reproduce_all(only=only, scale=0.2)
-    parallel = reproduce_all(
-        parallel=True, workers=2, only=only, scale=0.2,
-        granularity="artifact",
-    )
-    assert _rows(serial) == _rows(parallel)
-
-
-def test_unknown_granularity_rejected():
-    with pytest.raises(ValueError):
-        reproduce_all(parallel=True, granularity="node")
 
 
 def test_streaming_stays_canonical_under_series_sharding():
@@ -112,7 +92,6 @@ def test_streaming_stays_canonical_under_series_sharding():
     seen = []
     runs = reproduce_all(
         parallel=True, workers=3, only=only, scale=0.1,
-        granularity="series",
         on_result=lambda run: seen.append(run.name),
     )
     assert [run.name for run in runs] == only

@@ -2,14 +2,10 @@
 
 import pytest
 
-from repro.experiments import driver
-from repro.experiments.driver import (
-    FleetDriver,
-    reproduce_all,
-    shared_pool,
-    shutdown_shared_pool,
-)
+from repro.experiments.driver import FleetDriver, reproduce_all
 from repro.fleet.config import FleetConfig
+from repro.resilience import executor, pool as warm
+from repro.resilience.pool import shared_pool, shutdown_shared_pool
 from repro.fleet.scenario import FleetScenario
 
 
@@ -44,10 +40,10 @@ def test_fleet_driver_reuses_warm_pool_and_matches_serial():
     config = FleetConfig(n_nodes=4, agent="mixed", seed=3, duration_s=10)
     serial = FleetDriver(config, workers=1).run()
     parallel_first = FleetDriver(config, workers=2).run()
-    pool_after_first = driver._shared_pool
+    pool_after_first = warm._shared_pool
     assert pool_after_first is not None
     parallel_second = FleetDriver(config, workers=2).run()
-    assert driver._shared_pool is pool_after_first  # no respawn
+    assert warm._shared_pool is pool_after_first  # no respawn
     assert serial.digest() == parallel_first.digest()
     assert serial.digest() == parallel_second.digest()
 
@@ -65,7 +61,7 @@ def test_single_chunk_runs_inline_without_pool(monkeypatch):
     def poisoned_pool(workers):
         raise AssertionError("single-chunk run requested a pool")
 
-    monkeypatch.setattr(driver, "shared_pool", poisoned_pool)
+    monkeypatch.setattr(executor, "shared_pool", poisoned_pool)
     aggregate = fleet_driver.run()
     assert aggregate.digest() == expected.digest()
 
@@ -84,13 +80,13 @@ def test_reproduce_all_shares_the_fleet_pool():
     shutdown_shared_pool()
     config = FleetConfig(n_nodes=4, agent="harvest", seed=1, duration_s=10)
     FleetDriver(config, workers=2).run()
-    pool = driver._shared_pool
+    pool = warm._shared_pool
     assert pool is not None
     runs = reproduce_all(
         only=["table1", "table2"], scale=0.05, parallel=True, workers=2
     )
     assert [run.name for run in runs] == ["table1", "table2"]
-    assert driver._shared_pool is pool  # same warm pool served the pass
+    assert warm._shared_pool is pool  # same warm pool served the pass
 
 
 def test_one_pool_serves_fleet_reproduce_and_sweep():
@@ -102,10 +98,10 @@ def test_one_pool_serves_fleet_reproduce_and_sweep():
     config = FleetConfig(n_nodes=4, agent="overclock", seed=2,
                          duration_s=10)
     FleetDriver(config, workers=2).run()
-    pool = driver._shared_pool
+    pool = warm._shared_pool
     assert pool is not None
     reproduce_all(only=["table1"], scale=0.05, parallel=True, workers=2)
-    assert driver._shared_pool is pool
+    assert warm._shared_pool is pool
     spec = CampaignSpec(
         name="warm-pool", agents=("overclock",), scales=(2,), seeds=(0,),
         duration_s=15, rack_size=1,
@@ -115,7 +111,7 @@ def test_one_pool_serves_fleet_reproduce_and_sweep():
         ),
     )
     SweepRunner(spec, workers=2).run()
-    assert driver._shared_pool is pool  # sweep reused it too
+    assert warm._shared_pool is pool  # sweep reused it too
 
 
 def test_shutdown_terminates_worker_processes():
@@ -124,6 +120,6 @@ def test_shutdown_terminates_worker_processes():
     processes = [w.process for w in pool._workers.values()]
     assert all(p.is_alive() for p in processes)
     shutdown_shared_pool()
-    assert driver._shared_pool is None
+    assert warm._shared_pool is None
     assert all(not p.is_alive() for p in processes)
     shutdown_shared_pool()  # idempotent with nothing live

@@ -73,11 +73,6 @@ def test_reproduce_all_rejects_unknown_only_artifact():
         main(["reproduce-all", "--only", "fig99"])
 
 
-def test_reproduce_all_rejects_bad_granularity():
-    with pytest.raises(SystemExit):
-        main(["reproduce-all", "--granularity", "bogus"])
-
-
 def test_reproduce_all_rejects_mixed_known_and_unknown_only():
     with pytest.raises(SystemExit):
         main(["reproduce-all", "--only", "table1", "fig99"])

@@ -120,16 +120,6 @@ def test_reproduce_interrupt_resume_bit_identical(tmp_path, kill_after,
     assert resumed.stats.executed == 1
 
 
-def test_reproduce_journal_requires_series_granularity(tmp_path):
-    with open_reproduce_journal(
-        str(tmp_path), ["table1"], 1.0
-    ) as journal:
-        with pytest.raises(ValueError):
-            reproduce_all(
-                only=["table1"], granularity="artifact", journal=journal
-            )
-
-
 def test_sweep_interrupt_resume_bit_identical(tmp_path, kill_after,
                                               monkeypatch):
     root = str(tmp_path)
@@ -146,9 +136,10 @@ def test_sweep_interrupt_resume_bit_identical(tmp_path, kill_after,
     assert report.digest() == baseline
     assert resumed.stats.replayed == 1
     assert resumed.stats.executed == 1
-    # Replayed cells count as from-cache in the report accounting.
+    # Replayed cells are neither executed nor cache hits: the report
+    # accounting matches the journal's own counters.
     assert report.executed == 1
-    assert report.from_cache == 1
+    assert report.from_cache == resumed.stats.cached == 0
 
 
 def test_sweep_cache_hits_are_journaled_durably(tmp_path):

@@ -132,6 +132,20 @@ def test_runs_resume_finishes_interrupted_sweep(capsys, spec_path,
     assert after.status == "sealed"
 
 
+def test_latest_names_the_newest_run_for_show_and_resume(
+    capsys, spec_path, cache_dir, monkeypatch
+):
+    assert main(["runs", "show", "latest", "--cache-dir", cache_dir]) == 1
+    assert "no journaled run 'latest'" in capsys.readouterr().out
+    run_id = _interrupt_sweep(spec_path, cache_dir, monkeypatch)
+    assert main(["runs", "show", "latest", "--cache-dir", cache_dir]) == 0
+    assert f"run {run_id} (sweep)" in capsys.readouterr().out
+    assert main(["runs", "resume", "latest", "--cache-dir", cache_dir]) == 0
+    out = capsys.readouterr().out
+    assert f"[journal: run {run_id} " in out
+    assert "replayed=1 executed=1" in out
+
+
 def test_sweep_resume_flag_finishes_interrupted_run(capsys, spec_path,
                                                     cache_dir,
                                                     monkeypatch):

@@ -85,4 +85,4 @@ def test_keyboard_interrupt_exits_130_and_resets_the_pool(monkeypatch):
 
     monkeypatch.setattr(cli, "_cmd_fleet", interrupted)
     assert main(["fleet", "--nodes", "2"]) == 130
-    assert driver._shared_pool is None
+    assert driver.shared_pool_counters()["size"] == 0

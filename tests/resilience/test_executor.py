@@ -1,0 +1,292 @@
+"""The one unit executor (DESIGN.md §11.1).
+
+Part (a) drives :func:`run_units` against fake cache/journal doubles
+that share one call log, so the ordering rules are asserted directly.
+Part (b) is the contract every pipeline inherits from it: inline ==
+pooled == warm-cache == interrupted-then-resumed digest, and warm and
+resumed passes execute nothing.
+"""
+
+import threading
+
+import pytest
+
+from repro.cache import ResultCache
+from repro.journal.log import KILL_AFTER_ENV, replay_records, set_kill_action
+from repro.journal.pipelines import PIPELINES, baseline_digest
+from repro.resilience import (
+    ChaosPlan,
+    DispatchCancelled,
+    Plan,
+    RetryPolicy,
+    WorkUnit,
+    run_units,
+    set_cancel_token,
+)
+
+FAST = RetryPolicy(max_retries=0, backoff_base_s=0.01, backoff_cap_s=0.05)
+
+
+def _double(payload):
+    return payload * 2
+
+
+def _plan(n=3, cache_key=lambda payload: f"key{payload}"):
+    return Plan(
+        "test",
+        tuple(WorkUnit(f"u{i}", i, cost=float(i)) for i in range(n)),
+        cache_key=cache_key,
+    )
+
+
+class FakeCache:
+    def __init__(self, log, contents=None):
+        self.log = log
+        self.contents = dict(contents or {})
+
+    def get(self, key, default=None):
+        self.log.append(("get", key))
+        return self.contents.get(key, default)
+
+    def put(self, key, payload):
+        self.log.append(("put", key))
+        self.contents[key] = payload
+
+
+class FakeJournal:
+    def __init__(self, log, replayed=None, quarantined=()):
+        self.log = log
+        self.replayed = dict(replayed or {})
+        self.replayed_quarantined = list(quarantined)
+
+    def is_done(self, unit_id):
+        return unit_id in self.replayed
+
+    def record_dispatched(self, unit_id, attempt):
+        self.log.append(("dispatched", unit_id))
+
+    def record_done(self, unit_id, payload, wall_s, executed=True):
+        self.log.append(("done", unit_id, executed, wall_s))
+
+    def record_quarantined(self, unit_id, fault_kind):
+        self.log.append(("quarantined", unit_id, fault_kind))
+
+    def seal(self, digest):
+        self.log.append(("seal", digest))
+
+
+# -- (a) run_units against doubles -------------------------------------------
+
+
+def test_replay_beats_cache():
+    log = []
+    seen = []
+    outcome = run_units(
+        _plan(1), _double,
+        cache=FakeCache(log, {"key0": "from-cache"}),
+        journal=FakeJournal(log, replayed={"u0": "from-journal"}),
+        on_result=lambda unit, payload, wall: seen.append((payload, wall)),
+    )
+    assert seen == [("from-journal", None)]
+    assert log == []  # never probed, never re-recorded
+    assert (outcome.replayed, outcome.cached, outcome.executed) == (1, 0, 0)
+
+
+def test_cache_hit_is_recorded_as_not_executed():
+    log = []
+    seen = []
+    outcome = run_units(
+        _plan(2), _double,
+        cache=FakeCache(log, {"key1": "hit"}), journal=FakeJournal(log),
+        on_result=lambda unit, payload, wall: seen.append(
+            (unit.unit_id, payload, wall is None)
+        ),
+    )
+    assert ("done", "u1", False, 0.0) in log
+    assert ("dispatched", "u1") not in log
+    assert sorted(seen) == [("u0", 0, False), ("u1", "hit", True)]
+    assert (outcome.replayed, outcome.cached, outcome.executed) == (0, 1, 1)
+
+
+def test_put_happens_before_record_done():
+    """A journal that dies in ``record_done`` leaves the unit cached and
+    un-journaled — the crash window a resume closes from the cache."""
+    log = []
+
+    class DyingJournal(FakeJournal):
+        def record_done(self, unit_id, payload, wall_s, executed=True):
+            raise RuntimeError("killed before the record landed")
+
+    cache = FakeCache(log)
+    with pytest.raises(RuntimeError):
+        run_units(_plan(1), _double, cache=cache, journal=DyingJournal(log))
+    assert cache.contents == {"key0": 0}
+    assert [entry[0] for entry in log] == ["get", "dispatched", "put"]
+
+
+def test_quarantine_reports_the_hole_and_journals_it():
+    log = []
+    holes = []
+    outcome = run_units(
+        _plan(3), _double, workers=2, policy=FAST,
+        cache=FakeCache(log), journal=FakeJournal(log),
+        chaos=ChaosPlan(kind="crash", poison_units=("u1",)),
+        on_hole=lambda unit: holes.append(unit.unit_id),
+    )
+    assert holes == outcome.holes == ["u1"]
+    assert ("quarantined", "u1", "crash") in log
+    assert not any(e[:2] == ("done", "u1") for e in log)
+    assert outcome.executed == 2
+
+
+def test_replayed_quarantine_is_a_hole_without_redispatch():
+    log = []
+    holes = []
+    outcome = run_units(
+        _plan(2), _double,
+        journal=FakeJournal(log, quarantined=["u0"]),
+        on_hole=lambda unit: holes.append(unit.unit_id),
+    )
+    assert holes == outcome.holes == ["u0"]
+    assert ("dispatched", "u0") not in log
+
+
+def test_cancellation_leaves_the_journal_unsealed():
+    log = []
+    token = threading.Event()
+    token.set()
+    set_cancel_token(token)
+    try:
+        with pytest.raises(DispatchCancelled):
+            run_units(_plan(3), _double, workers=2, journal=FakeJournal(log))
+    finally:
+        set_cancel_token(None)
+    assert not any(entry[0] in ("seal", "done") for entry in log)
+
+
+def test_seal_needs_a_journal_and_computes_the_digest_lazily():
+    log = []
+    run_units(_plan(1), _double, journal=FakeJournal(log)).seal(lambda: "d")
+    assert log[-1] == ("seal", "d")
+    run_units(_plan(1), _double).seal(
+        lambda: pytest.fail("digest computed with no journal to seal")
+    )
+
+
+def test_inline_and_pooled_take_the_same_steps_per_unit():
+    def steps(workers):
+        log = []
+        run_units(
+            _plan(3), _double, workers=workers,
+            cache=FakeCache(log), journal=FakeJournal(log),
+            on_result=lambda unit, payload, wall: log.append(
+                ("result", unit.unit_id, payload, wall > 0)
+            ),
+        )
+        per_unit = {}
+        for entry in log:
+            unit = entry[1].replace("key", "u")
+            per_unit.setdefault(unit, []).append(entry[0])
+        return log, per_unit
+
+    inline_log, inline = steps(1)
+    _pooled_log, pooled = steps(2)
+    assert inline == pooled == {
+        f"u{i}": ["get", "dispatched", "put", "done", "result"]
+        for i in range(3)
+    }
+    # longest-first: cost descending is u2, u1, u0
+    dispatch_order = [e[1] for e in inline_log if e[0] == "dispatched"]
+    assert dispatch_order == ["u2", "u1", "u0"]
+
+
+def test_a_plan_without_a_cache_tier_never_touches_the_cache():
+    log = []
+    run_units(_plan(2, cache_key=None), _double, cache=FakeCache(log))
+    assert log == []
+
+
+# -- (b) the contract every pipeline inherits --------------------------------
+
+CONTRACT = {
+    "fleet": {
+        "n_nodes": 8, "agent": "mixed", "seed": 3, "duration_s": 5,
+        "rack_size": 8, "fault": None,
+    },
+    "reproduce": {"artifacts": ["table1", "fig6-left"], "scale": 0.05},
+    "sweep": {
+        "name": "contract", "agents": ["overclock"], "scales": [1, 2],
+        "seeds": [0], "duration_s": 5, "rack_size": 1,
+        "fault": [{"kind": "bad_data", "intensities": [0.9],
+                   "start_s": 1, "duration_s": 3, "racks": [0]}],
+    },
+}
+
+
+class _Killed(Exception):
+    pass
+
+
+def _raise_killed():
+    raise _Killed()
+
+
+def _journaled(kind, root, workers, resume=False, cache=None):
+    pipeline = PIPELINES[kind]
+    config = pipeline.config_from_payload(CONTRACT[kind])
+    with pipeline.open_journal(root, config, workers, resume=resume) as journal:
+        pipeline.run(config, workers, cache, journal)
+    return journal
+
+
+@pytest.mark.parametrize("kind", sorted(CONTRACT))
+def test_pipeline_contract(kind, tmp_path, monkeypatch):
+    """inline == pooled == warm-cache == interrupted-then-resumed."""
+    truth = baseline_digest(kind, CONTRACT[kind])
+    cached = PIPELINES[kind].cached
+
+    def cache_at(root):
+        return ResultCache(root) if cached else None
+
+    inline = _journaled(kind, str(tmp_path / "inline"), 1)
+    pooled_root = str(tmp_path / "pooled")
+    pooled = _journaled(kind, pooled_root, 2, cache=cache_at(pooled_root))
+    assert inline.sealed_digest == pooled.sealed_digest == truth
+    assert pooled.stats.executed == len(pooled.units)
+
+    # Every executed unit journals the wall its worker measured.
+    records, _valid = replay_records(f"{pooled.directory}/log.bin")
+    walls = [r["wall"] for r in records if r.get("kind") == "UNIT_DONE"]
+    assert len(walls) == len(pooled.units) and min(walls) > 0
+
+    # Warm: a fresh journal over the filled cache executes nothing
+    # (a kind with no cache tier warms by resuming its sealed run).
+    warm = _journaled(
+        kind, pooled_root, 2, resume=not cached, cache=cache_at(pooled_root)
+    )
+    assert warm.sealed_digest == truth
+    assert warm.stats.executed == 0
+    assert warm.stats.cached == (len(warm.units) if cached else 0)
+
+    # Interrupted after the 3rd durable record, then resumed.
+    root = str(tmp_path / "killed")
+    monkeypatch.setenv(KILL_AFTER_ENV, "3")
+    set_kill_action(_raise_killed)
+    try:
+        with pytest.raises(_Killed):
+            _journaled(kind, root, 1)
+    finally:
+        monkeypatch.delenv(KILL_AFTER_ENV)
+        set_kill_action(None)
+    resumed = _journaled(kind, root, 2, resume=True)
+    assert resumed.sealed_digest == truth
+    assert resumed.stats.replayed >= 1
+    assert resumed.stats.replayed + resumed.stats.executed == len(
+        resumed.units
+    )
+    # ... and resuming the now-sealed run executes nothing at all.
+    again = _journaled(kind, root, 1, resume=True)
+    assert again.sealed_digest == truth
+    assert (again.stats.executed, again.stats.replayed) == (
+        0, len(again.units)
+    )
