@@ -6,7 +6,9 @@ from repro.agents.memory.classify import (
     MemoryPlan,
     classify_by_coverage,
     infer_access_rate,
+    infer_access_rates,
     observable_rate,
+    observable_rates,
 )
 from repro.agents.memory.config import MemoryConfig
 from repro.agents.memory.model import MemoryModel, RateEstimates
@@ -22,5 +24,7 @@ __all__ = [
     "StaticScanController",
     "classify_by_coverage",
     "infer_access_rate",
+    "infer_access_rates",
     "observable_rate",
+    "observable_rates",
 ]

@@ -60,9 +60,9 @@ class MemoryActuator(Actuator):
             self.noop_actions += 1  # leave placement as is (§5.3)
             return
         plan = prediction.value
-        self.memory.migrate_many(plan.hot.tolist(), Tier.LOCAL)
-        self.memory.migrate_many(plan.warm.tolist(), Tier.REMOTE)
-        self.memory.migrate_many(plan.cold.tolist(), Tier.REMOTE)
+        self.memory.migrate_many(plan.hot, Tier.LOCAL)
+        self.memory.migrate_many(plan.warm, Tier.REMOTE)
+        self.memory.migrate_many(plan.cold, Tier.REMOTE)
         self.plans_applied += 1
 
     def assess_performance(self) -> bool:
@@ -81,10 +81,8 @@ class MemoryActuator(Actuator):
         hottest = self.estimates.hottest_remote(
             self.memory.remote_regions, self.config.mitigation_batch
         )
-        self.memory.migrate_many(hottest.tolist(), Tier.LOCAL)
+        self.memory.migrate_many(hottest, Tier.LOCAL)
 
     def clean_up(self) -> None:
         """SRE path: restore every batch to the first tier (§5.3)."""
-        self.memory.migrate_many(
-            list(range(self.memory.n_regions)), Tier.LOCAL
-        )
+        self.memory.migrate_many(range(self.memory.n_regions), Tier.LOCAL)

@@ -16,7 +16,9 @@ __all__ = [
     "MemoryPlan",
     "classify_by_coverage",
     "observable_rate",
+    "observable_rates",
     "infer_access_rate",
+    "infer_access_rates",
     "captured_rate_at_period",
 ]
 
@@ -80,9 +82,9 @@ def classify_by_coverage(
     return np.sort(hot), np.sort(warm)
 
 
-def observable_rate(
-    access_rate: float, period_us: int, pages: int
-) -> float:
+def observable_rates(
+    access_rates: np.ndarray, period_us, pages: int
+) -> np.ndarray:
     """Set bits per second a scanner at ``period_us`` would observe.
 
     Poisson occupancy: each scan of a region with true access rate ``λ``
@@ -90,27 +92,47 @@ def observable_rate(
     scans per second.  Saturation makes this *sublinear* in the period:
     slow scanning misses accesses — the quantity SmartMemory's ground-
     truth check estimates.
+
+    Elementwise over ``access_rates``; ``period_us`` is one period or
+    one per region.  Non-positive rates or periods observe nothing.
     """
-    if access_rate <= 0 or period_us <= 0:
-        return 0.0
     period_s = period_us / 1e6
-    touched = pages * (1.0 - np.exp(-access_rate * period_s / pages))
-    return float(touched / period_s)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        touched = pages * (1.0 - np.exp(-access_rates * period_s / pages))
+        observed = touched / period_s
+    return np.where((access_rates > 0) & (period_s > 0), observed, 0.0)
+
+
+def observable_rate(
+    access_rate: float, period_us: int, pages: int
+) -> float:
+    """:func:`observable_rates` of one region."""
+    return float(observable_rates(access_rate, period_us, pages))
+
+
+def infer_access_rates(
+    bits_per_scan: np.ndarray, period_us, pages: int
+) -> np.ndarray:
+    """Invert the occupancy model: true access rates from observed bits.
+
+    Saturated readings (all bits set) carry only a lower bound; they are
+    clamped just below saturation so the inversion stays finite.
+
+    Elementwise over ``bits_per_scan``; ``period_us`` is one period or
+    one per region.  Non-positive bits or periods infer a zero rate.
+    """
+    period_s = period_us / 1e6
+    fraction = np.minimum(bits_per_scan / pages, 1.0 - 1e-6)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rates = -pages * np.log(1.0 - fraction) / period_s
+    return np.where((bits_per_scan > 0) & (period_s > 0), rates, 0.0)
 
 
 def infer_access_rate(
     bits_per_scan: float, period_us: int, pages: int
 ) -> float:
-    """Invert the occupancy model: true access rate from observed bits.
-
-    Saturated readings (all bits set) carry only a lower bound; they are
-    clamped just below saturation so the inversion stays finite.
-    """
-    if bits_per_scan <= 0 or period_us <= 0:
-        return 0.0
-    period_s = period_us / 1e6
-    fraction = min(bits_per_scan / pages, 1.0 - 1e-6)
-    return float(-pages * np.log(1.0 - fraction) / period_s)
+    """:func:`infer_access_rates` of one region."""
+    return float(infer_access_rates(bits_per_scan, period_us, pages))
 
 
 def captured_rate_at_period(

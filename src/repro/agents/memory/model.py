@@ -30,13 +30,14 @@ from repro.agents.memory.classify import (
     captured_rate_at_period,
     classify_by_coverage,
     infer_access_rate,
-    observable_rate,
+    infer_access_rates,
+    observable_rates,
 )
 from repro.agents.memory.config import MemoryConfig
 from repro.core.interfaces import Model
 from repro.core.prediction import Prediction
 from repro.ml.bandits import BetaThompsonSampler
-from repro.node.memory import ScanResult, TieredMemory
+from repro.node.memory import ScanBatch, TieredMemory
 from repro.sim.kernel import Kernel
 from repro.sim.units import SEC
 
@@ -99,6 +100,7 @@ class MemoryModel(Model):
         self.samplers = [
             BetaThompsonSampler(config.n_arms, rng) for _ in range(n)
         ]
+        self._periods_us = np.asarray(config.scan_periods_us, dtype=np.int64)
         self._arm = np.zeros(n, dtype=int)  # current arm per region
         self._truth_mask = np.zeros(n, dtype=bool)
         self._next_due = np.zeros(n, dtype=np.int64)
@@ -119,42 +121,34 @@ class MemoryModel(Model):
 
     # -- Model interface ------------------------------------------------------
 
-    def collect_data(self) -> List[ScanResult]:
+    def collect_data(self) -> ScanBatch:
         """Scan every non-cold region whose period has elapsed."""
         now = self.kernel.now
         due = np.flatnonzero((self._next_due <= now) & ~self._cold)
-        results: List[ScanResult] = []
-        for region in due:
-            results.append(self.memory.scan(int(region)))
-            period = self.config.scan_periods_us[self._arm[region]]
-            if self._truth_mask[region]:
-                period = self.config.scan_periods_us[0]
-            self._next_due[region] = now + period
+        batch = self.memory.scan_many(due)
+        self._next_due[due] = now + self._periods_us[self._period_arm(due)]
         for injector in self.injectors:
-            results = injector(results)
-        return results
+            batch = injector(batch)
+        return batch
 
-    def validate_data(self, batch: List[ScanResult]) -> bool:
+    def validate_data(self, batch: ScanBatch) -> bool:
         """A batch is unusable only if every scan in it errored."""
         if not batch:
             return True  # nothing due this tick: a valid (empty) sample
-        return any(not result.error for result in batch)
+        return not batch.error.all()
 
-    def commit_data(self, time_us: int, batch: List[ScanResult]) -> None:
+    def commit_data(self, time_us: int, batch: ScanBatch) -> None:
         """Fold non-errored scans into the epoch statistics."""
-        pages = self.memory.pages_per_region
-        for result in batch:
-            if result.error:
-                continue
-            region = result.region
-            self._scan_count[region] += 1
-            self._bits_total[region] += result.set_bits
-            if result.saturated:
-                self._saturated[region] += 1
-            if result.set_bits == 0:
-                self._zero[region] += 1
-            else:
-                self._last_seen_us[region] = time_us
+        ok = ~batch.error
+        regions, set_bits = batch.regions[ok], batch.set_bits[ok]
+        # scan_many guarantees unique regions, so the fancy-indexed
+        # updates below touch each region exactly once.
+        self._scan_count[regions] += 1
+        self._bits_total[regions] += set_bits
+        self._saturated[regions] += batch.saturated[ok]
+        empty = set_bits == 0
+        self._zero[regions[empty]] += 1
+        self._last_seen_us[regions[~empty]] = time_us
 
     def update_model(self) -> None:
         """End of epoch: reward arms, refresh estimates, reassign arms."""
@@ -186,13 +180,10 @@ class MemoryModel(Model):
         Hit counts are first downsampled to the slowest scan frequency so
         regions scanned at different rates are comparable (§5.3).
         """
-        pages = self.memory.pages_per_region
-        slowest = self.config.scan_periods_us[-1]
-        downsampled = np.array(
-            [
-                observable_rate(rate, slowest, pages)
-                for rate in self.estimates.rates
-            ]
+        downsampled = observable_rates(
+            self.estimates.rates,
+            self.config.scan_periods_us[-1],
+            self.memory.pages_per_region,
         )
         candidates = np.flatnonzero(~self._cold)
         if candidates.size == 0:
@@ -238,8 +229,7 @@ class MemoryModel(Model):
 
     def chosen_periods_us(self) -> np.ndarray:
         """Current scan period per region (experiments report the mix)."""
-        periods = np.asarray(self.config.scan_periods_us)[self._arm]
-        return periods
+        return self._periods_us[self._arm]
 
     # -- internals ----------------------------------------------------------------
 
@@ -355,18 +345,18 @@ class MemoryModel(Model):
         bound, where only a lower bound survives — exactly the residual
         ambiguity the ground-truth safeguard monitors).
         """
-        pages = self.memory.pages_per_region
         rates = np.zeros(self.memory.n_regions)
-        for region in range(self.memory.n_regions):
-            n_scans = self._scan_count[region]
-            if n_scans == 0:
-                continue
-            period = self.config.scan_periods_us[
-                0 if self._truth_mask[region] else int(self._arm[region])
-            ]
-            bits_per_scan = self._bits_total[region] / n_scans
-            rates[region] = infer_access_rate(bits_per_scan, period, pages)
+        scanned = np.flatnonzero(self._scan_count)
+        rates[scanned] = infer_access_rates(
+            self._bits_total[scanned] / self._scan_count[scanned],
+            self._periods_us[self._period_arm(scanned)],
+            self.memory.pages_per_region,
+        )
         return rates
+
+    def _period_arm(self, regions: np.ndarray) -> np.ndarray:
+        """The arm each region is scanned at: ground truth runs at arm 0."""
+        return np.where(self._truth_mask[regions], 0, self._arm[regions])
 
     def _update_cold(self, now: int) -> None:
         """Mark regions untouched for longer than the cold timeout."""

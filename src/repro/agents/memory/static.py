@@ -15,7 +15,10 @@ from typing import Optional
 
 import numpy as np
 
-from repro.agents.memory.classify import classify_by_coverage, infer_access_rate
+from repro.agents.memory.classify import (
+    classify_by_coverage,
+    infer_access_rates,
+)
 from repro.agents.memory.config import MemoryConfig
 from repro.node.memory import Tier, TieredMemory
 from repro.sim.kernel import Kernel, Process
@@ -51,6 +54,7 @@ class StaticScanController:
         # the mechanism behind the paper's min-frequency SLO collapse —
         # slow scanning both blurs hotness *and* reacts late to shifts.
         self.scans_per_reclassify = scans_per_reclassify
+        self._regions = np.arange(memory.n_regions)
         self._bits = np.zeros(memory.n_regions)
         self._scans_since_reclassify = 0
         self._process: Optional[Process] = None
@@ -69,10 +73,9 @@ class StaticScanController:
     def _run(self):
         while True:
             yield self.period_us
-            for region in range(self.memory.n_regions):
-                result = self.memory.scan(region)
-                if not result.error:
-                    self._bits[region] += result.set_bits
+            batch = self.memory.scan_many(self._regions)
+            # errored scans report zero bits, so they add nothing
+            self._bits += batch.set_bits
             self._scans_since_reclassify += 1
             if self._scans_since_reclassify >= self.scans_per_reclassify:
                 self._reclassify()
@@ -90,18 +93,12 @@ class StaticScanController:
         """
         pages = self.memory.pages_per_region
         bits_per_scan = self._bits / max(1, self._scans_since_reclassify)
-        rates = np.array(
-            [
-                infer_access_rate(bits, self.period_us, pages)
-                for bits in bits_per_scan
-            ]
-        )
-        candidates = np.arange(self.memory.n_regions)
+        rates = infer_access_rates(bits_per_scan, self.period_us, pages)
         hot, warm = classify_by_coverage(
-            rates, candidates, self.config.hot_coverage
+            rates, self._regions, self.config.hot_coverage
         )
-        self.memory.migrate_many(hot.tolist(), Tier.LOCAL)
-        self.memory.migrate_many(warm.tolist(), Tier.REMOTE)
+        self.memory.migrate_many(hot, Tier.LOCAL)
+        self.memory.migrate_many(warm, Tier.REMOTE)
         self._bits[:] = 0.0
         self._scans_since_reclassify = 0
         self.reclassifications += 1

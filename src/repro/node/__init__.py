@@ -14,7 +14,13 @@ from repro.node.faults import (
     stuck_usage_injector,
 )
 from repro.node.hypervisor import Hypervisor, HypervisorSnapshot
-from repro.node.memory import MemorySnapshot, ScanResult, Tier, TieredMemory
+from repro.node.memory import (
+    MemorySnapshot,
+    ScanBatch,
+    ScanResult,
+    Tier,
+    TieredMemory,
+)
 from repro.node.power import PowerModel
 from repro.node.signals import PiecewiseConstant, SlidingWindowQuantile
 from repro.node.vm import VirtualMachine
@@ -31,6 +37,7 @@ __all__ = [
     "ModelBreaker",
     "PiecewiseConstant",
     "PowerModel",
+    "ScanBatch",
     "ScanResult",
     "SlidingWindowQuantile",
     "Tier",

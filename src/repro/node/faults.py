@@ -36,6 +36,7 @@ from typing import Callable, Generic, List, Optional, Tuple, TypeVar
 import numpy as np
 
 from repro.node.counters import IntervalMetrics
+from repro.node.memory import ScanBatch
 
 __all__ = [
     "bad_ips_injector",
@@ -166,7 +167,7 @@ class StaleReadInjector(Generic[T]):
 def dropped_batch_injector(
     rng: np.random.Generator,
     probability: float,
-) -> Callable[[List], List]:
+) -> Callable[[ScanBatch], ScanBatch]:
     """Scan-batch telemetry dropout (SmartMemory's collection boundary).
 
     With probability ``probability`` an entire scan batch is lost — every
@@ -178,9 +179,9 @@ def dropped_batch_injector(
     if not 0.0 <= probability <= 1.0:
         raise ValueError("probability must be in [0, 1]")
 
-    def inject(batch: List) -> List:
+    def inject(batch: ScanBatch) -> ScanBatch:
         if batch and rng.random() < probability:
-            return [replace(result, error=True) for result in batch]
+            return batch.all_errored()
         return batch
 
     return inject

@@ -33,20 +33,34 @@ local/remote index vectors, invalidated only on migration — the sums run
 over the same elements in the same ascending-index order, so every
 accumulated value is bit-identical to the seed path (DESIGN.md §8,
 pinned by ``tests/workloads/test_vectorized_workloads_bit_identity.py``).
+
+Scanning is batched the same way: an agent tick scans a *set* of
+regions at one instant, so :meth:`TieredMemory.scan_many` pays one
+accrual, one vector ``exp`` and one vector ``binomial`` draw for the
+whole set and returns a struct-of-arrays :class:`ScanBatch`.  numpy's
+``Generator`` consumes its bit stream element by element, so the vector
+draw *is* the sequence of scalar draws (pinned by
+``tests/workloads/test_rng_batching_identities.py``).
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.sim.kernel import Kernel
 from repro.sim.units import SEC
 
-__all__ = ["Tier", "ScanResult", "MemorySnapshot", "TieredMemory"]
+__all__ = [
+    "Tier",
+    "ScanResult",
+    "ScanBatch",
+    "MemorySnapshot",
+    "TieredMemory",
+]
 
 
 class Tier(enum.Enum):
@@ -78,6 +92,72 @@ class ScanResult:
     elapsed_us: int
     saturated: bool
     error: bool = False
+
+
+class ScanBatch:
+    """The scans of one tick, as a struct of arrays.
+
+    Iterating yields one :class:`ScanResult` per scanned region, in
+    scan order; the agent hot paths read the arrays directly.  Batches
+    are treated as immutable (the arrays may be shared between a batch
+    and its :meth:`all_errored` copy).
+
+    Attributes:
+        regions: region indices, in scan order (unique).
+        set_bits: pages observed touched per region (0 where ``error``
+            came from the scanning driver).
+        elapsed_us: time since each region's previous scan.
+        saturated: nearly all bits were set (see :class:`ScanResult`).
+        error: the scan produced no usable reading.
+        pages: pages per region.
+    """
+
+    __slots__ = (
+        "regions", "set_bits", "elapsed_us", "saturated", "error", "pages"
+    )
+
+    def __init__(
+        self,
+        regions: np.ndarray,
+        set_bits: np.ndarray,
+        elapsed_us: np.ndarray,
+        saturated: np.ndarray,
+        error: np.ndarray,
+        pages: int,
+    ) -> None:
+        self.regions = regions
+        self.set_bits = set_bits
+        self.elapsed_us = elapsed_us
+        self.saturated = saturated
+        self.error = error
+        self.pages = pages
+
+    def all_errored(self) -> "ScanBatch":
+        """This batch with every scan flagged as an error (a lost batch)."""
+        return ScanBatch(
+            self.regions,
+            self.set_bits,
+            self.elapsed_us,
+            self.saturated,
+            np.ones(len(self), dtype=bool),
+            self.pages,
+        )
+
+    def __len__(self) -> int:
+        return self.regions.size
+
+    def __iter__(self) -> Iterator[ScanResult]:
+        pages = self.pages
+        for region, set_bits, elapsed_us, saturated, error in zip(
+            self.regions.tolist(),
+            self.set_bits.tolist(),
+            self.elapsed_us.tolist(),
+            self.saturated.tolist(),
+            self.error.tolist(),
+        ):
+            yield ScanResult(
+                region, set_bits, pages, elapsed_us, saturated, error
+            )
 
 
 @dataclass(frozen=True)
@@ -147,10 +227,10 @@ class TieredMemory:
         self._n_local = n_regions
         self._idx_stale = False
         self._true_accesses = np.zeros(n_regions)  # cumulative per region
-        # Scanned-state bookkeeping is strictly per-region scalar reads
-        # and writes, so plain Python lists beat numpy scalar indexing.
-        self._accesses_at_last_scan = [0.0] * n_regions
-        self._last_scan_us = [0] * n_regions
+        # Scanned-state bookkeeping is gathered and scattered a tick's
+        # worth of regions at a time (scan_many), so it lives in arrays.
+        self._accesses_at_last_scan = np.zeros(n_regions)
+        self._last_scan_us = np.zeros(n_regions, dtype=np.int64)
         self._saturation_threshold = saturation_fraction * pages_per_region
         self._local_accesses = 0.0
         self._remote_accesses = 0.0
@@ -199,53 +279,91 @@ class TieredMemory:
         """Scan one region's access bits, clearing them (costs TLB flushes)."""
         self._check_region(region)
         self._accrue()
-        now = self.kernel.now
-        elapsed_us = now - self._last_scan_us[region]
-        if (
-            self._scan_fault_probability > 0.0
-            and self.rng is not None
-            and self.rng.random() < self._scan_fault_probability
-        ):
-            # Driver error: bits are left untouched, no reading produced.
-            return ScanResult(
-                region=region,
-                set_bits=0,
-                pages=self.pages_per_region,
-                elapsed_us=elapsed_us,
-                saturated=False,
-                error=True,
-            )
-        true_accesses = float(self._true_accesses[region])
-        accesses = true_accesses - self._accesses_at_last_scan[region]
-        set_bits = self._occupancy(accesses)
-        self._accesses_at_last_scan[region] = true_accesses
-        self._last_scan_us[region] = now
-        self._bit_resets += set_bits
-        self._pages_scanned += self.pages_per_region
+        set_bits, elapsed_us, error = self._scan_one(region, self.kernel.now)
         return ScanResult(
             region=region,
             set_bits=set_bits,
             pages=self.pages_per_region,
             elapsed_us=elapsed_us,
-            saturated=set_bits >= self._saturation_threshold,
+            saturated=(
+                not error and set_bits >= self._saturation_threshold
+            ),
+            error=error,
+        )
+
+    def scan_many(self, regions: Iterable[int]) -> ScanBatch:
+        """Scan a tick's worth of regions at once; same effect, same
+        random draws and same results as calling :meth:`scan` on each
+        region in order.
+
+        Raises:
+            IndexError: a region is out of range (nothing is scanned).
+            ValueError: a region appears twice — one tick scans a region
+                once, and the scatter updates would drop the repeat.
+        """
+        idx = self._region_indices(regions)
+        if idx.size > 1 and np.bincount(idx).max() > 1:
+            raise ValueError("duplicate regions in one scan batch")
+        self._accrue()
+        now = self.kernel.now
+        pages = self.pages_per_region
+        if self._scan_fault_probability > 0.0 and self.rng is not None:
+            # Each region draws random() for the driver fault and then,
+            # if it survived, binomial() for its occupancy: the two draws
+            # interleave per region, so no vector draw reproduces the
+            # stream and the window runs the scalar core.
+            scans = np.array(
+                [self._scan_one(region, now) for region in idx.tolist()],
+                dtype=np.int64,
+            ).reshape(-1, 3)
+            set_bits, elapsed_us = scans[:, 0], scans[:, 1]
+            error = scans[:, 2].astype(bool)
+        else:
+            elapsed_us = now - self._last_scan_us.take(idx)
+            true_accesses = self._true_accesses.take(idx)
+            accesses = true_accesses - self._accesses_at_last_scan.take(idx)
+            # Regions with nothing accrued draw nothing (as in
+            # _occupancy), so they are masked out of the vector draw.
+            touched = accesses > 0
+            fraction = 1.0 - np.exp(-accesses[touched] / pages)
+            set_bits = np.zeros(idx.size, dtype=np.int64)
+            if self.rng is None:
+                set_bits[touched] = np.rint(pages * fraction).astype(np.int64)
+            else:
+                set_bits[touched] = self.rng.binomial(pages, fraction)
+            self._accesses_at_last_scan[idx] = true_accesses
+            self._last_scan_us[idx] = now
+            self._bit_resets += int(set_bits.sum())
+            self._pages_scanned += pages * idx.size
+            error = np.zeros(idx.size, dtype=bool)
+        return ScanBatch(
+            regions=idx,
+            set_bits=set_bits,
+            elapsed_us=elapsed_us,
+            saturated=(set_bits >= self._saturation_threshold) & ~error,
+            error=error,
+            pages=pages,
         )
 
     def migrate(self, region: int, tier: Tier) -> bool:
         """Move a region to ``tier``; returns ``True`` if it actually moved."""
-        self._check_region(region)
-        target_local = tier is Tier.LOCAL
-        if self._local[region] == target_local:
-            return False
-        self._accrue()
-        self._local[region] = target_local
-        self._n_local += 1 if target_local else -1
-        self._idx_stale = True
-        self._migrations += 1
-        return True
+        return self.migrate_many((region,), tier) == 1
 
     def migrate_many(self, regions: Iterable[int], tier: Tier) -> int:
         """Migrate several regions; returns how many actually moved."""
-        return sum(1 for region in regions if self.migrate(region, tier))
+        idx = self._region_indices(regions)
+        target_local = tier is Tier.LOCAL
+        moving = idx[self._local.take(idx) != target_local]
+        if moving.size == 0:
+            return 0
+        self._accrue()
+        self._local[moving] = target_local  # repeats are idempotent
+        n_local = int(np.count_nonzero(self._local))
+        moved = abs(n_local - self._n_local)
+        self._n_local = n_local
+        self._idx_stale = True
+        self._migrations += moved
+        return moved
 
     def tier_of(self, region: int) -> Tier:
         """Current tier of a region."""
@@ -298,6 +416,26 @@ class TieredMemory:
 
     # -- internals -------------------------------------------------------------------
 
+    def _scan_one(self, region: int, now: int) -> Tuple[int, int, bool]:
+        """Scalar scan core: ``(set_bits, elapsed_us, error)`` of one
+        already-checked region at an already-accrued instant."""
+        elapsed_us = now - int(self._last_scan_us[region])
+        if (
+            self._scan_fault_probability > 0.0
+            and self.rng is not None
+            and self.rng.random() < self._scan_fault_probability
+        ):
+            # Driver error: bits are left untouched, no reading produced.
+            return 0, elapsed_us, True
+        true_accesses = float(self._true_accesses[region])
+        accesses = true_accesses - float(self._accesses_at_last_scan[region])
+        set_bits = self._occupancy(accesses)
+        self._accesses_at_last_scan[region] = true_accesses
+        self._last_scan_us[region] = now
+        self._bit_resets += set_bits
+        self._pages_scanned += self.pages_per_region
+        return set_bits, elapsed_us, False
+
     def _occupancy(self, accesses: float) -> int:
         """Distinct pages touched by ``accesses`` accesses (Poisson model)."""
         pages = self.pages_per_region
@@ -307,6 +445,17 @@ class TieredMemory:
         if self.rng is None:
             return int(round(pages * expected_fraction))
         return int(self.rng.binomial(pages, expected_fraction))
+
+    def _region_indices(self, regions: Iterable[int]) -> np.ndarray:
+        """``regions`` as an index vector, bounds-checked once."""
+        if isinstance(regions, np.ndarray):
+            idx = regions.astype(np.intp, copy=False)
+        else:
+            idx = np.fromiter(regions, dtype=np.intp)
+        if idx.size and not 0 <= idx.min() <= idx.max() < self.n_regions:
+            out_of_range = (idx < 0) | (idx >= self.n_regions)
+            self._check_region(int(idx[out_of_range][0]))
+        return idx
 
     def _refresh_idx(self) -> None:
         if self._idx_stale:

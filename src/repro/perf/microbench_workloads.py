@@ -21,6 +21,12 @@ bottleneck out of the kernel and PR 3 out of the ML epoch):
   SmartMemory scan loop: scans, migrations, and rate pushes, each
   paying one accrual.  The seed rebuilt ``rates * elapsed`` plus two
   boolean tier masks per accrual and recounted ``n_local`` per read.
+* ``memory_scan_tick`` — the access-bit scan itself: a full scan of
+  all 256 regions every period (the static baselines of Figure 7) plus
+  a sparse due-set between periods (SmartMemory's learned per-region
+  schedule).  The seed side loops the scalar ``scan``, building one
+  ``ScanResult`` and drawing one binomial per region; the live side is
+  one ``scan_many`` per tick.  Events are region scans.
 * ``zipf_rate_push`` — trace popularity shifts: the seed rebuilt and
   renormalized the Zipf weight vector on every push.
 * ``tailbench_step_window`` — the 25 ms TailBench batch-window loop:
@@ -143,6 +149,39 @@ def _bench_memory_rate_accrual(impl: Any, scale: float) -> BenchResult:
     )
 
 
+def _bench_memory_scan_tick(impl: Any, scale: float) -> BenchResult:
+    ticks = max(1, int(400 * scale))
+    n_regions = 256
+    kernel = Kernel()
+    memory = impl.TieredMemory(
+        kernel, n_regions=n_regions, rng=np.random.default_rng(61)
+    )
+    if hasattr(memory, "scan_many"):
+        scan_tick = memory.scan_many
+    else:  # the frozen seed substrate only scans one region at a time
+
+        def scan_tick(regions):
+            return [memory.scan(region) for region in regions.tolist()]
+
+    rng = np.random.default_rng(67)
+    memory.set_rates(rng.uniform(0.0, 5000.0, size=n_regions))
+    everything = np.arange(n_regions)
+    due_sets = [
+        np.flatnonzero(rng.random(n_regions) < 0.125) for _ in range(16)
+    ]
+    scans = 0
+    started = time.perf_counter()
+    for tick in range(ticks):
+        kernel._now += 150_000
+        due = due_sets[tick % 16]
+        scans += len(scan_tick(due))
+        kernel._now += 150_000  # the 300 ms maximum-frequency period
+        scans += len(scan_tick(everything))
+    return BenchResult(
+        "memory_scan_tick", scans, time.perf_counter() - started
+    )
+
+
 def _bench_zipf_rate_push(impl: Any, scale: float) -> BenchResult:
     iters = max(1, int(4_000 * scale))
     kernel = Kernel()
@@ -222,6 +261,7 @@ def _bench_diskspeed(impl: Any, scale: float) -> BenchResult:
 WORKLOADS_MICROBENCHMARKS: Dict[str, Callable[[Any, float], BenchResult]] = {
     "cpu_phase_accounting": _bench_cpu_phase_accounting,
     "memory_rate_accrual": _bench_memory_rate_accrual,
+    "memory_scan_tick": _bench_memory_scan_tick,
     "zipf_rate_push": _bench_zipf_rate_push,
     "tailbench_step_window": _bench_tailbench_step_window,
     "objectstore_request_accounting": _bench_objectstore,

@@ -10,7 +10,9 @@ from repro.agents.memory import (
     StaticScanController,
     classify_by_coverage,
     infer_access_rate,
+    infer_access_rates,
     observable_rate,
+    observable_rates,
 )
 from repro.core import SafeguardPolicy
 from repro.node.memory import Tier, TieredMemory
@@ -73,6 +75,44 @@ def test_occupancy_inversion_round_trips():
 def test_inversion_saturates_to_lower_bound():
     recovered = infer_access_rate(512.0, 9_600_000, 512)
     assert recovered < 50_000  # clamped: true rate could be anything higher
+
+
+def _seed_observable_rate(access_rate, period_us, pages):
+    """The seed's scalar formula, kept as the reference."""
+    if access_rate <= 0 or period_us <= 0:
+        return 0.0
+    period_s = period_us / 1e6
+    touched = pages * (1.0 - np.exp(-access_rate * period_s / pages))
+    return float(touched / period_s)
+
+
+def _seed_infer_access_rate(bits_per_scan, period_us, pages):
+    """The seed's scalar formula, kept as the reference."""
+    if bits_per_scan <= 0 or period_us <= 0:
+        return 0.0
+    period_s = period_us / 1e6
+    fraction = min(bits_per_scan / pages, 1.0 - 1e-6)
+    return float(-pages * np.log(1.0 - fraction) / period_s)
+
+
+def test_array_occupancy_functions_equal_the_seed_scalars_bitwise():
+    rng = np.random.default_rng(3)
+    rates = rng.uniform(0.0, 50_000.0, 300)
+    rates[::7] = 0.0
+    bits = rng.uniform(0.0, 512.0, 300)
+    bits[::5] = 0.0
+    bits[1::11] = 512.0  # saturated: clamped just below all-bits-set
+    periods = rng.choice([300_000, 1_200_000, 9_600_000], 300)
+    for period in (300_000, 9_600_000, 0, periods):  # one period, or per region
+        per_region = np.broadcast_to(period, rates.shape).tolist()
+        observed = observable_rates(rates, period, 512)
+        inferred = infer_access_rates(bits, period, 512)
+        for i in range(rates.size):
+            args = (per_region[i], 512)
+            assert observed[i] == _seed_observable_rate(rates[i], *args)
+            assert inferred[i] == _seed_infer_access_rate(bits[i], *args)
+            assert observable_rate(rates[i], *args) == observed[i]
+            assert infer_access_rate(bits[i], *args) == inferred[i]
 
 
 def test_memory_plan_rejects_overlaps():

@@ -99,28 +99,49 @@ def test_stale_read_injector_validates_probability():
         StaleReadInjector(np.random.default_rng(0), probability=1.5)
 
 
+def _scan_batch(n):
+    from repro.node.memory import ScanBatch
+
+    return ScanBatch(
+        regions=np.arange(n),
+        set_bits=np.full(n, 5),
+        elapsed_us=np.full(n, 100),
+        saturated=np.zeros(n, dtype=bool),
+        error=np.zeros(n, dtype=bool),
+        pages=16,
+    )
+
+
 def test_dropped_batch_injector_errors_whole_batches():
     from repro.node.faults import dropped_batch_injector
-    from repro.node.memory import ScanResult
 
-    batch = [
-        ScanResult(region=i, set_bits=5, pages=16, elapsed_us=100,
-                   saturated=False, error=False)
-        for i in range(3)
-    ]
+    batch = _scan_batch(3)
     inject = dropped_batch_injector(np.random.default_rng(0), 1.0)
     dropped = inject(batch)
+    assert len(dropped) == 3
+    assert dropped.error.all()
     assert all(result.error for result in dropped)
     assert [r.region for r in dropped] == [0, 1, 2]
-    assert not any(result.error for result in batch)  # originals untouched
-    assert inject([]) == []  # empty batches pass through
+    assert not batch.error.any()  # original untouched
+    empty = _scan_batch(0)
+    assert inject(empty) is empty  # empty batches pass through
+
+
+def test_dropped_batch_injector_draws_only_for_nonempty_batches():
+    from repro.node.faults import dropped_batch_injector
+
+    rng, twin = np.random.default_rng(5), np.random.default_rng(5)
+    inject = dropped_batch_injector(rng, 0.5)
+    inject(_scan_batch(0))
+    assert rng.random() == twin.random()  # empty batch drew nothing
+    inject(_scan_batch(2))
+    twin.random()
+    assert rng.random() == twin.random()  # exactly one draw per batch
 
 
 def test_dropped_batch_injector_probability_zero_is_identity():
     from repro.node.faults import dropped_batch_injector
-    from repro.node.memory import ScanResult
 
-    batch = [ScanResult(region=0, set_bits=1, pages=16, elapsed_us=1,
-                        saturated=False, error=False)]
+    batch = _scan_batch(1)
     inject = dropped_batch_injector(np.random.default_rng(0), 0.0)
-    assert inject(batch) == batch
+    assert inject(batch) is batch

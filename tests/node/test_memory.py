@@ -152,6 +152,36 @@ def test_region_bounds_checked():
         memory.migrate(-1, Tier.REMOTE)
 
 
+def test_scan_many_bounds_checked_once_with_the_scalar_message():
+    memory = make_memory(n_regions=4)
+    memory.set_rates([100.0] * 4)
+    memory.kernel._now += 1 * SEC
+    for bad in (4, -1):
+        with pytest.raises(IndexError) as scalar:
+            memory.scan(bad)
+        with pytest.raises(IndexError) as batched:
+            memory.scan_many([0, bad, 2])
+        assert str(batched.value) == str(scalar.value)
+    with pytest.raises(IndexError):
+        memory.migrate_many([1, 9], Tier.REMOTE)
+    # a rejected batch scanned and moved nothing
+    assert memory.snapshot().pages_scanned == 0
+    assert memory.n_local == 4
+
+
+def test_scan_many_rejects_duplicate_regions():
+    memory = make_memory(n_regions=4)
+    memory.set_rates([100.0] * 4)
+    memory.kernel._now += 1 * SEC
+    with pytest.raises(ValueError, match="duplicate"):
+        memory.scan_many([1, 2, 1])
+    assert memory.snapshot().pages_scanned == 0
+    assert len(memory.scan_many([])) == 0  # nothing due: an empty batch
+    batch = memory.scan_many([2, 0])  # unsorted but unique is fine
+    assert batch.regions.tolist() == [2, 0]
+    assert [result.region for result in batch] == [2, 0]
+
+
 def test_stochastic_occupancy_reproducible_with_seed():
     def run(seed):
         kernel = Kernel()

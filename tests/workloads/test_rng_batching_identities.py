@@ -11,6 +11,15 @@ is only sound because, for numpy's ``Generator``:
   ``exp`` as ``math.exp`` (NOT ``np.exp``, whose SIMD path differs in
   the last ulp for a few percent of draws — see DESIGN.md §6).
 
+The batched access-bit scan (``TieredMemory.scan_many``) and the array
+occupancy functions in ``repro.agents.memory.classify`` lean on two
+more:
+
+* ``np.exp`` / ``np.log`` give each element of a vector the value they
+  give that element alone (no position- or length-dependent SIMD tail);
+* ``binomial(n, p_vec)`` is the sequence of scalar ``binomial(n, p_i)``
+  draws.
+
 If any of these ever breaks (numpy build with FMA contraction, a
 different libm), this file fails loudly instead of the golden digests
 drifting silently.
@@ -70,3 +79,36 @@ def test_strided_affine_transform_matches_scalar_ops():
     out += 0.95
     for k in range(256):
         assert out[k] == 0.95 + 0.02 * z[2 * k]
+
+
+def test_vector_exp_and_log_match_scalar_calls():
+    """Every lane of the vector loop equals the one-element call."""
+    rng = np.random.default_rng(17)
+    for size in (1, 2, 3, 7, 8, 9, 31, 256, 513):
+        x = -rng.uniform(0.0, 40.0, size)  # exp(-a/pages) arguments
+        x[rng.random(size) < 0.1] = 0.0
+        vector = np.exp(x)
+        strided = np.exp(x[::2])
+        y = rng.uniform(1e-6, 1.0, size)  # log(1 - fraction) arguments
+        logs = np.log(y)
+        for i in range(size):
+            assert vector[i] == np.exp(float(x[i]))
+            assert logs[i] == np.log(float(y[i]))
+        for i in range(strided.size):
+            assert strided[i] == np.exp(float(x[2 * i]))
+
+
+def test_vector_binomial_matches_scalar_draw_sequence():
+    drive = np.random.default_rng(19)
+    p = np.concatenate([
+        drive.uniform(0.0, 1.0, 1500),
+        drive.uniform(0.0, 1e-3, 500),       # nearly idle regions
+        1.0 - drive.uniform(0.0, 1e-6, 500),  # saturated regions
+        [0.0, 1.0],
+    ])
+    drive.shuffle(p)
+    batch_rng, seq_rng = np.random.default_rng(23), np.random.default_rng(23)
+    batch = batch_rng.binomial(512, p)
+    sequential = [seq_rng.binomial(512, float(p_i)) for p_i in p]
+    assert batch.tolist() == sequential
+    assert batch_rng.random() == seq_rng.random()  # same stream position

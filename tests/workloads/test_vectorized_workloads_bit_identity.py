@@ -134,6 +134,119 @@ def test_tiered_memory_lockstep_1k_ops(seed):
     assert live.snapshot() == frozen.snapshot()
 
 
+def _memory_pair(seed, n_regions=96, with_rng=True):
+    k_live, k_frozen = Kernel(), Kernel()
+    live = TieredMemory(
+        k_live, n_regions=n_regions, pages_per_region=512,
+        rng=np.random.default_rng(seed) if with_rng else None,
+    )
+    frozen = legacy.TieredMemory(
+        k_frozen, n_regions=n_regions, pages_per_region=512,
+        rng=np.random.default_rng(seed) if with_rng else None,
+    )
+    return (k_live, k_frozen), live, frozen
+
+
+def _assert_scan_many_equals_frozen_loop(live, frozen, regions):
+    """One batched tick == the seed model's per-region scan loop."""
+    batch = live.scan_many(regions)
+    want = [frozen.scan(int(region)) for region in regions]
+    assert len(batch) == len(want)
+    assert list(batch) == want  # ScanResult equality is field by field
+    assert live.snapshot() == frozen.snapshot()
+    if live.rng is not None:
+        # same rng state afterwards: the batch consumed exactly the
+        # draws the scalar loop did (one draw from each keeps them paired)
+        assert live.rng.random() == frozen.rng.random()
+
+
+@pytest.mark.parametrize("with_rng", [True, False])
+@pytest.mark.parametrize("seed", [0, 2])
+def test_scan_many_equals_frozen_per_region_loop(seed, with_rng):
+    """All-regions ticks, sparse due-sets and idle regions, rng or not."""
+    kernels, live, frozen = _memory_pair(seed, with_rng=with_rng)
+    n_regions = live.n_regions
+    drive = np.random.default_rng(seed + 200)
+    everything = np.arange(n_regions)
+    for step in range(120):
+        _advance(kernels, int(drive.integers(1, 3_000_000)))
+        if step % 10 == 0:
+            rates = drive.uniform(0.0, 5000.0, n_regions)
+            # a third of the regions are idle: zero accrued accesses,
+            # so the scalar path draws nothing for them
+            rates[drive.random(n_regions) < 0.33] = 0.0
+            live.set_rates(rates)
+            frozen.set_rates(rates)
+        if step % 3 == 0:
+            regions = everything
+        else:  # sparse due-set, in flatnonzero (ascending) order
+            regions = np.flatnonzero(drive.random(n_regions) < 0.2)
+        _assert_scan_many_equals_frozen_loop(live, frozen, regions)
+        if step % 7 == 0:
+            # rescanning at the same instant: every region has zero
+            # accrued accesses (a whole batch that draws nothing)
+            _assert_scan_many_equals_frozen_loop(live, frozen, regions)
+        if step % 5 == 0:
+            moving = drive.choice(n_regions, size=12, replace=False)
+            tier = Tier.REMOTE if drive.random() < 0.5 else Tier.LOCAL
+            assert live.migrate_many(moving, tier) == frozen.migrate_many(
+                moving.tolist(), tier
+            )
+    assert np.array_equal(
+        live.true_region_accesses(), frozen.true_region_accesses()
+    )
+
+
+def test_scan_many_equals_frozen_loop_across_a_fault_window():
+    """Fault window on then off: random()/binomial() interleave inside."""
+    kernels, live, frozen = _memory_pair(seed=4)
+    n_regions = live.n_regions
+    drive = np.random.default_rng(17)
+    rates = drive.uniform(0.0, 5000.0, n_regions)
+    rates[::5] = 0.0
+    live.set_rates(rates)
+    frozen.set_rates(rates)
+    errors = 0
+    for step in range(90):
+        _advance(kernels, int(drive.integers(1, 2_000_000)))
+        if step == 30:
+            live.set_scan_fault_probability(0.05)
+            frozen.set_scan_fault_probability(0.05)
+        if step == 60:
+            live.set_scan_fault_probability(0.0)
+            frozen.set_scan_fault_probability(0.0)
+        if step % 2 == 0:
+            regions = np.arange(n_regions)
+        else:
+            regions = np.flatnonzero(drive.random(n_regions) < 0.25)
+        before = live.snapshot().pages_scanned
+        _assert_scan_many_equals_frozen_loop(live, frozen, regions)
+        scanned = (live.snapshot().pages_scanned - before) // 512
+        errors += len(regions) - scanned
+        if not 30 <= step < 60:
+            assert scanned == len(regions)
+    assert errors > 0  # the window actually injected driver errors
+
+
+def test_migrate_many_counts_each_moved_region_once():
+    """Repeats in one call move once; the accrual split is unchanged."""
+    kernels, live, frozen = _memory_pair(seed=6)
+    rates = np.random.default_rng(8).uniform(0.0, 5000.0, live.n_regions)
+    live.set_rates(rates)
+    frozen.set_rates(rates)
+    _advance(kernels, 1_500_000)
+    regions = [3, 7, 3, 11, 7, 90]
+    assert live.migrate_many(regions, Tier.REMOTE) == 4
+    assert frozen.migrate_many(regions, Tier.REMOTE) == 4
+    _advance(kernels, 700_000)
+    # nothing moves: neither implementation accrues here
+    assert live.migrate_many(iter(regions), Tier.REMOTE) == 0
+    assert frozen.migrate_many(iter(regions), Tier.REMOTE) == 0
+    _advance(kernels, 300_000)
+    assert live.snapshot() == frozen.snapshot()
+    assert np.array_equal(live.remote_regions, frozen.remote_regions)
+
+
 def _drive_lockstep(kernels, generators, steps, on_step=None):
     """Step workload generators together, sending elapsed time back."""
     delays = [next(gen) for gen in generators]
