@@ -40,11 +40,12 @@ __all__ = ["code_salt", "sweep_unit_key", "unit_key"]
 #: argument — replayed payloads were produced by the salted code),
 #: ``obs`` only observes (spans and metrics are strictly out-of-band;
 #: DESIGN.md §14 — an instrumentation edit must not invalidate every
-#: cached row), and the CLI only orchestrates.
+#: cached row), and the CLI (``cli.py``, its shared ``flags.py``, the
+#: ``chaos.py`` proofs) only orchestrates.
 _SALT_EXCLUDED_DIRS = frozenset(
     {"cache", "journal", "obs", "perf", "resilience", "__pycache__"}
 )
-_SALT_EXCLUDED_FILES = frozenset({"cli.py"})
+_SALT_EXCLUDED_FILES = frozenset({"chaos.py", "cli.py", "flags.py"})
 
 _code_salt_cache: Optional[str] = None
 

@@ -11,12 +11,12 @@ digests:
   run) and the :class:`FileLock` mutex reused by the quarantine log;
 * :mod:`repro.journal.run` — the :class:`RunJournal`: atomic manifest,
   durable unit payloads, idempotent replay, deterministic run ids;
-* :mod:`repro.journal.pipelines` — per-pipeline config payloads and
-  journal openers (unit lists expanded exactly as the pipeline will);
+* :mod:`repro.journal.pipelines` — the per-kind table (config payloads,
+  journal openers with unit lists expanded exactly as the pipeline
+  will, drivers, digests) and the one launch ladder over it;
 * :mod:`repro.journal.registry` — read-only run discovery for
   ``repro runs list|show``;
-* :mod:`repro.journal.cli` — the ``repro runs`` subcommand and
-  ``resume_run``.
+* :mod:`repro.journal.cli` — the ``repro runs`` subcommand.
 """
 
 from repro.journal.lease import (

@@ -29,41 +29,29 @@ import argparse
 import os
 import shutil
 import time
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
-from repro.cache import default_cache_dir
+from repro.cache import ResultCache, default_cache_dir
+from repro.flags import (
+    add_cache_dir_flag,
+    add_cache_flags,
+    add_trace_flag,
+    add_workers_flag,
+)
 from repro.journal.log import replay_records
 from repro.journal.registry import RunInfo, list_runs, resolve_run
-from repro.journal.run import RunJournal, runs_root
+from repro.journal.run import runs_root
 from repro.obs.sidecar import read_trace, segments, trace_path
 
 __all__ = [
     "add_runs_parser",
     "cmd_runs",
-    "journal_status_line",
     "prune_runs",
-    "resume_run",
     "timing_rows",
 ]
 
 #: Walls this many times over the median are flagged as outliers.
 OUTLIER_FACTOR = 3.0
-
-
-def journal_status_line(journal: RunJournal) -> str:
-    """The ``[journal: ...]`` summary the pipelines print.
-
-    Deliberately not ``[cache: ...]`` — the sweep CLI contract promises
-    no cache line under ``--no-cache``, and the journal is not the
-    result cache.
-    """
-    stats = journal.stats
-    state = "sealed" if journal.sealed else "open"
-    return (
-        f"[journal: run {journal.run_id} units={len(journal.units)} "
-        f"replayed={stats.replayed} executed={stats.executed} "
-        f"cached={stats.cached} quarantined={stats.quarantined} {state}]"
-    )
 
 
 def add_runs_parser(sub: argparse._SubParsersAction) -> None:
@@ -76,11 +64,7 @@ def add_runs_parser(sub: argparse._SubParsersAction) -> None:
     runs_list = runs_sub.add_parser(
         "list", help="every journaled run under the cache root"
     )
-    runs_list.add_argument(
-        "--cache-dir", metavar="PATH", default=None,
-        help="cache root holding the run journals (default: "
-             "$REPRO_CACHE_DIR or ./.repro-cache)",
-    )
+    add_cache_dir_flag(runs_list)
     runs_show = runs_sub.add_parser(
         "show", help="one run's manifest, progress, and status"
     )
@@ -90,28 +74,20 @@ def add_runs_parser(sub: argparse._SubParsersAction) -> None:
         help="per-unit wall/attempts/source table rebuilt from the "
              "journal records (works for interrupted runs)",
     )
-    runs_show.add_argument("--cache-dir", metavar="PATH", default=None)
+    add_cache_dir_flag(runs_show)
     runs_resume = runs_sub.add_parser(
         "resume",
         help="re-open an interrupted run: replay journaled units, "
              "execute only the rest, seal",
     )
     runs_resume.add_argument("run_id", metavar="RUN_ID")
-    runs_resume.add_argument(
-        "--workers", type=int, default=None,
-        help="pool size for the remaining units (default: the fleet "
-             "manifest's worker count, else 1)",
+    add_workers_flag(
+        runs_resume, None,
+        "pool size for the remaining units (default: the fleet "
+        "manifest's worker count, else 1)",
     )
-    runs_resume.add_argument("--cache-dir", metavar="PATH", default=None)
-    runs_resume.add_argument(
-        "--no-cache", dest="cache", action="store_false", default=True,
-        help="do not consult the result cache for remaining units",
-    )
-    runs_resume.add_argument(
-        "--no-trace", dest="trace", action="store_false", default=True,
-        help="do not append a telemetry segment to the run's "
-             "trace.jsonl sidecar",
-    )
+    add_cache_flags(runs_resume, positive=False)
+    add_trace_flag(runs_resume)
     runs_prune = runs_sub.add_parser(
         "prune",
         help="delete old run directories from <cache>/runs/ (running "
@@ -127,7 +103,7 @@ def add_runs_parser(sub: argparse._SubParsersAction) -> None:
         help="prune only sealed runs; interrupted (resumable) runs are "
              "kept",
     )
-    runs_prune.add_argument("--cache-dir", metavar="PATH", default=None)
+    add_cache_dir_flag(runs_prune)
 
 
 def _cache_root(args: argparse.Namespace) -> str:
@@ -289,46 +265,36 @@ def _cmd_runs_show(args: argparse.Namespace) -> int:
     return 0
 
 
-def resume_run(
-    cache_root: str,
-    run_id: str,
-    workers: Optional[int] = None,
-    use_cache: bool = True,
-    trace: bool = True,
-) -> int:
-    """Resume one journaled run by id; prints the pipeline's report.
+def _cmd_runs_resume(args: argparse.Namespace) -> int:
+    from repro.journal.pipelines import PIPELINES, launch, print_report
 
-    Returns a process exit code (0 on success, 1 for unknown runs).
-    """
-    from repro.journal.pipelines import PIPELINES, resume_pipeline
-
-    info = resolve_run(cache_root, run_id)
+    root = _cache_root(args)
+    info = resolve_run(root, args.run_id)
     if info is None:
-        print(f"repro: error: no journaled run {run_id!r} under "
-              f"{cache_root}")
+        print(f"repro: error: no journaled run {args.run_id!r} under "
+              f"{root}")
         return 1
-    if info.kind not in PIPELINES:
+    pipeline = PIPELINES.get(info.kind)
+    if pipeline is None:
         print(f"repro: error: run {info.run_id} has unknown kind "
               f"{info.kind!r}")
         return 1
+    workers = args.workers
     if workers is None:
         # A fleet resumes at the pool size its manifest froze.
         workers = int(info.manifest.get("plan", {}).get("workers", 1))
-    result, journal, _cache = resume_pipeline(
-        cache_root, info.kind, info.manifest["config"], info.run_id,
-        workers=workers, use_cache=use_cache, trace=trace, resumed=True,
-    )
-    if info.kind == "reproduce":
-        from repro.experiments.common import experiment_digest
-
-        for run in result:
-            print(
-                f"[digest {run.result.name} "
-                f"{experiment_digest(run.result)}]"
-            )
-    else:
-        print(result.render())
-    print(journal_status_line(journal))
+    print_report(launch(
+        info.kind,
+        pipeline.config_from_payload(info.manifest["config"]),
+        cache_root=root,
+        workers=workers,
+        resume=True,
+        run_id=info.run_id,
+        open_cache=ResultCache if args.cache else None,
+        trace=args.trace,
+        on_result=pipeline.stream,
+        resumed=True,
+    ))
     return 0
 
 
@@ -404,10 +370,4 @@ def cmd_runs(args: argparse.Namespace) -> int:
     if args.runs_command == "prune":
         return _cmd_runs_prune(args)
     assert args.runs_command == "resume"
-    return resume_run(
-        _cache_root(args),
-        args.run_id,
-        workers=args.workers,
-        use_cache=args.cache,
-        trace=args.trace,
-    )
+    return _cmd_runs_resume(args)

@@ -1,17 +1,21 @@
-"""Journal bindings for the three long-running pipelines.
+"""The per-kind pipeline table and the one launch ladder over it.
 
-Each pipeline gets a **config payload** (the exact dict its
-deterministic ``run_id`` hashes over and its manifest records) and an
-``open_*_journal`` helper whose unit list is the pipeline's own plan
-(:meth:`FleetDriver.chunk_plan`, :func:`reproduce_plan`,
-:func:`sweep_plan`) — unit identities are built in one place and
-cannot drift from what the executor will run.  The payload is also
-sufficient to *reconstruct* the pipeline: :data:`PIPELINES` is the one
-per-kind table of "payload → config → journal → run → digest", and
-:func:`resume_pipeline` / :func:`baseline_digest` are the only two
-ladders over it — ``repro runs resume``, the ``--kill-parent`` and
-``--kill-server`` chaos harnesses, and every ``repro serve`` job go
-through them, so a resume needs no memory of the original command line.
+Each pipeline kind (``fleet`` / ``reproduce`` / ``sweep``) has a
+**config payload** — the exact dict its deterministic ``run_id`` hashes
+over and its manifest records — and an ``open_*_journal`` helper whose
+unit list is the pipeline's own plan (:meth:`FleetDriver.chunk_plan`,
+:func:`reproduce_plan`, :func:`sweep_plan`), so unit identities are
+built in one place and cannot drift from what the executor will run.
+
+:data:`PIPELINES` is the only per-kind knowledge in ``src/repro``: CLI
+args → config, config ↔ payload, journal opener, driver, digest, parts,
+report printer.  :func:`launch` is the only ladder over it — result
+cache, quarantine log, journal, :func:`~repro.obs.run_tracing`, driver,
+``close()``, composed once (DESIGN.md §11.2).  ``repro fleet |
+reproduce-all | sweep run | run``, ``repro runs resume``, every ``repro
+serve`` job and every ``repro chaos`` proof start a pipeline through
+it; the payload alone rebuilds the pipeline, so a resume needs no
+memory of the original command line.
 
 The fleet chunk plan is frozen into the manifest, so a resume under a
 different ``--workers`` replays the *original* chunking — chunk shape
@@ -20,11 +24,15 @@ cannot move results, but the journal's unit list must stay stable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import contextlib
+import time
+from dataclasses import asdict, dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cache import ResultCache
+from repro.experiments.common import experiment_digest
 from repro.experiments.driver import (
+    ArtifactRun,
     FleetDriver,
     reproduce_all,
     reproduce_plan,
@@ -34,21 +42,24 @@ from repro.experiments.driver import (
 from repro.fleet.config import FaultPlan, FleetConfig
 from repro.journal.run import RunJournal, open_run
 from repro.obs import run_tracing
+from repro.resilience import QuarantineLog
 from repro.sweep.runner import SweepRunner, sweep_plan
-from repro.sweep.spec import CampaignSpec
+from repro.sweep.spec import CampaignSpec, load_spec
 
 __all__ = [
     "PIPELINES",
+    "Launch",
     "Pipeline",
     "baseline_digest",
     "fleet_config_from_payload",
     "fleet_payload",
+    "launch",
     "open_fleet_journal",
     "open_reproduce_journal",
     "open_sweep_journal",
+    "print_report",
     "reproduce_payload",
     "reproduce_selection_from_payload",
-    "resume_pipeline",
     "spec_from_payload",
     "sweep_payload",
 ]
@@ -124,6 +135,43 @@ def open_fleet_journal(
     )
 
 
+def fleet_config_from_args(args: Any) -> FleetConfig:
+    """The fleet the shared ``--nodes/--agent/--seconds/--seed`` group
+    describes (plus ``repro fleet``'s ``--rack-size`` and ``--fault-*``
+    burst) — the one place CLI args become a :class:`FleetConfig`.
+
+    Raises:
+        ValueError: ``--fault-racks`` names no rack.
+    """
+    fault = None
+    if args.fault_racks is not None:
+        racks = tuple(int(r) for r in args.fault_racks.split(",") if r != "")
+        if not racks:
+            raise ValueError("--fault-racks needs at least one rack index")
+        fault = FaultPlan(
+            racks=racks,
+            start_s=args.fault_start,
+            duration_s=args.fault_duration,
+            probability=args.fault_probability,
+            kind=args.fault_kind,
+        )
+    return FleetConfig(
+        n_nodes=args.nodes,
+        agent=args.agent,
+        seed=args.seed,
+        duration_s=args.seconds,
+        rack_size=args.rack_size,
+        fault=fault,
+    )
+
+
+def _report_fleet(launched: "Launch") -> None:
+    print(launched.result.render())
+    # The pool is capped at one worker per node.
+    workers = min(launched.workers, launched.config.n_nodes)
+    print(f"[{workers} worker(s), {launched.wall_s:.1f}s wall]")
+
+
 # -- reproduce-all -----------------------------------------------------------
 
 
@@ -163,6 +211,25 @@ def open_reproduce_journal(
         units=reproduce_plan(config["artifacts"], scale).unit_ids,
         **options,
     )
+
+
+def print_artifact(run: ArtifactRun) -> None:
+    """Print one finished artifact (reproduce's ``stream``)."""
+    print(run.result.render())
+    # The digest line is what the CI cache smoke diffs between a cold
+    # and a warm pass — cached assembly must be bit-identical.
+    print(f"[digest {run.result.name} {experiment_digest(run.result)}]")
+    print(f"[{run.wall_seconds:.1f}s wall]\n", flush=True)
+
+
+def _report_reproduce(launched: "Launch") -> None:
+    runs = launched.result
+    mode = "parallel/series" if launched.workers > 1 else "serial"
+    partial = sum(1 for run in runs if run.partial)
+    summary = f"[reproduce-all: {len(runs)} artifacts"
+    if partial:
+        summary += f" ({partial} PARTIAL)"
+    print(f"{summary}, {mode}, {launched.wall_s:.1f}s wall total]")
 
 
 # -- sweep -------------------------------------------------------------------
@@ -207,106 +274,267 @@ def open_sweep_journal(
     )
 
 
+def spec_from_args(args: Any) -> CampaignSpec:
+    """The campaign ``SPEC`` / ``--spec`` names.
+
+    Raises:
+        ValueError: no spec given, unreadable, or invalid.
+    """
+    if not args.spec:
+        raise ValueError("a sweep needs --spec SPEC.toml")
+    try:
+        return load_spec(args.spec)
+    except OSError as error:
+        raise ValueError(f"cannot read {args.spec}: {error}") from error
+
+
+def _report_sweep(launched: "Launch") -> None:
+    report = launched.result
+    print(report.render())
+    print(
+        f"[sweep: {len(report.records)} cells, "
+        f"{report.executed} executed, "
+        f"{report.from_cache} from cache, "
+        f"{report.wall_seconds:.1f}s wall]"
+    )
+
+
 # -- the per-kind table ------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class Pipeline:
-    """How one pipeline kind is rebuilt from its payload and run.
+    """Everything ``src/repro`` knows about one pipeline kind.
 
-    ``config_from_payload`` inverts the kind's ``*_payload``;
-    ``open_journal(cache_root, config, workers, **open_run_options)``
-    claims the run's journal; ``run(config, workers, cache, journal)``
-    drives the pipeline to its result; ``digest(result)`` is what the
-    run seals with; ``cached`` says whether the kind has a cache tier.
+    ``config_from_args(args)`` reads the kind's shared flag group
+    (:mod:`repro.flags`); ``payload(config)`` / ``config_from_payload``
+    are the manifest round trip; ``open_journal(cache_root, config,
+    workers, **open_run_options)`` claims the run's journal;
+    ``run(config, workers, cache, journal, *, resilience, quarantine,
+    chaos, on_result)`` hands all of that to the kind's driver
+    (``on_result`` streams finished pieces — only ``reproduce`` has any
+    before the end); ``digest(result)`` is what the run seals with;
+    ``parts(result)`` names each separately-digested piece as ``name →
+    (digest, quarantined unit ids)``; ``report(launch)`` prints the
+    result the way the kind's CLI command does, with ``stream`` as the
+    ``on_result`` that prints pieces as they land; ``cached`` says
+    whether the kind has a cache tier.
     """
 
+    config_from_args: Callable[[Any], Any]
+    payload: Callable[[Any], Dict[str, Any]]
     config_from_payload: Callable[[Dict[str, Any]], Any]
     open_journal: Callable[..., RunJournal]
-    run: Callable[[Any, int, Optional[ResultCache], Any], Any]
+    run: Callable[..., Any]
     digest: Callable[[Any], str]
+    parts: Callable[[Any], Dict[str, Tuple[str, Sequence[str]]]]
+    report: Callable[["Launch"], None]
+    stream: Optional[Callable[[Any], None]] = None
     cached: bool = True
 
 
 PIPELINES: Dict[str, Pipeline] = {
     "fleet": Pipeline(
+        config_from_args=fleet_config_from_args,
+        payload=fleet_payload,
         config_from_payload=fleet_config_from_payload,
         open_journal=open_fleet_journal,
-        run=lambda config, workers, _cache, journal: FleetDriver(
-            config, workers=workers, journal=journal
-        ).run(),
+        run=lambda config, workers, _cache, journal, on_result, **dispatch: (
+            FleetDriver(
+                config, workers=workers, journal=journal, **dispatch
+            ).run()
+        ),
         digest=lambda aggregate: aggregate.digest(),
+        parts=lambda aggregate: {"fleet": (
+            aggregate.digest(), [f"n{n}" for n in aggregate.holes]
+        )},
+        report=_report_fleet,
         cached=False,
     ),
     "reproduce": Pipeline(
+        config_from_args=lambda args: reproduce_selection_from_payload(
+            reproduce_payload(args.only, args.scale)
+        ),
+        payload=lambda selection: reproduce_payload(*selection),
         config_from_payload=reproduce_selection_from_payload,
         open_journal=lambda root, selection, _workers, **options: (
             open_reproduce_journal(root, *selection, **options)
         ),
-        run=lambda selection, workers, cache, journal: reproduce_all(
-            parallel=workers > 1, workers=workers, only=selection[0],
-            scale=selection[1], cache=cache, journal=journal,
+        run=lambda selection, workers, cache, journal, **dispatch: (
+            reproduce_all(
+                parallel=workers > 1, workers=workers, only=selection[0],
+                scale=selection[1], cache=cache, journal=journal, **dispatch
+            )
         ),
         digest=runs_digest,
+        parts=lambda runs: {
+            run.name: (experiment_digest(run.result), run.holes)
+            for run in runs
+        },
+        report=_report_reproduce,
+        stream=print_artifact,
     ),
     "sweep": Pipeline(
+        config_from_args=spec_from_args,
+        payload=sweep_payload,
         config_from_payload=spec_from_payload,
         open_journal=lambda root, spec, _workers, **options: (
             open_sweep_journal(root, spec, **options)
         ),
-        run=lambda spec, workers, cache, journal: SweepRunner(
-            spec, workers=workers, cache=cache, journal=journal
-        ).run(),
+        run=lambda spec, workers, cache, journal, on_result, **dispatch: (
+            SweepRunner(
+                spec, workers=workers, cache=cache, journal=journal,
+                **dispatch
+            ).run()
+        ),
         digest=lambda report: report.digest(),
+        parts=lambda report: {"campaign": (report.digest(), report.holes)},
+        report=_report_sweep,
     ),
 }
 
 
-def baseline_digest(kind: str, payload: Dict[str, Any]) -> str:
-    """The uninterrupted digest of ``payload``: the pipeline run inline
-    in this process with no journal and no cache — the ground truth the
-    kill-parent and kill-server proofs compare a resumed run against."""
-    pipeline = PIPELINES[kind]
-    config = pipeline.config_from_payload(payload)
-    return pipeline.digest(pipeline.run(config, 1, None, None))
+# -- the launch ladder -------------------------------------------------------
 
 
-def resume_pipeline(
-    cache_root: str,
+@dataclass(frozen=True)
+class Launch:
+    """What one trip down :func:`launch` leaves behind.
+
+    ``journal`` is closed (lease released) but still carries its stats
+    and seal; it is ``None`` for an unjournaled launch, as ``cache`` is
+    for an uncached kind or launch.
+    """
+
+    kind: str
+    config: Any
+    workers: int
+    result: Any
+    journal: Optional[RunJournal]
+    cache: Optional[ResultCache]
+    quarantine: QuarantineLog
+    wall_s: float
+
+    @property
+    def counters(self) -> Dict[str, int]:
+        """The journal's replay/execute split (a serve job's counters,
+        the ``re-executed`` arithmetic of the kill proofs)."""
+        return {**asdict(self.journal.stats), "total": len(self.journal.units)}
+
+
+def launch(
     kind: str,
-    payload: Dict[str, Any],
-    run_id: str,
+    config: Any,
     *,
     workers: int,
-    use_cache: bool = True,
+    cache_root: Optional[str] = None,
+    journaled: bool = True,
+    resume: bool = False,
+    run_id: Optional[str] = None,
+    open_cache: Optional[Callable[[str], ResultCache]] = ResultCache,
     tap: Callable[[RunJournal], Any] = lambda journal: journal,
     trace: bool = True,
+    policy: Any = None,
+    chaos: Any = None,
+    on_result: Optional[Callable[[Any], None]] = None,
     **span_args: Any,
-) -> Tuple[Any, RunJournal, Optional[ResultCache]]:
-    """Adopt-or-create run ``run_id`` and drive it to its seal.
+) -> Launch:
+    """Run one ``kind`` pipeline over ``config`` — the one launch ladder.
 
-    The one "payload → config → ``open_*_journal(resume=True)`` →
-    pipeline" ladder: journaled units replay, only the rest execute.
-    ``tap`` wraps the journal the pipeline records through (``repro
-    serve`` turns durable records into events with it); the run is
-    traced (:func:`~repro.obs.run_tracing`) unless ``trace`` is off,
-    with ``span_args`` on its root span.  The journal is closed — lease
-    released — on the way out, success or not.
+    Composes, exactly once for every caller: the result cache
+    (``open_cache(cache_root)``; ``None`` or an uncached kind: no
+    cache), the quarantine log next to it (memory-only without a cache;
+    it touches disk only when a unit is actually poisoned), the run
+    journal (``journaled``; fresh, or ``resume`` — adopt-or-create
+    ``run_id``: journaled units replay, only the rest execute), the
+    telemetry sidecar (:func:`~repro.obs.run_tracing`, a no-op without
+    a journal or with ``trace`` off; ``span_args`` land on its root
+    span), the kind's driver, and the journal's ``close()`` — lease
+    released — on the way out, success or not.  ``tap`` wraps the
+    journal the driver records through (``repro serve`` turns durable
+    records into events with it).
 
-    Returns:
-        ``(result, journal, cache)``: the closed journal still carries
-        its stats and seal; ``cache`` is ``None`` for an uncached kind
-        or ``use_cache=False``.
+    Raises:
+        ValueError: ``resume`` without a journal to resume.
     """
+    if resume and not journaled:
+        raise ValueError("--resume needs the journal (no --no-journal)")
     pipeline = PIPELINES[kind]
-    config = pipeline.config_from_payload(payload)
-    cache = (
-        ResultCache(cache_root) if use_cache and pipeline.cached else None
+    cache = None
+    if open_cache is not None and pipeline.cached:
+        cache = open_cache(cache_root)
+    quarantine = QuarantineLog(
+        directory=cache.quarantine_dir if cache is not None else None
     )
-    with pipeline.open_journal(
-        cache_root, config, workers, resume=True, run_id=run_id
-    ) as journal:
-        recorder = tap(journal)
+    with contextlib.ExitStack() as stack:
+        journal = recorder = None
+        if journaled:
+            journal = stack.enter_context(pipeline.open_journal(
+                cache_root, config, workers, resume=resume, run_id=run_id
+            ))
+            recorder = tap(journal)
+        started = time.perf_counter()
         with run_tracing(journal, enabled_=trace, kind=kind, **span_args):
-            result = pipeline.run(config, workers, cache, recorder)
-    return result, journal, cache
+            result = pipeline.run(
+                config, workers, cache, recorder,
+                resilience=policy, quarantine=quarantine, chaos=chaos,
+                on_result=on_result,
+            )
+        wall_s = time.perf_counter() - started
+    return Launch(
+        kind, config, workers, result, journal, cache, quarantine, wall_s
+    )
+
+
+def baseline_digest(kind: str, payload: Dict[str, Any]) -> str:
+    """The uninterrupted digest of ``payload``: the pipeline run inline
+    with no journal and no cache — the ground truth the kill-parent and
+    kill-server proofs compare a resumed run against."""
+    pipeline = PIPELINES[kind]
+    return pipeline.digest(launch(
+        kind, pipeline.config_from_payload(payload),
+        workers=1, journaled=False, open_cache=None,
+    ).result)
+
+
+def journal_status_line(journal: RunJournal) -> str:
+    """The ``[journal: ...]`` summary every launched command prints.
+
+    Deliberately not ``[cache: ...]`` — the sweep CLI contract promises
+    no cache line under ``--no-cache``, and the journal is not the
+    result cache.
+    """
+    stats = journal.stats
+    state = "sealed" if journal.sealed else "open"
+    return (
+        f"[journal: run {journal.run_id} units={len(journal.units)} "
+        f"replayed={stats.replayed} executed={stats.executed} "
+        f"cached={stats.cached} quarantined={stats.quarantined} {state}]"
+    )
+
+
+def print_report(launched: Launch) -> None:
+    """The kind's report, then the ``[cache: …]`` / ``[journal: …]`` /
+    ``[quarantine: …]`` status lines of whichever layers were on."""
+    pipeline = PIPELINES[launched.kind]
+    pipeline.report(launched)
+    cache, journal = launched.cache, launched.journal
+    if cache is not None:
+        print(f"[cache: {cache.stats.render()} dir={cache.directory}]")
+    if journal is not None:
+        print(journal_status_line(journal))
+    quarantine = launched.quarantine
+    records = quarantine.load()
+    if records and quarantine.path is not None:
+        # The persisted log keeps records across runs; a memory-only
+        # one holds exactly this run's.
+        holes = {
+            unit
+            for _digest, units in pipeline.parts(launched.result).values()
+            for unit in units
+        }
+        records = [r for r in records if r.unit_id in holes]
+    if records:
+        units = ", ".join(sorted(r.unit_id for r in records))
+        where = f" (log: {quarantine.path})" if quarantine.path else ""
+        print(f"[quarantine: {len(records)} unit(s) — {units}{where}]")

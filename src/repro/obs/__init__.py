@@ -16,7 +16,7 @@ from the cache's code salt — tracing on vs off is bit-identical
 
 The one-call entry point for pipelines is :func:`run_tracing`::
 
-    with obs.run_tracing(journal, enabled=not args.no_trace):
+    with obs.run_tracing(journal, enabled_=args.trace):
         FleetDriver(config, journal=journal).run()
 """
 

@@ -13,6 +13,7 @@ import json
 import os
 import sys
 
+from repro.flags import add_cache_dir_flag
 from repro.obs.export import chrome_trace
 from repro.obs.sidecar import read_trace, segments, trace_path
 
@@ -49,12 +50,7 @@ def add_trace_parser(sub) -> None:
         metavar="PATH",
         help="write to PATH instead of stdout",
     )
-    export.add_argument(
-        "--cache-dir",
-        default=None,
-        help="cache root holding the run journals "
-        "(default: REPRO_CACHE_DIR or the per-user default)",
-    )
+    add_cache_dir_flag(export)
 
 
 def cmd_trace(args: argparse.Namespace) -> int:

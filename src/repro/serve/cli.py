@@ -26,6 +26,13 @@ import json
 from typing import Any, Dict, Optional
 
 from repro.cache import default_cache_dir
+from repro.flags import (
+    add_cache_dir_flag,
+    add_fleet_flags,
+    add_reproduce_flags,
+    add_spec_flag,
+    add_workers_flag,
+)
 
 __all__ = ["add_serve_parser", "cmd_serve", "submission_config"]
 
@@ -35,10 +42,7 @@ def _add_client_flags(parser: argparse.ArgumentParser) -> None:
         "--socket", metavar="PATH", default=None,
         help="server socket (default: <cache>/serve.sock)",
     )
-    parser.add_argument(
-        "--cache-dir", metavar="PATH", default=None,
-        help="cache root (default: $REPRO_CACHE_DIR or ./.repro-cache)",
-    )
+    add_cache_dir_flag(parser)
     parser.add_argument(
         "--timeout", type=float, default=30.0,
         help="client I/O timeout in seconds (default: %(default)s)",
@@ -71,9 +75,8 @@ def add_serve_parser(sub: argparse._SubParsersAction) -> None:
         "--no-adopt", dest="adopt", action="store_false", default=True,
         help="do not re-adopt interrupted runs found at startup",
     )
-    start.add_argument(
-        "--workers", type=int, default=2,
-        help="pool size for adopted jobs with no recorded worker count",
+    add_workers_flag(
+        start, 2, "pool size for adopted jobs with no recorded worker count"
     )
 
     submit = serve_sub.add_parser(
@@ -81,23 +84,15 @@ def add_serve_parser(sub: argparse._SubParsersAction) -> None:
     )
     kind_sub = submit.add_subparsers(dest="submit_kind", required=True)
     fleet = kind_sub.add_parser("fleet")
-    fleet.add_argument("--nodes", type=int, default=16)
-    fleet.add_argument("--agent", default="overclock")
-    fleet.add_argument("--seconds", type=int, default=120)
-    fleet.add_argument("--seed", type=int, default=0)
+    add_fleet_flags(fleet)
     reproduce = kind_sub.add_parser("reproduce")
-    reproduce.add_argument(
-        "--only", action="append", default=None, metavar="NAME",
-        help="restrict to these artifacts (repeatable)",
-    )
-    reproduce.add_argument("--scale", type=float, default=1.0)
+    add_reproduce_flags(reproduce, scale=1.0)
     sweep = kind_sub.add_parser("sweep")
-    sweep.add_argument("--spec", required=True, metavar="PATH")
+    add_spec_flag(sweep, required=True)
     for kind_parser in (fleet, reproduce, sweep):
         _add_client_flags(kind_parser)
-        kind_parser.add_argument(
-            "--workers", type=int, default=2,
-            help="pool size the server runs this job with",
+        add_workers_flag(
+            kind_parser, 2, "pool size the server runs this job with"
         )
         kind_parser.add_argument(
             "--deadline", type=float, default=None, metavar="S",
@@ -192,33 +187,10 @@ def submission_config(kind: str, args: argparse.Namespace) -> Dict[str, Any]:
     """The journal config payload of a ``kind`` job described by the
     shared ``--nodes/--agent/--seed/--seconds``, ``--only/--scale`` and
     ``--spec`` flags (``serve submit`` and the chaos harnesses)."""
-    from repro.journal.pipelines import (
-        fleet_payload,
-        reproduce_payload,
-        sweep_payload,
-    )
+    from repro.journal.pipelines import PIPELINES
 
-    if kind == "fleet":
-        from repro.fleet.config import FleetConfig
-
-        return fleet_payload(FleetConfig(
-            n_nodes=args.nodes,
-            agent=args.agent,
-            seed=args.seed,
-            duration_s=args.seconds,
-        ))
-    if kind == "reproduce":
-        return reproduce_payload(args.only, args.scale)
-    assert kind == "sweep"
-    from repro.sweep import load_spec
-
-    try:
-        spec = load_spec(args.spec)
-    except OSError as error:
-        raise SystemExit(
-            f"repro: error: cannot read {args.spec}: {error}"
-        )
-    return sweep_payload(spec)
+    pipeline = PIPELINES[kind]
+    return pipeline.payload(pipeline.config_from_args(args))
 
 
 def _cmd_submit(args: argparse.Namespace) -> int:

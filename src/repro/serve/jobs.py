@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Dict, Optional
 
 from repro.journal.registry import RunInfo
@@ -121,38 +121,26 @@ class Job:
 def _normalized_payload(kind: str, config: Dict[str, Any]) -> Dict[str, Any]:
     """Validate + canonicalize a submission config for ``kind``.
 
-    Round-trips through the same payload constructors the journal
-    openers hash, so the admission-time ``run_id`` matches the journal
-    the execution will open bit-for-bit.
+    Round-trips through the kind's own payload constructors
+    (:data:`~repro.journal.pipelines.PIPELINES`), so the admission-time
+    ``run_id`` matches the journal the execution will open bit-for-bit.
 
     Raises:
-        ValueError: malformed config for this kind.
+        ValueError: unknown kind, or malformed config for this kind.
     """
-    from repro.journal.pipelines import (
-        fleet_config_from_payload,
-        fleet_payload,
-        reproduce_payload,
-        reproduce_selection_from_payload,
-        spec_from_payload,
-        sweep_payload,
-    )
+    from repro.journal.pipelines import PIPELINES
 
+    pipeline = PIPELINES.get(kind)
+    if pipeline is None:
+        raise ValueError(
+            f"unknown job kind {kind!r} (expected one of {JOB_KINDS})"
+        )
     try:
-        if kind == "fleet":
-            return fleet_payload(fleet_config_from_payload(config))
-        if kind == "reproduce":
-            return reproduce_payload(
-                *reproduce_selection_from_payload(config)
-            )
-        if kind == "sweep":
-            return sweep_payload(spec_from_payload(config))
+        return pipeline.payload(pipeline.config_from_payload(config))
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError(
             f"malformed {kind} config: {type(exc).__name__}: {exc}"
         ) from exc
-    raise ValueError(
-        f"unknown job kind {kind!r} (expected one of {JOB_KINDS})"
-    )
 
 
 def job_from_submission(
@@ -226,12 +214,9 @@ class JournalTap:
     def _progress(self) -> Dict[str, int]:
         stats = self._journal.stats
         return {
+            **asdict(stats),
             "total": len(self._journal.units),
             "done": stats.replayed + stats.executed + stats.cached,
-            "replayed": stats.replayed,
-            "executed": stats.executed,
-            "cached": stats.cached,
-            "quarantined": stats.quarantined,
         }
 
     def record_dispatched(self, unit_id: str, attempt: int) -> None:
@@ -278,10 +263,10 @@ def execute_job(
 ) -> Dict[str, Any]:
     """Run one job to completion in the calling (worker) thread.
 
-    Installs the thread's cancel token and drives the job through
-    :func:`~repro.journal.pipelines.resume_pipeline`: the job's journal
-    opens in resume mode (adopt-or-create) and is always closed —
-    releasing the lease — on the way out, success or not.
+    Installs the thread's cancel token and drives the job down the
+    launch ladder (:func:`~repro.journal.pipelines.launch`): the job's
+    journal opens in resume mode (adopt-or-create) and is always closed
+    — releasing the lease — on the way out, success or not.
 
     Returns:
         ``{"digest", "journal": {...counts...}, "cache": {...stats...}}``.
@@ -290,7 +275,7 @@ def execute_job(
         DispatchCancelled: the job was cancelled (journal resumable).
         Exception: whatever the pipeline raised (job failed).
     """
-    from repro.journal.pipelines import resume_pipeline
+    from repro.journal.pipelines import PIPELINES, launch
 
     def tap(journal: RunJournal) -> JournalTap:
         emit(
@@ -309,9 +294,13 @@ def execute_job(
     )
     set_cancel_token(job.cancel)
     try:
-        _result, journal, cache = resume_pipeline(
-            cache_root, job.kind, job.payload, job.run_id,
+        launched = launch(
+            job.kind,
+            PIPELINES[job.kind].config_from_payload(job.payload),
+            cache_root=cache_root,
             workers=job.workers,
+            resume=True,
+            run_id=job.run_id,
             tap=tap,
             job_id=job.job_id,
             adopted=job.adopted,
@@ -319,15 +308,9 @@ def execute_job(
         )
     finally:
         set_cancel_token(None)
-    stats = journal.stats
+    cache = launched.cache
     return {
-        "digest": journal.sealed_digest,
-        "journal": {
-            "replayed": stats.replayed,
-            "executed": stats.executed,
-            "cached": stats.cached,
-            "quarantined": stats.quarantined,
-            "total": len(journal.units),
-        },
+        "digest": launched.journal.sealed_digest,
+        "journal": launched.counters,
         "cache": cache.stats.snapshot() if cache is not None else {},
     }

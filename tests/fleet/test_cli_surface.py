@@ -1,0 +1,85 @@
+"""The CLI surface is a fixed point of the flag-group refactor.
+
+``cli_surface.json`` records, for every leaf subcommand at the commit
+before the shared flag groups (:mod:`repro.flags`), each option's
+default and ``choices``.  The refactor may add, drop and re-default
+nothing; the two intended differences are spelled out below.
+"""
+
+import argparse
+import json
+import os
+
+import pytest
+
+from repro.cli import _build_parser
+from repro.experiments.driver import ARTIFACTS
+from repro.fleet.config import AGENT_KINDS
+
+SNAPSHOT = os.path.join(os.path.dirname(__file__), "cli_surface.json")
+
+#: What the shared declarations change on purpose: ``serve submit``
+#: rejects a bad agent / artifact name at parse time, like every other
+#: surface, instead of inside ``FleetConfig`` / ``select_artifacts``.
+INTENDED = {
+    ("repro serve submit fleet", "--agent"):
+        ["overclock", list(AGENT_KINDS + ("mixed",))],
+    ("repro serve submit reproduce", "--only"): [None, list(ARTIFACTS)],
+}
+
+
+def surface(parser, prefix="repro"):
+    """``{leaf command: {option strings (or dest): [default, choices]}}``."""
+    subparsers = [
+        action for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    if subparsers:
+        leaves = {}
+        for name, child in subparsers[0].choices.items():
+            leaves.update(surface(child, f"{prefix} {name}"))
+        return leaves
+    options = {}
+    for action in parser._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
+        key = " ".join(sorted(action.option_strings)) or action.dest
+        choices = action.choices
+        options[key] = [
+            action.default, None if choices is None else list(choices)
+        ]
+    return {prefix: options}
+
+
+def test_cli_surface_matches_the_recorded_snapshot():
+    with open(SNAPSHOT, "r", encoding="utf-8") as handle:
+        expected = json.load(handle)
+    for (command, option), value in INTENDED.items():
+        assert expected[command][option] != value  # still a difference
+        expected[command][option] = value
+    assert surface(_build_parser()) == expected
+
+
+ONLY_SURFACES = {
+    "reproduce-all": ["reproduce-all"],
+    "chaos": ["chaos", "reproduce"],
+    "serve submit reproduce": ["serve", "submit", "reproduce"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(ONLY_SURFACES))
+@pytest.mark.parametrize("spelling", [
+    ["--only", "fig1", "fig2"],
+    ["--only", "fig1", "--only", "fig2"],
+], ids=["one-flag", "repeated-flag"])
+def test_only_selects_both_artifacts_in_either_spelling(command, spelling):
+    args = _build_parser().parse_args(ONLY_SURFACES[command] + spelling)
+    assert args.only == ["fig1", "fig2"]
+
+
+def test_serve_submit_fleet_rejects_an_unknown_agent_at_parse_time(capsys):
+    with pytest.raises(SystemExit):
+        _build_parser().parse_args(
+            ["serve", "submit", "fleet", "--agent", "meteor"]
+        )
+    assert "invalid choice: 'meteor'" in capsys.readouterr().err

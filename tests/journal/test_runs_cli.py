@@ -97,13 +97,13 @@ def test_runs_resume_unknown_id_fails(capsys, cache_dir):
     assert "no journaled run" in capsys.readouterr().out
 
 
-def _interrupt_sweep(spec_path, cache_dir, monkeypatch):
+def _interrupt_sweep(spec_path, cache_dir, monkeypatch, after=3):
     """Journal one cell of the campaign, then "die" mid-run."""
     class Killed(Exception):
         pass
 
     spec = load_spec(spec_path)
-    monkeypatch.setenv(KILL_AFTER_ENV, "3")
+    monkeypatch.setenv(KILL_AFTER_ENV, str(after))
     set_kill_action(lambda: (_ for _ in ()).throw(Killed()))
     try:
         journal = open_sweep_journal(cache_dir, spec)
@@ -130,6 +130,34 @@ def test_runs_resume_finishes_interrupted_sweep(capsys, spec_path,
     assert "sealed]" in out
     (after,) = list_runs(cache_dir)
     assert after.status == "sealed"
+
+
+def test_runs_resume_persists_a_poisoned_unit(capsys, spec_path, cache_dir,
+                                              monkeypatch):
+    """The ladder gives ``runs resume`` the quarantine log the original
+    command had: a unit poisoned during the resume is journaled as
+    quarantined AND lands in ``<cache>/quarantine/units.json``."""
+    import json
+
+    from repro.resilience import QuarantineLog
+    from repro.resilience.chaos import CHAOS_PLAN_ENV
+
+    # Killed on the first dispatch record: both cells are still pending,
+    # so the resume dispatches them on the pool, where faults apply.
+    run_id = _interrupt_sweep(spec_path, cache_dir, monkeypatch, after=1)
+    poison = "overclock/n2/x10s/seed0/bad_data@0.9[2+5]r0"
+    monkeypatch.setenv(CHAOS_PLAN_ENV, json.dumps(
+        {"kind": "crash", "probability": 0.0, "poison_units": [poison]}
+    ))
+    assert main([
+        "runs", "resume", run_id, "--cache-dir", cache_dir, "--workers", "2",
+    ]) == 0
+    out = capsys.readouterr().out
+    assert f"[quarantine: 1 unit(s) — {poison}" in out
+    (after,) = list_runs(cache_dir)
+    assert after.quarantined_units == 1
+    log = QuarantineLog(directory=f"{cache_dir}/quarantine")
+    assert [record.unit_id for record in log.load()] == [poison]
 
 
 def test_latest_names_the_newest_run_for_show_and_resume(
@@ -182,12 +210,19 @@ def test_reproduce_all_journals_series_runs(capsys, cache_dir):
     assert info.status == "sealed"
 
 
-def test_reproduce_all_resume_needs_journal(cache_dir):
-    with pytest.raises(SystemExit):
-        main(
-            ["reproduce-all", "--only", "table1", "--cache-dir",
-             cache_dir, "--no-journal", "--resume"]
-        )
+@pytest.mark.parametrize("command", ["reproduce-all", "fleet", "sweep"])
+def test_reproduce_all_resume_needs_journal(command, spec_path, cache_dir,
+                                            monkeypatch):
+    """The check lives in the launch ladder, so every journaled command
+    refuses ``--resume --no-journal`` instead of silently running fresh."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", cache_dir)
+    argv = {
+        "reproduce-all": ["reproduce-all", "--only", "table1"],
+        "fleet": ["fleet", "--nodes", "2", "--seconds", "5"],
+        "sweep": ["sweep", "run", spec_path],
+    }[command]
+    with pytest.raises(SystemExit, match="--resume needs the journal"):
+        main(argv + ["--no-journal", "--resume"])
 
 
 def test_fleet_journals_via_cache_env(capsys, cache_dir, monkeypatch):

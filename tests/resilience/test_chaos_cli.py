@@ -80,9 +80,9 @@ def test_resilience_flags_reach_the_sweep_policy(capsys, spec_path):
 def test_keyboard_interrupt_exits_130_and_resets_the_pool(monkeypatch):
     from repro.experiments import driver
 
-    def interrupted(args):
+    def interrupted(kind, args):
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(cli, "_cmd_fleet", interrupted)
+    monkeypatch.setattr(cli, "_launch_command", interrupted)
     assert main(["fleet", "--nodes", "2"]) == 130
     assert driver.shared_pool_counters()["size"] == 0

@@ -13,7 +13,7 @@ import pytest
 
 from repro.cache import ResultCache
 from repro.journal.log import KILL_AFTER_ENV, replay_records, set_kill_action
-from repro.journal.pipelines import PIPELINES, baseline_digest
+from repro.journal.pipelines import PIPELINES, baseline_digest, launch
 from repro.resilience import (
     ChaosPlan,
     DispatchCancelled,
@@ -231,26 +231,24 @@ def _raise_killed():
     raise _Killed()
 
 
-def _journaled(kind, root, workers, resume=False, cache=None):
-    pipeline = PIPELINES[kind]
-    config = pipeline.config_from_payload(CONTRACT[kind])
-    with pipeline.open_journal(root, config, workers, resume=resume) as journal:
-        pipeline.run(config, workers, cache, journal)
-    return journal
+def _journaled(kind, root, workers, resume=False, cache=False):
+    """One trip down the launch ladder; the (closed) journal it left."""
+    return launch(
+        kind, PIPELINES[kind].config_from_payload(CONTRACT[kind]),
+        cache_root=root, workers=workers, resume=resume,
+        open_cache=ResultCache if cache else None,
+    ).journal
 
 
 @pytest.mark.parametrize("kind", sorted(CONTRACT))
 def test_pipeline_contract(kind, tmp_path, monkeypatch):
     """inline == pooled == warm-cache == interrupted-then-resumed."""
     truth = baseline_digest(kind, CONTRACT[kind])
-    cached = PIPELINES[kind].cached
-
-    def cache_at(root):
-        return ResultCache(root) if cached else None
+    cached = PIPELINES[kind].cached  # the ladder opens no cache otherwise
 
     inline = _journaled(kind, str(tmp_path / "inline"), 1)
     pooled_root = str(tmp_path / "pooled")
-    pooled = _journaled(kind, pooled_root, 2, cache=cache_at(pooled_root))
+    pooled = _journaled(kind, pooled_root, 2, cache=True)
     assert inline.sealed_digest == pooled.sealed_digest == truth
     assert pooled.stats.executed == len(pooled.units)
 
@@ -261,9 +259,7 @@ def test_pipeline_contract(kind, tmp_path, monkeypatch):
 
     # Warm: a fresh journal over the filled cache executes nothing
     # (a kind with no cache tier warms by resuming its sealed run).
-    warm = _journaled(
-        kind, pooled_root, 2, resume=not cached, cache=cache_at(pooled_root)
-    )
+    warm = _journaled(kind, pooled_root, 2, resume=not cached, cache=True)
     assert warm.sealed_digest == truth
     assert warm.stats.executed == 0
     assert warm.stats.cached == (len(warm.units) if cached else 0)
