@@ -110,7 +110,6 @@ class MemoryModel(Model):
         self._scan_count = np.zeros(n, dtype=int)
         self._bits_total = np.zeros(n)
         self._saturated = np.zeros(n, dtype=int)
-        self._zero = np.zeros(n, dtype=int)
         self._epoch_start_us = kernel.now
         self._missed_fraction: Optional[float] = None
         #: fault injectors applied to every collected scan batch (the
@@ -146,9 +145,7 @@ class MemoryModel(Model):
         self._scan_count[regions] += 1
         self._bits_total[regions] += set_bits
         self._saturated[regions] += batch.saturated[ok]
-        empty = set_bits == 0
-        self._zero[regions[empty]] += 1
-        self._last_seen_us[regions[~empty]] = time_us
+        self._last_seen_us[regions[set_bits != 0]] = time_us
 
     def update_model(self) -> None:
         """End of epoch: reward arms, refresh estimates, reassign arms."""
@@ -240,7 +237,6 @@ class MemoryModel(Model):
         self._scan_count[:] = 0
         self._bits_total[:] = 0.0
         self._saturated[:] = 0
-        self._zero[:] = 0
         active = np.flatnonzero(~self._cold)
         self._truth_mask[:] = False
         if active.size > 0:

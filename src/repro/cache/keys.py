@@ -12,8 +12,9 @@ A unit's key digests everything its payload can depend on:
   architecture — RNG internals and reduction kernels can change across
   any of them).  Editing the kernel, a workload, an agent, or an
   experiment invalidates every cached row; editing the CLI, the perf
-  harness (frozen copies included), the resilience layer, or this
-  cache package does not.
+  or conformance harness (frozen golden models included), the
+  resilience layer, the serve control plane, or this cache package
+  does not.
 
 Keys are hex SHA-256, so the store is content-addressed in the usual
 two-level fan-out layout (``objects/ab/abcdef....pkl``).
@@ -26,15 +27,18 @@ import json
 import os
 import platform
 import sys
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
 __all__ = ["code_salt", "sweep_unit_key", "unit_key"]
 
-#: Package subtrees/files whose source cannot affect experiment rows.
-#: ``perf`` holds the frozen measurement baselines, ``cache`` is this
-#: subsystem, ``resilience`` only supervises dispatch (units are pure
+#: Package subtrees/files whose source cannot affect experiment rows
+#: (no salted module imports any of them).  ``perf`` and ``conformance``
+#: measure and check the live code against the frozen golden models
+#: (``conformance/reference``), ``cache`` is this subsystem, ``serve``
+#: only transports submissions to the same launch ladder the CLI uses,
+#: ``resilience`` only supervises dispatch (units are pure
 #: in their payloads, so retries and pool mechanics cannot move a
 #: result bit), ``journal`` only records dispatch durably (same
 #: argument — replayed payloads were produced by the salted code),
@@ -42,12 +46,38 @@ __all__ = ["code_salt", "sweep_unit_key", "unit_key"]
 #: DESIGN.md §14 — an instrumentation edit must not invalidate every
 #: cached row), and the CLI (``cli.py``, its shared ``flags.py``, the
 #: ``chaos.py`` proofs) only orchestrates.
-_SALT_EXCLUDED_DIRS = frozenset(
-    {"cache", "journal", "obs", "perf", "resilience", "__pycache__"}
-)
+_SALT_EXCLUDED_DIRS = frozenset({
+    "cache", "conformance", "journal", "obs", "perf", "resilience",
+    "serve", "__pycache__",
+})
 _SALT_EXCLUDED_FILES = frozenset({"chaos.py", "cli.py", "flags.py"})
 
 _code_salt_cache: Optional[str] = None
+
+
+def _salted_sources(package_root: str) -> List[Tuple[str, str]]:
+    """Sorted ``(relative path, path)`` of every result-affecting source."""
+    entries = []
+    for dirpath, dirnames, filenames in os.walk(package_root):
+        relative_dir = os.path.relpath(dirpath, package_root)
+        parts = [] if relative_dir == "." else relative_dir.split(os.sep)
+        if parts and parts[0] in _SALT_EXCLUDED_DIRS:
+            continue
+        dirnames[:] = [
+            name for name in dirnames
+            if not (not parts and name in _SALT_EXCLUDED_DIRS)
+            and name != "__pycache__"
+        ]
+        for filename in filenames:
+            if not filename.endswith(".py"):
+                continue
+            if not parts and filename in _SALT_EXCLUDED_FILES:
+                continue
+            entries.append(
+                ("/".join(parts + [filename]),
+                 os.path.join(dirpath, filename))
+            )
+    return sorted(entries)
 
 
 def code_salt() -> str:
@@ -69,27 +99,7 @@ def code_salt() -> str:
             f"python={sys.version_info[:3]};numpy={np.__version__};"
             f"machine={platform.machine()}\0".encode("utf-8")
         )
-        entries = []
-        for dirpath, dirnames, filenames in os.walk(package_root):
-            relative_dir = os.path.relpath(dirpath, package_root)
-            parts = [] if relative_dir == "." else relative_dir.split(os.sep)
-            if parts and parts[0] in _SALT_EXCLUDED_DIRS:
-                continue
-            dirnames[:] = [
-                name for name in dirnames
-                if not (not parts and name in _SALT_EXCLUDED_DIRS)
-                and name != "__pycache__"
-            ]
-            for filename in filenames:
-                if not filename.endswith(".py"):
-                    continue
-                if not parts and filename in _SALT_EXCLUDED_FILES:
-                    continue
-                entries.append(
-                    ("/".join(parts + [filename]),
-                     os.path.join(dirpath, filename))
-                )
-        for relative_path, path in sorted(entries):
+        for relative_path, path in _salted_sources(package_root):
             digest.update(relative_path.encode("utf-8"))
             digest.update(b"\0")
             with open(path, "rb") as handle:

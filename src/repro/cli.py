@@ -240,8 +240,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench",
-        help="microbenchmarks + end-to-end timings vs the frozen "
-             "pre-optimization implementations",
+        help="microbenchmarks vs the frozen pre-optimization "
+             "implementations (ns/op and seed-ratio regression gate)",
     )
     bench.add_argument(
         "--suite", choices=("kernel", "ml", "workloads", "all"),
@@ -250,13 +250,11 @@ def _build_parser() -> argparse.ArgumentParser:
              "ml: learning-epoch hot path vs the frozen per-class path; "
              "workloads: workload/substrate per-event loops vs the "
              "frozen pre-vectorization path; "
-             "all: every suite in one invocation, merged into one "
-             "report (default: %(default)s)",
+             "all: every suite in one report (default: %(default)s)",
     )
     bench.add_argument(
         "--quick", action="store_true",
-        help="smaller microbenchmarks, skip the end-to-end section "
-             "(speedup ratios stay comparable)",
+        help="smaller microbenchmarks (speedup ratios stay comparable)",
     )
     bench.add_argument(
         "--output", metavar="PATH", default=None,
@@ -516,10 +514,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     import json
 
     from repro.perf import (
-        build_all_report,
-        build_ml_report,
+        SUITES,
         build_report,
-        build_workloads_report,
         compare_reports,
         compare_warnings,
         render_comparison,
@@ -554,12 +550,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
     if args.repeats < 1:
         raise SystemExit("repro: error: --repeats must be >= 1")
-    builder = {
-        "kernel": build_report,
-        "ml": build_ml_report,
-        "workloads": build_workloads_report,
-        "all": build_all_report,
-    }[args.suite]
+    suites = list(SUITES) if args.suite == "all" else [args.suite]
     if args.trace:
         # In-memory tracer, no sidecar: the point is to measure the
         # enabled-path overhead itself (CI's obs-smoke bench gate).
@@ -567,13 +558,13 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
         tracer = obs_spans.activate(obs_spans.Tracer())
         try:
-            report = builder(quick=args.quick, repeats=args.repeats)
+            report = build_report(suites, args.quick, args.repeats)
         finally:
             obs_spans.deactivate()
         print(f"[trace: {len(tracer.drain())} span record(s) buffered "
               f"during the suite]")
     else:
-        report = builder(quick=args.quick, repeats=args.repeats)
+        report = build_report(suites, args.quick, args.repeats)
     output = args.output or f"BENCH_{args.suite}.json"
     print(render_report(report))
     write_report(report, output)

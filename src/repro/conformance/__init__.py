@@ -3,71 +3,25 @@
 The subsystem that makes "bit-identical results" a checkable, debuggable
 property instead of a scattered end-state assertion (DESIGN.md §10):
 
+* :mod:`~repro.conformance.reference` — the frozen seed implementations
+  (the golden models) paired with their live counterparts.
 * :mod:`~repro.conformance.registry` — named reference implementations
-  behind one :class:`~repro.conformance.registry.ReferenceImpl` protocol
-  (the frozen ``perf/legacy*`` copies are registered golden models).
+  behind one :class:`~repro.conformance.registry.ReferenceImpl` protocol.
 * :mod:`~repro.conformance.scenarios` — deterministic runs: production
   agent nodes with traced event logs, and scripted scenarios that drive
   any implementation namespace through the shared API surface.
+  Importing it registers the built-in implementations.
 * :mod:`~repro.conformance.vectors` — the committed known-answer vector
   format (checkpointed trace digests + terminal state).
 * :mod:`~repro.conformance.runner` / :mod:`~repro.conformance.bisector`
   — differential replay that localizes any divergence to the exact
   first diverging event.
+* :mod:`~repro.conformance.corpus` — the committed vector directory and
+  its ``golden_digests.json`` table.
 * :mod:`~repro.conformance.cli` — ``repro conformance
   record|check|diff|list``.
 
-Importing this package registers the built-in implementations.
+The package itself imports nothing: ``repro.cli`` attaches the
+``conformance`` parser on every start, and only running a conformance
+command loads the scenarios and the golden models.
 """
-
-from repro.conformance import scenarios as _scenarios  # registers built-ins
-from repro.conformance.bisector import first_divergence
-from repro.conformance.registry import (
-    ReferenceImpl,
-    available,
-    get,
-    register,
-    unregister,
-)
-from repro.conformance.runner import DivergenceReport, run_differential
-from repro.conformance.scenarios import (
-    GOLDEN_FLEET_CONFIGS,
-    SCENARIOS,
-    ScenarioSpec,
-    default_scenarios,
-    get_scenario,
-    make_scripted_impl,
-)
-from repro.conformance.vectors import (
-    SCHEMA_VERSION,
-    KnownAnswerVector,
-    VectorSchemaError,
-    check_vector,
-    load_vector,
-    record_vector,
-    save_vector,
-)
-
-__all__ = [
-    "SCHEMA_VERSION",
-    "SCENARIOS",
-    "GOLDEN_FLEET_CONFIGS",
-    "DivergenceReport",
-    "KnownAnswerVector",
-    "ReferenceImpl",
-    "ScenarioSpec",
-    "VectorSchemaError",
-    "available",
-    "check_vector",
-    "default_scenarios",
-    "first_divergence",
-    "get",
-    "get_scenario",
-    "load_vector",
-    "make_scripted_impl",
-    "record_vector",
-    "register",
-    "run_differential",
-    "save_vector",
-    "unregister",
-]

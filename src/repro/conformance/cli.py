@@ -14,21 +14,16 @@ Wired into the main CLI by :mod:`repro.cli`::
 ``check`` exits non-zero on the first conformance problem, ``diff``
 exits non-zero when any scenario diverges (after printing the bisected
 first-divergence report).
+
+Importing this module loads only :mod:`argparse`: the scenarios (and
+with them the frozen golden models) are imported by the command that
+runs, not by every ``python -m repro`` start that builds the parser.
 """
 
 from __future__ import annotations
 
 import argparse
 from typing import List, Optional
-
-from repro.conformance import registry
-from repro.conformance.corpus import check_corpus, record_corpus
-from repro.conformance.runner import run_differential
-from repro.conformance.scenarios import (
-    SCENARIOS,
-    default_scenarios,
-    get_scenario,
-)
 
 __all__ = ["add_conformance_parser", "cmd_conformance"]
 
@@ -89,6 +84,9 @@ def add_conformance_parser(sub: argparse._SubParsersAction) -> None:
 
 
 def _cmd_list() -> int:
+    from repro.conformance import registry
+    from repro.conformance.scenarios import SCENARIOS
+
     print("scenarios:")
     for name in sorted(SCENARIOS):
         spec = SCENARIOS[name]
@@ -105,6 +103,8 @@ def _cmd_list() -> int:
 
 
 def _validated_scenarios(names: Optional[List[str]]) -> Optional[List[str]]:
+    from repro.conformance.scenarios import get_scenario
+
     if names is not None:
         for name in names:
             get_scenario(name)  # raises with the known-name list
@@ -112,6 +112,8 @@ def _validated_scenarios(names: Optional[List[str]]) -> Optional[List[str]]:
 
 
 def _cmd_record(args: argparse.Namespace) -> int:
+    from repro.conformance.corpus import record_corpus
+
     for path in record_corpus(
         args.dir,
         scenarios=_validated_scenarios(args.scenario),
@@ -122,6 +124,9 @@ def _cmd_record(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
+    from repro.conformance.corpus import check_corpus
+    from repro.conformance.scenarios import default_scenarios
+
     problems = check_corpus(
         args.dir,
         scenarios=_validated_scenarios(args.scenario),
@@ -138,6 +143,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_diff(args: argparse.Namespace) -> int:
+    from repro.conformance import registry
+    from repro.conformance.runner import run_differential
+    from repro.conformance.scenarios import default_scenarios
+
     impl_a = registry.get(args.impl_a)
     impl_b = registry.get(args.impl_b)
     if impl_a.family != impl_b.family:

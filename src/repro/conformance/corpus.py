@@ -2,11 +2,10 @@
 
 A corpus directory (``tests/conformance/vectors/`` in this repo) holds
 one ``<scenario>.kav.json`` per scenario and one ``golden_digests.json``
-pinning the fleet-aggregate and experiment digests.  The golden-digest
-tests load their expected values from here (single committed artifact),
-and a consistency test asserts the table equals the constants in
-:mod:`repro.perf.baselines` that the bench harness embeds — a
-legitimate physics change updates both in one PR or fails loudly.
+pinning the fleet-aggregate and experiment digests.  That table is the
+only place a golden digest is written: the golden-digest tests and
+``repro conformance check`` load their expected values from it, so a
+legitimate physics change is one ``repro conformance record``.
 """
 
 from __future__ import annotations
@@ -40,20 +39,20 @@ GOLDEN_FILENAME = "golden_digests.json"
 
 def record_golden_digests() -> Dict[str, Any]:
     """Re-measure the pinned fleet and experiment digests, live."""
-    from repro.conformance.scenarios import GOLDEN_FLEET_CONFIGS
+    from repro.conformance.scenarios import (
+        GOLDEN_ARTIFACTS,
+        GOLDEN_EXPERIMENT_SCALE,
+        GOLDEN_FLEET_CONFIGS,
+    )
     from repro.experiments.common import experiment_digest
     from repro.experiments.driver import FleetDriver, reproduce_all
-    from repro.perf.baselines import (
-        GOLDEN_EXPERIMENT_DIGESTS,
-        GOLDEN_EXPERIMENT_SCALE,
-    )
 
     fleets = {
         name: FleetDriver(config, workers=1).run().digest()
         for name, config in GOLDEN_FLEET_CONFIGS.items()
     }
     runs = reproduce_all(
-        only=list(GOLDEN_EXPERIMENT_DIGESTS), scale=GOLDEN_EXPERIMENT_SCALE
+        only=list(GOLDEN_ARTIFACTS), scale=GOLDEN_EXPERIMENT_SCALE
     )
     experiments = {
         run.name: experiment_digest(run.result) for run in runs

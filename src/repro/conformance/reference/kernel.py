@@ -1,14 +1,16 @@
 """Frozen copy of the seed (pre-optimization) kernel and queue.
 
-This module is the *measurement baseline* for ``repro bench``: the
-microbenchmarks run the same workload against this implementation and
-against :mod:`repro.sim.kernel`, and report the ratio.  Keeping the
-seed hot path in-tree makes the claimed speedups reproducible on any
-machine forever, instead of only relative to a historical commit.
+This module is the ``kernel:seed`` *golden model*: the conformance
+runner replays the scripted kernel scenarios against it and against
+:mod:`repro.sim.kernel` and bisects any divergence, and ``repro bench``
+runs the same microbenchmarks against both and reports the ratio.
+Keeping the seed hot path in-tree makes the claimed speedups
+reproducible on any machine forever, instead of only relative to a
+historical commit.
 
-Never import this from production code; it exists only so the perf
-trajectory has a fixed origin.  It intentionally preserves the seed's
-inefficiencies: closure-per-resume scheduling, uncancellable
+Never import this from production code (CI greps for it); only the
+conformance and bench packages may.  It intentionally preserves the
+seed's inefficiencies: closure-per-resume scheduling, uncancellable
 ``call_later`` timers, a fresh ``Event`` per queue ``get``, and O(n)
 waiter removal.
 """

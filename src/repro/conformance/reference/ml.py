@@ -1,10 +1,10 @@
 """Frozen copy of the pre-vectorization ML epoch hot path.
 
-This module is the *measurement baseline* for ``repro bench --suite
-ml``, exactly as :mod:`repro.perf.legacy` is for the kernel suite: the
-ML microbenchmarks run the same epoch workload against this
-implementation and against the live :mod:`repro.ml` /
-:mod:`repro.node.hypervisor`, and report the ratio.  Keeping the frozen
+This module is the ``ml:seed`` *golden model*, exactly as
+:mod:`repro.conformance.reference.kernel` is for the kernel: the
+conformance runner and the ``repro bench --suite ml`` microbenchmarks
+run the same epoch workload against this implementation and against the
+live :mod:`repro.ml` / :mod:`repro.node.hypervisor`.  Keeping the frozen
 path in-tree makes the claimed speedups reproducible on any machine
 forever, and gives the bit-identity property tests
 (``tests/ml/test_vectorized_bit_identity.py``) a reference that cannot

@@ -1,11 +1,11 @@
 """Frozen copy of the pre-vectorization workload/substrate hot path.
 
-This module is the *measurement baseline* for ``repro bench --suite
-workloads``, exactly as :mod:`repro.perf.legacy` is for the kernel
-suite and :mod:`repro.perf.legacy_ml` for the ML epoch: the workloads
-microbenchmarks run the same per-step scenarios against this
-implementation and against the live :mod:`repro.node` /
-:mod:`repro.workloads`, and report the ratio.  Keeping the frozen path
+This module is the ``workloads:seed`` *golden model*, exactly as
+:mod:`repro.conformance.reference.kernel` is for the kernel and
+:mod:`repro.conformance.reference.ml` for the ML epoch: the conformance
+runner and the ``repro bench --suite workloads`` microbenchmarks run the
+same per-step scenarios against this implementation and against the
+live :mod:`repro.node` / :mod:`repro.workloads`.  Keeping the frozen path
 in-tree makes the claimed speedups reproducible on any machine forever,
 and gives the lockstep bit-identity tests
 (``tests/workloads/test_vectorized_workloads_bit_identity.py``) a

@@ -11,8 +11,8 @@ Names are ``family:variant`` (``"kernel:current"``, ``"ml:seed"``,
 share a *family* — they then accept the same scenarios and emit the
 same event vocabulary.  The built-ins register on import of
 :mod:`repro.conformance.scenarios` from the shared
-:mod:`repro.perf.golden` namespaces, so the bench harness and the
-conformance harness can never disagree about what "the frozen seed
+:mod:`repro.conformance.reference` namespaces, so the bench harness and
+the conformance harness can never disagree about what "the frozen seed
 implementation" is.  A future SoA backend registers here as
 ``kernel:soa`` (plus ``agent:soa`` once the agent stack runs on it) and
 is immediately checkable against every committed vector.

@@ -14,9 +14,9 @@ shapes exist:
   deterministic script driving an implementation *namespace* through the
   shared API surface the microbench suites already pin, emitting
   canonical events at every observable result.  These run on both the
-  live and the frozen seed namespaces (via :mod:`repro.perf.golden`), so
-  the differential runner can replay current-vs-seed and bisect any
-  divergence to the first event.
+  live and the frozen seed namespaces
+  (:mod:`repro.conformance.reference`), so the differential runner can
+  replay current-vs-seed and bisect any divergence to the first event.
 
 The scripts draw every random decision from seeded generators created
 *before* any implementation object exists, so a script run is a pure
@@ -36,12 +36,18 @@ from repro.fleet.config import FaultPlan, FleetConfig, NodeSpec
 from repro.fleet.node import FleetNode
 from repro.ml.costsensitive import asymmetric_core_costs
 from repro.node.memory import Tier
-from repro.perf.golden import KERNEL_IMPLS, ML_IMPLS, WORKLOADS_IMPLS
 from repro.platform.taxonomy import NODE_SKUS
+from repro.conformance.reference import (
+    KERNEL_IMPLS,
+    ML_IMPLS,
+    WORKLOADS_IMPLS,
+)
 from repro.conformance.registry import ReferenceImpl, register
 
 __all__ = [
     "FAMILIES",
+    "GOLDEN_ARTIFACTS",
+    "GOLDEN_EXPERIMENT_SCALE",
     "GOLDEN_FLEET_CONFIGS",
     "SCENARIOS",
     "ScenarioSpec",
@@ -509,9 +515,9 @@ def default_scenarios(family: Optional[str] = None) -> Tuple[str, ...]:
 
 
 #: The golden fleet configurations whose digests are pinned in the
-#: corpus (``golden_digests.json``) and in :mod:`repro.perf.baselines`.
-#: Moved here from the golden-digest tests so the conformance CLI can
-#: re-record them and the tests can assert against the corpus.
+#: corpus (``golden_digests.json`` — the only place a golden digest is
+#: written).  They live here so the conformance CLI can re-record them
+#: and the tests can assert against the corpus.
 GOLDEN_FLEET_CONFIGS: Dict[str, FleetConfig] = {
     "overclock_8x20_seed7": FleetConfig(
         n_nodes=8, agent="overclock", seed=7, duration_s=20
@@ -525,3 +531,9 @@ GOLDEN_FLEET_CONFIGS: Dict[str, FleetConfig] = {
                         probability=0.9),
     ),
 }
+
+#: The artifacts whose canonical ``ExperimentResult`` digests the corpus
+#: pins, and the scale they are run at (cheap but covering tables, a
+#: harvest figure, and hence all three runtime loops).
+GOLDEN_ARTIFACTS: Tuple[str, ...] = ("table1", "table2", "fig6-left")
+GOLDEN_EXPERIMENT_SCALE = 0.2

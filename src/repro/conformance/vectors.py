@@ -18,8 +18,7 @@ window — the differential runner then bisects inside such a window when
 two live implementations are available.
 
 The corpus directory also holds ``golden_digests.json``: the pinned
-fleet-aggregate and experiment digests (the same values as
-:mod:`repro.perf.baselines`, which the golden tests cross-check).
+fleet-aggregate and experiment digests (:mod:`repro.conformance.corpus`).
 
 Schema changes bump :data:`SCHEMA_VERSION`; loading a vector written by
 any other schema fails with :class:`VectorSchemaError` telling the user

@@ -34,7 +34,7 @@ the seed, so each row's arithmetic must reproduce the per-class
   reduction order.
 
 ``tests/ml/test_vectorized_bit_identity.py`` drives this class and the
-frozen per-class copy (:mod:`repro.perf.legacy_ml`) with identical
+frozen per-class copy (the ``ml:seed`` golden model) with identical
 random streams for a thousand epochs and requires exact equality of
 predictions, weights, and update counters.
 """

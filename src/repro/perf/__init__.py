@@ -2,41 +2,29 @@
 
 Public surface::
 
-    from repro.perf import build_report, build_ml_report, compare_reports
-    from repro.perf import build_workloads_report, render_comparison
-    from repro.perf.microbench import MICROBENCHMARKS, run_microbench
-    from repro.perf.microbench_ml import ML_MICROBENCHMARKS, run_ml_microbench
-    from repro.perf.microbench_workloads import WORKLOADS_MICROBENCHMARKS
+    from repro.perf import SUITES, build_report, compare_reports
+    from repro.perf.microbench import run_microbench
 
-``repro.perf.legacy`` (seed kernel), ``repro.perf.legacy_ml``
-(pre-vectorization ML epoch path), and ``repro.perf.legacy_workloads``
-(pre-vectorization workload/substrate loops) hold frozen copies used as
-the measurement baselines; never import them from production code.
+The frozen seed implementations the ratios are measured against live in
+:mod:`repro.conformance.reference` (they are golden models first, ratio
+denominators second); this package imports them, never the reverse.
 """
 
 from repro.perf.harness import (
-    SEED_BASELINES,
-    build_all_report,
-    build_ml_report,
+    SUITES,
     build_report,
-    build_workloads_report,
     compare_reports,
     compare_warnings,
-    merge_suite_reports,
     render_comparison,
     render_report,
     write_report,
 )
 
 __all__ = [
-    "SEED_BASELINES",
-    "build_all_report",
-    "build_ml_report",
+    "SUITES",
     "build_report",
-    "build_workloads_report",
     "compare_reports",
     "compare_warnings",
-    "merge_suite_reports",
     "render_comparison",
     "render_report",
     "write_report",

@@ -1,88 +1,77 @@
-"""The ``repro bench`` harness: measure, record, and gate performance.
+"""The ``repro bench`` harness: one table of seed-ratio microbenchmarks.
 
-Produces ``BENCH_kernel.json`` (``--suite kernel``) and
-``BENCH_ml.json`` (``--suite ml``) so every perf-affecting PR leaves a
-recorded trajectory instead of a claim:
+Every scenario of every suite in :data:`SUITES` runs against both the
+live implementation and its frozen seed copy
+(:mod:`repro.conformance.reference`) — same machine, same process,
+interleaved — and the report records ns/op on each side and their
+ratio.  The *speedups* are therefore machine-independent, which is what
+:func:`compare_reports` gates on in CI against the committed
+``BENCH_micro.json``.
 
-* **Microbenchmarks** run each scenario against both the live
-  implementation and its frozen pre-optimization copy — kernel suite:
-  :mod:`repro.sim` vs :mod:`repro.perf.legacy`; ML suite:
-  :mod:`repro.ml` / :mod:`repro.node.hypervisor` vs
-  :mod:`repro.perf.legacy_ml` — same machine, same process.  The
-  reported *speedups* are therefore machine-independent ratios — that is
-  what :func:`compare_reports` gates on in CI.
-* **End-to-end** (kernel suite) runs a real fleet scenario and a
-  ``reproduce-all`` subset on the live stack, verifies the fleet digest
-  against the pinned seed value (an optimization that changes results is
-  a bug, not a speedup), and compares wall-clock against
-  :data:`SEED_BASELINES` — seed-commit wall times measured on the
-  reference container (best-of-3; see EXPERIMENTS.md).  Absolute
-  seconds are machine-dependent; the speedup column is indicative, the
-  digest check is not.
-* **End-to-end** (ML suite) measures every ``reproduce-all`` work unit
-  once at full scale and reports (a) the measured serial full-pass
-  wall, (b) the *modeled* 8-worker makespans of the artifact-granular
-  and sub-artifact-granular parallel passes (an LPT schedule over the
-  measured unit walls — the reference container has one core, so a
-  multi-worker wall cannot be measured directly there; on an N-core
-  host the measured wall tracks the model), and (c) a digest check that
-  the sub-artifact-sharded pass still reproduces the golden pinned
-  artifacts bit-exactly.
+That is all ``repro bench`` measures: one isolated structure per
+microbenchmark.  End-to-end wall times, digests and warm-pass behaviour
+of the commands users run are the stack benchmark's job
+(``benchmarks/stack/``; DESIGN.md §15).
+
+Entries are always named ``<suite>/<scenario>``, so ``--suite`` is a
+filter: a one-suite report compares cleanly against an all-suite
+baseline on the names they share.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import time
-from typing import Any, Callable, Dict, List
+from itertools import chain
+from typing import Any, Dict, Iterable, List, Sequence, Set, Tuple
 
-from repro.perf.baselines import (
-    GOLDEN_EXPERIMENT_DIGESTS,
-    GOLDEN_EXPERIMENT_SCALE,
-    GOLDEN_FLEET_DIGESTS,
-    SEED_E2E_WALL_S,
+from repro.conformance.reference import (
+    KERNEL_IMPLS,
+    ML_IMPLS,
+    WORKLOADS_IMPLS,
 )
-from repro.perf.golden import KERNEL_IMPLS, ML_IMPLS, WORKLOADS_IMPLS
-from repro.perf.microbench import MICROBENCHMARKS, run_microbench
-from repro.perf.microbench_ml import ML_MICROBENCHMARKS, run_ml_microbench
-from repro.perf.microbench_workloads import (
-    WORKLOADS_MICROBENCHMARKS,
-    run_workloads_microbench,
+from repro.perf.microbench import (
+    MICROBENCHMARKS,
+    Bench,
+    BenchResult,
+    run_microbench,
 )
+from repro.perf.microbench_ml import ML_MICROBENCHMARKS
+from repro.perf.microbench_workloads import WORKLOADS_MICROBENCHMARKS
 
 __all__ = [
-    "SEED_BASELINES",
-    "build_all_report",
-    "build_ml_report",
+    "SUITES",
     "build_report",
-    "build_workloads_report",
     "compare_reports",
     "compare_warnings",
-    "merge_suite_reports",
     "render_comparison",
     "render_report",
     "write_report",
 ]
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
-#: Wall-clock of the end-to-end scenarios at the seed commit (pre-
-#: optimization).  Digests pin result equivalence; these pin the
-#: "before" of the before/after table.  Single source of truth:
-#: :mod:`repro.perf.baselines` (shared with the golden-digest tests).
-SEED_BASELINES: Dict[str, float] = SEED_E2E_WALL_S
+#: suite -> (scenarios, live namespace, frozen seed namespace).
+SUITES: Dict[str, Tuple[Dict[str, Bench], Any, Any]] = {
+    "kernel": (
+        MICROBENCHMARKS, KERNEL_IMPLS["current"], KERNEL_IMPLS["seed"],
+    ),
+    "ml": (
+        ML_MICROBENCHMARKS, ML_IMPLS["current"], ML_IMPLS["seed"],
+    ),
+    "workloads": (
+        WORKLOADS_MICROBENCHMARKS,
+        WORKLOADS_IMPLS["current"], WORKLOADS_IMPLS["seed"],
+    ),
+}
 
-#: The pinned seed digest for the end-to-end fleet scenario.
-FLEET_DIGEST = GOLDEN_FLEET_DIGESTS["mixed_6x15_seed3"]
 
-#: Artifacts of the reproduce-all end-to-end subset (cheap but covering
-#: tables, a harvest figure, and hence all three runtime loops).
-REPRODUCE_SUBSET = ("table1", "table2", "fig6-left")
-REPRODUCE_SCALE = 0.2
+def _geomean(values: Iterable[float]) -> float:
+    logs = [math.log(value) for value in values]
+    return math.exp(sum(logs) / len(logs))
 
 
-def _bench_result_dict(result: Any) -> Dict[str, Any]:
+def _bench_result_dict(result: BenchResult) -> Dict[str, Any]:
     return {
         "events": result.events,
         "wall_s": round(result.wall_s, 6),
@@ -91,377 +80,83 @@ def _bench_result_dict(result: Any) -> Dict[str, Any]:
     }
 
 
-def _run_suite(
-    benchmarks: Dict[str, Any],
-    runner: Callable[..., Any],
-    live: Any,
-    legacy: Any,
-    scale: float,
-    repeats: int,
+def build_report(
+    suites: Sequence[str], quick: bool = False, repeats: int = 3
 ) -> Dict[str, Any]:
-    """All scenarios, optimized vs legacy, interleaved for fairness.
+    """Run ``suites`` (keys of :data:`SUITES`), optimized vs seed.
 
     Repeats alternate optimized/legacy (best-of-N each) so slow drift in
     the host's effective clock rate — the dominant noise source on
     shared runners — lands on both sides of every ratio instead of
-    biasing whichever implementation ran last.
+    biasing whichever implementation ran last.  ``quick`` shrinks the
+    scenarios (~4× fewer events); speedup ratios remain comparable,
+    which is all the CI regression gate consumes.
     """
-    section: Dict[str, Any] = {}
-    speedups: List[float] = []
-    for name in benchmarks:
-        optimized = frozen = None
-        for _ in range(repeats):
-            candidate_opt = runner(name, live, scale, 1)
-            candidate_leg = runner(name, legacy, scale, 1)
-            if optimized is None or candidate_opt.wall_s < optimized.wall_s:
-                optimized = candidate_opt
-            if frozen is None or candidate_leg.wall_s < frozen.wall_s:
-                frozen = candidate_leg
-        speedup = frozen.wall_s / optimized.wall_s
-        speedups.append(speedup)
-        section[name] = {
-            "optimized": _bench_result_dict(optimized),
-            "legacy": _bench_result_dict(frozen),
-            "speedup": round(speedup, 2),
-        }
-    section["geomean_speedup"] = round(
-        math.exp(sum(math.log(s) for s in speedups) / len(speedups)), 2
-    )
-    return section
-
-
-def run_microbenchmarks(
-    scale: float = 1.0, repeats: int = 3
-) -> Dict[str, Any]:
-    """Kernel scenarios, optimized vs the frozen seed kernel."""
-    return _run_suite(
-        MICROBENCHMARKS, run_microbench,
-        KERNEL_IMPLS["current"], KERNEL_IMPLS["seed"],
-        scale, repeats,
-    )
-
-
-def run_ml_microbenchmarks(
-    scale: float = 1.0, repeats: int = 3
-) -> Dict[str, Any]:
-    """ML epoch scenarios, vectorized vs the frozen per-class path."""
-    return _run_suite(
-        ML_MICROBENCHMARKS, run_ml_microbench,
-        ML_IMPLS["current"], ML_IMPLS["seed"],
-        scale, repeats,
-    )
-
-
-def run_workloads_microbenchmarks(
-    scale: float = 1.0, repeats: int = 3
-) -> Dict[str, Any]:
-    """Workload/substrate loops, vectorized vs the frozen seed path."""
-    return _run_suite(
-        WORKLOADS_MICROBENCHMARKS, run_workloads_microbench,
-        WORKLOADS_IMPLS["current"], WORKLOADS_IMPLS["seed"],
-        scale, repeats,
-    )
-
-
-def run_end_to_end() -> Dict[str, Any]:
-    """Fleet + reproduce-subset wall clock on the live stack."""
-    # Imported lazily: the full stack is irrelevant to --quick runs.
-    from repro.experiments.driver import FleetDriver, reproduce_all
-    from repro.fleet.config import FleetConfig
-
-    config = FleetConfig(n_nodes=6, agent="mixed", seed=3, duration_s=15)
-    started = time.perf_counter()
-    aggregate = FleetDriver(config, workers=1).run()
-    fleet_wall = time.perf_counter() - started
-    digest = aggregate.digest()
-
-    started = time.perf_counter()
-    runs = reproduce_all(only=list(REPRODUCE_SUBSET), scale=REPRODUCE_SCALE)
-    reproduce_wall = time.perf_counter() - started
-
-    def against_seed(key: str, wall: float) -> Dict[str, Any]:
-        seed = SEED_BASELINES.get(key)
-        entry: Dict[str, Any] = {"wall_s": round(wall, 3)}
-        if seed is not None:
-            entry["seed_wall_s"] = seed
-            entry["speedup_vs_seed"] = round(seed / wall, 2)
-        return entry
-
-    fleet_entry = against_seed("fleet_mixed_6x15", fleet_wall)
-    fleet_entry.update(
-        nodes=config.n_nodes,
-        sim_seconds=config.duration_s,
-        digest=digest,
-        digest_ok=digest == FLEET_DIGEST,
-    )
-    reproduce_entry = against_seed("reproduce_subset", reproduce_wall)
-    reproduce_entry.update(
-        artifacts=list(REPRODUCE_SUBSET),
-        scale=REPRODUCE_SCALE,
-        # Milliseconds with µs resolution: the tables finish in well
-        # under a millisecond, so second-resolution rounding reported
-        # them as 0.0 and made the per-artifact split useless.
-        runs_ms={
-            run.name: round(run.wall_seconds * 1000.0, 3) for run in runs
-        },
+    scale = 0.25 if quick else 1.0
+    micro: Dict[str, Any] = {}
+    speedups: Dict[str, List[float]] = {suite: [] for suite in suites}
+    for suite in suites:
+        scenarios, live, seed = SUITES[suite]
+        for scenario, bench in scenarios.items():
+            rounds = [
+                (
+                    run_microbench(bench, live, scale, 1),
+                    run_microbench(bench, seed, scale, 1),
+                )
+                for _ in range(repeats)
+            ]
+            optimized = min((o for o, _ in rounds), key=lambda r: r.wall_s)
+            frozen = min((f for _, f in rounds), key=lambda r: r.wall_s)
+            speedup = frozen.wall_s / optimized.wall_s
+            speedups[suite].append(speedup)
+            micro[f"{suite}/{scenario}"] = {
+                "optimized": _bench_result_dict(optimized),
+                "legacy": _bench_result_dict(frozen),
+                "speedup": round(speedup, 2),
+            }
+    micro["geomean_speedup"] = round(
+        _geomean(chain.from_iterable(speedups.values())), 2
     )
     return {
-        "fleet_mixed_6x15": fleet_entry,
-        "reproduce_subset": reproduce_entry,
-    }
-
-
-def _lpt_makespan(durations: List[float], workers: int) -> float:
-    """Longest-processing-time-first schedule length on ``workers``.
-
-    The standard greedy bound: sort jobs descending, always hand the
-    next job to the least-loaded worker.  This is how the parallel
-    driver's ``imap_unordered`` behaves in the limit of cheap dispatch,
-    so it models the multi-worker wall from single-core unit timings.
-    """
-    loads = [0.0] * max(1, workers)
-    for duration in sorted(durations, reverse=True):
-        loads[loads.index(min(loads))] += duration
-    return max(loads)
-
-
-def run_ml_end_to_end(workers: int = 8) -> Dict[str, Any]:
-    """Full reproduce-all pass economics + sharded-pass digest check."""
-    from repro.experiments.common import experiment_digest
-    from repro.experiments.driver import (
-        ARTIFACTS,
-        artifact_units,
-        assemble_artifact,
-        reproduce_all,
-        run_series_unit,
-    )
-
-    # Measure every (artifact, series) unit once at full scale.  The
-    # serial full-pass wall is their sum plus (negligible) assembly.
-    unit_walls: Dict[str, List[float]] = {}
-    digests: Dict[str, str] = {}
-    collected: Dict[str, Dict[Any, Any]] = {}
-    started = time.perf_counter()
-    for name in ARTIFACTS:
-        unit_walls[name] = []
-        collected[name] = {}
-        for _name, series in artifact_units(name, scale=1.0):
-            unit_started = time.perf_counter()
-            collected[name][series] = run_series_unit((name, series, 1.0))
-            unit_walls[name].append(time.perf_counter() - unit_started)
-    for name in ARTIFACTS:
-        run = assemble_artifact(
-            name, 1.0, collected[name], sum(unit_walls[name])
-        )
-        digests[name] = experiment_digest(run.result)
-    serial_wall = time.perf_counter() - started
-
-    artifact_durations = [sum(walls) for walls in unit_walls.values()]
-    unit_durations = [w for walls in unit_walls.values() for w in walls]
-    artifact_span = _lpt_makespan(artifact_durations, workers)
-    series_span = _lpt_makespan(unit_durations, workers)
-
-    # Golden check: the sub-artifact-sharded parallel path must still
-    # reproduce the pinned artifact digests bit-exactly.
-    check_started = time.perf_counter()
-    golden_runs = reproduce_all(
-        parallel=True,
-        workers=2,
-        only=list(GOLDEN_EXPERIMENT_DIGESTS),
-        scale=GOLDEN_EXPERIMENT_SCALE,
-    )
-    golden_ok = all(
-        experiment_digest(run.result) == GOLDEN_EXPERIMENT_DIGESTS[run.name]
-        for run in golden_runs
-    )
-    check_wall = time.perf_counter() - check_started
-
-    return {
-        "reproduce_full_pass": {
-            "wall_s": round(serial_wall, 3),
-            "artifacts": len(artifact_durations),
-            "work_units": len(unit_durations),
-            "longest_artifact_s": round(max(artifact_durations), 3),
-            "longest_unit_s": round(max(unit_durations), 3),
-            "modeled_makespan_artifact_granular_s": round(artifact_span, 3),
-            "modeled_makespan_subartifact_s": round(series_span, 3),
-            "modeled_workers": workers,
-            "modeled_speedup": round(artifact_span / series_span, 2),
-            # µs resolution: the tables run in tens of µs and must not
-            # round to 0.0 (the satellite fix that introduced runs_ms).
-            "per_artifact_wall_s": {
-                name: round(sum(walls), 6)
-                for name, walls in unit_walls.items()
-            },
-            "digests": digests,
-        },
-        "sharded_golden_artifacts": {
-            "wall_s": round(check_wall, 3),
-            "artifacts": list(GOLDEN_EXPERIMENT_DIGESTS),
-            "scale": GOLDEN_EXPERIMENT_SCALE,
-            "digest_ok": golden_ok,
+        "schema": SCHEMA_VERSION,
+        "quick": quick,
+        "microbench": micro,
+        "suites": {
+            suite: {"geomean_speedup": round(_geomean(values), 2)}
+            for suite, values in speedups.items()
         },
     }
-
-
-def run_workloads_end_to_end() -> Dict[str, Any]:
-    """Incremental reproduction: cold-vs-warm cached pass + digest check.
-
-    Runs the golden ``fig6-left`` artifact twice through a fresh result
-    cache in a temporary directory: the cold pass executes and stores
-    every unit, the warm pass must execute *zero* units (all-hit) and
-    assemble the same rows — verified against the pinned golden digest,
-    not just self-consistency.
-    """
-    import tempfile
-
-    from repro.cache import ResultCache
-    from repro.experiments.common import experiment_digest
-    from repro.experiments.driver import reproduce_all
-
-    artifact = "fig6-left"
-    golden = GOLDEN_EXPERIMENT_DIGESTS[artifact]
-    with tempfile.TemporaryDirectory(prefix="repro-bench-cache-") as tmp:
-        cold_cache = ResultCache(tmp)
-        started = time.perf_counter()
-        cold_runs = reproduce_all(
-            only=[artifact], scale=GOLDEN_EXPERIMENT_SCALE, cache=cold_cache
-        )
-        cold_wall = time.perf_counter() - started
-        warm_cache = ResultCache(tmp)
-        started = time.perf_counter()
-        warm_runs = reproduce_all(
-            only=[artifact], scale=GOLDEN_EXPERIMENT_SCALE, cache=warm_cache
-        )
-        warm_wall = time.perf_counter() - started
-    cold_digest = experiment_digest(cold_runs[0].result)
-    warm_digest = experiment_digest(warm_runs[0].result)
-    return {
-        "cache_warm_reproduce": {
-            "artifact": artifact,
-            "scale": GOLDEN_EXPERIMENT_SCALE,
-            "wall_s": round(cold_wall, 3),
-            "warm_wall_s": round(warm_wall, 3),
-            "warm_speedup": round(cold_wall / warm_wall, 1),
-            "cold_stats": cold_cache.stats.render(),
-            "warm_stats": warm_cache.stats.render(),
-            "all_hit": warm_cache.stats.misses == 0
-            and warm_cache.stats.hits > 0,
-            "digest_ok": cold_digest == warm_digest == golden,
-        }
-    }
-
-
-def build_report(quick: bool = False, repeats: int = 3) -> Dict[str, Any]:
-    """The full ``repro bench`` kernel-suite report.
-
-    ``quick`` shrinks the microbenchmarks (~4× fewer events) and skips
-    the end-to-end section; speedup ratios remain comparable, which is
-    all the CI regression gate consumes.
-    """
-    report: Dict[str, Any] = {
-        "schema": SCHEMA_VERSION,
-        "suite": "kernel",
-        "quick": quick,
-        "microbench": run_microbenchmarks(
-            scale=0.25 if quick else 1.0, repeats=repeats
-        ),
-    }
-    if not quick:
-        report["end_to_end"] = run_end_to_end()
-    return report
-
-
-def build_ml_report(quick: bool = False, repeats: int = 3) -> Dict[str, Any]:
-    """The ``repro bench --suite ml`` report (same quick semantics)."""
-    report: Dict[str, Any] = {
-        "schema": SCHEMA_VERSION,
-        "suite": "ml",
-        "quick": quick,
-        "microbench": run_ml_microbenchmarks(
-            scale=0.25 if quick else 1.0, repeats=repeats
-        ),
-    }
-    if not quick:
-        report["end_to_end"] = run_ml_end_to_end()
-    return report
-
-
-def build_workloads_report(
-    quick: bool = False, repeats: int = 3
-) -> Dict[str, Any]:
-    """The ``repro bench --suite workloads`` report (same semantics)."""
-    report: Dict[str, Any] = {
-        "schema": SCHEMA_VERSION,
-        "suite": "workloads",
-        "quick": quick,
-        "microbench": run_workloads_microbenchmarks(
-            scale=0.25 if quick else 1.0, repeats=repeats
-        ),
-    }
-    if not quick:
-        report["end_to_end"] = run_workloads_end_to_end()
-    return report
-
-
-def merge_suite_reports(
-    reports: Dict[str, Dict[str, Any]], quick: bool = False
-) -> Dict[str, Any]:
-    """Merge per-suite bench reports into one ``suite: "all"`` report.
-
-    Benchmark names are namespaced ``<suite>/<name>`` so the merged
-    report stays a valid input to :func:`compare_reports` /
-    :func:`render_comparison`; the merged ``geomean_speedup`` spans
-    every microbenchmark of every suite, and per-suite geomeans are
-    kept under ``suites``.
-    """
-    merged: Dict[str, Any] = {
-        "schema": SCHEMA_VERSION,
-        "suite": "all",
-        "quick": quick,
-        "microbench": {},
-        "suites": {},
-    }
-    speedups: List[float] = []
-    for suite, report in reports.items():
-        micro = report.get("microbench", {})
-        for name, entry in micro.items():
-            if isinstance(entry, dict) and "speedup" in entry:
-                merged["microbench"][f"{suite}/{name}"] = entry
-                speedups.append(entry["speedup"])
-        merged["suites"][suite] = {
-            "geomean_speedup": micro.get("geomean_speedup")
-        }
-        for name, entry in report.get("end_to_end", {}).items():
-            merged.setdefault("end_to_end", {})[f"{suite}/{name}"] = entry
-    if speedups:
-        merged["microbench"]["geomean_speedup"] = round(
-            math.exp(sum(math.log(s) for s in speedups) / len(speedups)), 2
-        )
-    return merged
-
-
-def build_all_report(quick: bool = False, repeats: int = 3) -> Dict[str, Any]:
-    """The ``repro bench --suite all`` report: every suite, one file.
-
-    Runs the kernel, ML, and workloads suites in sequence and merges
-    them (:func:`merge_suite_reports`) so one invocation leaves one
-    report covering every microbenchmark and end-to-end check.
-    """
-    return merge_suite_reports(
-        {
-            "kernel": build_report(quick=quick, repeats=repeats),
-            "ml": build_ml_report(quick=quick, repeats=repeats),
-            "workloads": build_workloads_report(quick=quick, repeats=repeats),
-        },
-        quick=quick,
-    )
 
 
 def write_report(report: Dict[str, Any], path: str) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(report, handle, indent=2, sort_keys=True)
         handle.write("\n")
+
+
+def _speedups(report: Dict[str, Any]) -> Dict[str, float]:
+    """``<suite>/<scenario>`` -> speedup, in report order."""
+    return {
+        name: entry["speedup"]
+        for name, entry in report.get("microbench", {}).items()
+        if isinstance(entry, dict) and "speedup" in entry
+    }
+
+
+def _suite(name: str) -> str:
+    return name.partition("/")[0]
+
+
+def _shared_suites(
+    new: Iterable[str], baseline: Iterable[str]
+) -> Tuple[Set[str], str]:
+    """Suites both name sets cover, and the warning for when none is."""
+    new_suites = {_suite(name) for name in new}
+    baseline_suites = {_suite(name) for name in baseline}
+    return new_suites & baseline_suites, (
+        f"comparing different suites ({sorted(new_suites)} vs "
+        f"{sorted(baseline_suites)})"
+    )
 
 
 def compare_reports(
@@ -472,11 +167,10 @@ def compare_reports(
 ) -> List[str]:
     """Regressions of ``new`` against a committed baseline report.
 
-    Only machine-independent quantities are gated: per-scenario
+    Only the machine-independent quantity is gated: per-scenario
     optimized-vs-legacy speedups (each may not fall more than
-    ``max_regression`` below the baseline ratio) and the end-to-end
-    digest check (must not flip to False).  Returns human-readable
-    problem strings; empty means pass.
+    ``max_regression`` below the baseline ratio).  Returns
+    human-readable problem strings; empty means pass.
 
     ``gate`` selects the granularity: ``"each"`` (default) floors every
     shared benchmark individually; ``"geomean"`` floors only the
@@ -490,44 +184,26 @@ def compare_reports(
     scenario should not hard-fail a comparison against an older report.
     """
     problems: List[str] = []
-    new_micro = new.get("microbench", {})
+    current = _speedups(new)
     ratios: List[float] = []
-    for name, entry in baseline.get("microbench", {}).items():
-        if not isinstance(entry, dict) or "speedup" not in entry:
-            continue
-        current = new_micro.get(name)
-        if not isinstance(current, dict) or "speedup" not in current:
+    for name, baseline_speedup in _speedups(baseline).items():
+        if name not in current:
             continue  # one-sided benchmark: warned, not gated
-        ratios.append(current["speedup"] / entry["speedup"])
-        if gate != "each":
-            continue
-        floor = entry["speedup"] * (1.0 - max_regression)
-        if current["speedup"] < floor:
+        ratios.append(current[name] / baseline_speedup)
+        floor = baseline_speedup * (1.0 - max_regression)
+        if gate == "each" and current[name] < floor:
             problems.append(
                 f"microbench {name!r} speedup regressed: "
-                f"{current['speedup']:.2f}x < floor {floor:.2f}x "
-                f"(baseline {entry['speedup']:.2f}x)"
+                f"{current[name]:.2f}x < floor {floor:.2f}x "
+                f"(baseline {baseline_speedup:.2f}x)"
             )
     if gate == "geomean" and ratios:
-        geomean = math.exp(sum(math.log(r) for r in ratios) / len(ratios))
+        geomean = _geomean(ratios)
         if geomean < 1.0 - max_regression:
             problems.append(
                 f"suite geomean speedup ratio regressed: "
                 f"{geomean:.3f} < floor {1.0 - max_regression:.3f} "
                 f"(over {len(ratios)} shared benchmark(s))"
-            )
-    for name, entry in new.get("end_to_end", {}).items():
-        if not isinstance(entry, dict):
-            continue
-        if entry.get("digest_ok") is False:
-            problems.append(
-                f"end-to-end {name!r} digest mismatch: "
-                "optimization changed results"
-            )
-        if entry.get("all_hit") is False:
-            problems.append(
-                f"end-to-end {name!r}: warm cached pass re-executed units "
-                "(not all-hit)"
             )
     return problems
 
@@ -535,42 +211,30 @@ def compare_reports(
 def compare_warnings(
     new: Dict[str, Any], baseline: Dict[str, Any]
 ) -> List[str]:
-    """Benchmarks present in only one of two reports (either side).
+    """What makes a comparison *partial*, not failed.
 
-    These make a comparison *partial*, not failed — callers print them
-    as warnings while :func:`compare_reports` gates only on benchmarks
-    both reports measured.  Also flags a suite mismatch, the most common
-    way to end up with fully disjoint benchmark sets.
+    Within the suites both reports ran, a benchmark present on only one
+    side is named (callers print these as warnings while
+    :func:`compare_reports` gates only on benchmarks both measured).  A
+    suite only one report ran is not a warning — ``--suite`` is a
+    filter — unless the reports share no suite at all, the most common
+    way to end up with nothing compared.
     """
-
-    def measured(report: Dict[str, Any]) -> set:
-        return {
-            name
-            for name, entry in report.get("microbench", {}).items()
-            if isinstance(entry, dict) and "speedup" in entry
-        }
-
+    new_names, baseline_names = set(_speedups(new)), set(_speedups(baseline))
+    shared, mismatch = _shared_suites(new_names, baseline_names)
+    if not shared:
+        return [mismatch]
     warnings: List[str] = []
-    new_suite = new.get("suite", "?")
-    baseline_suite = baseline.get("suite", "?")
-    if new_suite != baseline_suite:
-        warnings.append(
-            f"comparing different suites ({new_suite!r} vs "
-            f"{baseline_suite!r})"
-        )
-    new_names, baseline_names = measured(new), measured(baseline)
-    only_baseline = sorted(baseline_names - new_names)
-    only_new = sorted(new_names - baseline_names)
-    if only_baseline:
-        warnings.append(
-            "benchmarks only in the baseline report (not compared): "
-            + ", ".join(only_baseline)
-        )
-    if only_new:
-        warnings.append(
-            "benchmarks only in the new report (not compared): "
-            + ", ".join(only_new)
-        )
+    for label, names in (
+        ("baseline", baseline_names - new_names),
+        ("new", new_names - baseline_names),
+    ):
+        one_sided = sorted(n for n in names if _suite(n) in shared)
+        if one_sided:
+            warnings.append(
+                f"benchmarks only in the {label} report (not compared): "
+                + ", ".join(one_sided)
+            )
     return warnings
 
 
@@ -585,22 +249,15 @@ def render_comparison(
     The ``ratio`` column is ``new speedup / baseline speedup`` — the
     machine-independent quantity the CI gate consumes; < 1.0 means the
     optimized-vs-legacy advantage shrank relative to the baseline
-    report.
+    report.  Rows cover the baseline's benchmarks in the suites both
+    reports ran.
     """
     lines = [f"== bench compare: {new_label} vs {baseline_label} =="]
-    new_suite = new.get("suite", "?")
-    baseline_suite = baseline.get("suite", "?")
-    if new_suite != baseline_suite:
-        lines.append(
-            f"  WARNING: comparing different suites "
-            f"({new_suite!r} vs {baseline_suite!r})"
-        )
-    new_micro = new.get("microbench", {})
-    baseline_micro = baseline.get("microbench", {})
-    names = [
-        name for name, entry in baseline_micro.items()
-        if isinstance(entry, dict) and "speedup" in entry
-    ]
+    current, reference = _speedups(new), _speedups(baseline)
+    shared, mismatch = _shared_suites(current, reference)
+    if not shared:
+        lines.append(f"  WARNING: {mismatch}")
+    names = [name for name in reference if _suite(name) in shared]
     width = max((len(name) for name in names), default=8)
     lines.append(
         f"  {'benchmark':{width}s}  {new_label[:12]:>12s}  "
@@ -608,80 +265,40 @@ def render_comparison(
     )
     ratios: List[float] = []
     for name in names:
-        baseline_speedup = baseline_micro[name]["speedup"]
-        entry = new_micro.get(name)
-        if not isinstance(entry, dict) or "speedup" not in entry:
+        if name not in current:
             lines.append(f"  {name:{width}s}  {'missing':>12s}")
             continue
-        ratio = entry["speedup"] / baseline_speedup
+        ratio = current[name] / reference[name]
         ratios.append(ratio)
         lines.append(
-            f"  {name:{width}s}  {entry['speedup']:>11.2f}x  "
-            f"{baseline_speedup:>11.2f}x  {ratio:>6.2f}"
+            f"  {name:{width}s}  {current[name]:>11.2f}x  "
+            f"{reference[name]:>11.2f}x  {ratio:>6.2f}"
         )
     if ratios:
-        geomean = math.exp(sum(math.log(r) for r in ratios) / len(ratios))
-        lines.append(f"  {'geomean ratio':{width}s}  {geomean:>34.2f}")
-    for key in ("geomean_speedup",):
-        if key in new_micro and key in baseline_micro:
-            lines.append(
-                f"  suite geomean speedup: {new_micro[key]:.2f}x "
-                f"(baseline {baseline_micro[key]:.2f}x)"
-            )
+        lines.append(f"  {'geomean ratio':{width}s}  {_geomean(ratios):>34.2f}")
     return "\n".join(lines)
 
 
 def render_report(report: Dict[str, Any]) -> str:
     """Human-readable summary of a report."""
-    suite = report.get("suite", "kernel")
-    lines = [f"== repro bench ({suite} suite) =="]
+    suites = report.get("suites", {})
+    lines = [f"== repro bench ({', '.join(suites)}) =="]
     micro = report.get("microbench", {})
+    width = max((len(name) for name in _speedups(report)), default=8)
     for name, entry in micro.items():
         if not isinstance(entry, dict):
             continue
         lines.append(
-            f"  {name:22s} {entry['optimized']['ns_per_event']:>8.0f} ns/ev"
+            f"  {name:{width}s} {entry['optimized']['ns_per_event']:>8.0f} ns/ev"
             f"  (seed {entry['legacy']['ns_per_event']:>8.0f} ns/ev)"
             f"  speedup {entry['speedup']:.2f}x"
         )
-    if "geomean_speedup" in micro:
+    for name, entry in suites.items():
         lines.append(
-            f"  {suite} microbenchmark geomean speedup: "
-            f"{micro['geomean_speedup']:.2f}x"
+            f"  {name} suite geomean speedup: {entry['geomean_speedup']:.2f}x"
         )
-    for name, entry in report.get("suites", {}).items():
-        if entry.get("geomean_speedup") is not None:
-            lines.append(
-                f"    {name} suite geomean: "
-                f"{entry['geomean_speedup']:.2f}x"
-            )
-    for name, entry in report.get("end_to_end", {}).items():
-        wall = entry["wall_s"]
-        extra = ""
-        if "speedup_vs_seed" in entry:
-            extra = (
-                f"  (seed {entry['seed_wall_s']:.2f} s, "
-                f"speedup {entry['speedup_vs_seed']:.2f}x)"
-            )
-        if "digest_ok" in entry:
-            extra += "  digest OK" if entry["digest_ok"] else "  DIGEST MISMATCH"
-        lines.append(f"  e2e {name:18s} {wall:7.2f} s wall{extra}")
-        if "warm_wall_s" in entry:
-            lines.append(
-                f"      warm re-run {entry['warm_wall_s']:.3f} s "
-                f"({entry['warm_speedup']:.0f}x; warm pass "
-                f"{entry['warm_stats']}"
-                + (", all-hit" if entry.get("all_hit") else ", NOT all-hit")
-                + ")"
-            )
-        if "modeled_makespan_subartifact_s" in entry:
-            lines.append(
-                f"      {entry['modeled_workers']}-worker makespan model: "
-                f"artifact-granular "
-                f"{entry['modeled_makespan_artifact_granular_s']:.2f} s -> "
-                f"sub-artifact {entry['modeled_makespan_subartifact_s']:.2f} s"
-                f"  ({entry['modeled_speedup']:.2f}x; longest unit "
-                f"{entry['longest_unit_s']:.2f} s over "
-                f"{entry['work_units']} units)"
-            )
+    if len(suites) > 1:
+        lines.append(
+            f"  overall geomean speedup: {micro['geomean_speedup']:.2f}x"
+        )
     return "\n".join(lines)

@@ -1,10 +1,10 @@
 """Kernel microbenchmarks, runnable against any kernel implementation.
 
 Each benchmark takes an *implementation* namespace exposing ``Kernel``,
-``SimQueue``, and ``QUEUE_TIMEOUT`` — either :mod:`repro.sim` (the live,
-optimized kernel) or :mod:`repro.perf.legacy` (the frozen seed kernel) —
-so ``repro bench`` can report speedups measured on the same machine in
-the same process.
+``SimQueue``, and ``QUEUE_TIMEOUT`` — either side of
+:data:`repro.conformance.reference.KERNEL_IMPLS` (the live, optimized
+kernel or the frozen seed kernel) — so ``repro bench`` can report
+speedups measured on the same machine in the same process.
 
 The scenarios isolate the hot paths this PR attacks:
 
@@ -20,7 +20,8 @@ The scenarios isolate the hot paths this PR attacks:
   wait on a shared event, which was O(waiters) per kill in the seed
   (list ``remove``) and is O(1) (swap-remove) now.
 
-Timing uses best-of-``repeats`` wall clock per scenario — the standard
+Timing uses best-of-``repeats`` wall clock per scenario
+(:func:`run_microbench`, shared by every suite) — the standard
 microbenchmark guard against scheduler noise and cold caches.
 """
 
@@ -31,7 +32,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict
 
-__all__ = ["MICROBENCHMARKS", "BenchResult", "run_microbench"]
+__all__ = ["MICROBENCHMARKS", "Bench", "BenchResult", "run_microbench"]
 
 
 @dataclass
@@ -134,8 +135,11 @@ def _bench_kill_waiter_churn(impl: Any, scale: float) -> BenchResult:
     )
 
 
-#: Scenario registry: name -> callable(impl, scale) -> BenchResult.
-MICROBENCHMARKS: Dict[str, Callable[[Any, float], BenchResult]] = {
+#: One scenario: ``bench(impl, scale) -> BenchResult``.
+Bench = Callable[[Any, float], BenchResult]
+
+#: Scenario registry: name -> scenario.
+MICROBENCHMARKS: Dict[str, Bench] = {
     "sleep_hot_loop": _bench_sleep_hot_loop,
     "queue_timeout_churn": _bench_queue_timeout_churn,
     "kill_waiter_churn": _bench_kill_waiter_churn,
@@ -143,13 +147,10 @@ MICROBENCHMARKS: Dict[str, Callable[[Any, float], BenchResult]] = {
 
 
 def run_microbench(
-    name: str, impl: Any, scale: float = 1.0, repeats: int = 3
+    bench: Bench, impl: Any, scale: float = 1.0, repeats: int = 3
 ) -> BenchResult:
     """Best-of-``repeats`` run of one scenario against one implementation."""
-    bench = MICROBENCHMARKS[name]
-    best: BenchResult = bench(impl, scale)
-    for _ in range(repeats - 1):
-        result = bench(impl, scale)
-        if result.wall_s < best.wall_s:
-            best = result
-    return best
+    return min(
+        (bench(impl, scale) for _ in range(repeats)),
+        key=lambda result: result.wall_s,
+    )

@@ -2,10 +2,10 @@
 
 Each benchmark takes an *implementation* namespace exposing
 ``CostSensitiveClassifier``, ``distributional_features``, and
-``Hypervisor`` — either :data:`LIVE_ML` (the vectorized live path) or
-:mod:`repro.perf.legacy_ml` (the frozen pre-vectorization path) — so
-``repro bench --suite ml`` can report speedups measured on the same
-machine in the same process.
+``Hypervisor`` — either side of
+:data:`repro.conformance.reference.ML_IMPLS` (the vectorized live path
+or the frozen pre-vectorization path) — so ``repro bench --suite ml``
+can report speedups measured on the same machine in the same process.
 
 The scenarios isolate the 25 ms learning-epoch hot loop this PR
 attacks (it became the dominant cost once PR 2 moved the bottleneck out
@@ -32,27 +32,14 @@ kernel suite.
 from __future__ import annotations
 
 import time
-from types import SimpleNamespace
-from typing import Any, Callable, Dict
+from typing import Any, Dict
 
 import numpy as np
 
-from repro.ml.costsensitive import (
-    CostSensitiveClassifier as _LiveClassifier,
-    asymmetric_core_costs,
-)
-from repro.ml.features import distributional_features as _live_features
-from repro.node.hypervisor import Hypervisor as _LiveHypervisor
-from repro.perf.microbench import BenchResult
+from repro.ml.costsensitive import asymmetric_core_costs
+from repro.perf.microbench import Bench, BenchResult
 
-__all__ = ["LIVE_ML", "ML_MICROBENCHMARKS", "run_ml_microbench"]
-
-#: The live implementation namespace (mirrors the legacy_ml module API).
-LIVE_ML = SimpleNamespace(
-    CostSensitiveClassifier=_LiveClassifier,
-    distributional_features=_live_features,
-    Hypervisor=_LiveHypervisor,
-)
+__all__ = ["ML_MICROBENCHMARKS"]
 
 # SmartHarvest's dimensions: 8 cores -> 9 classes, 9 features, and a
 # 25 ms window of 50 µs samples.
@@ -160,23 +147,10 @@ def _bench_epoch_telemetry(impl: Any, scale: float) -> BenchResult:
     )
 
 
-#: Scenario registry: name -> callable(impl, scale) -> BenchResult.
-ML_MICROBENCHMARKS: Dict[str, Callable[[Any, float], BenchResult]] = {
+#: Scenario registry: name -> scenario.
+ML_MICROBENCHMARKS: Dict[str, Bench] = {
     "csc_predict": _bench_csc_predict,
     "csc_update": _bench_csc_update,
     "feature_extraction": _bench_feature_extraction,
     "epoch_telemetry": _bench_epoch_telemetry,
 }
-
-
-def run_ml_microbench(
-    name: str, impl: Any, scale: float = 1.0, repeats: int = 3
-) -> BenchResult:
-    """Best-of-``repeats`` run of one scenario against one implementation."""
-    bench = ML_MICROBENCHMARKS[name]
-    best: BenchResult = bench(impl, scale)
-    for _ in range(repeats - 1):
-        result = bench(impl, scale)
-        if result.wall_s < best.wall_s:
-            best = result
-    return best

@@ -3,10 +3,10 @@
 Each benchmark takes an *implementation* namespace exposing
 ``CpuModel``, ``TieredMemory``, ``TailBenchWorkload``,
 ``ObjectStoreWorkload``, ``DiskSpeedWorkload``, and ``ZipfMemoryTrace``
-— either :data:`LIVE_WORKLOADS` (the vectorized live path) or
-:mod:`repro.perf.legacy_workloads` (the frozen pre-optimization path) —
-so ``repro bench --suite workloads`` can report speedups measured on
-the same machine in the same process.
+— either side of :data:`repro.conformance.reference.WORKLOADS_IMPLS`
+(the vectorized live path or the frozen pre-optimization path) — so
+``repro bench --suite workloads`` can report speedups measured on the
+same machine in the same process.
 
 The scenarios isolate the remaining per-event hot loops this PR
 attacks (they became the dominant per-step cost once PR 2 moved the
@@ -47,45 +47,17 @@ wall clock per scenario, like the other suites.
 from __future__ import annotations
 
 import time
-from types import SimpleNamespace
-from typing import Any, Callable, Dict
+from typing import Any, Dict
 
 import numpy as np
 
-from repro.node.cpu import CpuModel as _LiveCpuModel
-from repro.node.hypervisor import Hypervisor
-from repro.node.memory import Tier, TieredMemory as _LiveTieredMemory
-from repro.perf.microbench import BenchResult
+from repro.node.memory import Tier
+from repro.perf.microbench import Bench, BenchResult
 from repro.sim import Kernel
-from repro.workloads.diskspeed import DiskSpeedWorkload as _LiveDiskSpeed
-from repro.workloads.objectstore import ObjectStoreWorkload as _LiveObjectStore
-from repro.workloads.tailbench import (
-    IMAGE_DNN,
-    TailBenchWorkload as _LiveTailBench,
-)
-from repro.workloads.traces import (
-    OBJECTSTORE_MEM,
-    ZipfMemoryTrace as _LiveZipfTrace,
-    zipf_rates as _live_zipf_rates,
-)
+from repro.workloads.tailbench import IMAGE_DNN
+from repro.workloads.traces import OBJECTSTORE_MEM
 
-__all__ = [
-    "LIVE_WORKLOADS",
-    "WORKLOADS_MICROBENCHMARKS",
-    "run_workloads_microbench",
-]
-
-#: The live implementation namespace (mirrors legacy_workloads' API).
-LIVE_WORKLOADS = SimpleNamespace(
-    CpuModel=_LiveCpuModel,
-    Hypervisor=Hypervisor,
-    TieredMemory=_LiveTieredMemory,
-    TailBenchWorkload=_LiveTailBench,
-    ObjectStoreWorkload=_LiveObjectStore,
-    DiskSpeedWorkload=_LiveDiskSpeed,
-    ZipfMemoryTrace=_LiveZipfTrace,
-    zipf_rates=_live_zipf_rates,
-)
+__all__ = ["WORKLOADS_MICROBENCHMARKS"]
 
 
 def _drive(kernel: Kernel, gen: Any, steps: int, on_step=None) -> None:
@@ -257,8 +229,8 @@ def _bench_diskspeed(impl: Any, scale: float) -> BenchResult:
     )
 
 
-#: Scenario registry: name -> callable(impl, scale) -> BenchResult.
-WORKLOADS_MICROBENCHMARKS: Dict[str, Callable[[Any, float], BenchResult]] = {
+#: Scenario registry: name -> scenario.
+WORKLOADS_MICROBENCHMARKS: Dict[str, Bench] = {
     "cpu_phase_accounting": _bench_cpu_phase_accounting,
     "memory_rate_accrual": _bench_memory_rate_accrual,
     "memory_scan_tick": _bench_memory_scan_tick,
@@ -267,16 +239,3 @@ WORKLOADS_MICROBENCHMARKS: Dict[str, Callable[[Any, float], BenchResult]] = {
     "objectstore_request_accounting": _bench_objectstore,
     "diskspeed_request_accounting": _bench_diskspeed,
 }
-
-
-def run_workloads_microbench(
-    name: str, impl: Any, scale: float = 1.0, repeats: int = 3
-) -> BenchResult:
-    """Best-of-``repeats`` run of one scenario against one implementation."""
-    bench = WORKLOADS_MICROBENCHMARKS[name]
-    best: BenchResult = bench(impl, scale)
-    for _ in range(repeats - 1):
-        result = bench(impl, scale)
-        if result.wall_s < best.wall_s:
-            best = result
-    return best

@@ -9,8 +9,11 @@ the golden pinned artifacts must keep their seed digests through the
 sharded path.
 """
 
+from pathlib import Path
+
 import pytest
 
+from repro.conformance.corpus import load_golden_digests
 from repro.experiments.common import experiment_digest
 from repro.experiments.driver import (
     ARTIFACT_SPECS,
@@ -20,10 +23,12 @@ from repro.experiments.driver import (
     artifact_units,
     reproduce_all,
 )
-from repro.perf.baselines import (
-    GOLDEN_EXPERIMENT_DIGESTS,
-    GOLDEN_EXPERIMENT_SCALE,
+
+_GOLDEN = load_golden_digests(
+    str(Path(__file__).resolve().parents[1] / "conformance" / "vectors")
 )
+GOLDEN_EXPERIMENT_DIGESTS = _GOLDEN["experiments"]
+GOLDEN_EXPERIMENT_SCALE = _GOLDEN["experiment_scale"]
 
 
 def test_every_artifact_yields_work_units():

@@ -9,6 +9,8 @@ nothing; the two intended differences are spelled out below.
 import argparse
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -83,3 +85,20 @@ def test_serve_submit_fleet_rejects_an_unknown_agent_at_parse_time(capsys):
             ["serve", "submit", "fleet", "--agent", "meteor"]
         )
     assert "invalid choice: 'meteor'" in capsys.readouterr().err
+
+
+def test_importing_the_cli_loads_no_bench_or_golden_model():
+    """Every ``python -m repro`` start builds the parser; only the
+    ``bench`` and ``conformance`` commands may pay for the bench harness
+    and the frozen golden models."""
+    probe = (
+        "import sys, repro.cli; repro.cli._build_parser(); "
+        "print([m for m in sys.modules if m.startswith("
+        "('repro.perf', 'repro.conformance.reference'))])"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        check=True, capture_output=True, text=True, env=env,
+    ).stdout
+    assert out.strip() == "[]"

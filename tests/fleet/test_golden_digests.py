@@ -7,8 +7,7 @@ conformance record``.  They cover all three agent kinds, heterogeneous
 SKU mixes, and a rack fault burst.  Every hot-path change — kernel
 scheduling, event pooling, log modes, driver sharding, numeric inner
 loops — must reproduce them exactly, across worker counts and log
-modes.  A companion test in ``tests/conformance`` pins the corpus table
-to the :mod:`repro.perf.baselines` constants the bench harness embeds.
+modes.  The corpus table is the only place the digests are written.
 """
 
 from pathlib import Path

@@ -199,7 +199,26 @@ def test_torn_final_record_drops_exactly_one_unit(tmp_path):
         assert resumed.is_done("u1")
 
 
-def test_journal_source_excluded_from_code_salt(tmp_path):
-    from repro.cache.keys import _SALT_EXCLUDED_DIRS
+def _salt_exclusions():
+    from repro.cache.keys import _SALT_EXCLUDED_DIRS, _SALT_EXCLUDED_FILES
 
-    assert "journal" in _SALT_EXCLUDED_DIRS
+    return sorted((_SALT_EXCLUDED_DIRS - {"__pycache__"}) | _SALT_EXCLUDED_FILES)
+
+
+@pytest.mark.parametrize("excluded", _salt_exclusions())
+def test_excluded_source_stays_out_of_code_salt(excluded):
+    """Orchestration, observation and checking code (journal, serve,
+    conformance + its frozen golden models, ...) cannot move a result
+    bit, so editing it must not change a cache key or a run_id."""
+    import repro
+    from repro.cache.keys import _salted_sources
+
+    package_root = os.path.dirname(repro.__file__)
+    # A stale entry (renamed package) would silently exclude nothing.
+    assert os.path.exists(os.path.join(package_root, excluded))
+    salted = [relative for relative, _path in _salted_sources(package_root)]
+    assert salted, "the salt must cover the simulation sources"
+    assert not [
+        relative for relative in salted
+        if relative == excluded or relative.startswith(excluded + "/")
+    ]

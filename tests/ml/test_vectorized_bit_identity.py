@@ -4,7 +4,7 @@ The vectorized ``CostSensitiveClassifier`` (one weight matrix, rank-1
 updates), the folded ``distributional_features`` (shared mean/std sum,
 reused scratch), and the buffer-reusing ``Hypervisor.sample_usage``
 must reproduce the frozen per-class implementations in
-``repro.perf.legacy_ml`` *exactly* — same predictions, same weights,
+``repro.conformance.reference.ml`` *exactly* — same predictions, same weights,
 same telemetry bits — under identical random streams.  Anything less
 would silently flip the pinned fleet/artifact digests.
 """
@@ -12,7 +12,7 @@ would silently flip the pinned fleet/artifact digests.
 import numpy as np
 import pytest
 
-import repro.perf.legacy_ml as legacy
+import repro.conformance.reference.ml as legacy
 from repro.ml.costsensitive import CostSensitiveClassifier, asymmetric_core_costs
 from repro.ml.features import FeatureExtractor, distributional_features
 from repro.node.hypervisor import Hypervisor

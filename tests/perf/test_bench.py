@@ -1,31 +1,34 @@
-"""The repro bench harness: scenarios, report schema, regression gate."""
+"""The repro bench harness: suite table, report schema, regression gate."""
 
 import json
 
 import pytest
 
-import repro.perf.legacy as legacy_impl
-import repro.sim as live_impl
 from repro.perf import (
+    SUITES,
     build_report,
     compare_reports,
     compare_warnings,
-    merge_suite_reports,
+    render_comparison,
     render_report,
     write_report,
 )
-from repro.perf.microbench import MICROBENCHMARKS, run_microbench
+from repro.perf.microbench import run_microbench
 
 #: Tiny scale so the whole module runs in well under a second.
 SCALE = 0.02
 
+KERNEL_SCENARIOS, live_impl, legacy_impl = SUITES["kernel"]
 
-@pytest.mark.parametrize("name", sorted(MICROBENCHMARKS))
+
+@pytest.mark.parametrize("name", sorted(KERNEL_SCENARIOS))
 @pytest.mark.parametrize(
     "impl", [live_impl, legacy_impl], ids=["optimized", "legacy"]
 )
 def test_microbench_scenarios_run_on_both_kernels(name, impl):
-    result = run_microbench(name, impl, scale=SCALE, repeats=1)
+    result = run_microbench(
+        KERNEL_SCENARIOS[name], impl, scale=SCALE, repeats=1
+    )
     assert result.events > 0
     assert result.wall_s > 0
     assert result.ns_per_event > 0
@@ -57,98 +60,84 @@ def test_legacy_kernel_is_behaviorally_equivalent():
     assert outcomes[0] == outcomes[1]
 
 
-def test_quick_report_schema_and_roundtrip(tmp_path):
-    report = build_report(quick=True, repeats=1)
+@pytest.fixture(scope="module")
+def quick_all_report():
+    return build_report(list(SUITES), quick=True, repeats=1)
+
+
+def test_quick_report_schema_and_roundtrip(quick_all_report, tmp_path):
+    report = quick_all_report
     assert report["quick"] is True
-    assert "end_to_end" not in report
+    assert set(report["suites"]) == set(SUITES)
     micro = report["microbench"]
-    assert set(MICROBENCHMARKS) <= set(micro)
     assert micro["geomean_speedup"] > 0
-    for name in MICROBENCHMARKS:
-        entry = micro[name]
-        assert entry["speedup"] > 0
-        for side in ("optimized", "legacy"):
-            assert entry[side]["events"] > 0
+    for suite, (scenarios, _live, _seed) in SUITES.items():
+        assert report["suites"][suite]["geomean_speedup"] > 0
+        for name in scenarios:
+            entry = micro[f"{suite}/{name}"]
+            assert entry["speedup"] > 0
+            assert entry["optimized"]["events"] == entry["legacy"]["events"] > 0
+    # Nothing but <suite>/<scenario> entries and the overall geomean.
+    assert len(micro) == 1 + sum(len(s[0]) for s in SUITES.values())
     path = tmp_path / "bench.json"
     write_report(report, str(path))
     assert json.loads(path.read_text()) == report
     assert "repro bench" in render_report(report)
 
 
-def _fake_report(speedups, digest_ok=None):
-    report = {
-        "schema": 1,
+def test_suite_filter_compares_clean_against_all_baseline(quick_all_report):
+    """``--suite`` is a filter: a one-suite report needs no merge step and
+    draws no missing-benchmark noise against the all-suite baseline."""
+    kernel_only = build_report(["kernel"], quick=True, repeats=1)
+    assert set(kernel_only["suites"]) == {"kernel"}
+    assert all(
+        name.startswith("kernel/")
+        for name in kernel_only["microbench"] if name != "geomean_speedup"
+    )
+    for new, baseline in (
+        (kernel_only, quick_all_report), (quick_all_report, kernel_only)
+    ):
+        assert compare_warnings(new, baseline) == []
+        table = render_comparison(new, baseline)
+        assert "kernel/sleep_hot_loop" in table
+        assert "missing" not in table and "ml/" not in table
+
+
+def _fake_report(speedups):
+    return {
+        "schema": 3,
         "microbench": {
             name: {"speedup": value} for name, value in speedups.items()
         },
     }
-    if digest_ok is not None:
-        report["end_to_end"] = {"fleet_mixed_6x15": {"digest_ok": digest_ok}}
-    return report
 
 
 def test_compare_reports_passes_within_tolerance():
-    baseline = _fake_report({"a": 4.0, "b": 2.0})
-    new = _fake_report({"a": 3.2, "b": 1.6})  # exactly -20%
+    baseline = _fake_report({"k/a": 4.0, "k/b": 2.0})
+    new = _fake_report({"k/a": 3.2, "k/b": 1.6})  # exactly -20%
     assert compare_reports(new, baseline, max_regression=0.25) == []
 
 
 def test_compare_reports_flags_regression_but_warns_on_missing():
-    baseline = _fake_report({"a": 4.0, "b": 2.0})
-    new = _fake_report({"a": 2.9})  # -27.5%, and 'b' only in baseline
+    baseline = _fake_report({"k/a": 4.0, "k/b": 2.0})
+    new = _fake_report({"k/a": 2.9})  # -27.5%, and 'b' only in baseline
     problems = compare_reports(new, baseline, max_regression=0.25)
     # Only the genuine regression gates; the one-sided benchmark is a
     # warning, not a failure.
     assert len(problems) == 1
     assert "regressed" in problems[0]
     warnings = compare_warnings(new, baseline)
-    assert any("only in the baseline" in w and "b" in w for w in warnings)
+    assert any("only in the baseline" in w and "k/b" in w for w in warnings)
 
 
 def test_compare_warnings_cover_both_sides_and_suite_mismatch():
-    baseline = dict(_fake_report({"a": 1.0, "b": 2.0}), suite="kernel")
-    new = dict(_fake_report({"a": 1.0, "c": 3.0}), suite="ml")
+    baseline = _fake_report({"kernel/a": 1.0, "kernel/b": 2.0})
+    new = _fake_report({"kernel/a": 1.0, "kernel/c": 3.0})
     warnings = compare_warnings(new, baseline)
-    assert any("different suites" in w for w in warnings)
-    assert any("only in the baseline" in w for w in warnings)
-    assert any("only in the new" in w for w in warnings)
+    assert any("only in the baseline" in w and "kernel/b" in w for w in warnings)
+    assert any("only in the new" in w and "kernel/c" in w for w in warnings)
     assert compare_warnings(baseline, baseline) == []
+    # No suite in common: nothing was compared, and that is the warning.
+    disjoint = compare_warnings(_fake_report({"ml/a": 1.0}), baseline)
+    assert len(disjoint) == 1 and "different suites" in disjoint[0]
 
-
-def test_compare_reports_flags_digest_mismatch():
-    baseline = _fake_report({"a": 1.0})
-    new = _fake_report({"a": 1.0}, digest_ok=False)
-    problems = compare_reports(new, baseline)
-    assert any("digest" in p for p in problems)
-
-
-def test_merge_suite_reports_namespaces_and_gates():
-    merged = merge_suite_reports(
-        {
-            "kernel": {
-                "microbench": {
-                    "a": {"speedup": 4.0}, "geomean_speedup": 4.0,
-                },
-                "end_to_end": {"fleet": {"digest_ok": True}},
-            },
-            "ml": {
-                "microbench": {
-                    "b": {"speedup": 1.0}, "geomean_speedup": 1.0,
-                },
-            },
-        }
-    )
-    assert merged["suite"] == "all"
-    assert set(merged["microbench"]) == {
-        "kernel/a", "ml/b", "geomean_speedup",
-    }
-    assert merged["microbench"]["geomean_speedup"] == 2.0  # sqrt(4*1)
-    assert merged["suites"]["kernel"]["geomean_speedup"] == 4.0
-    assert merged["end_to_end"] == {"kernel/fleet": {"digest_ok": True}}
-    # The merged report is a valid compare_reports input.
-    assert compare_reports(merged, merged) == []
-    regressed = json.loads(json.dumps(merged))
-    regressed["microbench"]["kernel/a"]["speedup"] = 1.0
-    assert any(
-        "kernel/a" in p for p in compare_reports(regressed, merged)
-    )

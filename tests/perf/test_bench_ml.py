@@ -1,69 +1,34 @@
-"""The ML bench suite: scenarios, report schema, makespan model, gates."""
+"""The ML bench suite: scenarios and report rendering."""
 
 import pytest
 
-import repro.perf.legacy_ml as legacy_ml
-from repro.perf import build_ml_report, compare_reports, render_report
-from repro.perf.harness import _lpt_makespan, run_end_to_end
-from repro.perf.microbench_ml import (
-    LIVE_ML,
-    ML_MICROBENCHMARKS,
-    run_ml_microbench,
-)
+from repro.perf import SUITES, build_report, render_report
+from repro.perf.microbench import run_microbench
 
 #: Tiny scale so the whole module runs in well under a second.
 SCALE = 0.02
 
+ML_SCENARIOS, LIVE_ML, legacy_ml = SUITES["ml"]
 
-@pytest.mark.parametrize("name", sorted(ML_MICROBENCHMARKS))
+
+@pytest.mark.parametrize("name", sorted(ML_SCENARIOS))
 @pytest.mark.parametrize(
     "impl", [LIVE_ML, legacy_ml], ids=["optimized", "legacy"]
 )
 def test_ml_scenarios_run_on_both_implementations(name, impl):
-    result = run_ml_microbench(name, impl, scale=SCALE, repeats=1)
+    result = run_microbench(ML_SCENARIOS[name], impl, scale=SCALE, repeats=1)
     assert result.events > 0
     assert result.wall_s > 0
     assert result.ns_per_event > 0
 
 
 def test_quick_ml_report_schema():
-    report = build_ml_report(quick=True, repeats=1)
-    assert report["suite"] == "ml"
+    report = build_report(["ml"], quick=True, repeats=1)
+    assert list(report["suites"]) == ["ml"]
     assert report["quick"] is True
-    assert "end_to_end" not in report
     micro = report["microbench"]
-    assert set(ML_MICROBENCHMARKS) <= set(micro)
+    assert {f"ml/{name}" for name in ML_SCENARIOS} <= set(micro)
     assert micro["geomean_speedup"] > 0
     rendered = render_report(report)
     assert "ml suite" in rendered
-    assert "csc_predict" in rendered
-
-
-def test_lpt_makespan_models_the_schedule():
-    # One 10 s straggler and eight 1 s jobs on 4 workers: the straggler
-    # owns a worker; the rest pack onto the other three.
-    assert _lpt_makespan([10.0] + [1.0] * 8, 4) == pytest.approx(10.0)
-    # Serial degenerates to the sum.
-    assert _lpt_makespan([3.0, 2.0, 1.0], 1) == pytest.approx(6.0)
-    # More workers than jobs degenerates to the longest job.
-    assert _lpt_makespan([3.0, 2.0], 8) == pytest.approx(3.0)
-
-
-def test_compare_reports_gates_ml_digest_check():
-    baseline = {"microbench": {"csc_predict": {"speedup": 2.0}}}
-    bad = {
-        "microbench": {"csc_predict": {"speedup": 2.0}},
-        "end_to_end": {"sharded_golden_artifacts": {"digest_ok": False}},
-    }
-    problems = compare_reports(bad, baseline)
-    assert any("sharded_golden_artifacts" in p for p in problems)
-
-
-def test_kernel_e2e_reports_artifact_walls_in_milliseconds():
-    """The tables finish in well under a second; the per-artifact walls
-    must survive rounding (the seed report flattened them to 0.0)."""
-    entry = run_end_to_end()["reproduce_subset"]
-    assert "runs" not in entry
-    walls = entry["runs_ms"]
-    assert set(walls) == {"table1", "table2", "fig6-left"}
-    assert all(wall > 0.0 for wall in walls.values())
+    assert "ml/csc_predict" in rendered

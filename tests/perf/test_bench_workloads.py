@@ -4,44 +4,40 @@ import json
 
 import pytest
 
-import repro.perf.legacy_workloads as legacy
 from repro.cli import main
-from repro.perf import compare_reports, render_comparison
-from repro.perf.harness import run_workloads_microbenchmarks
-from repro.perf.microbench_workloads import (
-    LIVE_WORKLOADS,
-    WORKLOADS_MICROBENCHMARKS,
-    run_workloads_microbench,
-)
+from repro.perf import SUITES, build_report, compare_reports, render_comparison
+from repro.perf.microbench import run_microbench
 
 TINY = 0.02  # enough events to exercise every path, small enough for CI
 
+WORKLOADS_MICROBENCHMARKS, LIVE_WORKLOADS, legacy = SUITES["workloads"]
+
 
 def test_every_scenario_runs_against_both_implementations():
-    for name in WORKLOADS_MICROBENCHMARKS:
+    for name, bench in WORKLOADS_MICROBENCHMARKS.items():
         for impl in (LIVE_WORKLOADS, legacy):
-            result = run_workloads_microbench(name, impl, TINY, repeats=1)
+            result = run_microbench(bench, impl, TINY, repeats=1)
             assert result.events > 0
             assert result.wall_s > 0.0
             assert result.name == name
 
 
 def test_suite_report_structure():
-    section = run_workloads_microbenchmarks(scale=TINY, repeats=1)
-    assert set(WORKLOADS_MICROBENCHMARKS) <= set(section)
+    report = build_report(["workloads"], quick=True, repeats=1)
+    section = report["microbench"]
     assert "geomean_speedup" in section
+    assert report["suites"]["workloads"]["geomean_speedup"] > 0
     for name in WORKLOADS_MICROBENCHMARKS:
-        entry = section[name]
+        entry = section[f"workloads/{name}"]
         assert entry["optimized"]["events"] == entry["legacy"]["events"]
         assert entry["speedup"] > 0
 
 
 def _fake_report(speedups, suite="workloads"):
     return {
-        "schema": 2,
-        "suite": suite,
+        "schema": 3,
         "microbench": {
-            name: {
+            f"{suite}/{name}": {
                 "optimized": {"events": 1, "wall_s": 1.0,
                               "ns_per_event": 1.0, "events_per_sec": 1.0},
                 "legacy": {"events": 1, "wall_s": speedup,
@@ -60,16 +56,7 @@ def test_compare_reports_flags_ratio_regression():
     assert compare_reports(fine, baseline, max_regression=0.25) == []
     regressed = _fake_report({"a": 1.0, "b": 3.0})
     problems = compare_reports(regressed, baseline, max_regression=0.25)
-    assert len(problems) == 1 and "'a'" in problems[0]
-
-
-def test_compare_reports_flags_not_all_hit():
-    report = _fake_report({"a": 2.0})
-    report["end_to_end"] = {
-        "cache_warm_reproduce": {"digest_ok": True, "all_hit": False}
-    }
-    problems = compare_reports(report, _fake_report({"a": 2.0}))
-    assert any("all-hit" in problem for problem in problems)
+    assert len(problems) == 1 and "'workloads/a'" in problems[0]
 
 
 def test_render_comparison_table_contents():

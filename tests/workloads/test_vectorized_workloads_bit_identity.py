@@ -4,7 +4,7 @@ The cached-rate ``CpuModel``, the index-cached ``TieredMemory``, the
 snapshot-free ``TailBenchWorkload`` window accounting, the pow-cached
 CPU workloads, and the weight-memoized Zipf traces must reproduce the
 frozen pre-optimization implementations in
-``repro.perf.legacy_workloads`` *exactly* — same counters, same
+``repro.conformance.reference.workloads`` *exactly* — same counters, same
 samples, same rates, same scan results — under identical random streams
 and identical driving sequences.  Anything less would silently flip the
 pinned fleet/artifact digests.
@@ -19,7 +19,7 @@ microbenchmarks use.
 import numpy as np
 import pytest
 
-import repro.perf.legacy_workloads as legacy
+import repro.conformance.reference.workloads as legacy
 from repro.node.cpu import CpuModel
 from repro.node.hypervisor import Hypervisor
 from repro.node.memory import TieredMemory, Tier
