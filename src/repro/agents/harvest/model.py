@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Deque, Optional
 
 import numpy as np
@@ -33,7 +33,7 @@ import numpy as np
 from repro.agents.harvest.config import HarvestConfig
 from repro.core.interfaces import Model
 from repro.core.prediction import Prediction
-from repro.ml.costsensitive import CostSensitiveClassifier, asymmetric_core_costs
+from repro.ml.costsensitive import CostSensitiveClassifier, asymmetric_cost_table
 from repro.ml.features import FEATURE_NAMES, FeatureExtractor
 from repro.ml.metrics import RollingRate
 from repro.node.faults import ModelBreaker
@@ -52,11 +52,25 @@ class UsageWindow:
         allocated: cores the primary group had available during the
             window (the ceiling usage can be observed at).
         deficit_cus: vCPU wait accrued during the window (core-µs).
+        lo / hi: the window's extremes, reduced once here and shared by
+            ``validate_data`` (range check) and ``update_model`` (the
+            label).  ``np.minimum/maximum.reduce`` are the primitives
+            behind ``ndarray.min/max``: same value, and a NaN sample
+            makes both NaN.  An empty window has no extremes; NaN there
+            too, so it fails every range check.
     """
 
     samples: np.ndarray
     allocated: float
     deficit_cus: float
+    lo: float = field(init=False, default=math.nan)
+    hi: float = field(init=False, default=math.nan)
+
+    def __post_init__(self) -> None:
+        samples = self.samples
+        if samples.size:
+            object.__setattr__(self, "lo", float(np.minimum.reduce(samples)))
+            object.__setattr__(self, "hi", float(np.maximum.reduce(samples)))
 
 
 class HarvestModel(Model):
@@ -89,6 +103,9 @@ class HarvestModel(Model):
             n_classes=self.n_classes,
             n_features=len(FEATURE_NAMES),
             learning_rate=config.learning_rate,
+        )
+        self._label_costs = asymmetric_cost_table(
+            self.n_classes, config.under_cost, config.over_cost
         )
         self._previous_features: Optional[np.ndarray] = None
         self._latest_features: Optional[np.ndarray] = None
@@ -138,10 +155,12 @@ class HarvestModel(Model):
 
     def validate_data(self, data: UsageWindow) -> bool:
         """Range checks plus the full-utilization discard (§5.2)."""
-        samples = data.samples
-        if samples.size == 0:
-            return False
-        if samples.min() < -0.5 or samples.max() > self.hypervisor.n_cores + 0.5:
+        # Written to fail closed: a NaN extreme (a NaN sample, or an
+        # empty window) makes every comparison False, which must read
+        # as "out of range", not as "no bound violated".
+        if not (
+            data.lo >= -0.5 and data.hi <= self.hypervisor.n_cores + 0.5
+        ):
             return False
         # Full utilization: usage pinned at the allocation ceiling means
         # true demand is right-censored — learning from it biases the
@@ -149,9 +168,12 @@ class HarvestModel(Model):
         # the ceiling (a burst ramp crossing it) still carries usable
         # trend signal, so only windows spending a meaningful fraction
         # of their samples at the ceiling are censored.
+        samples = data.samples
         tolerance = 2.5 * self.config.telemetry_noise_cores
-        capped = samples >= data.allocated - tolerance
-        if capped.mean() > self.config.capped_fraction:
+        capped = np.count_nonzero(samples >= data.allocated - tolerance)
+        # count / n is bit-for-bit the bool mask's mean(): that is an
+        # exact f8 sum of 0/1, then the same correctly-rounded division.
+        if capped / samples.size > self.config.capped_fraction:
             return False
         return True
 
@@ -163,7 +185,7 @@ class HarvestModel(Model):
         window = self._latest_window
         if window is None:
             return
-        peak = max(0.0, float(window.samples.max()))
+        peak = max(0.0, window.hi)
         label = min(self.n_classes - 1, math.ceil(peak))
         self._recent_maxima.append(peak)
         samples = window.samples
@@ -173,13 +195,9 @@ class HarvestModel(Model):
         np.divide(samples, self.hypervisor.n_cores, out=scaled)
         features = self._extract_features(scaled)
         if self._previous_features is not None:
-            costs = asymmetric_core_costs(
-                label,
-                self.n_classes,
-                under_cost=self.config.under_cost,
-                over_cost=self.config.over_cost,
+            self.classifier.update(
+                self._previous_features, self._label_costs[label]
             )
-            self.classifier.update(self._previous_features, costs)
         self._previous_features = features
         self._latest_features = features
 

@@ -29,6 +29,7 @@ from types import SimpleNamespace
 from typing import Any, Dict
 
 import repro.sim as _live_kernel
+from repro.agents.harvest.model import HarvestModel
 from repro.conformance.reference import kernel as _seed_kernel
 from repro.conformance.reference import ml as _seed_ml
 from repro.conformance.reference import workloads as _seed_workloads
@@ -51,12 +52,14 @@ KERNEL_IMPLS: Dict[str, Any] = {
 }
 
 #: ML epoch implementations: ``CostSensitiveClassifier``,
-#: ``distributional_features``, ``Hypervisor``.
+#: ``distributional_features``, ``Hypervisor``, and the ``HarvestModel``
+#: epoch built on them.
 ML_IMPLS: Dict[str, Any] = {
     "current": SimpleNamespace(
         CostSensitiveClassifier=CostSensitiveClassifier,
         distributional_features=distributional_features,
         Hypervisor=Hypervisor,
+        HarvestModel=HarvestModel,
     ),
     "seed": _seed_ml,
 }

@@ -16,20 +16,38 @@ per class (per-class method dispatch, ``asarray``/shape checks, list
 building on every predict/update), multi-pass distributional features
 (``mean``/``std`` each re-reducing the window), and per-call
 ``np.empty``/noise/clip allocation in ``Hypervisor.sample_usage``.
+
+:class:`HarvestModel` is the one piece frozen later: the SmartHarvest
+learning epoch as it stood before the window reductions were fused
+(``min``, ``max``, a bool ``mean`` and a second ``max`` per window, the
+cost vector rebuilt from its label every epoch), wired to the frozen
+pieces above so the ``ml/harvest_epoch`` row and its lockstep test
+compare whole epochs.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+import math
+from collections import deque
+from dataclasses import dataclass
+from typing import Deque, Optional, Sequence
 
 import numpy as np
 
+from repro.agents.harvest.config import HarvestConfig
+from repro.core.prediction import Prediction
+from repro.ml.costsensitive import asymmetric_core_costs
+from repro.ml.features import FEATURE_NAMES
+from repro.ml.metrics import RollingRate
 from repro.ml.quantiles import percentile_of_sorted
+from repro.node.hypervisor import HypervisorSnapshot
 
 __all__ = [
     "CostSensitiveClassifier",
+    "HarvestModel",
     "Hypervisor",
     "OnlineLinearRegression",
+    "UsageWindow",
     "distributional_features",
 ]
 
@@ -166,8 +184,9 @@ class Hypervisor:
 
     Only the pieces the ML epoch microbenchmarks exercise are kept:
     demand/allocation change points, trailing-window usage
-    reconstruction, and the ground-truth demand maximum.  ``kernel``
-    only needs a ``.now`` attribute.
+    reconstruction, the ground-truth demand maximum, and the cumulative
+    integrals :class:`HarvestModel` reads.  ``kernel`` only needs a
+    ``.now`` attribute.
     """
 
     def __init__(
@@ -191,6 +210,10 @@ class Hypervisor:
         self._elastic_cus = 0.0
         self._last_accrue_us = kernel.now
 
+    @property
+    def allocated(self) -> float:
+        return self._allocated
+
     def set_demand(self, cores: float) -> None:
         if cores < 0:
             raise ValueError("demand must be non-negative")
@@ -200,6 +223,16 @@ class Hypervisor:
         applied = max(0, min(int(cores), self.n_cores))
         self._change(allocated=float(self.n_cores - applied))
         return applied
+
+    def snapshot(self) -> HypervisorSnapshot:
+        self._accrue()
+        return HypervisorSnapshot(
+            time_us=self.kernel.now,
+            demand_cus=self._demand_cus,
+            usage_cus=self._usage_cus,
+            deficit_cus=self._deficit_cus,
+            elastic_cus=self._elastic_cus,
+        )
 
     def sample_usage(
         self,
@@ -282,3 +315,121 @@ class Hypervisor:
         self._deficit_cus += max(0.0, self._demand - self._allocated) * elapsed
         self._elastic_cus += (self.n_cores - self._allocated) * elapsed
         self._last_accrue_us = now
+
+
+@dataclass(frozen=True)
+class UsageWindow:
+    """One collected window, without cached extremes."""
+
+    samples: np.ndarray
+    allocated: float
+    deficit_cus: float
+
+
+class HarvestModel:
+    """The pre-fusion SmartHarvest epoch over the frozen pieces above.
+
+    ``collect_data → validate_data → commit_data → update_model →
+    model_predict`` exactly as :class:`repro.agents.harvest.model.
+    HarvestModel` ran them before the fused epoch (minus the fault
+    ``breaker`` hook), including the fail-open range check (``min < lo
+    or max > hi`` is ``False`` for a NaN window) that the live model no
+    longer has.  The cost vector comes from the live
+    :func:`~repro.ml.costsensitive.asymmetric_core_costs` — unchanged,
+    and the generator of the live table — called once per epoch.
+    """
+
+    def __init__(
+        self,
+        kernel,
+        hypervisor: Hypervisor,
+        config: HarvestConfig,
+        rng: np.random.Generator,
+    ) -> None:
+        self.kernel = kernel
+        self.hypervisor = hypervisor
+        self.config = config
+        self.rng = rng
+        self.n_classes = hypervisor.n_cores + 1
+        self.classifier = CostSensitiveClassifier(
+            n_classes=self.n_classes,
+            n_features=len(FEATURE_NAMES),
+            learning_rate=config.learning_rate,
+        )
+        self._previous_features: Optional[np.ndarray] = None
+        self._latest_features: Optional[np.ndarray] = None
+        self._latest_window: Optional[UsageWindow] = None
+        self._recent_maxima: Deque[float] = deque(
+            maxlen=config.recent_max_epochs
+        )
+        self._starvation = RollingRate(
+            window=config.starvation_window_epochs,
+            min_count=config.starvation_min_epochs,
+        )
+        self._last_snapshot = hypervisor.snapshot()
+        self.injectors: list = []
+
+    def collect_data(self) -> UsageWindow:
+        samples = self.hypervisor.sample_usage(
+            window_us=self.config.epoch_us,
+            period_us=self.config.sample_period_us,
+            rng=self.rng,
+            noise_cores=self.config.telemetry_noise_cores,
+        )
+        for injector in self.injectors:
+            samples = injector(samples)
+        current = self.hypervisor.snapshot()
+        deficit = current.deficit_cus - self._last_snapshot.deficit_cus
+        self._last_snapshot = current
+        self._starvation.observe(deficit > 0)
+        return UsageWindow(
+            samples=samples,
+            allocated=self.hypervisor.allocated,
+            deficit_cus=deficit,
+        )
+
+    def validate_data(self, data: UsageWindow) -> bool:
+        samples = data.samples
+        if samples.size == 0:
+            return False
+        if samples.min() < -0.5 or samples.max() > self.hypervisor.n_cores + 0.5:
+            return False
+        tolerance = 2.5 * self.config.telemetry_noise_cores
+        capped = samples >= data.allocated - tolerance
+        if capped.mean() > self.config.capped_fraction:
+            return False
+        return True
+
+    def commit_data(self, time_us: int, data: UsageWindow) -> None:
+        self._latest_window = data
+
+    def update_model(self) -> None:
+        window = self._latest_window
+        if window is None:
+            return
+        peak = max(0.0, float(window.samples.max()))
+        label = min(self.n_classes - 1, math.ceil(peak))
+        self._recent_maxima.append(peak)
+        features = distributional_features(
+            window.samples / self.hypervisor.n_cores
+        )
+        if self._previous_features is not None:
+            costs = asymmetric_core_costs(
+                label,
+                self.n_classes,
+                under_cost=self.config.under_cost,
+                over_cost=self.config.over_cost,
+            )
+            self.classifier.update(self._previous_features, costs)
+        self._previous_features = features
+        self._latest_features = features
+
+    def model_predict(self) -> Optional[Prediction[int]]:
+        if self._latest_features is None:
+            return None
+        cores_needed = self.classifier.predict(self._latest_features)
+        return Prediction.fresh(
+            self.kernel,
+            int(cores_needed),
+            ttl_us=self.config.schedule.prediction_ttl_us,
+        )

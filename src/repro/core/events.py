@@ -15,16 +15,21 @@ histogram, never individual events.  :class:`EventLog` therefore has two
 modes:
 
 * ``"full"`` (default) — append every event; all query helpers work.
-  Tests and single-node experiments use this.
+  Tests that inspect individual events use this.
 * ``"counts"`` — keep only per-kind counters plus the detail-derived
   aggregates the runtime reports (default-prediction count, action
   provenance histogram), and a small ring buffer of the most recent
-  events for post-mortem debugging.  ``record`` allocates nothing but
-  the kwargs dict; per-event queries (:meth:`of_kind`, iteration) are
-  unavailable.
+  events for post-mortem debugging.  Per event, ``record`` allocates
+  the kwargs dict and one ring tuple (which evicts the oldest), so
+  memory is bounded by :data:`RING_SIZE`; per-event queries
+  (:meth:`of_kind`, iteration) are unavailable.  Fleet nodes and the
+  experiment scenario builders run in this mode.
 
-Both modes produce identical counter values, so results and digests are
-unaffected by the mode — the determinism tests pin this.
+Both modes keep the counters the same way — one dict keyed by
+:class:`EventKind`, whose hash is the C-level identity hash rather than
+``Enum``'s Python-level ``hash(self._name_)`` — and produce identical
+counter values, so results and digests are unaffected by the mode; the
+determinism tests pin this.
 """
 
 from __future__ import annotations
@@ -73,6 +78,12 @@ class EventKind(enum.Enum):
     AGENT_RESTARTED = "agent_restarted"
     CLEANUP = "cleanup"
 
+    # Members are singletons compared by identity, so the identity hash
+    # is consistent with ``==`` — and, unlike ``Enum.__hash__``, it runs
+    # no Python frame: the per-kind counter dict is touched by every
+    # ``EventLog.record`` (five times per SmartHarvest epoch).
+    __hash__ = object.__hash__
+
 
 @dataclass(frozen=True)
 class RuntimeEvent:
@@ -90,6 +101,11 @@ class RuntimeEvent:
 
 #: Ring-buffer depth kept in ``"counts"`` mode for debugging.
 RING_SIZE = 64
+
+# The two kinds ``EventLog.record`` derives aggregates from, bound once
+# so the per-event dispatch is two identity tests on module globals.
+_ACTUATION = EventKind.ACTUATION
+_PREDICTION_SENT = EventKind.PREDICTION_SENT
 
 
 # -- canonical per-event encoding (conformance; DESIGN.md §10) --------------
@@ -211,7 +227,7 @@ class EventLog:
         self._events: List[RuntimeEvent] = []
         # counts mode keeps raw (time_us, kind, details) tuples and only
         # materializes RuntimeEvents lazily in recent()/last(), so the
-        # hot path truly allocates nothing beyond the kwargs dict.
+        # hot path builds no event object.
         self._ring: Optional[Deque[tuple]] = None
         self._counts: Dict[EventKind, int] = {}
         self._default_sent = 0
@@ -238,12 +254,14 @@ class EventLog:
         """Record an occurrence stamped with the current simulation time.
 
         Returns the :class:`RuntimeEvent` in ``"full"`` mode, ``None`` in
-        ``"counts"`` mode (where no event object is built on the hot
-        path except for the sampled ring buffer).
+        ``"counts"`` mode (where only a raw ring tuple is kept).  The
+        clock is read once, so every consumer of one event — aggregates,
+        tracer, ring or event list — sees the same timestamp.
         """
+        now = self.kernel.now
         counts = self._counts
         counts[kind] = counts.get(kind, 0) + 1
-        if kind is EventKind.ACTUATION:
+        if kind is _ACTUATION:
             if details.get("has_prediction") and not details.get("is_default"):
                 self._actions["model"] += 1
             else:
@@ -251,7 +269,6 @@ class EventLog:
                     "default" if details.get("has_prediction") else "none"
                 )
                 self._actions[bucket] += 1
-                now = self.kernel.now
                 if self._first_fallback_us is None:
                     self._first_fallback_us = now
                 if (
@@ -260,19 +277,17 @@ class EventLog:
                     and now >= self._fallback_watch_from
                 ):
                     self._first_watched_fallback_us = now
-        elif kind is EventKind.PREDICTION_SENT and details.get("is_default"):
+        elif kind is _PREDICTION_SENT and details.get("is_default"):
             self._default_sent += 1
         if self._tracer is not None:
-            now = self.kernel.now
             self._tracer.on_event(
                 now, encode_event(now, kind, self.agent, details)
             )
         if self._ring is not None:
-            self._ring.append((self.kernel.now, kind, details))
+            self._ring.append((now, kind, details))
             return None
         event = RuntimeEvent(
-            time_us=self.kernel.now, kind=kind, agent=self.agent,
-            details=details,
+            time_us=now, kind=kind, agent=self.agent, details=details,
         )
         self._events.append(event)
         return event

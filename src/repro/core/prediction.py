@@ -67,9 +67,10 @@ class Prediction(Generic[P]):
         """Convenience constructor: produced now, expiring ``ttl_us`` later."""
         if ttl_us < 0:
             raise ValueError("ttl must be non-negative")
+        now = kernel.now
         return cls(
             value=value,
-            produced_at_us=kernel.now,
-            expires_at_us=kernel.now + ttl_us,
+            produced_at_us=now,
+            expires_at_us=now + ttl_us,
             is_default=is_default,
         )

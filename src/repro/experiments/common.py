@@ -4,6 +4,12 @@ Every figure/table reproduction builds on three scenario builders — one
 per agent — plus a windowed SLO watcher and a plain-text table renderer.
 Experiments are deterministic given a seed; EXPERIMENTS.md records the
 measured outputs against the paper's.
+
+The builders run their agent's event log in ``"counts"`` mode, like a
+fleet node (DESIGN.md §6): experiments read ``runtime.stats()`` and the
+node's own counters, never individual events, so retaining one
+``RuntimeEvent`` per occurrence only costs time and memory.  Pass
+``log_mode="full"`` through ``**agent_kwargs`` to query events.
 """
 
 from __future__ import annotations
@@ -226,6 +232,7 @@ class OverclockScenario:
         workload.start()
         agent_obj = None
         if agent:
+            agent_kwargs.setdefault("log_mode", "counts")
             agent_obj = SmartOverclockAgent(
                 kernel, cpu, streams.get("agent"), policy=policy,
                 **agent_kwargs,
@@ -271,6 +278,7 @@ class HarvestScenario:
         workload.start()
         agent_obj = None
         if agent:
+            agent_kwargs.setdefault("log_mode", "counts")
             agent_obj = SmartHarvestAgent(
                 kernel, hypervisor, streams.get("agent"), policy=policy,
                 **agent_kwargs,
@@ -325,6 +333,7 @@ class MemoryScenario:
         if controller_factory is not None:
             controller_factory(kernel, memory).start()
         elif agent:
+            agent_kwargs.setdefault("log_mode", "counts")
             agent_obj = SmartMemoryAgent(
                 kernel, memory, streams.get("agent"), policy=policy,
                 **agent_kwargs,

@@ -41,11 +41,16 @@ predictions, weights, and update counters.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from functools import lru_cache
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["CostSensitiveClassifier", "asymmetric_core_costs"]
+__all__ = [
+    "CostSensitiveClassifier",
+    "asymmetric_core_costs",
+    "asymmetric_cost_table",
+]
 
 
 def asymmetric_core_costs(
@@ -69,6 +74,28 @@ def asymmetric_core_costs(
         over_cost * (classes - true_class),
     )
     return costs.astype(float)
+
+
+@lru_cache(maxsize=None)
+def asymmetric_cost_table(
+    n_classes: int, under_cost: float = 4.0, over_cost: float = 1.0
+) -> Tuple[np.ndarray, ...]:
+    """Every :func:`asymmetric_core_costs` vector, indexed by true class.
+
+    The cost vector depends only on the label, so an agent that learns
+    every epoch indexes this table instead of rebuilding the vector.
+    Memoised per ``(n_classes, under_cost, over_cost)`` — a fleet of
+    same-config nodes shares one table — and therefore read-only: every
+    caller is handed the same rows.
+    """
+    table = np.stack(
+        [
+            asymmetric_core_costs(label, n_classes, under_cost, over_cost)
+            for label in range(n_classes)
+        ]
+    )
+    table.setflags(write=False)
+    return tuple(table)
 
 
 class CostSensitiveClassifier:

@@ -256,7 +256,10 @@ class Hypervisor:
             rng.standard_normal(out=noise)
             noise *= noise_cores
             usage += noise
-            np.clip(usage, 0.0, allocated, out=usage)
+            # The method, not np.clip: same clip ufunc call underneath,
+            # one Python wrapper layer less.  (maximum + minimum is not
+            # a substitute — it differs from clip on -0.0.)
+            usage.clip(0.0, allocated, out=usage)
         return usage
 
     def max_demand_over(self, window_us: int) -> float:

@@ -1,8 +1,8 @@
 """ML learning-epoch microbenchmarks, runnable against either ML path.
 
 Each benchmark takes an *implementation* namespace exposing
-``CostSensitiveClassifier``, ``distributional_features``, and
-``Hypervisor`` — either side of
+``CostSensitiveClassifier``, ``distributional_features``,
+``Hypervisor`` and ``HarvestModel`` — either side of
 :data:`repro.conformance.reference.ML_IMPLS` (the vectorized live path
 or the frozen pre-vectorization path) — so ``repro bench --suite ml``
 can report speedups measured on the same machine in the same process.
@@ -24,6 +24,12 @@ of the simulation kernel):
   ``max_demand_over`` against a realistic change-point history (the
   25 ms collection pattern).  The seed allocated five arrays per epoch
   and scanned the whole retained horizon for the demand maximum.
+* ``harvest_epoch`` — the sum of the above as SmartHarvest runs it: one
+  ``HarvestModel`` epoch (collect → validate → commit → update →
+  predict) on a warmed node.  Its ns/op is the per-epoch budget the
+  fig6 panels and ``fleet.harvest_ms_per_node_s`` are multiples of; the
+  frozen side also reduces each window four times and rebuilds the cost
+  vector from its label every epoch.
 
 Timing uses best-of-``repeats`` wall clock per scenario, like the
 kernel suite.
@@ -36,6 +42,7 @@ from typing import Any, Dict
 
 import numpy as np
 
+from repro.agents.harvest.config import HarvestConfig
 from repro.ml.costsensitive import asymmetric_core_costs
 from repro.perf.microbench import Bench, BenchResult
 
@@ -147,10 +154,51 @@ def _bench_epoch_telemetry(impl: Any, scale: float) -> BenchResult:
     )
 
 
+def _bench_harvest_epoch(impl: Any, scale: float) -> BenchResult:
+    # One iteration = one SmartHarvest learning epoch, the way
+    # SolRuntime drives it: the epoch_telemetry demand pattern (25
+    # change points), then collect -> validate -> commit -> update ->
+    # predict.  Demand stays below the allocation, so every window
+    # validates and every epoch learns.
+    epochs = max(1, int(2_000 * scale))
+    kernel = _FakeKernel()
+    hypervisor = impl.Hypervisor(
+        kernel, n_cores=8, history_horizon_us=1_000_000
+    )
+    model = impl.HarvestModel(
+        kernel, hypervisor, HarvestConfig(), np.random.default_rng(11)
+    )
+    demands = np.random.default_rng(7).uniform(0.0, 6.0, size=256)
+    step_us = 1_000
+    i = 0
+
+    def run_epoch() -> None:
+        nonlocal i
+        for _change in range(_EPOCH_US // step_us):
+            kernel.now += step_us
+            hypervisor.set_demand(demands[i % 256])
+            i += 1
+        window = model.collect_data()
+        if model.validate_data(window):
+            model.commit_data(kernel.now, window)
+        model.update_model()
+        model.model_predict()
+
+    for _warm in range(20):  # scratch sized, history full, weights moving
+        run_epoch()
+    started = time.perf_counter()
+    for _epoch in range(epochs):
+        run_epoch()
+    return BenchResult(
+        "harvest_epoch", epochs, time.perf_counter() - started
+    )
+
+
 #: Scenario registry: name -> scenario.
 ML_MICROBENCHMARKS: Dict[str, Bench] = {
     "csc_predict": _bench_csc_predict,
     "csc_update": _bench_csc_update,
     "feature_extraction": _bench_feature_extraction,
     "epoch_telemetry": _bench_epoch_telemetry,
+    "harvest_epoch": _bench_harvest_epoch,
 }

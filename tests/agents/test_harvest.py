@@ -6,6 +6,7 @@ import pytest
 from repro.agents.harvest import HarvestConfig, SmartHarvestAgent
 from repro.agents.harvest.model import UsageWindow
 from repro.core import SafeguardPolicy
+from repro.core.events import EventKind
 from repro.node.faults import DelayInjector, ModelBreaker, stuck_usage_injector
 from repro.node.hypervisor import Hypervisor
 from repro.sim import Kernel, RngStreams
@@ -54,6 +55,49 @@ def test_validation_rejects_out_of_range_and_capped_windows():
         samples=np.zeros(0), allocated=8.0, deficit_cus=0.0
     )
     assert not model.validate_data(empty)
+
+
+@pytest.mark.parametrize("poison", [np.nan, np.inf, -np.inf])
+def test_validation_fails_closed_on_one_non_finite_sample(poison):
+    """`min < lo or max > hi` is False for a NaN window; the range
+    check must read an unordered comparison as *out of range*."""
+    kernel, streams, hv, _wl = setup()
+    model = SmartHarvestAgent(kernel, hv, streams.get("agent")).model
+    samples = np.full(500, 2.0)
+    samples[137] = poison
+    window = UsageWindow(samples=samples, allocated=8.0, deficit_cus=0.0)
+    assert not model.validate_data(window)
+
+
+def test_one_nan_window_is_counted_and_never_reaches_the_weights():
+    """Regression: one NaN sample used to pass validation, turn every
+    classifier weight NaN, and pin predict() at class 0 for good."""
+    kernel, streams, hv, _wl = setup()
+    agent = SmartHarvestAgent(kernel, hv, streams.get("agent"))
+    windows = []
+
+    def nan_once(samples):
+        windows.append(kernel.now)
+        if len(windows) == 100:
+            samples = samples.copy()
+            samples[0] = np.nan
+        return samples
+
+    agent.model.injectors.append(nan_once)
+    agent.start()
+    kernel.run(until=10 * SEC)
+    stats = agent.runtime.stats()
+    assert len(windows) > 300
+    rejected_at = [
+        event.time_us
+        for event in agent.runtime.log.of_kind(EventKind.VALIDATION_FAILED)
+    ]
+    assert windows[99] in rejected_at
+    assert stats["validation_failures"] == len(rejected_at)
+    assert np.isfinite(agent.model.classifier.weights).all()
+    # The model is still learning, not parked on "needs 0 cores".
+    assert agent.model.classifier.updates > 300
+    assert stats["model_crashes"] == 0
 
 
 def test_stuck_counter_discarded_by_validation():

@@ -7,14 +7,29 @@ must reproduce the frozen per-class implementations in
 ``repro.conformance.reference.ml`` *exactly* — same predictions, same weights,
 same telemetry bits — under identical random streams.  Anything less
 would silently flip the pinned fleet/artifact digests.
+
+The same holds one level up: the fused ``HarvestModel`` epoch (window
+extremes reduced once, capped fraction by count, per-label cost table)
+runs in lockstep with the frozen pre-fusion epoch.
 """
+
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.conformance.reference.ml as legacy
-from repro.ml.costsensitive import CostSensitiveClassifier, asymmetric_core_costs
+from repro.agents.harvest.config import HarvestConfig
+from repro.agents.harvest.model import HarvestModel, UsageWindow
+from repro.ml.costsensitive import (
+    CostSensitiveClassifier,
+    asymmetric_core_costs,
+    asymmetric_cost_table,
+)
 from repro.ml.features import FeatureExtractor, distributional_features
+from repro.node.faults import stuck_usage_injector
 from repro.node.hypervisor import Hypervisor
 
 N_CLASSES = 9
@@ -164,3 +179,149 @@ def test_sample_windows_do_not_alias_across_epochs():
     kernel.now = 90_000
     hypervisor.sample_usage(25_000, 50)
     assert np.array_equal(first, kept)
+
+
+# -- the fused harvest epoch vs the frozen pre-fusion epoch ------------------
+
+def _harvest_pair(seed):
+    """A live and a frozen (kernel, hypervisor, model), same RNG streams."""
+    sides = []
+    for hypervisor_cls, model_cls in (
+        (Hypervisor, HarvestModel),
+        (legacy.Hypervisor, legacy.HarvestModel),
+    ):
+        kernel = _FakeKernel()
+        hypervisor = hypervisor_cls(
+            kernel, n_cores=8, history_horizon_us=1_000_000
+        )
+        model = model_cls(
+            kernel, hypervisor, HarvestConfig(), np.random.default_rng(seed)
+        )
+        model.injectors.append(
+            stuck_usage_injector(
+                np.random.default_rng(seed + 1), probability=0.05
+            )
+        )
+        sides.append((kernel, hypervisor, model))
+    return sides
+
+
+def test_harvest_epoch_lockstep_1k_epochs():
+    """Verdicts, labels, features, weights and predictions agree.
+
+    The demand trace mixes quiet stretches, bursts to the full node and
+    harvested allocations the demand runs into, so all three validation
+    outcomes (range failure via the stuck-counter sentinel, capped
+    discard, accept) and every label a noisy window can carry occur.
+    """
+    sides = _harvest_pair(seed=21)
+    drive = np.random.default_rng(4)
+    verdicts = {"accepted": 0, "rejected": 0}
+    labels = set()
+    for epoch in range(1000):
+        burst = drive.random() < 0.15
+        changes = [
+            (
+                int(drive.integers(200, 2_000)),
+                float(drive.uniform(5.0, 9.0) if burst
+                      else drive.uniform(0.0, 4.0)),
+            )
+            for _ in range(int(drive.integers(1, 6)))
+        ]
+        harvested = int(drive.integers(0, 7)) if epoch % 3 == 0 else None
+        outcomes = []
+        for kernel, hypervisor, model in sides:
+            if harvested is not None:
+                hypervisor.set_harvested(harvested)
+            for advance, demand in changes:
+                kernel.now += advance
+                hypervisor.set_demand(min(demand, 8.0))
+            kernel.now = (epoch + 1) * 25_000
+            window = model.collect_data()
+            valid = model.validate_data(window)
+            prediction = None
+            if valid:  # as SolRuntime: a rejected window learns nothing
+                model.commit_data(kernel.now, window)
+                model.update_model()
+                prediction = model.model_predict()
+            outcomes.append((window, valid, prediction))
+        (live_window, live_valid, live_prediction), (
+            frozen_window, frozen_valid, frozen_prediction
+        ) = outcomes
+        live, frozen = sides[0][2], sides[1][2]
+        assert np.array_equal(live_window.samples, frozen_window.samples)
+        assert live_window.allocated == frozen_window.allocated
+        assert live_window.deficit_cus == frozen_window.deficit_cus
+        assert live_valid == frozen_valid, epoch
+        assert live_prediction == frozen_prediction, epoch
+        assert list(live._recent_maxima) == list(frozen._recent_maxima)
+        if live._latest_features is not None:
+            assert np.array_equal(
+                live._latest_features, frozen._latest_features
+            )
+        if epoch % 50 == 0:
+            assert np.array_equal(
+                live.classifier.weights,
+                _legacy_weight_matrix(frozen.classifier),
+            )
+        verdicts["accepted" if live_valid else "rejected"] += 1
+        if live._recent_maxima:
+            labels.add(min(8, math.ceil(live._recent_maxima[-1])))
+    live, frozen = sides[0][2], sides[1][2]
+    assert np.array_equal(
+        live.classifier.weights, _legacy_weight_matrix(frozen.classifier)
+    )
+    assert live.classifier.updates == frozen.classifier.updates > 500
+    assert live._starvation.rate == frozen._starvation.rate
+    # The trace really exercised both verdicts and the label range.
+    assert verdicts["accepted"] > 500 and verdicts["rejected"] > 100
+    assert labels == set(range(1, 9))  # noise keeps every peak above 0
+
+
+_window_samples = st.lists(
+    st.floats(
+        min_value=-2.0, max_value=11.0, allow_nan=False, width=64
+    ),
+    min_size=0, max_size=64,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    samples=_window_samples,
+    allocated=st.sampled_from([1.0, 3.0, 5.0, 8.0]),
+    pin=st.floats(min_value=0.0, max_value=1.0),
+)
+def test_fused_validate_equals_frozen_predicate_on_finite_windows(
+    samples, allocated, pin
+):
+    """For any finite (or empty) window the fail-closed range check and
+    the count-based capped fraction give the frozen verdict."""
+    live, frozen = (side[2] for side in _harvest_pair(seed=0))
+    values = np.array(samples, dtype=float)
+    # Pin a prefix at the ceiling so the capped branch is reachable.
+    values[: int(pin * values.size)] = allocated
+    assert live.validate_data(
+        UsageWindow(samples=values, allocated=allocated, deficit_cus=0.0)
+    ) == frozen.validate_data(
+        legacy.UsageWindow(
+            samples=values, allocated=allocated, deficit_cus=0.0
+        )
+    )
+
+
+@given(
+    n_classes=st.integers(min_value=2, max_value=12),
+    under=st.floats(min_value=0.1, max_value=100, allow_nan=False),
+    over=st.floats(min_value=0.1, max_value=100, allow_nan=False),
+)
+def test_cost_table_rows_equal_per_label_vectors(n_classes, under, over):
+    table = asymmetric_cost_table(n_classes, under, over)
+    assert len(table) == n_classes
+    for label, row in enumerate(table):
+        assert np.array_equal(
+            row, asymmetric_core_costs(label, n_classes, under, over)
+        )
+        assert not row.flags.writeable
+    # Memoised: same-config models share one table.
+    assert asymmetric_cost_table(n_classes, under, over) is table

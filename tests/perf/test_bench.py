@@ -1,6 +1,7 @@
 """The repro bench harness: suite table, report schema, regression gate."""
 
 import json
+import pathlib
 
 import pytest
 
@@ -83,6 +84,32 @@ def test_quick_report_schema_and_roundtrip(quick_all_report, tmp_path):
     write_report(report, str(path))
     assert json.loads(path.read_text()) == report
     assert "repro bench" in render_report(report)
+
+
+def test_committed_baseline_names_exactly_the_suites_table():
+    """A row added to ``SUITES`` without regenerating ``BENCH_micro.json``
+    would only *warn* in CI's bench-smoke comparison — i.e. go ungated —
+    and a deleted one would leave a stale row behind.  Pin the name sets
+    equal so either fails here, in tier-1."""
+    baseline_path = (
+        pathlib.Path(__file__).resolve().parents[2] / "BENCH_micro.json"
+    )
+    baseline = json.loads(baseline_path.read_text())
+    committed = {
+        name for name, entry in baseline["microbench"].items()
+        if isinstance(entry, dict)
+    }
+    declared = {
+        f"{suite}/{scenario}"
+        for suite, (scenarios, _live, _seed) in SUITES.items()
+        for scenario in scenarios
+    }
+    assert committed == declared, (
+        "regenerate with: repro bench --suite all --repeats 5 "
+        "--output BENCH_micro.json"
+    )
+    assert set(baseline["suites"]) == set(SUITES)
+    assert baseline["quick"] is False
 
 
 def test_suite_filter_compares_clean_against_all_baseline(quick_all_report):

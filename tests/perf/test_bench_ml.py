@@ -32,3 +32,5 @@ def test_quick_ml_report_schema():
     rendered = render_report(report)
     assert "ml suite" in rendered
     assert "ml/csc_predict" in rendered
+    assert "ml/harvest_epoch" in rendered
+
