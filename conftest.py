@@ -4,6 +4,7 @@
 environments without build tooling (e.g. offline CI images).
 """
 
+import os
 import sys
 from pathlib import Path
 
@@ -34,3 +35,19 @@ def _isolated_repro_cache(monkeypatch, tmp_path):
     this.
     """
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "repro-cache"))
+
+
+@pytest.fixture()
+def fsyncs(monkeypatch):
+    """Count ``os.fsync``: a list that grows by one fd per call, so a
+    test can pin how many durable writes a step costs (the journal's
+    fsyncs per pass are an exact function of the plan, DESIGN.md §12)."""
+    calls = []
+    real = os.fsync
+
+    def counting(fd):
+        calls.append(fd)
+        real(fd)
+
+    monkeypatch.setattr(os, "fsync", counting)
+    return calls

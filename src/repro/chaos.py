@@ -7,7 +7,7 @@ launch ladder (:func:`repro.journal.pipelines.launch`, DESIGN.md §11.2).
   exact quarantined units.  ``corrupt_cache`` instead runs cold through
   a write-corrupting cache and warm through a plain one.
 * :func:`kill_parent_proof` (DESIGN.md §12) — SIGKILL the orchestrator
-  after its Nth journal record, resume, require zero re-executed units
+  after its Nth journal commit, resume, require zero re-executed units
   and the uninterrupted digest.
 * The kill-switch steps both that proof and ``repro chaos serve
   --kill-server`` (:mod:`repro.serve.harness`) are made of:
@@ -147,7 +147,7 @@ def spawned(
 ) -> Iterator[subprocess.Popen]:
     """``python -m repro ARGS`` as a child whose cache root is ``root``
     and whose journal kill switch (``REPRO_JOURNAL_KILL_AFTER``) is
-    armed at ``kill_after`` records; killed on the way out if it still
+    armed at ``kill_after`` commits; killed on the way out if it still
     runs.  Output goes to ``root/<log_stem>.out|.err``, not pipes: pool
     workers inherit the child's stdio, and a captured pipe would make
     the harness wait on the orphans of a SIGKILLed orchestrator.
@@ -200,7 +200,7 @@ def killed_run(
     except subprocess.TimeoutExpired:
         failures.append(
             f"{who} outlived the kill budget; is {flag} larger than the "
-            f"run's record count?"
+            f"run's commit count?"
         )
         return None
     if proc.returncode != -signal.SIGKILL:
@@ -257,7 +257,7 @@ def kill_parent_proof(
     kind: str, payload: Dict[str, Any], workers: int, kill_after: int
 ) -> int:
     """``repro chaos KIND --kill-parent N`` (DESIGN.md §12)."""
-    print(f"== chaos {kind}: kill-parent after record #{kill_after} ==")
+    print(f"== chaos {kind}: kill-parent after commit #{kill_after} ==")
     baseline = baseline_digest(kind, payload)
     print(f"[baseline: digest {baseline}]")
     pipeline = PIPELINES[kind]

@@ -210,7 +210,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--kill-parent", type=int, default=None, metavar="N",
         help="crash-consistency mode (DESIGN.md §12): run the target in "
              "a subprocess, SIGKILL the orchestrator after its Nth "
-             "journal record, resume the run, and fail unless the "
+             "journal commit (one per completed unit; dispatch intents "
+             "carry none), resume the run, and fail unless the "
              "resume re-executes zero journaled units and seals with a "
              "digest bit-identical to an uninterrupted run",
     )
@@ -218,7 +219,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--kill-server", type=int, default=None, metavar="N",
         help="serve target (DESIGN.md §13): start a real 'repro serve' "
              "server, submit --job over its socket, SIGKILL the server "
-             "after its Nth journal record, and fail unless a restarted "
+             "after its Nth journal commit, and fail unless a restarted "
              "server adopts the run, re-executes zero journaled units, "
              "and seals with the uninterrupted digest",
     )
@@ -477,7 +478,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     if args.kill_parent is not None:
         if args.kill_parent < 1:
             raise SystemExit(
-                "repro: error: --kill-parent needs a record count >= 1"
+                "repro: error: --kill-parent needs a commit count >= 1"
             )
         return chaos.kill_parent_proof(
             args.target, pipeline.payload(config), args.workers,

@@ -5,12 +5,14 @@ runs, ``reproduce-all`` passes, robustness campaigns — resumable after
 the orchestrator dies at any instant, with bit-identical final
 digests:
 
-* :mod:`repro.journal.log` — the fsync'd, length-prefixed record
-  stream with torn-tail-tolerant replay;
+* :mod:`repro.journal.log` — the crc-framed record stream (a record
+  and its payload blob are one frame), append vs commit, and
+  torn-tail-tolerant replay;
 * :mod:`repro.journal.lease` — heartbeat leases (one orchestrator per
   run) and the :class:`FileLock` mutex reused by the quarantine log;
 * :mod:`repro.journal.run` — the :class:`RunJournal`: atomic manifest,
-  durable unit payloads, idempotent replay, deterministic run ids;
+  which record kinds commit before they return, idempotent replay,
+  deterministic run ids;
 * :mod:`repro.journal.pipelines` — the per-kind table (config payloads,
   journal openers with unit lists expanded exactly as the pipeline
   will, drivers, digests) and the one launch ladder over it;

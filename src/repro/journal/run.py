@@ -2,27 +2,30 @@
 
 One run = one directory under ``<cache>/runs/<run_id>/``::
 
-    manifest.json   atomic at start: kind, config, plan, full unit list
-    log.bin         append-only record stream (:mod:`repro.journal.log`)
-    units/<h>.pkl   durable result payload per completed unit
+    manifest.json   atomic at start: kind, config, plan, full unit list,
+                    log_format, code_salt
+    log.bin         append-only record stream (:mod:`repro.journal.log`);
+                    a UNIT_DONE frame carries its result pickle
 
 plus a sibling ``<cache>/runs/<run_id>.lease`` claim file (outside the
 directory, so wiping the directory for a fresh run cannot destroy a
 live claim).
 
-Crash-consistency discipline — effect before intent-completion:
+Crash-consistency discipline — this class is the one place that sorts
+the record kinds into three durability classes (DESIGN.md §12):
 
-1. the unit's result pickle is written via tmp + ``fsync`` +
-   ``os.replace``;
-2. only then is ``UNIT_DONE(key, wall, digest)`` appended (itself
-   fsync'd).
-
-A kill between (1) and (2) leaves an orphan payload and no record —
-replay re-executes the unit and overwrites it (idempotent: units are
-pure, DESIGN.md §11).  A kill mid-(2) leaves a torn tail the log
-replay drops.  Replay cross-checks every ``UNIT_DONE`` digest against
-the payload file and demotes any mismatch to *not done* — so no torn
-or bit-rotted payload is ever served as a completed unit.
+* **intent** (``UNIT_DISPATCHED``): appended, never fsync'd on its own
+  and never trusted on replay — it rides whichever commit comes next;
+* **completion** (``UNIT_DONE``, ``UNIT_QUARANTINED``, ``RUN_SEALED``):
+  the recording call does not return before its fsync.  A completed
+  unit is one frame — record + raw result pickle under one crc — and
+  one fsync, so a kill mid-write leaves a torn tail the log replay
+  drops and the unit re-executes (idempotent: units are pure,
+  DESIGN.md §11).  Replay still checks every ``UNIT_DONE``'s sha256
+  ``digest`` against its blob before unpickling and demotes any
+  mismatch or unpickle error to *not done*;
+* **batch** (:meth:`RunJournal.record_done_many`): every frame
+  appended, one fsync, stats after — the same guarantee per record.
 
 ``run_id`` is deterministic: a hash of the run kind, the canonical
 config payload, and the code-version salt.  The same invocation always
@@ -42,13 +45,25 @@ import tempfile
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.cache.keys import code_salt, _canonical
 from repro.journal.lease import Lease, LeaseLostError
-from repro.journal.log import RecordLog
+from repro.journal.log import LOG_FORMAT, RecordLog
 
-__all__ = ["RunJournal", "RunStats", "derive_run_id", "open_run", "runs_root"]
+__all__ = [
+    "DoneItem",
+    "RunJournal",
+    "RunStats",
+    "check_resumable",
+    "derive_run_id",
+    "open_run",
+    "runs_root",
+]
+
+#: One completed unit as :meth:`RunJournal.record_done_many` takes it:
+#: ``(unit_id, payload, wall_s, executed)``.
+DoneItem = Tuple[str, Any, float, bool]
 
 
 def runs_root(cache_root: str) -> str:
@@ -67,11 +82,6 @@ def derive_run_id(kind: str, payload: Dict[str, Any]) -> str:
         sort_keys=True,
     )
     return hashlib.sha256(body.encode("utf-8")).hexdigest()[:16]
-
-
-def _unit_file(directory: str, unit_id: str) -> str:
-    name = hashlib.sha256(unit_id.encode("utf-8")).hexdigest()[:24]
-    return os.path.join(directory, "units", f"{name}.pkl")
 
 
 def _atomic_write(path: str, data: bytes) -> None:
@@ -146,7 +156,29 @@ class RunJournal:
     # -- recording -----------------------------------------------------------
 
     def record_dispatched(self, unit_id: str, attempt: int) -> None:
+        """Dispatch intent: handed to the OS, durable with the next
+        commit.  Nothing on replay trusts it (it feeds the attempts
+        column of ``runs show --timing``)."""
         self._log.append("UNIT_DISPATCHED", unit=unit_id, attempt=attempt)
+
+    def record_done_many(self, items: Iterable[DoneItem]) -> None:
+        """Durable completion of a batch: one frame per unit (record +
+        result pickle), one fsync for all of them, stats after it."""
+        items = list(items)
+        for unit_id, payload, wall_s, executed in items:
+            blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+            self._log.append(
+                "UNIT_DONE",
+                blob,
+                unit=unit_id,
+                wall=float(wall_s),
+                digest=hashlib.sha256(blob).hexdigest(),
+                executed=bool(executed),
+            )
+        self._log.commit()
+        executed = sum(1 for item in items if item[3])
+        self.stats.executed += executed
+        self.stats.cached += len(items) - executed
 
     def record_done(
         self,
@@ -155,24 +187,12 @@ class RunJournal:
         wall_s: float,
         executed: bool = True,
     ) -> None:
-        """Durable completion: payload pickle first, then the record."""
-        blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-        digest = hashlib.sha256(blob).hexdigest()
-        _atomic_write(_unit_file(self.directory, unit_id), blob)
-        self._log.append(
-            "UNIT_DONE",
-            unit=unit_id,
-            wall=float(wall_s),
-            digest=digest,
-            executed=bool(executed),
-        )
-        if executed:
-            self.stats.executed += 1
-        else:
-            self.stats.cached += 1
+        """Durable completion of one unit: one frame, one fsync."""
+        self.record_done_many([(unit_id, payload, wall_s, executed)])
 
     def record_quarantined(self, unit_id: str, fault_kind: str) -> None:
         self._log.append("UNIT_QUARANTINED", unit=unit_id, fault=fault_kind)
+        self._log.commit()
         self.stats.quarantined += 1
 
     def seal(self, digest: str) -> None:
@@ -191,6 +211,7 @@ class RunJournal:
             return
         summary = self._summary_counts()
         self._log.append("RUN_SEALED", digest=digest, **summary)
+        self._log.commit()
         self.sealed_digest = digest
         sidecar = {
             "run_id": self.run_id,
@@ -270,28 +291,26 @@ class RunJournal:
 
 
 def _replay_into(journal: RunJournal) -> None:
-    """Rebuild completion state from the durable record stream."""
-    done_records: Dict[str, Dict[str, Any]] = {}
+    """Rebuild completion state from the valid prefix of the log."""
     quarantined: List[str] = []
     known = set(journal.manifest["units"])
     for record in journal._log.records:
         kind = record.get("kind")
-        if kind == "UNIT_DONE" and record.get("unit") in known:
-            done_records[record["unit"]] = record
-        elif kind == "UNIT_QUARANTINED" and record.get("unit") in known:
+        if kind == "UNIT_QUARANTINED" and record.get("unit") in known:
             if record["unit"] not in quarantined:
                 quarantined.append(record["unit"])
         elif kind == "RUN_SEALED":
             journal.sealed_digest = record.get("digest")
-    for unit_id, record in done_records.items():
-        path = _unit_file(journal.directory, unit_id)
-        try:
-            with open(path, "rb") as handle:
-                blob = handle.read()
-        except OSError:
-            continue  # payload lost: demote to not-done, re-execute
+    # The log hands each replayed blob over once; the last UNIT_DONE of
+    # a unit wins and only that one is hashed and unpickled.
+    done = {
+        record["unit"]: (record, blob)
+        for record, blob in journal._log.take_blobs()
+        if record.get("kind") == "UNIT_DONE" and record.get("unit") in known
+    }
+    for unit_id, (record, blob) in done.items():
         if hashlib.sha256(blob).hexdigest() != record.get("digest"):
-            continue  # torn/rotted payload: demote to not-done
+            continue  # rotted payload: demote to not-done, re-execute
         try:
             journal.replayed[unit_id] = pickle.loads(blob)
         except Exception:  # noqa: BLE001 — unpicklable ⇒ re-execute
@@ -302,6 +321,29 @@ def _replay_into(journal: RunJournal) -> None:
         unit_id for unit_id in quarantined
         if unit_id not in journal.replayed
     ]
+
+
+def check_resumable(run_id: str, manifest: Dict[str, Any]) -> None:
+    """Refuse to adopt a journal this build did not write.
+
+    ``journal/`` is outside the code salt (editing it cannot move a
+    result bit), so neither a frame-layout change nor an explicit
+    ``run_id`` is caught by the run id itself: a manifest of another
+    ``log_format`` would parse as zero frames and be truncated, one of
+    another ``code_salt`` would replay old-code payloads into a digest
+    that is neither version's.
+
+    Raises:
+        ValueError: naming the journal's value and this build's.
+    """
+    for key, ours in (("log_format", LOG_FORMAT), ("code_salt", code_salt())):
+        theirs = manifest.get(key)
+        if theirs != ours:
+            raise ValueError(
+                f"run {run_id}: journal {key} is {theirs!r} but this "
+                f"build's is {ours!r}; refusing to resume (run without "
+                f"--resume to start fresh, or `repro runs prune` it)"
+            )
 
 
 def open_run(
@@ -329,8 +371,11 @@ def open_run(
 
     Raises:
         LeaseHeldError: a live orchestrator owns this run.
-        ValueError: resume requested but the manifest disagrees with
-            the current expansion (config drift without a salt change).
+        ValueError: resume requested but the manifest was written by
+            another log format or code salt (:func:`check_resumable`;
+            raised before the log is opened, so its bytes are
+            untouched), or disagrees with the current expansion (config
+            drift without a salt change).
     """
     resolved = run_id or derive_run_id(kind, config)
     root = runs_root(cache_root)
@@ -348,6 +393,7 @@ def open_run(
             except (OSError, ValueError):
                 existing = None
         if existing is not None:
+            check_resumable(resolved, existing)
             if verify_units and list(existing.get("units", [])) != list(
                 units
             ):
@@ -359,13 +405,13 @@ def open_run(
         else:
             if os.path.isdir(directory):
                 shutil.rmtree(directory)
-            os.makedirs(os.path.join(directory, "units"), exist_ok=True)
             manifest = {
                 "run_id": resolved,
                 "kind": kind,
                 "config": _canonical(config),
                 "plan": _canonical(plan),
                 "units": list(units),
+                "log_format": LOG_FORMAT,
                 "code_salt": code_salt(),
                 "created_at": time.time(),
             }

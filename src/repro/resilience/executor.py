@@ -9,7 +9,8 @@ digest the run seals with), and owns nothing else about execution.
 
 The journal is reached only through ``is_done / replayed /
 replayed_quarantined / record_dispatched / record_done /
-record_quarantined / seal`` and the cache only through ``get / put``,
+record_done_many / record_quarantined / seal`` and the cache only
+through ``get / put``,
 so timing proxies and ``repro serve``'s event tap substitute freely;
 ``None`` for either becomes a null object here, once.
 """
@@ -109,6 +110,9 @@ class _NullJournal:
     def record_done(self, unit_id, payload, wall_s, executed=True) -> None:
         pass
 
+    def record_done_many(self, items) -> None:
+        pass
+
     def record_quarantined(self, unit_id: str, fault_kind: str) -> None:
         pass
 
@@ -153,10 +157,11 @@ def run_units(
         journal: run journal, or ``None``.
         policy / quarantine / chaos: supervised-dispatch knobs
             (DESIGN.md §11); they only apply to pooled dispatch.
-        on_result: ``(unit, payload, wall_s)`` for every satisfied unit,
-            in completion order; ``wall_s`` is the measured wall of a
-            unit executed in this call, ``None`` for a replayed or
-            cached one.
+        on_result: ``(unit, payload, wall_s)`` for every satisfied unit
+            — replayed units first, then the cache hits (after their
+            one batch commit), then executed units in completion order;
+            ``wall_s`` is the measured wall of a unit executed in this
+            call, ``None`` for a replayed or cached one.
         on_hole: ``(unit)`` for every quarantined unit.
 
     Raises:
@@ -170,20 +175,11 @@ def run_units(
     if journal is None:
         journal = _NullJournal()
 
-    def settled(unit: WorkUnit, payload: Any, wall: Optional[float]) -> None:
-        journal.record_done(
-            unit.unit_id, payload, wall or 0.0, executed=wall is not None
-        )
-        if wall is None:
-            outcome.cached += 1
-        else:
-            outcome.executed += 1
-        on_result(unit, payload, wall)
-
     # Replay before the cache probe: a journaled unit is never re-derived
     # from a cache that may have been pruned or corrupted since.
     pending: Dict[str, WorkUnit] = {}
     keys: Dict[str, str] = {}
+    hits: List[Tuple[WorkUnit, Any]] = []
     for unit in plan.units:
         unit_id = unit.unit_id
         if journal.is_done(unit_id):
@@ -198,7 +194,17 @@ def run_units(
             if payload is _CACHE_MISS:
                 pending[unit_id], keys[unit_id] = unit, key
             else:
-                settled(unit, payload, None)
+                hits.append((unit, payload))
+    if hits:
+        # One commit for every hit of the pass (an all-hit warm pass is
+        # one fsync, not one per unit); the reducer hears of a hit only
+        # after its record is durable.
+        journal.record_done_many(
+            [(unit.unit_id, payload, 0.0, False) for unit, payload in hits]
+        )
+        outcome.cached = len(hits)
+        for unit, payload in hits:
+            on_result(unit, payload, None)
 
     def dispatched(unit_id: str, attempt: int) -> None:
         journal.record_dispatched(unit_id, attempt)
@@ -209,7 +215,9 @@ def run_units(
         # cached-but-unjournaled unit, which a resume loads from the
         # cache; the reverse could journal a unit whose put was lost.
         cache.put(keys[unit_id], result)
-        settled(pending[unit_id], result, wall)
+        journal.record_done(unit_id, result, wall, executed=True)
+        outcome.executed += 1
+        on_result(pending[unit_id], result, wall)
 
     def poisoned(record: QuarantineRecord) -> None:
         journal.record_quarantined(record.unit_id, record.kind)

@@ -151,7 +151,10 @@ def supervised_map(
         chaos: fault-injection plan; default: the environment's
             (:func:`repro.resilience.chaos.active_plan`).
         on_result: streamed ``(unit_id, result)`` callback, completion
-            order.
+            order.  Called *after* the workers the results freed have
+            been refilled, so the caller's bookkeeping overlaps the
+            next units; a result the pool returned is delivered even
+            if that refill raises.
         on_quarantine: called the moment a unit is poisoned, so
             streaming callers can close out the hole immediately.
         on_dispatch: called as ``on_dispatch(unit_id, attempt)``
@@ -165,7 +168,8 @@ def supervised_map(
             shared pool left warm.
 
     Raises:
-        DispatchCancelled: the cancel token was set mid-dispatch.
+        DispatchCancelled: the cancel token was set mid-dispatch (or
+            ``on_dispatch`` raised it); in-flight units are killed.
     """
     policy = policy if policy is not None else RetryPolicy()
     plan = chaos if chaos is not None else active_plan()
@@ -231,46 +235,46 @@ def supervised_map(
 
     stop = cancel if cancel is not None else cancel_token()
     pool = pool_factory(workers)
+
+    def refill() -> None:
+        """Hand every idle worker its next unit (backoffs that came due
+        included)."""
+        now = time.monotonic()
+        while delayed and delayed[0][0] <= now:
+            _ready, _seq, unit_id, attempt = heapq.heappop(delayed)
+            pending.append((unit_id, attempt))
+        while pending and pool.idle_count() > 0:
+            unit_id, attempt = pending.popleft()
+            if on_dispatch is not None:
+                on_dispatch(unit_id, attempt)
+            if tracer is not None and unit_id not in unit_spans:
+                unit_spans[unit_id] = tracer.begin(
+                    unit_id, cat="unit",
+                    args={"context": context}, attach=False,
+                )
+            obs.instant(
+                "pool.dispatch", cat="pool",
+                unit=unit_id, attempt=attempt,
+            )
+            pool.submit(
+                fn, unit_id, attempt, payloads[unit_id], plan_dict,
+                trace=tracer is not None,
+            )
+            deadline = (
+                now + policy.unit_timeout_s
+                if policy.unit_timeout_s is not None
+                else math.inf
+            )
+            inflight[unit_id] = (attempt, deadline)
+
     try:
         while pending or delayed or inflight:
             if stop is not None and stop.is_set():
-                # Orderly stop: kill only our own in-flight units (each
-                # killed worker is replaced, so the pool stays whole and
-                # warm for the next dispatch) and unwind.  Journaling
-                # callers leave the run unsealed — i.e. resumable.
-                for unit_id in list(inflight):
-                    pool.kill_task(unit_id)
                 raise DispatchCancelled(
                     f"dispatch of {context} cancelled "
                     f"({len(inflight)} in-flight unit(s) killed)"
                 )
-            now = time.monotonic()
-            while delayed and delayed[0][0] <= now:
-                _ready, _seq, unit_id, attempt = heapq.heappop(delayed)
-                pending.append((unit_id, attempt))
-            while pending and pool.idle_count() > 0:
-                unit_id, attempt = pending.popleft()
-                if on_dispatch is not None:
-                    on_dispatch(unit_id, attempt)
-                if tracer is not None and unit_id not in unit_spans:
-                    unit_spans[unit_id] = tracer.begin(
-                        unit_id, cat="unit",
-                        args={"context": context}, attach=False,
-                    )
-                obs.instant(
-                    "pool.dispatch", cat="pool",
-                    unit=unit_id, attempt=attempt,
-                )
-                pool.submit(
-                    fn, unit_id, attempt, payloads[unit_id], plan_dict,
-                    trace=tracer is not None,
-                )
-                deadline = (
-                    now + policy.unit_timeout_s
-                    if policy.unit_timeout_s is not None
-                    else math.inf
-                )
-                inflight[unit_id] = (attempt, deadline)
+            refill()
             if not inflight:
                 # Only backoff delays remain; sleep until the nearest.
                 if delayed:
@@ -284,6 +288,7 @@ def supervised_map(
                         )
                     )
                 continue
+            completed: List[Tuple[str, Any]] = []
             for kind, unit_id, attempt, _worker, payload in pool.poll(
                 timeout=poll_interval_s
             ):
@@ -302,10 +307,24 @@ def supervised_map(
                     close_unit_span(
                         unit_id, outcome="done", attempts=attempt + 1
                     )
-                    if on_result is not None:
-                        on_result(unit_id, payload)
+                    completed.append((unit_id, payload))
                 else:
                     fail(unit_id, attempt, "error", payload)
+            if completed:
+                # Refill before commit: the workers this poll freed get
+                # their next units first, so the caller's per-result
+                # bookkeeping (cache.put, the journal's pickle + fsync)
+                # overlaps the workers' next units instead of idling
+                # them.  A result the pool already returned reaches
+                # on_result even if the refill raises (a cancel from the
+                # dispatch hook): cancellation must not turn a finished
+                # unit into a re-execution.
+                try:
+                    refill()
+                finally:
+                    if on_result is not None:
+                        for unit_id, payload in completed:
+                            on_result(unit_id, payload)
             for unit_id, attempt in pool.reap_crashed():
                 state = inflight.get(unit_id)
                 if state is None or state[0] != attempt:
@@ -333,9 +352,14 @@ def supervised_map(
                         f"exceeded {policy.unit_timeout_s}s deadline",
                     )
     except DispatchCancelled:
-        # Cancellation is the one orderly exit: in-flight workers were
-        # already killed and respawned above, so the pool is clean and
-        # stays warm for the next job.
+        # Cancellation is the one orderly exit, whoever raised it (the
+        # token check above, or the caller's dispatch hook mid-refill):
+        # kill only our own in-flight units — each killed worker is
+        # replaced, so the pool stays whole and warm for the next job
+        # and no stale result can reach it.  Journaling callers leave
+        # the run unsealed — i.e. resumable.
+        for unit_id in inflight:
+            pool.kill_task(unit_id)
         raise
     except BaseException:
         # A Ctrl-C lands in the workers too (same process group for

@@ -9,7 +9,7 @@ restarting must lose nothing.  The harness:
 2. starts a real ``repro serve start`` subprocess with
    ``REPRO_JOURNAL_KILL_AFTER=N`` armed, submits the job over the
    socket, and waits for the server to SIGKILL itself after its Nth
-   durable journal record;
+   journal commit (one per completed unit, DESIGN.md §12);
 3. verifies the interrupted run is on disk (journaled progress, not
    sealed), then starts a *second* server on the same cache root: it
    must adopt the run via the lease dead-pid steal, re-execute **zero**
@@ -235,7 +235,7 @@ def run_kill_server_harness(
 ) -> int:
     """``repro chaos serve --kill-server N --job KIND`` entry point;
     ``config`` is the job's submission payload."""
-    print(f"== chaos serve: kill-server after record "
+    print(f"== chaos serve: kill-server after commit "
           f"#{args.kill_server} ({args.job} job) ==")
     failures: List[str] = []
     with tempfile.TemporaryDirectory(

@@ -35,10 +35,10 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, Iterable, Optional
 
 from repro.journal.registry import RunInfo
-from repro.journal.run import RunJournal, derive_run_id
+from repro.journal.run import DoneItem, RunJournal, derive_run_id
 from repro.resilience.supervisor import (
     DispatchCancelled,
     set_cancel_token,
@@ -198,9 +198,10 @@ class JournalTap:
     :class:`RunJournal`, so the pipelines use the tap exactly like the
     journal.  The overridden record hooks (a) forward to the journal
     first — an event is only ever emitted for a record that is already
-    durable — and (b) check the job's cancel flag on dispatch intent,
-    which is the between-units cancellation point for inline
-    (pool-free) execution paths.
+    durable; a batch is forwarded whole (one commit) and its ``unit``
+    events follow, in order — and (b) check the job's cancel flag on
+    dispatch intent, which is the between-units cancellation point for
+    inline (pool-free) execution paths.
     """
 
     def __init__(self, journal: RunJournal, job: Job, emit: Emit) -> None:
@@ -227,6 +228,17 @@ class JournalTap:
             )
         self._journal.record_dispatched(unit_id, attempt)
 
+    def record_done_many(self, items: Iterable[DoneItem]) -> None:
+        items = list(items)
+        self._journal.record_done_many(items)
+        for unit_id, _payload, _wall_s, executed in items:
+            self._emit(
+                "unit",
+                unit=unit_id,
+                executed=bool(executed),
+                progress=self._progress(),
+            )
+
     def record_done(
         self,
         unit_id: str,
@@ -234,15 +246,7 @@ class JournalTap:
         wall_s: float,
         executed: bool = True,
     ) -> None:
-        self._journal.record_done(
-            unit_id, payload, wall_s, executed=executed
-        )
-        self._emit(
-            "unit",
-            unit=unit_id,
-            executed=bool(executed),
-            progress=self._progress(),
-        )
+        self.record_done_many([(unit_id, payload, wall_s, executed)])
 
     def record_quarantined(self, unit_id: str, fault_kind: str) -> None:
         self._journal.record_quarantined(unit_id, fault_kind)

@@ -42,6 +42,7 @@ from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, Optional
 
 from repro.journal.registry import interrupted_runs
+from repro.journal.run import check_resumable
 from repro.resilience.pool import shutdown_shared_pool
 from repro.resilience.supervisor import DispatchCancelled
 from repro.serve import protocol
@@ -57,6 +58,13 @@ __all__ = ["ServeServer", "default_socket_path"]
 
 #: Events retained per job for late ``watch`` subscribers.
 EVENT_BACKLOG = 512
+
+#: Terminal jobs the server remembers (newest-finished kept): beyond it
+#: a finished job's view, backlog and sequence counter are dropped and
+#: its id answers ``unknown job`` — the run stays in the journal
+#: registry.  Bounds server memory and the bare ``status`` reply
+#: (~384 bytes per view against ``protocol.MAX_LINE``).
+RETAINED_JOBS = 256
 
 #: Per-subscriber event queue bound; a subscriber this far behind a
 #: job's event stream starts losing the oldest events (counted in
@@ -271,8 +279,7 @@ class ServeServer:
         opened, so there is nothing to release)."""
         for job in self._backlog:
             if job.status == "queued":
-                self._set_status(job, status)
-                self._emit(job, status, {"reason": "drain"})
+                self._finish(job, status, {"reason": "drain"})
         self._backlog.clear()
         if self._queue is not None:
             while True:
@@ -281,8 +288,7 @@ class ServeServer:
                 except asyncio.QueueEmpty:
                     break
                 if job.status == "queued":
-                    self._set_status(job, status)
-                    self._emit(job, status, {"reason": "drain"})
+                    self._finish(job, status, {"reason": "drain"})
 
     async def _finish_scheduler(self, scheduler: asyncio.Task) -> None:
         with contextlib.suppress(asyncio.CancelledError):
@@ -303,6 +309,12 @@ class ServeServer:
                 job.run_id == info.run_id and not job.terminal
                 for job in self.jobs.values()
             ):
+                continue
+            try:
+                check_resumable(info.run_id, info.manifest)
+            except ValueError as exc:
+                # Another build's journal: left on disk for `runs prune`.
+                self._log(f"[serve: not adopting — {exc}]")
                 continue
             job = job_from_run_info(self._next_job_id(), info)
             if job.workers < 1:
@@ -352,7 +364,7 @@ class ServeServer:
             return None
 
     async def _run_job(self, job: Job) -> None:
-        self._set_status(job, "running")
+        job.status = "running"
         job.started_at = time.time()
         self._emit(job, "running", {"kind": job.kind, "run_id": job.run_id})
         watchdog: Optional[asyncio.Task] = None
@@ -374,8 +386,7 @@ class ServeServer:
                 "deadline": "expired",
                 "drain": "cancelled",
             }.get(reason, "cancelled")
-            self._set_status(job, status)
-            self._emit(
+            self._finish(
                 job, status, {"reason": reason, "detail": str(exc)}
             )
             self._log(
@@ -384,15 +395,13 @@ class ServeServer:
             )
         except BaseException as exc:
             job.error = f"{type(exc).__name__}: {exc}"
-            self._set_status(job, "failed")
-            self._emit(job, "failed", {"error": job.error})
+            self._finish(job, "failed", {"error": job.error})
             self._log(f"[serve: job {job.job_id} failed: {job.error}]")
         else:
             job.digest = result.get("digest")
             job.counters = dict(result.get("journal") or {})
             self.metrics.absorb_result(result)
-            self._set_status(job, "done")
-            self._emit(
+            self._finish(
                 job, "done",
                 {"digest": job.digest, "counters": job.counters},
             )
@@ -401,7 +410,6 @@ class ServeServer:
                 f"sealed {job.digest}]"
             )
         finally:
-            job.finished_at = time.time()
             if watchdog is not None:
                 watchdog.cancel()
                 with contextlib.suppress(asyncio.CancelledError):
@@ -417,8 +425,27 @@ class ServeServer:
             )
             job.request_cancel("deadline")
 
-    def _set_status(self, job: Job, status: str) -> None:
+    def _finish(self, job: Job, status: str, fields: Dict[str, Any]) -> None:
+        """Move ``job`` to a terminal ``status``, emit its last event,
+        and forget the oldest-finished jobs beyond :data:`RETAINED_JOBS`
+        — never one a ``watch`` is still subscribed to."""
         job.status = status
+        job.finished_at = time.time()
+        self._emit(job, status, fields)
+        finished = [done for done in self.jobs.values() if done.terminal]
+        excess = len(finished) - RETAINED_JOBS
+        if excess <= 0:
+            return
+        finished.sort(key=lambda done: done.finished_at)
+        for old in finished:
+            if excess <= 0:
+                break
+            if self._subscribers.get(old.job_id):
+                continue
+            del self.jobs[old.job_id]
+            self._events.pop(old.job_id, None)
+            self._event_seq.pop(old.job_id, None)
+            excess -= 1
 
     # ------------------------------------------------------------------
     # events
@@ -614,8 +641,7 @@ class ServeServer:
             )
         if job.status == "queued":
             job.request_cancel("client")
-            self._set_status(job, "cancelled")
-            self._emit(job, "cancelled", {"reason": "client"})
+            self._finish(job, "cancelled", {"reason": "client"})
             return protocol.ok(job_id=job_id, status="cancelled")
         job.request_cancel("client")
         return protocol.ok(job_id=job_id, status="cancelling")
@@ -655,3 +681,5 @@ class ServeServer:
                 since = message_out["seq"]
         finally:
             listeners.remove(subscriber)
+            if not listeners:
+                self._subscribers.pop(job_id, None)

@@ -132,20 +132,42 @@ def test_main_sigint_handler_shuts_shared_pool_down(monkeypatch, capsys):
         assert not process.is_alive()
 
 
-@pytest.mark.slow
-def test_chaos_kill_parent_sweep_survives(tmp_path):
-    """The full harness: SIGKILL mid-run, resume, bit-identical digest."""
-    spec = tmp_path / "chaos.toml"
-    spec.write_text(SPEC)
+def _kill_parent(tmp_path, target, *args):
+    """The full harness: SIGKILL after the first commit (one completed
+    unit), resume, bit-identical digest."""
     result = subprocess.run(
-        [sys.executable, "-m", "repro", "chaos", "sweep",
-         "--spec", str(spec), "--kill-parent", "3", "--workers", "1"],
+        [sys.executable, "-m", "repro", "chaos", target, *args,
+         "--kill-parent", "1", "--workers", "1"],
         env=_env(str(tmp_path / "cache")),
         capture_output=True,
         text=True,
         timeout=300,
     )
     assert result.returncode == 0, result.stdout + result.stderr
+    assert "journaled=1 replayed=1" in result.stdout
     assert "re-executed=0" in result.stdout
     assert "[chaos: OK" in result.stdout
     assert "matches uninterrupted run" in result.stdout
+
+
+# One real-SIGKILL smoke per kind; every other crash point of the log
+# is enumerated in-process by test_crash_points.py.
+
+
+@pytest.mark.slow
+def test_chaos_kill_parent_sweep_survives(tmp_path):
+    spec = tmp_path / "chaos.toml"
+    spec.write_text(SPEC)
+    _kill_parent(tmp_path, "sweep", "--spec", str(spec))
+
+
+@pytest.mark.slow
+def test_chaos_kill_parent_fleet_survives(tmp_path):
+    _kill_parent(tmp_path, "fleet", "--nodes", "3", "--seconds", "10")
+
+
+@pytest.mark.slow
+def test_chaos_kill_parent_reproduce_survives(tmp_path):
+    _kill_parent(
+        tmp_path, "reproduce", "--only", "table1", "--only", "table2"
+    )

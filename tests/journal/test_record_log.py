@@ -1,4 +1,4 @@
-"""The append-only record log: framing, fsync discipline, torn tails."""
+"""The append-only record log: framing, append vs commit, torn tails."""
 
 import os
 import struct
@@ -12,7 +12,7 @@ from repro.journal.log import (
     set_kill_action,
 )
 
-_FRAME = struct.Struct(">II")
+_HEADER = struct.Struct(">III")  # JSON length, blob length, crc32
 
 
 @pytest.fixture()
@@ -23,7 +23,8 @@ def log_path(tmp_path):
 def test_append_then_replay_round_trips(log_path):
     log = RecordLog(log_path)
     log.append("UNIT_DISPATCHED", unit="u1", attempt=0)
-    log.append("UNIT_DONE", unit="u1", wall=0.5, digest="d", executed=True)
+    log.append("UNIT_DONE", b"\x00raw\xffblob", unit="u1", wall=0.5,
+               digest="d", executed=True)
     log.append("RUN_SEALED", digest="final")
     log.close()
     records, valid = replay_records(log_path)
@@ -33,6 +34,34 @@ def test_append_then_replay_round_trips(log_path):
     assert records[1]["unit"] == "u1"
     assert records[2]["digest"] == "final"
     assert valid == os.path.getsize(log_path)
+    # The blob rides in the frame raw (no base64), is handed over once
+    # on reopen, and is never part of the record metadata.
+    with open(log_path, "rb") as handle:
+        assert b"\x00raw\xffblob" in handle.read()
+    reopened = RecordLog(log_path)
+    assert reopened.records == records
+    ((record, blob),) = reopened.take_blobs()
+    assert record["kind"] == "UNIT_DONE" and bytes(blob) == b"\x00raw\xffblob"
+    assert reopened.take_blobs() == []
+    reopened.close()
+
+
+def test_append_reaches_the_os_and_commit_is_the_only_fsync(
+    log_path, fsyncs
+):
+    log = RecordLog(log_path)
+    log.append("UNIT_DISPATCHED", unit="u1", attempt=0)
+    log.append("UNIT_DISPATCHED", unit="u2", attempt=0)
+    assert fsyncs == []
+    # ... yet a SIGKILL now would lose neither: both are in the file.
+    assert len(replay_records(log_path)[0]) == 2
+    log.commit()
+    assert len(fsyncs) == 1
+    log.commit()  # nothing appended since: no second fsync
+    assert len(fsyncs) == 1
+    log.append("UNIT_DISPATCHED", unit="u3", attempt=0)
+    log.close()  # close commits what is still pending
+    assert len(fsyncs) == 2
 
 
 def test_unknown_kind_rejected(log_path):
@@ -59,9 +88,9 @@ def _write_records(path, n):
 
 def test_torn_tail_payload_is_dropped(log_path):
     size = _write_records(log_path, 3)
-    # Simulate a kill mid-write: a fourth frame whose payload is cut off.
+    # Simulate a kill mid-write: a fourth frame whose body is cut off.
     with open(log_path, "ab") as handle:
-        handle.write(_FRAME.pack(100, 0))
+        handle.write(_HEADER.pack(60, 40, 0))
         handle.write(b"only-ten-b")
     records, valid = replay_records(log_path)
     assert len(records) == 3
@@ -89,10 +118,22 @@ def test_crc_mismatch_stops_replay(log_path):
     assert len(records) == 2
 
 
+def test_zero_filled_tail_is_dropped(log_path):
+    """An unsynced span a power loss left as zeros: a zero header is a
+    well-formed empty frame (crc32 of nothing is 0), so replay must
+    stop on its undecodable JSON instead of walking the zeros."""
+    size = _write_records(log_path, 2)
+    with open(log_path, "ab") as handle:
+        handle.write(b"\x00" * 100)
+    records, valid = replay_records(log_path)
+    assert len(records) == 2
+    assert valid == size
+
+
 def test_reopen_truncates_torn_tail_before_appending(log_path):
     size = _write_records(log_path, 2)
     with open(log_path, "ab") as handle:
-        handle.write(_FRAME.pack(50, 0) + b"torn")
+        handle.write(_HEADER.pack(50, 0, 0) + b"torn")
     log = RecordLog(log_path)  # re-open for append truncates
     assert os.path.getsize(log_path) == size
     assert len(log.records) == 2
@@ -104,19 +145,24 @@ def test_reopen_truncates_torn_tail_before_appending(log_path):
 
 
 def test_kill_after_fires_injected_action(log_path, monkeypatch):
+    """The kill point counts commits (fsyncs), not appends."""
     fired = []
     monkeypatch.setenv(KILL_AFTER_ENV, "2")
     set_kill_action(lambda: fired.append(True))
     try:
         log = RecordLog(log_path)
         log.append("UNIT_DISPATCHED", unit="u1", attempt=0)
-        assert not fired
         log.append("UNIT_DONE", unit="u1", wall=0.0, digest="d",
                    executed=True)
-        assert fired  # fired *after* the 2nd fsync'd append
+        log.commit()  # commit #1 covers both appends
+        assert not fired
+        log.append("UNIT_DISPATCHED", unit="u2", attempt=0)
+        assert not fired  # an append alone is never a kill point
+        log.commit()
+        assert fired  # fired *after* the 2nd fsync
         log.close()
     finally:
         set_kill_action(None)
-    # Both records are durable: the kill lands post-fsync by design.
+    # All three records are durable: the kill lands post-fsync by design.
     records, _valid = replay_records(log_path)
-    assert len(records) == 2
+    assert len(records) == 3

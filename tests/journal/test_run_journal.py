@@ -1,18 +1,19 @@
 """RunJournal: deterministic ids, durable replay, digest verification."""
 
+import hashlib
+import json
 import os
-import pickle
+import struct
+import zlib
 
 import pytest
 
 from repro.journal.lease import LeaseHeldError
-from repro.journal.log import replay_records, set_kill_action
+from repro.journal.log import LOG_FORMAT, replay_records, set_kill_action
 from repro.journal.run import (
-    RunJournal,
     derive_run_id,
     open_run,
     runs_root,
-    _unit_file,
 )
 
 CONFIG = {"n": 4, "agent": "overclock"}
@@ -99,21 +100,66 @@ def test_resume_without_verification_adopts_manifest(tmp_path):
 
 
 def test_corrupt_payload_demotes_unit_to_not_done(tmp_path):
+    """A frame is its payload: one flipped blob byte fails the frame's
+    crc, so that unit — and, the log being a prefix, every record after
+    it — is not trusted and re-executes."""
     with _open(tmp_path) as journal:
-        journal.record_done("u0", {"ok": True}, 0.0)
-        path = _unit_file(journal.directory, "u0")
-    with open(path, "wb") as handle:
-        handle.write(b"bit-rot")
+        journal.record_done("u0", {"ok": 0}, 0.0)
+        journal.record_done("u1", {"ok": 1, "pad": "x" * 64}, 0.0)
+        journal.record_done("u2", {"ok": 2}, 0.0)
+        log = os.path.join(journal.directory, "log.bin")
+    with open(log, "rb") as handle:
+        data = bytearray(handle.read())
+    data[data.index(b"x" * 64) + 10] ^= 0x01  # inside u1's pickle
+    with open(log, "wb") as handle:
+        handle.write(bytes(data))
     with _open(tmp_path, resume=True) as resumed:
-        assert not resumed.is_done("u0")  # digest mismatch: re-execute
+        assert resumed.is_done("u0")
+        assert not resumed.is_done("u1")
+        assert not resumed.is_done("u2")
 
 
-def test_missing_payload_demotes_unit_to_not_done(tmp_path):
+def test_blob_that_fails_its_digest_or_unpickle_is_not_done(tmp_path):
+    """Past the crc, replay still checks each UNIT_DONE's sha256 digest
+    and fails closed on any unpickle error."""
+    not_a_pickle = b"\x80\x05 this is not a pickle"
     with _open(tmp_path) as journal:
-        journal.record_done("u0", {"ok": True}, 0.0)
-        os.unlink(_unit_file(journal.directory, "u0"))
+        journal.record_done("u0", "fine", 0.0)
+        journal._log.append(
+            "UNIT_DONE", b"some other bytes", unit="u1", wall=0.0,
+            digest="0" * 64, executed=True,
+        )
+        journal._log.append(
+            "UNIT_DONE", not_a_pickle, unit="u2", wall=0.0,
+            digest=hashlib.sha256(not_a_pickle).hexdigest(), executed=True,
+        )
     with _open(tmp_path, resume=True) as resumed:
-        assert not resumed.is_done("u0")
+        assert sorted(resumed.replayed) == ["u0"]
+
+
+def test_a_completed_unit_is_one_frame_and_no_other_file(tmp_path):
+    with _open(tmp_path) as journal:
+        journal.record_dispatched("u0", 0)
+        journal.record_done("u0", {"rows": [1, 2, 3]}, 0.25)
+        directory = journal.directory
+    assert sorted(os.listdir(directory)) == ["log.bin", "manifest.json"]
+    records, _valid = replay_records(os.path.join(directory, "log.bin"))
+    assert [r["kind"] for r in records] == ["UNIT_DISPATCHED", "UNIT_DONE"]
+
+
+def test_record_done_many_is_one_fsync_and_every_unit_replays(
+    tmp_path, fsyncs
+):
+    with _open(tmp_path) as journal:
+        before = len(fsyncs)
+        journal.record_done_many(
+            [("u0", "a", 0.0, False), ("u1", "b", 0.0, False),
+             ("u2", "c", 0.5, True)]
+        )
+        assert len(fsyncs) - before == 1
+        assert (journal.stats.cached, journal.stats.executed) == (2, 1)
+    with _open(tmp_path, resume=True) as resumed:
+        assert resumed.replayed == {"u0": "a", "u1": "b", "u2": "c"}
 
 
 def test_last_done_record_wins_on_replay(tmp_path):
@@ -151,26 +197,6 @@ def test_cache_hit_completion_counts_cached(tmp_path):
         assert journal.stats.executed == 0
 
 
-def test_kill_between_payload_and_record_reexecutes_unit(tmp_path):
-    """Effect-before-intent: a kill after the pickle write but before
-    the UNIT_DONE append leaves an orphan payload that replay ignores.
-    """
-    class Killed(Exception):
-        pass
-
-    journal = _open(tmp_path)
-    try:
-        blob = pickle.dumps("half-done")
-        from repro.journal.run import _atomic_write
-
-        _atomic_write(_unit_file(journal.directory, "u1"), blob)
-    finally:
-        journal.close()
-    with _open(tmp_path, resume=True) as resumed:
-        assert not resumed.is_done("u1")  # no record: unit re-executes
-    del Killed
-
-
 def test_torn_final_record_drops_exactly_one_unit(tmp_path):
     class Boom(Exception):
         pass
@@ -179,9 +205,9 @@ def test_torn_final_record_drops_exactly_one_unit(tmp_path):
     set_kill_action(lambda: (_ for _ in ()).throw(Boom()))
     try:
         journal = _open(tmp_path)
-        journal.record_done("u0", "a", 0.0)  # append #1
+        journal.record_done("u0", "a", 0.0)  # commit #1
         with pytest.raises(Boom):
-            journal.record_done("u1", "b", 0.0)  # append #2: "killed"
+            journal.record_done("u1", "b", 0.0)  # commit #2: "killed"
         journal._log.close()
         journal._lease.release()
     finally:
@@ -197,6 +223,74 @@ def test_torn_final_record_drops_exactly_one_unit(tmp_path):
     with _open(tmp_path, resume=True) as resumed:
         assert resumed.is_done("u0")
         assert resumed.is_done("u1")
+
+
+def _log_bytes(journal):
+    with open(os.path.join(journal.directory, "log.bin"), "rb") as handle:
+        return handle.read()
+
+
+def _edit_manifest(journal, edit):
+    path = os.path.join(journal.directory, "manifest.json")
+    with open(path, "r", encoding="utf-8") as handle:
+        manifest = json.load(handle)
+    edit(manifest)
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(manifest, handle)
+
+
+def test_manifest_records_the_log_format(tmp_path):
+    with _open(tmp_path) as journal:
+        assert journal.manifest["log_format"] == LOG_FORMAT == 2
+
+
+def test_resume_refuses_a_journal_of_another_log_format(tmp_path):
+    """A journal written by the parent commit (manifest without
+    ``log_format``, ``>II``-framed records, payloads under ``units/``)
+    would parse as zero frames and be truncated to nothing.  Resume
+    refuses it before the log is opened; fresh mode still wipes it."""
+    with _open(tmp_path) as journal:
+        pass
+    _edit_manifest(journal, lambda manifest: manifest.pop("log_format"))
+    body = json.dumps(
+        {"kind": "UNIT_DONE", "unit": "u0", "wall": 0.1, "digest": "d",
+         "executed": True}, sort_keys=True,
+    ).encode("utf-8")
+    old_log = struct.pack(">II", len(body), zlib.crc32(body)) + body
+    with open(os.path.join(journal.directory, "log.bin"), "wb") as handle:
+        handle.write(old_log)
+    with pytest.raises(ValueError, match=r"log_format is None .* is 2"):
+        _open(tmp_path, resume=True)
+    assert _log_bytes(journal) == old_log
+    with pytest.raises(ValueError, match="log_format"):  # explicit id too
+        _open(tmp_path, resume=True, run_id=journal.run_id)
+    assert _log_bytes(journal) == old_log
+    with _open(tmp_path) as fresh:  # no --resume: start over, as ever
+        assert fresh.manifest["log_format"] == LOG_FORMAT
+        assert fresh.stats.replayed == 0
+
+
+def test_resume_by_run_id_refuses_a_journal_of_another_code_salt(tmp_path):
+    """``open_run(resume=True, run_id=…)`` does not re-derive the id, so
+    the manifest's ``code_salt`` is the only thing that can tell it the
+    payloads were computed by other code."""
+    from repro.cache.keys import code_salt
+
+    with _open(tmp_path) as journal:
+        journal.record_done("u0", "computed by old code", 0.0)
+    before = _log_bytes(journal)
+    _edit_manifest(
+        journal, lambda manifest: manifest.update(code_salt="f" * 16)
+    )
+    with pytest.raises(ValueError) as refusal:
+        _open(tmp_path, resume=True, run_id=journal.run_id)
+    assert "code_salt is 'ffffffffffffffff'" in str(refusal.value)
+    assert repr(code_salt()) in str(refusal.value)
+    assert _log_bytes(journal) == before
+    # The refusal released the lease: the run can still be pruned or
+    # started fresh.
+    with _open(tmp_path) as fresh:
+        assert not fresh.is_done("u0")
 
 
 def _salt_exclusions():

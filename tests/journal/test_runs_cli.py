@@ -97,12 +97,16 @@ def test_runs_resume_unknown_id_fails(capsys, cache_dir):
     assert "no journaled run" in capsys.readouterr().out
 
 
-def _interrupt_sweep(spec_path, cache_dir, monkeypatch, after=3):
-    """Journal one cell of the campaign, then "die" mid-run."""
+def _interrupt_sweep(spec_path, cache_dir, monkeypatch, after=1):
+    """Journal ``after`` cells of the campaign (one commit each), then
+    "die" mid-run; ``after=0`` dies before anything ran."""
     class Killed(Exception):
         pass
 
     spec = load_spec(spec_path)
+    if after == 0:
+        with open_sweep_journal(cache_dir, spec) as journal:
+            return journal.run_id
     monkeypatch.setenv(KILL_AFTER_ENV, str(after))
     set_kill_action(lambda: (_ for _ in ()).throw(Killed()))
     try:
@@ -142,9 +146,9 @@ def test_runs_resume_persists_a_poisoned_unit(capsys, spec_path, cache_dir,
     from repro.resilience import QuarantineLog
     from repro.resilience.chaos import CHAOS_PLAN_ENV
 
-    # Killed on the first dispatch record: both cells are still pending,
+    # Killed before the first completion: both cells are still pending,
     # so the resume dispatches them on the pool, where faults apply.
-    run_id = _interrupt_sweep(spec_path, cache_dir, monkeypatch, after=1)
+    run_id = _interrupt_sweep(spec_path, cache_dir, monkeypatch, after=0)
     poison = "overclock/n2/x10s/seed0/bad_data@0.9[2+5]r0"
     monkeypatch.setenv(CHAOS_PLAN_ENV, json.dumps(
         {"kind": "crash", "probability": 0.0, "poison_units": [poison]}
@@ -184,6 +188,45 @@ def test_sweep_resume_flag_finishes_interrupted_run(capsys, spec_path,
     out = capsys.readouterr().out
     assert "replayed=1 executed=1" in out
     assert "sealed]" in out
+
+
+@pytest.mark.parametrize("command", ["runs resume", "sweep run --resume"])
+@pytest.mark.parametrize(
+    "key, value", [("log_format", 1), ("code_salt", "0" * 16)]
+)
+def test_resume_refuses_a_journal_of_another_build_as_a_usage_error(
+    command, key, value, spec_path, cache_dir, monkeypatch
+):
+    """Neither resume spelling adopts a manifest whose ``log_format``
+    or ``code_salt`` is not this build's: a usage error naming both
+    values, and the refused log keeps every byte."""
+    import json
+    import os
+
+    run_id = _interrupt_sweep(spec_path, cache_dir, monkeypatch)
+    directory = os.path.join(cache_dir, "runs", run_id)
+    manifest_path = os.path.join(directory, "manifest.json")
+    with open(manifest_path, "r", encoding="utf-8") as handle:
+        manifest = json.load(handle)
+    ours, manifest[key] = manifest[key], value
+    with open(manifest_path, "w", encoding="utf-8") as handle:
+        json.dump(manifest, handle)
+    with open(os.path.join(directory, "log.bin"), "rb") as handle:
+        before = handle.read()
+    argv = {
+        "runs resume": ["runs", "resume", run_id],
+        "sweep run --resume": ["sweep", "run", spec_path, "--resume"],
+    }[command]
+    with pytest.raises(SystemExit) as refusal:
+        main(argv + ["--cache-dir", cache_dir])
+    assert str(refusal.value) == (
+        f"repro: error: run {run_id}: journal {key} is {value!r} but this "
+        f"build's is {ours!r}; refusing to resume (run without --resume "
+        f"to start fresh, or `repro runs prune` it)"
+    )
+    with open(os.path.join(directory, "log.bin"), "rb") as handle:
+        assert handle.read() == before and before
+    assert os.listdir(os.path.join(cache_dir, "runs")) == [run_id]  # no lease
 
 
 def test_resumed_digest_matches_uninterrupted_run(capsys, spec_path,

@@ -250,3 +250,96 @@ def test_ambient_cancel_token_is_per_thread(pool_env):
     other.start()
     other.join()
     assert seen["token"] is None
+
+
+# -- refill before commit ----------------------------------------------------
+
+
+class FakePool:
+    """A synchronous stand-in for :class:`SupervisedPool`: ``submit``
+    runs the unit on the spot and ``poll`` returns the first
+    ``per_poll`` finished units, so the order of the dispatcher's own
+    steps is exact."""
+
+    def __init__(self, size, per_poll=None):
+        self.size = size
+        self.per_poll = per_poll if per_poll is not None else size
+        self.busy = {}
+        self.finished = []
+        self.submitted = []
+        self.killed = []
+
+    def idle_count(self):
+        return self.size - len(self.busy)
+
+    def submit(self, fn, unit_id, attempt, payload, plan_dict, trace=False):
+        assert self.idle_count() > 0
+        self.submitted.append(unit_id)
+        self.busy[unit_id] = attempt
+        self.finished.append(("done", unit_id, attempt, 0, fn(payload)))
+
+    def poll(self, timeout):
+        events = self.finished[:self.per_poll]
+        del self.finished[:self.per_poll]
+        for _kind, unit_id, _attempt, _worker, _payload in events:
+            del self.busy[unit_id]
+        return events
+
+    def reap_crashed(self):
+        return []
+
+    def kill_task(self, unit_id):
+        self.killed.append(unit_id)
+        return self.busy.pop(unit_id, None) is not None
+
+
+def test_freed_workers_are_refilled_before_results_are_delivered():
+    """The caller's per-result bookkeeping (cache.put, the journal's
+    fsync) must overlap the workers' next units, not precede them."""
+    pool = FakePool(2)
+    seen = []
+    outcome = supervised_map(
+        _double, [(f"u{i}", i) for i in range(5)], workers=2,
+        pool_factory=lambda workers: pool, pool_shutdown=lambda: None,
+        policy=FAST,
+        on_result=lambda uid, res: seen.append(
+            (uid, pool.idle_count(), len(pool.submitted))
+        ),
+    )
+    assert outcome.results == {f"u{i}": 2 * i for i in range(5)}
+    # u0/u1 came back in one poll: u2/u3 were submitted (no idle worker
+    # left) before either result was handed over, in arrival order; the
+    # last unit leaves one worker with nothing to do.
+    assert seen == [
+        ("u0", 0, 4), ("u1", 0, 4),
+        ("u2", 1, 5), ("u3", 1, 5),
+        ("u4", 2, 5),
+    ]
+
+
+def test_cancel_from_the_dispatch_hook_still_delivers_polled_results():
+    """A finished unit must not become a re-execution because the
+    refill that followed it was cancelled — and the unit still in
+    flight is killed, whoever raised the cancellation."""
+    from repro.resilience import DispatchCancelled
+
+    pool = FakePool(3, per_poll=2)
+    delivered = []
+    shutdowns = []
+
+    def dispatch_hook(unit_id, attempt):
+        if unit_id == "u3":
+            raise DispatchCancelled("job cancelled before dispatching u3")
+
+    with pytest.raises(DispatchCancelled, match="before dispatching u3"):
+        supervised_map(
+            _double, [(f"u{i}", i) for i in range(5)], workers=3,
+            pool_factory=lambda workers: pool,
+            pool_shutdown=lambda: shutdowns.append(True),
+            policy=FAST, on_dispatch=dispatch_hook,
+            on_result=lambda uid, res: delivered.append((uid, res)),
+        )
+    assert delivered == [("u0", 0), ("u1", 2)]
+    assert pool.submitted == ["u0", "u1", "u2"]
+    assert pool.killed == ["u2"]
+    assert not shutdowns  # a cancellation keeps the pool warm

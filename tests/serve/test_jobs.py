@@ -99,6 +99,40 @@ def test_tap_delegates_and_emits_after_durable_write(tmp_path):
         journal.close()
 
 
+def test_tap_emits_no_unit_event_before_the_fsync_covering_it(
+    tmp_path, fsyncs
+):
+    """"An event is emitted only after its record is durable", single
+    and batch: a batch is one commit, then its events in order."""
+    journal = open_fleet_journal(
+        str(tmp_path), FleetConfig(
+            n_nodes=4, agent="overclock", seed=0, duration_s=10
+        ), workers=1,
+    )
+    events = []
+    tap = JournalTap(
+        journal, _submit(),
+        lambda kind, **fields: events.append(
+            (fields["unit"], len(fsyncs), fields["progress"]["done"])
+        ),
+    )
+    try:
+        first, *rest = journal.units
+        before = len(fsyncs)
+        tap.record_dispatched(first, 0)  # an intent: no fsync, no event
+        assert (len(fsyncs), events) == (before, [])
+        tap.record_done(first, {"v": 0}, 0.01)
+        assert events == [(first, before + 1, 1)]
+        tap.record_done_many(
+            [(unit, {"v": 1}, 0.0, False) for unit in rest]
+        )
+        assert events[1:] == [
+            (unit, before + 2, len(journal.units)) for unit in rest
+        ]
+    finally:
+        journal.close()
+
+
 def test_tap_raises_job_cancelled_between_units(tmp_path):
     journal = open_fleet_journal(
         str(tmp_path), FleetConfig(

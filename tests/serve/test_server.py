@@ -364,3 +364,106 @@ def test_watch_unknown_job_and_late_watch_replays_backlog(server_thread):
     # resume from the middle: only newer events arrive
     tail = list(client.watch(reply["job_id"], since=events[-2]["seq"]))
     assert [e["seq"] for e in tail] == [events[-1]["seq"]]
+
+
+def test_finished_jobs_are_bounded_and_evicted_ids_are_unknown(
+    server_thread, monkeypatch
+):
+    """A server that never exits must not remember every job it ever
+    ran: 300 tiny jobs leave the newest RETAINED_JOBS, a bare ``status``
+    still fits one protocol line, and an evicted id answers exactly
+    like one never issued."""
+    from repro.serve import protocol, server as server_module
+
+    def instant(job, cache_root, emit):
+        emit("started", run_id=job.run_id, units=1, replayed=0)
+        return {"digest": "d" * 64, "journal": {"total": 1}, "cache": {}}
+
+    monkeypatch.setattr(server_module, "execute_job", instant)
+    st = server_thread()
+    client = st.start()
+    job_ids = []
+    for seed in range(300):
+        reply = client.submit("fleet", fleet_payload(FleetConfig(
+            n_nodes=4, agent="overclock", seed=seed, duration_s=10
+        )))
+        assert reply["ok"], reply
+        assert list(client.watch(reply["job_id"]))[-1]["event"] == "done"
+        job_ids.append(reply["job_id"])
+    server = st.server
+    assert len(server.jobs) == server_module.RETAINED_JOBS == 256
+    # Every per-job table shrank with it, and no subscriber list
+    # lingers once the last watch handler has unwound.
+    assert set(server._events) == set(server._event_seq) == set(server.jobs)
+    deadline = time.monotonic() + 5.0
+    while server._subscribers and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert server._subscribers == {}
+    assert list(server.jobs) == job_ids[-256:]  # oldest-finished went first
+    listing = client.status()
+    assert len(listing["jobs"]) == 256
+    assert len(protocol.encode(listing)) < protocol.MAX_LINE
+    for verb in (client.status, client.cancel):
+        assert "unknown job" in verb(job_ids[0])["error"]
+    with pytest.raises(ValueError, match="unknown job"):
+        list(client.watch(job_ids[0]))
+    # The newest job's late watch still replays its whole backlog.
+    kinds = [event["event"] for event in client.watch(job_ids[-1])]
+    assert kinds == ["queued", "running", "started", "done"]
+    assert client.metrics()["metrics"]["jobs"]["submitted"] == 300
+
+
+def test_a_job_with_a_live_subscriber_is_never_evicted(cache_root):
+    from repro.serve import server as server_module
+    from repro.serve.jobs import Job
+
+    server = ServeServer(cache_root=cache_root)
+    jobs = [
+        Job(job_id=f"job-{index:04d}", kind="fleet", payload={},
+            run_id=f"run{index}")
+        for index in range(server_module.RETAINED_JOBS + 2)
+    ]
+    server._subscribers[jobs[0].job_id] = [server_module._Subscriber()]
+    for job in jobs:
+        server.jobs[job.job_id] = job
+        server._finish(job, "done", {})
+    kept = list(server.jobs)
+    assert len(kept) == server_module.RETAINED_JOBS
+    assert jobs[0].job_id in kept  # oldest, but watched: passed over
+    assert jobs[1].job_id not in kept and jobs[2].job_id not in kept
+    assert jobs[0].job_id in server._events
+
+
+def test_startup_skips_a_run_journaled_by_another_build(
+    server_thread, cache_root, capsys
+):
+    """Adoption refuses a manifest of a foreign ``code_salt`` or
+    ``log_format``: logged, skipped, bytes untouched, still on disk for
+    ``runs prune``."""
+    import json
+
+    run_ids = {}
+    for seed, key, value in ((1, "code_salt", "0" * 16), (2, "log_format", 1)):
+        config = FleetConfig(
+            n_nodes=4, agent="overclock", seed=seed, duration_s=10
+        )
+        with open_fleet_journal(cache_root, config, 1) as journal:
+            journal.record_done(journal.units[0], {"old": "payload"}, 0.1)
+        manifest_path = os.path.join(journal.directory, "manifest.json")
+        with open(manifest_path, "r", encoding="utf-8") as handle:
+            manifest = json.load(handle)
+        manifest[key] = value
+        with open(manifest_path, "w", encoding="utf-8") as handle:
+            json.dump(manifest, handle)
+        with open(os.path.join(journal.directory, "log.bin"), "rb") as handle:
+            run_ids[journal.run_id] = (key, handle.read())
+    client = server_thread().start()
+    assert client.status() == {"ok": True, "jobs": []}
+    assert client.metrics()["metrics"]["jobs"]["adopted"] == 0
+    out = capsys.readouterr().out
+    for run_id, (key, log_bytes) in run_ids.items():
+        assert f"not adopting — run {run_id}: journal {key} is" in out
+        info = inspect_run(cache_root, run_id)
+        assert info is not None and info.status == "interrupted"
+        with open(os.path.join(info.directory, "log.bin"), "rb") as handle:
+            assert handle.read() == log_bytes
