@@ -20,7 +20,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import deque
-from typing import Any, Callable, Deque, Generator, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Deque, Generator, List, Optional, Tuple
 
 from repro.sim.errors import (
     KernelStopped,
@@ -54,16 +54,6 @@ class Event:
         self._waiters: List["Process"] = []
         self._callbacks: List[Callable[[Any], None]] = []
 
-    @property
-    def succeeded(self) -> bool:
-        """Whether the event has fired."""
-        return self._succeeded
-
-    @property
-    def value(self) -> Any:
-        """The value the event fired with (``None`` while pending)."""
-        return self._value
-
     def succeed(self, value: Any = None) -> bool:
         """Fire the event, waking all waiters at the current sim time.
 
@@ -83,17 +73,6 @@ class Event:
             callback(self._value)
         return True
 
-    def add_callback(self, callback: Callable[[Any], None]) -> None:
-        """Invoke ``callback(value)`` when the event fires.
-
-        Runs synchronously inside :meth:`succeed` (same simulated instant).
-        If the event has already fired, the callback runs immediately.
-        """
-        if self._succeeded:
-            callback(self._value)
-        else:
-            self._callbacks.append(callback)
-
     def _add_waiter(self, process: "Process") -> None:
         if self._succeeded:
             self.kernel._schedule_resume(process, self._value)
@@ -105,10 +84,6 @@ class Event:
             self._waiters.remove(process)
         except ValueError:
             pass
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "succeeded" if self._succeeded else "pending"
-        return f"<Event {self.name!r} {state}>"
 
 
 class Process:
@@ -143,16 +118,6 @@ class Process:
         self._alive = True
         self._waiting_on: Optional[Event] = None
         self._error: Optional[BaseException] = None
-
-    @property
-    def alive(self) -> bool:
-        """Whether the process is still running (or waiting)."""
-        return self._alive
-
-    @property
-    def error(self) -> Optional[BaseException]:
-        """The exception that terminated the process, if any."""
-        return self._error
 
     def kill(self) -> None:
         """Forcibly terminate the process.
@@ -225,10 +190,6 @@ class Process:
         self._alive = False
         self.generator.close()
         self.completion.succeed(value)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "alive" if self._alive else "dead"
-        return f"<Process {self.name!r} {state}>"
 
 
 class Kernel:
@@ -305,35 +266,6 @@ class Kernel:
             self._now = until
         return self._now
 
-    def step(self) -> bool:
-        """Execute a single event.  Returns ``False`` if none are pending."""
-        self._check_running()
-        if not self._heap:
-            return False
-        time_us, _seq, action = heapq.heappop(self._heap)
-        self._now = time_us
-        action()
-        return True
-
-    def stop(self) -> None:
-        """Halt the kernel: kill all live processes and drop queued events."""
-        if self._stopped:
-            return
-        self._stopped = True
-        for process in self._processes:
-            if process.alive:
-                process.kill()
-        self._heap.clear()
-
-    @property
-    def pending_events(self) -> int:
-        """Number of events waiting in the heap (for tests/diagnostics)."""
-        return len(self._heap)
-
-    def live_processes(self) -> Iterable[Process]:
-        """Yield the processes that are still alive."""
-        return (p for p in self._processes if p.alive)
-
     # -- internals -----------------------------------------------------------
 
     def _schedule_resume(
@@ -358,9 +290,6 @@ class Kernel:
 
 class _Timeout:
     """Sentinel returned by :meth:`SimQueue.get` when the wait expires."""
-
-    def __repr__(self) -> str:
-        return "QUEUE_TIMEOUT"
 
 
 #: Singleton sentinel distinguishing "timed out" from a ``None`` message.
@@ -394,14 +323,6 @@ class SimQueue:
         self._getters: Deque[Event] = deque()
         self._dropped = 0
 
-    def __len__(self) -> int:
-        return len(self._items)
-
-    @property
-    def dropped(self) -> int:
-        """Number of items displaced by capacity overflow (superseded)."""
-        return self._dropped
-
     def put(self, item: Any) -> None:
         """Enqueue ``item``, waking the oldest waiting consumer if any."""
         while self._getters:
@@ -412,12 +333,6 @@ class SimQueue:
         if self.capacity is not None and len(self._items) > self.capacity:
             self._items.popleft()
             self._dropped += 1
-
-    def try_get(self) -> Any:
-        """Non-blocking get: the head item, or ``QUEUE_TIMEOUT`` if empty."""
-        if self._items:
-            return self._items.popleft()
-        return QUEUE_TIMEOUT
 
     def get(self, timeout_us: Optional[int] = None
             ) -> Generator[Any, Any, Any]:
@@ -445,9 +360,3 @@ class SimQueue:
             )
         value = yield waiter
         return value
-
-    def clear(self) -> int:
-        """Drop all queued items; returns how many were dropped."""
-        count = len(self._items)
-        self._items.clear()
-        return count

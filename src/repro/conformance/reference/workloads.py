@@ -39,10 +39,8 @@ copied.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from typing import (
-    Any,
     Deque,
     Generator,
     Iterable,
@@ -104,14 +102,6 @@ class Hypervisor:
         self._deficit_cus = 0.0
         self._elastic_cus = 0.0
         self._last_accrue_us = kernel.now
-
-    @property
-    def demand(self) -> float:
-        return self._demand
-
-    @property
-    def allocated(self) -> float:
-        return self._allocated
 
     @property
     def harvested(self) -> float:
@@ -221,10 +211,6 @@ class CpuModel:
         return self._freq_ghz
 
     @property
-    def utilization(self) -> float:
-        return self._utilization
-
-    @property
     def alpha(self) -> float:
         return self._utilization * self._boundness
 
@@ -280,28 +266,6 @@ class CpuModel:
             total_cycles=self._total,
             energy_joules=self._energy,
         )
-
-    def run_work(
-        self, giga_instructions: float
-    ) -> Generator[Any, Any, None]:
-        if giga_instructions < 0:
-            raise ValueError("work must be non-negative")
-        self._accrue()
-        target = self._instructions + giga_instructions
-        while True:
-            self._accrue()
-            remaining = target - self._instructions
-            if remaining <= 1e-9:
-                return
-            rate = self.ips_rate()
-            if rate <= 0.0:
-                yield self.change
-                continue
-            eta_us = int(math.ceil(remaining / rate * SEC))
-            waiter = self.kernel.event("cpu.work")
-            self.kernel.call_later(eta_us, lambda w=waiter: w.succeed("eta"))
-            self.change.add_callback(lambda _v, w=waiter: w.succeed("change"))
-            yield waiter
 
     def _accrue(self) -> None:
         now = self.kernel.now
@@ -418,10 +382,6 @@ class TieredMemory:
 
     def migrate_many(self, regions: Iterable[int], tier: Tier) -> int:
         return sum(1 for region in regions if self.migrate(region, tier))
-
-    def tier_of(self, region: int) -> Tier:
-        self._check_region(region)
-        return Tier.LOCAL if self._local[region] else Tier.REMOTE
 
     @property
     def n_local(self) -> int:

@@ -31,6 +31,7 @@ import contextlib
 import hashlib
 import json
 import os
+import threading
 from collections import Counter
 from dataclasses import dataclass
 from typing import (
@@ -97,6 +98,8 @@ class FleetDriver:
             replays journaled chunks instead of re-simulating them,
             records every dispatch/completion durably, and seals with
             the aggregate digest.
+        cancel: cooperative stop switch for pooled dispatch
+            (:func:`~repro.resilience.supervisor.supervised_map`).
     """
 
     def __init__(
@@ -107,6 +110,7 @@ class FleetDriver:
         quarantine: Optional[QuarantineLog] = None,
         chaos: Optional[ChaosPlan] = None,
         journal: Any = None,
+        cancel: Optional[threading.Event] = None,
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
@@ -116,6 +120,7 @@ class FleetDriver:
         self.quarantine = quarantine
         self.chaos = chaos
         self.journal = journal
+        self.cancel = cancel
 
     def shards(self) -> List[Tuple[int, ...]]:
         """Round-robin node-id shards, one per worker.
@@ -209,6 +214,7 @@ class FleetDriver:
                 policy=self.resilience,
                 quarantine=self.quarantine,
                 chaos=self.chaos,
+                cancel=self.cancel,
                 on_result=lambda _unit, results, _wall: builder.add_many(
                     results
                 ),
@@ -582,6 +588,7 @@ def reproduce_all(
     quarantine: Optional[QuarantineLog] = None,
     chaos: Optional[ChaosPlan] = None,
     journal: Any = None,
+    cancel: Optional[threading.Event] = None,
 ) -> List[ArtifactRun]:
     """Regenerate every table and figure, serially or sharded.
 
@@ -608,6 +615,7 @@ def reproduce_all(
             units replay instead of executing (or probing the cache),
             completions are recorded durably, and the pass seals with
             :func:`runs_digest`.
+        cancel: cooperative stop switch for pooled dispatch.
 
     Returns:
         Runs in canonical (paper) order regardless of completion order.
@@ -629,6 +637,7 @@ def reproduce_all(
             policy=resilience,
             quarantine=quarantine,
             chaos=chaos,
+            cancel=cancel,
             on_result=reducer.add,
             on_hole=reducer.hole,
         )

@@ -8,8 +8,9 @@ digests:
 * :mod:`repro.journal.log` — the crc-framed record stream (a record
   and its payload blob are one frame), append vs commit, and
   torn-tail-tolerant replay;
-* :mod:`repro.journal.lease` — heartbeat leases (one orchestrator per
-  run) and the :class:`FileLock` mutex reused by the quarantine log;
+* :mod:`repro.journal.lease` — run ownership as a kernel ``flock``
+  (one orchestrator per run, dropped by the kernel when its holder
+  dies) and the :class:`FileLock` mutex the quarantine log uses;
 * :mod:`repro.journal.run` — the :class:`RunJournal`: atomic manifest,
   which record kinds commit before they return, idempotent replay,
   deterministic run ids;
@@ -21,12 +22,7 @@ digests:
 * :mod:`repro.journal.cli` — the ``repro runs`` subcommand.
 """
 
-from repro.journal.lease import (
-    FileLock,
-    Lease,
-    LeaseHeldError,
-    LeaseLostError,
-)
+from repro.journal.lease import FileLock, Lease, LeaseHeldError
 from repro.journal.log import RecordLog, replay_records
 from repro.journal.run import RunJournal, derive_run_id, open_run
 
@@ -34,7 +30,6 @@ __all__ = [
     "FileLock",
     "Lease",
     "LeaseHeldError",
-    "LeaseLostError",
     "RecordLog",
     "RunJournal",
     "derive_run_id",

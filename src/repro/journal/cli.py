@@ -38,6 +38,7 @@ from repro.flags import (
     add_trace_flag,
     add_workers_flag,
 )
+from repro.journal.lease import Lease, LeaseHeldError
 from repro.journal.log import replay_records
 from repro.journal.registry import RunInfo, list_runs, resolve_run
 from repro.journal.run import runs_root
@@ -91,7 +92,7 @@ def add_runs_parser(sub: argparse._SubParsersAction) -> None:
     runs_prune = runs_sub.add_parser(
         "prune",
         help="delete old run directories from <cache>/runs/ (running "
-             "runs — live lease — are always refused)",
+             "runs — lease held — are always refused)",
     )
     runs_prune.add_argument(
         "--keep", type=int, default=0, metavar="N",
@@ -305,11 +306,12 @@ def prune_runs(
 ) -> Tuple[List[RunInfo], List[RunInfo], List[RunInfo]]:
     """Delete old run directories; never touch a running run.
 
-    Prunable runs are everything without a live lease — sealed runs
-    always, interrupted runs unless ``sealed_only`` — and the newest
-    ``keep`` prunable runs are spared (the registry lists newest
-    first).  Each pruned run loses its directory *and* any stale lease
-    file.
+    Prunable runs are everything not running — sealed runs always,
+    interrupted runs unless ``sealed_only`` — and the newest ``keep``
+    prunable runs are spared (the registry lists newest first).  Each
+    run is deleted under its own lease: a run claimed since the
+    registry scan is refused like a running one, and releasing the
+    lease removes the lease file.
 
     Returns:
         ``(pruned, kept, refused)``: what was deleted, what was spared
@@ -332,11 +334,16 @@ def prune_runs(
     kept.extend(prunable[:keep])
     root = runs_root(cache_root)
     for info in prunable[keep:]:
-        shutil.rmtree(info.directory, ignore_errors=True)
+        lease = Lease(os.path.join(root, f"{info.run_id}.lease"))
         try:
-            os.unlink(os.path.join(root, f"{info.run_id}.lease"))
-        except OSError:
-            pass  # no (stale) lease left behind — the common case
+            lease.acquire()
+        except LeaseHeldError:
+            refused.append(info)
+            continue
+        try:
+            shutil.rmtree(info.directory, ignore_errors=True)
+        finally:
+            lease.release()
         pruned.append(info)
     return pruned, kept, refused
 

@@ -1,266 +1,205 @@
-"""Run ownership: heartbeat leases and a tiny exclusive file lock.
+"""Run ownership: a kernel lock per run, and a tiny blocking file lock.
 
 Two orchestrators sharing one cache root must never both own the same
 run journal — concurrent appends would interleave records from two
 dispatch loops and the replay would see units "complete" that the
-surviving orchestrator never verified.  Ownership is a **lease file**
-next to the run directory:
+surviving orchestrator never verified.  Ownership is an exclusive,
+non-blocking ``flock`` on ``<cache>/runs/<run_id>.lease``, held from
+:func:`~repro.journal.run.open_run` until ``RunJournal.close``.  The
+kernel drops the lock when the last descriptor of its open file goes
+away — a clean exit, an exception, a SIGKILL — so a dead owner's run
+is claimable at once and a live owner's never is, with no expiry, no
+heartbeat and no liveness probe.  Four rules keep that true:
 
-* acquisition is ``O_CREAT | O_EXCL`` — the filesystem arbitrates, no
-  daemon required;
-* the owner renews the lease (rewrites its expiry) from a heartbeat
-  thread well inside the TTL, so a *live* owner can never look stale;
-* a lease is **stolen** when it has expired, or immediately when its
-  owner is a dead pid on the same host (the common CI case: the chaos
-  harness SIGKILLs the orchestrator and resumes right away).  The
-  steal replaces the file atomically with a fresh token and verifies
-  its own token read-back, so two simultaneous stealers resolve to
-  exactly one winner.
+1. **Forked children close the lock files they inherit** (the
+   ``register_at_fork`` hook below).  A child's descriptor shares the
+   parent's open file, so a pool worker that outlived a SIGKILLed
+   orchestrator would otherwise keep pinning its run.
+2. **Only the lock holder unlinks the file** (on release).  A claimant
+   that opened the path just before such an unlink ends up locking an
+   orphaned inode; it sees the path no longer names that inode and
+   retries.
+3. **A registry probe never fails a claim.**  The registry asks
+   "running?" by taking a *shared* non-blocking lock for an instant
+   (:func:`lease_held`); a claimant that collides with one retries for
+   up to :data:`CLAIM_RETRY_S`.  Only an exclusive holder refuses it.
+4. **A refusal names the owner.**  The holder writes its pid into the
+   file after locking — unsynced: the pid is a message for the
+   refused, not state anyone replays.
 
-:class:`FileLock` reuses the same ``O_EXCL`` + stale-breaking
-primitive as a short-critical-section mutex (no heartbeat); the
-quarantine log's read-merge-replace uses it to close its lost-update
-race (DESIGN.md §12).
+:class:`FileLock` is the same primitive, blocking: the quarantine
+log's read-merge-replace runs under it (DESIGN.md §12).
 """
 
 from __future__ import annotations
 
-import json
+import fcntl
 import os
-import socket
-import tempfile
 import time
-import uuid
-from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import Any, Optional, Set
 
-__all__ = ["FileLock", "Lease", "LeaseHeldError", "LeaseLostError"]
+__all__ = [
+    "CLAIM_RETRY_S",
+    "FileLock",
+    "Lease",
+    "LeaseHeldError",
+    "lease_held",
+]
+
+#: How long a claim keeps retrying past shared registry probes (rule 3).
+CLAIM_RETRY_S = 2.0
 
 
 class LeaseHeldError(RuntimeError):
-    """The run is owned by a live (non-stealable) orchestrator."""
+    """The run is owned by a live orchestrator."""
 
 
-class LeaseLostError(RuntimeError):
-    """Our lease token vanished — another orchestrator stole the run."""
+class _LockFile:
+    """One open lock file; a forked child closes its copy (rule 1)."""
+
+    def __init__(self, path: str, flags: int) -> None:
+        self.fd: Optional[int] = os.open(path, flags, 0o644)
+        _open_files.add(self)
+
+    def close(self) -> None:
+        fd, self.fd = self.fd, None
+        _open_files.discard(self)
+        if fd is not None:
+            os.close(fd)
 
 
-def _pid_alive(pid: int) -> bool:
-    """Liveness of a pid on this host (signal 0 probe)."""
-    if pid <= 0:
+_open_files: Set[_LockFile] = set()
+
+
+def _close_inherited() -> None:
+    # Closing the child's descriptor leaves the parent's lock alone;
+    # only an explicit LOCK_UN would drop it for both.
+    for lock_file in list(_open_files):
+        lock_file.close()
+
+
+os.register_at_fork(after_in_child=_close_inherited)
+
+
+def _names(fd: int, path: str) -> bool:
+    """Whether ``path`` still names the inode open on ``fd`` (rule 2)."""
+    try:
+        on_disk = os.stat(path)
+    except FileNotFoundError:
+        return False
+    held = os.fstat(fd)
+    return (on_disk.st_dev, on_disk.st_ino) == (held.st_dev, held.st_ino)
+
+
+def lease_held(path: str) -> bool:
+    """Whether a live process holds the lease at ``path`` (rule 3)."""
+    try:
+        probe = _LockFile(path, os.O_RDONLY)
+    except FileNotFoundError:
         return False
     try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except PermissionError:  # pragma: no cover — exists, other uid
+        fcntl.flock(probe.fd, fcntl.LOCK_SH | fcntl.LOCK_NB)
+    except BlockingIOError:
         return True
-    return True
-
-
-def _read_state(path: str) -> Optional[Dict[str, Any]]:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
-    except (OSError, ValueError):
-        return None
-
-
-def _stale(state: Optional[Dict[str, Any]], now: float) -> bool:
-    """A lease is stealable when expired or owned by a dead local pid.
-
-    An unreadable/corrupt lease file (torn write of the lease itself)
-    is treated as stale — the steal path's atomic replace + read-back
-    arbitrates racing claimants either way.
-    """
-    if state is None:
-        return True
-    if float(state.get("expires_at", 0.0)) <= now:
-        return True
-    if state.get("host") == socket.gethostname():
-        return not _pid_alive(int(state.get("pid", -1)))
+    finally:
+        probe.close()
     return False
 
 
-@dataclass
 class Lease:
-    """An owned, renewable claim on one run journal.
+    """An exclusive claim on one run, held until :meth:`release`.
 
     Args:
         path: lease file location (sibling of the run directory, so a
             fresh-run wipe of the directory cannot destroy a live
             claim).
-        ttl_s: expiry horizon written at every renewal.  Owners renew
-            from a heartbeat at ``ttl_s / 4``, so only a dead or
-            wedged owner ever expires.
     """
 
-    path: str
-    ttl_s: float = 30.0
-    token: str = field(default_factory=lambda: uuid.uuid4().hex)
-    _held: bool = field(init=False, default=False)
-
-    def _state(self) -> Dict[str, Any]:
-        return {
-            "token": self.token,
-            "pid": os.getpid(),
-            "host": socket.gethostname(),
-            "expires_at": time.time() + self.ttl_s,
-        }
-
-    def _write_atomic(self) -> None:
-        directory = os.path.dirname(self.path) or "."
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".lease-")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(self._state(), handle)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, self.path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-
-    def _try_claim(self) -> bool:
-        """Exclusively create the lease file *with* our state in it.
-
-        The claim must appear atomically with its content: creating an
-        empty file first (``O_CREAT|O_EXCL`` then write) opens a window
-        where a racing claimant reads the empty file, deems it
-        corrupt-therefore-stale, and steals a lock that is actively
-        held.  A hard link from a fully-written temp file is an
-        exclusive create that carries the state with it.
-        """
-        directory = os.path.dirname(self.path) or "."
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".lease-")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(self._state(), handle)
-                handle.flush()
-                os.fsync(handle.fileno())
-            try:
-                os.link(tmp, self.path)
-            except FileExistsError:
-                return False
-            return True
-        finally:
-            try:
-                os.unlink(tmp)
-            except OSError:  # pragma: no cover — tmp already gone
-                pass
-
-    def acquire(self) -> "Lease":
-        """Claim the lease; steal a stale one; raise if held live.
-
-        Stealing is a two-step conditional take, never a blind
-        overwrite: first ``os.rename`` the stale file aside (exactly
-        one of any number of racing stealers wins the rename — the
-        rest see ``FileNotFoundError``), then re-race the exclusive
-        create.  An unconditional ``os.replace`` here would clobber a
-        *fresh* claim made between the staleness read and the steal,
-        leaving two processes both believing they own the lease.
-
-        Raises:
-            LeaseHeldError: a live orchestrator owns the run.
-        """
-        os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
-        for _ in range(16):  # claim/steal races are transient
-            if self._try_claim():
-                self._held = True
-                return self
-            state = _read_state(self.path)
-            if not _stale(state, time.time()):
-                owner = "unknown owner"
-                if state is not None:
-                    owner = (
-                        f"pid {state.get('pid')} on {state.get('host')}"
-                    )
-                raise LeaseHeldError(
-                    f"run lease {self.path} is held by {owner}"
-                )
-            aside = f"{self.path}.stale-{self.token}"
-            try:
-                os.rename(self.path, aside)
-            except FileNotFoundError:
-                continue  # released or stolen aside: re-race the create
-            try:
-                os.unlink(aside)
-            except OSError:  # pragma: no cover — nothing to clean
-                pass
-        raise LeaseHeldError(  # pragma: no cover — pathological churn
-            f"run lease {self.path} could not be claimed under "
-            "contention"
-        )
-
-    def renew(self) -> None:
-        """Heartbeat: push the expiry forward; detect theft.
-
-        Raises:
-            LeaseLostError: the file no longer carries our token.
-        """
-        if not self._held:
-            raise LeaseLostError(f"lease {self.path} is not held")
-        state = _read_state(self.path)
-        if state is None or state.get("token") != self.token:
-            self._held = False
-            raise LeaseLostError(
-                f"lease {self.path} no longer carries our token"
-            )
-        self._write_atomic()
-
-    def release(self) -> None:
-        """Drop the claim (idempotent; never releases a stolen file)."""
-        if not self._held:
-            return
-        self._held = False
-        state = _read_state(self.path)
-        if state is not None and state.get("token") == self.token:
-            try:
-                os.unlink(self.path)
-            except OSError:
-                pass
+    def __init__(self, path: str) -> None:
+        self.path = path
+        self._file: Optional[_LockFile] = None
 
     @property
     def held(self) -> bool:
-        return self._held
+        return self._file is not None
+
+    def acquire(self) -> "Lease":
+        """Claim the run, or refuse if a live process owns it.
+
+        Raises:
+            LeaseHeldError: a live orchestrator owns the run (naming
+                its pid), or shared probes outlasted
+                :data:`CLAIM_RETRY_S`.
+        """
+        os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
+        deadline = time.monotonic() + CLAIM_RETRY_S
+        while True:
+            lock_file = _LockFile(self.path, os.O_RDWR | os.O_CREAT)
+            try:
+                if self._lock(lock_file.fd, deadline):
+                    pid = f"{os.getpid()}\n".encode("ascii")
+                    os.pwrite(lock_file.fd, pid, 0)
+                    os.ftruncate(lock_file.fd, len(pid))
+                    self._file = lock_file
+                    return self
+            except BaseException:
+                lock_file.close()
+                raise
+            lock_file.close()
+
+    def _lock(self, fd: int, deadline: float) -> bool:
+        """Lock ``fd`` exclusively: ``True`` once it is the path's file,
+        ``False`` to retry with a fresh open."""
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            try:
+                fcntl.flock(fd, fcntl.LOCK_SH | fcntl.LOCK_NB)
+            except BlockingIOError:
+                owner = os.pread(fd, 32, 0).decode("ascii", "replace")
+                raise LeaseHeldError(
+                    f"run lease {self.path} is held by pid "
+                    f"{owner.strip() or '?'}"
+                ) from None
+            if time.monotonic() >= deadline:
+                raise LeaseHeldError(
+                    f"run lease {self.path} stayed probed for "
+                    f"{CLAIM_RETRY_S}s"
+                ) from None
+            time.sleep(0.001)
+            return False  # only registry probes share it (rule 3)
+        return _names(fd, self.path)  # rule 2
+
+    def release(self) -> None:
+        """Drop the claim (idempotent): unlink the file, then unlock."""
+        lock_file, self._file = self._file, None
+        if lock_file is None:
+            return
+        if _names(lock_file.fd, self.path):
+            os.unlink(self.path)
+        lock_file.close()
 
 
-@dataclass
 class FileLock:
-    """Short-critical-section mutex on the lease primitive.
+    """``with FileLock(path):`` — a blocking exclusive ``flock`` for
+    short critical sections (quarantine log merges).  The file stays
+    on disk; nothing but the lock matters."""
 
-    ``with FileLock(path):`` spins on ``O_CREAT | O_EXCL`` with a tiny
-    sleep; a lock older than ``stale_s`` **or** owned by a dead local
-    pid is broken via the same atomic-replace + token read-back steal.
-    Intended for sub-second sections (quarantine log merges); not a
-    fairness-providing lock.
-    """
-
-    path: str
-    stale_s: float = 10.0
-    poll_s: float = 0.005
-    timeout_s: float = 30.0
-    _lease: Optional[Lease] = field(init=False, default=None)
+    def __init__(self, path: str) -> None:
+        self.path = path
+        self._file: Optional[_LockFile] = None
 
     def __enter__(self) -> "FileLock":
-        deadline = time.monotonic() + self.timeout_s
-        while True:
-            lease = Lease(self.path, ttl_s=self.stale_s)
-            try:
-                self._lease = lease.acquire()
-                return self
-            except LeaseHeldError:
-                if time.monotonic() >= deadline:
-                    raise TimeoutError(
-                        f"could not acquire lock {self.path} within "
-                        f"{self.timeout_s}s"
-                    ) from None
-                time.sleep(self.poll_s)
+        lock_file = _LockFile(self.path, os.O_RDWR | os.O_CREAT)
+        try:
+            fcntl.flock(lock_file.fd, fcntl.LOCK_EX)
+        except BaseException:
+            lock_file.close()
+            raise
+        self._file = lock_file
+        return self
 
     def __exit__(self, *exc_info: Any) -> None:
-        if self._lease is not None:
-            self._lease.release()
-            self._lease = None
+        lock_file, self._file = self._file, None
+        if lock_file is not None:
+            lock_file.close()

@@ -25,6 +25,7 @@ cannot move results, but the journal's unit list must stay stable.
 from __future__ import annotations
 
 import contextlib
+import threading
 import time
 from dataclasses import asdict, dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -119,8 +120,7 @@ def open_fleet_journal(
     resume adopts the manifest's chunk plan (``verify_units=False``)
     rather than re-deriving chunks from the current worker count.
     ``options`` (here and in the two openers below) are
-    :func:`~repro.journal.run.open_run`'s ``resume``, ``run_id`` and
-    ``lease_ttl_s``.
+    :func:`~repro.journal.run.open_run`'s ``resume`` and ``run_id``.
     """
     driver = FleetDriver(config, workers=workers)
     chunks = driver.chunk_plan()
@@ -311,7 +311,7 @@ class Pipeline:
     are the manifest round trip; ``open_journal(cache_root, config,
     workers, **open_run_options)`` claims the run's journal;
     ``run(config, workers, cache, journal, *, resilience, quarantine,
-    chaos, on_result)`` hands all of that to the kind's driver
+    chaos, cancel, on_result)`` hands all of that to the kind's driver
     (``on_result`` streams finished pieces — only ``reproduce`` has any
     before the end); ``digest(result)`` is what the run seals with;
     ``parts(result)`` names each separately-digested piece as ``name →
@@ -436,6 +436,7 @@ def launch(
     trace: bool = True,
     policy: Any = None,
     chaos: Any = None,
+    cancel: Optional[threading.Event] = None,
     on_result: Optional[Callable[[Any], None]] = None,
     **span_args: Any,
 ) -> Launch:
@@ -452,7 +453,8 @@ def launch(
     span), the kind's driver, and the journal's ``close()`` — lease
     released — on the way out, success or not.  ``tap`` wraps the
     journal the driver records through (``repro serve`` turns durable
-    records into events with it).
+    records into events with it); ``cancel`` stops pooled dispatch
+    (a serve job's cancel switch).
 
     Raises:
         ValueError: ``resume`` without a journal to resume.
@@ -478,7 +480,7 @@ def launch(
             result = pipeline.run(
                 config, workers, cache, recorder,
                 resilience=policy, quarantine=quarantine, chaos=chaos,
-                on_result=on_result,
+                cancel=cancel, on_result=on_result,
             )
         wall_s = time.perf_counter() - started
     return Launch(

@@ -1,13 +1,15 @@
 """Run discovery: scan the journal area and classify each run.
 
-Read-only — the registry never takes a lease, so ``repro runs list``
-can inspect a cache root while a live orchestrator works in it.  A
-run's status derives from durable state alone:
+Read-only — the registry never claims a lease (its ``running`` probe
+is a shared lock held for an instant, which no claim fails on), so
+``repro runs list`` can inspect a cache root while a live orchestrator
+works in it.  A run without a readable JSON-object manifest is not a
+run.  Otherwise its status is:
 
 * ``sealed``: the log carries ``RUN_SEALED`` — the run finished and its
   final digest is recorded;
-* ``running``: an unexpired lease with a live owner exists;
-* ``interrupted``: no seal and no live lease — the orchestrator died
+* ``running``: a live process holds the run's lease lock;
+* ``interrupted``: no seal and no lock holder — the orchestrator died
   (or released without sealing); the run is resumable.
 """
 
@@ -15,13 +17,12 @@ from __future__ import annotations
 
 import json
 import os
-import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
-from repro.journal.lease import _read_state, _stale
+from repro.journal.lease import lease_held
 from repro.journal.log import replay_records
-from repro.journal.run import runs_root
+from repro.journal.run import read_manifest, runs_root
 
 __all__ = [
     "RunInfo",
@@ -65,7 +66,8 @@ def _read_summary(directory: str) -> Optional[Dict[str, Any]]:
 
 
 def inspect_run(cache_root: str, run_id: str) -> Optional[RunInfo]:
-    """Durable state of one run, or ``None`` if it has no manifest.
+    """Durable state of one run, or ``None`` if it has no manifest
+    (:func:`~repro.journal.run.read_manifest`).
 
     Sealed runs short-circuit through the seal-time ``summary.json``
     sidecar — listing N sealed runs costs N small JSON reads, not N
@@ -74,11 +76,8 @@ def inspect_run(cache_root: str, run_id: str) -> Optional[RunInfo]:
     """
     root = runs_root(cache_root)
     directory = os.path.join(root, run_id)
-    manifest_path = os.path.join(directory, "manifest.json")
-    try:
-        with open(manifest_path, "r", encoding="utf-8") as handle:
-            manifest = json.load(handle)
-    except (OSError, ValueError):
+    manifest = read_manifest(directory)
+    if manifest is None:
         return None
     summary = _read_summary(directory)
     if summary is not None:
@@ -111,12 +110,10 @@ def inspect_run(cache_root: str, run_id: str) -> Optional[RunInfo]:
             sealed_digest = record.get("digest")
     if sealed_digest is not None:
         status = "sealed"
+    elif lease_held(os.path.join(root, f"{run_id}.lease")):
+        status = "running"
     else:
-        lease_state = _read_state(os.path.join(root, f"{run_id}.lease"))
-        if lease_state is not None and not _stale(lease_state, time.time()):
-            status = "running"
-        else:
-            status = "interrupted"
+        status = "interrupted"
     return RunInfo(
         run_id=str(manifest.get("run_id", run_id)),
         kind=str(manifest.get("kind", "?")),
@@ -161,11 +158,11 @@ def resolve_run(cache_root: str, run_id: str) -> Optional[RunInfo]:
 
 
 def interrupted_runs(cache_root: str) -> List[RunInfo]:
-    """Resumable runs: no seal, no live lease — adoption candidates.
+    """Resumable runs: no seal, no lock holder — adoption candidates.
 
     The ``repro serve`` control plane calls this at startup to re-adopt
     runs whose orchestrator (possibly a previous server) died; each is
-    claimed one at a time via the normal lease steal when its job
+    claimed one at a time by the normal lease claim when its job
     actually executes, so two servers racing the same cache root
     resolve per-run, not wholesale.
     """

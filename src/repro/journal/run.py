@@ -7,9 +7,9 @@ One run = one directory under ``<cache>/runs/<run_id>/``::
     log.bin         append-only record stream (:mod:`repro.journal.log`);
                     a UNIT_DONE frame carries its result pickle
 
-plus a sibling ``<cache>/runs/<run_id>.lease`` claim file (outside the
-directory, so wiping the directory for a fresh run cannot destroy a
-live claim).
+plus a sibling ``<cache>/runs/<run_id>.lease`` file whose kernel lock
+is the claim (:mod:`repro.journal.lease`; outside the directory, so
+wiping the directory for a fresh run cannot destroy a live claim).
 
 Crash-consistency discipline — this class is the one place that sorts
 the record kinds into three durability classes (DESIGN.md §12):
@@ -42,13 +42,12 @@ import os
 import pickle
 import shutil
 import tempfile
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.cache.keys import code_salt, _canonical
-from repro.journal.lease import Lease, LeaseLostError
+from repro.journal.lease import Lease
 from repro.journal.log import LOG_FORMAT, RecordLog
 
 __all__ = [
@@ -58,6 +57,7 @@ __all__ = [
     "check_resumable",
     "derive_run_id",
     "open_run",
+    "read_manifest",
     "runs_root",
 ]
 
@@ -132,12 +132,6 @@ class RunJournal:
     replayed_walls: Dict[str, float] = field(default_factory=dict)
     replayed_quarantined: List[str] = field(default_factory=list)
     sealed_digest: Optional[str] = None
-    _heartbeat: Optional[threading.Thread] = field(
-        init=False, default=None, repr=False
-    )
-    _stop: threading.Event = field(
-        init=False, default_factory=threading.Event, repr=False
-    )
     _closed: bool = field(init=False, default=False)
 
     # -- queries -------------------------------------------------------------
@@ -257,29 +251,11 @@ class RunJournal:
 
     # -- lifecycle -----------------------------------------------------------
 
-    def _start_heartbeat(self) -> None:
-        interval = max(0.2, self._lease.ttl_s / 4.0)
-
-        def beat() -> None:
-            while not self._stop.wait(interval):
-                try:
-                    self._lease.renew()
-                except LeaseLostError:  # pragma: no cover — stolen live
-                    return
-
-        self._heartbeat = threading.Thread(
-            target=beat, name=f"journal-lease-{self.run_id}", daemon=True
-        )
-        self._heartbeat.start()
-
     def close(self) -> None:
-        """Stop the heartbeat, release the lease, close the log."""
+        """Close the log, then release the lease."""
         if self._closed:
             return
         self._closed = True
-        self._stop.set()
-        if self._heartbeat is not None:
-            self._heartbeat.join(timeout=2.0)
         self._log.close()
         self._lease.release()
 
@@ -323,6 +299,19 @@ def _replay_into(journal: RunJournal) -> None:
     ]
 
 
+def read_manifest(directory: str) -> Optional[Dict[str, Any]]:
+    """A run directory's manifest, or ``None`` when it is missing,
+    unreadable, or not a JSON object — all three mean "no journal"."""
+    try:
+        with open(
+            os.path.join(directory, "manifest.json"), "r", encoding="utf-8"
+        ) as handle:
+            manifest = json.load(handle)
+    except (OSError, ValueError):
+        return None
+    return manifest if isinstance(manifest, dict) else None
+
+
 def check_resumable(run_id: str, manifest: Dict[str, Any]) -> None:
     """Refuse to adopt a journal this build did not write.
 
@@ -356,7 +345,6 @@ def open_run(
     resume: bool = False,
     run_id: Optional[str] = None,
     verify_units: bool = True,
-    lease_ttl_s: float = 30.0,
 ) -> RunJournal:
     """Claim (and possibly replay) the journal for one run.
 
@@ -380,18 +368,9 @@ def open_run(
     resolved = run_id or derive_run_id(kind, config)
     root = runs_root(cache_root)
     directory = os.path.join(root, resolved)
-    lease = Lease(
-        os.path.join(root, f"{resolved}.lease"), ttl_s=lease_ttl_s
-    ).acquire()
+    lease = Lease(os.path.join(root, f"{resolved}.lease")).acquire()
     try:
-        manifest_path = os.path.join(directory, "manifest.json")
-        existing: Optional[Dict[str, Any]] = None
-        if resume and os.path.exists(manifest_path):
-            try:
-                with open(manifest_path, "r", encoding="utf-8") as handle:
-                    existing = json.load(handle)
-            except (OSError, ValueError):
-                existing = None
+        existing = read_manifest(directory) if resume else None
         if existing is not None:
             check_resumable(resolved, existing)
             if verify_units and list(existing.get("units", [])) != list(
@@ -416,7 +395,7 @@ def open_run(
                 "created_at": time.time(),
             }
             _atomic_write(
-                manifest_path,
+                os.path.join(directory, "manifest.json"),
                 json.dumps(manifest, sort_keys=True, indent=2).encode(
                     "utf-8"
                 ),
@@ -432,5 +411,4 @@ def open_run(
         lease.release()
         raise
     _replay_into(journal)
-    journal._start_heartbeat()
     return journal

@@ -1,6 +1,6 @@
 """``repro trace`` — export a run's telemetry sidecar.
 
-``repro trace export RUN_ID [--format chrome] [--output PATH]`` reads
+``repro trace export RUN_ID [--output PATH]`` reads
 ``trace.jsonl`` next to the run's journal and emits Chrome/Perfetto
 trace-event JSON (open the file at ``ui.perfetto.dev``).  ``RUN_ID``
 may be ``latest`` to pick the most recently created journaled run.
@@ -37,12 +37,6 @@ def add_trace_parser(sub) -> None:
     export.add_argument(
         "run_id",
         help="journaled run id, or 'latest' for the newest run",
-    )
-    export.add_argument(
-        "--format",
-        choices=("chrome",),
-        default="chrome",
-        help="output format (default: chrome trace-event JSON)",
     )
     export.add_argument(
         "--output",

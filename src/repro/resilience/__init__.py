@@ -41,8 +41,6 @@ from repro.resilience.supervisor import (
     AttemptFailure,
     DispatchCancelled,
     DispatchOutcome,
-    cancel_token,
-    set_cancel_token,
     supervised_map,
 )
 
@@ -62,9 +60,7 @@ __all__ = [
     "UnitsOutcome",
     "WorkUnit",
     "active_plan",
-    "cancel_token",
     "run_units",
-    "set_cancel_token",
     "shared_pool",
     "shared_pool_counters",
     "shutdown_shared_pool",

@@ -17,6 +17,7 @@ so timing proxies and ``repro serve``'s event tap substitute freely;
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -141,6 +142,7 @@ def run_units(
     policy: Optional[RetryPolicy] = None,
     quarantine: Optional[QuarantineLog] = None,
     chaos: Optional[ChaosPlan] = None,
+    cancel: Optional[threading.Event] = None,
     on_result: Callable[[WorkUnit, Any, Optional[float]], None] = _ignore,
     on_hole: Callable[[WorkUnit], None] = _ignore,
 ) -> UnitsOutcome:
@@ -155,8 +157,8 @@ def run_units(
             in this process, pool-free.
         cache: result cache, or ``None``.
         journal: run journal, or ``None``.
-        policy / quarantine / chaos: supervised-dispatch knobs
-            (DESIGN.md §11); they only apply to pooled dispatch.
+        policy / quarantine / chaos / cancel: supervised-dispatch
+            knobs (DESIGN.md §11); they only apply to pooled dispatch.
         on_result: ``(unit, payload, wall_s)`` for every satisfied unit
             — replayed units first, then the cache hits (after their
             one batch commit), then executed units in completion order;
@@ -243,6 +245,7 @@ def run_units(
             policy=policy,
             quarantine=quarantine,
             chaos=chaos,
+            cancel=cancel,
             on_dispatch=dispatched,
             on_result=done,
             on_quarantine=poisoned,

@@ -41,8 +41,6 @@ __all__ = [
     "AttemptFailure",
     "DispatchCancelled",
     "DispatchOutcome",
-    "cancel_token",
-    "set_cancel_token",
     "supervised_map",
 ]
 
@@ -57,26 +55,6 @@ class DispatchCancelled(RuntimeError):
     cancellation is an orderly stop, not a wedged dispatcher.  Callers
     that journal see the run left unsealed and resumable.
     """
-
-
-_cancel_local = threading.local()
-
-
-def set_cancel_token(token: Optional[threading.Event]) -> None:
-    """Install this thread's ambient cancel token (``None`` clears it).
-
-    The token rides thread-local state rather than a parameter so that
-    callers several layers above the dispatch (``repro serve`` runs
-    whole pipelines per job thread) can arm cancellation without
-    threading a token through every driver signature.  Always clear in
-    a ``finally`` — thread pools reuse threads.
-    """
-    _cancel_local.token = token
-
-
-def cancel_token() -> Optional[threading.Event]:
-    """This thread's ambient cancel token, if one is installed."""
-    return getattr(_cancel_local, "token", None)
 
 
 @dataclass(frozen=True)
@@ -161,11 +139,10 @@ def supervised_map(
             immediately before each pool submission (retries included)
             — the run journal's dispatch-intent hook (DESIGN.md §12).
         context: quarantine-record provenance tag.
-        cancel: cooperative stop switch (default: the thread's ambient
-            :func:`cancel_token`).  Checked once per dispatch-loop
-            iteration; when set, every in-flight unit's worker is
-            killed and :class:`DispatchCancelled` is raised with the
-            shared pool left warm.
+        cancel: cooperative stop switch.  Checked once per
+            dispatch-loop iteration; when set, every in-flight unit's
+            worker is killed and :class:`DispatchCancelled` is raised
+            with the shared pool left warm.
 
     Raises:
         DispatchCancelled: the cancel token was set mid-dispatch (or
@@ -233,7 +210,6 @@ def supervised_map(
         sequence += 1
         heapq.heappush(delayed, (ready_at, sequence, unit_id, attempt + 1))
 
-    stop = cancel if cancel is not None else cancel_token()
     pool = pool_factory(workers)
 
     def refill() -> None:
@@ -269,7 +245,7 @@ def supervised_map(
 
     try:
         while pending or delayed or inflight:
-            if stop is not None and stop.is_set():
+            if cancel is not None and cancel.is_set():
                 raise DispatchCancelled(
                     f"dispatch of {context} cancelled "
                     f"({len(inflight)} in-flight unit(s) killed)"

@@ -3,7 +3,7 @@
 Subcommands::
 
     repro serve start   [--socket PATH] [--queue-limit N]
-                        [--drain-grace S] [--no-adopt] [--cache-dir PATH]
+                        [--drain-grace S] [--cache-dir PATH]
     repro serve submit  (fleet|reproduce|sweep) [kind flags]
                         [--workers N] [--deadline S] [--watch]
     repro serve status  [JOB_ID]
@@ -70,10 +70,6 @@ def add_serve_parser(sub: argparse._SubParsersAction) -> None:
         "--drain-grace", type=float, default=5.0, metavar="S",
         help="SIGTERM grace before in-flight jobs are cancelled "
              "(default: %(default)ss)",
-    )
-    start.add_argument(
-        "--no-adopt", dest="adopt", action="store_false", default=True,
-        help="do not re-adopt interrupted runs found at startup",
     )
     add_workers_flag(
         start, 2, "pool size for adopted jobs with no recorded worker count"
@@ -177,7 +173,6 @@ def _cmd_start(args: argparse.Namespace) -> int:
         socket_path=args.socket,
         queue_limit=args.queue_limit,
         drain_grace_s=args.drain_grace,
-        adopt=args.adopt,
         default_workers=args.workers,
     )
     return asyncio.run(server.run())

@@ -12,8 +12,9 @@ restarting must lose nothing.  The harness:
    journal commit (one per completed unit, DESIGN.md §12);
 3. verifies the interrupted run is on disk (journaled progress, not
    sealed), then starts a *second* server on the same cache root: it
-   must adopt the run via the lease dead-pid steal, re-execute **zero**
-   journaled units, and seal with a digest bit-identical to step 1;
+   must adopt the run (the kernel dropped the dead server's lease
+   lock), re-execute **zero** journaled units, and seal with a digest
+   bit-identical to step 1;
 4. drains the second server (exit 0) and requires every journal lease
    to be released;
 5. separately proves the admission surface: a ``--queue-limit 1``

@@ -22,12 +22,12 @@ server's event loop stays responsive.  Progress streams out through a
 :class:`JournalTap` — a delegating wrapper around the run journal whose
 record hooks double as event emitters, so "what the client sees" is
 exactly "what became durable", in order.  Cancellation is cooperative
-and two-pronged: the thread's ambient
-:func:`~repro.resilience.supervisor.cancel_token` stops pooled
-dispatch between poll iterations (in-flight workers killed, pool kept
-warm), and the tap's dispatch-intent hook stops inline
-(``workers=1``) execution between units.  Either way the journal is
-left unsealed — resumable — and the lease is released.
+and two-pronged: the job's cancel event, passed down the launch
+ladder as ``cancel=``, stops pooled dispatch between poll iterations
+(in-flight workers killed, pool kept warm), and the tap's
+dispatch-intent hook stops inline (``workers=1``) execution between
+units.  Either way the journal is left unsealed — resumable — and the
+lease is released.
 """
 
 from __future__ import annotations
@@ -39,10 +39,7 @@ from typing import Any, Callable, Dict, Iterable, Optional
 
 from repro.journal.registry import RunInfo
 from repro.journal.run import DoneItem, RunJournal, derive_run_id
-from repro.resilience.supervisor import (
-    DispatchCancelled,
-    set_cancel_token,
-)
+from repro.resilience.supervisor import DispatchCancelled
 
 __all__ = [
     "JOB_KINDS",
@@ -267,10 +264,11 @@ def execute_job(
 ) -> Dict[str, Any]:
     """Run one job to completion in the calling (worker) thread.
 
-    Installs the thread's cancel token and drives the job down the
-    launch ladder (:func:`~repro.journal.pipelines.launch`): the job's
-    journal opens in resume mode (adopt-or-create) and is always closed
-    — releasing the lease — on the way out, success or not.
+    Drives the job down the launch ladder
+    (:func:`~repro.journal.pipelines.launch`) with the job's cancel
+    event as its ``cancel=``: the job's journal opens in resume mode
+    (adopt-or-create) and is always closed — releasing the lease — on
+    the way out, success or not.
 
     Returns:
         ``{"digest", "journal": {...counts...}, "cache": {...stats...}}``.
@@ -296,22 +294,19 @@ def execute_job(
     queue_wait_s = max(
         0.0, (job.started_at or time.time()) - job.submitted_at
     )
-    set_cancel_token(job.cancel)
-    try:
-        launched = launch(
-            job.kind,
-            PIPELINES[job.kind].config_from_payload(job.payload),
-            cache_root=cache_root,
-            workers=job.workers,
-            resume=True,
-            run_id=job.run_id,
-            tap=tap,
-            job_id=job.job_id,
-            adopted=job.adopted,
-            queue_wait_s=round(queue_wait_s, 6),
-        )
-    finally:
-        set_cancel_token(None)
+    launched = launch(
+        job.kind,
+        PIPELINES[job.kind].config_from_payload(job.payload),
+        cache_root=cache_root,
+        workers=job.workers,
+        resume=True,
+        run_id=job.run_id,
+        tap=tap,
+        cancel=job.cancel,
+        job_id=job.job_id,
+        adopted=job.adopted,
+        queue_wait_s=round(queue_wait_s, 6),
+    )
     cache = launched.cache
     return {
         "digest": launched.journal.sealed_digest,

@@ -11,10 +11,10 @@ deliberately not reentrant, so the scheduler serializes — the pool
 itself still fans each job out across workers).
 
 Crash tolerance is inherited, not bolted on: every job runs under a
-PR 8 run journal opened in resume mode, so a ``kill -9`` of the server
-mid-job leaves a sealed-or-resumable journal and a lease that expires
-(or is stolen immediately by a successor on the same host, dead-pid
-rule).  On startup the server scans for interrupted runs and re-adopts
+run journal opened in resume mode, so a ``kill -9`` of the server
+mid-job leaves a sealed-or-resumable journal and a lease lock the
+kernel has already dropped, claimable by a successor at once.  On
+startup the server scans for interrupted runs and re-adopts
 them as internal jobs — re-executing zero journaled units.  The
 ``repro chaos serve --kill-server N`` harness proves the whole loop.
 
@@ -111,7 +111,6 @@ class ServeServer:
             it get an explicit backpressure rejection.
         drain_grace_s: how long SIGTERM lets in-flight work finish
             before cancelling it.
-        adopt: re-adopt interrupted runs found at startup.
         default_workers: pool size for adopted jobs whose manifest
             records none.
     """
@@ -120,7 +119,6 @@ class ServeServer:
     socket_path: Optional[str] = None
     queue_limit: int = 8
     drain_grace_s: float = 5.0
-    adopt: bool = True
     default_workers: int = 2
 
     exit_code: int = 0
@@ -165,8 +163,7 @@ class ServeServer:
             f"[serve: listening on {self.socket_path} "
             f"(cache {self.cache_root}, queue limit {self.queue_limit})]"
         )
-        if self.adopt:
-            self._adopt_interrupted()
+        self._adopt_interrupted()
         scheduler = asyncio.create_task(self._scheduler())
         try:
             await self._shutdown.wait()

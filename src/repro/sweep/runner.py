@@ -17,6 +17,7 @@ order and worker count cannot change a record bit; the
 
 from __future__ import annotations
 
+import threading
 import time
 from typing import Any, Dict, Optional
 
@@ -71,6 +72,7 @@ class SweepRunner:
             cells replay instead of probing the cache or executing,
             completions (cache hits included) are recorded durably, and
             the campaign seals with the report digest.
+        cancel: cooperative stop switch for pooled dispatch.
     """
 
     def __init__(
@@ -82,6 +84,7 @@ class SweepRunner:
         quarantine: Optional[QuarantineLog] = None,
         chaos: Optional[ChaosPlan] = None,
         journal: Any = None,
+        cancel: Optional[threading.Event] = None,
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
@@ -92,6 +95,7 @@ class SweepRunner:
         self.quarantine = quarantine
         self.chaos = chaos
         self.journal = journal
+        self.cancel = cancel
 
     def run(self) -> CampaignReport:
         """Execute the grid and aggregate the safety scoreboard."""
@@ -116,6 +120,7 @@ class SweepRunner:
                 policy=self.resilience,
                 quarantine=self.quarantine,
                 chaos=self.chaos,
+                cancel=self.cancel,
                 on_result=collect,
             )
             # executed / from_cache are run accounting, not results:

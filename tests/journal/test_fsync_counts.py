@@ -1,8 +1,9 @@
 """Fsyncs per pass are a pinned function of the plan (DESIGN.md §12).
 
-``executed units + (1 if any cache hit) + 4`` — the lease claim, the
-manifest, the seal and ``summary.json`` are the four — whatever the
-worker count and however the pool's polls happened to group results.
+``executed units + (1 if any cache hit) + 3`` — the manifest, the seal
+and ``summary.json`` are the three; the lease is a kernel lock and
+costs none — whatever the worker count and however the pool's polls
+happened to group results.
 The stack benchmark reports the same number as
 ``journal.fsyncs_per_pass``; here it is an assertion.
 """
@@ -14,7 +15,7 @@ import pytest
 from repro.journal.pipelines import PIPELINES, launch
 from repro.serve.jobs import execute_job, job_from_submission
 
-FIXED = 4  # lease claim, manifest, seal, summary.json
+FIXED = 3  # manifest, seal, summary.json
 
 PAYLOADS = {
     "fleet": {
@@ -42,7 +43,7 @@ def _launch(kind, root, workers, fsyncs, **options):
 
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("kind", sorted(PAYLOADS))
-def test_a_cold_pass_is_one_fsync_per_executed_unit_plus_four(
+def test_a_cold_pass_is_one_fsync_per_executed_unit_plus_fixed(
     kind, workers, tmp_path, fsyncs
 ):
     journal, count = _launch(kind, str(tmp_path), workers, fsyncs)
@@ -51,7 +52,7 @@ def test_a_cold_pass_is_one_fsync_per_executed_unit_plus_four(
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_an_all_hit_pass_is_five_fsyncs_whatever_its_size(
+def test_an_all_hit_pass_is_one_fsync_plus_fixed_whatever_its_size(
     workers, tmp_path, fsyncs
 ):
     root = str(tmp_path)
@@ -83,7 +84,7 @@ def test_hits_and_misses_in_one_pass_share_nothing_but_the_batch(
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_a_serve_fleet_job_is_one_fsync_per_chunk_plus_four(
+def test_a_serve_fleet_job_is_one_fsync_per_chunk_plus_fixed(
     workers, tmp_path, fsyncs
 ):
     job = job_from_submission("job-0001", {

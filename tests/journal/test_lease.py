@@ -1,16 +1,31 @@
-"""Lease ownership: exclusive claims, staleness, stealing, FileLock."""
+"""Run ownership as a kernel lock: claims, refusals, the four rules.
 
-import json
+The owners in the process tests are real processes: the kernel, not a
+forged lease file, decides who holds a run.
+"""
+
 import os
-import time
+import signal
+import subprocess
+import sys
+import threading
 
 import pytest
 
-from repro.journal.lease import (
-    FileLock,
-    Lease,
-    LeaseHeldError,
-    LeaseLostError,
+from repro.journal.lease import FileLock, Lease, LeaseHeldError, lease_held
+
+#: Holds a lease — optionally after forking a child that sleeps on —
+#: prints ``ready <child pid or 0>`` and waits to be killed.
+OWNER = (
+    "import os, sys, time\n"
+    "from repro.journal.lease import Lease\n"
+    "Lease(sys.argv[1]).acquire()\n"
+    "child = os.fork() if sys.argv[2] == 'fork' else 0\n"
+    "if sys.argv[2] == 'fork' and child == 0:\n"
+    "    time.sleep(120)\n"
+    "    os._exit(0)\n"
+    "print('ready', child, flush=True)\n"
+    "time.sleep(120)\n"
 )
 
 
@@ -19,142 +34,172 @@ def lease_path(tmp_path):
     return str(tmp_path / "run.lease")
 
 
+def _env():
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+
+
+def _spawn_owner(lease_path, mode="alone"):
+    """The owner process and its forked child's pid (0: none)."""
+    proc = subprocess.Popen(
+        [sys.executable, "-c", OWNER, lease_path, mode],
+        env=_env(), stdout=subprocess.PIPE, text=True,
+    )
+    ready, child = proc.stdout.readline().split()
+    assert ready == "ready"
+    return proc, int(child)
+
+
+def _claim_after_sigkill(lease_path, mode):
+    owner, child = _spawn_owner(lease_path, mode)
+    try:
+        assert lease_held(lease_path)
+        owner.send_signal(signal.SIGKILL)
+        owner.wait(timeout=30)
+        if child:
+            os.kill(child, 0)  # the forked child outlives its parent
+        lease = Lease(lease_path).acquire()
+        assert lease.held
+        lease.release()
+    finally:
+        owner.kill()
+        owner.wait(timeout=30)
+        owner.stdout.close()
+        if child:
+            os.kill(child, signal.SIGKILL)
+
+
 def test_acquire_release_cycle(lease_path):
     lease = Lease(lease_path).acquire()
     assert lease.held
-    assert os.path.exists(lease_path)
+    assert lease_held(lease_path)
+    with open(lease_path) as handle:
+        assert handle.read() == f"{os.getpid()}\n"
     lease.release()
     assert not lease.held
     assert not os.path.exists(lease_path)
+    lease.release()  # idempotent
 
 
 def test_second_claimant_rejected_while_owner_lives(lease_path):
     first = Lease(lease_path).acquire()
-    with pytest.raises(LeaseHeldError):
+    with pytest.raises(LeaseHeldError, match=f"pid {os.getpid()}"):
         Lease(lease_path).acquire()
     first.release()
-
-
-def test_expired_lease_is_stolen(lease_path):
-    first = Lease(lease_path, ttl_s=30.0).acquire()
-    # Forge an expired lease owned by a live pid on another host: only
-    # the expiry can make it stale.
-    with open(lease_path, "w", encoding="utf-8") as handle:
-        json.dump(
-            {
-                "token": "other", "pid": os.getpid(),
-                "host": "another-host", "expires_at": time.time() - 1.0,
-            },
-            handle,
-        )
-    second = Lease(lease_path).acquire()
-    assert second.held
-    second.release()
-    first.release()  # token no longer ours: must not unlink or raise
-
-
-def test_dead_local_pid_is_stolen_immediately(lease_path):
-    import socket
-
-    # An unexpired lease held by a dead pid on *this* host — the chaos
-    # harness's post-SIGKILL resume case.  2**22 exceeds the default
-    # pid_max, so the pid cannot be alive.
-    with open(lease_path, "w", encoding="utf-8") as handle:
-        json.dump(
-            {
-                "token": "dead", "pid": 2**22,
-                "host": socket.gethostname(),
-                "expires_at": time.time() + 3600.0,
-            },
-            handle,
-        )
-    lease = Lease(lease_path).acquire()
-    assert lease.held
-    lease.release()
-
-
-def test_live_foreign_host_lease_not_stolen(lease_path):
-    with open(lease_path, "w", encoding="utf-8") as handle:
-        json.dump(
-            {
-                "token": "remote", "pid": 1, "host": "another-host",
-                "expires_at": time.time() + 3600.0,
-            },
-            handle,
-        )
-    with pytest.raises(LeaseHeldError):
-        Lease(lease_path).acquire()
+    Lease(lease_path).acquire().release()
 
 
 def test_corrupt_lease_file_counts_as_stale(lease_path):
+    """No holder, garbage content: the content is not the claim."""
     with open(lease_path, "w", encoding="utf-8") as handle:
         handle.write("{not json")
+    assert not lease_held(lease_path)
     lease = Lease(lease_path).acquire()
     assert lease.held
-    lease.release()
-
-
-def test_renew_detects_theft(lease_path):
-    lease = Lease(lease_path).acquire()
-    with open(lease_path, "w", encoding="utf-8") as handle:
-        json.dump(
-            {
-                "token": "thief", "pid": os.getpid(),
-                "host": "h", "expires_at": time.time() + 60.0,
-            },
-            handle,
-        )
-    with pytest.raises(LeaseLostError):
-        lease.renew()
-    assert not lease.held
-
-
-def test_renew_pushes_expiry_forward(lease_path):
-    lease = Lease(lease_path, ttl_s=60.0).acquire()
-    with open(lease_path, "r", encoding="utf-8") as handle:
-        before = json.load(handle)["expires_at"]
-    time.sleep(0.01)
-    lease.renew()
-    with open(lease_path, "r", encoding="utf-8") as handle:
-        after = json.load(handle)["expires_at"]
-    assert after > before
     lease.release()
 
 
 def test_release_never_unlinks_foreign_token(lease_path):
+    """Rule 2: release unlinks only the inode it locked — a file that
+    replaced it at the path (someone else's) survives."""
     lease = Lease(lease_path).acquire()
+    os.unlink(lease_path)
     with open(lease_path, "w", encoding="utf-8") as handle:
-        json.dump({"token": "thief"}, handle)
+        handle.write("other\n")
     lease.release()
-    assert os.path.exists(lease_path)  # the thief's claim survives
+    assert os.path.exists(lease_path)
+
+
+def test_a_claim_that_locked_an_unlinked_inode_retries(
+    lease_path, monkeypatch
+):
+    """Rule 2, claimant side: the path was unlinked (by the releasing
+    holder) between this claimant's open and its lock."""
+    from repro.journal import lease as lease_module
+
+    real_flock = lease_module.fcntl.flock
+    unlinked = []
+
+    def flock(fd, operation):
+        if not unlinked:
+            unlinked.append(fd)
+            os.unlink(lease_path)
+        real_flock(fd, operation)
+
+    monkeypatch.setattr(lease_module.fcntl, "flock", flock)
+    lease = Lease(lease_path).acquire()
+    monkeypatch.undo()
+    assert len(unlinked) == 1
+    assert os.path.exists(lease_path) and lease_held(lease_path)
+    lease.release()
+
+
+def test_dead_local_pid_is_stolen_immediately(lease_path):
+    """A SIGKILLed owner leaves a run that is claimable at once."""
+    _claim_after_sigkill(lease_path, "alone")
+
+
+def test_a_forked_child_does_not_pin_a_dead_owners_run(lease_path):
+    """Rule 1: a child forked while the lease was held (a pool worker)
+    and still alive after its parent's SIGKILL holds nothing."""
+    _claim_after_sigkill(lease_path, "fork")
+
+
+def test_a_live_owner_is_refused_by_pid(lease_path):
+    owner, _child = _spawn_owner(lease_path)
+    try:
+        with pytest.raises(LeaseHeldError, match=f"pid {owner.pid}$"):
+            Lease(lease_path).acquire()
+        assert lease_held(lease_path)
+    finally:
+        owner.kill()
+        owner.wait(timeout=30)
+        owner.stdout.close()
+
+
+def test_registry_probes_never_fail_a_claim(lease_path):
+    """Rule 3: 300 claim/release cycles against a thread that runs the
+    registry's ``running`` probe in a tight loop."""
+    stop = threading.Event()
+    probes = []
+
+    def probe():
+        while not stop.is_set():
+            probes.append(lease_held(lease_path))
+
+    prober = threading.Thread(target=probe)
+    prober.start()
+    try:
+        for _ in range(300):
+            lease = Lease(lease_path).acquire()
+            lease.release()
+    finally:
+        stop.set()
+        prober.join()
+    assert probes
 
 
 def test_filelock_serializes_critical_sections(tmp_path):
     path = str(tmp_path / "x.lock")
     order = []
+    entered = threading.Event()
+
+    def contender():
+        with FileLock(path):
+            order.append("second")
+        entered.set()
+
     with FileLock(path):
-        order.append("in")
-        # A second claimant with a tiny timeout cannot get in.
-        with pytest.raises(TimeoutError):
-            with FileLock(path, timeout_s=0.05):
-                order.append("never")
-    order.append("out")
-    with FileLock(path):  # released: immediately reacquirable
-        order.append("again")
-    assert order == ["in", "out", "again"]
+        order.append("first")
+        thread = threading.Thread(target=contender)
+        thread.start()
+        assert not entered.wait(0.1)  # blocked while we hold it
+        order.append("out")
+    thread.join(timeout=30)
+    assert order == ["first", "out", "second"]
 
 
 def test_filelock_excludes_across_processes(tmp_path):
-    """Two real processes × 200 locked increments → exactly 400.
-
-    Pins claim atomicity: the lock file must never be observable
-    half-written, or a contender reads it as corrupt-therefore-stale
-    and steals a lock that is actively held (which shows up here as a
-    lost increment).
-    """
-    import subprocess
-    import sys
-
+    """Two real processes × 200 locked increments → exactly 400."""
     lock = str(tmp_path / "counter.lock")
     counter = str(tmp_path / "counter.txt")
     with open(counter, "w") as handle:
@@ -170,10 +215,9 @@ def test_filelock_excludes_across_processes(tmp_path):
         "        with open(counter, 'w') as handle:\n"
         "            handle.write(str(value + 1))\n"
     )
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     procs = [
         subprocess.Popen(
-            [sys.executable, "-c", script, lock, counter], env=env
+            [sys.executable, "-c", script, lock, counter], env=_env()
         )
         for _ in range(2)
     ]

@@ -113,7 +113,7 @@ def _interrupt_sweep(spec_path, cache_dir, monkeypatch, after=1):
         journal = open_sweep_journal(cache_dir, spec)
         with pytest.raises(Killed):
             SweepRunner(spec, journal=journal).run()
-        journal.close()  # the dead pid's lease would be stolen anyway
+        journal.close()  # a dead owner's lock is dropped by the kernel
     finally:
         monkeypatch.delenv(KILL_AFTER_ENV, raising=False)
         set_kill_action(None)
@@ -374,10 +374,43 @@ def test_runs_prune_removes_stale_lease_files(cache_dir):
     from repro.journal.run import runs_root
 
     run_id = _seal_fleet(cache_dir, seed=5)
-    # fabricate a stale lease left behind by a dead owner
+    # a lease file left behind by a dead owner (no lock holder)
     stale = os.path.join(runs_root(cache_dir), f"{run_id}.lease")
     with open(stale, "w", encoding="utf-8") as handle:
         handle.write("{}")
     assert main(["runs", "prune", "--cache-dir", cache_dir]) == 0
     assert not os.path.exists(stale)
     assert list_runs(cache_dir) == []
+
+
+def test_runs_prune_refuses_a_run_claimed_after_the_scan(
+    capsys, cache_dir, monkeypatch
+):
+    """A run the registry saw as sealed, but that an orchestrator claimed
+    between that snapshot and the delete, is refused and left intact —
+    directory, lease file and all."""
+    import os
+
+    from repro.journal import cli as runs_cli
+    from repro.journal.lease import Lease
+    from repro.journal.run import runs_root
+
+    run_id = _seal_fleet(cache_dir, seed=6)
+    lease = Lease(os.path.join(runs_root(cache_dir), f"{run_id}.lease"))
+
+    def snapshot_then_claim(root):
+        runs = list_runs(root)
+        lease.acquire()
+        return runs
+
+    monkeypatch.setattr(runs_cli, "list_runs", snapshot_then_claim)
+    try:
+        assert main(["runs", "prune", "--cache-dir", cache_dir]) == 0
+        assert "0 pruned, 0 kept, 1 running refused" in (
+            capsys.readouterr().out
+        )
+        assert os.path.exists(lease.path)
+        (info,) = list_runs(cache_dir)
+        assert info.run_id == run_id and info.status == "sealed"
+    finally:
+        lease.release()

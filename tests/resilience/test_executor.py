@@ -21,7 +21,6 @@ from repro.resilience import (
     RetryPolicy,
     WorkUnit,
     run_units,
-    set_cancel_token,
 )
 
 FAST = RetryPolicy(max_retries=0, backoff_base_s=0.01, backoff_cap_s=0.05)
@@ -182,14 +181,13 @@ def test_replayed_quarantine_is_a_hole_without_redispatch():
 
 def test_cancellation_leaves_the_journal_unsealed():
     log = []
-    token = threading.Event()
-    token.set()
-    set_cancel_token(token)
-    try:
-        with pytest.raises(DispatchCancelled):
-            run_units(_plan(3), _double, workers=2, journal=FakeJournal(log))
-    finally:
-        set_cancel_token(None)
+    cancel = threading.Event()
+    cancel.set()
+    with pytest.raises(DispatchCancelled):
+        run_units(
+            _plan(3), _double, workers=2, journal=FakeJournal(log),
+            cancel=cancel,
+        )
     assert not any(entry[0] in ("seal", "done") for entry in log)
 
 

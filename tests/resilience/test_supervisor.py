@@ -218,40 +218,6 @@ def test_cancel_mid_dispatch_kills_inflight_units(pool_env):
     assert outcome.results == {"u2": 6}
 
 
-def test_ambient_cancel_token_is_per_thread(pool_env):
-    import threading
-
-    from repro.resilience import (
-        DispatchCancelled,
-        cancel_token,
-        set_cancel_token,
-    )
-
-    factory, shutdown, _ = pool_env
-    token = threading.Event()
-    token.set()
-    set_cancel_token(token)
-    try:
-        assert cancel_token() is token
-        with pytest.raises(DispatchCancelled):
-            supervised_map(
-                _double, [("u0", 1)], workers=2,
-                pool_factory=factory, pool_shutdown=shutdown,
-                policy=FAST,
-            )
-    finally:
-        set_cancel_token(None)
-    assert cancel_token() is None
-    # other threads never see this thread's token
-    seen = {}
-    other = threading.Thread(
-        target=lambda: seen.update(token=cancel_token())
-    )
-    other.start()
-    other.join()
-    assert seen["token"] is None
-
-
 # -- refill before commit ----------------------------------------------------
 
 

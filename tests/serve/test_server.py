@@ -243,8 +243,8 @@ def test_drain_releases_leases_and_second_server_adopts(
     baseline = FleetDriver(QUICK, workers=1).run().digest()
 
     # Manufacture an interrupted run: journal two units, then "die"
-    # (close without sealing — the lease is released exactly as a dead
-    # pid's lease is stealable).
+    # (close without sealing — the lease is released exactly as the
+    # kernel releases a dead owner's lock).
     class _Die(Exception):
         pass
 
@@ -467,3 +467,36 @@ def test_startup_skips_a_run_journaled_by_another_build(
         assert info is not None and info.status == "interrupted"
         with open(os.path.join(info.directory, "log.bin"), "rb") as handle:
             assert handle.read() == log_bytes
+
+
+def test_a_non_object_manifest_hides_no_other_interrupted_run(
+    server_thread, cache_root, capsys
+):
+    """A ``manifest.json`` that is valid JSON but not an object (``[]``)
+    is no run at all — exactly like an unreadable one: ``list_runs``
+    skips it, the adoption scan still adopts the good interrupted run
+    beside it, and ``runs resume`` of it is a usage error."""
+    from repro.cli import main
+    from repro.journal.registry import list_runs
+
+    with open_fleet_journal(cache_root, QUICK, 1) as journal:
+        good = journal.run_id  # closed unsealed: interrupted
+    bad = os.path.join(runs_root(cache_root), "0123456789abcdef")
+    os.makedirs(bad)
+    with open(os.path.join(bad, "manifest.json"), "w") as handle:
+        handle.write("[]")
+
+    assert [info.run_id for info in list_runs(cache_root)] == [good]
+    assert main(
+        ["runs", "resume", "0123456789abcdef", "--cache-dir", cache_root]
+    ) == 1
+    assert "no journaled run '0123456789abcdef'" in capsys.readouterr().out
+
+    st = server_thread(default_workers=1)
+    client = st.start()
+    job = client.find_by_run(good)
+    assert job is not None and job["adopted"] is True
+    assert "adoption scan failed" not in capsys.readouterr().out
+    assert client.wait(job["job_id"], timeout=90.0)["status"] == "done"
+    assert client.drain()["ok"]
+    assert st.join() == 0
