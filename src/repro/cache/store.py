@@ -14,9 +14,9 @@ garbage where a content-addressed object should be), counted in
 the unit then reruns and stores a fresh object (DESIGN.md §11).
 
 The store also keeps ``unit_timings.json`` — per-unit wall-time
-histogram summaries (count/total/min/max/last) that the driver feeds
-back into longest-first dispatch via its ``last`` field (replacing the
-estimated-cost heuristic; DESIGN.md §8 and §14).
+summaries (count/total/min/max/last) that the driver feeds back into
+longest-first dispatch via their ``last`` field (replacing the
+estimated-cost heuristic; DESIGN.md §8).
 """
 
 from __future__ import annotations
@@ -25,11 +25,10 @@ import json
 import os
 import pickle
 import tempfile
-from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from dataclasses import asdict, dataclass, field
+from typing import Any, Dict
 
 from repro.obs import spans as obs
-from repro.obs.metrics import MetricsRegistry, counter_property
 
 __all__ = ["CacheStats", "ResultCache", "default_cache_dir"]
 
@@ -46,15 +45,13 @@ def default_cache_dir() -> str:
     )
 
 
+@dataclass
 class CacheStats:
     """Hit/miss/store counters for one :class:`ResultCache` instance.
 
-    Registry-backed (DESIGN.md §14): the counters live in a
-    :class:`~repro.obs.metrics.MetricsRegistry`, so a run's telemetry
-    sidecar and the serve ``metrics`` verb read the same storage the
-    ``[cache:]`` CLI line renders.  The int-compatible properties keep
-    every legacy mutation site (``stats.hits += 1``) and comparison
-    unchanged.
+    Plain fields (DESIGN.md §14): the orchestrator thread that owns the
+    cache is their one writer, and the ``[cache:]`` CLI line, the serve
+    ``metrics`` verb and a job's result all read :meth:`snapshot`.
 
     ``corrupt`` counts present-but-unreadable objects that were moved
     to quarantine (each such get also counts as a miss — the unit
@@ -63,26 +60,15 @@ class CacheStats:
     (:attr:`ResultCache.quarantine_keep`).
     """
 
-    FIELDS = ("hits", "misses", "stores", "corrupt", "pruned")
-
-    def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
-        self.registry = (
-            registry if registry is not None else MetricsRegistry()
-        )
-
-    hits = counter_property("cache.hits")
-    misses = counter_property("cache.misses")
-    stores = counter_property("cache.stores")
-    corrupt = counter_property("cache.corrupt")
-    pruned = counter_property("cache.pruned")
+    hits: int = 0
+    misses: int = 0
+    stores: int = 0
+    corrupt: int = 0
+    pruned: int = 0
 
     def snapshot(self) -> Dict[str, int]:
-        """Wire-serializable counter values (one consistent read)."""
-        counters = self.registry.snapshot().get("counters", {})
-        return {
-            name: int(counters.get(f"cache.{name}", 0))
-            for name in self.FIELDS
-        }
+        """Wire-serializable counter values."""
+        return asdict(self)
 
     def render(self) -> str:
         line = f"hits={self.hits} misses={self.misses} stores={self.stores}"
@@ -120,7 +106,8 @@ class ResultCache:
         """The payload stored under ``key``, or ``default`` (a miss).
 
         A key with no object is a plain miss.  A key whose object
-        exists but cannot be unpickled is *corrupt*: the file is moved
+        exists but cannot be read or unpickled — whatever exception the
+        unpickle raises — is *corrupt*: the file is moved
         to ``<cache>/quarantine/`` as evidence, the corruption is
         counted, and the get degrades to a miss — the unit reruns and
         stores a fresh object.  Garbage is never returned.
@@ -135,10 +122,10 @@ class ResultCache:
                 if sp is not None:
                     sp.args["outcome"] = "miss"
                 return default
-            except (OSError, pickle.UnpicklingError, EOFError,
-                    AttributeError, ImportError, IndexError, ValueError):
-                # Truncated, garbled, or stale-beyond-unpickling:
-                # quarantine the evidence, then degrade to a miss.
+            except Exception:  # noqa: BLE001 — any unpickle error
+                # Truncated, garbled, crafted, or stale-beyond-
+                # unpickling: quarantine the evidence, then degrade to a
+                # miss, as journal replay does.
                 self._quarantine_object(key, path)
                 self.stats.misses += 1
                 self.stats.corrupt += 1
@@ -209,7 +196,7 @@ class ResultCache:
 
     # -- recorded unit timings ----------------------------------------------
 
-    #: Histogram summary fields persisted per unit key.
+    #: Wall summary fields persisted per unit key.
     TIMING_FIELDS = ("count", "total", "min", "max", "last")
 
     @property
@@ -217,7 +204,7 @@ class ResultCache:
         return os.path.join(self.directory, "unit_timings.json")
 
     def load_unit_timings(self) -> Dict[str, Dict[str, float]]:
-        """Persisted per-unit wall histograms (empty when none)."""
+        """Persisted per-unit wall summaries (empty when none)."""
         try:
             with open(self._timings_path, "r", encoding="utf-8") as handle:
                 data = json.load(handle)
@@ -238,48 +225,26 @@ class ResultCache:
             }
         return out
 
-    def save_unit_timings(
-        self, timings: Dict[str, Dict[str, Any]]
-    ) -> None:
-        """Merge histogram summaries into the persisted set.
+    def save_unit_timings(self, walls: Dict[str, float]) -> None:
+        """Fold one pass's executed walls (unit id → seconds) into the
+        persisted summaries — the one merge of ``unit_timings.json``.
 
-        Counts and totals accumulate across runs, min/max widen, and
-        ``last`` — the value longest-first dispatch reads — takes the
-        incoming (fresher) observation.  Atomic rewrite, same contract
-        as object stores.
+        Per unit, the count grows by one, the total by the wall, min/max
+        widen, and ``last`` — the value longest-first dispatch reads —
+        becomes this wall.  Atomic rewrite, same contract as object
+        stores.
         """
         merged = self.load_unit_timings()
-        for key, incoming in timings.items():
-            if not isinstance(incoming, dict):
-                continue
-            if not isinstance(incoming.get("last"), (int, float)):
-                continue
-            prior = merged.get(key)
-            if prior is None:
-                prior = {
-                    "count": 0, "total": 0.0,
-                    "min": None, "max": None, "last": None,
-                }
-            count = int(incoming.get("count", 0) or 0)
-            summary = {
-                "count": int(prior.get("count", 0) or 0) + count,
-                "total": round(
-                    float(prior.get("total", 0.0) or 0.0)
-                    + float(incoming.get("total", 0.0) or 0.0),
-                    6,
-                ),
-                "last": round(float(incoming["last"]), 6),
+        for key, wall in walls.items():
+            wall = round(float(wall), 6)
+            prior = merged.get(key, {})
+            merged[key] = {
+                "count": int(prior.get("count", 0)) + 1,
+                "total": round(float(prior.get("total", 0.0)) + wall, 6),
+                "min": min(prior.get("min", wall), wall),
+                "max": max(prior.get("max", wall), wall),
+                "last": wall,
             }
-            for name, pick in (("min", min), ("max", max)):
-                candidates = [
-                    float(value)
-                    for value in (prior.get(name), incoming.get(name))
-                    if isinstance(value, (int, float))
-                ]
-                summary[name] = (
-                    round(pick(candidates), 6) if candidates else None
-                )
-            merged[key] = summary
         self._atomic_write(
             self._timings_path,
             json.dumps(merged, indent=0, sort_keys=True).encode("utf-8"),

@@ -35,13 +35,12 @@ import threading
 from collections import Counter
 from dataclasses import dataclass
 from typing import (
-    Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple,
+    Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple,
 )
 
 from repro.cache import ResultCache, unit_key
 from repro.experiments.common import ExperimentResult, experiment_digest
 from repro.obs import spans as obs
-from repro.obs.metrics import HistogramFamily
 from repro.fleet.aggregate import FleetAggregate, FleetAggregateBuilder
 from repro.fleet.config import FleetConfig
 from repro.fleet.node import NodeResult
@@ -371,15 +370,6 @@ def select_artifacts(only: Optional[Sequence[str]]) -> List[str]:
 
 # -- incremental reproduction (DESIGN.md §8) ---------------------------------
 
-#: Measured wall-time histograms per work unit, keyed by
-#: ``"artifact/series@scale"`` (DESIGN.md §14).  Session-wide; merged
-#: with (and persisted to) the cache's recorded summaries when a cache
-#: is in play.  Longest-first dispatch reads each key's ``last``
-#: observation — exactly the value the old flat ``unit_walls.json``
-#: table held — while count/total/min/max accumulate for ``repro runs
-#: show --timing`` and the telemetry sidecar.
-_unit_timings = HistogramFamily()
-
 
 def _wall_key(name: str, series: Optional[str], scale: float) -> str:
     return f"{name}/{series or ''}@{scale!r}"
@@ -393,9 +383,10 @@ def _cache_key(payload: Tuple[str, Optional[str], float]) -> str:
 
 def _dispatch_costs(
     payloads: Sequence[Tuple[str, Optional[str], float]],
+    walls: Mapping[str, float],
 ) -> List[float]:
-    """Per-unit dispatch cost: measured wall where known, calibrated
-    estimate otherwise.
+    """Per-unit dispatch cost: the recorded wall in ``walls`` (keyed by
+    unit id) where known, calibrated estimate otherwise.
 
     The estimate is the artifact's simulated seconds split across its
     units (tables get a nominal epsilon).  Measured walls (seconds) and
@@ -414,7 +405,7 @@ def _dispatch_costs(
         _path, kwargs_builder = ARTIFACT_SPECS[name]
         seconds = kwargs_builder(scale).get("seconds", 0)
         estimate = max(float(seconds), 1.0) / n_units[name]
-        wall = _unit_timings.last(_wall_key(name, series, scale))
+        wall = walls.get(_wall_key(name, series, scale))
         estimated.append(estimate)
         measured.append(wall)
         if wall is not None:
@@ -429,11 +420,16 @@ def _dispatch_costs(
     ]
 
 
-def reproduce_plan(only: Optional[Sequence[str]], scale: float) -> Plan:
+def reproduce_plan(
+    only: Optional[Sequence[str]],
+    scale: float,
+    walls: Optional[Mapping[str, float]] = None,
+) -> Plan:
     """The reproduce plan: every ``(artifact, series)`` unit of the
     selected artifacts in canonical order, ids ``artifact/series@scale``
     (what the journal's manifest lists), costs from
-    :func:`_dispatch_costs`.
+    :func:`_dispatch_costs` over the recorded ``walls`` (none: every
+    cost is the estimate).
 
     Raises:
         ValueError: ``only`` names an artifact that does not exist.
@@ -447,7 +443,9 @@ def reproduce_plan(only: Optional[Sequence[str]], scale: float) -> Plan:
         "reproduce",
         tuple(
             WorkUnit(_wall_key(*payload), payload, cost=cost)
-            for payload, cost in zip(payloads, _dispatch_costs(payloads))
+            for payload, cost in zip(
+                payloads, _dispatch_costs(payloads, walls or {})
+            )
         ),
         cache_key=_cache_key,
     )
@@ -456,22 +454,25 @@ def reproduce_plan(only: Optional[Sequence[str]], scale: float) -> Plan:
 @contextlib.contextmanager
 def _recorded_walls(
     cache: Optional[ResultCache],
-) -> Iterator[Dict[str, float]]:
-    """Load the cache's persisted unit timings on entry; on exit —
-    success or not, completed units are already cached, so their walls
-    are kept too — persist the walls recorded into the yielded dict."""
+) -> Iterator[Tuple[Dict[str, float], Dict[str, float]]]:
+    """Yield ``(recorded, executed)``: the cache's persisted ``last``
+    wall per unit id, and an empty dict for the pass to record its
+    executed walls into.  On exit — success or not, completed units are
+    already cached, so their walls are kept too — the executed walls
+    are merged into the cache's ``unit_timings.json``."""
     executed: Dict[str, float] = {}
     if cache is None:
-        yield executed
+        yield {}, executed
         return
-    # Session-recorded observations win over persisted summaries: the
-    # family keeps its own ``last`` for keys measured this session.
-    _unit_timings.absorb(cache.load_unit_timings())
+    recorded = {
+        unit_id: summary["last"]
+        for unit_id, summary in cache.load_unit_timings().items()
+    }
     try:
-        yield executed
+        yield recorded, executed
     finally:
         if executed:
-            cache.save_unit_timings(_unit_timings.export(executed))
+            cache.save_unit_timings(executed)
 
 
 def assemble_artifact(
@@ -544,7 +545,6 @@ class _ArtifactReducer:
     ) -> None:
         name, series, scale = unit.payload
         if wall is not None:
-            _unit_timings.observe(unit.unit_id, wall)
             self.executed_walls[unit.unit_id] = wall
             self.walls[name] += wall
         self.collected[name][series] = payload
@@ -625,8 +625,8 @@ def reproduce_all(
     """
     with obs.span(
         "pipeline", cat="reproduce", scale=scale, parallel=parallel
-    ), _recorded_walls(cache) as executed_walls:
-        plan = reproduce_plan(only, scale)
+    ), _recorded_walls(cache) as (recorded_walls, executed_walls):
+        plan = reproduce_plan(only, scale, recorded_walls)
         reducer = _ArtifactReducer(plan, on_result, executed_walls)
         outcome = run_units(
             plan,

@@ -15,7 +15,6 @@ run.  Otherwise its status is:
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
@@ -51,50 +50,19 @@ class RunInfo:
     manifest: Dict[str, Any]
 
 
-def _read_summary(directory: str) -> Optional[Dict[str, Any]]:
-    """The seal-time ``summary.json`` sidecar, if present and sane."""
-    try:
-        with open(
-            os.path.join(directory, "summary.json"), "r", encoding="utf-8"
-        ) as handle:
-            summary = json.load(handle)
-    except (OSError, ValueError):
-        return None
-    if not isinstance(summary, dict) or not summary.get("digest"):
-        return None
-    return summary
-
-
 def inspect_run(cache_root: str, run_id: str) -> Optional[RunInfo]:
     """Durable state of one run, or ``None`` if it has no manifest
     (:func:`~repro.journal.run.read_manifest`).
 
-    Sealed runs short-circuit through the seal-time ``summary.json``
-    sidecar — listing N sealed runs costs N small JSON reads, not N
-    full ``log.bin`` replays.  Unsealed runs (and sealed runs whose
-    sidecar write was lost to a crash) fall back to replay.
+    The one place run counts are computed: a replay of the run's
+    ``log.bin`` (record metadata only — blobs are skipped), the same
+    for sealed and unsealed runs.
     """
     root = runs_root(cache_root)
     directory = os.path.join(root, run_id)
     manifest = read_manifest(directory)
     if manifest is None:
         return None
-    summary = _read_summary(directory)
-    if summary is not None:
-        return RunInfo(
-            run_id=str(manifest.get("run_id", run_id)),
-            kind=str(manifest.get("kind", "?")),
-            status="sealed",
-            total_units=len(manifest.get("units", [])),
-            done_units=int(summary.get("done_units", 0)),
-            quarantined_units=int(summary.get("quarantined_units", 0)),
-            executed_units=int(summary.get("executed_units", 0)),
-            cached_units=int(summary.get("cached_units", 0)),
-            sealed_digest=str(summary["digest"]),
-            created_at=float(manifest.get("created_at", 0.0)),
-            directory=directory,
-            manifest=manifest,
-        )
     records, _valid = replay_records(os.path.join(directory, "log.bin"))
     known = set(manifest.get("units", []))
     done: Dict[str, bool] = {}

@@ -192,62 +192,15 @@ class RunJournal:
     def seal(self, digest: str) -> None:
         """Terminal record: the run completed with this final digest.
 
-        The seal record carries the run's summary counts (done /
-        quarantined / executed / cached, derived from the durable
-        record stream, so replayed units are included), and the same
-        summary is mirrored into a ``summary.json`` sidecar — the
-        registry's no-replay fast path for listing sealed runs.  A kill
-        between the seal append and the sidecar write just means the
-        registry falls back to log replay for this run (correct, only
-        slower).
+        One frame, one fsync.  The run's counts are not copied into it:
+        the registry derives them by replaying the log
+        (:func:`~repro.journal.registry.inspect_run`), sealed or not.
         """
         if self.sealed:
             return
-        summary = self._summary_counts()
-        self._log.append("RUN_SEALED", digest=digest, **summary)
+        self._log.append("RUN_SEALED", digest=digest)
         self._log.commit()
         self.sealed_digest = digest
-        sidecar = {
-            "run_id": self.run_id,
-            "digest": digest,
-            "total_units": len(self.manifest.get("units", [])),
-            **summary,
-        }
-        try:
-            _atomic_write(
-                os.path.join(self.directory, "summary.json"),
-                json.dumps(sidecar, sort_keys=True, indent=2).encode(
-                    "utf-8"
-                ),
-            )
-        except OSError:  # pragma: no cover — sidecar is an optimization
-            pass
-
-    def _summary_counts(self) -> Dict[str, int]:
-        """Completion counts from the durable record stream.
-
-        Computed from the log (not :attr:`stats`) so replayed units
-        count and torn records cannot: this is exactly what a registry
-        replay of the sealed log would conclude.
-        """
-        known = set(self.manifest.get("units", []))
-        done: Dict[str, bool] = {}
-        quarantined = set()
-        for record in self._log.records:
-            kind = record.get("kind")
-            if kind == "UNIT_DONE" and record.get("unit") in known:
-                done[record["unit"]] = bool(record.get("executed", True))
-            elif (
-                kind == "UNIT_QUARANTINED"
-                and record.get("unit") in known
-            ):
-                quarantined.add(record["unit"])
-        return {
-            "done_units": len(done),
-            "quarantined_units": len(quarantined - set(done)),
-            "executed_units": sum(1 for e in done.values() if e),
-            "cached_units": sum(1 for e in done.values() if not e),
-        }
 
     # -- lifecycle -----------------------------------------------------------
 

@@ -1,13 +1,13 @@
-"""repro.obs — unified observability: spans, metrics, sidecars, export.
+"""repro.obs — unified observability: spans, sidecars, export.
 
 One layer answers "where did this run spend its time": a hierarchical
 span :mod:`tracer <repro.obs.spans>` (run → pipeline → unit → attempt,
-plus cache/journal/pool/serve internals), a
-:mod:`metrics registry <repro.obs.metrics>` unifying the stack's
-counters behind one atomic-snapshot API, crash-tolerant
+plus cache/journal/pool/serve internals), crash-tolerant
 :mod:`telemetry sidecars <repro.obs.sidecar>` written next to each run
 journal, and :mod:`exporters <repro.obs.export>` for Chrome/Perfetto
-traces and Prometheus text exposition.
+traces and Prometheus text exposition.  The stack's counters are plain
+dataclass fields on their owners (``CacheStats``, ``PoolCounters``,
+``ServeMetrics``; DESIGN.md §14); this package only records them.
 
 Telemetry is strictly out-of-band: records never enter unit payloads,
 cache keys, journal records, or digests, and this package is excluded
@@ -23,17 +23,9 @@ The one-call entry point for pipelines is :func:`run_tracing`::
 from __future__ import annotations
 
 import contextlib
-from typing import Any, Callable, Dict, Iterator, Optional
+from typing import Any, Dict, Iterator, Optional
 
 from repro.obs.export import chrome_trace, render_prometheus
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    HistogramFamily,
-    MetricsRegistry,
-    counter_property,
-)
 from repro.obs.sidecar import (
     TelemetrySidecar,
     read_metrics,
@@ -54,18 +46,12 @@ from repro.obs.spans import (
 )
 
 __all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "HistogramFamily",
-    "MetricsRegistry",
     "Span",
     "TelemetrySidecar",
     "Tracer",
     "absorb",
     "activate",
     "chrome_trace",
-    "counter_property",
     "current",
     "deactivate",
     "enabled",
@@ -80,19 +66,10 @@ __all__ = [
 ]
 
 
-def default_metrics_snapshot() -> Dict[str, Any]:
-    """Process-wide metrics every traced run records: pool counters."""
-    # Deferred: resilience builds on this package's spans.
-    from repro.resilience.pool import shared_pool_counters
-
-    return {"pool": shared_pool_counters()}
-
-
 @contextlib.contextmanager
 def run_tracing(
     journal: Any,
     enabled_: bool = True,
-    metrics_provider: Optional[Callable[[], Dict[str, Any]]] = None,
     **root_args: Any,
 ) -> Iterator[Optional[Tracer]]:
     """Trace one (journaled) run: sidecar segment + ambient tracer.
@@ -101,9 +78,8 @@ def run_tracing(
     resumed run appends a fresh process segment), activates an ambient
     tracer whose sink is the sidecar, and wraps everything in a root
     ``run`` span.  On exit — success, failure, or cancellation — the
-    tracer is deactivated and the segment's metrics snapshot (default:
-    the shared pool counters, plus anything ``metrics_provider``
-    returns) is appended to ``metrics.json``.
+    tracer is deactivated and the segment's metrics snapshot (the
+    shared pool counters) is appended to ``metrics.json``.
 
     No-ops (yields ``None``) when disabled or when the run has no
     journal directory to attach sidecars to.
@@ -125,10 +101,11 @@ def run_tracing(
         tracer.end(root)
         deactivate()
         try:
-            snapshot = default_metrics_snapshot()
-            if metrics_provider is not None:
-                snapshot.update(metrics_provider())
-        except Exception as exc:
+            # Deferred: resilience builds on this package's spans.
+            from repro.resilience.pool import shared_pool_counters
+
+            snapshot: Dict[str, Any] = {"pool": shared_pool_counters()}
+        except Exception as exc:  # telemetry must never fail a run
             snapshot = {"error": f"{type(exc).__name__}: {exc}"}
         sidecar.write_metrics(snapshot)
         sidecar.close()

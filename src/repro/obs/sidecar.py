@@ -13,7 +13,7 @@ its own files in the same run directory:
   monotonic epoch) rather than truncating, so an interrupted run's
   trace holds every process segment that worked on it.
 * ``metrics.json`` — ``{"segments": [...]}``, rewritten atomically at
-  segment close with that segment's registry snapshots appended.  A
+  segment close with that segment's counter snapshot appended.  A
   killed segment simply contributes no metrics entry; its spans are
   still in ``trace.jsonl``.
 
@@ -88,9 +88,12 @@ class TelemetrySidecar:
             pass  # telemetry must never take the run down
 
     def write_metrics(self, snapshot: Dict[str, Any]) -> None:
-        """Append this segment's metrics snapshot to ``metrics.json``."""
+        """Append this segment's metrics snapshot to ``metrics.json``
+        (a ``segments`` value that is not a list is treated as empty)."""
         payload = read_metrics(self.metrics_path)
-        payload.setdefault("segments", []).append({
+        if not isinstance(payload.get("segments"), list):
+            payload["segments"] = []
+        payload["segments"].append({
             "seq": self.segment_seq,
             "pid": os.getpid(),
             "metrics": snapshot,

@@ -45,11 +45,10 @@ import select
 import signal
 import struct
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.obs import spans as obs
-from repro.obs.metrics import MetricsRegistry, counter_property
 
 __all__ = [
     "PoolCounters",
@@ -170,43 +169,29 @@ def _worker_main(
         _write_frame(event_fd, frame)
 
 
+@dataclass
 class PoolCounters:
     """Cumulative pool activity over the pool's lifetime.
 
-    Registry-backed (DESIGN.md §14): the counters live in a
-    :class:`~repro.obs.metrics.MetricsRegistry`, read by the ``repro
-    serve`` ``metrics`` verb and the telemetry sidecar alike — no
-    dispatch decision reads them.  ``submitted`` counts task hand-offs,
-    ``completed``/``errored`` count parsed worker outcomes, ``crashes``
-    counts busy workers that died mid-task, ``kills`` counts targeted
-    :meth:`SupervisedPool.kill_task` terminations, and ``respawns``
-    counts replacement workers (crash reaps and kills both respawn; the
-    initial spawn does not count).
+    Plain fields (DESIGN.md §14), written only by the thread that
+    drives the pool and read by the ``repro serve`` ``metrics`` verb and
+    the telemetry sidecar alike — no dispatch decision reads them.
+    ``submitted`` counts task hand-offs, ``completed``/``errored`` count
+    parsed worker outcomes, ``crashes`` counts busy workers that died
+    mid-task, ``kills`` counts targeted :meth:`SupervisedPool.kill_task`
+    terminations, and ``respawns`` counts replacement workers (crash
+    reaps and kills both respawn; the initial spawn does not count).
     """
 
-    FIELDS = (
-        "submitted", "completed", "errored",
-        "crashes", "kills", "respawns",
-    )
-
-    def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
-        self.registry = (
-            registry if registry is not None else MetricsRegistry()
-        )
-
-    submitted = counter_property("pool.submitted")
-    completed = counter_property("pool.completed")
-    errored = counter_property("pool.errored")
-    crashes = counter_property("pool.crashes")
-    kills = counter_property("pool.kills")
-    respawns = counter_property("pool.respawns")
+    submitted: int = 0
+    completed: int = 0
+    errored: int = 0
+    crashes: int = 0
+    kills: int = 0
+    respawns: int = 0
 
     def snapshot(self) -> Dict[str, int]:
-        counters = self.registry.snapshot().get("counters", {})
-        return {
-            name: int(counters.get(f"pool.{name}", 0))
-            for name in self.FIELDS
-        }
+        return asdict(self)
 
 
 @dataclass

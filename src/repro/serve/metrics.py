@@ -8,79 +8,48 @@ durable substrate (journal unit counters and cache stats accumulated
 across finished jobs).  Everything is plain JSON-serializable ints and
 strings so the snapshot travels the wire protocol unchanged.
 
-Storage lives in a :class:`~repro.obs.metrics.MetricsRegistry`
-(DESIGN.md §14): the int fields below are registry-backed properties,
-so the server's ``metrics.submitted += 1`` call sites are unchanged
-while the same counters feed the Prometheus exposition
-(``repro serve metrics --prometheus``) and the telemetry sidecars.
+The counters are plain fields (DESIGN.md §14): the server's event loop
+is their one writer (``metrics.submitted += 1``), and the same
+snapshot feeds the Prometheus exposition (``repro serve metrics
+--prometheus``).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Optional
+from collections import Counter
+from dataclasses import dataclass, field
+from typing import Any, Dict, Iterable
 
-from repro.obs.metrics import MetricsRegistry, counter_property
 from repro.resilience.pool import shared_pool_counters
 from repro.serve.jobs import Job
 
 __all__ = ["ServeMetrics"]
 
-_JOURNAL_PREFIX = "serve.journal."
-_CACHE_PREFIX = "serve.cache."
 
-
+@dataclass
 class ServeMetrics:
     """Monotonic server-lifetime counters + live gauges on demand."""
 
-    FIELDS = (
-        "submitted",
-        "rejected",
-        "deduplicated",
-        "adopted",
-        "invalid",
-        "events_emitted",
-        "events_dropped",
-    )
-
-    def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
-        self.registry = registry if registry is not None else MetricsRegistry()
-        # Track which journal/cache total keys exist so snapshots can
-        # rebuild the nested dicts without scanning the whole registry.
-        self._journal_keys: Dict[str, bool] = {}
-        self._cache_keys: Dict[str, bool] = {}
-
-    submitted = counter_property("serve.submitted")
-    rejected = counter_property("serve.rejected")
-    deduplicated = counter_property("serve.deduplicated")
-    adopted = counter_property("serve.adopted")
-    invalid = counter_property("serve.invalid")
-    events_emitted = counter_property("serve.events_emitted")
-    events_dropped = counter_property("serve.events_dropped")
-
-    @property
-    def journal_totals(self) -> Dict[str, int]:
-        return {
-            key: self.registry.counter(_JOURNAL_PREFIX + key).value
-            for key in self._journal_keys
-        }
-
-    @property
-    def cache_totals(self) -> Dict[str, int]:
-        return {
-            key: self.registry.counter(_CACHE_PREFIX + key).value
-            for key in self._cache_keys
-        }
+    submitted: int = 0
+    rejected: int = 0
+    deduplicated: int = 0
+    adopted: int = 0
+    invalid: int = 0
+    events_emitted: int = 0
+    events_dropped: int = 0
+    journal_totals: Counter = field(default_factory=Counter)
+    cache_totals: Counter = field(default_factory=Counter)
 
     def absorb_result(self, result: Dict[str, Any]) -> None:
         """Fold one finished job's journal/cache counters into totals."""
-        for key, value in (result.get("journal") or {}).items():
-            if isinstance(value, int):
-                self._journal_keys[key] = True
-                self.registry.counter(_JOURNAL_PREFIX + key).inc(value)
-        for key, value in (result.get("cache") or {}).items():
-            if isinstance(value, int):
-                self._cache_keys[key] = True
-                self.registry.counter(_CACHE_PREFIX + key).inc(value)
+        for totals, counts in (
+            (self.journal_totals, result.get("journal")),
+            (self.cache_totals, result.get("cache")),
+        ):
+            totals.update({
+                key: value for key, value in (counts or {}).items()
+                if isinstance(value, int)
+            })
 
     def snapshot(
         self,

@@ -156,19 +156,36 @@ def test_store_leaves_no_temp_debris(tmp_path):
     assert leftovers == []
 
 
-def _summary(wall):
-    return {"count": 1, "total": wall, "min": wall, "max": wall,
-            "last": wall}
+class _Crafted:
+    """A pickle whose load calls ``func(*args)``."""
+
+    def __init__(self, func, args):
+        self.func, self.args = func, args
+
+    def __reduce__(self):
+        return self.func, self.args
+
+
+@pytest.mark.parametrize("crafted", [
+    _Crafted(int, ("x", "y", "z")),  # TypeError on load
+    _Crafted(dict.__getitem__, ({}, "k")),  # KeyError on load
+], ids=["TypeError", "KeyError"])
+def test_any_unpickle_error_is_quarantined_as_a_miss(tmp_path, crafted):
+    cache = ResultCache(str(tmp_path))
+    key = "5a" * 32
+    cache.put(key, crafted)
+    assert cache.get(key, "default") == "default"
+    assert (cache.stats.misses, cache.stats.corrupt) == (1, 1)
+    assert key not in cache
+    assert os.path.exists(os.path.join(cache.quarantine_dir, f"{key}.pkl"))
 
 
 def test_unit_timings_persist_and_merge(tmp_path):
     cache = ResultCache(str(tmp_path))
+    cache.save_unit_timings({"fig7/ObjectStore/SmartMemory@1.0": 12.5})
     cache.save_unit_timings({
-        "fig7/ObjectStore/SmartMemory@1.0": _summary(12.5),
-    })
-    cache.save_unit_timings({
-        "fig7/ObjectStore/SmartMemory@1.0": _summary(10.0),
-        "fig7/SQL/SmartMemory@1.0": _summary(11.0),
+        "fig7/ObjectStore/SmartMemory@1.0": 10.0,
+        "fig7/SQL/SmartMemory@1.0": 11.0,
     })
     timings = ResultCache(str(tmp_path)).load_unit_timings()
     merged = timings["fig7/ObjectStore/SmartMemory@1.0"]
@@ -287,19 +304,17 @@ def test_executed_walls_recorded_and_persisted(tmp_path):
 
 def test_dispatch_costs_prefer_recorded_walls():
     measured, *rest = driver.reproduce_plan(["fig7"], 1.0).units
-    try:
-        driver._unit_timings.observe(measured.unit_id, 9.0)
-        costs = {
-            unit.unit_id: unit.cost
-            for unit in driver.reproduce_plan(["fig7"], 1.0).units
-        }
-        assert costs[measured.unit_id] == 9.0
-        # the unmeasured units get the calibrated estimate, comparable
-        # in magnitude to the measured wall (same heuristic => same cost)
-        for unit in rest:
-            assert costs[unit.unit_id] == pytest.approx(9.0)
-    finally:
-        driver._unit_timings.clear()
+    costs = {
+        unit.unit_id: unit.cost
+        for unit in driver.reproduce_plan(
+            ["fig7"], 1.0, {measured.unit_id: 9.0}
+        ).units
+    }
+    assert costs[measured.unit_id] == 9.0
+    # the unmeasured units get the calibrated estimate, comparable
+    # in magnitude to the measured wall (same heuristic => same cost)
+    for unit in rest:
+        assert costs[unit.unit_id] == pytest.approx(9.0)
 
 
 def test_pickled_objects_live_under_fanout_dirs(tmp_path):

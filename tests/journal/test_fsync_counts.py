@@ -1,9 +1,9 @@
 """Fsyncs per pass are a pinned function of the plan (DESIGN.md §12).
 
-``executed units + (1 if any cache hit) + 3`` — the manifest, the seal
-and ``summary.json`` are the three; the lease is a kernel lock and
-costs none — whatever the worker count and however the pool's polls
-happened to group results.
+``executed units + (1 if any cache hit) + 2`` — the manifest and the
+seal are the two; the lease is a kernel lock and costs none —
+whatever the worker count and however the pool's polls happened to
+group results.
 The stack benchmark reports the same number as
 ``journal.fsyncs_per_pass``; here it is an assertion.
 """
@@ -15,7 +15,7 @@ import pytest
 from repro.journal.pipelines import PIPELINES, launch
 from repro.serve.jobs import execute_job, job_from_submission
 
-FIXED = 3  # manifest, seal, summary.json
+FIXED = 2  # manifest, seal
 
 PAYLOADS = {
     "fleet": {

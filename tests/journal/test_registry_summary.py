@@ -1,19 +1,18 @@
-"""Seal-time ``summary.json``: sealed runs list without log replay.
+"""Run counts come from one place: the registry's replay of ``log.bin``.
 
-The registry's fast path is proven the honest way: delete ``log.bin``
-after sealing — if ``inspect_run`` still classifies the run correctly
-with correct counts, it cannot have replayed anything.
+Sealing appends ``RUN_SEALED(digest)`` and nothing else — no counts in
+the record, no sidecar — so sealed and unsealed runs are inspected the
+same way, and a stray ``summary.json`` (an older build wrote one at
+seal time) is ignored.
 """
 
 import json
 import os
 
-import pytest
-
 from repro.experiments.driver import FleetDriver
 from repro.fleet.config import FleetConfig
 from repro.journal.pipelines import open_fleet_journal
-from repro.journal.registry import inspect_run, interrupted_runs, list_runs
+from repro.journal.registry import inspect_run, interrupted_runs
 
 FLEET = FleetConfig(n_nodes=4, agent="overclock", seed=11, duration_s=10)
 
@@ -25,64 +24,24 @@ def _sealed_run(root):
     return journal
 
 
-def test_seal_writes_summary_sidecar(tmp_path):
-    root = str(tmp_path)
-    journal = _sealed_run(root)
-    path = os.path.join(journal.directory, "summary.json")
-    with open(path, "r", encoding="utf-8") as handle:
-        summary = json.load(handle)
-    assert summary["run_id"] == journal.run_id
-    assert summary["digest"] == journal.sealed_digest
-    assert summary["total_units"] == len(journal.units)
-    assert summary["done_units"] == len(journal.units)
-    assert summary["executed_units"] + summary["cached_units"] == \
-        summary["done_units"]
-    assert summary["quarantined_units"] == 0
-
-
-def test_sealed_run_inspects_without_log_replay(tmp_path):
-    root = str(tmp_path)
-    journal = _sealed_run(root)
-    os.unlink(os.path.join(journal.directory, "log.bin"))
-    info = inspect_run(root, journal.run_id)
-    assert info is not None
-    assert info.status == "sealed"
-    assert info.sealed_digest == journal.sealed_digest
-    assert info.total_units == len(journal.units)
-    assert info.done_units == len(journal.units)
-    assert info.executed_units == len(journal.units)
-    assert info.cached_units == 0
-    runs = list_runs(root)
-    assert [run.run_id for run in runs] == [journal.run_id]
-    assert runs[0].status == "sealed"
-
-
-def test_lost_sidecar_falls_back_to_replay(tmp_path):
-    """A crash between the RUN_SEALED append and the sidecar write
-    loses ``summary.json`` but nothing else — the replay path must
-    reach the same answer."""
-    root = str(tmp_path)
-    journal = _sealed_run(root)
-    fast = inspect_run(root, journal.run_id)
-    os.unlink(os.path.join(journal.directory, "summary.json"))
-    slow = inspect_run(root, journal.run_id)
-    assert slow.status == "sealed"
-    assert slow.sealed_digest == fast.sealed_digest
-    assert slow.done_units == fast.done_units
-    assert slow.executed_units == fast.executed_units
-    assert slow.cached_units == fast.cached_units
-    assert slow.quarantined_units == fast.quarantined_units
-
-
 def test_corrupt_sidecar_falls_back_to_replay(tmp_path):
     root = str(tmp_path)
     journal = _sealed_run(root)
-    path = os.path.join(journal.directory, "summary.json")
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("{ not json")
+    assert not os.path.exists(
+        os.path.join(journal.directory, "summary.json")
+    )
+    # A leftover sidecar that lies about everything changes nothing.
+    with open(
+        os.path.join(journal.directory, "summary.json"), "w",
+        encoding="utf-8",
+    ) as handle:
+        json.dump({"digest": "0" * 64, "done_units": 99}, handle)
     info = inspect_run(root, journal.run_id)
     assert info.status == "sealed"  # replay path, same verdict
     assert info.sealed_digest == journal.sealed_digest
+    assert info.total_units == info.done_units == len(journal.units)
+    assert info.executed_units == len(journal.units)
+    assert (info.cached_units, info.quarantined_units) == (0, 0)
 
 
 def test_unsealed_run_has_no_sidecar_and_replays(tmp_path):
@@ -92,9 +51,6 @@ def test_unsealed_run_has_no_sidecar_and_replays(tmp_path):
     journal.record_dispatched(unit, 1)
     journal.record_done(unit, {"v": 1}, 0.01, executed=True)
     journal.close()  # interrupted: no seal, lease released
-    assert not os.path.exists(
-        os.path.join(journal.directory, "summary.json")
-    )
     info = inspect_run(root, journal.run_id)
     assert info.status == "interrupted"
     assert info.done_units == 1

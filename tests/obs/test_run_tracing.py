@@ -75,6 +75,20 @@ def test_resumed_run_appends_second_segment(tmp_path):
     assert len(metrics["segments"]) == 2
 
 
+def test_malformed_metrics_json_cannot_fail_a_finished_run(tmp_path, capsys):
+    root = str(tmp_path)
+    journal = open_fleet_journal(root, FLEET, 1)
+    journal.close()  # interrupted before any unit completed
+    path = os.path.join(journal.directory, "metrics.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump({"segments": None}, fh)
+    assert main(["runs", "resume", journal.run_id, "--cache-dir", root]) == 0
+    assert "sealed]" in capsys.readouterr().out
+    (segment,) = read_metrics(path)["segments"]
+    assert sorted(segment) == ["metrics", "pid", "seq"]
+    assert segment["metrics"]["pool"]["size"] >= 0
+
+
 def test_trace_export_cli_round_trips(tmp_path, capsys):
     root = str(tmp_path)
     _run_fleet(root, True)
