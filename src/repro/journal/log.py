@@ -136,8 +136,8 @@ def _read_frames(path: str) -> Tuple[List[_Frame], int]:
             break  # torn/corrupt frame: stop, ignore the rest
         try:
             record = json.loads(bytes(data[json_start:blob_start]))
-        except ValueError:  # not JSON (a zero-filled span), not UTF-8
-            break
+        except (ValueError, RecursionError):
+            break  # not JSON (a zero-filled span), not UTF-8, too deep
         if not isinstance(record, dict):
             break
         frames.append((record, data[blob_start:end]))

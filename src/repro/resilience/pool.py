@@ -198,6 +198,7 @@ class PoolCounters:
 class _Worker:
     """One supervised process and its private channels."""
 
+    worker_id: int
     process: Any
     task_writer: Any  # parent -> worker Connection
     event_reader: Any  # worker -> parent Connection (read raw)
@@ -256,6 +257,7 @@ class SupervisedPool:
         event_writer.close()
         os.set_blocking(event_reader.fileno(), False)
         self._workers[worker_id] = _Worker(
+            worker_id=worker_id,
             process=process,
             task_writer=task_writer,
             event_reader=event_reader,
@@ -353,7 +355,19 @@ class SupervisedPool:
                 break
             frame = bytes(buffer[_FRAME_HEADER.size:end])
             del buffer[:end]
-            events.append(pickle.loads(frame))
+            try:
+                events.append(pickle.loads(frame))
+            except Exception as error:  # noqa: BLE001 — any unpickle fault
+                # A frame that pickled in the worker but will not rebuild
+                # here: fail the attempt this worker holds (retry, then
+                # quarantine) and keep the worker.
+                if worker.task is not None:
+                    task_id, attempt = worker.task
+                    events.append((
+                        "error", task_id, attempt, worker.worker_id,
+                        f"undecodable worker frame: "
+                        f"{type(error).__name__}: {error}",
+                    ))
         for event in events:
             kind, task_id, attempt, _worker_id, _payload = event
             if kind == "done":

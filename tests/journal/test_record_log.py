@@ -1,13 +1,19 @@
 """The append-only record log: framing, append vs commit, torn tails."""
 
+import json
 import os
 import struct
+import tempfile
+import zlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.journal.log import (
     KILL_AFTER_ENV,
     RecordLog,
+    _read_frames,
     replay_records,
     set_kill_action,
 )
@@ -166,3 +172,47 @@ def test_kill_after_fires_injected_action(log_path, monkeypatch):
     # All three records are durable: the kill lands post-fsync by design.
     records, _valid = replay_records(log_path)
     assert len(records) == 3
+
+
+def _frame(body, blob, crc_ok):
+    crc = zlib.crc32(body + blob) if crc_ok else zlib.crc32(body) ^ 1
+    return _HEADER.pack(len(body), len(blob), crc) + body + blob
+
+
+_body = st.one_of(
+    st.binary(max_size=32),
+    st.just(b"[" * 5000),
+    st.recursive(
+        st.none() | st.integers() | st.text(max_size=8),
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+        max_leaves=6,
+    ).map(lambda value: json.dumps(value).encode()),
+)
+_chunk = st.one_of(
+    st.builds(_frame, _body, st.binary(max_size=16), st.booleans()),
+    st.binary(max_size=24),
+)
+
+
+@given(
+    chunks=st.lists(_chunk, max_size=6),
+    cut=st.integers(min_value=0),
+    zero=st.tuples(st.integers(min_value=0), st.integers(0, 48)),
+)
+@settings(max_examples=300, deadline=None)
+def test_read_frames_over_any_bytes_yields_a_valid_prefix(chunks, cut, zero):
+    """Any byte string replays to a prefix of dict records and never
+    raises: wrong crcs, JSON that is not an object or nests too deep,
+    torn tails and zero-filled spans all end the replay."""
+    data = bytearray(b"".join(chunks))
+    data = data[:cut % (len(data) + 1)]
+    start = zero[0] % (len(data) + 1)
+    data[start:start + zero[1]] = bytes(len(data[start:start + zero[1]]))
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "log.bin")
+        with open(path, "wb") as handle:
+            handle.write(bytes(data))
+        frames, end = _read_frames(path)
+    assert 0 <= end <= len(data)
+    assert all(type(record) is dict for record, _blob in frames)

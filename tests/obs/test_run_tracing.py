@@ -89,6 +89,32 @@ def test_malformed_metrics_json_cannot_fail_a_finished_run(tmp_path, capsys):
     assert segment["metrics"]["pool"]["size"] >= 0
 
 
+def test_a_non_utf8_trace_tail_does_not_block_resume(tmp_path, capsys):
+    """A killed segment's last write left bytes that are not UTF-8:
+    resume, ``runs show`` and ``trace export`` all read past them."""
+    root = str(tmp_path)
+    journal = open_fleet_journal(root, FLEET, 1)
+    with run_tracing(journal, kind="fleet"):
+        pass  # the segment was killed before any unit completed
+    journal.close()
+    path = trace_path(journal.directory)
+    with open(path, "ab") as fh:
+        fh.write(b"\xff\xfe")
+    assert main(["runs", "resume", journal.run_id, "--cache-dir", root]) == 0
+    assert "sealed]" in capsys.readouterr().out
+    records = read_trace(path)
+    assert [h["seq"] for h in segments(records)] == [0, 1]
+    assert sum(r["name"] == "pipeline" for r in records if "name" in r) == 1
+    assert main(
+        ["runs", "show", journal.run_id, "--timing", "--cache-dir", root]
+    ) == 0
+    assert "2 segment(s)" in capsys.readouterr().out
+    assert main(
+        ["trace", "export", journal.run_id, "--cache-dir", root,
+         "--output", str(tmp_path / "trace.json")]
+    ) == 0
+
+
 def test_trace_export_cli_round_trips(tmp_path, capsys):
     root = str(tmp_path)
     _run_fleet(root, True)

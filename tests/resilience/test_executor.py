@@ -18,10 +18,12 @@ from repro.resilience import (
     ChaosPlan,
     DispatchCancelled,
     Plan,
+    QuarantineLog,
     RetryPolicy,
     WorkUnit,
     run_units,
 )
+from repro.resilience.pool import shared_pool, shared_pool_counters
 
 FAST = RetryPolicy(max_retries=0, backoff_base_s=0.01, backoff_cap_s=0.05)
 
@@ -225,6 +227,45 @@ def test_inline_and_pooled_take_the_same_steps_per_unit():
     # longest-first: cost descending is u2, u1, u0
     dispatch_order = [e[1] for e in inline_log if e[0] == "dispatched"]
     assert dispatch_order == ["u2", "u1", "u0"]
+
+
+def _refuse_to_rebuild():
+    raise RuntimeError("cannot rebuild in the parent")
+
+
+class _Unrebuildable:
+    """Pickles in the worker; unpickling it in the parent raises."""
+
+    def __reduce__(self):
+        return (_refuse_to_rebuild, ())
+
+
+def _unrebuildable_u1(payload):
+    return _Unrebuildable() if payload == 1 else payload * 2
+
+
+def test_an_undecodable_result_frame_is_a_hole_not_a_dead_pool():
+    """The pool knows which worker sent the frame, so the attempt it
+    holds fails, retries, and is quarantined; the pool survives."""
+    shared_pool(2)
+    before = shared_pool_counters()
+    quarantine = QuarantineLog()
+    seen = []
+    outcome = run_units(
+        _plan(4), _unrebuildable_u1, workers=2,
+        policy=RetryPolicy(max_retries=1, backoff_base_s=0.01,
+                           backoff_cap_s=0.05),
+        quarantine=quarantine,
+        on_result=lambda unit, payload, wall: seen.append(unit.unit_id),
+    )
+    after = shared_pool_counters()
+    assert outcome.holes == ["u1"]
+    assert sorted(seen) == ["u0", "u2", "u3"] and outcome.executed == 3
+    (record,) = quarantine.load()
+    assert record.attempts == 2
+    assert "undecodable worker frame: RuntimeError" in record.error
+    assert after["size"] == before["size"] >= 2
+    assert after["respawns"] == before["respawns"]  # the workers were kept
 
 
 def test_a_plan_without_a_cache_tier_never_touches_the_cache():
