@@ -30,7 +30,6 @@ class SmartHarvestAgent:
         breaker: optional broken-model injector (e.g. always predict 0
             cores needed, the Figure 6-middle failure).
         model_delays / actuator_delays: optional throttling injectors.
-        log_mode: runtime event-log mode (``"full"`` or ``"counts"``).
     """
 
     def __init__(
@@ -43,7 +42,6 @@ class SmartHarvestAgent:
         breaker: Optional[ModelBreaker] = None,
         model_delays: Optional[DelayInjector] = None,
         actuator_delays: Optional[DelayInjector] = None,
-        log_mode: str = "full",
     ) -> None:
         self.config = config or HarvestConfig()
         self.model = HarvestModel(
@@ -59,7 +57,6 @@ class SmartHarvestAgent:
             policy=policy,
             model_delays=model_delays,
             actuator_delays=actuator_delays,
-            log_mode=log_mode,
         )
 
     def start(self) -> "SmartHarvestAgent":

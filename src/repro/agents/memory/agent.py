@@ -28,7 +28,6 @@ class SmartMemoryAgent:
         config: agent parameters (paper defaults).
         policy: safeguard ablation switches (experiments only).
         model_delays / actuator_delays: optional throttling injectors.
-        log_mode: runtime event-log mode (``"full"`` or ``"counts"``).
     """
 
     def __init__(
@@ -40,7 +39,6 @@ class SmartMemoryAgent:
         policy: SafeguardPolicy = SafeguardPolicy.all_enabled(),
         model_delays: Optional[DelayInjector] = None,
         actuator_delays: Optional[DelayInjector] = None,
-        log_mode: str = "full",
     ) -> None:
         self.config = config or MemoryConfig()
         self.estimates = RateEstimates(memory.n_regions)
@@ -59,7 +57,6 @@ class SmartMemoryAgent:
             policy=policy,
             model_delays=model_delays,
             actuator_delays=actuator_delays,
-            log_mode=log_mode,
         )
 
     def start(self) -> "SmartMemoryAgent":

@@ -34,7 +34,6 @@ class SmartOverclockAgent:
         policy: safeguard ablation switches (experiments only).
         breaker: optional broken-model injector.
         model_delays / actuator_delays: optional throttling injectors.
-        log_mode: runtime event-log mode (``"full"`` or ``"counts"``).
 
     Attributes:
         model / actuator / runtime: the assembled pieces.
@@ -52,7 +51,6 @@ class SmartOverclockAgent:
         breaker: Optional[ModelBreaker] = None,
         model_delays: Optional[DelayInjector] = None,
         actuator_delays: Optional[DelayInjector] = None,
-        log_mode: str = "full",
     ) -> None:
         self.config = config or OverclockConfig()
         self.reader = CounterReader(cpu)
@@ -69,7 +67,6 @@ class SmartOverclockAgent:
             policy=policy,
             model_delays=model_delays,
             actuator_delays=actuator_delays,
-            log_mode=log_mode,
         )
 
     def start(self) -> "SmartOverclockAgent":

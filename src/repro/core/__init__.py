@@ -8,7 +8,7 @@ Public surface::
     )
 """
 
-from repro.core.events import EventKind, EventLog, RuntimeEvent
+from repro.core.events import EventKind, EventLog
 from repro.core.interfaces import Actuator, Model
 from repro.core.manager import AgentHealth, AgentManager
 from repro.core.prediction import Prediction
@@ -24,7 +24,6 @@ __all__ = [
     "EventLog",
     "Model",
     "Prediction",
-    "RuntimeEvent",
     "SafeguardPolicy",
     "SafeguardState",
     "Schedule",

@@ -2,34 +2,20 @@
 
 Every decision the SOL runtime takes — epochs, validation failures,
 interceptions, timeouts, safeguard transitions, mitigations, cleanups —
-is recorded as a :class:`RuntimeEvent`.  The experiment harness and the
-test suite assert on this log instead of poking runtime internals,
-mirroring how production SREs would consume an agent's telemetry.
+is recorded through :meth:`EventLog.record`.
 
-Log modes (DESIGN.md §6)
-------------------------
-Constructing a :class:`RuntimeEvent` per occurrence is pure overhead for
-consumers that only ever read aggregates — which is every fleet run: a
-:class:`~repro.fleet.node.NodeResult` needs counters and the action
-histogram, never individual events.  :class:`EventLog` therefore has two
-modes:
-
-* ``"full"`` (default) — append every event; all query helpers work.
-  Tests that inspect individual events use this.
-* ``"counts"`` — keep only per-kind counters plus the detail-derived
-  aggregates the runtime reports (default-prediction count, action
-  provenance histogram), and a small ring buffer of the most recent
-  events for post-mortem debugging.  Per event, ``record`` allocates
-  the kwargs dict and one ring tuple (which evicts the oldest), so
-  memory is bounded by :data:`RING_SIZE`; per-event queries
-  (:meth:`of_kind`, iteration) are unavailable.  Fleet nodes and the
-  experiment scenario builders run in this mode.
-
-Both modes keep the counters the same way — one dict keyed by
+Counters plus one sink (DESIGN.md §6)
+-------------------------------------
+The log keeps no per-event history.  ``record`` does one thing per
+occurrence: bump the per-kind counter (one dict keyed by
 :class:`EventKind`, whose hash is the C-level identity hash rather than
-``Enum``'s Python-level ``hash(self._name_)`` — and produce identical
-counter values, so results and digests are unaffected by the mode; the
-determinism tests pin this.
+``Enum``'s Python-level ``hash(self._name_)``), update the few
+detail-derived aggregates the runtime reports (default-prediction
+count, action provenance histogram, fallback times), and forward the
+canonical :func:`encode_event` bytes to the attached sink, if any.
+Whoever needs individual events — the conformance digesters, a test —
+attaches a sink (:mod:`repro.sim.trace`) and decodes its payloads with
+:func:`decode_event`.
 """
 
 from __future__ import annotations
@@ -37,15 +23,12 @@ from __future__ import annotations
 import dataclasses
 import enum
 import json
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, Iterator, List, Optional, Union
+from typing import Any, Dict, Optional, Union
 
 from repro.sim.kernel import Kernel
 
 __all__ = [
     "EventKind",
-    "RuntimeEvent",
     "EventLog",
     "canonical_scalar",
     "encode_event",
@@ -84,23 +67,6 @@ class EventKind(enum.Enum):
     # ``EventLog.record`` (five times per SmartHarvest epoch).
     __hash__ = object.__hash__
 
-
-@dataclass(frozen=True)
-class RuntimeEvent:
-    """One timestamped runtime occurrence with free-form details."""
-
-    time_us: int
-    kind: EventKind
-    agent: str
-    details: Dict[str, Any] = field(default_factory=dict)
-
-    def __str__(self) -> str:  # pragma: no cover - human-facing format
-        extras = " ".join(f"{k}={v}" for k, v in self.details.items())
-        return f"[{self.time_us:>12}us] {self.agent} {self.kind.value} {extras}"
-
-
-#: Ring-buffer depth kept in ``"counts"`` mode for debugging.
-RING_SIZE = 64
 
 # The two kinds ``EventLog.record`` derives aggregates from, bound once
 # so the per-event dispatch is two identity tests on module globals.
@@ -208,27 +174,16 @@ def decode_event(payload: bytes) -> Dict[str, Any]:
 
 
 class EventLog:
-    """Runtime telemetry sink with query helpers for tests and experiments.
+    """Per-kind counters, detail aggregates, and one optional event sink.
 
     Args:
         kernel: owning kernel (timestamps).
-        agent: agent name stamped on events.
-        mode: ``"full"`` (append-only event list, all queries) or
-            ``"counts"`` (aggregates + a :data:`RING_SIZE`-event ring
-            buffer; see module docstring).
+        agent: agent name stamped on forwarded events.
     """
 
-    def __init__(self, kernel: Kernel, agent: str, mode: str = "full") -> None:
-        if mode not in ("full", "counts"):
-            raise ValueError(f"unknown log mode {mode!r}")
+    def __init__(self, kernel: Kernel, agent: str) -> None:
         self.kernel = kernel
         self.agent = agent
-        self.mode = mode
-        self._events: List[RuntimeEvent] = []
-        # counts mode keeps raw (time_us, kind, details) tuples and only
-        # materializes RuntimeEvents lazily in recent()/last(), so the
-        # hot path builds no event object.
-        self._ring: Optional[Deque[tuple]] = None
         self._counts: Dict[EventKind, int] = {}
         self._default_sent = 0
         self._actions = {"model": 0, "default": 0, "none": 0}
@@ -236,27 +191,22 @@ class EventLog:
         self._fallback_watch_from: Optional[int] = None
         self._first_watched_fallback_us: Optional[int] = None
         self._tracer: Optional[Any] = None
-        if mode == "counts":
-            self._ring = deque(maxlen=RING_SIZE)
 
     def attach_tracer(self, sink: Any) -> None:
-        """Forward every recorded event to ``sink`` (conformance traces).
+        """Forward every recorded event to ``sink``.
 
         ``sink`` needs an ``on_event(time_us, payload: bytes)`` method
         (:mod:`repro.sim.trace`); payloads are the canonical
-        :func:`encode_event` bytes.  Works in both log modes — tracing
-        is orthogonal to retention.  One tracer at a time; ``None``
-        detaches.
+        :func:`encode_event` bytes.  This is the only per-event path out
+        of the log.  One sink at a time; ``None`` detaches.
         """
         self._tracer = sink
 
-    def record(self, kind: EventKind, **details: Any) -> Optional[RuntimeEvent]:
+    def record(self, kind: EventKind, **details: Any) -> None:
         """Record an occurrence stamped with the current simulation time.
 
-        Returns the :class:`RuntimeEvent` in ``"full"`` mode, ``None`` in
-        ``"counts"`` mode (where only a raw ring tuple is kept).  The
-        clock is read once, so every consumer of one event — aggregates,
-        tracer, ring or event list — sees the same timestamp.
+        The clock is read once, so the aggregates and the sink see the
+        same timestamp.
         """
         now = self.kernel.now
         counts = self._counts
@@ -283,69 +233,19 @@ class EventLog:
             self._tracer.on_event(
                 now, encode_event(now, kind, self.agent, details)
             )
-        if self._ring is not None:
-            self._ring.append((now, kind, details))
-            return None
-        event = RuntimeEvent(
-            time_us=now, kind=kind, agent=self.agent, details=details,
-        )
-        self._events.append(event)
-        return event
 
     def __len__(self) -> int:
-        if self.mode == "counts":
-            return sum(self._counts.values())
-        return len(self._events)
-
-    def __iter__(self) -> Iterator[RuntimeEvent]:
-        self._require_full("iterate over events")
-        return iter(self._events)
-
-    def of_kind(self, kind: EventKind) -> List[RuntimeEvent]:
-        """All events of one kind, in time order (``"full"`` mode only)."""
-        self._require_full("query events by kind")
-        return [event for event in self._events if event.kind is kind]
+        return sum(self._counts.values())
 
     def count(self, kind: EventKind) -> int:
-        """Number of events of one kind (works in both modes)."""
+        """Number of events of one kind."""
         return self._counts.get(kind, 0)
-
-    def last(self, kind: EventKind) -> Optional[RuntimeEvent]:
-        """Most recent event of one kind, or ``None``.
-
-        In ``"counts"`` mode this searches only the ring buffer of
-        recent events (best effort, for debugging).
-        """
-        if self._ring is not None:
-            for time_us, ring_kind, details in reversed(self._ring):
-                if ring_kind is kind:
-                    return RuntimeEvent(
-                        time_us=time_us, kind=kind, agent=self.agent,
-                        details=details,
-                    )
-            return None
-        for event in reversed(self._events):
-            if event.kind is kind:
-                return event
-        return None
-
-    def recent(self) -> List[RuntimeEvent]:
-        """The retained tail of the log (everything in ``"full"`` mode)."""
-        if self._ring is not None:
-            return [
-                RuntimeEvent(
-                    time_us=time_us, kind=kind, agent=self.agent,
-                    details=details,
-                )
-                for time_us, kind, details in self._ring
-            ]
-        return list(self._events)
 
     def summary(self) -> Dict[str, int]:
         """Event counts by kind (stable keys for experiment reports)."""
         return {kind.value: n for kind, n in self._counts.items()}
 
-    # -- detail-derived aggregates (available in both modes) ---------------
+    # -- detail-derived aggregates ----------------------------------------
 
     def default_predictions_sent(self) -> int:
         """``PREDICTION_SENT`` events whose prediction was a default."""
@@ -366,7 +266,7 @@ class EventLog:
         agent with no telemetry yet acts on defaults), so the safety
         campaigns' time-to-fallback anchor must be the first fallback
         **at or after** the onset — not the first ever.  The watch is
-        O(1) per actuation in both log modes; re-arming resets it.
+        O(1) per actuation; re-arming resets it.
         """
         self._fallback_watch_from = start_us
         self._first_watched_fallback_us = None
@@ -386,11 +286,3 @@ class EventLog:
         prediction — timeout or expiry path).
         """
         return dict(self._actions)
-
-    def _require_full(self, what: str) -> None:
-        if self.mode != "full":
-            raise RuntimeError(
-                f"cannot {what}: this EventLog runs in {self.mode!r} mode "
-                "and keeps only aggregates (construct the runtime with "
-                "log_mode='full' for per-event queries)"
-            )

@@ -54,11 +54,6 @@ class SolRuntime:
         model_delays: optional scheduling-delay injector for the Model
             loop (reproduces host-side throttling).
         actuator_delays: optional delay injector for the Actuator loop.
-        log_mode: ``"full"`` keeps every runtime event (tests, single-node
-            experiments); ``"counts"`` keeps only the aggregates
-            :meth:`stats` reports, skipping per-event construction on the
-            hot path (fleet runs).  Counter values are identical either
-            way.
     """
 
     def __init__(
@@ -71,7 +66,6 @@ class SolRuntime:
         policy: SafeguardPolicy = SafeguardPolicy.all_enabled(),
         model_delays: Optional[DelayInjector] = None,
         actuator_delays: Optional[DelayInjector] = None,
-        log_mode: str = "full",
     ) -> None:
         self.kernel = kernel
         self.model = model
@@ -85,7 +79,7 @@ class SolRuntime:
         self.queue: SimQueue = SimQueue(
             kernel, capacity=1, name=f"{name}.predictions"
         )
-        self.log = EventLog(kernel, agent=name, mode=log_mode)
+        self.log = EventLog(kernel, agent=name)
         self.model_safeguard = SafeguardState(kernel, f"{name}.model")
         self.actuator_safeguard = SafeguardState(kernel, f"{name}.actuator")
 

@@ -5,11 +5,10 @@ per agent — plus a windowed SLO watcher and a plain-text table renderer.
 Experiments are deterministic given a seed; EXPERIMENTS.md records the
 measured outputs against the paper's.
 
-The builders run their agent's event log in ``"counts"`` mode, like a
-fleet node (DESIGN.md §6): experiments read ``runtime.stats()`` and the
-node's own counters, never individual events, so retaining one
-``RuntimeEvent`` per occurrence only costs time and memory.  Pass
-``log_mode="full"`` through ``**agent_kwargs`` to query events.
+Experiments read ``runtime.stats()`` and the node's own counters; the
+agent's event log keeps no per-event history (DESIGN.md §6).  A caller
+that needs individual events attaches a sink to
+``scenario.agent.runtime.log`` before running the scenario.
 """
 
 from __future__ import annotations
@@ -232,7 +231,6 @@ class OverclockScenario:
         workload.start()
         agent_obj = None
         if agent:
-            agent_kwargs.setdefault("log_mode", "counts")
             agent_obj = SmartOverclockAgent(
                 kernel, cpu, streams.get("agent"), policy=policy,
                 **agent_kwargs,
@@ -278,7 +276,6 @@ class HarvestScenario:
         workload.start()
         agent_obj = None
         if agent:
-            agent_kwargs.setdefault("log_mode", "counts")
             agent_obj = SmartHarvestAgent(
                 kernel, hypervisor, streams.get("agent"), policy=policy,
                 **agent_kwargs,
@@ -333,7 +330,6 @@ class MemoryScenario:
         if controller_factory is not None:
             controller_factory(kernel, memory).start()
         elif agent:
-            agent_kwargs.setdefault("log_mode", "counts")
             agent_obj = SmartMemoryAgent(
                 kernel, memory, streams.get("agent"), policy=policy,
                 **agent_kwargs,

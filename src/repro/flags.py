@@ -121,16 +121,8 @@ def add_cache_dir_flag(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def add_cache_flags(
-    parser: argparse.ArgumentParser, positive: bool = True
-) -> None:
-    """``--cache/--no-cache/--cache-dir`` (``positive=False``: no
-    ``--cache`` spelling of the default)."""
-    if positive:
-        parser.add_argument(
-            "--cache", dest="cache", action="store_true", default=True,
-            help="reuse cached unit results (the default)",
-        )
+def add_cache_flags(parser: argparse.ArgumentParser) -> None:
+    """``--no-cache/--cache-dir``."""
     parser.add_argument(
         "--no-cache", dest="cache", action="store_false", default=True,
         help="recompute every unit, ignoring the result cache",

@@ -122,11 +122,6 @@ class FleetNode:
             corruption/staleness chance, or per-node crash chance for
             ``crash_restart``).
         fault_kind: burst kind (:data:`repro.fleet.config.FAULT_KINDS`).
-        log_mode: runtime event-log mode.  Fleet aggregation needs only
-            counters, so the default is ``"counts"`` (no per-event
-            allocation); pass ``"full"`` to keep every event.  Results
-            are bit-identical either way (pinned by the golden-digest
-            tests).
     """
 
     def __init__(
@@ -135,12 +130,10 @@ class FleetNode:
         duration_s: int,
         fault_window_us: Optional[Tuple[int, int]] = None,
         fault_probability: float = 0.0,
-        log_mode: str = "counts",
         fault_kind: str = "bad_data",
     ) -> None:
         self.spec = spec
         self.duration_s = duration_s
-        self.log_mode = log_mode
         self.kernel = Kernel()
         self.streams = RngStreams(spec.seed)
         self._windows: List[bool] = []  # True = violated
@@ -180,8 +173,7 @@ class FleetNode:
         ).start()
         self.kernel.spawn(self._watch_overclock(), name="fleet.slo")
         return SmartOverclockAgent(
-            self.kernel, self.cpu, self.streams.get("agent"),
-            log_mode=self.log_mode,
+            self.kernel, self.cpu, self.streams.get("agent")
         ).start()
 
     def _build_harvest(self) -> SmartHarvestAgent:
@@ -201,8 +193,7 @@ class FleetNode:
             name="fleet.slo",
         )
         agent = SmartHarvestAgent(
-            self.kernel, self.hypervisor, self.streams.get("agent"),
-            log_mode=self.log_mode,
+            self.kernel, self.hypervisor, self.streams.get("agent")
         )
         agent.start()
         return agent
@@ -221,8 +212,7 @@ class FleetNode:
         ).start()
         self.kernel.spawn(self._watch_locality(), name="fleet.slo")
         return SmartMemoryAgent(
-            self.kernel, self.memory, self.streams.get("agent"),
-            log_mode=self.log_mode,
+            self.kernel, self.memory, self.streams.get("agent")
         ).start()
 
     # -- SLO watchers (one 5 s verdict per window) --------------------------

@@ -87,7 +87,7 @@ def add_runs_parser(sub: argparse._SubParsersAction) -> None:
         "pool size for the remaining units (default: the fleet "
         "manifest's worker count, else 1)",
     )
-    add_cache_flags(runs_resume, positive=False)
+    add_cache_flags(runs_resume)
     add_trace_flag(runs_resume)
     runs_prune = runs_sub.add_parser(
         "prune",

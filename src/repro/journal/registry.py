@@ -3,8 +3,9 @@
 Read-only — the registry never claims a lease (its ``running`` probe
 is a shared lock held for an instant, which no claim fails on), so
 ``repro runs list`` can inspect a cache root while a live orchestrator
-works in it.  A run without a readable JSON-object manifest is not a
-run.  Otherwise its status is:
+works in it.  A run without a readable, well-formed manifest
+(:func:`~repro.journal.run.read_manifest`) is not a run.  Otherwise its
+status is:
 
 * ``sealed``: the log carries ``RUN_SEALED`` — the run finished and its
   final digest is recorded;

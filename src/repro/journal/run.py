@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import pickle
 import shutil
@@ -254,15 +255,33 @@ def _replay_into(journal: RunJournal) -> None:
 
 def read_manifest(directory: str) -> Optional[Dict[str, Any]]:
     """A run directory's manifest, or ``None`` when it is missing,
-    unreadable, or not a JSON object — all three mean "no journal"."""
+    unreadable, or malformed — all three mean "no journal".
+
+    Well-formed is a JSON object whose fields the registry, ``repro
+    runs`` and serve adoption read have the types they assume: ``units``
+    a list of strings, ``plan`` and ``config`` objects, ``created_at`` a
+    finite number.
+    """
     try:
         with open(
             os.path.join(directory, "manifest.json"), "r", encoding="utf-8"
         ) as handle:
             manifest = json.load(handle)
-    except (OSError, ValueError):
+        if not isinstance(manifest, dict):
+            return None
+        units = manifest.get("units", [])
+        created_at = manifest.get("created_at", 0.0)
+        well_formed = (
+            isinstance(units, list)
+            and all(isinstance(unit, str) for unit in units)
+            and isinstance(manifest.get("plan", {}), dict)
+            and isinstance(manifest.get("config", {}), dict)
+            and type(created_at) in (int, float)
+            and math.isfinite(created_at)
+        )
+    except (OSError, ValueError, OverflowError):  # huge int created_at
         return None
-    return manifest if isinstance(manifest, dict) else None
+    return manifest if well_formed else None
 
 
 def check_resumable(run_id: str, manifest: Dict[str, Any]) -> None:

@@ -40,6 +40,7 @@ from typing import Any, Callable, Dict, Iterable, Optional
 from repro.journal.registry import RunInfo
 from repro.journal.run import DoneItem, RunJournal, derive_run_id
 from repro.resilience.supervisor import DispatchCancelled
+from repro.serve import protocol
 
 __all__ = [
     "JOB_KINDS",
@@ -155,15 +156,18 @@ def job_from_submission(
     if not isinstance(config, dict):
         raise ValueError("submit needs a 'config' object")
     payload = _normalized_payload(kind, config)
-    raw_workers = message.get("workers")
-    workers = 2 if raw_workers is None else int(raw_workers)
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
+    workers = message.get("workers")
+    if workers is None:
+        workers = 2
+    if not protocol.is_int(workers) or workers < 1:
+        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
     deadline_s = message.get("deadline_s")
     if deadline_s is not None:
+        if not protocol.is_number(deadline_s) or not deadline_s > 0:
+            raise ValueError(
+                f"deadline_s must be a number > 0, got {deadline_s!r}"
+            )
         deadline_s = float(deadline_s)
-        if deadline_s <= 0:
-            raise ValueError("deadline_s must be > 0")
     return Job(
         job_id=job_id,
         kind=kind,

@@ -31,11 +31,16 @@ Verbs (DESIGN.md §13):
 ``drain``
     stop admitting, finish or checkpoint in-flight work, release
     leases, exit.
+
+A field of the wrong JSON type (a non-string ``job_id``, a non-integer
+``workers`` or ``since``, a non-numeric ``deadline_s``) gets an
+:func:`error` reply, like any other invalid request.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from typing import Any, Dict, Optional
 
 __all__ = [
@@ -48,6 +53,8 @@ __all__ = [
     "encode",
     "error",
     "event",
+    "is_int",
+    "is_number",
     "ok",
 ]
 
@@ -110,6 +117,18 @@ def decode(line: bytes) -> Dict[str, Any]:
             f"expected a JSON object, got {type(message).__name__}"
         )
     return message
+
+
+def is_int(value: Any) -> bool:
+    """Whether a decoded JSON value is an integer (``true`` is not)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_number(value: Any) -> bool:
+    """Whether a decoded JSON value is a number ``float()`` can hold."""
+    return isinstance(value, float) or (
+        is_int(value) and abs(value) <= sys.float_info.max
+    )
 
 
 def ok(**fields: Any) -> Dict[str, Any]:

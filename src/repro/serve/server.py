@@ -611,10 +611,14 @@ class ServeServer:
             queue_depth=depth + 1,
         )
 
+    def _job(self, job_id: Any) -> Optional[Job]:
+        """The job a request names; ``None`` for any non-string id."""
+        return self.jobs.get(job_id) if isinstance(job_id, str) else None
+
     def _handle_status(self, message: Dict[str, Any]) -> Dict[str, Any]:
         job_id = message.get("job_id")
         if job_id is not None:
-            job = self.jobs.get(job_id)
+            job = self._job(job_id)
             if job is None:
                 return protocol.error(f"unknown job {job_id!r}")
             return protocol.ok(job=job.view())
@@ -629,7 +633,7 @@ class ServeServer:
 
     def _handle_cancel(self, message: Dict[str, Any]) -> Dict[str, Any]:
         job_id = message.get("job_id")
-        job = self.jobs.get(job_id) if job_id is not None else None
+        job = self._job(job_id)
         if job is None:
             return protocol.error(f"unknown job {job_id!r}")
         if job.terminal:
@@ -647,13 +651,20 @@ class ServeServer:
         self, message: Dict[str, Any], writer: asyncio.StreamWriter
     ) -> None:
         job_id = message.get("job_id")
-        job = self.jobs.get(job_id) if job_id is not None else None
+        job = self._job(job_id)
         if job is None:
             await self._reply(writer, protocol.error(
                 f"unknown job {job_id!r}"
             ))
             return
-        since = int(message.get("since") or 0)
+        since = message.get("since")
+        if since is None:
+            since = 0
+        if not protocol.is_int(since):
+            await self._reply(writer, protocol.error(
+                f"'since' must be an integer seq, got {since!r}"
+            ))
+            return
         await self._reply(writer, protocol.ok(
             job_id=job_id, watching=True, since=since
         ))

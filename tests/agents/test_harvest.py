@@ -13,6 +13,8 @@ from repro.sim import Kernel, RngStreams
 from repro.sim.units import MS, SEC
 from repro.workloads.tailbench import IMAGE_DNN, MOSES, TailBenchWorkload
 
+from tests.core.helpers import record_events
+
 
 def setup(seed=0, profile=MOSES):
     kernel = Kernel()
@@ -84,13 +86,13 @@ def test_one_nan_window_is_counted_and_never_reaches_the_weights():
         return samples
 
     agent.model.injectors.append(nan_once)
+    events = record_events(agent.runtime.log)
     agent.start()
     kernel.run(until=10 * SEC)
     stats = agent.runtime.stats()
     assert len(windows) > 300
     rejected_at = [
-        event.time_us
-        for event in agent.runtime.log.of_kind(EventKind.VALIDATION_FAILED)
+        event["time_us"] for event in events(EventKind.VALIDATION_FAILED)
     ]
     assert windows[99] in rejected_at
     assert stats["validation_failures"] == len(rejected_at)

@@ -1,11 +1,31 @@
 """Scripted Model/Actuator doubles for exercising the SOL runtime."""
 
-from typing import Callable, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro.core.events import EventKind, EventLog, decode_event
 from repro.core.interfaces import Actuator, Model
 from repro.core.prediction import Prediction
 from repro.sim.kernel import Kernel
+from repro.sim.trace import WindowRecorder
 from repro.sim.units import SEC
+
+
+def record_events(
+    log: EventLog,
+) -> Callable[[EventKind], List[Dict[str, Any]]]:
+    """Attach a :class:`WindowRecorder` to ``log``.
+
+    Returns a query: the decoded events of one kind recorded since, in
+    time order.
+    """
+    recorder = WindowRecorder()
+    log.attach_tracer(recorder)
+
+    def of_kind(kind: EventKind) -> List[Dict[str, Any]]:
+        decoded = map(decode_event, recorder.payloads())
+        return [event for event in decoded if event["kind"] == kind.value]
+
+    return of_kind
 
 
 class ScriptedModel(Model):

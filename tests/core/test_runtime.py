@@ -11,7 +11,7 @@ from repro.node.faults import DelayInjector
 from repro.sim import Kernel
 from repro.sim.units import MS, SEC
 
-from tests.core.helpers import RecordingActuator, ScriptedModel
+from tests.core.helpers import RecordingActuator, ScriptedModel, record_events
 
 
 def make_schedule(**kwargs):
@@ -98,12 +98,12 @@ def test_model_predict_none_short_circuits_to_default():
     model = ScriptedModel(kernel, predictor=lambda: None, default=lambda: 9.0)
     actuator = RecordingActuator(kernel)
     runtime = start_agent(kernel, model, actuator)
+    events = record_events(runtime.log)
     kernel.run(until=3 * SEC)
     assert all(value == 9.0 for _t, value, _d in actuator.actions)
-    assert (
-        runtime.log.last(EventKind.EPOCH_SHORT_CIRCUIT).details["reason"]
-        == "no_model_prediction"
-    )
+    short_circuits = events(EventKind.EPOCH_SHORT_CIRCUIT)
+    assert short_circuits
+    assert short_circuits[-1]["details"]["reason"] == "no_model_prediction"
 
 
 def test_no_predictions_at_all_leads_to_timeout_actions():

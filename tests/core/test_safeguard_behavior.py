@@ -6,7 +6,7 @@ from repro.core import EventKind, SafeguardPolicy, Schedule, run_agent
 from repro.sim import Kernel
 from repro.sim.units import MS, SEC
 
-from tests.core.helpers import RecordingActuator, ScriptedModel
+from tests.core.helpers import RecordingActuator, ScriptedModel, record_events
 
 
 def make_schedule(**kwargs):
@@ -53,13 +53,14 @@ def test_model_recovery_clears_interception():
     )
     actuator = RecordingActuator(kernel)
     runtime = run_agent(kernel, model, actuator, make_schedule())
+    events = record_events(runtime.log)
     kernel.run(until=3500 * MS)
     healthy["value"] = True
     kernel.run(until=6500 * MS)
     assert runtime.model_safeguard.trigger_count == 1
     assert not runtime.model_safeguard.active
-    cleared = runtime.log.last(EventKind.SAFEGUARD_CLEARED)
-    assert cleared is not None and cleared.details["safeguard"] == "model"
+    cleared = events(EventKind.SAFEGUARD_CLEARED)
+    assert cleared and cleared[-1]["details"]["safeguard"] == "model"
     # after recovery the real model value flows again
     assert actuator.actions[-1][1] == 5.0
 

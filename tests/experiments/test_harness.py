@@ -5,9 +5,6 @@ the harness mechanics — row structure, normalization direction, and the
 coarse paper-shape relations that hold even at small scale.
 """
 
-import pytest
-
-from repro.experiments import common
 from repro.experiments import (
     ExperimentResult,
     fig2_invalid_data,
@@ -17,9 +14,6 @@ from repro.experiments import (
     table1_taxonomy,
     table2_learning_agents,
 )
-from repro.experiments.harvest import TAILBENCH_WORKLOADS, fig6_invalid_data_unit
-from repro.experiments.memory import fig8_unit
-from repro.experiments.overclock import CPU_WORKLOADS, fig3_unit
 
 
 def test_experiment_result_rendering():
@@ -81,60 +75,3 @@ def test_fig8_small_scale_all_safeguards_best():
     assert (
         cells["all"]["slo_attainment"] >= cells["none"]["slo_attainment"]
     )
-
-
-# -- log modes (DESIGN.md §6) -------------------------------------------------
-
-def _scenario_builds():
-    from repro.workloads.traces import SPECJBB_MEM, ZipfMemoryTrace
-
-    def trace(kernel, memory, streams):
-        return ZipfMemoryTrace(
-            kernel, memory, streams.get("trace"), SPECJBB_MEM
-        )
-
-    return [
-        (common.OverclockScenario, CPU_WORKLOADS["Synthetic"], {}),
-        (common.HarvestScenario, TAILBENCH_WORKLOADS["moses"], {}),
-        (common.MemoryScenario, trace, {"n_regions": 32}),
-    ]
-
-
-def test_scenario_builders_default_to_counts_and_accept_full():
-    for scenario_cls, factory, extra in _scenario_builds():
-        default = scenario_cls.build(factory, **extra)
-        assert default.agent.runtime.log.mode == "counts", scenario_cls
-        full = scenario_cls.build(factory, log_mode="full", **extra)
-        assert full.agent.runtime.log.mode == "full", scenario_cls
-        # agent=False builds no agent, so there is nothing to configure.
-        assert scenario_cls.build(factory, agent=False, **extra).agent is None
-
-
-@pytest.mark.parametrize(
-    "scenario_name, unit, kwargs",
-    [
-        ("HarvestScenario", fig6_invalid_data_unit,
-         dict(series="moses/on", seconds=20)),
-        ("OverclockScenario", fig3_unit,
-         dict(series="Synthetic/on", seconds=150, break_at=50)),
-        ("MemoryScenario", fig8_unit,
-         dict(series="all", seconds=120, n_regions=64)),
-    ],
-)
-def test_units_are_identical_in_both_log_modes(
-    monkeypatch, scenario_name, unit, kwargs
-):
-    """What a unit returns (and so every digest) ignores the log mode."""
-    counts_result = unit(**kwargs)
-    scenario_cls = getattr(common, scenario_name)
-    build = scenario_cls.build
-    modes = []
-
-    def build_full(*args, **build_kwargs):
-        scenario = build(*args, log_mode="full", **build_kwargs)
-        modes.append(scenario.agent.runtime.log.mode)
-        return scenario
-
-    monkeypatch.setattr(scenario_cls, "build", build_full)
-    assert unit(**kwargs) == counts_result
-    assert modes == ["full"]

@@ -5,9 +5,9 @@ The expected values live in the committed conformance corpus
 seed commit (pre kernel-overhaul) and re-recordable with ``repro
 conformance record``.  They cover all three agent kinds, heterogeneous
 SKU mixes, and a rack fault burst.  Every hot-path change — kernel
-scheduling, event pooling, log modes, driver sharding, numeric inner
-loops — must reproduce them exactly, across worker counts and log
-modes.  The corpus table is the only place the digests are written.
+scheduling, event pooling, ``FleetDriver`` sharding, numeric inner loops
+— must reproduce them exactly, across worker counts and with an event
+sink attached.  The corpus table is the only place the digests are written.
 """
 
 from pathlib import Path
@@ -18,8 +18,9 @@ from repro.conformance.corpus import load_golden_digests
 from repro.conformance.scenarios import GOLDEN_FLEET_CONFIGS
 from repro.experiments.common import experiment_digest
 from repro.experiments.driver import FleetDriver, reproduce_all
-from repro.fleet.node import FleetNode
+from repro.fleet.aggregate import FleetAggregate
 from repro.fleet.scenario import FleetScenario
+from repro.sim.trace import WindowRecorder
 
 CORPUS_DIR = str(
     Path(__file__).resolve().parents[1] / "conformance" / "vectors"
@@ -49,22 +50,20 @@ def test_fleet_digest_identical_across_worker_counts():
     assert parallel.digest() == expected
 
 
-def test_fleet_digest_identical_across_log_modes():
+def test_fleet_digest_identical_with_a_window_recorder_attached():
+    """A sink on every node's event log observes; it changes no result."""
     config, expected = GOLDEN_FLEETS["mixed_6x15_seed3"]
     scenario = FleetScenario(config)
-    full_results = []
+    plain, traced = [], []
     for node_id in range(config.n_nodes):
+        plain.append(scenario.build_node(node_id).run())
         node = scenario.build_node(node_id)
-        assert node.log_mode == "counts"  # fleet default skips event objects
-        full = FleetNode(
-            config.node_spec(node_id),
-            duration_s=config.duration_s,
-            log_mode="full",
-        )
-        full_results.append(full.run())
-    from repro.fleet.aggregate import FleetAggregate
-
-    assert FleetAggregate.from_results(full_results).digest() == expected
+        recorder = WindowRecorder()
+        node.agent.runtime.log.attach_tracer(recorder)
+        traced.append(node.run())
+        assert recorder.n_events == len(node.agent.runtime.log) > 0
+    assert traced == plain
+    assert FleetAggregate.from_results(traced).digest() == expected
 
 
 def test_experiment_results_match_seed_baseline():

@@ -154,6 +154,44 @@ def test_invalid_submission_is_rejected_not_queued(server_thread):
     assert metrics["jobs"]["submitted"] == 0
 
 
+#: Stands for the id of a job the server knows, in the requests below.
+KNOWN_JOB = "<known job>"
+
+
+@pytest.mark.parametrize("request_, error", [
+    ({"verb": "status", "job_id": [1]}, "unknown job [1]"),
+    ({"verb": "cancel", "job_id": {"id": 1}}, "unknown job {'id': 1}"),
+    ({"verb": "watch", "job_id": 7}, "unknown job 7"),
+    ({"verb": "submit", "workers": [1]}, "workers must be an integer"),
+    ({"verb": "submit", "workers": 1.5}, "workers must be an integer"),
+    ({"verb": "submit", "deadline_s": [1]}, "deadline_s must be a number"),
+    ({"verb": "submit", "deadline_s": "soon"}, "deadline_s must be a number"),
+    ({"verb": "watch", "job_id": KNOWN_JOB, "since": "x"},
+     "'since' must be an integer"),
+    ({"verb": "watch", "job_id": KNOWN_JOB, "since": 1.5},
+     "'since' must be an integer"),
+], ids=[
+    "status-list-id", "cancel-object-id", "watch-int-id",
+    "submit-list-workers", "submit-float-workers",
+    "submit-list-deadline", "submit-string-deadline",
+    "watch-string-since", "watch-float-since",
+])
+def test_wrong_typed_fields_get_an_error_reply(server_thread, request_, error):
+    """A field of the wrong JSON type is an error reply on a live
+    connection, never a dead handler and an empty reply."""
+    client = server_thread().start()
+    known = client.submit("fleet", fleet_payload(QUICK), workers=1)["job_id"]
+    message = {
+        key: known if value == KNOWN_JOB else value
+        for key, value in request_.items()
+    }
+    if message["verb"] == "submit":
+        message.update(kind="fleet", config=fleet_payload(QUICK))
+    reply = client.request(message)
+    assert reply["ok"] is False and error in reply["error"], reply
+    assert client.wait(known, timeout=90.0)["status"] == "done"
+
+
 def test_full_queue_gets_explicit_backpressure(server_thread):
     client = server_thread(queue_limit=1).start()
     replies = [
@@ -496,6 +534,47 @@ def test_a_non_object_manifest_hides_no_other_interrupted_run(
     client = st.start()
     job = client.find_by_run(good)
     assert job is not None and job["adopted"] is True
+    assert "adoption scan failed" not in capsys.readouterr().out
+    assert client.wait(job["job_id"], timeout=90.0)["status"] == "done"
+    assert client.drain()["ok"]
+    assert st.join() == 0
+
+
+def test_wrong_typed_manifest_fields_hide_no_other_interrupted_run(
+    server_thread, cache_root, capsys
+):
+    """A manifest whose ``units``, ``plan``, ``config`` or ``created_at``
+    has the wrong type is no run, like a non-object one: ``runs list``
+    shows only the good run beside it, and serve adopts that run."""
+    import json
+
+    from repro.cli import main
+
+    with open_fleet_journal(cache_root, QUICK, 1) as journal:
+        good = journal.run_id  # closed unsealed: interrupted
+    with open(os.path.join(journal.directory, "manifest.json")) as handle:
+        manifest = json.load(handle)
+    bad_fields = [
+        ("units", 5), ("units", [1]), ("plan", []), ("config", "x"),
+        ("created_at", "x"), ("created_at", 10 ** 400),
+    ]
+    for index, (key, value) in enumerate(bad_fields):
+        run_id = f"{index:016x}"
+        bad = os.path.join(runs_root(cache_root), run_id)
+        os.makedirs(bad)
+        with open(os.path.join(bad, "manifest.json"), "w") as handle:
+            json.dump({**manifest, "run_id": run_id, key: value}, handle)
+
+    assert main(["runs", "list", "--cache-dir", cache_root]) == 0
+    listed = capsys.readouterr().out
+    assert good in listed
+    assert not any(f"{index:016x}" in listed for index in range(6))
+
+    st = server_thread(default_workers=1)
+    client = st.start()
+    job = client.find_by_run(good)
+    assert job is not None and job["adopted"] is True
+    assert client.metrics()["metrics"]["jobs"]["adopted"] == 1
     assert "adoption scan failed" not in capsys.readouterr().out
     assert client.wait(job["job_id"], timeout=90.0)["status"] == "done"
     assert client.drain()["ok"]
