@@ -73,6 +73,11 @@ __all__ = [
 ]
 
 
+#: The smallest fleet chunk, in nodes, that :meth:`FleetDriver.chunks`
+#: cuts from a shard holding at least that many.
+MIN_CHUNK_NODES = 2
+
+
 def _run_shard(
     payload: Tuple[FleetConfig, Tuple[int, ...]]
 ) -> List[NodeResult]:
@@ -141,15 +146,21 @@ class FleetDriver:
         keep the pool busy when node costs are skewed — a straggler
         holds back only its own chunk, and idle workers pull the
         remaining chunks instead of waiting.  Chunks subdivide the
-        round-robin shards, preserving the even SKU/agent spread.
+        round-robin shards, preserving the even SKU/agent spread: up to
+        four near-equal slices per shard, but never one smaller than
+        :data:`MIN_CHUNK_NODES` unless the shard itself is (a unit's
+        fixed stack cost is about one short node's simulation —
+        DESIGN.md §5).
         """
-        per_shard = max(1, min(4, self.config.n_nodes // self.workers))
         chunks: List[Tuple[int, ...]] = []
         for shard in self.shards():
-            step = max(1, -(-len(shard) // per_shard))
-            chunks.extend(
-                shard[i:i + step] for i in range(0, len(shard), step)
-            )
+            count = max(1, min(4, len(shard) // MIN_CHUNK_NODES))
+            size, extra = divmod(len(shard), count)
+            start = 0
+            for index in range(count):
+                end = start + size + (index < extra)
+                chunks.append(shard[start:end])
+                start = end
         return chunks
 
     def chunk_plan(self) -> Dict[str, List[int]]:

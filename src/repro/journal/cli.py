@@ -283,7 +283,7 @@ def _cmd_runs_resume(args: argparse.Namespace) -> int:
     workers = args.workers
     if workers is None:
         # A fleet resumes at the pool size its manifest froze.
-        workers = int(info.manifest.get("plan", {}).get("workers", 1))
+        workers = info.manifest.get("plan", {}).get("workers", 1)
     print_report(launch(
         info.kind,
         pipeline.config_from_payload(info.manifest["config"]),

@@ -260,7 +260,7 @@ def read_manifest(directory: str) -> Optional[Dict[str, Any]]:
     Well-formed is a JSON object whose fields the registry, ``repro
     runs`` and serve adoption read have the types they assume: ``units``
     a list of strings, ``plan`` and ``config`` objects, ``created_at`` a
-    finite number.
+    finite number, and ``plan.workers``, when present, an int ≥ 1.
     """
     try:
         with open(
@@ -270,14 +270,17 @@ def read_manifest(directory: str) -> Optional[Dict[str, Any]]:
         if not isinstance(manifest, dict):
             return None
         units = manifest.get("units", [])
+        plan = manifest.get("plan", {})
         created_at = manifest.get("created_at", 0.0)
         well_formed = (
             isinstance(units, list)
             and all(isinstance(unit, str) for unit in units)
-            and isinstance(manifest.get("plan", {}), dict)
+            and isinstance(plan, dict)
             and isinstance(manifest.get("config", {}), dict)
             and type(created_at) in (int, float)
             and math.isfinite(created_at)
+            and type(plan.get("workers", 1)) is int
+            and plan.get("workers", 1) >= 1
         )
     except (OSError, ValueError, OverflowError):  # huge int created_at
         return None

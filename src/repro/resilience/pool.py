@@ -127,6 +127,16 @@ def _worker_main(
             task = task_reader.recv()
         except (EOFError, OSError):
             return
+        except Exception as error:  # noqa: BLE001 — any unpickle fault
+            # The task frame was read whole but will not rebuild here (a
+            # function the fork never saw, a payload that cannot load).
+            # Its id went down with it; the parent knows which task this
+            # worker holds and fills it in (``_drain``).
+            _write_frame(event_fd, pickle.dumps((
+                "error", None, 0, worker_id,
+                f"undecodable task: {type(error).__name__}: {error}",
+            ), protocol=pickle.HIGHEST_PROTOCOL))
+            continue
         if task is None:
             return
         task_id, attempt, fn, payload, plan, trace = task
@@ -356,18 +366,23 @@ class SupervisedPool:
             frame = bytes(buffer[_FRAME_HEADER.size:end])
             del buffer[:end]
             try:
-                events.append(pickle.loads(frame))
+                event = pickle.loads(frame)
             except Exception as error:  # noqa: BLE001 — any unpickle fault
                 # A frame that pickled in the worker but will not rebuild
                 # here: fail the attempt this worker holds (retry, then
                 # quarantine) and keep the worker.
-                if worker.task is not None:
-                    task_id, attempt = worker.task
-                    events.append((
-                        "error", task_id, attempt, worker.worker_id,
-                        f"undecodable worker frame: "
-                        f"{type(error).__name__}: {error}",
-                    ))
+                event = (
+                    "error", None, 0, worker.worker_id,
+                    f"undecodable worker frame: "
+                    f"{type(error).__name__}: {error}",
+                )
+            if event[1] is None:
+                # An outcome that cannot name its task (an undecodable
+                # frame either way) belongs to the one this worker holds.
+                if worker.task is None:
+                    continue
+                event = (event[0], *worker.task, *event[3:])
+            events.append(event)
         for event in events:
             kind, task_id, attempt, _worker_id, _payload = event
             if kind == "done":

@@ -179,15 +179,15 @@ def job_from_submission(
 
 
 def job_from_run_info(job_id: str, info: RunInfo) -> Job:
-    """Rebuild an adoptable job from an interrupted run's manifest."""
-    payload = dict(info.manifest.get("config", {}))
-    workers = int(info.manifest.get("plan", {}).get("workers", 2) or 2)
+    """Rebuild an adoptable job from an interrupted run's manifest
+    (``read_manifest`` has checked that a frozen ``plan.workers`` is an
+    int ≥ 1)."""
     return Job(
         job_id=job_id,
         kind=info.kind,
-        payload=payload,
+        payload=dict(info.manifest.get("config", {})),
         run_id=info.run_id,
-        workers=max(workers, 1),
+        workers=info.manifest.get("plan", {}).get("workers", 2),
         adopted=True,
     )
 

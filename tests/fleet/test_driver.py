@@ -1,4 +1,5 @@
-"""FleetDriver: serial/parallel equivalence and shard-order invariance.
+"""FleetDriver: serial/parallel equivalence, shard-order invariance and
+the chunk plan.
 
 These are the PR's headline guarantees: the same seed produces
 bit-identical fleet aggregates whether nodes run in one process, across
@@ -7,10 +8,16 @@ a pool, or in shuffled order (DESIGN.md §5).
 
 import random
 
-from repro.experiments.driver import FleetDriver, reproduce_all
+import pytest
+
+from repro.experiments.driver import (
+    MIN_CHUNK_NODES, FleetDriver, reproduce_all,
+)
 from repro.fleet.aggregate import FleetAggregate
 from repro.fleet.config import FleetConfig
 from repro.fleet.scenario import FleetScenario
+from repro.journal.log import KILL_AFTER_ENV, set_kill_action
+from repro.journal.pipelines import open_fleet_journal
 
 CONFIG = FleetConfig(n_nodes=6, agent="overclock", seed=11, duration_s=20)
 
@@ -51,6 +58,75 @@ def test_workers_capped_at_fleet_size():
     assert driver.workers == 2
 
 
+def test_chunks_partition_shards_with_a_two_node_floor():
+    """Every (fleet size, worker count) pair, exhaustively: chunks are
+    slices of one round-robin shard that together cover every node once,
+    none has fewer than ``MIN_CHUNK_NODES`` nodes unless its shard does,
+    and no worker gets more than four."""
+    for n_nodes in range(1, 71):
+        for workers in range(1, 9):
+            driver = FleetDriver(FleetConfig(n_nodes=n_nodes), workers=workers)
+            shards = driver.shards()
+            chunks = driver.chunks()
+            flat = sorted(node for chunk in chunks for node in chunk)
+            assert flat == list(range(n_nodes)), (n_nodes, workers)
+            assert len(chunks) <= 4 * driver.workers, (n_nodes, workers)
+            for chunk in chunks:
+                (shard,) = [s for s in shards if chunk[0] in s]
+                start = shard.index(chunk[0])
+                assert shard[start:start + len(chunk)] == chunk
+                if len(shard) >= MIN_CHUNK_NODES:
+                    assert len(chunk) >= MIN_CHUNK_NODES, (n_nodes, workers)
+
+
+def test_the_64_node_two_worker_chunk_plan_is_pinned():
+    """The stack benchmark's ``fleet_pool`` plan: eight chunks of eight."""
+    plan = FleetDriver(
+        FleetConfig(n_nodes=64, agent="mixed", duration_s=30), workers=2
+    ).chunk_plan()
+    assert list(plan) == [
+        "chunk000(n0+8)", "chunk001(n16+8)", "chunk002(n32+8)",
+        "chunk003(n48+8)", "chunk004(n1+8)", "chunk005(n17+8)",
+        "chunk006(n33+8)", "chunk007(n49+8)",
+    ]
+
+
+class _Killed(Exception):
+    pass
+
+
+def _raise_killed():
+    raise _Killed()
+
+
+@pytest.mark.parametrize("n_nodes", [4, 8])
+def test_inline_pooled_and_resumed_fleets_match_the_bare_scenario(
+    n_nodes, tmp_path, monkeypatch
+):
+    config = FleetConfig(n_nodes=n_nodes, agent="mixed", seed=3, duration_s=5)
+    truth = FleetAggregate.from_results(FleetScenario(config).run()).digest()
+    assert FleetDriver(config, workers=1).run().digest() == truth
+    assert FleetDriver(config, workers=2).run().digest() == truth
+
+    root = str(tmp_path)
+    monkeypatch.setenv(KILL_AFTER_ENV, "1")
+    set_kill_action(_raise_killed)
+    try:
+        with pytest.raises(_Killed):
+            with open_fleet_journal(root, config, 1) as journal:
+                FleetDriver(config, workers=1, journal=journal).run()
+    finally:
+        monkeypatch.delenv(KILL_AFTER_ENV)
+        set_kill_action(None)
+    with open_fleet_journal(root, config, 2, resume=True) as resumed:
+        assert FleetDriver(
+            config, workers=2, journal=resumed
+        ).run().digest() == truth
+    assert resumed.stats.replayed == 1
+    assert resumed.stats.executed == len(resumed.units) - 1
+    assert resumed.sealed_digest == truth
+
+
 def test_reproduce_all_parallel_matches_serial_rows():
     only = ["table1", "table2"]
     serial = reproduce_all(only=only)
@@ -63,7 +139,5 @@ def test_reproduce_all_parallel_matches_serial_rows():
 
 
 def test_reproduce_all_rejects_unknown_artifacts():
-    import pytest
-
     with pytest.raises(ValueError):
         reproduce_all(only=["fig99"])

@@ -230,11 +230,11 @@ def test_inline_and_pooled_take_the_same_steps_per_unit():
 
 
 def _refuse_to_rebuild():
-    raise RuntimeError("cannot rebuild in the parent")
+    raise RuntimeError("cannot rebuild")
 
 
 class _Unrebuildable:
-    """Pickles in the worker; unpickling it in the parent raises."""
+    """Pickles anywhere; unpickling it raises, in a worker or the parent."""
 
     def __reduce__(self):
         return (_refuse_to_rebuild, ())
@@ -266,6 +266,36 @@ def test_an_undecodable_result_frame_is_a_hole_not_a_dead_pool():
     assert "undecodable worker frame: RuntimeError" in record.error
     assert after["size"] == before["size"] >= 2
     assert after["respawns"] == before["respawns"]  # the workers were kept
+
+
+def test_a_task_the_worker_cannot_unpickle_is_a_hole_not_a_dead_worker():
+    """A task frame that will not rebuild in the worker fails the
+    attempt it carried, retries, and is quarantined with the unpickle
+    error; the worker lives on (no crash, no respawn)."""
+    shared_pool(2)
+    before = shared_pool_counters()
+    quarantine = QuarantineLog()
+    plan = Plan("test", tuple(
+        WorkUnit(f"u{i}", _Unrebuildable() if i == 1 else i, cost=float(i))
+        for i in range(4)
+    ))
+    seen = []
+    outcome = run_units(
+        plan, _double, workers=2,
+        policy=RetryPolicy(max_retries=1, backoff_base_s=0.01,
+                           backoff_cap_s=0.05),
+        quarantine=quarantine,
+        on_result=lambda unit, payload, wall: seen.append((unit.unit_id,
+                                                           payload)),
+    )
+    after = shared_pool_counters()
+    assert outcome.holes == ["u1"]
+    assert sorted(seen) == [("u0", 0), ("u2", 4), ("u3", 6)]
+    (record,) = quarantine.load()
+    assert record.attempts == 2
+    assert "undecodable task: RuntimeError: cannot rebuild" in record.error
+    assert after["crashes"] == before["crashes"]
+    assert after["respawns"] == before["respawns"]
 
 
 def test_a_plan_without_a_cache_tier_never_touches_the_cache():

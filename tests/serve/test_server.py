@@ -543,9 +543,10 @@ def test_a_non_object_manifest_hides_no_other_interrupted_run(
 def test_wrong_typed_manifest_fields_hide_no_other_interrupted_run(
     server_thread, cache_root, capsys
 ):
-    """A manifest whose ``units``, ``plan``, ``config`` or ``created_at``
-    has the wrong type is no run, like a non-object one: ``runs list``
-    shows only the good run beside it, and serve adopts that run."""
+    """A manifest whose ``units``, ``plan``, ``config``, ``created_at``
+    or ``plan.workers`` has the wrong type is no run, like a non-object
+    one: ``runs list`` shows only the good run beside it, ``runs
+    resume`` of it is a usage error, and serve adopts the good run."""
     import json
 
     from repro.cli import main
@@ -557,6 +558,9 @@ def test_wrong_typed_manifest_fields_hide_no_other_interrupted_run(
     bad_fields = [
         ("units", 5), ("units", [1]), ("plan", []), ("config", "x"),
         ("created_at", "x"), ("created_at", 10 ** 400),
+    ] + [
+        ("plan", {**manifest["plan"], "workers": workers})
+        for workers in ("two", [2], True, 0, 2.0)
     ]
     for index, (key, value) in enumerate(bad_fields):
         run_id = f"{index:016x}"
@@ -568,7 +572,15 @@ def test_wrong_typed_manifest_fields_hide_no_other_interrupted_run(
     assert main(["runs", "list", "--cache-dir", cache_root]) == 0
     listed = capsys.readouterr().out
     assert good in listed
-    assert not any(f"{index:016x}" in listed for index in range(6))
+    assert not any(
+        f"{index:016x}" in listed for index in range(len(bad_fields))
+    )
+    for index in range(6, len(bad_fields)):  # the plan.workers cases
+        run_id = f"{index:016x}"
+        assert main(
+            ["runs", "resume", run_id, "--cache-dir", cache_root]
+        ) == 1
+        assert f"no journaled run '{run_id}'" in capsys.readouterr().out
 
     st = server_thread(default_workers=1)
     client = st.start()
