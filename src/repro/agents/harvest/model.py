@@ -25,8 +25,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Deque, Optional
+from typing import Deque, NamedTuple, Optional
 
 import numpy as np
 
@@ -43,9 +42,19 @@ from repro.sim.kernel import Kernel
 __all__ = ["UsageWindow", "HarvestModel"]
 
 
-@dataclass(frozen=True)
-class UsageWindow:
+class _WindowFields(NamedTuple):
+    samples: np.ndarray
+    allocated: float
+    deficit_cus: float
+    lo: float
+    hi: float
+
+
+class UsageWindow(_WindowFields):
     """One collected datapoint: a 25 ms window of 50 µs usage samples.
+
+    Immutable: a tuple, built in one ``tuple.__new__`` (a frozen
+    dataclass paid one ``object.__setattr__`` per field, every epoch).
 
     Attributes:
         samples: usage in cores at each sample instant.
@@ -60,17 +69,17 @@ class UsageWindow:
             too, so it fails every range check.
     """
 
-    samples: np.ndarray
-    allocated: float
-    deficit_cus: float
-    lo: float = field(init=False, default=math.nan)
-    hi: float = field(init=False, default=math.nan)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        samples = self.samples
+    def __new__(
+        cls, samples: np.ndarray, allocated: float, deficit_cus: float
+    ) -> "UsageWindow":
         if samples.size:
-            object.__setattr__(self, "lo", float(np.minimum.reduce(samples)))
-            object.__setattr__(self, "hi", float(np.maximum.reduce(samples)))
+            lo = float(np.minimum.reduce(samples))
+            hi = float(np.maximum.reduce(samples))
+        else:
+            lo = hi = math.nan
+        return tuple.__new__(cls, (samples, allocated, deficit_cus, lo, hi))
 
 
 class HarvestModel(Model):
@@ -122,7 +131,7 @@ class HarvestModel(Model):
             window=config.starvation_window_epochs,
             min_count=config.starvation_min_epochs,
         )
-        self._last_snapshot = hypervisor.snapshot()
+        _, self._last_deficit_cus = hypervisor.demand_deficit_cus()
         #: fault injectors applied to every raw sample window (the
         #: counter-read boundary, same as CounterReader.add_injector)
         self.injectors: list = []
@@ -139,9 +148,9 @@ class HarvestModel(Model):
         )
         for injector in self.injectors:
             samples = injector(samples)
-        current = self.hypervisor.snapshot()
-        deficit = current.deficit_cus - self._last_snapshot.deficit_cus
-        self._last_snapshot = current
+        _, deficit_cus = self.hypervisor.demand_deficit_cus()
+        deficit = deficit_cus - self._last_deficit_cus
+        self._last_deficit_cus = deficit_cus
         # The starvation statistic behind assess_model is observed on
         # *every* window, including ones validation later discards —
         # the windows where the primary ran out of cores are precisely

@@ -36,7 +36,7 @@ from repro.agents.memory.classify import (
 from repro.agents.memory.config import MemoryConfig
 from repro.core.interfaces import Model
 from repro.core.prediction import Prediction
-from repro.ml.bandits import BetaThompsonSampler
+from repro.ml.bandits import ThompsonSamplingState
 from repro.node.memory import ScanBatch, TieredMemory
 from repro.sim.kernel import Kernel
 from repro.sim.units import SEC
@@ -97,9 +97,7 @@ class MemoryModel(Model):
         self.estimates = estimates
 
         n = memory.n_regions
-        self.samplers = [
-            BetaThompsonSampler(config.n_arms, rng) for _ in range(n)
-        ]
+        self.bandits = ThompsonSamplingState(n, config.n_arms, rng)
         self._periods_us = np.asarray(config.scan_periods_us, dtype=np.int64)
         self._arm = np.zeros(n, dtype=int)  # current arm per region
         self._truth_mask = np.zeros(n, dtype=bool)
@@ -244,43 +242,35 @@ class MemoryModel(Model):
                                        * active.size)))
             chosen = self.rng.choice(active, size=n_truth, replace=False)
             self._truth_mask[chosen] = True
-        for region in active:
-            self._arm[region] = self.samplers[region].select_arm()
+        # The truth set is drawn first, then one Beta draw covers every
+        # active region's arms (the seed's per-region draw order).
+        self._arm[active] = self.bandits.sample(active)
         self._next_due[active] = now  # first scan on the next tick
 
     def _reward_arms(self) -> None:
         """Score each region's epoch: well-sampled = success."""
-        for region in range(self.memory.n_regions):
-            n_scans = self._scan_count[region]
-            if n_scans == 0 or self._cold[region]:
-                continue
-            arm = (
-                0 if self._truth_mask[region] else int(self._arm[region])
-            )
-            saturation_rate = self._saturated[region] / n_scans
-            occupancy = (
-                self._bits_total[region]
-                / n_scans
-                / self.memory.pages_per_region
-            )
-            if saturation_rate >= self.config.saturation_undersampled:
-                # Undersampled (bits clipped) — unless already at the
-                # maximum frequency, where no arm can do better: a region
-                # hot enough to saturate 300 ms scans is simply "hot".
-                success = arm == 0
-            elif (
-                occupancy < self.config.well_sampled_low
-                and arm < self.config.n_arms - 1
-            ):
-                # Oversampled: bits are sparse, so a slower arm would
-                # observe the same accesses with fewer flushes.  "The
-                # optimal scanning frequency is the lowest frequency that
-                # yields the same number of accesses as the maximum
-                # frequency" (§5.3).
-                success = False
-            else:
-                success = True
-            self.samplers[region].update(arm, success)
+        regions = np.flatnonzero((self._scan_count != 0) & ~self._cold)
+        n_scans = self._scan_count[regions]
+        arms = np.where(self._truth_mask[regions], 0, self._arm[regions])
+        saturation_rate = self._saturated[regions] / n_scans
+        occupancy = (
+            self._bits_total[regions]
+            / n_scans
+            / self.memory.pages_per_region
+        )
+        # Undersampled (bits clipped) — unless already at the maximum
+        # frequency, where no arm can do better: a region hot enough to
+        # saturate 300 ms scans is simply "hot".
+        undersampled = saturation_rate >= self.config.saturation_undersampled
+        # Oversampled: bits are sparse, so a slower arm would observe the
+        # same accesses with fewer flushes.  "The optimal scanning
+        # frequency is the lowest frequency that yields the same number
+        # of accesses as the maximum frequency" (§5.3).
+        oversampled = (occupancy < self.config.well_sampled_low) & (
+            arms < self.config.n_arms - 1
+        )
+        success = np.where(undersampled, arms == 0, ~oversampled)
+        self.bandits.update(regions, arms, success)
 
     def _estimate_missed_fraction(self, elapsed_s: float) -> Optional[float]:
         """Weighted miss estimate over the ground-truth sample (§5.3).
@@ -300,9 +290,10 @@ class MemoryModel(Model):
         pages = self.memory.pages_per_region
         max_period = self.config.scan_periods_us[0]
         saturation_bits = self.memory.saturation_fraction * pages
+        recommended_arms = self.bandits.means(truth_regions).argmax(axis=1)
         total_truth_rate = 0.0
         total_missed = 0.0
-        for region in truth_regions:
+        for region, recommended in zip(truth_regions, recommended_arms):
             n_scans = self._scan_count[region]
             if n_scans == 0:
                 continue
@@ -310,9 +301,6 @@ class MemoryModel(Model):
             access_rate = infer_access_rate(bits_per_scan, max_period, pages)
             if access_rate <= 0:
                 continue
-            recommended = int(
-                np.argmax(self.samplers[region].mean_estimates())
-            )
             period = self.config.scan_periods_us[recommended]
             expected_bits = (
                 captured_rate_at_period(access_rate, period, pages)

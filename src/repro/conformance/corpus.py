@@ -19,6 +19,7 @@ from repro.conformance.vectors import (
     VectorSchemaError,
     check_vector,
     load_vector,
+    read_json,
     record_vector,
     save_vector,
     vector_filename,
@@ -77,13 +78,12 @@ def save_golden_digests(data: Dict[str, Any], directory: str) -> str:
 def load_golden_digests(directory: str) -> Dict[str, Any]:
     """Load and schema-check the golden-digest table of a corpus dir."""
     path = os.path.join(directory, GOLDEN_FILENAME)
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-    except json.JSONDecodeError as error:
+    data = read_json(path, "golden-digest table")
+    if not isinstance(data, dict):
         raise VectorSchemaError(
-            f"{path} is not a valid golden-digest table: {error}"
-        ) from None
+            f"{path} is not a valid golden-digest table (expected a JSON "
+            "object)"
+        )
     for key in ("schema", "experiment_scale", "fleet", "experiments"):
         if key not in data:
             raise VectorSchemaError(
@@ -96,6 +96,15 @@ def load_golden_digests(directory: str) -> Dict[str, Any]:
             f"schema {SCHEMA_VERSION}; re-record it with "
             "'repro conformance record'"
         )
+    for section in ("fleet", "experiments"):
+        table = data[section]
+        if not isinstance(table, dict) or not all(
+            isinstance(digest, str) for digest in table.values()
+        ):
+            raise VectorSchemaError(
+                f"{path} is not a valid golden-digest table: {section!r} "
+                "must map names to digest strings"
+            )
     return data
 
 

@@ -33,6 +33,7 @@ from repro.agents.harvest.model import HarvestModel
 from repro.conformance.reference import kernel as _seed_kernel
 from repro.conformance.reference import ml as _seed_ml
 from repro.conformance.reference import workloads as _seed_workloads
+from repro.ml.bandits import ThompsonSamplingState
 from repro.ml.costsensitive import CostSensitiveClassifier
 from repro.ml.features import distributional_features
 from repro.node.cpu import CpuModel
@@ -52,14 +53,15 @@ KERNEL_IMPLS: Dict[str, Any] = {
 }
 
 #: ML epoch implementations: ``CostSensitiveClassifier``,
-#: ``distributional_features``, ``Hypervisor``, and the ``HarvestModel``
-#: epoch built on them.
+#: ``distributional_features``, ``Hypervisor``, the ``HarvestModel``
+#: epoch built on them, and SmartMemory's ``ThompsonSamplingState``.
 ML_IMPLS: Dict[str, Any] = {
     "current": SimpleNamespace(
         CostSensitiveClassifier=CostSensitiveClassifier,
         distributional_features=distributional_features,
         Hypervisor=Hypervisor,
         HarvestModel=HarvestModel,
+        ThompsonSamplingState=ThompsonSamplingState,
     ),
     "seed": _seed_ml,
 }

@@ -23,6 +23,13 @@ learning epoch as it stood before the window reductions were fused
 cost vector rebuilt from its label every epoch), wired to the frozen
 pieces above so the ``ml/harvest_epoch`` row and its lockstep test
 compare whole epochs.
+
+:class:`ThompsonSamplingState` is SmartMemory's bandit as it stood
+before the array state: one :class:`BetaThompsonSampler` object per
+region, sampled and rewarded in a Python loop (one scalar ``rng.beta``
+call per region per epoch), behind the live class's API so the
+``ml/memory_arms`` row and the lockstep test in
+``tests/ml/test_bandits.py`` drive both sides alike.
 """
 
 from __future__ import annotations
@@ -43,10 +50,12 @@ from repro.ml.quantiles import percentile_of_sorted
 from repro.node.hypervisor import HypervisorSnapshot
 
 __all__ = [
+    "BetaThompsonSampler",
     "CostSensitiveClassifier",
     "HarvestModel",
     "Hypervisor",
     "OnlineLinearRegression",
+    "ThompsonSamplingState",
     "UsageWindow",
     "distributional_features",
 ]
@@ -432,4 +441,78 @@ class HarvestModel:
             self.kernel,
             int(cores_needed),
             ttl_us=self.config.schedule.prediction_ttl_us,
+        )
+
+
+class BetaThompsonSampler:
+    """Seed Beta-Bernoulli Thompson sampler: one object per region."""
+
+    def __init__(
+        self,
+        n_arms: int,
+        rng: np.random.Generator,
+        prior_alpha: float = 1.0,
+        prior_beta: float = 1.0,
+    ) -> None:
+        if n_arms < 2:
+            raise ValueError("need at least two arms")
+        if prior_alpha <= 0 or prior_beta <= 0:
+            raise ValueError("priors must be positive")
+        self.n_arms = n_arms
+        self.rng = rng
+        self.alpha = np.full(n_arms, float(prior_alpha))
+        self.beta = np.full(n_arms, float(prior_beta))
+        self.pulls = np.zeros(n_arms, dtype=np.int64)
+
+    def select_arm(self) -> int:
+        samples = self.rng.beta(self.alpha, self.beta)
+        return int(np.argmax(samples))
+
+    def update(self, arm: int, success: bool) -> None:
+        self._check_arm(arm)
+        if success:
+            self.alpha[arm] += 1.0
+        else:
+            self.beta[arm] += 1.0
+        self.pulls[arm] += 1
+
+    def mean_estimates(self) -> np.ndarray:
+        return self.alpha / (self.alpha + self.beta)
+
+    def _check_arm(self, arm: int) -> None:
+        if not 0 <= arm < self.n_arms:
+            raise ValueError(f"arm {arm} out of range [0, {self.n_arms})")
+
+
+class ThompsonSamplingState:
+    """The seed SmartMemory bandit loop over per-region samplers.
+
+    ``sample`` is the seed ``MemoryModel._assign_arms`` loop, ``update``
+    its ``_reward_arms`` loop (Bernoulli outcomes only), and ``means``
+    the per-region ``mean_estimates`` that ``_estimate_missed_fraction``
+    read.
+    """
+
+    def __init__(
+        self, n_bandits: int, n_arms: int, rng: np.random.Generator
+    ) -> None:
+        self.samplers = [
+            BetaThompsonSampler(n_arms, rng) for _ in range(n_bandits)
+        ]
+
+    def sample(self, rows: np.ndarray) -> np.ndarray:
+        arms = np.zeros(len(rows), dtype=int)
+        for i, region in enumerate(rows):
+            arms[i] = self.samplers[region].select_arm()
+        return arms
+
+    def update(
+        self, rows: np.ndarray, arms: np.ndarray, reward: np.ndarray
+    ) -> None:
+        for region, arm, success in zip(rows, arms, reward):
+            self.samplers[region].update(int(arm), bool(success))
+
+    def means(self, rows: np.ndarray) -> np.ndarray:
+        return np.array(
+            [self.samplers[region].mean_estimates() for region in rows]
         )

@@ -44,6 +44,7 @@ __all__ = [
     "canonical_state",
     "check_vector",
     "load_vector",
+    "read_json",
     "record_vector",
     "save_vector",
     "vector_filename",
@@ -207,15 +208,58 @@ def save_vector(vector: KnownAnswerVector, directory: str) -> str:
     return path
 
 
-def load_vector(path: str) -> KnownAnswerVector:
-    """Load and schema-check one vector file."""
+def read_json(path: str, what: str) -> Any:
+    """Parse one JSON file, failing closed: undecodable bytes, bad JSON
+    and nesting past the recursion limit are all a
+    :class:`VectorSchemaError` naming the file."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-    except json.JSONDecodeError as error:
+            return json.load(handle)
+    except (ValueError, RecursionError) as error:
+        # ValueError covers JSONDecodeError and UnicodeDecodeError.
+        reason = (
+            "nested too deeply" if isinstance(error, RecursionError)
+            else error
+        )
         raise VectorSchemaError(
-            f"{path} is not a valid known-answer vector: {error}"
+            f"{path} is not a valid {what}: {reason}"
         ) from None
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_digest_row(row: Any) -> bool:
+    """``[index, time_us, digest]``, as checkpoints and terminal hold."""
+    return (
+        isinstance(row, list)
+        and len(row) == 3
+        and _is_int(row[0])
+        and _is_int(row[1])
+        and isinstance(row[2], str)
+    )
+
+
+#: Field -> (check, expected type), for the fields :func:`check_vector`
+#: reads.
+_FIELD_CHECKS = {
+    "name": (lambda v: isinstance(v, str), "a string"),
+    "impl": (lambda v: isinstance(v, str), "a string"),
+    "cadence": (lambda v: _is_int(v) and v > 0, "a positive integer"),
+    "scenario": (lambda v: isinstance(v, dict), "an object"),
+    "checkpoints": (
+        lambda v: isinstance(v, list) and all(map(_is_digest_row, v)),
+        "a list of [index, time_us, digest] rows",
+    ),
+    "terminal": (_is_digest_row, "an [index, time_us, digest] row"),
+    "state": (lambda v: isinstance(v, dict), "an object"),
+}
+
+
+def load_vector(path: str) -> KnownAnswerVector:
+    """Load and schema-check one vector file."""
+    data = read_json(path, "known-answer vector")
     if not isinstance(data, dict):
         raise VectorSchemaError(
             f"{path} is not a valid known-answer vector (expected a "
@@ -233,6 +277,12 @@ def load_vector(path: str) -> KnownAnswerVector:
             f"build reads schema {SCHEMA_VERSION}; re-record it with "
             "'repro conformance record'"
         )
+    for key, (check, expected) in _FIELD_CHECKS.items():
+        if not check(data[key]):
+            raise VectorSchemaError(
+                f"{path} is not a valid known-answer vector: {key!r} "
+                f"must be {expected}"
+            )
     return KnownAnswerVector(
         name=data["name"],
         impl=data["impl"],

@@ -4,10 +4,10 @@ Each agent's model maps to one learner here:
 
 * SmartOverclock → :class:`repro.ml.qlearning.QLearner`
 * SmartHarvest   → :class:`repro.ml.costsensitive.CostSensitiveClassifier`
-* SmartMemory    → :class:`repro.ml.bandits.BetaThompsonSampler`
+* SmartMemory    → :class:`repro.ml.bandits.ThompsonSamplingState`
 """
 
-from repro.ml.bandits import BetaThompsonSampler
+from repro.ml.bandits import ThompsonSamplingState
 from repro.ml.costsensitive import CostSensitiveClassifier, asymmetric_core_costs
 from repro.ml.features import (
     FEATURE_NAMES,
@@ -19,7 +19,6 @@ from repro.ml.metrics import Ewma, RollingMean, RollingRate, StreamingMeanVar
 from repro.ml.qlearning import QLearner
 
 __all__ = [
-    "BetaThompsonSampler",
     "CostSensitiveClassifier",
     "Ewma",
     "FEATURE_NAMES",
@@ -29,6 +28,7 @@ __all__ = [
     "RollingMean",
     "RollingRate",
     "StreamingMeanVar",
+    "ThompsonSamplingState",
     "asymmetric_core_costs",
     "distributional_features",
 ]

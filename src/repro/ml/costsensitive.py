@@ -42,7 +42,7 @@ predictions, weights, and update counters.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -161,19 +161,23 @@ class CostSensitiveClassifier:
         self._errors = np.empty(n_classes)
         self._errors_col = self._errors.reshape(n_classes, 1)
         self._l2_scratch = np.empty((n_classes, n_features))
+        # (features, their bytes, scores) of the last predict, valid
+        # until the next update changes the weights.
+        self._scored: Optional[Tuple[np.ndarray, bytes, List[float]]] = None
 
     def predicted_costs(self, features: Sequence[float]) -> np.ndarray:
         """Predicted cost of choosing each class."""
-        x = self._check(features)
-        bias = self._bias_list
-        return np.array(
-            [float(dot(x)) + bias[i] for i, dot in enumerate(self._row_dots)]
-        )
+        return np.array(self._scores(self._check(features)))
 
     def predict(self, features: Sequence[float]) -> int:
-        """The class with minimum predicted cost (ties → lowest class)."""
+        """The class with minimum predicted cost (ties → lowest class).
+
+        Keeps the per-class scores, which the next :meth:`update` on the
+        same array reuses.
+        """
         x = self._check(features)
         bias = self._bias_list
+        scores = [0.0] * self.n_classes
         best = np.inf
         best_class = 0
         i = 0
@@ -181,32 +185,48 @@ class CostSensitiveClassifier:
             cost = float(dot(x)) + bias[i]
             if cost != cost:  # np.argmin lets the first NaN win
                 return i
+            scores[i] = cost
             if cost < best:
                 best = cost
                 best_class = i
             i += 1
+        self._scored = (x, x.tobytes(), scores)
         return best_class
 
     def update(
         self, features: Sequence[float], costs: Sequence[float]
     ) -> None:
-        """One rank-1 SGD step toward an observed cost vector."""
+        """One rank-1 SGD step toward an observed cost vector.
+
+        The step starts from each class's predicted cost.  When the last
+        :meth:`predict` since the previous update scored this very array
+        object holding the same bytes, its scores are those predictions
+        bit for bit (the same row-``dot``s of the same memory against
+        the same weights), so they are reused instead of recomputed.
+        Every update invalidates them.  The identity check keeps the
+        memory layout fixed; the bytes check catches an in-place write
+        between the two calls.
+        """
         x = self._check(features)
         costs = np.asarray(costs, dtype=float)
         if costs.shape != (self.n_classes,):
             raise ValueError(
                 f"expected {self.n_classes} costs, got shape {costs.shape}"
             )
+        scored = self._scored
+        self._scored = None
+        if scored is not None and scored[0] is x and scored[1] == x.tobytes():
+            scores = scored[2]
+        else:
+            scores = self._scores(x)
         # Per-row error in scalar float arithmetic — the exact ops the
         # seed's per-class regressors performed, including the scalar
         # min/max clip (which also preserves NaN propagation).
-        bias = self._bias_list
-        cost_list = costs.tolist()
         clip = self.clip_gradient
         errors = self._errors
         i = 0
-        for dot in self._row_dots:
-            error = float(dot(x)) + bias[i] - cost_list[i]
+        for cost in costs.tolist():
+            error = scores[i] - cost
             if clip is not None:
                 if error > clip:
                     error = clip
@@ -234,6 +254,16 @@ class CostSensitiveClassifier:
         self._bias -= errors
         self._bias_list = self._bias.tolist()
         self.updates += 1
+
+    def _scores(self, x: np.ndarray) -> List[float]:
+        """Each class's predicted cost: its row ``dot`` plus its bias."""
+        bias = self._bias_list
+        scores = [0.0] * self.n_classes
+        i = 0
+        for dot in self._row_dots:
+            scores[i] = float(dot(x)) + bias[i]
+            i += 1
+        return scores
 
     def _check(self, features: Sequence[float]) -> np.ndarray:
         x = np.asarray(features, dtype=float)

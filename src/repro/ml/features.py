@@ -17,7 +17,9 @@ it is engineered as a single-allocation pass:
   ufunc-dispatch wrapper without perturbing a bit.
 * the three percentiles and both extremes share one sort, performed
   in a reusable scratch buffer (``ndarray.sort`` on a copy produces
-  the same values as ``np.sort``).
+  the same values as ``np.sort``), and each percentile's lerp plan
+  (bracketing indices and fraction) depends only on the window length,
+  so it is computed once per length.
 * a :class:`FeatureExtractor` owns the scratch buffers so per-epoch
   callers (``HarvestModel``) allocate only the 9-float output vector,
   which must stay fresh per call — feature vectors outlive the epoch
@@ -30,11 +32,11 @@ module-level extractor (the simulator is single-threaded per process).
 
 from __future__ import annotations
 
-from typing import List
+from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.ml.quantiles import percentile_of_sorted
+from repro.ml.quantiles import lerp_plan, lerp_sorted
 
 __all__ = ["FEATURE_NAMES", "FeatureExtractor", "distributional_features"]
 
@@ -53,6 +55,9 @@ FEATURE_NAMES: List[str] = [
 
 _sum = np.add.reduce
 
+#: The percentile features, in output order (slots 3, 4, 5).
+_PERCENTILES = (50, 90, 99)
+
 
 class FeatureExtractor:
     """Reusable-scratch distributional feature extraction.
@@ -64,6 +69,8 @@ class FeatureExtractor:
 
     def __init__(self) -> None:
         self._scratch = np.empty(0)
+        # window length -> the three percentiles' lerp plans
+        self._plans: Dict[int, Tuple[Tuple[int, int, float], ...]] = {}
 
     def __call__(self, samples: np.ndarray) -> np.ndarray:
         """Summarize a telemetry window into a fixed-length feature vector.
@@ -112,9 +119,13 @@ class FeatureExtractor:
         out[0] = mean
         out[1] = std
         out[2] = ordered[0]
-        out[3] = percentile_of_sorted(ordered, 50)
-        out[4] = percentile_of_sorted(ordered, 90)
-        out[5] = percentile_of_sorted(ordered, 99)
+        plans = self._plans.get(n)
+        if plans is None:
+            plans = tuple(lerp_plan(n, q) for q in _PERCENTILES)
+            self._plans[n] = plans
+        out[3] = lerp_sorted(ordered, *plans[0])
+        out[4] = lerp_sorted(ordered, *plans[1])
+        out[5] = lerp_sorted(ordered, *plans[2])
         out[6] = ordered[-1]
         out[7] = samples[-1]
         out[8] = trend

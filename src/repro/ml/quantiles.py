@@ -15,9 +15,9 @@ inputs.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Sequence, Tuple
 
-__all__ = ["percentile_of_sorted", "percentile"]
+__all__ = ["lerp_plan", "lerp_sorted", "percentile", "percentile_of_sorted"]
 
 
 def percentile_of_sorted(ordered: Sequence[float], q: float) -> float:
@@ -30,6 +30,16 @@ def percentile_of_sorted(ordered: Sequence[float], q: float) -> float:
     n = len(ordered)
     if n == 0:
         raise ValueError("no samples")
+    return lerp_sorted(ordered, *lerp_plan(n, q))
+
+
+def lerp_plan(n: int, q: float) -> Tuple[int, int, float]:
+    """Where percentile ``q`` of ``n`` sorted values lies.
+
+    Returns numpy's ``(previous, next, t)``: the two bracketing indices
+    and the fraction between them.  It depends only on ``n`` and ``q``,
+    so a caller with a fixed window length computes it once.
+    """
     virtual = q / 100.0 * (n - 1)
     previous = math.floor(virtual)
     if previous < 0:
@@ -39,7 +49,13 @@ def percentile_of_sorted(ordered: Sequence[float], q: float) -> float:
     nxt = previous + 1
     if nxt > n - 1:
         nxt = n - 1
-    t = virtual - previous
+    return previous, nxt, virtual - previous
+
+
+def lerp_sorted(
+    ordered: Sequence[float], previous: int, nxt: int, t: float
+) -> float:
+    """numpy's two-sided lerp between two entries of a sorted sequence."""
     a = float(ordered[previous])
     b = float(ordered[nxt])
     diff = b - a

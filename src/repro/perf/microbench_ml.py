@@ -2,7 +2,8 @@
 
 Each benchmark takes an *implementation* namespace exposing
 ``CostSensitiveClassifier``, ``distributional_features``,
-``Hypervisor`` and ``HarvestModel`` — either side of
+``Hypervisor``, ``HarvestModel`` and ``ThompsonSamplingState`` —
+either side of
 :data:`repro.conformance.reference.ML_IMPLS` (the vectorized live path
 or the frozen pre-vectorization path) — so ``repro bench --suite ml``
 can report speedups measured on the same machine in the same process.
@@ -30,6 +31,11 @@ of the simulation kernel):
   fig6 panels and ``fleet.harvest_ms_per_node_s`` are multiples of; the
   frozen side also reduces each window four times and rebuilds the cost
   vector from its label every epoch.
+* ``memory_arms`` — SmartMemory's per-epoch arm assignment: one
+  Thompson draw over 256 regions × 6 scan-period arms with trained
+  posteriors.  The frozen side loops one sampler object per region (256
+  scalar ``rng.beta`` calls); the live side makes one ``rng.beta`` call
+  over the ``(256, 6)`` state.
 
 Timing uses best-of-``repeats`` wall clock per scenario, like the
 kernel suite.
@@ -55,6 +61,9 @@ _N_FEATURES = 9
 _WINDOW_SAMPLES = 500
 _EPOCH_US = 25_000
 _SAMPLE_PERIOD_US = 50
+# A fig7/fig8 SmartMemory node: 256 2 MB regions, 6 scan-period arms.
+_MEMORY_REGIONS = 256
+_MEMORY_ARMS = 6
 
 
 def _feature_batch(count: int) -> np.ndarray:
@@ -194,6 +203,25 @@ def _bench_harvest_epoch(impl: Any, scale: float) -> BenchResult:
     )
 
 
+def _bench_memory_arms(impl: Any, scale: float) -> BenchResult:
+    # One iteration = one SmartMemory epoch's arm assignment over every
+    # region of a fig7-sized node (256 regions, 6 arms), after 20
+    # rewarded epochs so the posteriors are no longer the flat prior.
+    epochs = max(1, int(500 * scale))
+    bandits = impl.ThompsonSamplingState(
+        _MEMORY_REGIONS, _MEMORY_ARMS, np.random.default_rng(3)
+    )
+    rows = np.arange(_MEMORY_REGIONS)
+    outcomes = np.random.default_rng(5)
+    for _warm in range(20):
+        arms = bandits.sample(rows)
+        bandits.update(rows, arms, outcomes.random(_MEMORY_REGIONS) < 0.6)
+    started = time.perf_counter()
+    for _epoch in range(epochs):
+        bandits.sample(rows)
+    return BenchResult("memory_arms", epochs, time.perf_counter() - started)
+
+
 #: Scenario registry: name -> scenario.
 ML_MICROBENCHMARKS: Dict[str, Bench] = {
     "csc_predict": _bench_csc_predict,
@@ -201,4 +229,5 @@ ML_MICROBENCHMARKS: Dict[str, Bench] = {
     "feature_extraction": _bench_feature_extraction,
     "epoch_telemetry": _bench_epoch_telemetry,
     "harvest_epoch": _bench_harvest_epoch,
+    "memory_arms": _bench_memory_arms,
 }

@@ -102,7 +102,8 @@ def decode(line: bytes) -> Dict[str, Any]:
     """Parse one received line back into a message object.
 
     Raises:
-        ProtocolError: oversized, non-JSON, or non-object line.
+        ProtocolError: oversized, non-JSON, too deeply nested, or
+            non-object line.
     """
     if len(line) > MAX_LINE:
         raise ProtocolError(
@@ -112,6 +113,10 @@ def decode(line: bytes) -> Dict[str, Any]:
         message = json.loads(line.decode("utf-8"))
     except (UnicodeDecodeError, ValueError) as exc:
         raise ProtocolError(f"undecodable line: {exc}") from exc
+    except RecursionError:
+        # A few hundred KB of '[' is well under MAX_LINE but nests past
+        # the interpreter's recursion limit inside json.loads.
+        raise ProtocolError("undecodable line: nested too deeply") from None
     if not isinstance(message, dict):
         raise ProtocolError(
             f"expected a JSON object, got {type(message).__name__}"

@@ -25,14 +25,14 @@ keys, single-line arrays, and ``[[fault]]`` table arrays::
     duration_s = 30
     racks = [0]
 
-Python ≥ 3.11 parses with :mod:`tomllib`; older interpreters fall back
-to a built-in parser for exactly this subset (no dependency added).
+TOML is parsed with the standard library's :mod:`tomllib`, and any
+malformed text raises :class:`ValueError`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Sequence, Tuple
+from typing import Any, Callable, List, Mapping, Sequence, Tuple
 
 from repro.fleet.config import AGENT_KINDS, FAULT_KINDS
 from repro.sweep.units import SweepUnit
@@ -206,8 +206,8 @@ class CampaignSpec:
             raise ValueError(f"unknown campaign keys: {unknown}")
         try:
             name = str(data["name"])
-            agents = tuple(str(a) for a in _as_list(data["agents"], "agents"))
-            scales = tuple(int(s) for s in _as_list(data["scales"], "scales"))
+            agents = _each(str, data["agents"], "agents")
+            scales = _each(int, data["scales"], "scales")
         except KeyError as missing:
             raise ValueError(f"campaign spec is missing key {missing}")
         axes = []
@@ -229,27 +229,23 @@ class CampaignSpec:
             axes.append(
                 FaultAxis(
                     kind=str(entry["kind"]),
-                    intensities=tuple(
-                        float(x)
-                        for x in _as_list(entry["intensities"], "intensities")
+                    intensities=_each(
+                        float, entry["intensities"], "intensities"
                     ),
-                    start_s=int(entry.get("start_s", 10)),
-                    duration_s=int(entry.get("duration_s", 30)),
-                    racks=tuple(
-                        int(r)
-                        for r in _as_list(entry.get("racks", [0]), "racks")
+                    start_s=_one(int, entry.get("start_s", 10), "start_s"),
+                    duration_s=_one(
+                        int, entry.get("duration_s", 30), "duration_s"
                     ),
+                    racks=_each(int, entry.get("racks", [0]), "racks"),
                 )
             )
         return cls(
             name=name,
             agents=agents,
             scales=scales,
-            seeds=tuple(
-                int(s) for s in _as_list(data.get("seeds", [0]), "seeds")
-            ),
-            duration_s=int(data.get("duration_s", 60)),
-            rack_size=int(data.get("rack_size", 8)),
+            seeds=_each(int, data.get("seeds", [0]), "seeds"),
+            duration_s=_one(int, data.get("duration_s", 60), "duration_s"),
+            rack_size=_one(int, data.get("rack_size", 8), "rack_size"),
             faults=tuple(axes),
         )
 
@@ -260,14 +256,37 @@ def _as_list(value: Any, key: str) -> Sequence[Any]:
     raise ValueError(f"{key!r} must be an array, got {type(value).__name__}")
 
 
-def loads_toml(text: str) -> CampaignSpec:
-    """Parse a campaign spec from TOML text."""
+def _one(convert: Callable[[Any], Any], value: Any, key: str) -> Any:
+    """``convert(value)``; a value it cannot take (a table where a number
+    belongs, an infinite float as an int) is a ``ValueError`` naming
+    the key, like every other malformed spec."""
     try:
-        import tomllib
-    except ImportError:  # Python < 3.11: the built-in subset parser
-        data = _parse_minimal_toml(text)
-    else:
+        return convert(value)
+    except (TypeError, OverflowError) as error:
+        raise ValueError(f"{key!r}: {error}") from None
+
+
+def _each(
+    convert: Callable[[Any], Any], value: Any, key: str
+) -> Tuple[Any, ...]:
+    """:func:`_one` over every item of the array ``value``."""
+    return tuple(_one(convert, item, key) for item in _as_list(value, key))
+
+
+def loads_toml(text: str) -> CampaignSpec:
+    """Parse a campaign spec from TOML text.
+
+    Raises:
+        ValueError: malformed TOML (``tomllib.TOMLDecodeError`` is one),
+            arrays nested past the parser's recursion limit, or a spec
+            :meth:`CampaignSpec.from_dict` rejects.
+    """
+    import tomllib  # on first use, so importing repro.sweep stays cheap
+
+    try:
         data = tomllib.loads(text)
+    except RecursionError:
+        raise ValueError("TOML nested too deeply") from None
     return CampaignSpec.from_dict(data)
 
 
@@ -275,110 +294,3 @@ def load_spec(path: str) -> CampaignSpec:
     """Load a campaign spec from a ``.toml`` file."""
     with open(path, "r", encoding="utf-8") as handle:
         return loads_toml(handle.read())
-
-
-# -- minimal TOML subset parser (Python 3.10 fallback) -----------------------
-
-
-def _parse_minimal_toml(text: str) -> Dict[str, Any]:
-    """Parse the campaign-spec TOML subset without :mod:`tomllib`.
-
-    Supports comments, ``key = value`` with string/int/float/bool and
-    single-line arrays of those, and ``[[table]]`` array-of-table
-    headers — exactly what campaign specs use.  Anything fancier raises.
-    """
-    root: Dict[str, Any] = {}
-    target = root
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw).strip()
-        if not line:
-            continue
-        if line.startswith("[[") and line.endswith("]]"):
-            key = line[2:-2].strip()
-            entry: Dict[str, Any] = {}
-            root.setdefault(key, []).append(entry)
-            target = entry
-            continue
-        if line.startswith("["):
-            raise ValueError(
-                f"TOML line {line_no}: plain [tables] are outside the "
-                "campaign-spec subset (use [[fault]] arrays)"
-            )
-        if "=" not in line:
-            raise ValueError(f"TOML line {line_no}: expected 'key = value'")
-        key, _, value = line.partition("=")
-        target[key.strip()] = _parse_value(value.strip(), line_no)
-    return root
-
-
-def _strip_comment(line: str) -> str:
-    """Drop a trailing comment, respecting quoted strings."""
-    in_string: str = ""
-    for index, char in enumerate(line):
-        if in_string:
-            if char == in_string:
-                in_string = ""
-        elif char in "\"'":
-            in_string = char
-        elif char == "#":
-            return line[:index]
-    return line
-
-
-def _parse_value(token: str, line_no: int) -> Any:
-    if not token:
-        raise ValueError(f"TOML line {line_no}: missing value")
-    if token.startswith("[") and token.endswith("]"):
-        inner = token[1:-1].strip()
-        if not inner:
-            return []
-        return [
-            _parse_value(item.strip(), line_no)
-            for item in _split_array(inner)
-        ]
-    if (token.startswith('"') and token.endswith('"')) or (
-        token.startswith("'") and token.endswith("'")
-    ):
-        return token[1:-1]
-    if token == "true":
-        return True
-    if token == "false":
-        return False
-    try:
-        return int(token)
-    except ValueError:
-        pass
-    try:
-        return float(token)
-    except ValueError:
-        raise ValueError(f"TOML line {line_no}: cannot parse value {token!r}")
-
-
-def _split_array(inner: str) -> List[str]:
-    """Split a single-line array body on top-level commas."""
-    items: List[str] = []
-    depth = 0
-    in_string = ""
-    current = []
-    for char in inner:
-        if in_string:
-            current.append(char)
-            if char == in_string:
-                in_string = ""
-        elif char in "\"'":
-            in_string = char
-            current.append(char)
-        elif char == "[":
-            depth += 1
-            current.append(char)
-        elif char == "]":
-            depth -= 1
-            current.append(char)
-        elif char == "," and depth == 0:
-            items.append("".join(current))
-            current = []
-        else:
-            current.append(char)
-    if "".join(current).strip():
-        items.append("".join(current))
-    return items

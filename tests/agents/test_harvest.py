@@ -59,6 +59,18 @@ def test_validation_rejects_out_of_range_and_capped_windows():
     assert not model.validate_data(empty)
 
 
+def test_usage_window_is_immutable_and_carries_its_extremes():
+    window = UsageWindow(
+        samples=np.array([3.0, -0.25, 7.5]), allocated=8.0, deficit_cus=2.0
+    )
+    assert (window.lo, window.hi) == (-0.25, 7.5)
+    assert (window.allocated, window.deficit_cus) == (8.0, 2.0)
+    with pytest.raises(AttributeError):
+        window.hi = 0.0
+    empty = UsageWindow(samples=np.zeros(0), allocated=8.0, deficit_cus=0.0)
+    assert np.isnan(empty.lo) and np.isnan(empty.hi)
+
+
 @pytest.mark.parametrize("poison", [np.nan, np.inf, -np.inf])
 def test_validation_fails_closed_on_one_non_finite_sample(poison):
     """`min < lo or max > hi` is False for a NaN window; the range

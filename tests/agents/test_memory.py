@@ -162,6 +162,54 @@ def test_bandits_move_cold_regions_to_slow_arms():
     assert periods[hot_idx].mean() < np.asarray(periods).mean()
 
 
+def _seed_rewards(model):
+    """The per-region ``_reward_arms`` branch the array form replaced."""
+    config, pages = model.config, model.memory.pages_per_region
+    out = []
+    for region in range(model.memory.n_regions):
+        n_scans = model._scan_count[region]
+        if n_scans == 0 or model._cold[region]:
+            continue
+        arm = 0 if model._truth_mask[region] else int(model._arm[region])
+        saturation_rate = model._saturated[region] / n_scans
+        occupancy = model._bits_total[region] / n_scans / pages
+        if saturation_rate >= config.saturation_undersampled:
+            success = arm == 0
+        elif occupancy < config.well_sampled_low and arm < config.n_arms - 1:
+            success = False
+        else:
+            success = True
+        out.append((region, arm, success))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_array_rewards_equal_the_per_region_branch(seed):
+    """Every reward branch — undersampled at and above arm 0, sparse on
+    the slowest arm and below it, well sampled — on random epoch
+    statistics, with cold, unscanned and ground-truth regions mixed in."""
+    kernel, streams, memory, _trace = setup(seed=seed)
+    model = SmartMemoryAgent(kernel, memory, streams.get("agent")).model
+    rng = np.random.default_rng(seed)
+    n = memory.n_regions
+    model._scan_count[:] = rng.integers(0, 4, n)
+    model._saturated[:] = np.minimum(
+        model._scan_count, rng.integers(0, 4, n)
+    )
+    model._bits_total[:] = rng.uniform(0, 2 * 512, n) * model._scan_count
+    model._arm[:] = rng.integers(0, model.config.n_arms, n)
+    model._truth_mask[:] = rng.random(n) < 0.2
+    model._cold[:] = rng.random(n) < 0.2
+    expected = _seed_rewards(model)
+    alpha, beta = model.bandits.alpha.copy(), model.bandits.beta.copy()
+    for region, arm, success in expected:
+        (alpha if success else beta)[region, arm] += 1.0
+    model._reward_arms()
+    assert np.array_equal(model.bandits.alpha, alpha)
+    assert np.array_equal(model.bandits.beta, beta)
+    assert {s for _r, _a, s in expected} == {True, False}
+
+
 def test_cold_regions_detected_and_excluded():
     kernel, streams, memory, _trace = setup(seed=3)
     agent = SmartMemoryAgent(kernel, memory, streams.get("agent")).start()

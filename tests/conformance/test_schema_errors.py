@@ -1,10 +1,15 @@
 """Stale or malformed vector files must fail loudly, never pass silently."""
 
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.conformance.corpus import (
+    GOLDEN_FILENAME,
     load_golden_digests,
     save_golden_digests,
 )
@@ -83,3 +88,86 @@ def test_golden_table_missing_key_is_named(tmp_path):
     )
     with pytest.raises(VectorSchemaError, match="experiment_scale"):
         load_golden_digests(str(tmp_path))
+
+
+_DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("content, match", [
+    (b"\xff\xfe{not utf-8", "not a valid"),
+    (_DEEP.encode(), "nested too deeply"),
+    (b"5", "JSON object"),
+], ids=["non-utf8", "deep-array", "scalar"])
+@pytest.mark.parametrize("loader", ["vector", "golden"])
+def test_undecodable_files_are_schema_errors_naming_the_path(
+    tmp_path, loader, content, match
+):
+    if loader == "vector":
+        path = tmp_path / "bad.kav.json"
+        load = lambda: load_vector(str(path))  # noqa: E731
+    else:
+        path = tmp_path / GOLDEN_FILENAME
+        load = lambda: load_golden_digests(str(tmp_path))  # noqa: E731
+    path.write_bytes(content)
+    with pytest.raises(VectorSchemaError, match=match) as error:
+        load()
+    assert str(path) in str(error.value)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("cadence", "64"),
+    ("cadence", True),
+    ("cadence", 0),
+    ("checkpoints", {"0": [1, 2, "d"]}),
+    ("checkpoints", [[1, 2]]),
+    ("checkpoints", [[1, "2", "d"]]),
+    ("terminal", "done"),
+    ("terminal", [1, 2, 3]),
+    ("state", [1]),
+    ("scenario", "ml-epochs"),
+    ("name", 3),
+])
+def test_wrong_typed_vector_fields_are_named(vector_path, key, value):
+    _rewrite(vector_path, lambda d: d.update({key: value}))
+    with pytest.raises(VectorSchemaError, match=repr(key)) as error:
+        load_vector(vector_path)
+    assert vector_path in str(error.value)
+
+
+@pytest.mark.parametrize("section, table", [
+    ("fleet", [1]),
+    ("experiments", {"fig6-left": 5}),
+])
+def test_wrong_typed_golden_sections_are_named(tmp_path, section, table):
+    data = {
+        "schema": SCHEMA_VERSION,
+        "experiment_scale": 0.2,
+        "fleet": {},
+        "experiments": {},
+    }
+    data[section] = table
+    save_golden_digests(data, str(tmp_path))
+    with pytest.raises(VectorSchemaError, match=repr(section)):
+        load_golden_digests(str(tmp_path))
+
+
+@settings(max_examples=200, deadline=None)
+@given(content=st.one_of(
+    st.binary(max_size=200),
+    st.recursive(
+        st.none() | st.booleans() | st.integers() | st.text(max_size=8),
+        lambda children: st.lists(children, max_size=4)
+        | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    ).map(lambda value: json.dumps(value).encode()),
+))
+def test_loaders_over_arbitrary_bytes_raise_only_schema_errors(content):
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, GOLDEN_FILENAME)
+        with open(path, "wb") as handle:
+            handle.write(content)
+        for load in (lambda: load_vector(path),
+                     lambda: load_golden_digests(directory)):
+            try:
+                load()
+            except VectorSchemaError:
+                pass

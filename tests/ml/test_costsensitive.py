@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.ml.costsensitive import CostSensitiveClassifier, asymmetric_core_costs
 
@@ -77,3 +79,62 @@ def test_cost_vector_shape_validated():
 def test_needs_two_classes():
     with pytest.raises(ValueError):
         CostSensitiveClassifier(n_classes=1, n_features=1)
+
+
+# -- predict -> update score reuse --------------------------------------------
+
+_N_CLASSES, _N_FEATURES = 5, 4
+_any_float = st.floats(allow_nan=True, allow_infinity=True, width=64)
+_some_floats = st.one_of(
+    st.floats(min_value=-10.0, max_value=10.0), _any_float
+)
+
+
+def _vector(size):
+    return st.lists(_some_floats, min_size=size, max_size=size).map(
+        lambda values: np.array(values, dtype=float)
+    )
+
+
+def _classifier(weights):
+    classifier = CostSensitiveClassifier(_N_CLASSES, _N_FEATURES)
+    classifier.weights[:] = weights
+    classifier._bias_list = classifier._bias.tolist()  # the bias mirror
+    return classifier
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    weights=_vector(_N_CLASSES * (_N_FEATURES + 1)).map(
+        lambda w: w.reshape(_N_CLASSES, _N_FEATURES + 1)
+    ),
+    x=_vector(_N_FEATURES),
+    other=_vector(_N_FEATURES),
+    costs=_vector(_N_CLASSES),
+    between=st.sampled_from(["nothing", "swap", "mutate", "reweight"]),
+    clip=st.sampled_from([100.0, 0.5, None]),
+)
+def test_update_after_predict_equals_an_unmemoized_update(
+    weights, x, other, costs, between, clip
+):
+    """``predict`` keeps its scores for the next ``update``; whatever
+    happens between the two calls — nothing, the vector swapped for
+    another, the vector written in place, or the weights moved by
+    another update — the weights afterwards are bit for bit those of
+    an update that never saw a predict."""
+    memo, plain = _classifier(weights), _classifier(weights)
+    memo.clip_gradient = plain.clip_gradient = clip
+    memo_x, plain_x = x.copy(), x.copy()
+    with np.errstate(all="ignore"):
+        memo.predict(memo_x)
+        if between == "swap":
+            memo_x, plain_x = other.copy(), other.copy()
+        elif between == "mutate":
+            memo_x[0] = plain_x[0] = other[0]
+        elif between == "reweight":
+            memo.update(other.copy(), costs)
+            plain.update(other.copy(), costs)
+        memo.update(memo_x, costs)
+        plain.update(plain_x, costs)
+    assert memo.weights.tobytes() == plain.weights.tobytes()
+

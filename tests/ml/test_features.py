@@ -3,7 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.ml.features import FEATURE_NAMES, distributional_features
+from repro.ml.features import (
+    FEATURE_NAMES,
+    FeatureExtractor,
+    distributional_features,
+)
 
 
 def test_feature_vector_matches_name_list():
@@ -47,3 +51,17 @@ def test_empty_window_rejected():
         distributional_features(np.array([]))
     with pytest.raises(ValueError):
         distributional_features(np.zeros((2, 2)))
+
+
+def test_one_extractor_across_window_lengths_matches_np_percentile():
+    """The percentile lerp plans are cached per window length: an
+    extractor that alternates lengths must still lerp each window at
+    its own length's indices, bit for bit as ``np.percentile``."""
+    extract = FeatureExtractor()
+    rng = np.random.default_rng(4)
+    for size in [500, 1, 7, 500, 2, 101, 7, 500, 3]:
+        window = rng.uniform(0.0, 8.0, size)
+        features = extract(window)
+        for slot, q in ((3, 50), (4, 90), (5, 99)):
+            want = float(np.percentile(window, q))
+            assert features[slot].tobytes() == np.float64(want).tobytes()

@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ml.bandits import BetaThompsonSampler
+from repro.ml.bandits import ThompsonSamplingState
 from repro.ml.costsensitive import asymmetric_core_costs
 from repro.ml.features import distributional_features
 from repro.ml.metrics import RollingMean, StreamingMeanVar
@@ -98,17 +98,19 @@ def test_q_values_stay_bounded_by_reward_range(rewards):
 @given(
     outcomes=st.lists(st.booleans(), min_size=1, max_size=200),
     arm_count=st.integers(min_value=2, max_value=6),
+    n_bandits=st.integers(min_value=1, max_value=4),
 )
-def test_beta_posterior_counts_conserved(outcomes, arm_count):
+def test_beta_posterior_counts_conserved(outcomes, arm_count, n_bandits):
     """alpha+beta grows by exactly one per update, split by outcome."""
-    sampler = BetaThompsonSampler(
-        n_arms=arm_count, rng=RngStreams(1).get("ts")
+    bandits = ThompsonSamplingState(
+        n_bandits, n_arms=arm_count, rng=RngStreams(1).get("ts")
     )
     rng = RngStreams(2).get("arms")
     for outcome in outcomes:
-        arm = int(rng.integers(arm_count))
-        sampler.update(arm, outcome)
-    total_mass = sampler.alpha.sum() + sampler.beta.sum()
-    assert total_mass == 2 * arm_count + len(outcomes)
-    assert sampler.alpha.sum() == arm_count + sum(outcomes)
-    assert np.all(sampler.pulls >= 0)
+        row = np.array([int(rng.integers(n_bandits))])
+        arm = np.array([int(rng.integers(arm_count))])
+        bandits.update(row, arm, [outcome])
+    total_mass = bandits.alpha.sum() + bandits.beta.sum()
+    assert total_mass == 2 * arm_count * n_bandits + len(outcomes)
+    assert bandits.alpha.sum() == arm_count * n_bandits + sum(outcomes)
+    assert np.all(bandits.alpha >= 1.0) and np.all(bandits.beta >= 1.0)

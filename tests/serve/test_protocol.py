@@ -1,6 +1,10 @@
 """Wire-protocol unit tests: framing, bounds, reply shapes."""
 
+import json
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.serve.protocol import (
     MAX_LINE,
@@ -73,3 +77,36 @@ def test_event_shape():
     assert message == {
         "event": "unit", "job_id": "job-1", "seq": 3, "unit": "u0",
     }
+
+
+def test_decode_rejects_a_line_nested_past_the_recursion_limit():
+    line = b'{"verb":' + b"[" * 100_000 + b"]" * 100_000 + b"}\n"
+    assert len(line) < MAX_LINE
+    with pytest.raises(ProtocolError, match="nested too deeply"):
+        decode(line)
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children)
+    | st.dictionaries(st.text(), children),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(line=st.one_of(
+    st.binary(max_size=256),
+    st.integers(min_value=1, max_value=50_000).map(
+        lambda depth: b"[" * depth + b"]" * depth
+    ),
+    st.tuples(st.sampled_from(["[", "{\"a\":"]), st.integers(1, 50_000)).map(
+        lambda spec: (spec[0] * spec[1]).encode() + b"1"
+    ),
+    _json_values.map(lambda value: json.dumps(value).encode()),
+))
+def test_decode_of_any_bytes_is_an_object_or_a_protocol_error(line):
+    try:
+        message = decode(line)
+    except ProtocolError:
+        return
+    assert isinstance(message, dict)

@@ -8,7 +8,9 @@ in the ``repro chaos serve`` harness and CI's serve-smoke job).
 """
 
 import asyncio
+import json
 import os
+import socket
 import tempfile
 import threading
 import time
@@ -21,6 +23,7 @@ from repro.journal.pipelines import fleet_payload, open_fleet_journal
 from repro.journal.registry import inspect_run
 from repro.journal.run import runs_root
 from repro.serve.client import ServeClient, wait_for_server
+from repro.serve.protocol import encode
 from repro.serve.server import ServeServer
 
 QUICK = FleetConfig(n_nodes=4, agent="overclock", seed=5, duration_s=10)
@@ -94,6 +97,27 @@ def test_ping_status_and_unknown_verbs(server_thread):
     assert "unknown job" in client.status("job-9999")["error"]
     assert "unknown verb" in client.request({"verb": "frobnicate"})["error"]
     assert "unknown verb" in client.request({"hello": 1})["error"]
+
+
+def test_a_deeply_nested_line_gets_an_error_and_the_connection_survives(
+    server_thread,
+):
+    """~200 KB of nested arrays is far under the line cap but past the
+    parser's recursion limit: the reply is an error on the same live
+    connection, which then still answers a ping."""
+    server = server_thread()
+    server.start()
+    with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+        sock.settimeout(30.0)
+        sock.connect(server.socket_path)
+        replies = sock.makefile("rb")
+        depth = 100_000
+        sock.sendall(b'{"verb":' + b"[" * depth + b"]" * depth + b"}\n")
+        reply = json.loads(replies.readline())
+        assert reply["ok"] is False
+        assert "nested too deeply" in reply["error"]
+        sock.sendall(encode({"verb": "ping"}))
+        assert json.loads(replies.readline())["server"] == "repro-serve"
 
 
 def test_submit_runs_to_sealed_digest_and_streams_events(server_thread):

@@ -1,9 +1,12 @@
 """Campaign specs: validation, loaders, deterministic expansion."""
 
+import json
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sweep import CampaignSpec, FaultAxis, loads_toml
-from repro.sweep.spec import _parse_minimal_toml
 
 SMOKE_TOML = """
 # a comment
@@ -153,31 +156,87 @@ def test_loads_toml_round_trip():
     assert spec.faults[1].kind == "crash_restart"
 
 
-# -- the 3.10 fallback parser ------------------------------------------------
+# -- fuzzing the TOML loader --------------------------------------------------
 
 
-def test_minimal_toml_parser_matches_tomllib_on_campaign_subset():
-    data = _parse_minimal_toml(SMOKE_TOML)
+def test_deeply_nested_toml_array_is_a_value_error():
+    depth = 5_000
+    with pytest.raises(ValueError, match="nested too deeply"):
+        loads_toml("a = " + "[" * depth + "]" * depth)
+
+
+def _toml(value):
+    """A TOML rendering of a JSON-ish value (inline forms only)."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, str)):
+        return json.dumps(value)
+    if isinstance(value, float):
+        if value != value:
+            return "nan"
+        if value in (float("inf"), float("-inf")):
+            return "inf" if value > 0 else "-inf"
+        return repr(value)
+    if isinstance(value, list):
+        return "[" + ", ".join(_toml(item) for item in value) + "]"
+    return "{" + ", ".join(
+        f"{json.dumps(key)} = {_toml(item)}" for key, item in value.items()
+    ) + "}"
+
+
+_toml_values = st.recursive(
+    st.booleans()
+    | st.integers(min_value=-(2**63), max_value=2**63 - 1)
+    | st.floats()
+    | st.text(max_size=6)
+    | st.sampled_from(["overclock", "harvest", "bad_data", "dropout"]),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=4), children, max_size=2),
+    max_leaves=6,
+)
+_VALID_TOP = {
+    "name": "fuzz", "agents": ["overclock"], "scales": [4], "seeds": [0],
+    "duration_s": 60, "rack_size": 4,
+}
+_VALID_FAULT = {
+    "kind": "bad_data", "intensities": [0.5], "start_s": 10,
+    "duration_s": 30, "racks": [0],
+}
+
+
+def _overridden(valid):
+    """The valid table with some keys given arbitrary values."""
+    return st.dictionaries(
+        st.sampled_from(sorted(valid) + ["bogus"]),
+        _toml_values | _toml_values.map(lambda value: [value]),
+        max_size=3,
+    ).map(lambda overrides: {**valid, **overrides})
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    top=_overridden(_VALID_TOP),
+    faults=st.lists(_overridden(_VALID_FAULT), max_size=2),
+)
+def test_campaign_shaped_toml_loads_or_raises_value_error(top, faults):
+    """Well-formed TOML whose campaign keys hold values of any type: the
+    loader returns a spec or raises ``ValueError``, never a
+    ``TypeError``/``OverflowError`` from a coercion."""
+    lines = [f"{key} = {_toml(value)}" for key, value in top.items()]
+    for fault in faults:
+        lines.append("[[fault]]")
+        lines.extend(f"{key} = {_toml(value)}" for key, value in fault.items())
     try:
-        import tomllib
-    except ImportError:
-        tomllib = None
-    if tomllib is not None:
-        assert data == tomllib.loads(SMOKE_TOML)
-    assert data["name"] == "demo"
-    assert data["scales"] == [2, 4]
-    assert data["fault"][0]["intensities"] == [0.5, 0.9]
-    assert data["fault"][1]["kind"] == "crash_restart"
+        spec = loads_toml("\n".join(lines))
+    except ValueError:
+        return
+    assert isinstance(spec, CampaignSpec)
 
 
-def test_minimal_toml_parser_values_and_errors():
-    assert _parse_minimal_toml('x = true\ny = "a#b"\nz = 1.5') == {
-        "x": True, "y": "a#b", "z": 1.5,
-    }
-    assert _parse_minimal_toml("empty = []") == {"empty": []}
-    with pytest.raises(ValueError, match="key = value"):
-        _parse_minimal_toml("just a line")
-    with pytest.raises(ValueError, match="cannot parse"):
-        _parse_minimal_toml("x = {nested = 1}")
-    with pytest.raises(ValueError, match="subset"):
-        _parse_minimal_toml("[table]")
+@settings(max_examples=300, deadline=None)
+@given(text=st.text(max_size=200))
+def test_arbitrary_text_loads_or_raises_value_error(text):
+    try:
+        loads_toml(text)
+    except ValueError:
+        pass
