@@ -145,14 +145,15 @@ def sweep_unit_key(
     unit: Dict[str, Any],
     salt: Optional[str] = None,
 ) -> str:
-    """Content address of one robustness-campaign cell.
+    """Content address of one robustness-campaign work unit.
 
-    ``unit`` is the cell's resolved coordinate payload
-    (:meth:`repro.sweep.units.SweepUnit.cache_payload`): agent, scale,
-    seed, durations, and the full fault plan — campaign-independent, so
-    equal cells hit across campaigns.  The same code-version salt as
+    ``unit`` is a node run's coordinate payload
+    (:meth:`repro.fleet.config.NodeRun.cache_payload`): agent setting,
+    seed, node id, rack size, duration, and the node's effective fault —
+    campaign-independent, so every cell in any campaign that contains
+    the node run hits it.  The same code-version salt as
     :func:`unit_key` applies, so any result-affecting source edit
-    invalidates cached cells structurally.
+    invalidates cached node runs structurally.
 
     Keys carry a literal ``sweep::`` prefix — a distinct namespace from
     the reproduce-all unit keys that also groups every campaign object

@@ -152,7 +152,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     add_workers_flag(
         sweep_run, 1,
-        "worker processes for cache-miss cells (default: %(default)s)",
+        "worker processes for cache-miss node runs (default: %(default)s)",
     )
     add_cache_flags(sweep_run)
     add_resilience_flags(sweep_run)
@@ -443,12 +443,21 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             )
         return 0
 
+    from repro.sweep.runner import sweep_plan
+
     assert args.sweep_command == "show"
     spec = PIPELINES["sweep"].config_from_args(args)
     units = spec.expand()
-    print(f"== campaign: {spec.name} — {len(units)} cells ==")
+    runs = sweep_plan(spec).unit_ids
+    print(
+        f"== campaign: {spec.name} — {len(units)} cells, "
+        f"{len(runs)} node runs =="
+    )
     for unit in units:
         print(f"  {unit.unit_id()}")
+    print("node runs (the work units):")
+    for unit_id in runs:
+        print(f"  {unit_id}")
     return 0
 
 

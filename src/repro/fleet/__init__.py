@@ -12,7 +12,8 @@ Entry points:
 
 * :class:`FleetConfig` / :class:`FaultPlan` — describe a fleet and an
   optional rack-correlated invalid-data burst;
-* :class:`FleetScenario` — build and run nodes (any subset, any order);
+* :class:`FleetScenario` — build and run nodes (any subset, any order),
+  each from its :class:`NodeRun` (the node's inputs alone);
 * :class:`FleetAggregate` — order-independent rollup with a content
   digest for serial/parallel equivalence checks;
 * :class:`repro.experiments.driver.FleetDriver` — the multiprocessing
@@ -25,6 +26,7 @@ from repro.fleet.config import (
     FAULT_KINDS,
     FaultPlan,
     FleetConfig,
+    NodeRun,
     NodeSpec,
 )
 from repro.fleet.node import FleetNode, NodeResult
@@ -39,5 +41,6 @@ __all__ = [
     "FleetNode",
     "FleetScenario",
     "NodeResult",
+    "NodeRun",
     "NodeSpec",
 ]

@@ -10,7 +10,7 @@ matter how many workers run them or in what order shards complete.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -18,7 +18,8 @@ from repro.platform.taxonomy import NODE_SKUS, NodeSku
 from repro.sim.rng import stable_hash
 
 __all__ = [
-    "AGENT_KINDS", "FAULT_KINDS", "FaultPlan", "FleetConfig", "NodeSpec",
+    "AGENT_KINDS", "FAULT_KINDS", "FaultPlan", "FleetConfig", "NodeRun",
+    "NodeSpec",
 ]
 
 #: Agent kinds a fleet node can run ("mixed" draws one per node).
@@ -136,9 +137,95 @@ class FleetConfig:
 
     def node_spec(self, node_id: int) -> NodeSpec:
         """Resolve one node's plan from ``(seed, node_id)`` alone."""
+        return self.node_run(node_id).node_spec()
+
+    def node_run(self, node_id: int) -> "NodeRun":
+        """Everything node ``node_id``'s simulation depends on: the
+        fleet's coordinates plus the burst only if it reaches the
+        node's rack — a node outside the blast radius is the same run
+        as in the no-fault fleet."""
         if not 0 <= node_id < self.n_nodes:
             raise ValueError(f"node_id {node_id} outside fleet")
-        rng = _node_plan_rng(self.seed, node_id)
+        fault = self.fault
+        if fault is None or node_id // self.rack_size not in fault.racks:
+            return NodeRun(
+                self.agent, self.seed, node_id, self.rack_size,
+                self.duration_s,
+            )
+        return NodeRun(
+            self.agent, self.seed, node_id, self.rack_size, self.duration_s,
+            fault_kind=fault.kind,
+            intensity=fault.probability,
+            fault_start_s=fault.start_s,
+            fault_duration_s=fault.duration_s,
+        )
+
+    def node_specs(self) -> Tuple[NodeSpec, ...]:
+        """All node plans, in node-id order."""
+        return tuple(self.node_spec(i) for i in range(self.n_nodes))
+
+
+@dataclass(frozen=True)
+class NodeRun:
+    """One node's simulation, named by its inputs alone (DESIGN.md §5).
+
+    What :meth:`FleetConfig.node_run` hands to
+    :meth:`~repro.fleet.node.FleetNode.from_run`: the fleet's agent
+    setting (``"mixed"`` resolves per node), seed, rack size and
+    duration, the node id, and the node's *effective* fault — ``None``
+    when no burst reaches its rack.  Equal runs simulate bit-identically
+    in any fleet that contains them, so a robustness campaign simulates
+    each distinct one once (DESIGN.md §9).
+
+    Attributes:
+        agent / seed / rack_size / duration_s: the fleet's settings.
+        node_id: the node's index in its fleet.
+        fault_kind: :data:`FAULT_KINDS` member, or ``None``.
+        intensity: the burst's probability (0.0 without a fault).
+        fault_start_s / fault_duration_s: the burst window, seconds.
+    """
+
+    agent: str
+    seed: int
+    node_id: int
+    rack_size: int
+    duration_s: int
+    fault_kind: Optional[str] = None
+    intensity: float = 0.0
+    fault_start_s: int = 0
+    fault_duration_s: int = 0
+
+    def unit_id(self) -> str:
+        """Compact identity, e.g. ``harvest/node3/x60s/seed0/k4/baseline``
+        (``k``: rack size)."""
+        fault = "baseline"
+        if self.fault_kind is not None:
+            fault = (
+                f"{self.fault_kind}@{self.intensity!r}"
+                f"[{self.fault_start_s}+{self.fault_duration_s}]"
+            )
+        return (
+            f"{self.agent}/node{self.node_id}/x{self.duration_s}s"
+            f"/seed{self.seed}/k{self.rack_size}/{fault}"
+        )
+
+    def cache_payload(self) -> Dict[str, Any]:
+        """Every coordinate, for :func:`repro.cache.keys.sweep_unit_key`."""
+        return {
+            "agent": self.agent,
+            "seed": self.seed,
+            "node_id": self.node_id,
+            "rack_size": self.rack_size,
+            "duration_s": self.duration_s,
+            "fault_kind": self.fault_kind,
+            "intensity": self.intensity,
+            "fault_start_s": self.fault_start_s,
+            "fault_duration_s": self.fault_duration_s,
+        }
+
+    def node_spec(self) -> NodeSpec:
+        """The node's plan, drawn from ``(seed, node_id)``."""
+        rng = _node_plan_rng(self.seed, self.node_id)
         weights = np.array([sku.weight for sku in NODE_SKUS])
         sku = NODE_SKUS[
             int(rng.choice(len(NODE_SKUS), p=weights / weights.sum()))
@@ -150,24 +237,20 @@ class FleetConfig:
             int(rng.choice(len(_WORKLOADS_BY_AGENT[agent])))
         ]
         return NodeSpec(
-            node_id=node_id,
-            rack=node_id // self.rack_size,
+            node_id=self.node_id,
+            rack=self.node_id // self.rack_size,
             sku=sku,
             agent=agent,
             workload=workload,
-            seed=node_seed(self.seed, node_id),
+            seed=node_seed(self.seed, self.node_id),
         )
 
-    def node_specs(self) -> Tuple[NodeSpec, ...]:
-        """All node plans, in node-id order."""
-        return tuple(self.node_spec(i) for i in range(self.n_nodes))
-
     def fault_window_us(self) -> Optional[Tuple[int, int]]:
-        """The burst's ``(start_us, end_us)``, or ``None`` if no fault."""
-        if self.fault is None:
+        """The burst's ``(start_us, end_us)`` on this node, or ``None``."""
+        if self.fault_kind is None:
             return None
-        start = self.fault.start_s * 1_000_000
-        return start, start + self.fault.duration_s * 1_000_000
+        start = self.fault_start_s * 1_000_000
+        return start, start + self.fault_duration_s * 1_000_000
 
 
 #: Workload choices per agent kind; names match the experiment

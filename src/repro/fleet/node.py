@@ -23,7 +23,7 @@ from typing import Any, Dict, Generator, List, Optional, Tuple
 from repro.agents.harvest import SmartHarvestAgent
 from repro.agents.memory import SmartMemoryAgent
 from repro.agents.overclock import SmartOverclockAgent
-from repro.fleet.config import NodeSpec
+from repro.fleet.config import NodeRun, NodeSpec
 from repro.fleet.faults import attach_burst
 from repro.node.cpu import CpuModel
 from repro.node.hypervisor import Hypervisor
@@ -154,6 +154,17 @@ class FleetNode:
             # Time-to-fallback is anchored at the burst onset; warmup
             # fallbacks before it must not satisfy the query.
             self.agent.runtime.log.watch_fallback_from(fault_window_us[0])
+
+    @classmethod
+    def from_run(cls, run: NodeRun) -> "FleetNode":
+        """The node ``run`` names (:meth:`FleetConfig.node_run`)."""
+        return cls(
+            run.node_spec(),
+            duration_s=run.duration_s,
+            fault_window_us=run.fault_window_us(),
+            fault_probability=run.intensity,
+            fault_kind=run.fault_kind or "bad_data",
+        )
 
     # -- per-agent assembly -------------------------------------------------
 

@@ -2,7 +2,7 @@
 
 :class:`FleetScenario` is deliberately shard-agnostic — it can run any
 subset of the fleet's nodes, in any order, because every node's
-simulation is sealed by :class:`~repro.fleet.config.NodeSpec`.  The
+simulation is sealed by its :class:`~repro.fleet.config.NodeRun`.  The
 parallel driver (:class:`repro.experiments.driver.FleetDriver`) simply
 calls :meth:`run` with different node-id subsets in different worker
 processes and merges the results.
@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Iterable, List, Optional, Sequence
 
 from repro.fleet.aggregate import FleetAggregate
-from repro.fleet.config import FleetConfig, NodeSpec
+from repro.fleet.config import FleetConfig
 from repro.fleet.node import FleetNode, NodeResult
 
 __all__ = ["FleetScenario"]
@@ -27,21 +27,7 @@ class FleetScenario:
 
     def build_node(self, node_id: int) -> FleetNode:
         """Construct one node, with its share of any rack-burst fault."""
-        spec = self.config.node_spec(node_id)
-        window = self.config.fault_window_us()
-        if window is not None and not self._in_blast_radius(spec):
-            window = None
-        return FleetNode(
-            spec,
-            duration_s=self.config.duration_s,
-            fault_window_us=window,
-            fault_probability=(
-                self.config.fault.probability if self.config.fault else 0.0
-            ),
-            fault_kind=(
-                self.config.fault.kind if self.config.fault else "bad_data"
-            ),
-        )
+        return FleetNode.from_run(self.config.node_run(node_id))
 
     def run(
         self, node_ids: Optional[Sequence[int]] = None
@@ -55,16 +41,10 @@ class FleetScenario:
         """Simulate every node serially and aggregate."""
         return FleetAggregate.from_results(self.run())
 
-    def _in_blast_radius(self, spec: NodeSpec) -> bool:
-        assert self.config.fault is not None
-        return spec.rack in self.config.fault.racks
-
     def affected_nodes(self) -> Iterable[int]:
         """Node ids inside the fault plan's blast radius (for reports)."""
-        if self.config.fault is None:
-            return ()
         return (
             i
             for i in range(self.config.n_nodes)
-            if i // self.config.rack_size in self.config.fault.racks
+            if self.config.node_run(i).fault_kind is not None
         )

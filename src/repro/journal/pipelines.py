@@ -388,7 +388,9 @@ PIPELINES: Dict[str, Pipeline] = {
             ).run()
         ),
         digest=lambda report: report.digest(),
-        parts=lambda report: {"campaign": (report.digest(), report.holes)},
+        parts=lambda report: {
+            "campaign": (report.digest(), report.quarantined)
+        },
         report=_report_sweep,
     ),
 }

@@ -37,12 +37,16 @@ from repro.flags import (
 __all__ = ["add_serve_parser", "cmd_serve", "submission_config"]
 
 
-def _add_client_flags(parser: argparse.ArgumentParser) -> None:
+def _add_socket_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--socket", metavar="PATH", default=None,
         help="server socket (default: <cache>/serve.sock)",
     )
     add_cache_dir_flag(parser)
+
+
+def _add_client_flags(parser: argparse.ArgumentParser) -> None:
+    _add_socket_flags(parser)
     parser.add_argument(
         "--timeout", type=float, default=30.0,
         help="client I/O timeout in seconds (default: %(default)s)",
@@ -60,7 +64,7 @@ def add_serve_parser(sub: argparse._SubParsersAction) -> None:
     start = serve_sub.add_parser(
         "start", help="run the server in the foreground"
     )
-    _add_client_flags(start)
+    _add_socket_flags(start)
     start.add_argument(
         "--queue-limit", type=int, default=8, metavar="N",
         help="bounded admission queue size; beyond it submissions get "

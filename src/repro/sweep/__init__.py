@@ -14,11 +14,14 @@ declarative grids:
 * :meth:`CampaignSpec.expand` materialises deterministic
   :class:`SweepUnit` cells (plus one no-fault baseline cell per
   ``(agent, scale, seed)`` combination);
-* :class:`SweepRunner` dispatches cells longest-first through the
-  process-wide warm pool and consults the result cache under the
-  ``sweep::`` key namespace, so re-running a campaign after editing one
-  axis only executes the changed cells;
-* each cell yields a :class:`SafetyRecord` (safeguard engagements,
+* :class:`SweepRunner` simulates each distinct node run of the grid
+  once (:class:`~repro.fleet.config.NodeRun`: cells share the nodes of
+  smaller fleets and of racks outside a fault's blast radius), through
+  the process-wide warm pool and the result cache under the ``sweep::``
+  key namespace, so re-running a campaign after editing one axis only
+  executes the node runs no cell had before;
+* each cell, assembled from its nodes' results, yields a
+  :class:`SafetyRecord` (safeguard engagements,
   time-to-fallback, QoS-violation rate, action-histogram deltas vs the
   baseline cell), aggregated into an order-independent
   :class:`CampaignReport` with a content digest and per-axis frontier
@@ -30,7 +33,7 @@ Entry point: ``python -m repro sweep run examples/campaigns/<spec>.toml``.
 from repro.sweep.runner import SweepRunner
 from repro.sweep.safety import CampaignReport, SafetyRecord
 from repro.sweep.spec import CampaignSpec, FaultAxis, load_spec, loads_toml
-from repro.sweep.units import SweepUnit, run_unit
+from repro.sweep.units import SweepUnit, run_node, run_unit
 
 __all__ = [
     "CampaignReport",
@@ -41,5 +44,6 @@ __all__ = [
     "SweepUnit",
     "load_spec",
     "loads_toml",
+    "run_node",
     "run_unit",
 ]

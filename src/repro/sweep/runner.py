@@ -1,17 +1,23 @@
-"""The campaign engine: a sweep as an executor plan.
+"""The campaign engine: a sweep as an executor plan of node runs.
 
 :class:`SweepRunner` executes a :class:`~repro.sweep.spec.CampaignSpec`
 the same way ``reproduce_all`` executes the paper's artifacts: through
 the one unit executor, :func:`repro.resilience.executor.run_units`
-(DESIGN.md §11.1).  Every cell is first probed in the content-addressed
-result cache under its ``sweep::`` key; only misses are dispatched, and
-they go longest-first (estimated node-seconds) through the process-wide
-warm worker pool.  A warm re-run therefore executes zero cells, and
-editing one axis of a campaign re-executes only the changed cells —
-everything else loads.
+(DESIGN.md §11.1).  Its work unit is the distinct node run
+(:class:`~repro.fleet.config.NodeRun`), not the cell: a node's result
+depends only on its own inputs, so the smaller fleets of a scale axis
+and every rack outside a fault's blast radius repeat node runs that
+the plan lists once.  Every node run is first probed in the
+content-addressed result cache under its ``sweep::`` key; only misses
+are dispatched, through the process-wide warm worker pool.  A warm
+re-run therefore executes nothing, and editing one axis of a campaign
+executes only the node runs no cell had before.
 
-Cell results are pure functions of cell coordinates, so completion
-order and worker count cannot change a record bit; the
+Each cell's :class:`~repro.sweep.safety.SafetyRecord` is then assembled
+from its nodes' results, exactly as the per-cell oracle
+:func:`~repro.sweep.units.run_unit` builds it; node results are pure
+functions of their coordinates, so completion order and worker count
+cannot change a record bit, and the
 :class:`~repro.sweep.safety.CampaignReport` digest pins this.
 """
 
@@ -19,9 +25,12 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.cache import ResultCache, sweep_unit_key
+from repro.fleet.aggregate import FleetAggregate
+from repro.fleet.config import NodeRun
+from repro.fleet.node import NodeResult
 from repro.obs import spans as obs
 from repro.resilience.chaos import ChaosPlan
 from repro.resilience.executor import Plan, WorkUnit, run_units
@@ -29,28 +38,34 @@ from repro.resilience.policy import RetryPolicy
 from repro.resilience.quarantine import QuarantineLog
 from repro.sweep.safety import CampaignReport, SafetyRecord
 from repro.sweep.spec import CampaignSpec
-from repro.sweep.units import SweepUnit, run_unit
+from repro.sweep.units import SweepUnit, run_node
 
 __all__ = ["SweepRunner", "sweep_plan"]
 
 
-def _cell_key(unit: SweepUnit) -> str:
-    return sweep_unit_key(unit.cache_payload())
+def _run_key(run: NodeRun) -> str:
+    return sweep_unit_key(run.cache_payload())
 
 
-def sweep_plan(spec: CampaignSpec) -> Plan:
-    """The sweep plan: every cell in canonical expansion order, ids
-    :meth:`SweepUnit.unit_id` (what the journal's manifest lists), cost
-    the cell's estimated node-seconds — the biggest fleets land first so
-    they never trail the makespan."""
+def _plan(cells: Sequence[SweepUnit]) -> Plan:
+    # A repeated id keeps its first position (and an equal run).
+    runs = {run.unit_id(): run for cell in cells for run in cell.node_runs()}
     return Plan(
         "sweep",
         tuple(
-            WorkUnit(unit.unit_id(), unit, cost=unit.estimated_cost())
-            for unit in spec.expand()
+            WorkUnit(unit_id, run, cost=float(run.duration_s))
+            for unit_id, run in runs.items()
         ),
-        cache_key=_cell_key,
+        cache_key=_run_key,
     )
+
+
+def sweep_plan(spec: CampaignSpec) -> Plan:
+    """The sweep plan: every distinct node run of the grid once, in
+    first-appearance order over the canonical cell expansion; ids
+    :meth:`NodeRun.unit_id` (what the journal's manifest lists), cost
+    the run's simulated seconds."""
+    return _plan(spec.expand())
 
 
 class SweepRunner:
@@ -58,18 +73,18 @@ class SweepRunner:
 
     Args:
         spec: the campaign grid.
-        workers: worker processes; 1 runs cells inline, >1 dispatches
-            cache misses onto the shared warm pool through the
-            supervised dispatcher (DESIGN.md §11) — cells whose workers
-            die or stall retry, poison cells become explicit report
-            holes.
-        cache: consult (and fill) this result cache per cell; ``None``
-            recomputes everything.
+        workers: worker processes; 1 runs node runs inline, >1
+            dispatches cache misses onto the shared warm pool through
+            the supervised dispatcher (DESIGN.md §11) — node runs whose
+            workers die or stall retry, and every cell containing a
+            poisoned node run becomes an explicit report hole.
+        cache: consult (and fill) this result cache per node run;
+            ``None`` recomputes everything.
         resilience: retry/backoff/deadline policy for pooled dispatch.
-        quarantine: where poisoned cells are persisted (optional).
+        quarantine: where poisoned node runs are persisted (optional).
         chaos: fault-injection plan override (tests/harness only).
         journal: crash-consistent run ledger (DESIGN.md §12): journaled
-            cells replay instead of probing the cache or executing,
+            node runs replay instead of probing the cache or executing,
             completions (cache hits included) are recorded durably, and
             the campaign seals with the report digest.
         cancel: cooperative stop switch for pooled dispatch.
@@ -98,22 +113,23 @@ class SweepRunner:
         self.cancel = cancel
 
     def run(self) -> CampaignReport:
-        """Execute the grid and aggregate the safety scoreboard."""
+        """Execute the grid's node runs and assemble the scoreboard."""
         with obs.span(
             "pipeline", cat="sweep",
             campaign=self.spec.name, workers=self.workers,
         ):
             started = time.perf_counter()
-            records: Dict[str, SafetyRecord] = {}
+            cells = self.spec.expand()
+            results: Dict[str, NodeResult] = {}
 
             def collect(
-                unit: WorkUnit, record: SafetyRecord, _wall: Optional[float]
+                unit: WorkUnit, result: NodeResult, _wall: Optional[float]
             ) -> None:
-                records[unit.unit_id] = record
+                results[unit.unit_id] = result
 
             outcome = run_units(
-                sweep_plan(self.spec),
-                run_unit,
+                _plan(cells),
+                run_node,
                 workers=self.workers,
                 cache=self.cache,
                 journal=self.journal,
@@ -123,16 +139,30 @@ class SweepRunner:
                 cancel=self.cancel,
                 on_result=collect,
             )
+            # A cell with a quarantined node run is a hole.
+            records: List[SafetyRecord] = []
+            holes: List[str] = []
+            for cell in cells:
+                ids = [run.unit_id() for run in cell.node_runs()]
+                if any(unit_id not in results for unit_id in ids):
+                    holes.append(cell.unit_id())
+                    continue
+                aggregate = FleetAggregate.from_results(
+                    results[unit_id] for unit_id in ids
+                )
+                records.append(SafetyRecord.from_fleet(cell, aggregate))
             # executed / from_cache are run accounting, not results:
             # they stay out of the campaign digest.  Journal-replayed
-            # cells are neither (the ``[journal: ...]`` line counts them).
+            # node runs are neither (the ``[journal: ...]`` line counts
+            # them).
             report = CampaignReport.build(
                 self.spec.name,
-                records.values(),
+                records,
                 executed=outcome.executed,
                 from_cache=outcome.cached,
                 wall_seconds=time.perf_counter() - started,
-                holes=outcome.holes,
+                holes=holes,
+                quarantined=outcome.holes,
             )
             outcome.seal(report.digest)
             return report

@@ -217,15 +217,16 @@ class CampaignReport:
     Attributes:
         name: campaign name (reporting only; not digested).
         records: every cell's record in canonical (unit-id) order.
-        executed / from_cache: how many cells ran vs. loaded (warm runs
-            have ``executed == 0``; excluded from the digest).
+        executed / from_cache: how many node runs ran vs. loaded (warm
+            runs have ``executed == 0``; excluded from the digest).
         wall_seconds: elapsed campaign wall time (excluded from digest).
-        holes: cell ids quarantined by the supervised dispatcher
-            (DESIGN.md §11) — their records are missing, explicitly.
-            The digest covers only the records present, so a partial
-            report never masquerades as a complete one with different
-            bits; callers check :attr:`partial`/:attr:`holes` to tell
-            them apart.
+        holes: ids of the cells whose records are missing, explicitly,
+            because a node run they contain was quarantined by the
+            supervised dispatcher (DESIGN.md §11).  The digest covers
+            only the records present, so a partial report never
+            masquerades as a complete one with different bits; callers
+            check :attr:`partial`/:attr:`holes` to tell them apart.
+        quarantined: the quarantined node-run ids behind the holes.
     """
 
     name: str
@@ -234,6 +235,7 @@ class CampaignReport:
     from_cache: int = 0
     wall_seconds: float = 0.0
     holes: Tuple[str, ...] = ()
+    quarantined: Tuple[str, ...] = ()
     _baselines: Dict[Tuple[str, int, int], SafetyRecord] = field(
         init=False, repr=False, default_factory=dict
     )
@@ -247,6 +249,7 @@ class CampaignReport:
         from_cache: int = 0,
         wall_seconds: float = 0.0,
         holes: Iterable[str] = (),
+        quarantined: Iterable[str] = (),
     ) -> "CampaignReport":
         ordered = sorted(records, key=lambda r: r.unit_id)
         ids = [r.unit_id for r in ordered]
@@ -259,6 +262,7 @@ class CampaignReport:
             from_cache=from_cache,
             wall_seconds=wall_seconds,
             holes=tuple(sorted(holes)),
+            quarantined=tuple(sorted(quarantined)),
         )
 
     @property
@@ -397,12 +401,16 @@ class CampaignReport:
         """Plain-text campaign report: cells, frontiers, digest."""
         lines = [
             f"== campaign: {self.name} — {len(self.records)} cells "
-            f"({self.executed} executed, {self.from_cache} cached) ==",
+            f"(node runs: {self.executed} executed, "
+            f"{self.from_cache} cached) ==",
         ]
         if self.holes:
             lines.append(
-                f"PARTIAL: {len(self.holes)} cell(s) quarantined — "
+                f"PARTIAL: {len(self.holes)} cell(s) missing — "
                 + ", ".join(self.holes)
+            )
+            lines.append(
+                f"  quarantined node run(s): {', '.join(self.quarantined)}"
             )
         lines.append(
             f"  {'cell':52s} {'qos':>7s} {'Δqos':>7s} {'trips':>5s} "

@@ -1,18 +1,21 @@
-"""Sweep cells: one deterministic fleet simulation per grid point.
+"""Sweep cells and the node runs they are made of.
 
 A :class:`SweepUnit` is a fully-resolved campaign cell — agent kind,
 fleet scale, seed, and fault coordinates.  Its identity
-(:meth:`SweepUnit.unit_id`) and its cache address
-(:func:`repro.cache.keys.sweep_unit_key` over
-:meth:`SweepUnit.cache_payload`) depend only on those coordinates,
-*never* on the campaign name or the position in the grid — so cells are
-shared between campaigns and re-running a campaign after editing one
-axis only executes the changed cells.
+(:meth:`SweepUnit.unit_id`) depends only on those coordinates, *never*
+on the campaign name or the position in the grid.
 
-:func:`run_unit` is the worker entry point: build the cell's
-:class:`~repro.fleet.config.FleetConfig`, simulate it serially inside
-the worker (parallelism lives *across* cells), and reduce the fleet
-results to a :class:`~repro.sweep.safety.SafetyRecord`.
+A cell's result is a function of its nodes' results, and each node's
+result depends only on its :class:`~repro.fleet.config.NodeRun`
+(:meth:`SweepUnit.node_runs`).  The sweep's work unit is therefore the
+distinct node run: :func:`run_node` is the worker entry point, and a
+node run's cache address (:func:`repro.cache.keys.sweep_unit_key` over
+:meth:`~repro.fleet.config.NodeRun.cache_payload`) is shared by every
+cell — in any campaign — that contains it.
+
+:func:`run_unit` simulates one whole cell serially and reduces it to a
+:class:`~repro.sweep.safety.SafetyRecord`: the per-cell oracle the
+node-run path is checked against.
 """
 
 from __future__ import annotations
@@ -21,10 +24,22 @@ from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
 from repro.fleet.aggregate import FleetAggregate
-from repro.fleet.config import FaultPlan, FleetConfig
+from repro.fleet.config import FaultPlan, FleetConfig, NodeRun
+from repro.fleet.node import FleetNode, NodeResult
 from repro.fleet.scenario import FleetScenario
 
-__all__ = ["SweepUnit", "run_unit"]
+__all__ = ["RECORD_STATS", "SweepUnit", "run_node", "run_unit"]
+
+#: The :attr:`NodeResult.stats` keys :meth:`SafetyRecord.from_fleet`
+#: reads — all a node run's cached result keeps (the fleet digest reads
+#: no stats at all).
+RECORD_STATS = (
+    "model_safeguard_first_trigger_since_fault_us",
+    "actuator_safeguard_first_trigger_since_fault_us",
+    "first_fallback_since_fault_us",
+    "agent_kills",
+    "agent_restarts",
+)
 
 
 @dataclass(frozen=True)
@@ -92,10 +107,11 @@ class SweepUnit:
         return (self.agent, self.n_nodes, self.seed)
 
     def cache_payload(self) -> Dict[str, Any]:
-        """Everything the cell's result can depend on (for the cache key).
+        """Everything the cell's result can depend on.
 
         Campaign-independent by design: the campaign name and grid
-        position are absent, so equal cells hit across campaigns.
+        position are absent.  The sweep caches node runs, not cells
+        (:meth:`~repro.fleet.config.NodeRun.cache_payload`).
         """
         return {
             "agent": self.agent,
@@ -130,17 +146,30 @@ class SweepUnit:
             fault=fault,
         )
 
-    def estimated_cost(self) -> float:
-        """Dispatch-cost heuristic: total simulated node-seconds."""
-        return float(self.n_nodes * self.duration_s)
+    def node_runs(self) -> Tuple[NodeRun, ...]:
+        """The cell's nodes, in node-id order."""
+        config = self.fleet_config()
+        return tuple(config.node_run(i) for i in range(self.n_nodes))
+
+
+def run_node(run: NodeRun) -> NodeResult:
+    """Simulate one node run; its result keeps only :data:`RECORD_STATS`.
+
+    Pure in the run's coordinates (DESIGN.md §5), so any worker, in any
+    order, produces a bit-identical result.
+    """
+    result = FleetNode.from_run(run).run()
+    result.stats = {
+        key: result.stats[key] for key in RECORD_STATS if key in result.stats
+    }
+    return result
 
 
 def run_unit(unit: SweepUnit) -> "SafetyRecord":
-    """Simulate one cell and reduce it to its safety record.
+    """Simulate one whole cell and reduce it to its safety record.
 
-    Pure in the unit's coordinates: the fleet derives every per-node
-    decision from ``(seed, node_id)``, so any worker, in any order,
-    produces a bit-identical record (the campaign digest pins this).
+    The per-cell oracle: :class:`~repro.sweep.runner.SweepRunner`
+    assembles the same record from the cell's node runs.
     """
     from repro.sweep.safety import SafetyRecord
 

@@ -61,7 +61,10 @@ def test_rack_assignment_and_fault_window():
         0, 0, 0, 0, 1, 1, 1, 1, 2, 2
     ]
     assert config.n_racks == 3
-    assert config.fault_window_us() == (10_000_000, 15_000_000)
+    # The burst reaches rack 1 (nodes 4-7) only.
+    assert [config.node_run(i).fault_window_us() for i in (3, 4, 7, 8)] == [
+        None, (10_000_000, 15_000_000), (10_000_000, 15_000_000), None
+    ]
 
 
 def test_node_seeds_are_distinct():

@@ -56,7 +56,8 @@ def test_sweep_run_journals_and_runs_list_shows_it(capsys, spec_path,
     listing = capsys.readouterr().out
     assert "sweep" in listing
     assert "sealed" in listing
-    assert "2/2 done" in listing
+    # 2 cells, 3 distinct node runs (node 1 is outside the burst).
+    assert "3/3 done" in listing
 
 
 def test_no_journal_flag_suppresses_journal(capsys, spec_path, cache_dir):
@@ -80,7 +81,7 @@ def test_runs_show_renders_manifest(capsys, spec_path, cache_dir):
     out = capsys.readouterr().out
     assert f"run {info.run_id} (sweep) — sealed" in out
     assert "sealed digest: " in out
-    assert "units: 2/2 done" in out
+    assert "units: 3/3 done" in out
 
 
 def test_runs_show_unknown_id_fails(capsys, cache_dir):
@@ -98,7 +99,7 @@ def test_runs_resume_unknown_id_fails(capsys, cache_dir):
 
 
 def _interrupt_sweep(spec_path, cache_dir, monkeypatch, after=1):
-    """Journal ``after`` cells of the campaign (one commit each), then
+    """Journal ``after`` node runs of the campaign (one commit each), then
     "die" mid-run; ``after=0`` dies before anything ran."""
     class Killed(Exception):
         pass
@@ -130,7 +131,7 @@ def test_runs_resume_finishes_interrupted_sweep(capsys, spec_path,
 
     assert main(["runs", "resume", run_id, "--cache-dir", cache_dir]) == 0
     out = capsys.readouterr().out
-    assert "replayed=1 executed=1" in out
+    assert "replayed=1 executed=2" in out
     assert "sealed]" in out
     (after,) = list_runs(cache_dir)
     assert after.status == "sealed"
@@ -146,10 +147,11 @@ def test_runs_resume_persists_a_poisoned_unit(capsys, spec_path, cache_dir,
     from repro.resilience import QuarantineLog
     from repro.resilience.chaos import CHAOS_PLAN_ENV
 
-    # Killed before the first completion: both cells are still pending,
-    # so the resume dispatches them on the pool, where faults apply.
+    # Killed before the first completion: all node runs are still
+    # pending, so the resume dispatches them on the pool, where faults
+    # apply.
     run_id = _interrupt_sweep(spec_path, cache_dir, monkeypatch, after=0)
-    poison = "overclock/n2/x10s/seed0/bad_data@0.9[2+5]r0"
+    poison = "overclock/node0/x10s/seed0/k1/bad_data@0.9[2+5]"
     monkeypatch.setenv(CHAOS_PLAN_ENV, json.dumps(
         {"kind": "crash", "probability": 0.0, "poison_units": [poison]}
     ))
@@ -175,7 +177,7 @@ def test_latest_names_the_newest_run_for_show_and_resume(
     assert main(["runs", "resume", "latest", "--cache-dir", cache_dir]) == 0
     out = capsys.readouterr().out
     assert f"[journal: run {run_id} " in out
-    assert "replayed=1 executed=1" in out
+    assert "replayed=1 executed=2" in out
 
 
 def test_sweep_resume_flag_finishes_interrupted_run(capsys, spec_path,
@@ -186,7 +188,7 @@ def test_sweep_resume_flag_finishes_interrupted_run(capsys, spec_path,
         ["sweep", "run", spec_path, "--cache-dir", cache_dir, "--resume"]
     ) == 0
     out = capsys.readouterr().out
-    assert "replayed=1 executed=1" in out
+    assert "replayed=1 executed=2" in out
     assert "sealed]" in out
 
 

@@ -14,6 +14,7 @@ from repro.journal.pipelines import open_fleet_journal
 from repro.journal.registry import list_runs
 from repro.obs import run_tracing, spans as obs
 from repro.obs.sidecar import read_metrics, read_trace, segments, trace_path
+from repro.resilience.pool import shared_pool_counters
 
 FLEET = FleetConfig(n_nodes=4, agent="overclock", seed=7, duration_s=10)
 
@@ -36,6 +37,9 @@ def _run_fleet(root, traced, workers=2):
 
 
 def test_tracing_on_vs_off_digests_bit_identical(tmp_path):
+    # The pool's counters are lifetime totals of the shared pool, which
+    # earlier tests may already have used.
+    submitted_before = shared_pool_counters()["submitted"]
     traced_digest, traced_dir = _run_fleet(str(tmp_path / "a"), True)
     plain_digest, plain_dir = _run_fleet(str(tmp_path / "b"), False)
     assert traced_digest == plain_digest
@@ -53,7 +57,9 @@ def test_tracing_on_vs_off_digests_bit_identical(tmp_path):
     pids = {r.get("pid") for r in records if r.get("t") == "span"}
     assert len(pids) > 1
     metrics = read_metrics(os.path.join(traced_dir, "metrics.json"))
-    assert metrics["segments"][0]["metrics"]["pool"]["submitted"] >= 4
+    assert metrics["segments"][0]["metrics"]["pool"]["submitted"] == (
+        submitted_before + len(FleetDriver(FLEET, workers=2).chunks())
+    )
 
 
 def test_resumed_run_appends_second_segment(tmp_path):

@@ -42,7 +42,7 @@ def test_chaos_fleet_crash_recovers_bit_identically(capsys):
 def test_chaos_sweep_poison_cell_reports_the_exact_hole(
     capsys, spec_path
 ):
-    poison = "overclock/n2/x10s/seed0/baseline"
+    poison = "overclock/node1/x10s/seed0/k1/baseline"
     code = main([
         "chaos", "sweep", "--spec", spec_path, "--fault", "crash",
         "--probability", "0.0", "--poison", poison, "--workers", "2",
@@ -64,8 +64,8 @@ def test_chaos_rejects_incoherent_requests():
 
 
 def test_resilience_flags_reach_the_sweep_policy(capsys, spec_path):
-    # max-retries=0 + a first-attempt crash on every cell means nothing
-    # can recover: both cells must quarantine, and the verdict must
+    # max-retries=0 + a first-attempt crash on every node run means
+    # nothing can recover: all must quarantine, and the verdict must
     # fail because the holes were not declared as poison.
     code = main([
         "chaos", "sweep", "--spec", spec_path, "--fault", "crash",

@@ -13,6 +13,7 @@ from repro.experiments.driver import FleetDriver, reproduce_all
 from repro.fleet.config import FleetConfig
 from repro.resilience import ChaosPlan, QuarantineLog, RetryPolicy
 from repro.sweep import CampaignSpec, FaultAxis, SweepRunner
+from repro.sweep.runner import sweep_plan
 
 FAST = RetryPolicy(max_retries=2, backoff_base_s=0.01, backoff_cap_s=0.05)
 SCALE = 0.05
@@ -131,12 +132,16 @@ def test_sweep_digest_survives_crash_faults():
 
 def test_sweep_poison_cell_is_an_explicit_hole():
     spec = _spec()
-    poison = spec.expand()[0].unit_id()
+    baseline = spec.expand()[0]
+    # Node 0's baseline run belongs to the baseline cell only (node 0
+    # is inside the burst's rack in both faulted cells).
+    poison = baseline.node_runs()[0].unit_id()
     report = SweepRunner(
         spec, workers=2, resilience=FAST,
         chaos=ChaosPlan(kind="crash", poison_units=(poison,)),
     ).run()
-    assert report.partial and report.holes == (poison,)
+    assert report.partial and report.holes == (baseline.unit_id(),)
+    assert report.quarantined == (poison,)
     assert len(report.records) == len(spec.expand()) - 1
     assert "PARTIAL" in report.render()
     # A fault-free rerun back-fills the hole and matches the clean run.
@@ -147,12 +152,13 @@ def test_sweep_poison_cell_is_an_explicit_hole():
 
 def test_sweep_executed_excludes_holes():
     spec = _spec()
-    poison = spec.expand()[-1].unit_id()
+    plan = sweep_plan(spec)
+    poison = plan.unit_ids[-1]
     report = SweepRunner(
         spec, workers=2, resilience=FAST,
         chaos=ChaosPlan(kind="crash", poison_units=(poison,)),
     ).run()
-    assert report.executed == len(spec.expand()) - 1
+    assert report.executed == len(plan.units) - 1
     assert report.from_cache == 0
 
 

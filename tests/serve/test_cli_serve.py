@@ -53,3 +53,12 @@ def test_serve_start_rejects_bad_queue_limit(tmp_path):
         from repro.serve.server import ServeServer
 
         ServeServer(cache_root=str(tmp_path), queue_limit=0)
+
+
+def test_serve_start_has_no_client_timeout(capsys):
+    # --timeout is the client I/O timeout; the server never reads one.
+    with pytest.raises(SystemExit) as exit_info:
+        main(["serve", "start", "--timeout", "5",
+              "--socket", _no_server_socket()])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --timeout" in capsys.readouterr().err

@@ -23,7 +23,7 @@ from repro.journal.pipelines import fleet_payload, open_fleet_journal
 from repro.journal.registry import inspect_run
 from repro.journal.run import runs_root
 from repro.serve.client import ServeClient, wait_for_server
-from repro.serve.protocol import encode
+from repro.serve.protocol import MAX_LINE, encode
 from repro.serve.server import ServeServer
 
 QUICK = FleetConfig(n_nodes=4, agent="overclock", seed=5, duration_s=10)
@@ -118,6 +118,95 @@ def test_a_deeply_nested_line_gets_an_error_and_the_connection_survives(
         assert "nested too deeply" in reply["error"]
         sock.sendall(encode({"verb": "ping"}))
         assert json.loads(replies.readline())["server"] == "repro-serve"
+
+
+def _ping_line(size):
+    """A ping request padded to exactly ``size`` bytes, newline included
+    (built by hand: :func:`encode` refuses lines over the cap)."""
+    head, tail = b'{"pad": "', b'", "verb": "ping"}\n'
+    line = head + b"x" * (size - len(head) - len(tail)) + tail
+    assert len(line) == size
+    return line
+
+
+def _connect(server):
+    sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    sock.settimeout(30.0)
+    sock.connect(server.socket_path)
+    return sock, sock.makefile("rb")
+
+
+def test_a_line_of_exactly_max_line_bytes_gets_a_normal_reply(
+    server_thread,
+):
+    server = server_thread()
+    server.start()
+    sock, replies = _connect(server)
+    with sock, replies:
+        sock.sendall(_ping_line(MAX_LINE))
+        assert json.loads(replies.readline())["server"] == "repro-serve"
+
+
+@pytest.mark.parametrize("excess", [1, 2])
+def test_a_line_just_over_the_cap_is_an_error_on_a_live_connection(
+    server_thread, excess,
+):
+    server = server_thread()
+    server.start()
+    sock, replies = _connect(server)
+    with sock, replies:
+        sock.sendall(_ping_line(MAX_LINE + excess))
+        reply = json.loads(replies.readline())
+        assert reply["ok"] is False
+        assert (
+            f"line of {MAX_LINE + excess} bytes exceeds" in reply["error"]
+        )
+        sock.sendall(encode({"verb": "ping"}))
+        assert json.loads(replies.readline())["server"] == "repro-serve"
+
+
+def test_a_2_mib_line_is_refused_and_the_server_keeps_serving(
+    server_thread,
+):
+    """The server stops reading at the cap, replies, and closes: the
+    sender's ``sendall`` hits EPIPE, yet the reply is still readable."""
+    server = server_thread()
+    client = server.start()
+    sock, replies = _connect(server)
+    with sock, replies:
+        with pytest.raises(BrokenPipeError):
+            sock.sendall(_ping_line(2 * MAX_LINE))
+        reply = json.loads(replies.readline())
+        assert reply["ok"] is False
+        assert f"request line exceeds {MAX_LINE} bytes" in reply["error"]
+        # Closed: EOF, or ECONNRESET when the server closed with the
+        # rest of the line still unread in its receive queue.
+        try:
+            rest = replies.readline()
+        except ConnectionResetError:
+            rest = b""
+        assert rest == b""
+    assert client.ping()["server"] == "repro-serve"
+
+
+def test_line_framing_is_independent_of_send_boundaries(server_thread):
+    server = server_thread()
+    server.start()
+    sock, replies = _connect(server)
+    with sock, replies:
+        line = encode({"verb": "ping"})
+        cuts = [0, 3, 7, len(line) - 1, len(line)]
+        for start, end in zip(cuts, cuts[1:]):  # four sends, one line
+            sock.sendall(line[start:end])
+            time.sleep(0.01)
+        assert json.loads(replies.readline())["server"] == "repro-serve"
+        sock.sendall(encode({"verb": "ping"}) + encode({"verb": "status"}))
+        assert json.loads(replies.readline())["server"] == "repro-serve"
+        assert json.loads(replies.readline()) == {"ok": True, "jobs": []}
+        # Exactly one reply per request: nothing else is pending.
+        sock.settimeout(0.2)
+        with pytest.raises(socket.timeout):
+            sock.recv(1)
 
 
 def test_submit_runs_to_sealed_digest_and_streams_events(server_thread):

@@ -15,6 +15,7 @@ from repro.sweep import (
     SweepRunner,
     run_unit,
 )
+from repro.sweep.runner import sweep_plan
 
 
 def _spec(intensities=(0.9,), agents=("overclock",), seeds=(0,)):
@@ -59,11 +60,15 @@ def test_warm_rerun_executes_zero_cells(tmp_path):
     spec = _spec()
     cold_cache = ResultCache(str(tmp_path))
     cold = SweepRunner(spec, cache=cold_cache).run()
-    assert cold.executed == len(cold.records)
+    # 2 cells of 2 nodes; node 1 sits outside the burst's rack, so the
+    # faulted cell shares it with the baseline: 3 distinct node runs.
+    node_runs = len(sweep_plan(spec).units)
+    assert node_runs == 3
+    assert cold.executed == node_runs
     warm_cache = ResultCache(str(tmp_path))
     warm = SweepRunner(spec, cache=warm_cache).run()
     assert warm.executed == 0
-    assert warm.from_cache == len(warm.records)
+    assert warm.from_cache == node_runs
     assert warm_cache.stats.misses == 0 and warm_cache.stats.stores == 0
     assert warm.digest() == cold.digest()
 
@@ -74,9 +79,10 @@ def test_editing_one_axis_reruns_only_changed_cells(tmp_path):
     grown = SweepRunner(
         _spec(intensities=(0.5, 0.9)), cache=ResultCache(str(tmp_path))
     ).run()
-    # Baseline and the 0.9 cell load from cache; only the new 0.5 cell runs.
+    # The two baseline nodes and the 0.9 node 0 load from cache; only
+    # the new 0.5 cell's node 0 runs (its node 1 is a baseline node).
     assert grown.executed == 1
-    assert grown.from_cache == 2
+    assert grown.from_cache == 3
 
 
 def test_cells_are_shared_across_campaign_names(tmp_path):

@@ -33,9 +33,10 @@ def spec_path(tmp_path):
 def test_sweep_show_lists_cells_without_running(capsys, spec_path):
     assert main(["sweep", "show", spec_path]) == 0
     out = capsys.readouterr().out
-    assert "campaign: cli-demo — 2 cells" in out
+    assert "campaign: cli-demo — 2 cells, 3 node runs" in out
     assert "overclock/n2/x10s/seed0/baseline" in out
     assert "bad_data@0.9[2+5]r0" in out
+    assert "overclock/node1/x10s/seed0/k1/baseline" in out
 
 
 def test_sweep_run_prints_scoreboard_and_digest(capsys, spec_path, tmp_path):
@@ -45,14 +46,15 @@ def test_sweep_run_prints_scoreboard_and_digest(capsys, spec_path, tmp_path):
     ) == 0
     out = capsys.readouterr().out
     assert "campaign digest: " in out
-    assert "[sweep: 2 cells, 2 executed, 0 from cache" in out
+    # 2 cells, 3 distinct node runs (node 1 is outside the burst).
+    assert "[sweep: 2 cells, 3 executed, 0 from cache" in out
     assert "frontier: fault=bad_data[2+5]r0 agent=overclock" in out
     # Warm re-run through the same cache: zero executed, same digest.
     assert main(
         ["sweep", "run", spec_path, "--cache-dir", cache_dir]
     ) == 0
     warm = capsys.readouterr().out
-    assert "[sweep: 2 cells, 0 executed, 2 from cache" in warm
+    assert "[sweep: 2 cells, 0 executed, 3 from cache" in warm
     digest = [l for l in out.splitlines() if l.startswith("campaign digest")]
     assert digest == [
         l for l in warm.splitlines() if l.startswith("campaign digest")
@@ -62,7 +64,7 @@ def test_sweep_run_prints_scoreboard_and_digest(capsys, spec_path, tmp_path):
 def test_sweep_run_no_cache_recomputes(capsys, spec_path):
     assert main(["sweep", "run", spec_path, "--no-cache"]) == 0
     out = capsys.readouterr().out
-    assert "2 executed" in out
+    assert "3 executed" in out
     assert "[cache:" not in out
 
 
