@@ -99,7 +99,7 @@ class ResultCache:
 
     @property
     def quarantine_dir(self) -> str:
-        """Where corrupt objects (and the poison-unit log) are kept."""
+        """Where corrupt objects are kept as evidence."""
         return os.path.join(self.directory, "quarantine")
 
     def get(self, key: str, default: Any = None) -> Any:
@@ -151,11 +151,10 @@ class ResultCache:
     def _prune_quarantine(self) -> None:
         """Keep only the newest ``quarantine_keep`` evidence pickles.
 
-        Only ``*.pkl`` evidence files are eligible — the poison-unit
-        quarantine log (``units.json`` and its lock) shares this
-        directory and must never be collected.  Oldest-first by
-        ``(mtime, name)``: deterministic even when a burst of
-        corruption lands within one timestamp granule.
+        Only ``*.pkl`` evidence files are eligible; any other file an
+        operator leaves here is not the cache's to collect.
+        Oldest-first by ``(mtime, name)``: deterministic even when a
+        burst of corruption lands within one timestamp granule.
         """
         if self.quarantine_keep < 0:
             return  # unbounded by explicit request

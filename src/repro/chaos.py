@@ -106,7 +106,7 @@ def worker_fault_proof(
                 )
         else:
             faulted = run(open_cache=None, chaos=plan)
-        records = faulted.quarantine.load()
+        records = faulted.quarantine
     for name, (digest, holes) in parts(faulted.result).items():
         if holes:
             # Checked against the poison set below; a partial result

@@ -26,7 +26,7 @@ Subcommands::
 (:func:`_launch_command`): the kind's flag group becomes a config
 (``journal.pipelines.PIPELINES``), and the launch ladder
 (``journal.pipelines.launch``, DESIGN.md §11.2) composes result cache,
-quarantine log, run journal (``--resume`` / ``--no-journal``),
+run journal (``--resume`` / ``--no-journal``),
 telemetry sidecar (``--no-trace``) and the supervised dispatch policy
 (``--max-retries`` / ``--unit-timeout``) around the kind's driver;
 ``run`` is the same ladder with every layer off.

@@ -53,7 +53,7 @@ from repro.resilience.pool import (
     shared_pool_counters,
     shutdown_shared_pool,
 )
-from repro.resilience.quarantine import QuarantineLog
+from repro.resilience.supervisor import QuarantineRecord
 
 __all__ = [
     "ARTIFACTS",
@@ -94,7 +94,8 @@ class FleetDriver:
             in-process with no pool at all.
         resilience: retry/backoff/deadline policy for pooled dispatch
             (default :class:`~repro.resilience.policy.RetryPolicy`()).
-        quarantine: where poisoned chunks are persisted (optional).
+        quarantine: a list each poisoned chunk's record is
+            appended to (optional).
         chaos: fault-injection plan override (tests/harness only; the
             ``REPRO_CHAOS_PLAN`` environment variable otherwise).
         journal: crash-consistent run ledger (DESIGN.md §12).  A
@@ -111,7 +112,7 @@ class FleetDriver:
         config: FleetConfig,
         workers: int = 1,
         resilience: Optional[RetryPolicy] = None,
-        quarantine: Optional[QuarantineLog] = None,
+        quarantine: Optional[List[QuarantineRecord]] = None,
         chaos: Optional[ChaosPlan] = None,
         journal: Any = None,
         cancel: Optional[threading.Event] = None,
@@ -336,7 +337,8 @@ def _hole_run(
         rows=[{"unit": unit, "status": "quarantined"} for unit in ordered],
         notes=[
             "units exhausted their retry budget and were quarantined; "
-            "see the quarantine log for failure records",
+            "see the [quarantine: …] line or the run journal for "
+            "failure records",
         ],
     )
     return ArtifactRun(name, result, wall_seconds, holes=tuple(ordered))
@@ -596,7 +598,7 @@ def reproduce_all(
     on_result: Optional[Callable[[ArtifactRun], None]] = None,
     cache: Optional[ResultCache] = None,
     resilience: Optional[RetryPolicy] = None,
-    quarantine: Optional[QuarantineLog] = None,
+    quarantine: Optional[List[QuarantineRecord]] = None,
     chaos: Optional[ChaosPlan] = None,
     journal: Any = None,
     cancel: Optional[threading.Event] = None,
@@ -620,7 +622,8 @@ def reproduce_all(
             bit-identically (DESIGN.md §8).  ``None`` disables caching.
         resilience: retry/backoff/deadline policy for pooled dispatch
             (default :class:`RetryPolicy`(); DESIGN.md §11).
-        quarantine: where poisoned units are persisted (optional).
+        quarantine: a list each poisoned unit's record is
+            appended to (optional).
         chaos: fault-injection plan override (tests/harness only).
         journal: crash-consistent run ledger (DESIGN.md §12): journaled
             units replay instead of executing (or probing the cache),

@@ -10,7 +10,7 @@ digests:
   torn-tail-tolerant replay;
 * :mod:`repro.journal.lease` — run ownership as a kernel ``flock``
   (one orchestrator per run, dropped by the kernel when its holder
-  dies) and the :class:`FileLock` mutex the quarantine log uses;
+  dies);
 * :mod:`repro.journal.run` — the :class:`RunJournal`: atomic manifest,
   which record kinds commit before they return, idempotent replay,
   deterministic run ids;
@@ -22,12 +22,11 @@ digests:
 * :mod:`repro.journal.cli` — the ``repro runs`` subcommand.
 """
 
-from repro.journal.lease import FileLock, Lease, LeaseHeldError
+from repro.journal.lease import Lease, LeaseHeldError
 from repro.journal.log import RecordLog, replay_records
 from repro.journal.run import RunJournal, derive_run_id, open_run
 
 __all__ = [
-    "FileLock",
     "Lease",
     "LeaseHeldError",
     "RecordLog",

@@ -140,11 +140,12 @@ def timing_rows(records: List[dict]) -> List[dict]:
 
     Purely record-driven — no sidecar needed — so it reconstructs the
     same table for interrupted runs.  Each row is
-    ``{"unit", "wall", "attempts", "source", "outlier"}`` where
-    ``source`` is executed/cached/quarantined/pending and ``outlier``
-    marks executed walls above ``OUTLIER_FACTOR`` x the median executed
-    wall.  Rows sort slowest-first (walls first, then the rest in
-    journal order).
+    ``{"unit", "wall", "attempts", "source", "fault", "outlier"}``
+    where ``source`` is executed/cached/quarantined/pending, ``fault``
+    is a quarantined unit's recorded fault kind (else ``None``), and
+    ``outlier`` marks executed walls above ``OUTLIER_FACTOR`` x the
+    median executed wall.  Rows sort slowest-first (walls first, then
+    the rest in journal order).
     """
     attempts: dict = {}
     outcome: dict = {}
@@ -163,17 +164,19 @@ def timing_rows(records: List[dict]) -> List[dict]:
             outcome[unit] = (
                 float(wall) if isinstance(wall, (int, float)) else None,
                 "executed" if record.get("executed", True) else "cached",
+                None,
             )
         elif kind == "UNIT_QUARANTINED":
-            outcome[unit] = (None, "quarantined")
+            outcome[unit] = (None, "quarantined", record.get("fault"))
     rows = []
     for unit in order:
-        wall, source = outcome.get(unit, (None, "pending"))
+        wall, source, fault = outcome.get(unit, (None, "pending", None))
         rows.append({
             "unit": unit,
             "wall": wall,
             "attempts": attempts.get(unit, 0),
             "source": source,
+            "fault": fault,
             "outlier": False,
         })
     executed_walls = sorted(
@@ -224,6 +227,8 @@ def _print_timing(info: RunInfo) -> None:
             f"    {row['unit']:<{width}}  {wall:>9}  "
             f"{row['attempts']:>3}  {row['source']}"
         )
+        if row["fault"]:
+            line += f" ({row['fault']})"
         if row["outlier"]:
             line += f"  << outlier (>{OUTLIER_FACTOR:.0f}x median)"
         print(line)

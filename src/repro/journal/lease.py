@@ -1,4 +1,4 @@
-"""Run ownership: a kernel lock per run, and a tiny blocking file lock.
+"""Run ownership: a kernel lock per run.
 
 Two orchestrators sharing one cache root must never both own the same
 run journal — concurrent appends would interleave records from two
@@ -26,9 +26,6 @@ heartbeat and no liveness probe.  Four rules keep that true:
 4. **A refusal names the owner.**  The holder writes its pid into the
    file after locking — unsynced: the pid is a message for the
    refused, not state anyone replays.
-
-:class:`FileLock` is the same primitive, blocking: the quarantine
-log's read-merge-replace runs under it (DESIGN.md §12).
 """
 
 from __future__ import annotations
@@ -36,11 +33,10 @@ from __future__ import annotations
 import fcntl
 import os
 import time
-from typing import Any, Optional, Set
+from typing import Optional, Set
 
 __all__ = [
     "CLAIM_RETRY_S",
-    "FileLock",
     "Lease",
     "LeaseHeldError",
     "lease_held",
@@ -179,27 +175,3 @@ class Lease:
             os.unlink(self.path)
         lock_file.close()
 
-
-class FileLock:
-    """``with FileLock(path):`` — a blocking exclusive ``flock`` for
-    short critical sections (quarantine log merges).  The file stays
-    on disk; nothing but the lock matters."""
-
-    def __init__(self, path: str) -> None:
-        self.path = path
-        self._file: Optional[_LockFile] = None
-
-    def __enter__(self) -> "FileLock":
-        lock_file = _LockFile(self.path, os.O_RDWR | os.O_CREAT)
-        try:
-            fcntl.flock(lock_file.fd, fcntl.LOCK_EX)
-        except BaseException:
-            lock_file.close()
-            raise
-        self._file = lock_file
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        lock_file, self._file = self._file, None
-        if lock_file is not None:
-            lock_file.close()

@@ -10,8 +10,8 @@ built in one place and cannot drift from what the executor will run.
 :data:`PIPELINES` is the only per-kind knowledge in ``src/repro``: CLI
 args → config, config ↔ payload, journal opener, driver, digest, parts,
 report printer.  :func:`launch` is the only ladder over it — result
-cache, quarantine log, journal, :func:`~repro.obs.run_tracing`, driver,
-``close()``, composed once (DESIGN.md §11.2).  ``repro fleet |
+cache, journal, :func:`~repro.obs.run_tracing`, driver, ``close()``,
+composed once (DESIGN.md §11.2).  ``repro fleet |
 reproduce-all | sweep run | run``, ``repro runs resume``, every ``repro
 serve`` job and every ``repro chaos`` proof start a pipeline through
 it; the payload alone rebuilds the pipeline, so a resume needs no
@@ -43,7 +43,7 @@ from repro.experiments.driver import (
 from repro.fleet.config import FaultPlan, FleetConfig
 from repro.journal.run import RunJournal, open_run
 from repro.obs import run_tracing
-from repro.resilience import QuarantineLog
+from repro.resilience import QuarantineRecord
 from repro.sweep.runner import SweepRunner, sweep_plan
 from repro.sweep.spec import CampaignSpec, load_spec
 
@@ -405,7 +405,10 @@ class Launch:
 
     ``journal`` is closed (lease released) but still carries its stats
     and seal; it is ``None`` for an unjournaled launch, as ``cache`` is
-    for an uncached kind or launch.
+    for an uncached kind or launch.  ``quarantine`` holds the units
+    this launch poisoned (a replayed hole was poisoned by an earlier
+    one); the journal's ``UNIT_QUARANTINED`` frames are their durable
+    record.
     """
 
     kind: str
@@ -414,7 +417,7 @@ class Launch:
     result: Any
     journal: Optional[RunJournal]
     cache: Optional[ResultCache]
-    quarantine: QuarantineLog
+    quarantine: List[QuarantineRecord]
     wall_s: float
 
     @property
@@ -446,8 +449,7 @@ def launch(
 
     Composes, exactly once for every caller: the result cache
     (``open_cache(cache_root)``; ``None`` or an uncached kind: no
-    cache), the quarantine log next to it (memory-only without a cache;
-    it touches disk only when a unit is actually poisoned), the run
+    cache), the list the poisoned units' records land in, the run
     journal (``journaled``; fresh, or ``resume`` — adopt-or-create
     ``run_id``: journaled units replay, only the rest execute), the
     telemetry sidecar (:func:`~repro.obs.run_tracing`, a no-op without
@@ -467,9 +469,7 @@ def launch(
     cache = None
     if open_cache is not None and pipeline.cached:
         cache = open_cache(cache_root)
-    quarantine = QuarantineLog(
-        directory=cache.quarantine_dir if cache is not None else None
-    )
+    quarantine: List[QuarantineRecord] = []
     with contextlib.ExitStack() as stack:
         journal = recorder = None
         if journaled:
@@ -520,25 +520,13 @@ def journal_status_line(journal: RunJournal) -> str:
 def print_report(launched: Launch) -> None:
     """The kind's report, then the ``[cache: …]`` / ``[journal: …]`` /
     ``[quarantine: …]`` status lines of whichever layers were on."""
-    pipeline = PIPELINES[launched.kind]
-    pipeline.report(launched)
+    PIPELINES[launched.kind].report(launched)
     cache, journal = launched.cache, launched.journal
     if cache is not None:
         print(f"[cache: {cache.stats.render()} dir={cache.directory}]")
     if journal is not None:
         print(journal_status_line(journal))
-    quarantine = launched.quarantine
-    records = quarantine.load()
-    if records and quarantine.path is not None:
-        # The persisted log keeps records across runs; a memory-only
-        # one holds exactly this run's.
-        holes = {
-            unit
-            for _digest, units in pipeline.parts(launched.result).values()
-            for unit in units
-        }
-        records = [r for r in records if r.unit_id in holes]
+    records = launched.quarantine
     if records:
         units = ", ".join(sorted(r.unit_id for r in records))
-        where = f" (log: {quarantine.path})" if quarantine.path else ""
-        print(f"[quarantine: {len(records)} unit(s) — {units}{where}]")
+        print(f"[quarantine: {len(records)} unit(s) — {units}]")

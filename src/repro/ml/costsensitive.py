@@ -11,22 +11,29 @@ This implementation mirrors VW's reduction — one online linear cost
 model per class, inference picks the argmin — but stores every class's
 weights in a single ``(n_classes, n_features + 1)`` matrix (last column
 is the per-class bias) instead of one ``OnlineLinearRegression`` object
-per class.  Predict is one pass of per-row dot products + argmin; update
-is one rank-1 outer-product SGD step.  This removes the seed's per-class
-Python dispatch (method calls, ``asarray``/shape checks, list building)
-from a loop that runs every 25 ms learning epoch, fleet-wide.
+per class.  Predict is one ``np.vecdot`` over the class rows + argmin;
+update is one rank-1 outer-product SGD step.  Neither holds a Python
+loop over classes, which matters in a loop that runs every 25 ms
+learning epoch, fleet-wide.
 
 **Bit-identity contract.**  Every digest and golden test pins results to
 the seed, so each row's arithmetic must reproduce the per-class
 ``OnlineLinearRegression`` exactly:
 
-* Each row's prediction uses the *same* BLAS dot primitive the seed used
-  (``ndarray.dot`` on a contiguous row).  A whole-matrix GEMV is **not**
-  usable here: BLAS ``dgemv`` blocks its reduction differently from
-  ``ddot`` (measured on this container's OpenBLAS: ~97% of random 9×9
-  inputs differ in the last ulp), which would flip digests.  The bound
-  row-``dot`` loop keeps the seed's IEEE operation order per row while
-  amortizing everything else.
+* Each row's prediction uses the *same* BLAS dot primitive as the
+  seed's per-class ``weights @ x`` on a 1-D row: numpy's ``vecdot``
+  loop calls ``cblas_ddot`` once per row, so the seed's IEEE operation
+  order per row is kept while the per-class Python dispatch goes.  A
+  whole-matrix GEMV (``W @ x``) is **not** usable here: BLAS ``dgemv``
+  blocks its reduction differently from ``ddot`` (measured with
+  OpenBLAS: nearly every random 13×9 input differs in the last ulp),
+  which would flip digests.  The bias is added elementwise afterwards,
+  as the seed's ``w @ x + b`` did.
+* The argmin is ``np.argmin``'s, as the seed's: the first NaN wins and
+  ties go to the lowest class.
+* The per-class error is one ``np.subtract`` and one ``np.clip``, which
+  match the seed's scalar ``min``/``max`` clip elementwise on ±0, ±inf
+  and NaN (NaN propagates), including a clip of 0.
 * The rank-1 weight update applies the same elementwise operations in
   the same order as the seed's per-class step (multiply by the clipped
   error, then by the learning rate, then subtract), so it is
@@ -36,13 +43,15 @@ the seed, so each row's arithmetic must reproduce the per-class
 ``tests/ml/test_vectorized_bit_identity.py`` drives this class and the
 frozen per-class copy (the ``ml:seed`` golden model) with identical
 random streams for a thousand epochs and requires exact equality of
-predictions, weights, and update counters.
+predictions, weights, and update counters;
+``tests/ml/test_vecdot_kernel.py`` pins the ``vecdot`` / ``clip``
+equivalences themselves.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -112,10 +121,10 @@ class CostSensitiveClassifier:
     Attributes:
         weights: the ``(n_classes, n_features + 1)`` parameter matrix;
             column ``n_features`` is the per-class bias.  Read-only for
-            callers: the classifier mutates it in place (rows are
-            stable views for its lifetime) and caches the bias column
-            as Python floats between updates, so an external write
-            would leave predictions using stale biases.
+            callers: the classifier mutates it in place (its views
+            into it stay valid for its lifetime) and reuses the last
+            predict's scores in the next update, so an external write
+            in between would leave that update using stale scores.
         updates: number of :meth:`update` calls applied.
     """
 
@@ -143,19 +152,10 @@ class CostSensitiveClassifier:
         self.updates = 0
 
         self.weights = np.zeros((n_classes, n_features + 1))
-        # Stable views into the matrix.  The bound row ``.dot`` methods
-        # skip per-call slicing and attribute lookup in the hot loop;
-        # they stay valid because all updates are in place.
+        # Stable views into the matrix; they stay valid because all
+        # updates are in place.
         self._w = self.weights[:, :n_features]
         self._bias = self.weights[:, n_features]
-        self._row_dots = [
-            self.weights[i, :n_features].dot for i in range(n_classes)
-        ]
-        # Python-float bias mirror: predict/update combine each row's
-        # dot and bias in scalar float arithmetic (exactly the seed's
-        # ``w @ x + b``), and a list avoids n_classes np.float64 boxings
-        # per call.  Refreshed after every update.
-        self._bias_list = self._bias.tolist()
         # Per-update scratch (rank-1 step and clipped error vector).
         self._step = np.empty((n_classes, n_features))
         self._errors = np.empty(n_classes)
@@ -163,11 +163,11 @@ class CostSensitiveClassifier:
         self._l2_scratch = np.empty((n_classes, n_features))
         # (features, their bytes, scores) of the last predict, valid
         # until the next update changes the weights.
-        self._scored: Optional[Tuple[np.ndarray, bytes, List[float]]] = None
+        self._scored: Optional[Tuple[np.ndarray, bytes, np.ndarray]] = None
 
     def predicted_costs(self, features: Sequence[float]) -> np.ndarray:
         """Predicted cost of choosing each class."""
-        return np.array(self._scores(self._check(features)))
+        return self._scores(self._check(features))
 
     def predict(self, features: Sequence[float]) -> int:
         """The class with minimum predicted cost (ties → lowest class).
@@ -176,22 +176,9 @@ class CostSensitiveClassifier:
         same array reuses.
         """
         x = self._check(features)
-        bias = self._bias_list
-        scores = [0.0] * self.n_classes
-        best = np.inf
-        best_class = 0
-        i = 0
-        for dot in self._row_dots:
-            cost = float(dot(x)) + bias[i]
-            if cost != cost:  # np.argmin lets the first NaN win
-                return i
-            scores[i] = cost
-            if cost < best:
-                best = cost
-                best_class = i
-            i += 1
+        scores = self._scores(x)
         self._scored = (x, x.tobytes(), scores)
-        return best_class
+        return int(np.argmin(scores))
 
     def update(
         self, features: Sequence[float], costs: Sequence[float]
@@ -219,21 +206,13 @@ class CostSensitiveClassifier:
             scores = scored[2]
         else:
             scores = self._scores(x)
-        # Per-row error in scalar float arithmetic — the exact ops the
-        # seed's per-class regressors performed, including the scalar
-        # min/max clip (which also preserves NaN propagation).
+        # Per-row error, clipped: elementwise the seed's scalar
+        # ``score - cost`` and min/max clip, NaN propagation included.
         clip = self.clip_gradient
         errors = self._errors
-        i = 0
-        for cost in costs.tolist():
-            error = scores[i] - cost
-            if clip is not None:
-                if error > clip:
-                    error = clip
-                elif error < -clip:
-                    error = -clip
-            errors[i] = error
-            i += 1
+        np.subtract(scores, costs, out=errors)
+        if clip is not None:
+            np.clip(errors, -clip, clip, out=errors)
         step = self._step
         if self.l2:
             # weights -= lr * (error * x + l2 * weights), elementwise in
@@ -252,18 +231,13 @@ class CostSensitiveClassifier:
             self._w -= step
         np.multiply(errors, self.learning_rate, out=errors)
         self._bias -= errors
-        self._bias_list = self._bias.tolist()
         self.updates += 1
 
-    def _scores(self, x: np.ndarray) -> List[float]:
+    def _scores(self, x: np.ndarray) -> np.ndarray:
         """Each class's predicted cost: its row ``dot`` plus its bias."""
-        bias = self._bias_list
-        scores = [0.0] * self.n_classes
-        i = 0
-        for dot in self._row_dots:
-            scores[i] = float(dot(x)) + bias[i]
-            i += 1
-        return scores
+        costs = np.vecdot(self._w, x)
+        costs += self._bias
+        return costs
 
     def _check(self, features: Sequence[float]) -> np.ndarray:
         x = np.asarray(features, dtype=float)

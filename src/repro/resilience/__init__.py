@@ -11,11 +11,10 @@ proves it under injected faults.  This package supplies that layer:
 * :mod:`~repro.resilience.policy` — retry/backoff policy with
   deterministic seeded jitter;
 * :mod:`~repro.resilience.supervisor` — the dispatch loop: retries,
-  poison-unit quarantine, explicit holes instead of dying;
+  poison-unit quarantine records, explicit holes instead of dying;
 * :mod:`~repro.resilience.executor` — :func:`run_units`, the one unit
   executor every pipeline runs through (replay → cache → dispatch →
   journal, §11.1);
-* :mod:`~repro.resilience.quarantine` — persisted quarantine records;
 * :mod:`~repro.resilience.chaos` — seeded fault injection
   (crash / hang / slow workers, corrupted cache writes) and the
   ``repro chaos`` harness's building blocks.
@@ -36,11 +35,11 @@ from repro.resilience.pool import (
     shared_pool_counters,
     shutdown_shared_pool,
 )
-from repro.resilience.quarantine import QuarantineLog, QuarantineRecord
 from repro.resilience.supervisor import (
     AttemptFailure,
     DispatchCancelled,
     DispatchOutcome,
+    QuarantineRecord,
     supervised_map,
 )
 
@@ -53,7 +52,6 @@ __all__ = [
     "DispatchOutcome",
     "Plan",
     "PoolCounters",
-    "QuarantineLog",
     "QuarantineRecord",
     "RetryPolicy",
     "SupervisedPool",

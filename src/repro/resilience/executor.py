@@ -26,17 +26,16 @@ from repro.obs import spans as obs
 from repro.resilience.chaos import ChaosPlan
 from repro.resilience.policy import RetryPolicy
 from repro.resilience.pool import shared_pool, shutdown_shared_pool
-from repro.resilience.quarantine import QuarantineLog, QuarantineRecord
-from repro.resilience.supervisor import supervised_map
+from repro.resilience.supervisor import QuarantineRecord, supervised_map
 
 __all__ = ["Plan", "UnitsOutcome", "WorkUnit", "run_units"]
 
 
 @dataclass(frozen=True)
 class WorkUnit:
-    """One unit of a plan: the id the journal, quarantine log and spans
-    share; the unit function's only argument; and a dispatch cost (which
-    orders dispatch and cannot affect a result bit)."""
+    """One unit of a plan: the id the journal, quarantine records and
+    spans share; the unit function's only argument; and a dispatch cost
+    (which orders dispatch and cannot affect a result bit)."""
 
     unit_id: str
     payload: Any
@@ -140,7 +139,7 @@ def run_units(
     cache: Any = None,
     journal: Any = None,
     policy: Optional[RetryPolicy] = None,
-    quarantine: Optional[QuarantineLog] = None,
+    quarantine: Optional[List[QuarantineRecord]] = None,
     chaos: Optional[ChaosPlan] = None,
     cancel: Optional[threading.Event] = None,
     on_result: Callable[[WorkUnit, Any, Optional[float]], None] = _ignore,
@@ -159,6 +158,8 @@ def run_units(
         journal: run journal, or ``None``.
         policy / quarantine / chaos / cancel: supervised-dispatch
             knobs (DESIGN.md §11); they only apply to pooled dispatch.
+            ``quarantine`` is a list each poisoned unit's record is
+            appended to.
         on_result: ``(unit, payload, wall_s)`` for every satisfied unit
             — replayed units first, then the cache hits (after their
             one batch commit), then executed units in completion order;

@@ -10,9 +10,10 @@ cells — DESIGN.md §11).  Contract:
   is retried with deterministic exponential backoff (seeded jitter,
   :class:`~repro.resilience.policy.RetryPolicy`);
 * a unit that fails ``max_retries + 1`` times is *poison*: it is
-  quarantined (persisted via
-  :class:`~repro.resilience.quarantine.QuarantineLog`) and the run
-  continues — callers surface the hole explicitly instead of dying;
+  quarantined (a :class:`QuarantineRecord` for the caller; the run
+  journal's ``UNIT_QUARANTINED`` frame is its durable record) and the
+  run continues — callers surface the hole explicitly instead of
+  dying;
 * ``KeyboardInterrupt`` (or any other escaping exception) tears down
   the shared pool before propagating, so the next in-process call gets
   a clean pool instead of a wedged one.
@@ -35,12 +36,12 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from repro.obs import spans as obs
 from repro.resilience.chaos import ChaosPlan, active_plan
 from repro.resilience.policy import RetryPolicy
-from repro.resilience.quarantine import QuarantineLog, QuarantineRecord
 
 __all__ = [
     "AttemptFailure",
     "DispatchCancelled",
     "DispatchOutcome",
+    "QuarantineRecord",
     "supervised_map",
 ]
 
@@ -65,6 +66,28 @@ class AttemptFailure:
     attempt: int
     kind: str  # "error" | "crash" | "timeout"
     message: str
+
+
+@dataclass(frozen=True)
+class QuarantineRecord:
+    """One poisoned unit: identity, failure history, provenance.
+
+    Attributes:
+        unit_id: dispatcher-level unit identity (fleet chunk id,
+            reproduce-all unit id, or sweep node-run id).
+        context: which subsystem dispatched it (``"fleet"``,
+            ``"reproduce"``, ``"sweep"``, ...).
+        kind: the *last* failure's classification (``error`` /
+            ``crash`` / ``timeout``).
+        attempts: how many times the unit was tried before poisoning.
+        error: the last failure's message.
+    """
+
+    unit_id: str
+    context: str
+    kind: str
+    attempts: int
+    error: str = ""
 
 
 @dataclass
@@ -102,7 +125,7 @@ def supervised_map(
     pool_factory: Callable[[int], Any],
     pool_shutdown: Callable[[], None],
     policy: Optional[RetryPolicy] = None,
-    quarantine: Optional[QuarantineLog] = None,
+    quarantine: Optional[List[QuarantineRecord]] = None,
     chaos: Optional[ChaosPlan] = None,
     on_result: Optional[Callable[[str, Any], None]] = None,
     on_quarantine: Optional[Callable[[QuarantineRecord], None]] = None,
@@ -125,7 +148,8 @@ def supervised_map(
         pool_shutdown: tears down (and resets) the shared pool; called
             before re-raising any escaping exception.
         policy: retry policy (default :class:`RetryPolicy`()).
-        quarantine: where poison units are persisted (optional).
+        quarantine: a list each poison unit's record is appended to
+            (optional; the caller's report of this run).
         chaos: fault-injection plan; default: the environment's
             (:func:`repro.resilience.chaos.active_plan`).
         on_result: streamed ``(unit_id, result)`` callback, completion
@@ -197,7 +221,7 @@ def supervised_map(
             )
             close_unit_span(unit_id, outcome="quarantined", fault=kind)
             if quarantine is not None:
-                quarantine.record(record)
+                quarantine.append(record)
             if on_quarantine is not None:
                 on_quarantine(record)
             return

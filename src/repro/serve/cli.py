@@ -5,7 +5,7 @@ Subcommands::
     repro serve start   [--socket PATH] [--queue-limit N]
                         [--drain-grace S] [--cache-dir PATH]
     repro serve submit  (fleet|reproduce|sweep) [kind flags]
-                        [--workers N] [--deadline S] [--watch]
+                        [--workers N] [--deadline S]
     repro serve status  [JOB_ID]
     repro serve watch   JOB_ID [--since SEQ]
     repro serve cancel  JOB_ID
@@ -15,7 +15,8 @@ Subcommands::
 
 ``start`` runs the server in the foreground (it *is* the orchestrator
 process — kill it to exercise the crash path); everything else is a
-client verb against the server's socket.
+client verb against the server's socket.  ``submit`` streams the job's
+events until it ends.
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ def add_serve_parser(sub: argparse._SubParsersAction) -> None:
     )
 
     submit = serve_sub.add_parser(
-        "submit", help="submit one job and (by default) watch it"
+        "submit", help="submit one job and watch it"
     )
     kind_sub = submit.add_subparsers(dest="submit_kind", required=True)
     fleet = kind_sub.add_parser("fleet")
@@ -97,12 +98,6 @@ def add_serve_parser(sub: argparse._SubParsersAction) -> None:
         kind_parser.add_argument(
             "--deadline", type=float, default=None, metavar="S",
             help="cancel the job if it runs longer than S seconds",
-        )
-        kind_parser.add_argument(
-            "--no-watch", dest="watch", action="store_false",
-            default=True,
-            help="print the job id and return instead of streaming "
-                 "events",
         )
 
     status = serve_sub.add_parser("status", help="job status")
@@ -212,8 +207,6 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     job_id = reply["job_id"]
     note = " (deduplicated)" if reply.get("deduplicated") else ""
     print(f"[serve: job {job_id} run {reply['run_id']}{note}]")
-    if not args.watch:
-        return 0
     for message in client.watch(job_id):
         print(_render_event(message))
         if message.get("event") == "done":

@@ -35,7 +35,7 @@ from repro.obs import spans as obs
 from repro.resilience.chaos import ChaosPlan
 from repro.resilience.executor import Plan, WorkUnit, run_units
 from repro.resilience.policy import RetryPolicy
-from repro.resilience.quarantine import QuarantineLog
+from repro.resilience.supervisor import QuarantineRecord
 from repro.sweep.safety import CampaignReport, SafetyRecord
 from repro.sweep.spec import CampaignSpec
 from repro.sweep.units import SweepUnit, run_node
@@ -81,7 +81,8 @@ class SweepRunner:
         cache: consult (and fill) this result cache per node run;
             ``None`` recomputes everything.
         resilience: retry/backoff/deadline policy for pooled dispatch.
-        quarantine: where poisoned node runs are persisted (optional).
+        quarantine: a list each poisoned node run's record is
+            appended to (optional).
         chaos: fault-injection plan override (tests/harness only).
         journal: crash-consistent run ledger (DESIGN.md §12): journaled
             node runs replay instead of probing the cache or executing,
@@ -96,7 +97,7 @@ class SweepRunner:
         workers: int = 1,
         cache: Optional[ResultCache] = None,
         resilience: Optional[RetryPolicy] = None,
-        quarantine: Optional[QuarantineLog] = None,
+        quarantine: Optional[List[QuarantineRecord]] = None,
         chaos: Optional[ChaosPlan] = None,
         journal: Any = None,
         cancel: Optional[threading.Event] = None,

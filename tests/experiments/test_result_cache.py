@@ -393,8 +393,8 @@ def test_quarantine_dir_is_bounded_to_keep_newest(tmp_path):
 
 
 def test_quarantine_prune_spares_the_units_log(tmp_path):
-    """``units.json`` (the QuarantineLog ledger) shares the quarantine
-    directory and must never be collected by the object bound."""
+    """Only ``*.pkl`` evidence counts against the object bound: any
+    other file in the quarantine directory is never collected."""
     cache = ResultCache(str(tmp_path), quarantine_keep=1)
     os.makedirs(cache.quarantine_dir, exist_ok=True)
     ledger = os.path.join(cache.quarantine_dir, "units.json")

@@ -12,18 +12,27 @@ import threading
 
 import pytest
 
-from repro.journal.lease import FileLock, Lease, LeaseHeldError, lease_held
+from repro.journal.lease import Lease, LeaseHeldError, lease_held
 
 #: Holds a lease — optionally after forking a child that sleeps on —
-#: prints ``ready <child pid or 0>`` and waits to be killed.
+#: prints ``ready <child pid or 0>`` and waits to be killed.  A forked
+#: child reports back before ``ready``: ``os.fork`` runs the at-fork
+#: hooks before it returns in the child, so by then the child holds no
+#: inherited lock file, and a kill right after ``ready`` cannot catch it
+#: mid-fork.
 OWNER = (
     "import os, sys, time\n"
     "from repro.journal.lease import Lease\n"
     "Lease(sys.argv[1]).acquire()\n"
-    "child = os.fork() if sys.argv[2] == 'fork' else 0\n"
-    "if sys.argv[2] == 'fork' and child == 0:\n"
-    "    time.sleep(120)\n"
-    "    os._exit(0)\n"
+    "child = 0\n"
+    "if sys.argv[2] == 'fork':\n"
+    "    started, report = os.pipe()\n"
+    "    child = os.fork()\n"
+    "    if child == 0:\n"
+    "        os.write(report, b'x')\n"
+    "        time.sleep(120)\n"
+    "        os._exit(0)\n"
+    "    os.read(started, 1)\n"
     "print('ready', child, flush=True)\n"
     "time.sleep(120)\n"
 )
@@ -177,51 +186,3 @@ def test_registry_probes_never_fail_a_claim(lease_path):
         prober.join()
     assert probes
 
-
-def test_filelock_serializes_critical_sections(tmp_path):
-    path = str(tmp_path / "x.lock")
-    order = []
-    entered = threading.Event()
-
-    def contender():
-        with FileLock(path):
-            order.append("second")
-        entered.set()
-
-    with FileLock(path):
-        order.append("first")
-        thread = threading.Thread(target=contender)
-        thread.start()
-        assert not entered.wait(0.1)  # blocked while we hold it
-        order.append("out")
-    thread.join(timeout=30)
-    assert order == ["first", "out", "second"]
-
-
-def test_filelock_excludes_across_processes(tmp_path):
-    """Two real processes × 200 locked increments → exactly 400."""
-    lock = str(tmp_path / "counter.lock")
-    counter = str(tmp_path / "counter.txt")
-    with open(counter, "w") as handle:
-        handle.write("0")
-    script = (
-        "import sys\n"
-        "from repro.journal.lease import FileLock\n"
-        "lock, counter = sys.argv[1], sys.argv[2]\n"
-        "for _ in range(200):\n"
-        "    with FileLock(lock):\n"
-        "        with open(counter) as handle:\n"
-        "            value = int(handle.read())\n"
-        "        with open(counter, 'w') as handle:\n"
-        "            handle.write(str(value + 1))\n"
-    )
-    procs = [
-        subprocess.Popen(
-            [sys.executable, "-c", script, lock, counter], env=_env()
-        )
-        for _ in range(2)
-    ]
-    for proc in procs:
-        assert proc.wait(timeout=120) == 0
-    with open(counter) as handle:
-        assert int(handle.read()) == 400

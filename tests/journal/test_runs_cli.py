@@ -139,12 +139,11 @@ def test_runs_resume_finishes_interrupted_sweep(capsys, spec_path,
 
 def test_runs_resume_persists_a_poisoned_unit(capsys, spec_path, cache_dir,
                                               monkeypatch):
-    """The ladder gives ``runs resume`` the quarantine log the original
-    command had: a unit poisoned during the resume is journaled as
-    quarantined AND lands in ``<cache>/quarantine/units.json``."""
+    """A unit poisoned during ``runs resume`` is reported by the resume
+    and durably journaled: ``runs show --timing`` reads its fault kind
+    and attempt count back from the journal alone."""
     import json
 
-    from repro.resilience import QuarantineLog
     from repro.resilience.chaos import CHAOS_PLAN_ENV
 
     # Killed before the first completion: all node runs are still
@@ -162,8 +161,14 @@ def test_runs_resume_persists_a_poisoned_unit(capsys, spec_path, cache_dir,
     assert f"[quarantine: 1 unit(s) — {poison}" in out
     (after,) = list_runs(cache_dir)
     assert after.quarantined_units == 1
-    log = QuarantineLog(directory=f"{cache_dir}/quarantine")
-    assert [record.unit_id for record in log.load()] == [poison]
+    assert main([
+        "runs", "show", run_id, "--cache-dir", cache_dir, "--timing",
+    ]) == 0
+    (row,) = [
+        line.split() for line in capsys.readouterr().out.splitlines()
+        if line.strip().startswith(poison)
+    ]
+    assert row == [poison, "-", "3", "quarantined", "(crash)"]
 
 
 def test_latest_names_the_newest_run_for_show_and_resume(

@@ -99,7 +99,6 @@ def _vector(size):
 def _classifier(weights):
     classifier = CostSensitiveClassifier(_N_CLASSES, _N_FEATURES)
     classifier.weights[:] = weights
-    classifier._bias_list = classifier._bias.tolist()  # the bias mirror
     return classifier
 
 

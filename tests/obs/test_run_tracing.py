@@ -196,6 +196,8 @@ def test_timing_rows_sources_and_outlier_flag():
     assert rows["fast1"]["outlier"] is False
     assert rows["hit"]["source"] == "cached"
     assert rows["poison"]["source"] == "quarantined"
+    assert rows["poison"]["fault"] == "error"
+    assert rows["slow"]["fault"] is None
     assert rows["unfinished"]["source"] == "pending"
     # Slowest-first ordering, wall-less rows at the bottom.
     ordered = [row["unit"] for row in timing_rows(records)]

@@ -18,7 +18,6 @@ from repro.resilience import (
     ChaosPlan,
     DispatchCancelled,
     Plan,
-    QuarantineLog,
     RetryPolicy,
     WorkUnit,
     run_units,
@@ -249,7 +248,7 @@ def test_an_undecodable_result_frame_is_a_hole_not_a_dead_pool():
     holds fails, retries, and is quarantined; the pool survives."""
     shared_pool(2)
     before = shared_pool_counters()
-    quarantine = QuarantineLog()
+    quarantine = []
     seen = []
     outcome = run_units(
         _plan(4), _unrebuildable_u1, workers=2,
@@ -261,7 +260,7 @@ def test_an_undecodable_result_frame_is_a_hole_not_a_dead_pool():
     after = shared_pool_counters()
     assert outcome.holes == ["u1"]
     assert sorted(seen) == ["u0", "u2", "u3"] and outcome.executed == 3
-    (record,) = quarantine.load()
+    (record,) = quarantine
     assert record.attempts == 2
     assert "undecodable worker frame: RuntimeError" in record.error
     assert after["size"] == before["size"] >= 2
@@ -274,7 +273,7 @@ def test_a_task_the_worker_cannot_unpickle_is_a_hole_not_a_dead_worker():
     error; the worker lives on (no crash, no respawn)."""
     shared_pool(2)
     before = shared_pool_counters()
-    quarantine = QuarantineLog()
+    quarantine = []
     plan = Plan("test", tuple(
         WorkUnit(f"u{i}", _Unrebuildable() if i == 1 else i, cost=float(i))
         for i in range(4)
@@ -291,7 +290,7 @@ def test_a_task_the_worker_cannot_unpickle_is_a_hole_not_a_dead_worker():
     after = shared_pool_counters()
     assert outcome.holes == ["u1"]
     assert sorted(seen) == [("u0", 0), ("u2", 4), ("u3", 6)]
-    (record,) = quarantine.load()
+    (record,) = quarantine
     assert record.attempts == 2
     assert "undecodable task: RuntimeError: cannot rebuild" in record.error
     assert after["crashes"] == before["crashes"]

@@ -11,7 +11,7 @@ import pytest
 from repro.experiments.common import experiment_digest
 from repro.experiments.driver import FleetDriver, reproduce_all
 from repro.fleet.config import FleetConfig
-from repro.resilience import ChaosPlan, QuarantineLog, RetryPolicy
+from repro.resilience import ChaosPlan, RetryPolicy
 from repro.sweep import CampaignSpec, FaultAxis, SweepRunner
 from repro.sweep.runner import sweep_plan
 
@@ -43,7 +43,7 @@ def test_fleet_poison_chunk_degrades_to_explicit_node_holes():
     driver = FleetDriver(config, workers=2)
     chunks = driver.chunks()
     poison_id = f"chunk000(n{chunks[0][0]}+{len(chunks[0])})"
-    log = QuarantineLog()
+    log = []
     driver = FleetDriver(
         config, workers=2, resilience=FAST, quarantine=log,
         chaos=ChaosPlan(kind="crash", poison_units=(poison_id,)),
@@ -52,7 +52,7 @@ def test_fleet_poison_chunk_degrades_to_explicit_node_holes():
     assert aggregate.partial
     assert aggregate.holes == tuple(sorted(chunks[0]))
     assert "PARTIAL" in aggregate.render()
-    assert [r.unit_id for r in log.load()] == [poison_id]
+    assert [r.unit_id for r in log] == [poison_id]
     # The surviving nodes' results are intact (not zeroed or dropped).
     assert aggregate.n_nodes == config.n_nodes - len(chunks[0])
 
@@ -81,7 +81,7 @@ def test_reproduce_all_digests_survive_crash_faults():
 
 def test_reproduce_all_poison_unit_yields_partial_artifact():
     poison = f"fig6-left/image-dnn/on@{SCALE!r}"
-    log = QuarantineLog()
+    log = []
     runs = reproduce_all(
         only=["fig6-left", "table1"], scale=SCALE, parallel=True,
         workers=2, resilience=FAST, quarantine=log,
@@ -98,7 +98,7 @@ def test_reproduce_all_poison_unit_yields_partial_artifact():
     assert _digests([clean]) == _digests(
         reproduce_all(only=["table1"], scale=SCALE)
     )
-    assert [r.unit_id for r in log.load()] == [poison]
+    assert [r.unit_id for r in log] == [poison]
 
 
 # -- sweep -------------------------------------------------------------------

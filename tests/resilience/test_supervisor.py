@@ -4,7 +4,6 @@ import pytest
 
 from repro.resilience import (
     ChaosPlan,
-    QuarantineLog,
     RetryPolicy,
     SupervisedPool,
     supervised_map,
@@ -80,7 +79,7 @@ def test_duplicate_unit_ids_are_rejected():
 
 def test_always_failing_unit_is_quarantined_with_history(pool_env):
     factory, shutdown, _ = pool_env
-    log = QuarantineLog()
+    log = []
     poisoned = []
     outcome = supervised_map(
         _boom, [("bad", None)], workers=1,
@@ -94,7 +93,7 @@ def test_always_failing_unit_is_quarantined_with_history(pool_env):
     assert outcome.retried == FAST.max_retries
     assert len(outcome.failures) == FAST.max_attempts
     assert all(f.kind == "error" for f in outcome.failures)
-    (record,) = log.load()
+    (record,) = log
     assert record.unit_id == "bad" and record.context == "test"
     assert record.attempts == FAST.max_attempts
     assert "always fails" in record.error

@@ -33,6 +33,16 @@ def test_serve_submit_without_server_is_unavailable(capsys):
     ) == 69
 
 
+def test_serve_submit_has_no_no_watch_flag(capsys):
+    """``submit`` always watches its job: ``--no-watch`` is a usage
+    error, not a silently accepted option."""
+    with pytest.raises(SystemExit) as exc:
+        main(["serve", "submit", "fleet", "--no-watch",
+              "--socket", _no_server_socket()])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --no-watch" in capsys.readouterr().err
+
+
 def test_chaos_serve_requires_kill_server():
     with pytest.raises(SystemExit, match="--kill-server"):
         main(["chaos", "serve"])

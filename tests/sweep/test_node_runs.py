@@ -11,7 +11,7 @@ and how a quarantined node run turns into report holes.
 import pytest
 
 from repro.fleet.config import FaultPlan, FleetConfig
-from repro.resilience import ChaosPlan, QuarantineLog, RetryPolicy
+from repro.resilience import ChaosPlan, RetryPolicy
 from repro.sweep import (
     CampaignReport,
     CampaignSpec,
@@ -153,13 +153,13 @@ def test_a_poisoned_node_run_holes_every_cell_that_contains_it():
         if poison in [run.unit_id() for run in cell.node_runs()]
     )
     assert len(containing) == 2
-    quarantine = QuarantineLog()
+    quarantine = []
     report = SweepRunner(
         spec, workers=2, resilience=FAST, quarantine=quarantine,
         chaos=ChaosPlan(kind="crash", poison_units=(poison,)),
     ).run()
     assert report.quarantined == (poison,)
-    assert [record.unit_id for record in quarantine.load()] == [poison]
+    assert [record.unit_id for record in quarantine] == [poison]
     assert list(report.holes) == containing
     assert len(report.records) == len(cells) - 2
     assert report.executed == len(sweep_plan(spec).units) - 1
