@@ -2,11 +2,11 @@
 
 from conftest import run_and_print
 
-from repro.experiments import fig1_overclock_vs_static
+from repro.experiments import run_artifact
 
 
 def test_fig1_overclock_vs_static(benchmark):
-    result = run_and_print(benchmark, fig1_overclock_vs_static, seconds=900)
+    result = run_and_print(benchmark, run_artifact, "fig1", seconds=900)
     cells = {
         (row["workload"], row["policy"]): row for row in result.rows
     }

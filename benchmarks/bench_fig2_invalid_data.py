@@ -2,12 +2,12 @@
 
 from conftest import run_and_print
 
-from repro.experiments import fig2_invalid_data
+from repro.experiments import run_artifact
 
 
 def test_fig2_invalid_data(benchmark):
     result = run_and_print(
-        benchmark, fig2_invalid_data, seconds=600,
+        benchmark, run_artifact, "fig2", seconds=600,
         bad_fractions=(0.0, 0.05, 0.10, 0.20),
     )
     cells = {

@@ -2,11 +2,11 @@
 
 from conftest import run_and_print
 
-from repro.experiments import fig3_broken_model
+from repro.experiments import run_artifact
 
 
 def test_fig3_broken_model(benchmark):
-    result = run_and_print(benchmark, fig3_broken_model, seconds=600)
+    result = run_and_print(benchmark, run_artifact, "fig3", seconds=600)
     cells = {
         (row["workload"], row["model_safeguard"]): row
         for row in result.rows

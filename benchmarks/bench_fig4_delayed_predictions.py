@@ -2,11 +2,11 @@
 
 from conftest import run_and_print
 
-from repro.experiments import fig4_delayed_predictions
+from repro.experiments import run_artifact
 
 
 def test_fig4_delayed_predictions(benchmark):
-    result = run_and_print(benchmark, fig4_delayed_predictions, seconds=300)
+    result = run_and_print(benchmark, run_artifact, "fig4", seconds=300)
     cells = {row["actuator"]: row for row in result.rows}
     # Paper shape: blocking wastes far more power during the stall
     # (36% vs 3% in the paper) and never takes timeout actions.

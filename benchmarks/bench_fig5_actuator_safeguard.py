@@ -2,11 +2,11 @@
 
 from conftest import run_and_print
 
-from repro.experiments import fig5_actuator_safeguard
+from repro.experiments import run_artifact
 
 
 def test_fig5_actuator_safeguard(benchmark):
-    result = run_and_print(benchmark, fig5_actuator_safeguard, seconds=900)
+    result = run_and_print(benchmark, run_artifact, "fig5", seconds=900)
     active_windows = [r for r in result.rows if r["safeguard_active"]]
     inactive_windows = [r for r in result.rows if not r["safeguard_active"]]
     # The safeguard engages during the long idle phase...

@@ -2,15 +2,13 @@
 
 from conftest import run_and_print
 
-from repro.experiments import (
-    fig6_broken_model,
-    fig6_delayed_predictions,
-    fig6_invalid_data,
-)
+from repro.experiments import run_artifact
 
 
 def test_fig6_left_invalid_data(benchmark):
-    result = run_and_print(benchmark, fig6_invalid_data, seconds=240)
+    result = run_and_print(
+        benchmark, run_artifact, "fig6-left", seconds=240,
+    )
     cells = {
         (row["workload"], row["safeguards"]): row for row in result.rows
     }
@@ -23,7 +21,9 @@ def test_fig6_left_invalid_data(benchmark):
 
 
 def test_fig6_middle_broken_model(benchmark):
-    result = run_and_print(benchmark, fig6_broken_model, seconds=240)
+    result = run_and_print(
+        benchmark, run_artifact, "fig6-middle", seconds=240,
+    )
     cells = {
         (row["workload"], row["safeguards"]): row for row in result.rows
     }
@@ -35,7 +35,9 @@ def test_fig6_middle_broken_model(benchmark):
 
 
 def test_fig6_right_delayed_predictions(benchmark):
-    result = run_and_print(benchmark, fig6_delayed_predictions, seconds=240)
+    result = run_and_print(
+        benchmark, run_artifact, "fig6-right", seconds=240,
+    )
     cells = {
         (row["workload"], row["actuator"]): row for row in result.rows
     }

@@ -2,12 +2,12 @@
 
 from conftest import run_and_print
 
-from repro.experiments import fig7_smartmemory_vs_static
+from repro.experiments import run_artifact
 
 
 def test_fig7_smartmemory_vs_static(benchmark):
     result = run_and_print(
-        benchmark, fig7_smartmemory_vs_static, seconds=1500,
+        benchmark, run_artifact, "fig7", seconds=1500,
         warmup_seconds=300,
     )
     cells = {

@@ -2,11 +2,11 @@
 
 from conftest import run_and_print
 
-from repro.experiments import fig8_memory_safeguards
+from repro.experiments import run_artifact
 
 
 def test_fig8_memory_safeguards(benchmark):
-    result = run_and_print(benchmark, fig8_memory_safeguards, seconds=920)
+    result = run_and_print(benchmark, run_artifact, "fig8", seconds=920)
     cells = {row["safeguards"]: row for row in result.rows}
     # Paper shape: 66% attainment with no safeguards, 90% with all; each
     # safeguard individually helps, and "all" is the best.

@@ -2,11 +2,11 @@
 
 from conftest import run_and_print
 
-from repro.experiments import table1_taxonomy
+from repro.experiments import run_artifact
 
 
 def test_table1_taxonomy(benchmark):
-    result = run_and_print(benchmark, table1_taxonomy)
+    result = run_and_print(benchmark, run_artifact, "table1")
     assert sum(1 for _ in result.rows) == 6
     total = sum(row["count"] for row in result.rows)
     assert total == 77  # the paper's agent census

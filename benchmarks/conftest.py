@@ -1,7 +1,8 @@
 """Benchmark bootstrap: src/ on the path plus a result printer.
 
-Each bench file regenerates one paper table/figure via
-``repro.experiments`` and prints the same rows/series the paper reports.
+Each bench file regenerates one paper table/figure through
+:func:`repro.experiments.run_artifact` and prints the same rows/series
+the paper reports.
 Benchmarks run a single round (the experiments are deterministic; there
 is no run-to-run noise to average away, and each run simulates many
 minutes of node time).
@@ -16,7 +17,7 @@ if _SRC not in sys.path:
 
 
 def run_and_print(benchmark, experiment, *args, **kwargs):
-    """Benchmark one experiment function and print its rendering."""
+    """Benchmark ``experiment(*args, **kwargs)`` and print its rendering."""
     result = benchmark.pedantic(
         experiment, args=args, kwargs=kwargs, rounds=1, iterations=1,
     )

@@ -214,11 +214,6 @@ class MemoryModel(Model):
     # -- introspection (experiments) -----------------------------------------
 
     @property
-    def missed_fraction(self) -> Optional[float]:
-        """Last epoch's estimated fraction of missed accesses."""
-        return self._missed_fraction
-
-    @property
     def cold_regions(self) -> np.ndarray:
         return np.flatnonzero(self._cold)
 

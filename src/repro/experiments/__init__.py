@@ -1,30 +1,30 @@
-"""Experiment harness: one function per paper table/figure.
+"""Experiment harness: one work-unit triple per paper table/figure.
 
-The mapping from paper artifact to function (see also DESIGN.md §4):
+Every artifact is an entry of
+:data:`repro.experiments.driver.ARTIFACT_SPECS` (see also DESIGN.md §4),
+and :func:`repro.experiments.driver.run_artifact` runs any one of them
+in-process by name:
 
-========  =====================================================
-Artifact  Function
-========  =====================================================
-Table 1   :func:`repro.experiments.tables.table1_taxonomy`
-Table 2   :func:`repro.experiments.tables.table2_learning_agents`
-Fig. 1    :func:`repro.experiments.overclock.fig1_overclock_vs_static`
-Fig. 2    :func:`repro.experiments.overclock.fig2_invalid_data`
-Fig. 3    :func:`repro.experiments.overclock.fig3_broken_model`
-Fig. 4    :func:`repro.experiments.overclock.fig4_delayed_predictions`
-Fig. 5    :func:`repro.experiments.overclock.fig5_actuator_safeguard`
-Fig. 6    :func:`repro.experiments.harvest.fig6_invalid_data` /
-          :func:`repro.experiments.harvest.fig6_broken_model` /
-          :func:`repro.experiments.harvest.fig6_delayed_predictions`
-Fig. 7    :func:`repro.experiments.memory.fig7_smartmemory_vs_static`
-Fig. 8    :func:`repro.experiments.memory.fig8_memory_safeguards`
-========  =====================================================
+===========  =========================================================
+Artifact     Where its rows come from
+===========  =========================================================
+Table 1      :func:`repro.experiments.tables.table1_taxonomy`
+Table 2      :func:`repro.experiments.tables.table2_learning_agents`
+Figs. 1-4    ``fig{1,2,3,4}_series`` / ``_unit`` / ``_assemble`` in
+             :mod:`repro.experiments.overclock`
+Fig. 5       :func:`repro.experiments.overclock.fig5_actuator_safeguard`
+Fig. 6       ``fig6_{invalid_data,broken_model,delayed_predictions}``
+             triples in :mod:`repro.experiments.harvest`
+Figs. 7-8    ``fig{7,8}_series`` / ``_unit`` / ``_assemble`` in
+             :mod:`repro.experiments.memory`
+===========  =========================================================
 
 :mod:`repro.experiments.driver` adds the parallel paths on top: a
 :class:`~repro.experiments.driver.FleetDriver` that shards multi-node
 fleets (:mod:`repro.fleet`) across worker processes, and
 :func:`~repro.experiments.driver.reproduce_all`, which regenerates the
-whole table above — one artifact per worker with ``parallel=True``.
-Both are exposed by the ``python -m repro`` command line.
+whole table above as ``(artifact, series)`` work units.  Both are
+exposed by the ``python -m repro`` command line.
 """
 
 from repro.experiments.common import (
@@ -39,23 +39,9 @@ from repro.experiments.driver import (
     ArtifactRun,
     FleetDriver,
     reproduce_all,
+    run_artifact,
 )
-from repro.experiments.harvest import (
-    fig6_broken_model,
-    fig6_delayed_predictions,
-    fig6_invalid_data,
-)
-from repro.experiments.memory import (
-    fig7_smartmemory_vs_static,
-    fig8_memory_safeguards,
-)
-from repro.experiments.overclock import (
-    fig1_overclock_vs_static,
-    fig2_invalid_data,
-    fig3_broken_model,
-    fig4_delayed_predictions,
-    fig5_actuator_safeguard,
-)
+from repro.experiments.overclock import fig5_actuator_safeguard
 from repro.experiments.tables import table1_taxonomy, table2_learning_agents
 
 __all__ = [
@@ -64,20 +50,12 @@ __all__ = [
     "ExperimentResult",
     "FleetDriver",
     "reproduce_all",
+    "run_artifact",
     "HarvestScenario",
     "MemoryScenario",
     "OverclockScenario",
     "SloWatcher",
-    "fig1_overclock_vs_static",
-    "fig2_invalid_data",
-    "fig3_broken_model",
-    "fig4_delayed_predictions",
     "fig5_actuator_safeguard",
-    "fig6_broken_model",
-    "fig6_delayed_predictions",
-    "fig6_invalid_data",
-    "fig7_smartmemory_vs_static",
-    "fig8_memory_safeguards",
     "table1_taxonomy",
     "table2_learning_agents",
 ]

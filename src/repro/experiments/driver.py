@@ -14,11 +14,13 @@ order-independent reducer:
 
 * :func:`reproduce_all` (DESIGN.md §7, §8) runs every paper
   table/figure as independent ``(artifact, series)`` units (see
-  :data:`SERIES_SPECS`), so a parallel pass scales past the twelve
-  artifacts.  Every unit is deterministic given its arguments alone, so
-  parallel, cached and resumed passes reproduce the serial rows
-  exactly.  Executed unit walls are recorded (and persisted with the
-  cache) and fed back into longest-first dispatch.
+  :data:`ARTIFACT_SPECS`), so a parallel pass scales past the twelve
+  artifacts.  Every unit is deterministic given its arguments alone,
+  so parallel, cached and resumed passes reproduce the serial rows
+  exactly, and so does :func:`run_artifact`, which runs one artifact's
+  units in-process with any arguments.  Executed unit walls are
+  recorded (and persisted with the cache) and fed back into
+  longest-first dispatch.
 
 The warm worker pool lives in :mod:`repro.resilience.pool`; its three
 accessors are re-exported here for callers that import them from the
@@ -35,10 +37,12 @@ import threading
 from collections import Counter
 from dataclasses import dataclass
 from typing import (
-    Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple,
+    Any, Callable, Dict, Iterator, List, Mapping, NamedTuple, Optional,
+    Sequence, Tuple,
 )
 
 from repro.cache import ResultCache, unit_key
+from repro.experiments import harvest, memory, overclock, tables
 from repro.experiments.common import ExperimentResult, experiment_digest
 from repro.obs import spans as obs
 from repro.fleet.aggregate import FleetAggregate, FleetAggregateBuilder
@@ -57,13 +61,15 @@ from repro.resilience.supervisor import QuarantineRecord
 
 __all__ = [
     "ARTIFACTS",
-    "SERIES_SPECS",
+    "ARTIFACT_SPECS",
+    "Artifact",
     "ArtifactRun",
     "FleetDriver",
     "artifact_units",
     "assemble_artifact",
     "reproduce_all",
     "reproduce_plan",
+    "run_artifact",
     "run_series_unit",
     "runs_digest",
     "select_artifacts",
@@ -238,66 +244,94 @@ class FleetDriver:
 
 # -- reproduce-all ----------------------------------------------------------
 
-#: Artifact registry: name -> (callable, kwargs builder).  The kwargs
+class Artifact(NamedTuple):
+    """One paper artifact as work units (DESIGN.md §7).
+
+    ``series(**kwargs)`` lists canonical unit keys without simulating
+    anything, ``unit(key, **kwargs)`` runs one key to a small picklable
+    payload seeded only by its arguments, and ``assemble(units,
+    **kwargs)`` derives the rows — so shard shape and completion order
+    cannot affect a single row bit.
+    """
+
+    series: Callable[..., List[Optional[str]]]
+    unit: Callable[..., Any]
+    assemble: Callable[..., ExperimentResult]
+
+
+def _whole(function: Callable[..., ExperimentResult]) -> Artifact:
+    """A single-kernel artifact (the tables, the fig5 time series): one
+    ``None`` unit whose payload *is* the result."""
+    return Artifact(
+        series=lambda **_kwargs: [None],
+        unit=lambda _key, **kwargs: function(**kwargs),
+        assemble=lambda units, **_kwargs: units[None],
+    )
+
+
+#: Artifact registry: name -> (artifact, kwargs builder).  The kwargs
 #: builder takes the duration scale (1.0 full, ~0.33 for --quick) and
 #: returns the experiment's arguments — the same values
 #: ``examples/reproduce_paper.py`` has always used.
-ARTIFACT_SPECS: Dict[str, Tuple[str, Callable[[float], Dict[str, Any]]]] = {
-    "table1": ("tables.table1_taxonomy", lambda s: {}),
-    "table2": ("tables.table2_learning_agents", lambda s: {}),
-    "fig1": ("overclock.fig1_overclock_vs_static",
+ARTIFACT_SPECS: Dict[
+    str, Tuple[Artifact, Callable[[float], Dict[str, Any]]]
+] = {
+    "table1": (_whole(tables.table1_taxonomy), lambda s: {}),
+    "table2": (_whole(tables.table2_learning_agents), lambda s: {}),
+    "fig1": (Artifact(overclock.fig1_series, overclock.fig1_unit,
+                      overclock.fig1_assemble),
              lambda s: {"seconds": int(900 * s)}),
-    "fig2": ("overclock.fig2_invalid_data",
+    "fig2": (Artifact(overclock.fig2_series, overclock.fig2_unit,
+                      overclock.fig2_assemble),
              lambda s: {"seconds": int(600 * s)}),
-    "fig3": ("overclock.fig3_broken_model",
+    "fig3": (Artifact(overclock.fig3_series, overclock.fig3_unit,
+                      overclock.fig3_assemble),
              lambda s: {"seconds": int(600 * s)}),
-    "fig4": ("overclock.fig4_delayed_predictions",
+    "fig4": (Artifact(overclock.fig4_series, overclock.fig4_unit,
+                      overclock.fig4_assemble),
              lambda s: {"seconds": int(300 * s) + 200}),
-    "fig5": ("overclock.fig5_actuator_safeguard",
+    "fig5": (_whole(overclock.fig5_actuator_safeguard),
              lambda s: {"seconds": int(900 * s)}),
-    "fig6-left": ("harvest.fig6_invalid_data",
+    "fig6-left": (Artifact(harvest.fig6_invalid_data_series,
+                           harvest.fig6_invalid_data_unit,
+                           harvest.fig6_invalid_data_assemble),
                   lambda s: {"seconds": int(240 * s)}),
-    "fig6-middle": ("harvest.fig6_broken_model",
+    "fig6-middle": (Artifact(harvest.fig6_broken_model_series,
+                             harvest.fig6_broken_model_unit,
+                             harvest.fig6_broken_model_assemble),
                     lambda s: {"seconds": int(240 * s)}),
-    "fig6-right": ("harvest.fig6_delayed_predictions",
+    "fig6-right": (Artifact(harvest.fig6_delayed_predictions_series,
+                            harvest.fig6_delayed_predictions_unit,
+                            harvest.fig6_delayed_predictions_assemble),
                    lambda s: {"seconds": int(240 * s)}),
-    "fig7": ("memory.fig7_smartmemory_vs_static",
+    "fig7": (Artifact(memory.fig7_series, memory.fig7_unit,
+                      memory.fig7_assemble),
              lambda s: {"seconds": int(1500 * s)}),
-    "fig8": ("memory.fig8_memory_safeguards",
+    "fig8": (Artifact(memory.fig8_series, memory.fig8_unit,
+                      memory.fig8_assemble),
              lambda s: {"seconds": int(920 * s)}),
 }
 
 #: Canonical artifact order (paper order).
 ARTIFACTS: Tuple[str, ...] = tuple(ARTIFACT_SPECS)
 
-#: Sub-artifact series registry (DESIGN.md §7): artifact -> the dotted
-#: stem of its ``<stem>_series`` / ``_unit`` / ``_assemble`` triple.
-#: Artifacts not listed here (tables, the fig5 time series) are
-#: single-kernel and run whole.  Each triple obeys the work-unit
-#: contract: ``series(**kwargs)`` lists canonical unit keys without
-#: simulating anything, ``unit(key, **kwargs)`` runs one key to a small
-#: picklable payload seeded only by its arguments, and ``assemble(units,
-#: **kwargs)`` derives the rows — so shard shape and completion order
-#: cannot affect a single row bit.
-SERIES_SPECS: Dict[str, str] = {
-    "fig1": "overclock.fig1",
-    "fig2": "overclock.fig2",
-    "fig3": "overclock.fig3",
-    "fig4": "overclock.fig4",
-    "fig6-left": "harvest.fig6_invalid_data",
-    "fig6-middle": "harvest.fig6_broken_model",
-    "fig6-right": "harvest.fig6_delayed_predictions",
-    "fig7": "memory.fig7",
-    "fig8": "memory.fig8",
-}
 
+def run_artifact(name: str, **kwargs: Any) -> ExperimentResult:
+    """Run one paper artifact in-process: every unit of its series in
+    canonical order, then its assembly.  A kwarg left out takes the
+    artifact's own default.
 
-def _resolve(path: str) -> Callable[..., Any]:
-    module_name, func_name = path.rsplit(".", 1)
-    module = __import__(
-        f"repro.experiments.{module_name}", fromlist=[func_name]
-    )
-    return getattr(module, func_name)
+    Raises:
+        ValueError: ``name`` is not an artifact.
+    """
+    if name not in ARTIFACT_SPECS:
+        raise ValueError(f"unknown artifact: {name!r}")
+    artifact = ARTIFACT_SPECS[name][0]
+    units = {
+        key: artifact.unit(key, **kwargs)
+        for key in artifact.series(**kwargs)
+    }
+    return artifact.assemble(units, **kwargs)
 
 
 @dataclass
@@ -346,14 +380,10 @@ def _hole_run(
 
 def run_series_unit(payload: Tuple[str, Optional[str], float]) -> Any:
     """The reproduce unit function: one ``(artifact, series, scale)``
-    scenario to its payload (``series=None``: the whole single-kernel
-    artifact, whose payload *is* the result)."""
+    scenario to its payload."""
     name, series, scale = payload
-    path, kwargs_builder = ARTIFACT_SPECS[name]
-    if series is None:
-        return _resolve(path)(**kwargs_builder(scale))
-    unit = _resolve(SERIES_SPECS[name] + "_unit")
-    return unit(series, **kwargs_builder(scale))
+    artifact, kwargs_builder = ARTIFACT_SPECS[name]
+    return artifact.unit(series, **kwargs_builder(scale))
 
 
 def artifact_units(name: str, scale: float) -> List[Tuple[str, Optional[str]]]:
@@ -362,11 +392,8 @@ def artifact_units(name: str, scale: float) -> List[Tuple[str, Optional[str]]]:
     Single-kernel artifacts yield one ``(name, None)`` unit; decomposed
     artifacts yield one unit per series key, in canonical key order.
     """
-    if name not in SERIES_SPECS:
-        return [(name, None)]
-    _path, kwargs_builder = ARTIFACT_SPECS[name]
-    keys = _resolve(SERIES_SPECS[name] + "_series")(**kwargs_builder(scale))
-    return [(name, key) for key in keys]
+    artifact, kwargs_builder = ARTIFACT_SPECS[name]
+    return [(name, key) for key in artifact.series(**kwargs_builder(scale))]
 
 
 def select_artifacts(only: Optional[Sequence[str]]) -> List[str]:
@@ -390,7 +417,7 @@ def _wall_key(name: str, series: Optional[str], scale: float) -> str:
 
 def _cache_key(payload: Tuple[str, Optional[str], float]) -> str:
     name, series, scale = payload
-    _path, kwargs_builder = ARTIFACT_SPECS[name]
+    _artifact, kwargs_builder = ARTIFACT_SPECS[name]
     return unit_key(name, series, scale, kwargs_builder(scale))
 
 
@@ -415,7 +442,7 @@ def _dispatch_costs(
     measured: List[Optional[float]] = []
     ratios: List[float] = []
     for name, series, scale in payloads:
-        _path, kwargs_builder = ARTIFACT_SPECS[name]
+        _artifact, kwargs_builder = ARTIFACT_SPECS[name]
         seconds = kwargs_builder(scale).get("seconds", 0)
         estimate = max(float(seconds), 1.0) / n_units[name]
         wall = walls.get(_wall_key(name, series, scale))
@@ -494,12 +521,9 @@ def assemble_artifact(
     units: Dict[Optional[str], Any],
     wall_seconds: float,
 ) -> ArtifactRun:
-    if None in units:  # whole-artifact unit: the result *is* the payload
-        return ArtifactRun(name, units[None], wall_seconds)
-    _path, kwargs_builder = ARTIFACT_SPECS[name]
-    assemble = _resolve(SERIES_SPECS[name] + "_assemble")
+    artifact, kwargs_builder = ARTIFACT_SPECS[name]
     return ArtifactRun(
-        name, assemble(units, **kwargs_builder(scale)), wall_seconds
+        name, artifact.assemble(units, **kwargs_builder(scale)), wall_seconds
     )
 
 

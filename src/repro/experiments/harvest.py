@@ -3,8 +3,9 @@
 Each panel is decomposed into independent series units (DESIGN.md §7):
 per workload, a no-agent baseline run plus one run per safeguard
 variant.  ``*_series``/``*_unit``/``*_assemble`` implement the
-sub-artifact sharding contract; the serial entry points run the same
-units in order, so parallel passes are row-identical by construction.
+sub-artifact sharding contract, and
+:func:`repro.experiments.driver.run_artifact` is the one composer, so
+in-process and sharded passes are row-identical by construction.
 """
 
 from __future__ import annotations
@@ -17,12 +18,7 @@ from repro.node.faults import DelayInjector, ModelBreaker, stuck_usage_injector
 from repro.sim.units import SEC
 from repro.workloads.tailbench import IMAGE_DNN, MOSES, TailBenchWorkload
 
-__all__ = [
-    "TAILBENCH_WORKLOADS",
-    "fig6_invalid_data",
-    "fig6_broken_model",
-    "fig6_delayed_predictions",
-]
+__all__ = ["TAILBENCH_WORKLOADS"]
 
 
 def _workload_factory(profile):
@@ -94,6 +90,15 @@ def fig6_invalid_data_assemble(
     seed: int = 0,
     corruption: float = 0.9,
 ) -> ExperimentResult:
+    """Figure 6 (left): bad usage telemetry vs the validation safeguard.
+
+    A misconfigured hypervisor counter returns its error sentinel for
+    ``corruption`` of reads.  P99 increase is relative to a no-agent
+    run.  (Substitution note: the paper's natural full-utilization
+    censoring self-corrects under our actuator's slow-borrow/fast-return
+    design, so the bad data is injected at the counter boundary instead;
+    the same ``ValidateData`` safeguard is exercised.)
+    """
     result = ExperimentResult(
         name="fig6-left",
         title=f"Bad usage telemetry ({corruption:.0%} corrupt reads): "
@@ -112,29 +117,6 @@ def fig6_invalid_data_assemble(
                 harvested_core_s=cell["harvested_core_s"],
             )
     return result
-
-
-def fig6_invalid_data(
-    seconds: int = 240, seed: int = 0, corruption: float = 0.9
-) -> ExperimentResult:
-    """Figure 6 (left): bad usage telemetry vs the validation safeguard.
-
-    A misconfigured hypervisor counter returns its error sentinel for
-    ``corruption`` of reads.  P99 increase is relative to a no-agent
-    run.  (Substitution note: the paper's natural full-utilization
-    censoring self-corrects under our actuator's slow-borrow/fast-return
-    design, so the bad data is injected at the counter boundary instead;
-    the same ``ValidateData`` safeguard is exercised.)
-    """
-    units = {
-        key: fig6_invalid_data_unit(
-            key, seconds=seconds, seed=seed, corruption=corruption
-        )
-        for key in fig6_invalid_data_series()
-    }
-    return fig6_invalid_data_assemble(
-        units, seconds=seconds, seed=seed, corruption=corruption
-    )
 
 
 # -- Figure 6 (middle) -------------------------------------------------------
@@ -171,6 +153,7 @@ def fig6_broken_model_assemble(
     seed: int = 0,
     break_at: int = 60,
 ) -> ExperimentResult:
+    """Figure 6 (middle): a broken model that predicts zero core need."""
     result = ExperimentResult(
         name="fig6-middle",
         title="Broken model (predicts 0 cores needed): P99 increase",
@@ -186,21 +169,6 @@ def fig6_broken_model_assemble(
                 p99_increase_pct=100.0 * (cell["p99"] / baseline - 1.0),
             )
     return result
-
-
-def fig6_broken_model(
-    seconds: int = 240, seed: int = 0, break_at: int = 60
-) -> ExperimentResult:
-    """Figure 6 (middle): a broken model that predicts zero core need."""
-    units = {
-        key: fig6_broken_model_unit(
-            key, seconds=seconds, seed=seed, break_at=break_at
-        )
-        for key in fig6_broken_model_series()
-    }
-    return fig6_broken_model_assemble(
-        units, seconds=seconds, seed=seed, break_at=break_at
-    )
 
 
 # -- Figure 6 (right) --------------------------------------------------------
@@ -264,6 +232,13 @@ def fig6_delayed_predictions_assemble(
     ramp_cores: float = 1.5,
     cooldown_seconds: float = 4.0,
 ) -> ExperimentResult:
+    """Figure 6 (right): 1 s scheduling delays, blocking vs non-blocking.
+
+    Matching the paper's worst case, delays are injected "during periods
+    when the primary VM increases CPU utilization": a watcher arms a 1 s
+    Model-loop stall whenever demand jumps by ``ramp_cores`` within one
+    step, so the agent goes blind exactly when cores must come back.
+    """
     result = ExperimentResult(
         name="fig6-right",
         title=f"{delay_seconds:.0f}s model delays on demand ramps: "
@@ -283,30 +258,3 @@ def fig6_delayed_predictions_assemble(
                 delays_injected=cell["delays_injected"],
             )
     return result
-
-
-def fig6_delayed_predictions(
-    seconds: int = 240,
-    seed: int = 0,
-    delay_seconds: float = 1.0,
-    ramp_cores: float = 1.5,
-    cooldown_seconds: float = 4.0,
-) -> ExperimentResult:
-    """Figure 6 (right): 1 s scheduling delays, blocking vs non-blocking.
-
-    Matching the paper's worst case, delays are injected "during periods
-    when the primary VM increases CPU utilization": a watcher arms a 1 s
-    Model-loop stall whenever demand jumps by ``ramp_cores`` within one
-    step, so the agent goes blind exactly when cores must come back.
-    """
-    units = {
-        key: fig6_delayed_predictions_unit(
-            key, seconds=seconds, seed=seed, delay_seconds=delay_seconds,
-            ramp_cores=ramp_cores, cooldown_seconds=cooldown_seconds,
-        )
-        for key in fig6_delayed_predictions_series()
-    }
-    return fig6_delayed_predictions_assemble(
-        units, seconds=seconds, seed=seed, delay_seconds=delay_seconds,
-        ramp_cores=ramp_cores, cooldown_seconds=cooldown_seconds,
-    )

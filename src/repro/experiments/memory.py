@@ -4,9 +4,9 @@ Both figures are decomposed into independent series units (DESIGN.md
 §7): Figure 7 into one ``workload × policy`` scenario per unit (nine
 units — this is the ``reproduce-all`` straggler, 1500 simulated seconds
 per scenario, so sub-artifact sharding matters most here), Figure 8
-into one safeguard variant per unit.  The serial entry points run the
-same units in order, so parallel passes are row-identical by
-construction.
+into one safeguard variant per unit.
+:func:`repro.experiments.driver.run_artifact` is the one composer, so
+in-process and sharded passes are row-identical by construction.
 """
 
 from __future__ import annotations
@@ -24,8 +24,7 @@ from repro.workloads.traces import (
     ZipfMemoryTrace,
 )
 
-__all__ = ["MEMORY_TRACES", "fig7_smartmemory_vs_static",
-           "fig8_memory_safeguards"]
+__all__ = ["MEMORY_TRACES"]
 
 
 def _trace_factory(profile):
@@ -105,7 +104,17 @@ def fig7_assemble(
     n_regions: int = 256,
     warmup_seconds: int = 300,
 ) -> ExperimentResult:
-    """Reduce raw watcher stats to the paper's three stacked metrics."""
+    """Figure 7: SmartMemory vs static 300 ms / 9.6 s scanning.
+
+    Reduces raw watcher stats to the paper's three stacked metrics per
+    workload × policy:
+
+    * ``reset_reduction_pct`` — access-bit resets saved vs max-frequency
+      scanning (paper top plot; up to ~48% for SmartMemory);
+    * ``local_reduction_pct`` — first-tier size reduction (middle plot);
+    * ``slo_attainment`` — fraction of 5 s windows with ≥80% local
+      accesses (bottom plot; min-frequency collapses).
+    """
     result = ExperimentResult(
         name="fig7",
         title="SmartMemory vs static access-bit scanning",
@@ -128,35 +137,6 @@ def fig7_assemble(
                 slo_attainment=cell["slo_attainment"],
             )
     return result
-
-
-def fig7_smartmemory_vs_static(
-    seconds: int = 1800,
-    seed: int = 0,
-    n_regions: int = 256,
-    warmup_seconds: int = 300,
-) -> ExperimentResult:
-    """Figure 7: SmartMemory vs static 300 ms / 9.6 s scanning.
-
-    Three stacked metrics per workload × policy:
-
-    * ``reset_reduction_pct`` — access-bit resets saved vs max-frequency
-      scanning (paper top plot; up to ~48% for SmartMemory);
-    * ``local_reduction_pct`` — first-tier size reduction (middle plot);
-    * ``slo_attainment`` — fraction of 5 s windows with ≥80% local
-      accesses (bottom plot; min-frequency collapses).
-    """
-    units = {
-        key: fig7_unit(
-            key, seconds=seconds, seed=seed, n_regions=n_regions,
-            warmup_seconds=warmup_seconds,
-        )
-        for key in fig7_series()
-    }
-    return fig7_assemble(
-        units, seconds=seconds, seed=seed, n_regions=n_regions,
-        warmup_seconds=warmup_seconds,
-    )
 
 
 # -- Figure 8 ----------------------------------------------------------------
@@ -205,6 +185,12 @@ def fig8_assemble(
     seed: int = 0,
     n_regions: int = 256,
 ) -> ExperimentResult:
+    """Figure 8: Model and Actuator safeguards on the oscillating workload.
+
+    SpecJBB runs 150 s / sleeps 80 s with a popularity reshuffle at each
+    wake.  SLO attainment across the safeguard ablation lattice — the
+    paper reports 66% with no safeguards and 90% with all.
+    """
     result = ExperimentResult(
         name="fig8",
         title="Safeguard ablation on the oscillating SpecJBB workload",
@@ -220,23 +206,3 @@ def fig8_assemble(
             interceptions=cell["interceptions"],
         )
     return result
-
-
-def fig8_memory_safeguards(
-    seconds: int = 920,
-    seed: int = 0,
-    n_regions: int = 256,
-) -> ExperimentResult:
-    """Figure 8: Model and Actuator safeguards on the oscillating workload.
-
-    SpecJBB runs 150 s / sleeps 80 s with a popularity reshuffle at each
-    wake.  SLO attainment across the safeguard ablation lattice — the
-    paper reports 66% with no safeguards and 90% with all.
-    """
-    units = {
-        key: fig8_unit(key, seconds=seconds, seed=seed, n_regions=n_regions)
-        for key in fig8_series()
-    }
-    return fig8_assemble(
-        units, seconds=seconds, seed=seed, n_regions=n_regions
-    )

@@ -1,19 +1,16 @@
 """SmartOverclock experiments: Figures 1-5 of the paper.
 
-Each function regenerates one figure's data as an
-:class:`~repro.experiments.common.ExperimentResult`.  Durations default
-to values that reach learned steady state; benchmarks may scale them.
-
 Figures 1-4 are decomposed into independent *series units* — one
 scenario (or tightly-coupled scenario pair) per ``workload × policy``
 cell — following the sub-artifact sharding contract in DESIGN.md §7:
 ``<fig>_series`` lists the canonical unit keys, ``<fig>_unit`` runs one
 key to a picklable payload of raw measurements, and ``<fig>_assemble``
-derives the figure's rows from the payload map.  The serial entry
-points run exactly those units in order, so the parallel driver's
-sharded pass is row-identical to a serial pass by construction (each
-scenario seeds its own kernel and RNG streams from the unit arguments
-alone).  Figure 5 is a single time-series kernel and stays whole.
+derives the figure's rows from the payload map.  Each scenario seeds its
+own kernel and RNG streams from the unit arguments alone, so any shard
+shape reproduces the same rows.  Figure 5 is a single time-series kernel
+and stays whole.  :func:`repro.experiments.driver.run_artifact` runs
+one figure in-process; ``reproduce_all`` runs them as work units.
+Durations default to values that reach learned steady state.
 """
 
 from __future__ import annotations
@@ -23,20 +20,12 @@ from typing import Any, Callable, Dict, List, Mapping
 from repro.core.safeguards import SafeguardPolicy
 from repro.experiments.common import ExperimentResult, OverclockScenario
 from repro.node.faults import DelayInjector, ModelBreaker, bad_ips_injector
-from repro.sim import Kernel, RngStreams
 from repro.sim.units import SEC
 from repro.workloads.diskspeed import DiskSpeedWorkload
 from repro.workloads.objectstore import ObjectStoreWorkload
 from repro.workloads.synthetic import SyntheticBatchWorkload
 
-__all__ = [
-    "CPU_WORKLOADS",
-    "fig1_overclock_vs_static",
-    "fig2_invalid_data",
-    "fig3_broken_model",
-    "fig4_delayed_predictions",
-    "fig5_actuator_safeguard",
-]
+__all__ = ["CPU_WORKLOADS", "fig5_actuator_safeguard"]
 
 
 def _synthetic(kernel, cpu, streams):
@@ -95,7 +84,12 @@ def fig1_unit(series: str, seconds: int = 900, seed: int = 0) -> Dict[str, Any]:
 def fig1_assemble(
     units: Mapping[str, Dict[str, Any]], seconds: int = 900, seed: int = 0
 ) -> ExperimentResult:
-    """Normalize every cell against its workload's static-1.5 GHz run."""
+    """Figure 1: SmartOverclock vs static frequencies, perf and power.
+
+    Normalized performance and power relative to static 1.5 GHz, for
+    each workload × {1.5, 1.9, 2.3 GHz, SmartOverclock}: every cell is
+    normalized against its workload's static-1.5 GHz run.
+    """
     result = ExperimentResult(
         name="fig1",
         title="SmartOverclock vs static frequency (normalized to 1.5GHz)",
@@ -112,21 +106,6 @@ def fig1_assemble(
                 norm_power=cell["watts"] / base["watts"],
             )
     return result
-
-
-def fig1_overclock_vs_static(
-    seconds: int = 900, seed: int = 0
-) -> ExperimentResult:
-    """Figure 1: SmartOverclock vs static frequencies, perf and power.
-
-    Normalized performance and power relative to static 1.5 GHz, for
-    each workload × {1.5, 1.9, 2.3 GHz, SmartOverclock}.
-    """
-    units = {
-        key: fig1_unit(key, seconds=seconds, seed=seed)
-        for key in fig1_series()
-    }
-    return fig1_assemble(units, seconds=seconds, seed=seed)
 
 
 # -- Figure 2 ----------------------------------------------------------------
@@ -171,7 +150,12 @@ def fig2_assemble(
     seed: int = 0,
     bad_fractions=(0.0, 0.05, 0.10, 0.20),
 ) -> ExperimentResult:
-    """Normalize every cell against the first (clean, guarded) run."""
+    """Figure 2: the data-validation safeguard under invalid IPS readings.
+
+    Synthetic workload; a fraction of IPS counter readings is replaced
+    with out-of-range values.  Performance/power normalized to the
+    clean (0% bad data) guarded agent — the first run.
+    """
     result = ExperimentResult(
         name="fig2",
         title="Invalid IPS readings vs data-validation safeguard"
@@ -189,28 +173,6 @@ def fig2_assemble(
                 norm_power=cell["watts"] / reference["watts"],
             )
     return result
-
-
-def fig2_invalid_data(
-    seconds: int = 600,
-    seed: int = 0,
-    bad_fractions=(0.0, 0.05, 0.10, 0.20),
-) -> ExperimentResult:
-    """Figure 2: the data-validation safeguard under invalid IPS readings.
-
-    Synthetic workload; a fraction of IPS counter readings is replaced
-    with out-of-range values.  Performance/power normalized to the
-    clean (0% bad data) guarded agent.
-    """
-    units = {
-        key: fig2_unit(
-            key, seconds=seconds, seed=seed, bad_fractions=bad_fractions
-        )
-        for key in fig2_series(bad_fractions=bad_fractions)
-    }
-    return fig2_assemble(
-        units, seconds=seconds, seed=seed, bad_fractions=bad_fractions
-    )
 
 
 # -- Figure 3 ----------------------------------------------------------------
@@ -252,6 +214,12 @@ def fig3_assemble(
     seed: int = 0,
     break_at: int = 120,
 ) -> ExperimentResult:
+    """Figure 3: model safeguard vs a broken always-overclock model.
+
+    The model is broken at ``break_at`` seconds to always select the
+    highest frequency; power is reported as the increase over each
+    workload's healthy-agent run.
+    """
     result = ExperimentResult(
         name="fig3",
         title="Broken (always-overclock) model: power increase vs healthy",
@@ -267,24 +235,6 @@ def fig3_assemble(
                 power_increase_pct=100.0 * (watts / healthy_watts - 1.0),
             )
     return result
-
-
-def fig3_broken_model(
-    seconds: int = 600, seed: int = 0, break_at: int = 120
-) -> ExperimentResult:
-    """Figure 3: model safeguard vs a broken always-overclock model.
-
-    The model is broken at ``break_at`` seconds to always select the
-    highest frequency; power is reported as the increase over each
-    workload's healthy-agent run.
-    """
-    units = {
-        key: fig3_unit(key, seconds=seconds, seed=seed, break_at=break_at)
-        for key in fig3_series()
-    }
-    return fig3_assemble(
-        units, seconds=seconds, seed=seed, break_at=break_at
-    )
 
 
 # -- Figure 4 ----------------------------------------------------------------
@@ -345,6 +295,16 @@ def fig4_assemble(
     seed: int = 0,
     delay_seconds: int = 30,
 ) -> ExperimentResult:
+    """Figure 4: non-blocking vs blocking Actuator under a model stall.
+
+    A ``delay_seconds`` stall is injected into the Model loop exactly
+    when the Synthetic workload finishes a batch — the worst case: the
+    last prediction said "overclock" and the workload just went idle.
+    Power is measured over the stall window and compared to an idle
+    node at the nominal frequency, matching the paper's framing ("the
+    blocking agent overclocks the workload for 30 seconds into its idle
+    phase, increasing power consumption by 36%").
+    """
     result = ExperimentResult(
         name="fig4",
         title=f"{delay_seconds}s model stall at batch end: "
@@ -359,30 +319,6 @@ def fig4_assemble(
             timeout_actions=cell["timeout_actions"],
         )
     return result
-
-
-def fig4_delayed_predictions(
-    seconds: int = 400, seed: int = 0, delay_seconds: int = 30
-) -> ExperimentResult:
-    """Figure 4: non-blocking vs blocking Actuator under a model stall.
-
-    A ``delay_seconds`` stall is injected into the Model loop exactly
-    when the Synthetic workload finishes a batch — the worst case: the
-    last prediction said "overclock" and the workload just went idle.
-    Power is measured over the stall window and compared to an idle
-    node at the nominal frequency, matching the paper's framing ("the
-    blocking agent overclocks the workload for 30 seconds into its idle
-    phase, increasing power consumption by 36%").
-    """
-    units = {
-        key: fig4_unit(
-            key, seconds=seconds, seed=seed, delay_seconds=delay_seconds
-        )
-        for key in fig4_series()
-    }
-    return fig4_assemble(
-        units, seconds=seconds, seed=seed, delay_seconds=delay_seconds
-    )
 
 
 # -- Figure 5 ----------------------------------------------------------------
@@ -405,23 +341,19 @@ def fig5_actuator_safeguard(
         columns=["window_start_s", "mean_freq_ghz", "safeguard_active",
                  "mean_watts"],
     )
-    kernel = Kernel()
-    streams = RngStreams(seed)
-    from repro.experiments.common import build_cpu_node
-
-    cpu = build_cpu_node(kernel)
-    workload = SyntheticBatchWorkload(
-        kernel, cpu, period_us=420 * SEC,
-        batch_giga_instructions=48.0 * 120,
-    ).start()
-    from repro.agents.overclock import SmartOverclockAgent
-
-    agent = SmartOverclockAgent(kernel, cpu, streams.get("agent")).start()
+    scenario = OverclockScenario.build(
+        lambda kernel, cpu, streams: SyntheticBatchWorkload(
+            kernel, cpu, period_us=420 * SEC,
+            batch_giga_instructions=48.0 * 120,
+        ),
+        seed=seed,
+    )
+    cpu, agent = scenario.cpu, scenario.agent
     window = 30
     previous = cpu.snapshot()
 
     for start in range(0, seconds, window):
-        kernel.run(until=(start + window) * SEC)
+        scenario.run(start + window)
         snap = cpu.snapshot()
         watts = (snap.energy_joules - previous.energy_joules) / window
         previous = snap

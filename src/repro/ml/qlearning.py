@@ -115,11 +115,6 @@ class QLearner:
 
     # -- introspection -------------------------------------------------------
 
-    @property
-    def n_states(self) -> int:
-        """Number of states touched so far."""
-        return len(self._q)
-
     def greedy_policy(self) -> Dict[Hashable, int]:
         """Snapshot of the current greedy policy (for tests/diagnostics)."""
         return {state: int(np.argmax(row)) for state, row in self._q.items()}

@@ -102,10 +102,6 @@ class SweepUnit:
             self.racks,
         )
 
-    def baseline_key(self) -> Tuple[str, int, int]:
-        """Coordinates of the baseline cell this cell compares against."""
-        return (self.agent, self.n_nodes, self.seed)
-
     def cache_payload(self) -> Dict[str, Any]:
         """Everything the cell's result can depend on.
 

@@ -71,11 +71,6 @@ class SyntheticBatchWorkload(Workload):
         self.on_batch_end: List[Callable[[int], None]] = []
         self.batches_completed = 0
 
-    @property
-    def in_batch(self) -> bool:
-        """Whether a batch is currently being processed."""
-        return self.cpu.utilization > 0.0
-
     def _run(self):
         batch_index = 0
         while self.n_batches is None or batch_index < self.n_batches:

@@ -7,10 +7,7 @@ coarse paper-shape relations that hold even at small scale.
 
 from repro.experiments import (
     ExperimentResult,
-    fig2_invalid_data,
-    fig4_delayed_predictions,
-    fig6_broken_model,
-    fig8_memory_safeguards,
+    run_artifact,
     table1_taxonomy,
     table2_learning_agents,
 )
@@ -38,7 +35,7 @@ def test_tables_have_expected_shapes():
 def test_fig2_small_scale_validation_beats_no_validation():
     # Short runs are noisy (one batch of learning); allow slack and pin
     # the full-strength relation in the fig2 benchmark instead.
-    result = fig2_invalid_data(seconds=300, bad_fractions=(0.0, 0.2))
+    result = run_artifact("fig2", seconds=300, bad_fractions=(0.0, 0.2))
     cells = {
         (row["bad_fraction"], row["validation"]): row for row in result.rows
     }
@@ -49,7 +46,7 @@ def test_fig2_small_scale_validation_beats_no_validation():
 
 
 def test_fig4_small_scale_blocking_wastes_power():
-    result = fig4_delayed_predictions(seconds=250)
+    result = run_artifact("fig4", seconds=250)
     cells = {row["actuator"]: row for row in result.rows}
     assert (
         cells["blocking"]["power_increase_pct"]
@@ -58,7 +55,7 @@ def test_fig4_small_scale_blocking_wastes_power():
 
 
 def test_fig6_middle_small_scale_safeguards_help():
-    result = fig6_broken_model(seconds=120)
+    result = run_artifact("fig6-middle", seconds=120)
     cells = {
         (row["workload"], row["safeguards"]): row for row in result.rows
     }
@@ -70,7 +67,7 @@ def test_fig6_middle_small_scale_safeguards_help():
 
 
 def test_fig8_small_scale_all_safeguards_best():
-    result = fig8_memory_safeguards(seconds=470, n_regions=128)
+    result = run_artifact("fig8", seconds=470, n_regions=128)
     cells = {row["safeguards"]: row for row in result.rows}
     assert (
         cells["all"]["slo_attainment"] >= cells["none"]["slo_attainment"]

@@ -18,10 +18,9 @@ from repro.experiments.common import experiment_digest
 from repro.experiments.driver import (
     ARTIFACT_SPECS,
     ARTIFACTS,
-    SERIES_SPECS,
-    _resolve,
     artifact_units,
     reproduce_all,
+    run_artifact,
 )
 
 _GOLDEN = load_golden_digests(
@@ -31,6 +30,10 @@ GOLDEN_EXPERIMENT_DIGESTS = _GOLDEN["experiments"]
 GOLDEN_EXPERIMENT_SCALE = _GOLDEN["experiment_scale"]
 
 
+#: The single-kernel artifacts: one ``None`` unit each.
+WHOLE_ARTIFACTS = {"table1", "table2", "fig5"}
+
+
 def test_every_artifact_yields_work_units():
     """Series keys resolve without simulating, and are unique."""
     for name in ARTIFACTS:
@@ -38,16 +41,44 @@ def test_every_artifact_yields_work_units():
         assert len(units) >= 1
         keys = [series for _name, series in units]
         assert len(set(keys)) == len(keys)
-        if name in SERIES_SPECS:
+        if name in WHOLE_ARTIFACTS:
+            assert keys == [None]
+        else:
             assert len(units) > 1, f"{name} decomposed to a single unit"
             assert None not in keys
 
 
 def test_series_spec_paths_resolve():
-    for name, stem in SERIES_SPECS.items():
-        assert name in ARTIFACT_SPECS
-        for part in ("series", "unit", "assemble"):
-            assert callable(_resolve(f"{stem}_{part}"))
+    """Every registry entry is an artifact triple plus a kwargs builder."""
+    assert tuple(ARTIFACT_SPECS) == ARTIFACTS
+    for name, (artifact, kwargs_builder) in ARTIFACT_SPECS.items():
+        for part in (artifact.series, artifact.unit, artifact.assemble):
+            assert callable(part), name
+        assert isinstance(kwargs_builder(0.1), dict)
+
+
+@pytest.mark.parametrize(
+    "name, scale", [("table1", 0.1), ("fig4", 0.1), ("fig6-middle", 0.05)]
+)
+def test_run_artifact_equals_reproduce_all(name, scale):
+    """The in-process composer and the work-unit pass agree bit for bit,
+    for whole and decomposed artifacts alike."""
+    direct = run_artifact(name, **ARTIFACT_SPECS[name][1](scale))
+    (run,) = reproduce_all(only=[name], scale=scale)
+    assert experiment_digest(direct) == experiment_digest(run.result)
+
+
+def test_run_artifact_defaults_apply_to_omitted_kwargs():
+    assert experiment_digest(
+        run_artifact("fig4", seconds=250)
+    ) == experiment_digest(
+        run_artifact("fig4", seconds=250, seed=0, delay_seconds=30)
+    )
+
+
+def test_run_artifact_rejects_unknown_names():
+    with pytest.raises(ValueError, match="'nope'"):
+        run_artifact("nope")
 
 
 def test_decomposition_shrinks_the_straggler():
