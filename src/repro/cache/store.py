@@ -1,12 +1,16 @@
 """On-disk content-addressed payload store.
 
 Payloads are whatever a work unit returns — already required to be
-picklable for the multiprocessing driver, and pickle round-trips floats
-and nested containers bit-exactly, which the warm-run digest guarantee
-depends on.  Writes are atomic (temp file + ``os.replace``), so a
-killed run never leaves a truncated object where a key should be.
+picklable for the multiprocessing driver.  Each is stored as one
+object ``objects/<key[:2]>/<key>.pkz`` in the durable-payload encoding
+of :mod:`repro.cache.codec` (a deflated pickle; pickle round-trips
+floats and nested containers bit-exactly, which the warm-run digest
+guarantee depends on).  Writes are atomic (temp file + ``os.replace``),
+so a killed run never leaves a truncated object where a key should be.
+An object of another encoding has another suffix and is never looked
+at: it reads as a plain miss.
 
-A present-but-unreadable object is *quarantined*, not silently
+A present-but-undecodable object is *quarantined*, not silently
 re-treated as a miss: the bad file is moved aside to
 ``<cache>/quarantine/`` (evidence for the operator — something wrote
 garbage where a content-addressed object should be), counted in
@@ -23,11 +27,11 @@ from __future__ import annotations
 
 import json
 import os
-import pickle
 import tempfile
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict
 
+from repro.cache import codec
 from repro.obs import spans as obs
 
 __all__ = ["CacheStats", "ResultCache", "default_cache_dir"]
@@ -81,11 +85,11 @@ class CacheStats:
 
 @dataclass
 class ResultCache:
-    """Content-addressed pickle store rooted at ``directory``.
+    """Content-addressed payload store rooted at ``directory``.
 
     ``quarantine_keep`` bounds the quarantine directory: each
     quarantining keeps only the newest ``quarantine_keep`` evidence
-    pickles and deletes older ones (counted in
+    objects and deletes older ones (counted in
     :attr:`CacheStats.pruned`), so a long-lived cache under recurring
     corruption cannot grow ``<cache>/quarantine/`` forever.
     """
@@ -95,7 +99,9 @@ class ResultCache:
     quarantine_keep: int = 64
 
     def _object_path(self, key: str) -> str:
-        return os.path.join(self.directory, "objects", key[:2], f"{key}.pkl")
+        return os.path.join(
+            self.directory, "objects", key[:2], key + codec.SUFFIX
+        )
 
     @property
     def quarantine_dir(self) -> str:
@@ -106,25 +112,25 @@ class ResultCache:
         """The payload stored under ``key``, or ``default`` (a miss).
 
         A key with no object is a plain miss.  A key whose object
-        exists but cannot be read or unpickled — whatever exception the
-        unpickle raises — is *corrupt*: the file is moved
-        to ``<cache>/quarantine/`` as evidence, the corruption is
-        counted, and the get degrades to a miss — the unit reruns and
-        stores a fresh object.  Garbage is never returned.
+        exists but cannot be read or decoded (any
+        :class:`~repro.cache.codec.CodecError`) is *corrupt*: the file
+        is moved to ``<cache>/quarantine/`` as evidence, the corruption
+        is counted, and the get degrades to a miss — the unit reruns
+        and stores a fresh object.  Garbage is never returned.
         """
         path = self._object_path(key)
         with obs.span("cache.get", cat="cache", key=key[:16]) as sp:
             try:
                 with open(path, "rb") as handle:
-                    payload = pickle.load(handle)
+                    payload = codec.decode(handle.read())
             except FileNotFoundError:
                 self.stats.misses += 1
                 if sp is not None:
                     sp.args["outcome"] = "miss"
                 return default
-            except Exception:  # noqa: BLE001 — any unpickle error
+            except (OSError, codec.CodecError):
                 # Truncated, garbled, crafted, or stale-beyond-
-                # unpickling: quarantine the evidence, then degrade to a
+                # decoding: quarantine the evidence, then degrade to a
                 # miss, as journal replay does.
                 self._quarantine_object(key, path)
                 self.stats.misses += 1
@@ -142,16 +148,17 @@ class ResultCache:
         try:
             os.makedirs(self.quarantine_dir, exist_ok=True)
             os.replace(
-                path, os.path.join(self.quarantine_dir, f"{key}.pkl")
+                path,
+                os.path.join(self.quarantine_dir, key + codec.SUFFIX),
             )
         except OSError:  # pragma: no cover — unreadable *and* unmovable
             return
         self._prune_quarantine()
 
     def _prune_quarantine(self) -> None:
-        """Keep only the newest ``quarantine_keep`` evidence pickles.
+        """Keep only the newest ``quarantine_keep`` evidence objects.
 
-        Only ``*.pkl`` evidence files are eligible; any other file an
+        Only ``*.pkz`` evidence files are eligible; any other file an
         operator leaves here is not the cache's to collect.
         Oldest-first by ``(mtime, name)``: deterministic even when a
         burst of corruption lands within one timestamp granule.
@@ -164,7 +171,7 @@ class ResultCache:
             return
         entries = []
         for name in names:
-            if not name.endswith(".pkl"):
+            if not name.endswith(codec.SUFFIX):
                 continue
             path = os.path.join(self.quarantine_dir, name)
             try:
@@ -187,10 +194,7 @@ class ResultCache:
         """Atomically store ``payload`` under ``key``."""
         path = self._object_path(key)
         with obs.span("cache.put", cat="cache", key=key[:16]):
-            self._atomic_write(
-                path,
-                pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL),
-            )
+            self._atomic_write(path, codec.encode(payload)[0])
             self.stats.stores += 1
 
     # -- recorded unit timings ----------------------------------------------

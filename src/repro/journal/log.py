@@ -1,13 +1,14 @@
 """The append-only record log: crc-framed records, commits, torn-tail replay.
 
-Every record is one frame (format 2, :data:`LOG_FORMAT`)::
+Every record is one frame (format 3, :data:`LOG_FORMAT`)::
 
     >I JSON length | >I blob length | >I crc32(JSON + blob) | JSON | blob
 
 The JSON object is the record; the blob is an opaque byte string that
-rides in the same frame (a ``UNIT_DONE`` record's raw result pickle —
-a valid frame *is* its payload, so "record without payload" and
-"payload without record" are not states the log can be in).
+rides in the same frame (a ``UNIT_DONE`` record's encoded result, a
+deflated pickle from :mod:`repro.cache.codec` — a valid frame *is* its
+payload, so "record without payload" and "payload without record" are
+not states the log can be in).
 
 Durability is two calls.  :meth:`RecordLog.append` hands the frame to
 the OS with one ``write`` — it survives a SIGKILL of this process, not
@@ -62,7 +63,9 @@ __all__ = [
 
 #: The frame layout's version, written into every run manifest; a
 #: journal of any other format is refused on resume, never parsed.
-LOG_FORMAT = 2
+#: Format 3 is format 2's frame with a deflated blob (format 2 stored
+#: the raw pickle).
+LOG_FORMAT = 3
 
 _HEADER = struct.Struct(">III")  # JSON length, blob length, crc32(JSON+blob)
 

@@ -5,7 +5,8 @@ One run = one directory under ``<cache>/runs/<run_id>/``::
     manifest.json   atomic at start: kind, config, plan, full unit list,
                     log_format, code_salt
     log.bin         append-only record stream (:mod:`repro.journal.log`);
-                    a UNIT_DONE frame carries its result pickle
+                    a UNIT_DONE frame carries its encoded result
+                    (:mod:`repro.cache.codec`: a deflated pickle)
 
 plus a sibling ``<cache>/runs/<run_id>.lease`` file whose kernel lock
 is the claim (:mod:`repro.journal.lease`; outside the directory, so
@@ -18,12 +19,12 @@ the record kinds into three durability classes (DESIGN.md §12):
   and never trusted on replay — it rides whichever commit comes next;
 * **completion** (``UNIT_DONE``, ``UNIT_QUARANTINED``, ``RUN_SEALED``):
   the recording call does not return before its fsync.  A completed
-  unit is one frame — record + raw result pickle under one crc — and
+  unit is one frame — record + encoded result under one crc — and
   one fsync, so a kill mid-write leaves a torn tail the log replay
   drops and the unit re-executes (idempotent: units are pure,
-  DESIGN.md §11).  Replay still checks every ``UNIT_DONE``'s sha256
-  ``digest`` against its blob before unpickling and demotes any
-  mismatch or unpickle error to *not done*;
+  DESIGN.md §11).  Replay still decodes every ``UNIT_DONE`` blob
+  against its ``digest`` (the sha256 of the pickle) and demotes any
+  :class:`~repro.cache.codec.CodecError` to *not done*;
 * **batch** (:meth:`RunJournal.record_done_many`): every frame
   appended, one fsync, stats after — the same guarantee per record.
 
@@ -40,13 +41,13 @@ import hashlib
 import json
 import math
 import os
-import pickle
 import shutil
 import tempfile
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
+from repro.cache import codec
 from repro.cache.keys import code_salt, _canonical
 from repro.journal.lease import Lease
 from repro.journal.log import LOG_FORMAT, RecordLog
@@ -55,6 +56,7 @@ __all__ = [
     "DoneItem",
     "RunJournal",
     "RunStats",
+    "SealMismatchError",
     "check_resumable",
     "derive_run_id",
     "open_run",
@@ -65,6 +67,10 @@ __all__ = [
 #: One completed unit as :meth:`RunJournal.record_done_many` takes it:
 #: ``(unit_id, payload, wall_s, executed)``.
 DoneItem = Tuple[str, Any, float, bool]
+
+
+class SealMismatchError(ValueError):
+    """A sealed run re-derived a digest other than the one it sealed."""
 
 
 def runs_root(cache_root: str) -> str:
@@ -158,16 +164,16 @@ class RunJournal:
 
     def record_done_many(self, items: Iterable[DoneItem]) -> None:
         """Durable completion of a batch: one frame per unit (record +
-        result pickle), one fsync for all of them, stats after it."""
+        encoded result), one fsync for all of them, stats after it."""
         items = list(items)
         for unit_id, payload, wall_s, executed in items:
-            blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+            blob, digest = codec.encode(payload)
             self._log.append(
                 "UNIT_DONE",
                 blob,
                 unit=unit_id,
                 wall=float(wall_s),
-                digest=hashlib.sha256(blob).hexdigest(),
+                digest=digest,
                 executed=bool(executed),
             )
         self._log.commit()
@@ -196,8 +202,21 @@ class RunJournal:
         One frame, one fsync.  The run's counts are not copied into it:
         the registry derives them by replaying the log
         (:func:`~repro.journal.registry.inspect_run`), sealed or not.
+
+        Sealing a sealed run (a resume or resubmit of a finished run
+        re-derives its digest from the replayed payloads) writes
+        nothing, but the re-derived digest must be the sealed one.
+
+        Raises:
+            SealMismatchError: the run is sealed with another digest.
         """
         if self.sealed:
+            if digest != self.sealed_digest:
+                raise SealMismatchError(
+                    f"run {self.run_id} is sealed with digest "
+                    f"{self.sealed_digest} but its replayed payloads "
+                    f"reduce to {digest}"
+                )
             return
         self._log.append("RUN_SEALED", digest=digest)
         self._log.commit()
@@ -232,19 +251,20 @@ def _replay_into(journal: RunJournal) -> None:
         elif kind == "RUN_SEALED":
             journal.sealed_digest = record.get("digest")
     # The log hands each replayed blob over once; the last UNIT_DONE of
-    # a unit wins and only that one is hashed and unpickled.
+    # a unit wins and only that one is decoded.
     done = {
         record["unit"]: (record, blob)
         for record, blob in journal._log.take_blobs()
         if record.get("kind") == "UNIT_DONE" and record.get("unit") in known
     }
     for unit_id, (record, blob) in done.items():
-        if hashlib.sha256(blob).hexdigest() != record.get("digest"):
-            continue  # rotted payload: demote to not-done, re-execute
+        digest = record.get("digest")
+        if not isinstance(digest, str):
+            continue  # a UNIT_DONE without its digest is not trusted
         try:
-            journal.replayed[unit_id] = pickle.loads(blob)
-        except Exception:  # noqa: BLE001 — unpicklable ⇒ re-execute
-            continue
+            journal.replayed[unit_id] = codec.decode(blob, digest)
+        except codec.CodecError:
+            continue  # rotted payload: demote to not-done, re-execute
         journal.replayed_walls[unit_id] = float(record.get("wall", 0.0))
     journal.stats.replayed = len(journal.replayed)
     journal.replayed_quarantined = [

@@ -6,6 +6,10 @@ shared worker pool, journal-backed execution (every job is a PR 8 run,
 so ``kill -9`` + restart adopts interrupted work with zero re-executed
 units), cooperative cancellation and deadlines, live drain on
 SIGTERM/SIGINT, and streamed per-job progress events.
+
+The server itself (:mod:`repro.serve.server`, and with it ``asyncio``)
+is imported only by ``serve start`` and by whoever imports it by name:
+clients, the CLI and the launch ladder never load it.
 """
 
 from repro.serve.client import ServeClient, ServeUnavailable, wait_for_server
@@ -17,7 +21,6 @@ from repro.serve.jobs import (
     execute_job,
 )
 from repro.serve.protocol import MAX_LINE, PROTOCOL_VERSION, ProtocolError
-from repro.serve.server import ServeServer, default_socket_path
 
 __all__ = [
     "JOB_KINDS",
@@ -28,9 +31,7 @@ __all__ = [
     "PROTOCOL_VERSION",
     "ProtocolError",
     "ServeClient",
-    "ServeServer",
     "ServeUnavailable",
-    "default_socket_path",
     "execute_job",
     "wait_for_server",
 ]

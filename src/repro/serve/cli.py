@@ -22,7 +22,6 @@ events until it ends.
 from __future__ import annotations
 
 import argparse
-import asyncio
 import json
 from typing import Any, Dict, Optional
 
@@ -132,7 +131,7 @@ def add_serve_parser(sub: argparse._SubParsersAction) -> None:
 
 
 def _socket_path(args: argparse.Namespace) -> str:
-    from repro.serve.server import default_socket_path
+    from repro.serve.protocol import default_socket_path
 
     if args.socket:
         return args.socket
@@ -165,6 +164,8 @@ def _render_event(message: Dict[str, Any]) -> str:
 
 
 def _cmd_start(args: argparse.Namespace) -> int:
+    import asyncio
+
     from repro.serve.server import ServeServer
 
     server = ServeServer(

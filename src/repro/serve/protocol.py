@@ -40,6 +40,7 @@ A field of the wrong JSON type (a non-string ``job_id``, a non-integer
 from __future__ import annotations
 
 import json
+import os
 import sys
 from typing import Any, Dict, Optional
 
@@ -50,6 +51,7 @@ __all__ = [
     "ProtocolError",
     "backpressure",
     "decode",
+    "default_socket_path",
     "encode",
     "error",
     "event",
@@ -63,6 +65,12 @@ __all__ = [
 MAX_LINE = 1 << 20
 
 PROTOCOL_VERSION = 1
+
+
+def default_socket_path(cache_root: str) -> str:
+    """Where a server for this cache root listens by default."""
+    return os.path.join(os.path.abspath(cache_root), "serve.sock")
+
 
 VERBS = (
     "ping",

@@ -54,7 +54,7 @@ from repro.serve.jobs import (
 )
 from repro.serve.metrics import ServeMetrics
 
-__all__ = ["ServeServer", "default_socket_path"]
+__all__ = ["ServeServer"]
 
 #: Events retained per job for late ``watch`` subscribers.
 EVENT_BACKLOG = 512
@@ -70,11 +70,6 @@ RETAINED_JOBS = 256
 #: job's event stream starts losing the oldest events (counted in
 #: ``metrics.events.dropped``) rather than growing server memory.
 SUBSCRIBER_QUEUE = 1024
-
-
-def default_socket_path(cache_root: str) -> str:
-    """Where a server for this cache root listens by default."""
-    return os.path.join(os.path.abspath(cache_root), "serve.sock")
 
 
 class _Subscriber:
@@ -130,7 +125,7 @@ class ServeServer:
             raise ValueError("queue_limit must be >= 1")
         self.cache_root = os.path.abspath(self.cache_root)
         if self.socket_path is None:
-            self.socket_path = default_socket_path(self.cache_root)
+            self.socket_path = protocol.default_socket_path(self.cache_root)
         self._accepting = True
         self._draining = False
         self._job_seq = 0

@@ -13,7 +13,7 @@ import pickle
 
 import pytest
 
-from repro.cache import ResultCache, code_salt, unit_key
+from repro.cache import ResultCache, code_salt, codec, unit_key
 from repro.cache.store import CACHE_DIR_ENV, default_cache_dir
 from repro.experiments import driver
 from repro.experiments.common import experiment_digest
@@ -113,7 +113,7 @@ def test_corrupt_object_is_moved_to_quarantine(tmp_path):
     assert fresh.stats.corrupt == 1
     # The evidence moved aside; the slot is free for a fresh store.
     assert not os.path.exists(path)
-    quarantined = os.path.join(fresh.quarantine_dir, f"{key}.pkl")
+    quarantined = os.path.join(fresh.quarantine_dir, key + codec.SUFFIX)
     with open(quarantined, "rb") as handle:
         assert handle.read() == b"not a pickle"
 
@@ -141,6 +141,22 @@ def test_truncated_object_is_quarantined_too(tmp_path):
     fresh = ResultCache(str(tmp_path))
     assert fresh.get(key, None) is None
     assert fresh.stats.corrupt == 1
+
+
+def test_a_pre_codec_pickle_object_is_a_plain_miss(tmp_path):
+    """An object the raw-pickle store wrote (``<key>.pkl``) is another
+    encoding under another name: never read, never quarantined."""
+    cache = ResultCache(str(tmp_path))
+    key = "7e" * 32
+    legacy = os.path.join(str(tmp_path), "objects", key[:2], f"{key}.pkl")
+    os.makedirs(os.path.dirname(legacy))
+    with open(legacy, "wb") as handle:
+        pickle.dump([1, 2, 3], handle)
+    assert cache.get(key, "miss") == "miss"
+    assert (cache.stats.misses, cache.stats.corrupt) == (1, 0)
+    assert key not in cache
+    assert not os.path.exists(cache.quarantine_dir)
+    assert os.path.exists(legacy)
 
 
 def test_store_leaves_no_temp_debris(tmp_path):
@@ -177,7 +193,9 @@ def test_any_unpickle_error_is_quarantined_as_a_miss(tmp_path, crafted):
     assert cache.get(key, "default") == "default"
     assert (cache.stats.misses, cache.stats.corrupt) == (1, 1)
     assert key not in cache
-    assert os.path.exists(os.path.join(cache.quarantine_dir, f"{key}.pkl"))
+    assert os.path.exists(
+        os.path.join(cache.quarantine_dir, key + codec.SUFFIX)
+    )
 
 
 def test_unit_timings_persist_and_merge(tmp_path):
@@ -321,12 +339,13 @@ def test_pickled_objects_live_under_fanout_dirs(tmp_path):
     cache = ResultCache(str(tmp_path))
     reproduce_all(only=["table1"], scale=SCALE, cache=cache)
     objects_root = tmp_path / "objects"
-    stored = list(objects_root.rglob("*.pkl"))
+    stored = [path for path in objects_root.rglob("*") if path.is_file()]
     assert stored
     for path in stored:
+        assert path.suffix == codec.SUFFIX
         assert len(path.parent.name) == 2  # two-hex fan-out
         with open(path, "rb") as handle:
-            pickle.load(handle)  # every object is readable
+            codec.decode(handle.read())  # every object is readable
 
 
 def test_atomic_writes_under_multi_process_contention(tmp_path):
@@ -383,17 +402,17 @@ def test_quarantine_dir_is_bounded_to_keep_newest(tmp_path):
     for key in keys:
         assert fresh.get(key) is None  # every object corrupt → miss
     assert fresh.stats.corrupt == 5
-    pkls = [
+    evidence = [
         name for name in os.listdir(fresh.quarantine_dir)
-        if name.endswith(".pkl")
+        if name.endswith(codec.SUFFIX)
     ]
-    assert len(pkls) == 3  # oldest two evicted
+    assert len(evidence) == 3  # oldest two evicted
     assert fresh.stats.pruned == 2
     assert "pruned=2" in fresh.stats.render()
 
 
 def test_quarantine_prune_spares_the_units_log(tmp_path):
-    """Only ``*.pkl`` evidence counts against the object bound: any
+    """Only ``*.pkz`` evidence counts against the object bound: any
     other file in the quarantine directory is never collected."""
     cache = ResultCache(str(tmp_path), quarantine_keep=1)
     os.makedirs(cache.quarantine_dir, exist_ok=True)
@@ -409,11 +428,11 @@ def test_quarantine_prune_spares_the_units_log(tmp_path):
     for key in keys:
         fresh.get(key)
     assert os.path.exists(ledger)  # the ledger survived
-    pkls = [
+    evidence = [
         name for name in os.listdir(fresh.quarantine_dir)
-        if name.endswith(".pkl")
+        if name.endswith(codec.SUFFIX)
     ]
-    assert len(pkls) == 1
+    assert len(evidence) == 1
     assert fresh.stats.pruned == 2
 
 
@@ -427,10 +446,10 @@ def test_negative_quarantine_keep_disables_pruning(tmp_path):
     fresh = ResultCache(str(tmp_path), quarantine_keep=-1)
     for key in keys:
         fresh.get(key)
-    pkls = [
+    evidence = [
         name for name in os.listdir(fresh.quarantine_dir)
-        if name.endswith(".pkl")
+        if name.endswith(codec.SUFFIX)
     ]
-    assert len(pkls) == 4
+    assert len(evidence) == 4
     assert fresh.stats.pruned == 0
     assert "pruned" not in fresh.stats.render()

@@ -5,9 +5,12 @@ What a crash at *any* byte of the log does to a resume is enumerated in
 range — resuming a sealed run, and a fresh run over a warm cache.
 """
 
+import pytest
+
 from repro.experiments.driver import FleetDriver
 from repro.fleet.config import FleetConfig
 from repro.journal.pipelines import open_fleet_journal, open_sweep_journal
+from repro.journal.run import SealMismatchError
 from repro.sweep import SweepRunner
 from repro.sweep.spec import CampaignSpec
 
@@ -40,6 +43,20 @@ def test_fleet_resume_of_sealed_run_executes_nothing(tmp_path):
     assert resumed.stats.replayed == len(
         FleetDriver(FLEET, workers=1).chunks()
     )
+
+
+def test_fleet_resume_of_a_run_sealed_under_a_wrong_digest_fails(tmp_path):
+    """Resuming a sealed run re-derives its digest from the replayed
+    payloads; one that differs from the sealed digest is an error
+    naming both, never a silent report of the stored one."""
+    root = str(tmp_path)
+    right = FleetDriver(FLEET, workers=1).run().digest()
+    with open_fleet_journal(root, FLEET, workers=1) as journal:
+        journal.seal("0" * 64)
+    with open_fleet_journal(root, FLEET, workers=1, resume=True) as resumed:
+        with pytest.raises(SealMismatchError, match=f"{'0' * 64} .* {right}"):
+            FleetDriver(FLEET, workers=1, journal=resumed).run()
+        assert resumed.sealed_digest == "0" * 64
 
 
 def test_sweep_cache_hits_are_journaled_durably(tmp_path):

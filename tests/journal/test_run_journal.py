@@ -8,13 +8,17 @@ import zlib
 
 import pytest
 
+from repro.cache import codec
 from repro.journal.lease import LeaseHeldError
 from repro.journal.log import LOG_FORMAT, replay_records, set_kill_action
 from repro.journal.run import (
+    SealMismatchError,
     derive_run_id,
     open_run,
     runs_root,
 )
+
+_HEADER = struct.Struct(">III")  # JSON length, blob length, crc32
 
 CONFIG = {"n": 4, "agent": "overclock"}
 UNITS = ["u0", "u1", "u2"]
@@ -99,6 +103,39 @@ def test_resume_without_verification_adopts_manifest(tmp_path):
         assert resumed.units == UNITS  # the manifest's list wins
 
 
+def _done_frame(data, unit):
+    """``(frame start, blob start, blob end)`` of ``unit``'s UNIT_DONE."""
+    offset = 0
+    while offset < len(data):
+        json_length, blob_length, _crc = _HEADER.unpack_from(data, offset)
+        json_start = offset + _HEADER.size
+        blob_start = json_start + json_length
+        end = blob_start + blob_length
+        record = json.loads(bytes(data[json_start:blob_start]))
+        if record["kind"] == "UNIT_DONE" and record["unit"] == unit:
+            return offset, blob_start, end
+        offset = end
+    raise AssertionError(f"no UNIT_DONE for {unit}")
+
+
+def _flip_blob_byte(log, unit, index, fix_crc):
+    """Flip one bit of byte ``index`` of ``unit``'s blob in place; with
+    ``fix_crc`` the frame's crc is recomputed, so only the codec can
+    notice."""
+    with open(log, "rb") as handle:
+        data = bytearray(handle.read())
+    start, blob_start, end = _done_frame(data, unit)
+    data[blob_start + index] ^= 0x01
+    if fix_crc:
+        json_length, blob_length, _crc = _HEADER.unpack_from(data, start)
+        data[start:start + _HEADER.size] = _HEADER.pack(
+            json_length, blob_length,
+            zlib.crc32(bytes(data[start + _HEADER.size:end])),
+        )
+    with open(log, "wb") as handle:
+        handle.write(bytes(data))
+
+
 def test_corrupt_payload_demotes_unit_to_not_done(tmp_path):
     """A frame is its payload: one flipped blob byte fails the frame's
     crc, so that unit — and, the log being a prefix, every record after
@@ -108,29 +145,92 @@ def test_corrupt_payload_demotes_unit_to_not_done(tmp_path):
         journal.record_done("u1", {"ok": 1, "pad": "x" * 64}, 0.0)
         journal.record_done("u2", {"ok": 2}, 0.0)
         log = os.path.join(journal.directory, "log.bin")
-    with open(log, "rb") as handle:
-        data = bytearray(handle.read())
-    data[data.index(b"x" * 64) + 10] ^= 0x01  # inside u1's pickle
-    with open(log, "wb") as handle:
-        handle.write(bytes(data))
+    _flip_blob_byte(log, "u1", 5, fix_crc=False)
     with _open(tmp_path, resume=True) as resumed:
         assert resumed.is_done("u0")
         assert not resumed.is_done("u1")
         assert not resumed.is_done("u2")
 
 
-def test_blob_that_fails_its_digest_or_unpickle_is_not_done(tmp_path):
-    """Past the crc, replay still checks each UNIT_DONE's sha256 digest
-    and fails closed on any unpickle error."""
-    not_a_pickle = b"\x80\x05 this is not a pickle"
+def test_blobs_are_deflated_and_digest_their_pickle(tmp_path):
+    """A UNIT_DONE blob is the codec's deflated pickle, and its
+    ``digest`` is the sha256 of the pickle, not of the stored bytes."""
+    import pickle
+
+    payload = {"rows": ["x" * 64] * 8}
+    with _open(tmp_path) as journal:
+        journal.record_done("u0", payload, 0.0)
+        log = os.path.join(journal.directory, "log.bin")
+    with open(log, "rb") as handle:
+        data = handle.read()
+    _start, blob_start, end = _done_frame(data, "u0")
+    raw = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+    assert zlib.decompress(data[blob_start:end]) == raw
+    assert end - blob_start < len(raw)
+    (record,) = replay_records(log)[0]
+    assert record["digest"] == hashlib.sha256(raw).hexdigest()
+
+
+def test_a_rotted_blob_under_a_good_crc_demotes_only_its_unit(tmp_path):
+    """Flip a byte inside one deflated blob and recompute the frame's
+    crc: the log keeps every frame, the codec refuses that one blob,
+    and exactly that unit re-executes on resume."""
+    from repro.resilience.executor import Plan, WorkUnit, run_units
+
+    with _open(tmp_path) as journal:
+        for unit_id in UNITS:
+            journal.record_done(unit_id, {"unit": unit_id}, 0.0)
+        log = os.path.join(journal.directory, "log.bin")
+    _flip_blob_byte(log, "u1", 4, fix_crc=True)
+    executed = []
+
+    def unit_fn(unit_id):
+        executed.append(unit_id)
+        return {"unit": unit_id}
+
+    plan = Plan("test", tuple(WorkUnit(unit_id, unit_id) for unit_id in UNITS))
+    with _open(tmp_path, resume=True) as resumed:
+        assert len(replay_records(log)[0]) == len(UNITS)
+        assert sorted(resumed.replayed) == ["u0", "u2"]
+        outcome = run_units(plan, unit_fn, journal=resumed)
+        assert (outcome.replayed, outcome.executed) == (2, 1)
+    assert executed == ["u1"]
+
+
+def test_a_blob_that_inflates_past_the_cap_is_not_done(
+    tmp_path, monkeypatch
+):
+    """A blob whose deflate stream would inflate past the codec's cap
+    (a crafted or rotted "zip bomb") demotes its unit: the inflate
+    stops at the cap instead of allocating the whole output."""
+    monkeypatch.setattr(codec, "MAX_INFLATED", 1 << 16)
+    bomb = zlib.compress(b"\0" * (1 << 20), 9)  # 1 MiB from ~1 KB
     with _open(tmp_path) as journal:
         journal.record_done("u0", "fine", 0.0)
         journal._log.append(
-            "UNIT_DONE", b"some other bytes", unit="u1", wall=0.0,
+            "UNIT_DONE", bomb, unit="u1", wall=0.0,
+            digest=hashlib.sha256(b"\0" * (1 << 20)).hexdigest(),
+            executed=True,
+        )
+    with pytest.raises(codec.CodecError, match="past"):
+        codec.decode(bomb)
+    with _open(tmp_path, resume=True) as resumed:
+        assert sorted(resumed.replayed) == ["u0"]
+
+
+def test_blob_that_fails_its_digest_or_unpickle_is_not_done(tmp_path):
+    """Past the crc, replay still checks each UNIT_DONE's sha256 digest
+    and fails closed on any undecodable blob or unpickle error."""
+    not_a_pickle = b"\x80\x05 this is not a pickle"
+    good, _digest = codec.encode("u1's payload")
+    with _open(tmp_path) as journal:
+        journal.record_done("u0", "fine", 0.0)
+        journal._log.append(
+            "UNIT_DONE", good, unit="u1", wall=0.0,
             digest="0" * 64, executed=True,
         )
         journal._log.append(
-            "UNIT_DONE", not_a_pickle, unit="u2", wall=0.0,
+            "UNIT_DONE", zlib.compress(not_a_pickle), unit="u2", wall=0.0,
             digest=hashlib.sha256(not_a_pickle).hexdigest(), executed=True,
         )
     with _open(tmp_path, resume=True) as resumed:
@@ -183,11 +283,35 @@ def test_quarantined_units_replay_unless_later_done(tmp_path):
 def test_seal_is_idempotent_and_replays(tmp_path):
     with _open(tmp_path) as journal:
         journal.seal("digest-a")
-        journal.seal("ignored")
+        journal.seal("digest-a")  # same digest: no-op, no second frame
         assert journal.sealed_digest == "digest-a"
     with _open(tmp_path, resume=True) as resumed:
         assert resumed.sealed
         assert resumed.sealed_digest == "digest-a"
+        resumed.seal("digest-a")
+    records, _valid = replay_records(
+        os.path.join(resumed.directory, "log.bin")
+    )
+    assert [r["kind"] for r in records] == ["RUN_SEALED"]
+
+
+def test_resealing_with_another_digest_names_both(tmp_path):
+    """A sealed run whose replayed payloads re-derive another digest
+    (here: a journal sealed under a wrong digest) refuses the seal
+    instead of reporting the stored one, and writes nothing."""
+    with _open(tmp_path) as journal:
+        journal.seal("wrong-digest")
+    with _open(tmp_path, resume=True) as resumed:
+        with pytest.raises(
+            SealMismatchError, match="sealed with digest wrong-digest .* "
+            "reduce to right-digest",
+        ):
+            resumed.seal("right-digest")
+        assert resumed.sealed_digest == "wrong-digest"
+    records, _valid = replay_records(
+        os.path.join(resumed.directory, "log.bin")
+    )
+    assert [r["digest"] for r in records] == ["wrong-digest"]
 
 
 def test_cache_hit_completion_counts_cached(tmp_path):
@@ -241,7 +365,7 @@ def _edit_manifest(journal, edit):
 
 def test_manifest_records_the_log_format(tmp_path):
     with _open(tmp_path) as journal:
-        assert journal.manifest["log_format"] == LOG_FORMAT == 2
+        assert journal.manifest["log_format"] == LOG_FORMAT == 3
 
 
 def test_resume_refuses_a_journal_of_another_log_format(tmp_path):
@@ -259,7 +383,7 @@ def test_resume_refuses_a_journal_of_another_log_format(tmp_path):
     old_log = struct.pack(">II", len(body), zlib.crc32(body)) + body
     with open(os.path.join(journal.directory, "log.bin"), "wb") as handle:
         handle.write(old_log)
-    with pytest.raises(ValueError, match=r"log_format is None .* is 2"):
+    with pytest.raises(ValueError, match=r"log_format is None .* is 3"):
         _open(tmp_path, resume=True)
     assert _log_bytes(journal) == old_log
     with pytest.raises(ValueError, match="log_format"):  # explicit id too
@@ -268,6 +392,30 @@ def test_resume_refuses_a_journal_of_another_log_format(tmp_path):
     with _open(tmp_path) as fresh:  # no --resume: start over, as ever
         assert fresh.manifest["log_format"] == LOG_FORMAT
         assert fresh.stats.replayed == 0
+
+
+def test_resume_refuses_a_format_2_journal_of_raw_pickles(tmp_path):
+    """Format 2 framed the same way but stored raw pickles: its frames
+    would parse, and every blob would fail to inflate and re-execute.
+    Resume refuses it outright instead, and leaves its bytes alone."""
+    import pickle
+
+    with _open(tmp_path) as journal:
+        pass
+    _edit_manifest(journal, lambda manifest: manifest.update(log_format=2))
+    blob = pickle.dumps("raw", protocol=pickle.HIGHEST_PROTOCOL)
+    body = json.dumps(
+        {"kind": "UNIT_DONE", "unit": "u0", "wall": 0.1, "executed": True,
+         "digest": hashlib.sha256(blob).hexdigest()}, sort_keys=True,
+    ).encode("utf-8")
+    old_log = _HEADER.pack(
+        len(body), len(blob), zlib.crc32(blob, zlib.crc32(body))
+    ) + body + blob
+    with open(os.path.join(journal.directory, "log.bin"), "wb") as handle:
+        handle.write(old_log)
+    with pytest.raises(ValueError, match=r"log_format is 2 .* is 3"):
+        _open(tmp_path, resume=True)
+    assert _log_bytes(journal) == old_log
 
 
 def test_resume_by_run_id_refuses_a_journal_of_another_code_salt(tmp_path):

@@ -72,3 +72,23 @@ def test_serve_start_has_no_client_timeout(capsys):
               "--socket", _no_server_socket()])
     assert exit_info.value.code == 2
     assert "unrecognized arguments: --timeout" in capsys.readouterr().err
+
+
+def test_only_serve_start_loads_asyncio():
+    """The CLI, the serve client surface and the launch ladder import
+    neither ``asyncio`` nor ``ssl``: only the server needs them, so a
+    process that submits, resumes or benchmarks does not pay for them."""
+    import subprocess
+    import sys
+
+    script = (
+        "import sys\n"
+        "import repro.cli, repro.serve, repro.journal.pipelines\n"
+        "print(sorted({'asyncio', 'ssl'} & set(sys.modules)))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, check=True,
+        capture_output=True, text=True, timeout=60,
+    ).stdout
+    assert out.strip() == "[]"
