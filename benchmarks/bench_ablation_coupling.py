@@ -10,8 +10,8 @@ from the split alone.
 from conftest import run_and_print
 
 from repro.core.safeguards import SafeguardPolicy
-from repro.experiments.common import ExperimentResult, HarvestScenario
-from repro.experiments.harvest import TAILBENCH_WORKLOADS
+from repro.experiments.common import ExperimentResult
+from repro.fleet.node import TAILBENCH_WORKLOADS, build_node
 from repro.node.faults import DelayInjector
 from repro.sim.units import SEC
 
@@ -28,14 +28,14 @@ def coupling_ablation(seconds: int = 240, seed: int = 0) -> ExperimentResult:
         delays = DelayInjector()
         for i in range(1, 24):
             delays.add_window(at_us=i * 10 * SEC, duration_us=2 * SEC)
-        scenario = HarvestScenario.build(
-            TAILBENCH_WORKLOADS["image-dnn"], seed=seed, policy=policy,
-            model_delays=delays,
+        node = build_node(
+            "harvest", TAILBENCH_WORKLOADS["image-dnn"], seed,
+            policy=policy, model_delays=delays,
         ).run(seconds)
-        stats = scenario.agent.runtime.stats()
+        stats = node.agent.runtime.stats()
         result.add_row(
             design="coupled (blocking)" if coupled else "decoupled (SOL)",
-            p99_latency_ms=scenario.workload.performance().value,
+            p99_latency_ms=node.workload.performance().value,
             actions_taken=stats["actuations"],
             safe_timeout_actions=stats["actuation_timeouts"],
         )

@@ -10,8 +10,8 @@ acts on stale state — the §3.2 "decisions based on stale data" failure.
 from conftest import run_and_print
 
 from repro.core.safeguards import SafeguardPolicy
-from repro.experiments.common import ExperimentResult, OverclockScenario
-from repro.experiments.overclock import _objectstore
+from repro.experiments.common import ExperimentResult, overclock_node
+from repro.experiments.overclock import CPU_WORKLOADS
 from repro.node.faults import DelayInjector
 from repro.sim.units import MS, SEC
 
@@ -33,27 +33,27 @@ def expiry_ablation(seconds: int = 30, seed: int = 0) -> ExperimentResult:
         actuator_delays.add_window(at_us=1 * SEC, duration_us=6 * SEC)
         model_delays.add_window(at_us=2 * SEC + 50 * MS,
                                 duration_us=10 * SEC)
-        scenario = OverclockScenario.build(
-            _objectstore, seed=seed, policy=policy,
+        node = overclock_node(
+            CPU_WORKLOADS["ObjectStore"], seed=seed, policy=policy,
             model_delays=model_delays, actuator_delays=actuator_delays,
         )
         stale_actions = {"count": 0}
-        original = scenario.agent.actuator.take_action
+        original = node.agent.actuator.take_action
 
-        def spying_take_action(prediction, scenario=scenario,
+        def spying_take_action(prediction, node=node,
                                stale_actions=stale_actions,
                                original=original):
             if prediction is not None and prediction.is_expired(
-                scenario.kernel.now
+                node.kernel.now
             ):
                 stale_actions["count"] += 1
             original(prediction)
 
-        scenario.agent.actuator.take_action = spying_take_action
-        scenario.run(seconds)
+        node.agent.actuator.take_action = spying_take_action
+        node.run(seconds)
         result.add_row(
             expiry="on" if enforce else "off",
-            expired_predictions=scenario.agent.runtime.stats()[
+            expired_predictions=node.agent.runtime.stats()[
                 "expired_predictions"
             ],
             acted_on_stale=stale_actions["count"],

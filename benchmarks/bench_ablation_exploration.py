@@ -9,8 +9,12 @@ frequencies.
 from conftest import run_and_print
 
 from repro.agents.overclock import OverclockConfig
-from repro.experiments.common import ExperimentResult, OverclockScenario
-from repro.experiments.overclock import _objectstore
+from repro.experiments.common import (
+    ExperimentResult,
+    mean_watts,
+    overclock_node,
+)
+from repro.experiments.overclock import CPU_WORKLOADS
 
 
 def exploration_ablation(
@@ -23,13 +27,13 @@ def exploration_ablation(
     )
     for epsilon in epsilons:
         config = OverclockConfig(epsilon=epsilon)
-        scenario = OverclockScenario.build(
-            _objectstore, seed=seed, config=config
+        node = overclock_node(
+            CPU_WORKLOADS["ObjectStore"], seed=seed, config=config
         ).run(seconds)
         result.add_row(
             epsilon=epsilon,
-            p99_latency_ms=scenario.workload.performance().value,
-            mean_watts=scenario.mean_watts(),
+            p99_latency_ms=node.workload.performance().value,
+            mean_watts=mean_watts(node),
         )
     return result
 

@@ -8,7 +8,7 @@ the reset/SLO trade-off.
 from conftest import run_and_print
 
 from repro.agents.memory import MemoryConfig
-from repro.experiments.common import ExperimentResult, MemoryScenario
+from repro.experiments.common import ExperimentResult, memory_node
 from repro.experiments.memory import MEMORY_TRACES
 from repro.sim.units import MS
 
@@ -32,17 +32,18 @@ def scan_ladder_ablation(
     )
     for name, periods in LADDERS.items():
         config = MemoryConfig(scan_periods_us=periods)
-        scenario = MemoryScenario.build(
+        node, watcher = memory_node(
             MEMORY_TRACES["SpecJBB"],
             seed=seed,
             n_regions=n_regions,
             warmup_seconds=200,
             config=config,
-        ).run(seconds)
+        )
+        node.run(seconds)
         result.add_row(
             ladder=name,
-            bit_resets=scenario.watcher.steady_state_resets(),
-            slo_attainment=scenario.watcher.slo_attainment(),
+            bit_resets=watcher.steady_state_resets(),
+            slo_attainment=watcher.slo_attainment(),
         )
     return result
 

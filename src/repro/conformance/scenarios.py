@@ -33,7 +33,7 @@ import numpy as np
 
 from repro.core.events import encode_event
 from repro.fleet.config import FaultPlan, FleetConfig, NodeSpec
-from repro.fleet.node import FleetNode
+from repro.fleet.node import FleetNode, Node
 from repro.ml.costsensitive import asymmetric_core_costs
 from repro.node.memory import Tier
 from repro.platform.taxonomy import NODE_SKUS
@@ -129,12 +129,13 @@ class _Emit:
 def run_agent_node(
     spec: ScenarioSpec,
     sink: Optional[Any],
-    prepare: Optional[Callable[[FleetNode], None]] = None,
+    prepare: Optional[Callable[[Node], None]] = None,
 ) -> Dict[str, Any]:
     """Run one production fleet node, tracing its runtime event log.
 
-    ``prepare`` runs after construction, before the simulation — the
-    test suite's perturbed agent impl uses it to burn an RNG draw.
+    ``prepare`` runs on the built :class:`~repro.fleet.node.Node` before
+    the simulation — the test suite's perturbed agent impl uses it to
+    burn an RNG draw.
     """
     node_spec = NodeSpec(
         node_id=0,
@@ -144,12 +145,12 @@ def run_agent_node(
         workload=spec.workload,
         seed=spec.seed,
     )
-    node = FleetNode(node_spec, duration_s=spec.duration_s)
+    fleet_node = FleetNode(node_spec, duration_s=spec.duration_s)
     if prepare is not None:
-        prepare(node)
+        prepare(fleet_node.node)
     if sink is not None:
-        node.agent.runtime.log.attach_tracer(sink)
-    result = node.run()
+        fleet_node.node.agent.runtime.log.attach_tracer(sink)
+    result = fleet_node.run()
     return {
         "perf_metric": result.perf_metric,
         "perf_value": result.perf_value,

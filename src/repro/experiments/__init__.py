@@ -19,6 +19,11 @@ Figs. 7-8    ``fig{7,8}_series`` / ``_unit`` / ``_assemble`` in
              :mod:`repro.experiments.memory`
 ===========  =========================================================
 
+Every unit runs on a node assembled by :func:`repro.fleet.node.build_node`
+on the paper's ``gen5-general`` SKU; :mod:`repro.experiments.common`
+adds the helpers that are not construction (``mean_watts``,
+``overclock_node``, ``memory_node`` and its ``SloWatcher``).
+
 :mod:`repro.experiments.driver` adds the parallel paths on top: a
 :class:`~repro.experiments.driver.FleetDriver` that shards multi-node
 fleets (:mod:`repro.fleet`) across worker processes, and
@@ -27,13 +32,7 @@ whole table above as ``(artifact, series)`` work units.  Both are
 exposed by the ``python -m repro`` command line.
 """
 
-from repro.experiments.common import (
-    ExperimentResult,
-    HarvestScenario,
-    MemoryScenario,
-    OverclockScenario,
-    SloWatcher,
-)
+from repro.experiments.common import ExperimentResult, SloWatcher
 from repro.experiments.driver import (
     ARTIFACTS,
     ArtifactRun,
@@ -51,9 +50,6 @@ __all__ = [
     "FleetDriver",
     "reproduce_all",
     "run_artifact",
-    "HarvestScenario",
-    "MemoryScenario",
-    "OverclockScenario",
     "SloWatcher",
     "fig5_actuator_safeguard",
     "table1_taxonomy",

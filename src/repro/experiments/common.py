@@ -1,44 +1,41 @@
-"""Shared experiment infrastructure: scenario builders and result types.
+"""Shared experiment infrastructure: node helpers and result types.
 
-Every figure/table reproduction builds on three scenario builders — one
-per agent — plus a windowed SLO watcher and a plain-text table renderer.
-Experiments are deterministic given a seed; EXPERIMENTS.md records the
-measured outputs against the paper's.
+Every figure/table reproduction runs nodes assembled by
+:func:`repro.fleet.node.build_node` on the paper's ``gen5-general`` SKU,
+plus the helpers here: mean power, a static-frequency overclock node, a
+memory node with its windowed SLO watcher, and a plain-text table
+renderer.  Experiments are deterministic given a seed; EXPERIMENTS.md
+records the measured outputs against the paper's.
 
 Experiments read ``runtime.stats()`` and the node's own counters; the
 agent's event log keeps no per-event history (DESIGN.md §6).  A caller
 that needs individual events attaches a sink to
-``scenario.agent.runtime.log`` before running the scenario.
+``node.agent.runtime.log`` before running the node.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from dataclasses import dataclass, field, replace
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.agents.harvest import SmartHarvestAgent
-from repro.agents.memory import SmartMemoryAgent
-from repro.agents.overclock import SmartOverclockAgent
+from repro.agents.memory import MemoryConfig, StaticScanController
 from repro.core.events import canonical_scalar
-from repro.core.safeguards import SafeguardPolicy
-from repro.node.cpu import CpuModel
-from repro.node.hypervisor import Hypervisor
+from repro.fleet.node import GEN5, Node, build_node
 from repro.node.memory import TieredMemory
-from repro.sim import Kernel, RngStreams
+from repro.sim import Kernel
 from repro.sim.units import SEC
 
 __all__ = [
     "ExperimentResult",
-    "OverclockScenario",
-    "HarvestScenario",
-    "MemoryScenario",
     "SloWatcher",
-    "build_cpu_node",
     "experiment_digest",
+    "mean_watts",
+    "memory_node",
+    "overclock_node",
 ]
 
 
@@ -192,153 +189,57 @@ class SloWatcher:
         return total - (self.resets_at_warmup or 0)
 
 
-def build_cpu_node(kernel: Kernel, n_cores: int = 8) -> CpuModel:
-    """The experiment CPU: 1.5 GHz nominal, overclockable to 2.3 GHz."""
-    return CpuModel(
-        kernel,
-        n_cores=n_cores,
-        nominal_freq_ghz=1.5,
-        min_freq_ghz=1.5,
-        max_freq_ghz=2.3,
-        max_ipc=4.0,
+def mean_watts(node: Node) -> float:
+    """Mean CPU power of an overclock node over the run so far."""
+    return node.model.snapshot().energy_joules / (node.kernel.now / SEC)
+
+
+def overclock_node(
+    workload_factory: Callable,
+    seed: int = 0,
+    static_freq_ghz: Optional[float] = None,
+    **agent_kwargs: Any,
+) -> Node:
+    """The paper's SmartOverclock node, or, given ``static_freq_ghz``,
+    the same node with no agent and the CPU held at that frequency."""
+    if static_freq_ghz is None:
+        return build_node("overclock", workload_factory, seed, **agent_kwargs)
+    return build_node(
+        "overclock", workload_factory, seed, agent=False,
+        before_agent=lambda node: node.model.set_frequency(static_freq_ghz),
     )
 
 
-@dataclass
-class OverclockScenario:
-    """One SmartOverclock run: node + workload + optional agent."""
+def memory_node(
+    trace_factory: Callable,
+    seed: int = 0,
+    n_regions: int = 256,
+    warmup_seconds: int = 0,
+    static_scan_us: Optional[int] = None,
+    **agent_kwargs: Any,
+) -> Tuple[Node, SloWatcher]:
+    """The paper's SmartMemory node with ``n_regions`` regions, and its
+    SLO watcher (spawned after the agent).
 
-    kernel: Kernel
-    streams: RngStreams
-    cpu: CpuModel
-    workload: Any
-    agent: Optional[SmartOverclockAgent]
+    Given ``static_scan_us``, a :class:`StaticScanController` at that
+    period starts in place of the agent.
+    """
 
-    @classmethod
-    def build(
-        cls,
-        workload_factory: Callable[[Kernel, CpuModel, RngStreams], Any],
-        seed: int = 0,
-        agent: bool = True,
-        static_freq_ghz: Optional[float] = None,
-        policy: SafeguardPolicy = SafeguardPolicy.all_enabled(),
-        **agent_kwargs: Any,
-    ) -> "OverclockScenario":
-        kernel = Kernel()
-        streams = RngStreams(seed)
-        cpu = build_cpu_node(kernel)
-        workload = workload_factory(kernel, cpu, streams)
-        workload.start()
-        agent_obj = None
-        if agent:
-            agent_obj = SmartOverclockAgent(
-                kernel, cpu, streams.get("agent"), policy=policy,
-                **agent_kwargs,
-            ).start()
-        elif static_freq_ghz is not None:
-            cpu.set_frequency(static_freq_ghz)
-        return cls(kernel, streams, cpu, workload, agent_obj)
+    def start_static_scanner(node: Node) -> None:
+        StaticScanController(
+            node.kernel, node.model, static_scan_us, MemoryConfig()
+        ).start()
 
-    def run(self, seconds: int) -> "OverclockScenario":
-        self.kernel.run(until=seconds * SEC)
-        return self
-
-    def mean_watts(self) -> float:
-        snap = self.cpu.snapshot()
-        return snap.energy_joules / (self.kernel.now / SEC)
-
-
-@dataclass
-class HarvestScenario:
-    """One SmartHarvest run: hypervisor + primary workload + agent."""
-
-    kernel: Kernel
-    streams: RngStreams
-    hypervisor: Hypervisor
-    workload: Any
-    agent: Optional[SmartHarvestAgent]
-
-    @classmethod
-    def build(
-        cls,
-        workload_factory: Callable[[Kernel, Hypervisor, RngStreams], Any],
-        seed: int = 0,
-        agent: bool = True,
-        policy: SafeguardPolicy = SafeguardPolicy.all_enabled(),
-        **agent_kwargs: Any,
-    ) -> "HarvestScenario":
-        kernel = Kernel()
-        streams = RngStreams(seed)
-        hypervisor = Hypervisor(
-            kernel, n_cores=8, history_horizon_us=1 * SEC
-        )
-        workload = workload_factory(kernel, hypervisor, streams)
-        workload.start()
-        agent_obj = None
-        if agent:
-            agent_obj = SmartHarvestAgent(
-                kernel, hypervisor, streams.get("agent"), policy=policy,
-                **agent_kwargs,
-            )
-            agent_obj.start()
-        return cls(kernel, streams, hypervisor, workload, agent_obj)
-
-    def run(self, seconds: int) -> "HarvestScenario":
-        self.kernel.run(until=seconds * SEC)
-        return self
-
-    def harvested_core_seconds(self) -> float:
-        return self.hypervisor.snapshot().elastic_cus / SEC
-
-
-@dataclass
-class MemoryScenario:
-    """One SmartMemory (or static baseline) run over a memory trace."""
-
-    kernel: Kernel
-    streams: RngStreams
-    memory: TieredMemory
-    trace: Any
-    agent: Optional[SmartMemoryAgent]
-    watcher: SloWatcher
-
-    @classmethod
-    def build(
-        cls,
-        trace_factory: Callable[[Kernel, TieredMemory, RngStreams], Any],
-        seed: int = 0,
-        n_regions: int = 256,
-        warmup_seconds: int = 0,
-        controller_factory: Optional[
-            Callable[[Kernel, TieredMemory], Any]
-        ] = None,
-        agent: bool = True,
-        policy: SafeguardPolicy = SafeguardPolicy.all_enabled(),
-        **agent_kwargs: Any,
-    ) -> "MemoryScenario":
-        kernel = Kernel()
-        streams = RngStreams(seed)
-        memory = TieredMemory(
-            kernel,
-            n_regions=n_regions,
-            pages_per_region=512,
-            rng=streams.get("memory"),
-        )
-        trace = trace_factory(kernel, memory, streams)
-        trace.start()
-        agent_obj = None
-        if controller_factory is not None:
-            controller_factory(kernel, memory).start()
-        elif agent:
-            agent_obj = SmartMemoryAgent(
-                kernel, memory, streams.get("agent"), policy=policy,
-                **agent_kwargs,
-            ).start()
-        watcher = SloWatcher(
-            kernel, memory, warmup_us=warmup_seconds * SEC
-        )
-        return cls(kernel, streams, memory, trace, agent_obj, watcher)
-
-    def run(self, seconds: int) -> "MemoryScenario":
-        self.kernel.run(until=seconds * SEC)
-        return self
+    node = build_node(
+        "memory",
+        trace_factory,
+        seed,
+        sku=replace(GEN5, memory_regions=n_regions),
+        agent=static_scan_us is None,
+        before_agent=None if static_scan_us is None else start_static_scanner,
+        **agent_kwargs,
+    )
+    watcher = SloWatcher(
+        node.kernel, node.model, warmup_us=warmup_seconds * SEC
+    )
+    return node, watcher

@@ -10,38 +10,20 @@ in-process and sharded passes are row-identical by construction.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Mapping
+from typing import Any, Dict, List, Mapping
 
 from repro.core.safeguards import SafeguardPolicy
-from repro.experiments.common import ExperimentResult, HarvestScenario
+from repro.experiments.common import ExperimentResult
+from repro.fleet.node import TAILBENCH_WORKLOADS, build_node
 from repro.node.faults import DelayInjector, ModelBreaker, stuck_usage_injector
 from repro.sim.units import SEC
-from repro.workloads.tailbench import IMAGE_DNN, MOSES, TailBenchWorkload
 
 __all__ = ["TAILBENCH_WORKLOADS"]
 
 
-def _workload_factory(profile):
-    def factory(kernel, hypervisor, streams):
-        return TailBenchWorkload(
-            kernel, hypervisor, streams.get("workload"), profile
-        )
-
-    return factory
-
-
-#: The §6.3 primary-VM workloads, by paper name.
-TAILBENCH_WORKLOADS: Dict[str, Callable] = {
-    "image-dnn": _workload_factory(IMAGE_DNN),
-    "moses": _workload_factory(MOSES),
-}
-
-
 def _baseline_p99(name: str, seconds: int, seed: int) -> float:
-    scenario = HarvestScenario.build(
-        TAILBENCH_WORKLOADS[name], seed=seed, agent=False
-    ).run(seconds)
-    return scenario.workload.performance().value
+    node = build_node("harvest", TAILBENCH_WORKLOADS[name], seed, agent=False)
+    return node.run(seconds).workload.performance().value
 
 
 def _series(variants) -> List[str]:
@@ -71,16 +53,16 @@ def fig6_invalid_data_unit(
         if variant == "on"
         else SafeguardPolicy.none_enabled()
     )
-    scenario = HarvestScenario.build(
-        TAILBENCH_WORKLOADS[workload_name], seed=seed, policy=policy
+    node = build_node(
+        "harvest", TAILBENCH_WORKLOADS[workload_name], seed, policy=policy
     )
-    scenario.agent.model.injectors.append(
-        stuck_usage_injector(scenario.streams.get("fault"), corruption)
+    node.agent.model.injectors.append(
+        stuck_usage_injector(node.streams.get("fault"), corruption)
     )
-    scenario.run(seconds)
+    node.run(seconds)
     return {
-        "p99": scenario.workload.performance().value,
-        "harvested_core_s": scenario.harvested_core_seconds(),
+        "p99": node.workload.performance().value,
+        "harvested_core_s": node.model.snapshot().elastic_cus / SEC,
     }
 
 
@@ -138,13 +120,12 @@ def fig6_broken_model_unit(
         else SafeguardPolicy.none_enabled()
     )
     breaker = ModelBreaker(broken_value=0)
-    scenario = HarvestScenario.build(
-        TAILBENCH_WORKLOADS[workload_name], seed=seed, policy=policy,
-        breaker=breaker,
+    node = build_node(
+        "harvest", TAILBENCH_WORKLOADS[workload_name], seed,
+        policy=policy, breaker=breaker,
     )
-    scenario.kernel.call_later(break_at * SEC, breaker.arm)
-    scenario.run(seconds)
-    return {"p99": scenario.workload.performance().value}
+    node.kernel.call_later(break_at * SEC, breaker.arm)
+    return {"p99": node.run(seconds).workload.performance().value}
 
 
 def fig6_broken_model_assemble(
@@ -192,19 +173,19 @@ def fig6_delayed_predictions_unit(
     blocking = variant == "blocking"
     policy = SafeguardPolicy(non_blocking_actuator=not blocking)
     delays = DelayInjector()
-    scenario = HarvestScenario.build(
-        TAILBENCH_WORKLOADS[workload_name], seed=seed, policy=policy,
-        model_delays=delays,
+    node = build_node(
+        "harvest", TAILBENCH_WORKLOADS[workload_name], seed,
+        policy=policy, model_delays=delays,
     )
 
-    def ramp_watcher(scenario=scenario, delays=delays):
-        hypervisor = scenario.hypervisor
+    def ramp_watcher(node=node, delays=delays):
+        hypervisor = node.model
         previous = hypervisor.demand
         last_injection = -1e18
         while True:
             yield 25_000  # one demand step
             current = hypervisor.demand
-            now = scenario.kernel.now
+            now = node.kernel.now
             if (
                 current - previous >= ramp_cores
                 and now - last_injection >= cooldown_seconds * SEC
@@ -213,13 +194,11 @@ def fig6_delayed_predictions_unit(
                 last_injection = now
             previous = current
 
-    scenario.kernel.spawn(ramp_watcher(), name="ramp-watch")
-    scenario.run(seconds)
+    node.kernel.spawn(ramp_watcher(), name="ramp-watch")
+    node.run(seconds)
     return {
-        "p99": scenario.workload.performance().value,
-        "timeout_actions": scenario.agent.runtime.stats()[
-            "actuation_timeouts"
-        ],
+        "p99": node.workload.performance().value,
+        "timeout_actions": node.agent.runtime.stats()["actuation_timeouts"],
         "delays_injected": len(delays.triggered),
     }
 

@@ -11,35 +11,15 @@ in-process and sharded passes are row-identical by construction.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Mapping
+from typing import Any, Dict, List, Mapping
 
-from repro.agents.memory import MemoryConfig, StaticScanController
+from repro.agents.memory import MemoryConfig
 from repro.core.safeguards import SafeguardPolicy
-from repro.experiments.common import ExperimentResult, MemoryScenario
-from repro.workloads.traces import (
-    OBJECTSTORE_MEM,
-    SPECJBB_MEM,
-    SQL_MEM,
-    OscillatingMemoryTrace,
-    ZipfMemoryTrace,
-)
+from repro.experiments.common import ExperimentResult, memory_node
+from repro.fleet.node import MEMORY_TRACES
+from repro.workloads.traces import SPECJBB_MEM, OscillatingMemoryTrace
 
 __all__ = ["MEMORY_TRACES"]
-
-
-def _trace_factory(profile):
-    def factory(kernel, memory, streams):
-        return ZipfMemoryTrace(kernel, memory, streams.get("trace"), profile)
-
-    return factory
-
-
-#: The §6.4 memory workloads, by paper name.
-MEMORY_TRACES: Dict[str, Callable] = {
-    "ObjectStore": _trace_factory(OBJECTSTORE_MEM),
-    "SQL": _trace_factory(SQL_MEM),
-    "SpecJBB": _trace_factory(SPECJBB_MEM),
-}
 
 # -- Figure 7 ----------------------------------------------------------------
 
@@ -64,32 +44,19 @@ def fig7_unit(
 ) -> Dict[str, Any]:
     """One memory scenario; raw watcher statistics as the payload."""
     workload_name, policy_name = series.split("/")
-    trace_factory = MEMORY_TRACES[workload_name]
-    config = MemoryConfig()
-
-    def max_controller(kernel, memory):
-        return StaticScanController(
-            kernel, memory, config.scan_periods_us[0], config
-        )
-
-    def min_controller(kernel, memory):
-        return StaticScanController(
-            kernel, memory, config.scan_periods_us[-1], config
-        )
-
-    kwargs: Dict[str, Any] = {
-        "static-300ms": dict(controller_factory=max_controller, agent=False),
-        "static-9.6s": dict(controller_factory=min_controller, agent=False),
-        "SmartMemory": dict(),
-    }[policy_name]
-    scenario = MemoryScenario.build(
-        trace_factory,
+    periods = MemoryConfig().scan_periods_us
+    node, watcher = memory_node(
+        MEMORY_TRACES[workload_name],
         seed=seed,
         n_regions=n_regions,
         warmup_seconds=warmup_seconds,
-        **kwargs,
-    ).run(seconds)
-    watcher = scenario.watcher
+        static_scan_us={
+            "static-300ms": periods[0],
+            "static-9.6s": periods[-1],
+            "SmartMemory": None,
+        }[policy_name],
+    )
+    node.run(seconds)
     return {
         "steady_state_resets": watcher.steady_state_resets(),
         "mean_local_regions": watcher.mean_local_regions(),
@@ -167,13 +134,13 @@ def fig8_unit(
             kernel, memory, streams.get("trace"), SPECJBB_MEM
         )
 
-    scenario = MemoryScenario.build(
+    node, watcher = memory_node(
         trace_factory, seed=seed, n_regions=n_regions,
         policy=_fig8_policy(series),
-    ).run(seconds)
-    stats = scenario.agent.runtime.stats()
+    )
+    stats = node.run(seconds).agent.runtime.stats()
     return {
-        "slo_attainment": scenario.watcher.slo_attainment(),
+        "slo_attainment": watcher.slo_attainment(),
         "mitigations": stats["mitigations"],
         "interceptions": stats["interceptions"],
     }

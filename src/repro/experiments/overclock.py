@@ -15,37 +15,20 @@ Durations default to values that reach learned steady state.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Mapping
+from typing import Any, Dict, List, Mapping
 
 from repro.core.safeguards import SafeguardPolicy
-from repro.experiments.common import ExperimentResult, OverclockScenario
+from repro.experiments.common import (
+    ExperimentResult,
+    mean_watts,
+    overclock_node,
+)
+from repro.fleet.node import CPU_WORKLOADS
 from repro.node.faults import DelayInjector, ModelBreaker, bad_ips_injector
 from repro.sim.units import SEC
-from repro.workloads.diskspeed import DiskSpeedWorkload
-from repro.workloads.objectstore import ObjectStoreWorkload
 from repro.workloads.synthetic import SyntheticBatchWorkload
 
 __all__ = ["CPU_WORKLOADS", "fig5_actuator_safeguard"]
-
-
-def _synthetic(kernel, cpu, streams):
-    return SyntheticBatchWorkload(kernel, cpu, period_us=100 * SEC)
-
-
-def _objectstore(kernel, cpu, streams):
-    return ObjectStoreWorkload(kernel, cpu, streams.get("workload"))
-
-
-def _diskspeed(kernel, cpu, streams):
-    return DiskSpeedWorkload(kernel, cpu, streams.get("workload"))
-
-
-#: The three §6.2 workloads, by paper name.
-CPU_WORKLOADS: Dict[str, Callable] = {
-    "Synthetic": _synthetic,
-    "ObjectStore": _objectstore,
-    "DiskSpeed": _diskspeed,
-}
 
 # -- Figure 1 ----------------------------------------------------------------
 
@@ -68,17 +51,12 @@ def fig1_unit(series: str, seconds: int = 900, seed: int = 0) -> Dict[str, Any]:
     """Run one workload × policy scenario; raw perf/power payload."""
     workload_name, policy = series.split("/")
     factory = CPU_WORKLOADS[workload_name]
-    if policy == "SmartOverclock":
-        scenario = OverclockScenario.build(factory, seed=seed).run(seconds)
-    else:
+    freq = None
+    if policy != "SmartOverclock":
         freq = float(policy[len("static-"):-len("GHz")])
-        scenario = OverclockScenario.build(
-            factory, seed=seed, agent=False, static_freq_ghz=freq
-        ).run(seconds)
-    return {
-        "perf": scenario.workload.performance(),
-        "watts": scenario.mean_watts(),
-    }
+    node = overclock_node(factory, seed=seed, static_freq_ghz=freq)
+    node.run(seconds)
+    return {"perf": node.workload.performance(), "watts": mean_watts(node)}
 
 
 def fig1_assemble(
@@ -132,16 +110,13 @@ def fig2_unit(
     fraction_text, validation_text = series.rsplit("/", 1)
     fraction = float(fraction_text)
     policy = SafeguardPolicy(validate_data=validation_text == "on")
-    scenario = OverclockScenario.build(_synthetic, seed=seed, policy=policy)
+    node = overclock_node(CPU_WORKLOADS["Synthetic"], seed=seed, policy=policy)
     if fraction > 0:
-        scenario.agent.reader.add_injector(
-            bad_ips_injector(scenario.streams.get("fault"), fraction)
+        node.agent.reader.add_injector(
+            bad_ips_injector(node.streams.get("fault"), fraction)
         )
-    scenario.run(seconds)
-    return {
-        "perf": scenario.workload.performance(),
-        "watts": scenario.mean_watts(),
-    }
+    node.run(seconds)
+    return {"perf": node.workload.performance(), "watts": mean_watts(node)}
 
 
 def fig2_assemble(
@@ -196,16 +171,13 @@ def fig3_unit(
     workload_name, variant = series.split("/")
     factory = CPU_WORKLOADS[workload_name]
     if variant == "healthy":
-        scenario = OverclockScenario.build(factory, seed=seed).run(seconds)
-        return {"watts": scenario.mean_watts()}
+        node = overclock_node(factory, seed=seed)
+        return {"watts": mean_watts(node.run(seconds))}
     policy = SafeguardPolicy(assess_model=variant == "on")
     breaker = ModelBreaker(broken_value=2.3)
-    scenario = OverclockScenario.build(
-        factory, seed=seed, policy=policy, breaker=breaker
-    )
-    scenario.kernel.call_later(break_at * SEC, breaker.arm)
-    scenario.run(seconds)
-    return {"watts": scenario.mean_watts()}
+    node = overclock_node(factory, seed=seed, policy=policy, breaker=breaker)
+    node.kernel.call_later(break_at * SEC, breaker.arm)
+    return {"watts": mean_watts(node.run(seconds))}
 
 
 def fig3_assemble(
@@ -253,39 +225,39 @@ def fig4_unit(
     blocking = series == "blocking"
     policy = SafeguardPolicy(non_blocking_actuator=not blocking)
     delays = DelayInjector()
-    scenario = OverclockScenario.build(
-        _synthetic, seed=seed, policy=policy, model_delays=delays
+    node = overclock_node(
+        CPU_WORKLOADS["Synthetic"], seed=seed, policy=policy,
+        model_delays=delays,
     )
+    cpu = node.model
     window: dict = {}
 
-    def on_batch_end(index, scenario=scenario, delays=delays, window=window):
+    def on_batch_end(index, node=node, delays=delays, window=window):
         if index != 1:
             return
         delays.trigger_now(delay_seconds * SEC)
-        window["start_us"] = scenario.kernel.now
-        window["energy_start"] = scenario.cpu.snapshot().energy_joules
-        scenario.kernel.call_later(
+        window["start_us"] = node.kernel.now
+        window["energy_start"] = cpu.snapshot().energy_joules
+        node.kernel.call_later(
             delay_seconds * SEC,
             lambda: window.__setitem__(
-                "energy_end", scenario.cpu.snapshot().energy_joules
+                "energy_end", cpu.snapshot().energy_joules
             ),
         )
 
-    scenario.workload.on_batch_end.append(on_batch_end)
-    scenario.run(seconds)
+    node.workload.on_batch_end.append(on_batch_end)
+    node.run(seconds)
     stall_watts = (
         window["energy_end"] - window["energy_start"]
     ) / delay_seconds
     # reference: the same idle window at nominal frequency
-    idle_nominal_watts = scenario.cpu.power_model.watts(
-        scenario.cpu.n_cores, scenario.cpu.nominal_freq_ghz, 0.0
+    idle_nominal_watts = cpu.power_model.watts(
+        cpu.n_cores, cpu.nominal_freq_ghz, 0.0
     )
     return {
         "power_increase_pct": 100.0
         * (stall_watts / idle_nominal_watts - 1.0),
-        "timeout_actions": scenario.agent.runtime.stats()[
-            "actuation_timeouts"
-        ],
+        "timeout_actions": node.agent.runtime.stats()["actuation_timeouts"],
     }
 
 
@@ -341,19 +313,19 @@ def fig5_actuator_safeguard(
         columns=["window_start_s", "mean_freq_ghz", "safeguard_active",
                  "mean_watts"],
     )
-    scenario = OverclockScenario.build(
+    node = overclock_node(
         lambda kernel, cpu, streams: SyntheticBatchWorkload(
             kernel, cpu, period_us=420 * SEC,
             batch_giga_instructions=48.0 * 120,
         ),
         seed=seed,
     )
-    cpu, agent = scenario.cpu, scenario.agent
+    cpu, agent = node.model, node.agent
     window = 30
     previous = cpu.snapshot()
 
     for start in range(0, seconds, window):
-        scenario.run(start + window)
+        node.run(start + window)
         snap = cpu.snapshot()
         watts = (snap.energy_joules - previous.energy_joules) / window
         previous = snap

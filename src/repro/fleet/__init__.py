@@ -10,6 +10,9 @@ processes without changing any result (DESIGN.md §5).
 
 Entry points:
 
+* :func:`build_node` — assemble one node (kernel, streams, the SKU's
+  node model, workload, agent); the paper's experiments and every
+  fleet node are built by it;
 * :class:`FleetConfig` / :class:`FaultPlan` — describe a fleet and an
   optional rack-correlated invalid-data burst;
 * :class:`FleetScenario` — build and run nodes (any subset, any order),
@@ -29,7 +32,7 @@ from repro.fleet.config import (
     NodeRun,
     NodeSpec,
 )
-from repro.fleet.node import FleetNode, NodeResult
+from repro.fleet.node import FleetNode, Node, NodeResult, build_node
 from repro.fleet.scenario import FleetScenario
 
 __all__ = [
@@ -40,7 +43,9 @@ __all__ = [
     "FleetConfig",
     "FleetNode",
     "FleetScenario",
+    "Node",
     "NodeResult",
     "NodeRun",
     "NodeSpec",
+    "build_node",
 ]

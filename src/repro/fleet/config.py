@@ -253,9 +253,10 @@ class NodeRun:
         return start, start + self.fault_duration_s * 1_000_000
 
 
-#: Workload choices per agent kind; names match the experiment
-#: registries (``CPU_WORKLOADS``, ``TAILBENCH_WORKLOADS``,
-#: ``MEMORY_TRACES``).
+#: Workload choices per agent kind: the keys, in order, of the builder's
+#: registries in :mod:`repro.fleet.node` (``CPU_WORKLOADS``,
+#: ``TAILBENCH_WORKLOADS``, ``MEMORY_TRACES``; a test holds them equal).
+#: The order feeds ``rng.choice``, so it is part of every fleet digest.
 _WORKLOADS_BY_AGENT = {
     "overclock": ("Synthetic", "ObjectStore", "DiskSpeed"),
     "harvest": ("image-dnn", "moses"),

@@ -1,8 +1,14 @@
-"""One fleet node: an independent kernel, node model, workload, agent.
+"""The node builder, and one fleet node built with it.
 
-A :class:`FleetNode` is the unit of sharding.  It owns a private
-:class:`~repro.sim.kernel.Kernel` and :class:`~repro.sim.rng.RngStreams`
-seeded from ``(fleet seed, node_id)`` only, so running it in any worker
+:func:`build_node` is where every simulated node is assembled — a paper
+figure's unit, a fleet or sweep node run, a conformance agent scenario:
+one :class:`~repro.sim.kernel.Kernel`, one
+:class:`~repro.sim.rng.RngStreams`, the node model of a
+:class:`~repro.platform.taxonomy.NodeSku`, a workload and an agent.  The
+paper's node is :data:`GEN5`, the ``gen5-general`` SKU.
+
+A :class:`FleetNode` is the unit of sharding.  Its streams are seeded
+from ``(fleet seed, node_id)`` only, so running it in any worker
 process, in any order, produces the same :class:`NodeResult`.
 
 Each agent kind gets a node-local SLO judged per 5-second window:
@@ -18,7 +24,7 @@ Each agent kind gets a node-local SLO judged per 5-second window:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Generator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from repro.agents.harvest import SmartHarvestAgent
 from repro.agents.memory import SmartMemoryAgent
@@ -28,8 +34,10 @@ from repro.fleet.faults import attach_burst
 from repro.node.cpu import CpuModel
 from repro.node.hypervisor import Hypervisor
 from repro.node.memory import TieredMemory
+from repro.platform.taxonomy import NODE_SKUS, NodeSku
 from repro.sim import Kernel, RngStreams
 from repro.sim.units import SEC
+from repro.workloads.base import percentile
 from repro.workloads.diskspeed import DiskSpeedWorkload
 from repro.workloads.objectstore import ObjectStoreWorkload
 from repro.workloads.synthetic import SyntheticBatchWorkload
@@ -41,7 +49,14 @@ from repro.workloads.traces import (
     ZipfMemoryTrace,
 )
 
-__all__ = ["FleetNode", "NodeResult", "SLO_WINDOW_US"]
+__all__ = [
+    "CPU_WORKLOADS", "FleetNode", "GEN5", "MEMORY_TRACES", "Node",
+    "NodeResult", "SLO_WINDOW_US", "TAILBENCH_WORKLOADS", "build_node",
+]
+
+#: The paper's node (§6.2): 8 cores, 1.5 GHz nominal, 2.3 GHz ceiling,
+#: 256 memory regions.  Every single-node experiment runs this SKU.
+GEN5: NodeSku = NODE_SKUS[0]
 
 #: SLO judgement window (matches the paper's 5 s memory-SLO windows).
 SLO_WINDOW_US = 5 * SEC
@@ -58,6 +73,151 @@ P99_SLO_MULTIPLE = 3.0
 
 #: Memory SLO: minimum local-access fraction per window.
 LOCAL_FRACTION_TARGET = 0.8
+
+
+# -- workloads, by paper name: ``factory(kernel, model, streams)`` ----------
+# The fleet's plan draws from these names in this order
+# (``repro.fleet.config._WORKLOADS_BY_AGENT``; a test keeps them equal).
+
+
+def _tailbench(profile):
+    def factory(kernel, hypervisor, streams):
+        return TailBenchWorkload(
+            kernel, hypervisor, streams.get("workload"), profile
+        )
+
+    return factory
+
+
+def _zipf_trace(profile):
+    def factory(kernel, memory, streams):
+        return ZipfMemoryTrace(kernel, memory, streams.get("trace"), profile)
+
+    return factory
+
+
+#: The three §6.2 workloads.
+CPU_WORKLOADS: Dict[str, Callable] = {
+    "Synthetic": lambda kernel, cpu, streams: SyntheticBatchWorkload(
+        kernel, cpu, period_us=100 * SEC
+    ),
+    "ObjectStore": lambda kernel, cpu, streams: ObjectStoreWorkload(
+        kernel, cpu, streams.get("workload")
+    ),
+    "DiskSpeed": lambda kernel, cpu, streams: DiskSpeedWorkload(
+        kernel, cpu, streams.get("workload")
+    ),
+}
+
+#: The §6.3 primary-VM workloads.
+TAILBENCH_WORKLOADS: Dict[str, Callable] = {
+    "image-dnn": _tailbench(IMAGE_DNN),
+    "moses": _tailbench(MOSES),
+}
+
+#: The §6.4 memory workloads.
+MEMORY_TRACES: Dict[str, Callable] = {
+    "ObjectStore": _zipf_trace(OBJECTSTORE_MEM),
+    "SQL": _zipf_trace(SQL_MEM),
+    "SpecJBB": _zipf_trace(SPECJBB_MEM),
+}
+
+_WORKLOADS = {
+    "overclock": CPU_WORKLOADS,
+    "harvest": TAILBENCH_WORKLOADS,
+    "memory": MEMORY_TRACES,
+}
+
+
+# -- the builder ------------------------------------------------------------
+
+
+@dataclass
+class Node:
+    """One assembled node: a kernel, its streams, model, workload, agent.
+
+    ``model`` is the kind's node model (:class:`CpuModel`,
+    :class:`Hypervisor` or :class:`TieredMemory`); ``agent`` is ``None``
+    on a no-agent node.
+    """
+
+    kernel: Kernel
+    streams: RngStreams
+    model: Any
+    workload: Any
+    agent: Any = None
+
+    def run(self, seconds: int) -> "Node":
+        """Advance the simulation to ``seconds`` of simulated time."""
+        self.kernel.run(until=seconds * SEC)
+        return self
+
+
+def _node_model(kind: str, kernel: Kernel, sku: NodeSku, streams):
+    if kind == "overclock":
+        return CpuModel(
+            kernel,
+            n_cores=sku.n_cores,
+            nominal_freq_ghz=sku.nominal_freq_ghz,
+            min_freq_ghz=sku.nominal_freq_ghz,
+            max_freq_ghz=sku.max_freq_ghz,
+            max_ipc=sku.max_ipc,
+        )
+    if kind == "harvest":
+        return Hypervisor(kernel, n_cores=sku.n_cores, history_horizon_us=SEC)
+    if kind == "memory":
+        return TieredMemory(
+            kernel,
+            n_regions=sku.memory_regions,
+            pages_per_region=512,
+            rng=streams.get("memory"),
+        )
+    raise ValueError(f"unknown agent kind {kind!r}")
+
+
+_AGENTS = {
+    "overclock": SmartOverclockAgent,
+    "harvest": SmartHarvestAgent,
+    "memory": SmartMemoryAgent,
+}
+
+
+def build_node(
+    kind: str,
+    workload_factory: Callable[[Kernel, Any, RngStreams], Any],
+    seed: int,
+    sku: NodeSku = GEN5,
+    agent: bool = True,
+    before_agent: Optional[Callable[[Node], None]] = None,
+    **agent_kwargs: Any,
+) -> Node:
+    """Assemble one node of agent ``kind`` (overclock/harvest/memory).
+
+    The steps run in a fixed order, because kernel spawn order and RNG
+    stream names are the determinism contract: the node model (the
+    ``"memory"`` stream for tiered memory), then the workload, started;
+    then ``before_agent(node)`` (an SLO watcher, a static frequency, a
+    static scanner in place of the agent); then, if ``agent``, the
+    kind's SOL agent on the ``"agent"`` stream, built with
+    ``agent_kwargs`` (``policy``, ``config``, ``breaker``, delays) and
+    started.
+    """
+    kernel = Kernel()
+    streams = RngStreams(seed)
+    model = _node_model(kind, kernel, sku, streams)
+    workload = workload_factory(kernel, model, streams)
+    node = Node(kernel, streams, model, workload)
+    workload.start()
+    if before_agent is not None:
+        before_agent(node)
+    if agent:
+        node.agent = _AGENTS[kind](
+            kernel, model, streams.get("agent"), **agent_kwargs
+        ).start()
+    return node
+
+
+# -- the fleet node ---------------------------------------------------------
 
 
 @dataclass
@@ -88,26 +248,21 @@ class NodeResult:
         return self.slo_violations / self.slo_windows
 
 
-def _overclock_workload(name, kernel, cpu, streams, duration_s):
-    if name == "Synthetic":
+def _fleet_workload(spec: NodeSpec, duration_s: int) -> Callable:
+    if spec.agent == "overclock" and spec.workload == "Synthetic":
         # Scale the batch period so even short fleet runs complete
         # batches (the single-node experiments run 900 s; fleets often
         # run each node for 1-2 minutes).
         period_us = min(100 * SEC, max(SEC, duration_s * SEC // 4))
-        return SyntheticBatchWorkload(kernel, cpu, period_us=period_us)
-    if name == "ObjectStore":
-        return ObjectStoreWorkload(kernel, cpu, streams.get("workload"))
-    if name == "DiskSpeed":
-        return DiskSpeedWorkload(kernel, cpu, streams.get("workload"))
-    raise ValueError(f"unknown overclock workload {name!r}")
-
-
-_TAILBENCH_PROFILES = {"image-dnn": IMAGE_DNN, "moses": MOSES}
-_MEMORY_PROFILES = {
-    "ObjectStore": OBJECTSTORE_MEM,
-    "SQL": SQL_MEM,
-    "SpecJBB": SPECJBB_MEM,
-}
+        return lambda kernel, cpu, streams: SyntheticBatchWorkload(
+            kernel, cpu, period_us=period_us
+        )
+    try:
+        return _WORKLOADS[spec.agent][spec.workload]
+    except KeyError:
+        raise ValueError(
+            f"unknown {spec.agent} workload {spec.workload!r}"
+        ) from None
 
 
 class FleetNode:
@@ -134,26 +289,31 @@ class FleetNode:
     ) -> None:
         self.spec = spec
         self.duration_s = duration_s
-        self.kernel = Kernel()
-        self.streams = RngStreams(spec.seed)
         self._windows: List[bool] = []  # True = violated
-
         self._fault_window_us = fault_window_us
-        builder = getattr(self, f"_build_{spec.agent}")
-        self.agent = builder()
+        # The fleet's SLO watcher spawns before the agent.
+        self.node = build_node(
+            spec.agent,
+            _fleet_workload(spec, duration_s),
+            spec.seed,
+            sku=spec.sku,
+            before_agent=self._spawn_watcher,
+        )
         if fault_window_us is not None:
             attach_burst(
-                self.kernel,
+                self.node.kernel,
                 spec.agent,
-                self.agent,
-                self.streams,
+                self.node.agent,
+                self.node.streams,
                 fault_window_us,
                 fault_probability,
                 kind=fault_kind,
             )
             # Time-to-fallback is anchored at the burst onset; warmup
             # fallbacks before it must not satisfy the query.
-            self.agent.runtime.log.watch_fallback_from(fault_window_us[0])
+            self.node.agent.runtime.log.watch_fallback_from(
+                fault_window_us[0]
+            )
 
     @classmethod
     def from_run(cls, run: NodeRun) -> "FleetNode":
@@ -166,76 +326,24 @@ class FleetNode:
             fault_kind=run.fault_kind or "bad_data",
         )
 
-    # -- per-agent assembly -------------------------------------------------
-
-    def _build_overclock(self) -> SmartOverclockAgent:
-        sku = self.spec.sku
-        self.cpu = CpuModel(
-            self.kernel,
-            n_cores=sku.n_cores,
-            nominal_freq_ghz=sku.nominal_freq_ghz,
-            min_freq_ghz=sku.nominal_freq_ghz,
-            max_freq_ghz=sku.max_freq_ghz,
-            max_ipc=sku.max_ipc,
-        )
-        self.workload = _overclock_workload(
-            self.spec.workload, self.kernel, self.cpu, self.streams,
-            self.duration_s,
-        ).start()
-        self.kernel.spawn(self._watch_overclock(), name="fleet.slo")
-        return SmartOverclockAgent(
-            self.kernel, self.cpu, self.streams.get("agent")
-        ).start()
-
-    def _build_harvest(self) -> SmartHarvestAgent:
-        sku = self.spec.sku
-        self.hypervisor = Hypervisor(
-            self.kernel, n_cores=sku.n_cores, history_horizon_us=1 * SEC
-        )
-        profile = _TAILBENCH_PROFILES[self.spec.workload]
-        self.workload = TailBenchWorkload(
-            self.kernel,
-            self.hypervisor,
-            self.streams.get("workload"),
-            profile,
-        ).start()
-        self.kernel.spawn(
-            self._watch_latency(P99_SLO_MULTIPLE * profile.base_latency_ms),
-            name="fleet.slo",
-        )
-        agent = SmartHarvestAgent(
-            self.kernel, self.hypervisor, self.streams.get("agent")
-        )
-        agent.start()
-        return agent
-
-    def _build_memory(self) -> SmartMemoryAgent:
-        sku = self.spec.sku
-        self.memory = TieredMemory(
-            self.kernel,
-            n_regions=sku.memory_regions,
-            pages_per_region=512,
-            rng=self.streams.get("memory"),
-        )
-        profile = _MEMORY_PROFILES[self.spec.workload]
-        self.workload = ZipfMemoryTrace(
-            self.kernel, self.memory, self.streams.get("trace"), profile
-        ).start()
-        self.kernel.spawn(self._watch_locality(), name="fleet.slo")
-        return SmartMemoryAgent(
-            self.kernel, self.memory, self.streams.get("agent")
-        ).start()
+    def _spawn_watcher(self, node: Node) -> None:
+        watcher = {
+            "overclock": self._watch_overclock,
+            "harvest": self._watch_latency,
+            "memory": self._watch_locality,
+        }[self.spec.agent]
+        node.kernel.spawn(watcher(node), name="fleet.slo")
 
     # -- SLO watchers (one 5 s verdict per window) --------------------------
 
-    def _watch_overclock(self) -> Generator:
+    def _watch_overclock(self, node: Node) -> Generator:
         """Wasted-power windows: above-nominal frequency while idle."""
         sku = self.spec.sku
         window_s = SLO_WINDOW_US / SEC
-        previous = self.cpu.snapshot()
+        previous = node.model.snapshot()
         while True:
             yield SLO_WINDOW_US
-            current = self.cpu.snapshot()
+            current = node.model.snapshot()
             total = current.total_cycles - previous.total_cycles
             unhalted = current.unhalted_cycles - previous.unhalted_cycles
             previous = current
@@ -247,23 +355,23 @@ class FleetNode:
                 > OVERCLOCK_FREQ_MARGIN * sku.nominal_freq_ghz
             )
 
-    def _watch_latency(self, p99_budget_ms: float) -> Generator:
-        from repro.workloads.base import percentile
-
+    def _watch_latency(self, node: Node) -> Generator:
+        profile = node.workload.profile
+        p99_budget_ms = P99_SLO_MULTIPLE * profile.base_latency_ms
         seen = 0
         while True:
             yield SLO_WINDOW_US
-            samples = self.workload.latency_samples_ms[seen:]
-            seen = len(self.workload.latency_samples_ms)
+            samples = node.workload.latency_samples_ms[seen:]
+            seen = len(node.workload.latency_samples_ms)
             if not samples:
                 continue
             self._windows.append(percentile(samples, 99) > p99_budget_ms)
 
-    def _watch_locality(self) -> Generator:
-        previous = self.memory.snapshot()
+    def _watch_locality(self, node: Node) -> Generator:
+        previous = node.model.snapshot()
         while True:
             yield SLO_WINDOW_US
-            current = self.memory.snapshot()
+            current = node.model.snapshot()
             local = current.local_accesses - previous.local_accesses
             total = current.total_accesses - previous.total_accesses
             previous = current
@@ -275,8 +383,8 @@ class FleetNode:
 
     def run(self) -> NodeResult:
         """Simulate the node for its configured duration and report."""
-        self.kernel.run(until=self.duration_s * SEC)
-        runtime = self.agent.runtime
+        self.node.run(self.duration_s)
+        runtime = self.node.agent.runtime
         stats = runtime.stats()
         # Safety-timing extras the sweep campaigns consume.  These live
         # only in NodeResult.stats, which the fleet digest's canonical
@@ -305,7 +413,7 @@ class FleetNode:
                 runtime.log.first_watched_fallback_us()
             )
         try:
-            perf = self.workload.performance()
+            perf = self.node.workload.performance()
             perf_metric, perf_value = perf.metric, float(perf.value)
         except ValueError:
             # Nothing measurable yet (run shorter than one batch/request).
@@ -325,11 +433,6 @@ class FleetNode:
                 "model": stats["model_safeguard_triggers"],
                 "actuator": stats["actuator_safeguard_triggers"],
             },
-            action_histogram=self._action_histogram(runtime),
+            action_histogram=runtime.log.action_histogram(),
             stats=stats,
         )
-
-    @staticmethod
-    def _action_histogram(runtime) -> Dict[str, int]:
-        """Count actuations by prediction provenance: model/default/none."""
-        return runtime.log.action_histogram()

@@ -57,11 +57,12 @@ def test_fleet_digest_identical_with_a_window_recorder_attached():
     plain, traced = [], []
     for node_id in range(config.n_nodes):
         plain.append(scenario.build_node(node_id).run())
-        node = scenario.build_node(node_id)
+        fleet_node = scenario.build_node(node_id)
+        log = fleet_node.node.agent.runtime.log
         recorder = WindowRecorder()
-        node.agent.runtime.log.attach_tracer(recorder)
-        traced.append(node.run())
-        assert recorder.n_events == len(node.agent.runtime.log) > 0
+        log.attach_tracer(recorder)
+        traced.append(fleet_node.run())
+        assert recorder.n_events == len(log) > 0
     assert traced == plain
     assert FleetAggregate.from_results(traced).digest() == expected
 
