@@ -11,7 +11,8 @@ pipe frames are not durable and stay plain pickle
 containers bit-exactly, which every warm-run digest depends on), takes
 the sha256 of that pickle, and deflates it.  The digest names the
 *pickle*, not the deflated bytes, so it is independent of the
-compression level and of zlib's version.
+compression level and of zlib's version.  An :class:`Encoded` comes
+back unchanged, so a result is encoded once for the cache and journal.
 
 ``decode`` is the trust boundary.  It inflates under a fixed size cap
 (:data:`MAX_INFLATED`: a crafted or rotted blob cannot exhaust memory),
@@ -33,9 +34,11 @@ from __future__ import annotations
 import hashlib
 import pickle
 import zlib
-from typing import Any, Optional, Tuple
+from typing import Any, NamedTuple, Optional
 
-__all__ = ["CodecError", "MAX_INFLATED", "SUFFIX", "decode", "encode"]
+__all__ = [
+    "CodecError", "Encoded", "MAX_INFLATED", "SUFFIX", "decode", "encode",
+]
 
 #: File suffix of an encoded cache object ("pickle, zlib").
 SUFFIX = ".pkz"
@@ -50,10 +53,20 @@ class CodecError(ValueError):
     """A blob :func:`decode` cannot turn back into its payload."""
 
 
-def encode(payload: Any) -> Tuple[bytes, str]:
-    """``(deflated pickle, sha256 hex of the pickle)`` of ``payload``."""
+class Encoded(NamedTuple):
+    """A payload as it is stored: the deflated pickle and the sha256
+    hex of the pickle."""
+
+    blob: bytes
+    digest: str
+
+
+def encode(payload: Any) -> Encoded:
+    """``payload`` encoded; an :class:`Encoded` is returned as is."""
+    if type(payload) is Encoded:
+        return payload
     raw = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-    return zlib.compress(raw), hashlib.sha256(raw).hexdigest()
+    return Encoded(zlib.compress(raw), hashlib.sha256(raw).hexdigest())
 
 
 def decode(blob: bytes, digest: Optional[str] = None) -> Any:

@@ -23,13 +23,14 @@ two-level fan-out layout (``objects/ab/abcdef....pkz``).
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import platform
 import sys
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
+
+from repro.core.events import content_digest
 
 __all__ = ["code_salt", "sweep_unit_key", "unit_key"]
 
@@ -128,17 +129,13 @@ def unit_key(
     salt: Optional[str] = None,
 ) -> str:
     """Content address of one ``(artifact, series)`` work unit."""
-    payload = json.dumps(
-        {
-            "artifact": artifact,
-            "series": series,
-            "scale": repr(float(scale)),
-            "kwargs": _canonical(kwargs),
-            "salt": code_salt() if salt is None else salt,
-        },
-        sort_keys=True,
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return content_digest({
+        "artifact": artifact,
+        "series": series,
+        "scale": repr(float(scale)),
+        "kwargs": _canonical(kwargs),
+        "salt": code_salt() if salt is None else salt,
+    })
 
 
 def sweep_unit_key(
@@ -159,12 +156,8 @@ def sweep_unit_key(
     the reproduce-all unit keys that also groups every campaign object
     under ``objects/sw/`` on disk.
     """
-    payload = json.dumps(
-        {
-            "ns": "sweep",
-            "unit": _canonical(unit),
-            "salt": code_salt() if salt is None else salt,
-        },
-        sort_keys=True,
-    )
-    return "sweep::" + hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return "sweep::" + content_digest({
+        "ns": "sweep",
+        "unit": _canonical(unit),
+        "salt": code_salt() if salt is None else salt,
+    })

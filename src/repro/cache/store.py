@@ -5,8 +5,9 @@ picklable for the multiprocessing driver.  Each is stored as one
 object ``objects/<key[:2]>/<key>.pkz`` in the durable-payload encoding
 of :mod:`repro.cache.codec` (a deflated pickle; pickle round-trips
 floats and nested containers bit-exactly, which the warm-run digest
-guarantee depends on).  Writes are atomic (temp file + ``os.replace``),
-so a killed run never leaves a truncated object where a key should be.
+guarantee depends on).  Writes are atomic and not durable
+(:func:`repro.cache.files.write_atomic`): a killed run never leaves a
+truncated object where a key should be, and a power loss only misses.
 An object of another encoding has another suffix and is never looked
 at: it reads as a plain miss.
 
@@ -27,11 +28,11 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict
 
 from repro.cache import codec
+from repro.cache.files import write_atomic
 from repro.obs import spans as obs
 
 __all__ = ["CacheStats", "ResultCache", "default_cache_dir"]
@@ -191,10 +192,10 @@ class ResultCache:
         return os.path.exists(self._object_path(key))
 
     def put(self, key: str, payload: Any) -> None:
-        """Atomically store ``payload`` under ``key``."""
+        """Atomically store ``payload`` (maybe encoded) under ``key``."""
         path = self._object_path(key)
         with obs.span("cache.put", cat="cache", key=key[:16]):
-            self._atomic_write(path, codec.encode(payload)[0])
+            write_atomic(path, codec.encode(payload).blob, durable=False)
             self.stats.stores += 1
 
     # -- recorded unit timings ----------------------------------------------
@@ -248,25 +249,8 @@ class ResultCache:
                 "max": max(prior.get("max", wall), wall),
                 "last": wall,
             }
-        self._atomic_write(
+        write_atomic(
             self._timings_path,
             json.dumps(merged, indent=0, sort_keys=True).encode("utf-8"),
+            durable=False,
         )
-
-    # -- internals -----------------------------------------------------------
-
-    @staticmethod
-    def _atomic_write(path: str, data: bytes) -> None:
-        directory = os.path.dirname(path)
-        os.makedirs(directory, exist_ok=True)
-        fd, temp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(data)
-            os.replace(temp_path, path)
-        except BaseException:
-            try:
-                os.unlink(temp_path)
-            except OSError:
-                pass
-            raise

@@ -15,15 +15,13 @@ that needs individual events attaches a sink to
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.agents.memory import MemoryConfig, StaticScanController
-from repro.core.events import canonical_scalar
+from repro.core.events import canonical_scalar, content_digest
 from repro.fleet.node import GEN5, Node, build_node
 from repro.node.memory import TieredMemory
 from repro.sim import Kernel
@@ -113,18 +111,14 @@ def experiment_digest(result: "ExperimentResult") -> str:
     independent copy on purpose); the bench harness uses this one to
     record that an optimized pass still reproduces every row bit.
     """
-    payload = json.dumps(
-        {
-            "name": result.name,
-            "columns": [str(column) for column in result.columns],
-            "rows": [
-                {str(k): _canonical_cell(v) for k, v in row.items()}
-                for row in result.rows
-            ],
-        },
-        sort_keys=True,
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return content_digest({
+        "name": result.name,
+        "columns": [str(column) for column in result.columns],
+        "rows": [
+            {str(k): _canonical_cell(v) for k, v in row.items()}
+            for row in result.rows
+        ],
+    })
 
 
 class SloWatcher:

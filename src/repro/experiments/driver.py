@@ -30,8 +30,6 @@ driver.
 from __future__ import annotations
 
 import contextlib
-import hashlib
-import json
 import os
 import threading
 from collections import Counter
@@ -42,6 +40,7 @@ from typing import (
 )
 
 from repro.cache import ResultCache, unit_key
+from repro.core.events import content_digest
 from repro.experiments import harvest, memory, overclock, tables
 from repro.experiments.common import ExperimentResult, experiment_digest
 from repro.obs import spans as obs
@@ -534,18 +533,14 @@ def runs_digest(runs: Sequence[ArtifactRun]) -> str:
     interrupted-then-resumed pass seals with the same digest as an
     uninterrupted one iff every artifact's rows agree bit-for-bit.
     """
-    payload = json.dumps(
-        [
-            {
-                "name": run.name,
-                "digest": experiment_digest(run.result),
-                "holes": list(run.holes),
-            }
-            for run in sorted(runs, key=lambda r: r.name)
-        ],
-        sort_keys=True,
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return content_digest([
+        {
+            "name": run.name,
+            "digest": experiment_digest(run.result),
+            "holes": list(run.holes),
+        }
+        for run in sorted(runs, key=lambda r: r.name)
+    ])
 
 
 class _ArtifactReducer:

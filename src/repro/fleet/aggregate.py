@@ -10,11 +10,10 @@ pin serial/parallel equivalence.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Tuple
 
+from repro.core.events import content_digest
 from repro.fleet.node import NodeResult
 
 __all__ = ["FleetAggregate", "FleetAggregateBuilder"]
@@ -118,8 +117,7 @@ class FleetAggregate:
         every bit of every per-node performance number — the strongest
         practical check that sharding didn't perturb any simulation.
         """
-        payload = json.dumps(self.as_dict(), sort_keys=True)
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        return content_digest(self.as_dict())
 
     # -- reporting -----------------------------------------------------------
 

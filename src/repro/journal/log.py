@@ -12,11 +12,12 @@ not states the log can be in).
 
 Durability is two calls.  :meth:`RecordLog.append` hands the frame to
 the OS with one ``write`` — it survives a SIGKILL of this process, not
-a power loss.  :meth:`RecordLog.commit` is one ``fsync`` of everything
-appended since the last commit; a caller that needs a record to
-survive anything commits before it returns (the run journal decides
-which record kinds do, DESIGN.md §12).  ``fsync`` covers the whole
-file, so the unsynced bytes are always a *suffix* of the log.
+a power loss.  :meth:`RecordLog.commit` is one ``fsync``
+(:func:`repro.cache.files.sync`) of everything appended since the last
+commit; a caller that needs a record to survive anything commits before
+it returns (the run journal decides which record kinds do, DESIGN.md
+§12).  ``fsync`` covers the whole file, so the unsynced bytes are always
+a *suffix* of the log.
 
 The write is **not** atomic — a kill mid-``write`` leaves a torn final
 frame, and a power loss can leave an unsynced suffix short or
@@ -50,6 +51,7 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro.cache.files import sync
 from repro.obs import spans as obs
 
 __all__ = [
@@ -229,7 +231,7 @@ class RecordLog:
         if not self._uncommitted:
             return
         with obs.span("journal.fsync", cat="journal"):
-            os.fsync(self._handle.fileno())
+            sync(self._handle)
         self._uncommitted = False
         _maybe_kill_after_commit()
 

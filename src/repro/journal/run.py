@@ -2,8 +2,9 @@
 
 One run = one directory under ``<cache>/runs/<run_id>/``::
 
-    manifest.json   atomic at start: kind, config, plan, full unit list,
-                    log_format, code_salt
+    manifest.json   written once at start, durably, through the IO seam
+                    (:func:`repro.cache.files.write_atomic`): kind,
+                    config, plan, full unit list, log_format, code_salt
     log.bin         append-only record stream (:mod:`repro.journal.log`);
                     a UNIT_DONE frame carries its encoded result
                     (:mod:`repro.cache.codec`: a deflated pickle)
@@ -37,18 +38,18 @@ moves every run to a fresh id.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
 import shutil
-import tempfile
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.cache import codec
+from repro.cache.files import write_atomic
 from repro.cache.keys import code_salt, _canonical
+from repro.core.events import content_digest
 from repro.journal.lease import Lease
 from repro.journal.log import LOG_FORMAT, RecordLog
 
@@ -80,33 +81,11 @@ def runs_root(cache_root: str) -> str:
 
 def derive_run_id(kind: str, payload: Dict[str, Any]) -> str:
     """Deterministic run id: hash of kind + canonical config + salt."""
-    body = json.dumps(
-        {
-            "kind": kind,
-            "config": _canonical(payload),
-            "salt": code_salt(),
-        },
-        sort_keys=True,
-    )
-    return hashlib.sha256(body.encode("utf-8")).hexdigest()[:16]
-
-
-def _atomic_write(path: str, data: bytes) -> None:
-    directory = os.path.dirname(path)
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    return content_digest({
+        "kind": kind,
+        "config": _canonical(payload),
+        "salt": code_salt(),
+    })[:16]
 
 
 @dataclass
@@ -164,7 +143,8 @@ class RunJournal:
 
     def record_done_many(self, items: Iterable[DoneItem]) -> None:
         """Durable completion of a batch: one frame per unit (record +
-        encoded result), one fsync for all of them, stats after it."""
+        encoded result), one fsync for all of them, stats after it.  A
+        payload may come already :class:`~repro.cache.codec.Encoded`."""
         items = list(items)
         for unit_id, payload, wall_s, executed in items:
             blob, digest = codec.encode(payload)
@@ -389,11 +369,12 @@ def open_run(
                 "code_salt": code_salt(),
                 "created_at": time.time(),
             }
-            _atomic_write(
+            write_atomic(
                 os.path.join(directory, "manifest.json"),
                 json.dumps(manifest, sort_keys=True, indent=2).encode(
                     "utf-8"
                 ),
+                durable=True,
             )
         journal = RunJournal(
             run_id=resolved,

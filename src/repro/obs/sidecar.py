@@ -13,10 +13,11 @@ its own files in the same run directory:
   (fresh pid, fresh monotonic epoch) rather than truncating, so an
   interrupted run's trace holds every process segment that worked on
   it.
-* ``metrics.json`` — ``{"segments": [...]}``, rewritten atomically at
-  segment close with that segment's counter snapshot appended.  A
-  killed segment simply contributes no metrics entry; its spans are
-  still in ``trace.jsonl``.
+* ``metrics.json`` — ``{"segments": [...]}``, rewritten atomically
+  (:func:`repro.cache.files.write_atomic`, not durable) at segment
+  close with that segment's counter snapshot appended.  A killed
+  segment simply contributes no metrics entry; its spans are still in
+  ``trace.jsonl``.
 
 Segment headers are JSON objects and carry the only wall-clock in the
 whole telemetry stream: a ``(unix_ns, mono_ns)`` anchor pair captured
@@ -181,16 +182,15 @@ class TelemetrySidecar:
             "pid": os.getpid(),
             "metrics": snapshot,
         })
-        tmp = self.metrics_path + ".tmp"
+        # Deferred: repro.cache imports the core, whose kernel imports obs.
+        from repro.cache.files import write_atomic
+
         try:
-            with open(tmp, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh, indent=2, sort_keys=True)
-            os.replace(tmp, self.metrics_path)
+            data = json.dumps(payload, indent=2, sort_keys=True)
+            write_atomic(self.metrics_path, data.encode("utf-8"),
+                         durable=False)
         except (OSError, TypeError, ValueError):
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
+            pass
 
     def close(self) -> None:
         if self._fh is not None:

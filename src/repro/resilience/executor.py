@@ -22,6 +22,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro.cache import codec
 from repro.obs import spans as obs
 from repro.resilience.chaos import ChaosPlan
 from repro.resilience.policy import RetryPolicy
@@ -214,11 +215,12 @@ def run_units(
 
     def done(unit_id: str, timed: Tuple[Any, float]) -> None:
         result, wall = timed
+        encoded = codec.encode(result)  # once, for both stores
         # cache.put before record_done: a kill between the two leaves a
         # cached-but-unjournaled unit, which a resume loads from the
         # cache; the reverse could journal a unit whose put was lost.
-        cache.put(keys[unit_id], result)
-        journal.record_done(unit_id, result, wall, executed=True)
+        cache.put(keys[unit_id], encoded)
+        journal.record_done(unit_id, encoded, wall, executed=True)
         outcome.executed += 1
         on_result(pending[unit_id], result, wall)
 

@@ -16,11 +16,10 @@ agree on the digest iff they agree on every record bit (DESIGN.md §9).
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
+from repro.core.events import content_digest
 from repro.fleet.aggregate import FleetAggregate
 from repro.sim.units import SEC
 from repro.sweep.units import SweepUnit
@@ -287,10 +286,7 @@ class CampaignReport:
         state — so ``--workers 1`` and ``--workers 8``, cold and warm,
         agree bit-for-bit iff every cell agrees.
         """
-        payload = json.dumps(
-            [record.as_dict() for record in self.records], sort_keys=True
-        )
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        return content_digest([record.as_dict() for record in self.records])
 
     # -- baseline deltas -----------------------------------------------------
 

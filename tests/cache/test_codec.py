@@ -67,7 +67,9 @@ def _assert_round_trips(payload):
     assert _pickled(codec.decode(blob, digest)) == _pickled(payload)
     assert _pickled(codec.decode(blob)) == _pickled(payload)
     assert digest == hashlib.sha256(_pickled(payload)).hexdigest()
-    assert codec.encode(payload) == (blob, digest)  # deterministic
+    encoded = codec.encode(payload)
+    assert encoded == (blob, digest)  # deterministic
+    assert codec.encode(encoded) is encoded  # already encoded: as is
 
 
 @settings(max_examples=200, deadline=None)
@@ -128,3 +130,55 @@ def test_inflate_stops_at_the_cap(monkeypatch):
     assert codec.decode(at_cap) == b"\0" * 900
     with pytest.raises(codec.CodecError, match="past 1024 bytes"):
         codec.decode(zlib.compress(b"\0" * (1 << 20)))
+
+
+def test_an_executed_unit_is_encoded_once_for_both_stores(
+    tmp_path, monkeypatch
+):
+    """The executor encodes an executed unit's result once and hands
+    the same blob to the cache and the journal: each cache object's
+    bytes are a ``UNIT_DONE`` blob, and nothing is pickled twice."""
+    import os
+
+    from repro.cache import ResultCache
+    from repro.journal.log import RecordLog
+    from repro.journal.pipelines import open_sweep_journal
+    from repro.sweep import SweepRunner
+    from repro.sweep.spec import CampaignSpec
+
+    spec = CampaignSpec.from_dict({
+        "name": "encode-once", "agents": ["overclock"], "scales": [2],
+        "seeds": [0], "duration_s": 5, "rack_size": 1,
+        "fault": [{"kind": "bad_data", "intensities": [0.9],
+                   "start_s": 1, "duration_s": 3, "racks": [0]}],
+    })
+    encodes = []
+    real = codec.encode
+
+    def counting(payload):
+        if not isinstance(payload, codec.Encoded):
+            encodes.append(payload)
+        return real(payload)
+
+    monkeypatch.setattr(codec, "encode", counting)
+    root = str(tmp_path)
+    cache = ResultCache(root)
+    with open_sweep_journal(root, spec) as journal:
+        SweepRunner(spec, cache=cache, journal=journal).run()
+        executed, log_path = journal.stats.executed, journal._log.path
+    assert executed == 3
+    assert len(encodes) == executed
+
+    objects = set()
+    for directory, _subdirs, files in os.walk(os.path.join(root, "objects")):
+        for name in files:
+            with open(os.path.join(directory, name), "rb") as handle:
+                objects.add(handle.read())
+    log = RecordLog(log_path)
+    blobs = {
+        bytes(blob) for record, blob in log.take_blobs()
+        if record["kind"] == "UNIT_DONE"
+    }
+    log.close()
+    assert len(objects) == executed
+    assert objects == blobs

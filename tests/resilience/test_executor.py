@@ -11,7 +11,7 @@ import threading
 
 import pytest
 
-from repro.cache import ResultCache
+from repro.cache import ResultCache, codec
 from repro.journal.log import KILL_AFTER_ENV, replay_records, set_kill_action
 from repro.journal.pipelines import PIPELINES, baseline_digest, launch
 from repro.resilience import (
@@ -149,7 +149,7 @@ def test_put_happens_before_record_done():
     cache = FakeCache(log)
     with pytest.raises(RuntimeError):
         run_units(_plan(1), _double, cache=cache, journal=DyingJournal(log))
-    assert cache.contents == {"key0": 0}
+    assert cache.contents == {"key0": codec.encode(0)}  # encoded once
     assert [entry[0] for entry in log] == ["get", "dispatched", "put"]
 
 
