@@ -21,7 +21,7 @@ Safeguards implemented here:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 import numpy as np
 

@@ -6,7 +6,7 @@ series)`` work units that are pure functions of their arguments
 payload is fully determined by *what* is being run (artifact + series
 key), *how* (the resolved experiment kwargs, scale, seed), and *which
 code* runs it (a salt hashed over the package sources).  The store maps
-a digest of those inputs to the encoded payload (a deflated pickle,
+a digest of those inputs to the encoded payload (deflated canonical JSON,
 :mod:`repro.cache.codec`), so a warm re-run assembles every figure from
 cached rows without executing a single simulation — and, because
 assembly is deterministic, emits bit-identical digests (DESIGN.md §8).

@@ -17,7 +17,7 @@ A unit's key digests everything its payload can depend on:
   does not.
 
 Keys are hex SHA-256, so the store is content-addressed in the usual
-two-level fan-out layout (``objects/ab/abcdef....pkz``).
+two-level fan-out layout (``objects/ab/abcdef....jz``).
 """
 
 from __future__ import annotations

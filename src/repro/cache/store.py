@@ -1,15 +1,15 @@
 """On-disk content-addressed payload store.
 
-Payloads are whatever a work unit returns — already required to be
-picklable for the multiprocessing driver.  Each is stored as one
-object ``objects/<key[:2]>/<key>.pkz`` in the durable-payload encoding
-of :mod:`repro.cache.codec` (a deflated pickle; pickle round-trips
-floats and nested containers bit-exactly, which the warm-run digest
-guarantee depends on).  Writes are atomic and not durable
-(:func:`repro.cache.files.write_atomic`): a killed run never leaves a
-truncated object where a key should be, and a power loss only misses.
-An object of another encoding has another suffix and is never looked
-at: it reads as a plain miss.
+Payloads are whatever a work unit returns: data from the closed set of
+:mod:`repro.cache.codec`.  Each is stored as one object
+``objects/<key[:2]>/<key>.jz`` in that codec's encoding (canonical
+JSON deflated against the registry's dictionary; floats round-trip
+bit-exactly, which the warm-run digest guarantee depends on).  Writes
+are atomic and not durable (:func:`repro.cache.files.write_atomic`): a
+killed run never leaves a truncated object where a key should be, and
+a power loss only misses.  An object of another encoding (a ``.pkz``
+pickle of an older build) has another suffix and is never looked at:
+it reads as a plain miss.
 
 A present-but-undecodable object is *quarantined*, not silently
 re-treated as a miss: the bad file is moved aside to
@@ -29,7 +29,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict
+from typing import Any, Dict, Optional, Tuple
 
 from repro.cache import codec
 from repro.cache.files import write_atomic
@@ -98,6 +98,12 @@ class ResultCache:
     directory: str = field(default_factory=default_cache_dir)
     stats: CacheStats = field(default_factory=CacheStats)
     quarantine_keep: int = 64
+    #: ``(key, stored form)`` of the payload the last :meth:`get`
+    #: returned as a hit, else ``None``: a caller that journals the
+    #: hit stores these bytes instead of encoding the payload again.
+    last_hit: Optional[Tuple[str, codec.Encoded]] = field(
+        default=None, init=False, repr=False
+    )
 
     def _object_path(self, key: str) -> str:
         return os.path.join(
@@ -120,10 +126,11 @@ class ResultCache:
         and stores a fresh object.  Garbage is never returned.
         """
         path = self._object_path(key)
+        self.last_hit = None
         with obs.span("cache.get", cat="cache", key=key[:16]) as sp:
             try:
                 with open(path, "rb") as handle:
-                    payload = codec.decode(handle.read())
+                    payload, stored = codec.decode_stored(handle.read())
             except FileNotFoundError:
                 self.stats.misses += 1
                 if sp is not None:
@@ -140,6 +147,7 @@ class ResultCache:
                     sp.args["outcome"] = "corrupt"
                 return default
             self.stats.hits += 1
+            self.last_hit = (key, stored)
             if sp is not None:
                 sp.args["outcome"] = "hit"
             return payload
@@ -159,8 +167,9 @@ class ResultCache:
     def _prune_quarantine(self) -> None:
         """Keep only the newest ``quarantine_keep`` evidence objects.
 
-        Only ``*.pkz`` evidence files are eligible; any other file an
-        operator leaves here is not the cache's to collect.
+        Only evidence files of this encoding (``codec.SUFFIX``) are
+        eligible; any other file an operator leaves here is not the
+        cache's to collect.
         Oldest-first by ``(mtime, name)``: deterministic even when a
         burst of corruption lands within one timestamp granule.
         """

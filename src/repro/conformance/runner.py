@@ -29,7 +29,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.conformance import registry
 from repro.conformance.bisector import first_divergence
-from repro.conformance.scenarios import ScenarioSpec, get_scenario
+from repro.conformance.scenarios import get_scenario
 from repro.conformance.vectors import canonical_state
 from repro.core.events import decode_event
 from repro.sim.trace import CheckpointDigester, WindowRecorder

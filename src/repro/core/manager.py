@@ -15,7 +15,7 @@ that only rely on the idempotent ``CleanUp`` contract.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.core.runtime import SolRuntime
 from repro.sim.kernel import Kernel

@@ -11,7 +11,7 @@ stale".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Generic, TypeVar
 
 from repro.sim.kernel import Kernel

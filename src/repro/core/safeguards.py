@@ -13,7 +13,7 @@ experiments can report how long an agent spent mitigating.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.sim.kernel import Kernel

@@ -1,12 +1,12 @@
 """The append-only record log: crc-framed records, commits, torn-tail replay.
 
-Every record is one frame (format 3, :data:`LOG_FORMAT`)::
+Every record is one frame (format 4, :data:`LOG_FORMAT`)::
 
     >I JSON length | >I blob length | >I crc32(JSON + blob) | JSON | blob
 
 The JSON object is the record; the blob is an opaque byte string that
-rides in the same frame (a ``UNIT_DONE`` record's encoded result, a
-deflated pickle from :mod:`repro.cache.codec` — a valid frame *is* its
+rides in the same frame (a ``UNIT_DONE`` record's encoded result,
+deflated JSON from :mod:`repro.cache.codec` — a valid frame *is* its
 payload, so "record without payload" and "payload without record" are
 not states the log can be in).
 
@@ -65,9 +65,9 @@ __all__ = [
 
 #: The frame layout's version, written into every run manifest; a
 #: journal of any other format is refused on resume, never parsed.
-#: Format 3 is format 2's frame with a deflated blob (format 2 stored
-#: the raw pickle).
-LOG_FORMAT = 3
+#: Format 4 is format 3's frame with a blob of deflated canonical JSON
+#: (format 3 stored a deflated pickle, format 2 the raw pickle).
+LOG_FORMAT = 4
 
 _HEADER = struct.Struct(">III")  # JSON length, blob length, crc32(JSON+blob)
 

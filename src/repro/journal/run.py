@@ -7,7 +7,7 @@ One run = one directory under ``<cache>/runs/<run_id>/``::
                     config, plan, full unit list, log_format, code_salt
     log.bin         append-only record stream (:mod:`repro.journal.log`);
                     a UNIT_DONE frame carries its encoded result
-                    (:mod:`repro.cache.codec`: a deflated pickle)
+                    (:mod:`repro.cache.codec`: deflated JSON)
 
 plus a sibling ``<cache>/runs/<run_id>.lease`` file whose kernel lock
 is the claim (:mod:`repro.journal.lease`; outside the directory, so
@@ -24,7 +24,7 @@ the record kinds into three durability classes (DESIGN.md §12):
   one fsync, so a kill mid-write leaves a torn tail the log replay
   drops and the unit re-executes (idempotent: units are pure,
   DESIGN.md §11).  Replay still decodes every ``UNIT_DONE`` blob
-  against its ``digest`` (the sha256 of the pickle) and demotes any
+  against its ``digest`` (the sha256 of the stored JSON) and demotes any
   :class:`~repro.cache.codec.CodecError` to *not done*;
 * **batch** (:meth:`RunJournal.record_done_many`): every frame
   appended, one fsync, stats after — the same guarantee per record.

@@ -13,8 +13,7 @@ frequency observations); actions are indices into a fixed action list.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Optional, Tuple
 
 import numpy as np
 

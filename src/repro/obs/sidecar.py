@@ -99,13 +99,13 @@ class TelemetrySidecar:
 
     def open_segment(self, run_id: Optional[str] = None) -> int:
         """Append (and flush) this process's segment header."""
-        seq = len(segments(read_trace(self.trace_path)))
         try:
             with open(self.trace_path, "rb") as fh:
-                fh.seek(-1, os.SEEK_END)
-                torn = fh.read(1) != b"\n"
-        except OSError:  # no trace yet, or an empty one
-            torn = False
+                data = fh.read()
+        except OSError:  # no trace yet
+            data = b""
+        seq = _count_segments(data)
+        torn = data[-1:] not in (b"", b"\n")
         self._fh = open(self.trace_path, "a", encoding="utf-8")
         if torn:
             # End a killed segment's torn last line, so this header
@@ -265,6 +265,23 @@ def read_trace(path: str) -> List[Record]:
         if type(value) is dict:
             records.append(value)
     return records
+
+
+def _count_segments(data: bytes) -> int:
+    """How many segment headers the trace bytes ``data`` hold — the
+    count ``segments(read_trace(...))`` gives, without rebuilding a
+    row: only lines that name a segment are decoded."""
+    count = 0
+    for line in data.split(b"\n"):
+        if b'"segment"' not in line:
+            continue
+        try:
+            value = json.loads(line.decode("utf-8"))
+        except (ValueError, RecursionError):
+            continue  # torn tail or garbage, as read_trace skips it
+        if type(value) is dict and value.get("t") == "segment":
+            count += 1
+    return count
 
 
 def read_metrics(path: str) -> Dict[str, Any]:

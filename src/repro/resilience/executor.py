@@ -10,8 +10,9 @@ digest the run seals with), and owns nothing else about execution.
 The journal is reached only through ``is_done / replayed /
 replayed_quarantined / record_dispatched / record_done /
 record_done_many / record_quarantined / seal`` and the cache only
-through ``get / put``,
-so timing proxies and ``repro serve``'s event tap substitute freely;
+through ``get / put`` (and, when the cache has it, ``last_hit``: the
+stored form of a hit, which the journal records as is), so timing
+proxies and ``repro serve``'s event tap substitute freely;
 ``None`` for either becomes a null object here, once.
 """
 
@@ -183,7 +184,7 @@ def run_units(
     # from a cache that may have been pruned or corrupted since.
     pending: Dict[str, WorkUnit] = {}
     keys: Dict[str, str] = {}
-    hits: List[Tuple[WorkUnit, Any]] = []
+    hits: List[Tuple[WorkUnit, Any, Any]] = []
     for unit in plan.units:
         unit_id = unit.unit_id
         if journal.is_done(unit_id):
@@ -197,17 +198,24 @@ def run_units(
             payload = cache.get(key, _CACHE_MISS)
             if payload is _CACHE_MISS:
                 pending[unit_id], keys[unit_id] = unit, key
-            else:
-                hits.append((unit, payload))
+                continue
+            # The journal stores the bytes the hit was read from, so a
+            # hit is never encoded again.
+            stored = getattr(cache, "last_hit", None)
+            hits.append((
+                unit,
+                payload,
+                stored[1] if stored and stored[0] == key else payload,
+            ))
     if hits:
         # One commit for every hit of the pass (an all-hit warm pass is
         # one fsync, not one per unit); the reducer hears of a hit only
         # after its record is durable.
         journal.record_done_many(
-            [(unit.unit_id, payload, 0.0, False) for unit, payload in hits]
+            [(unit.unit_id, stored, 0.0, False) for unit, _, stored in hits]
         )
         outcome.cached = len(hits)
-        for unit, payload in hits:
+        for unit, payload, _stored in hits:
             on_result(unit, payload, None)
 
     def dispatched(unit_id: str, attempt: int) -> None:

@@ -313,7 +313,7 @@ def supervised_map(
             if completed:
                 # Refill before commit: the workers this poll freed get
                 # their next units first, so the caller's per-result
-                # bookkeeping (cache.put, the journal's pickle + fsync)
+                # bookkeeping (cache.put, the journal's encode + fsync)
                 # overlaps the workers' next units instead of idling
                 # them.  A result the pool already returned reaches
                 # on_result even if the refill raises (a cancel from the

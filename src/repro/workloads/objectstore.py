@@ -18,7 +18,7 @@ from typing import List
 import numpy as np
 
 from repro.node.cpu import CpuModel
-from repro.sim.units import MS, SEC
+from repro.sim.units import MS
 from repro.workloads.base import PerformanceReport, Workload, percentile
 
 __all__ = ["ObjectStoreWorkload"]

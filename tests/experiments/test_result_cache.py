@@ -71,7 +71,7 @@ def test_store_round_trips_payloads_exactly(tmp_path):
     cache = ResultCache(str(tmp_path))
     payload = {
         "floats": [0.1, 1e-300, float("inf")],
-        "nested": {"ints": (1, 2, 3), "flag": True, "none": None},
+        "nested": {"ints": [1, 2, 3], "flag": True, "none": None},
     }
     cache.put("ab" * 32, payload)
     loaded = cache.get("ab" * 32)
@@ -183,13 +183,20 @@ class _Crafted:
 
 
 @pytest.mark.parametrize("crafted", [
-    _Crafted(int, ("x", "y", "z")),  # TypeError on load
-    _Crafted(dict.__getitem__, ({}, "k")),  # KeyError on load
+    _Crafted(int, ("x", "y", "z")),  # TypeError if unpickled
+    _Crafted(dict.__getitem__, ({}, "k")),  # KeyError if unpickled
 ], ids=["TypeError", "KeyError"])
 def test_any_unpickle_error_is_quarantined_as_a_miss(tmp_path, crafted):
+    """A deflated pickle where an object should be — however crafted —
+    is never unpickled: it is quarantined and read as a miss."""
+    import zlib
+
     cache = ResultCache(str(tmp_path))
     key = "5a" * 32
-    cache.put(key, crafted)
+    path = cache._object_path(key)
+    os.makedirs(os.path.dirname(path))
+    with open(path, "wb") as handle:
+        handle.write(zlib.compress(pickle.dumps(crafted)))
     assert cache.get(key, "default") == "default"
     assert (cache.stats.misses, cache.stats.corrupt) == (1, 1)
     assert key not in cache
@@ -366,9 +373,9 @@ def test_atomic_writes_under_multi_process_contention(tmp_path):
         "cache = ResultCache(root)\n"
         "for i in range(200):\n"
         "    cache.put('contended-key', {'tag': tag, 'i': i,\n"
-        "                                'blob': b'x' * 4096})\n"
+        "                                'blob': 'x' * 4096})\n"
         "    got = cache.get('contended-key')\n"
-        "    assert got is not None and got['blob'] == b'x' * 4096\n"
+        "    assert got is not None and got['blob'] == 'x' * 4096\n"
         "assert cache.stats.corrupt == 0, cache.stats\n"
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
@@ -384,7 +391,7 @@ def test_atomic_writes_under_multi_process_contention(tmp_path):
     final = ResultCache(root)
     payload = final.get("contended-key")
     assert payload["tag"] in ("alpha", "beta")
-    assert payload["blob"] == b"x" * 4096
+    assert payload["blob"] == "x" * 4096
     assert final.stats.corrupt == 0
 
 
@@ -412,7 +419,7 @@ def test_quarantine_dir_is_bounded_to_keep_newest(tmp_path):
 
 
 def test_quarantine_prune_spares_the_units_log(tmp_path):
-    """Only ``*.pkz`` evidence counts against the object bound: any
+    """Only ``*.jz`` evidence counts against the object bound: any
     other file in the quarantine directory is never collected."""
     cache = ResultCache(str(tmp_path), quarantine_keep=1)
     os.makedirs(cache.quarantine_dir, exist_ok=True)

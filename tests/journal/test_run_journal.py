@@ -152,11 +152,10 @@ def test_corrupt_payload_demotes_unit_to_not_done(tmp_path):
         assert not resumed.is_done("u2")
 
 
-def test_blobs_are_deflated_and_digest_their_pickle(tmp_path):
-    """A UNIT_DONE blob is the codec's deflated pickle, and its
-    ``digest`` is the sha256 of the pickle, not of the stored bytes."""
-    import pickle
-
+def test_blobs_are_deflated_json_and_digest_it(tmp_path):
+    """A UNIT_DONE blob is the codec's compact JSON deflated against the
+    registry's dictionary, and its ``digest`` is the sha256 of the JSON,
+    not of the stored bytes."""
     payload = {"rows": ["x" * 64] * 8}
     with _open(tmp_path) as journal:
         journal.record_done("u0", payload, 0.0)
@@ -164,8 +163,9 @@ def test_blobs_are_deflated_and_digest_their_pickle(tmp_path):
     with open(log, "rb") as handle:
         data = handle.read()
     _start, blob_start, end = _done_frame(data, "u0")
-    raw = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-    assert zlib.decompress(data[blob_start:end]) == raw
+    raw = json.dumps(payload, separators=(",", ":")).encode("utf-8")
+    inflater = zlib.decompressobj(zdict=codec.dictionary())
+    assert inflater.decompress(data[blob_start:end]) == raw
     assert end - blob_start < len(raw)
     (record,) = replay_records(log)[0]
     assert record["digest"] == hashlib.sha256(raw).hexdigest()
@@ -220,7 +220,8 @@ def test_a_blob_that_inflates_past_the_cap_is_not_done(
 
 def test_blob_that_fails_its_digest_or_unpickle_is_not_done(tmp_path):
     """Past the crc, replay still checks each UNIT_DONE's sha256 digest
-    and fails closed on any undecodable blob or unpickle error."""
+    and fails closed on any undecodable blob — a deflated pickle under
+    its own digest included: it is never unpickled."""
     not_a_pickle = b"\x80\x05 this is not a pickle"
     good, _digest = codec.encode("u1's payload")
     with _open(tmp_path) as journal:
@@ -365,7 +366,7 @@ def _edit_manifest(journal, edit):
 
 def test_manifest_records_the_log_format(tmp_path):
     with _open(tmp_path) as journal:
-        assert journal.manifest["log_format"] == LOG_FORMAT == 3
+        assert journal.manifest["log_format"] == LOG_FORMAT == 4
 
 
 def test_resume_refuses_a_journal_of_another_log_format(tmp_path):
@@ -383,7 +384,7 @@ def test_resume_refuses_a_journal_of_another_log_format(tmp_path):
     old_log = struct.pack(">II", len(body), zlib.crc32(body)) + body
     with open(os.path.join(journal.directory, "log.bin"), "wb") as handle:
         handle.write(old_log)
-    with pytest.raises(ValueError, match=r"log_format is None .* is 3"):
+    with pytest.raises(ValueError, match=r"log_format is None .* is 4"):
         _open(tmp_path, resume=True)
     assert _log_bytes(journal) == old_log
     with pytest.raises(ValueError, match="log_format"):  # explicit id too
@@ -413,9 +414,58 @@ def test_resume_refuses_a_format_2_journal_of_raw_pickles(tmp_path):
     ) + body + blob
     with open(os.path.join(journal.directory, "log.bin"), "wb") as handle:
         handle.write(old_log)
-    with pytest.raises(ValueError, match=r"log_format is 2 .* is 3"):
+    with pytest.raises(ValueError, match=r"log_format is 2 .* is 4"):
         _open(tmp_path, resume=True)
     assert _log_bytes(journal) == old_log
+
+
+class _Marker:
+    """Unpickling this creates the file at ``path``."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def __reduce__(self):
+        return (open, (self.path, "w"))
+
+
+def _bomb_log(journal, marker):
+    """Replace ``journal``'s log with one UNIT_DONE for u0 whose blob is
+    a deflated pickle (format 3's encoding) that would create
+    ``marker``, under its right digest and crc."""
+    import pickle
+
+    raw = pickle.dumps(_Marker(str(marker)), protocol=pickle.HIGHEST_PROTOCOL)
+    blob = zlib.compress(raw)
+    body = json.dumps(
+        {"kind": "UNIT_DONE", "unit": "u0", "wall": 0.1, "executed": True,
+         "digest": hashlib.sha256(raw).hexdigest()}, sort_keys=True,
+    ).encode("utf-8")
+    log = _HEADER.pack(
+        len(body), len(blob), zlib.crc32(blob, zlib.crc32(body))
+    ) + body + blob
+    with open(os.path.join(journal.directory, "log.bin"), "wb") as handle:
+        handle.write(log)
+    return log
+
+
+def test_a_format_3_journal_of_deflated_pickles_runs_no_code(tmp_path):
+    """Format 3 stored deflated pickles.  Resume refuses such a journal
+    before reading a blob; and the same blob inside a format-4 journal
+    is demoted, never unpickled."""
+    marker = tmp_path / "ran"
+    with _open(tmp_path) as journal:
+        pass
+    _edit_manifest(journal, lambda manifest: manifest.update(log_format=3))
+    old_log = _bomb_log(journal, marker)
+    with pytest.raises(ValueError, match=r"log_format is 3 .* is 4"):
+        _open(tmp_path, resume=True)
+    assert _log_bytes(journal) == old_log
+
+    _edit_manifest(journal, lambda manifest: manifest.update(log_format=4))
+    with _open(tmp_path, resume=True) as resumed:
+        assert not resumed.is_done("u0") and resumed.stats.replayed == 0
+    assert not marker.exists()
 
 
 def test_resume_by_run_id_refuses_a_journal_of_another_code_salt(tmp_path):

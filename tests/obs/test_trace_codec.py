@@ -18,6 +18,7 @@ import threading
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.obs import sidecar as sidecar_module
 from repro.obs.export import chrome_trace
 from repro.obs.sidecar import (
     TelemetrySidecar,
@@ -219,3 +220,45 @@ def test_read_trace_over_any_bytes_returns_only_dicts(lines, cut, zero):
             fh.write(bytes(data))
         records = read_trace(path)
     assert all(type(record) is dict for record in records)
+
+
+@given(lines=st.lists(_line, max_size=12), cut=st.integers(min_value=0))
+@settings(max_examples=200, deadline=None)
+def test_segment_count_agrees_with_read_trace(lines, cut):
+    data = b"\n".join(lines)
+    data = data[:cut % (len(data) + 1)]  # a torn tail
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "trace.jsonl")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        expected = len(segments(read_trace(path)))
+    assert sidecar_module._count_segments(data) == expected
+
+
+def test_numbering_a_segment_rebuilds_no_row(tmp_path, monkeypatch):
+    """Opening segment k of a trace with k headers numbers it k without
+    rebuilding a single row, and still ends the torn line a killed
+    writer left."""
+    directory = str(tmp_path)
+
+    def body(tracer):
+        for _ in range(5):
+            tracer.end(tracer.begin("unit"))
+
+    for _ in range(3):
+        _segment(directory, body)
+    with open(trace_path(directory), "ab") as fh:
+        fh.write(b'["s",0,9,1,')  # torn by a kill
+    rebuilt = []
+    rebuild = sidecar_module._rebuild
+    monkeypatch.setattr(
+        sidecar_module, "_rebuild",
+        lambda *args: rebuilt.append(args) or rebuild(*args),
+    )
+    sidecar = TelemetrySidecar(directory)
+    assert sidecar.open_segment(run_id="codec") == 3
+    sidecar.close()
+    assert rebuilt == []
+    records = read_trace(trace_path(directory))
+    assert [h["seq"] for h in segments(records)] == [0, 1, 2, 3]
+    assert len(rebuilt) == 15  # the rows are there: 5 per segment
