@@ -216,7 +216,9 @@ class RecordLog:
         # the kill-after counter must only ever count journal commits);
         # the span below lands in the sidecar instead.
         with obs.span("journal.append", cat="journal", kind=kind):
-            body = json.dumps(record, sort_keys=True).encode("utf-8")
+            body = json.dumps(
+                record, sort_keys=True, separators=(",", ":")
+            ).encode("utf-8")
             crc = zlib.crc32(blob, zlib.crc32(body))
             self._handle.write(b"".join((
                 _HEADER.pack(len(body), len(blob), crc), body, blob,

@@ -27,25 +27,38 @@ segment's monotonic timestamps on one absolute axis (DESIGN.md §14).
 Every span and instant the tracer emits is written as a compact *row*
 (DESIGN.md §14)::
 
-    span:    ["s"|"a", thread, id, parent, ts, dur, cat, name(, args)]
-    instant: ["i", thread, parent, ts, cat, name(, args)]
+    span:    ["s"|"a", thread, id, parent, ts, dur, label(, args)]
+    instant: ["i", thread, parent, ts, label(, args)]
 
 ``"s"``/``"a"`` are the sync/async modes, ``ts`` is an offset from the
-segment header's ``mono_ns``, ``args`` is omitted when empty, and
-``thread`` is a per-segment index: the first row of each
-``(pid, tid, thread name)`` carries that triple as a list in its place,
-which assigns it the next index.  :func:`read_trace` is the one
-decoder: it rebuilds rows into exactly the dicts the tracer emitted
-and passes object lines (headers, and records written before rows
-existed) through unchanged.
+segment header's ``mono_ns``, and ``args`` is omitted when empty.
+``thread``, ``label`` and ``args`` are interned per segment, each in
+its own table: the first row that uses a ``(pid, tid, thread name)``
+carries that triple as a list, the first that uses a ``(cat, name)``
+carries ``[cat, name]``, and the first that uses an args dict carries
+the dict; each such row gives its value the table's next index, which
+later rows carry instead.  Args are keyed by their exact compact JSON
+text, so ``1``, ``1.0`` and ``true`` stay distinct.  A table holds at
+most :data:`TABLE_LIMIT` values; past that, new values are written
+inline and get no index, on both sides.  The writer advances a table
+only once the row's line was written, so a failed write cannot desync
+writer and reader.
+
+:func:`read_trace` is the one decoder: it rebuilds rows into exactly
+the dicts the tracer emitted, each with an ``args`` dict of its own.
+It passes object lines (headers, and records written before rows
+existed) through unchanged, and still reads rows written before labels
+and args were interned (``cat`` and ``name`` inline, a ``str`` in the
+label slot).
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import os
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 __all__ = [
     "TelemetrySidecar",
@@ -59,21 +72,32 @@ TRACE_NAME = "trace.jsonl"
 METRICS_NAME = "metrics.json"
 
 Record = Dict[str, Any]
+#: The ``(table, value)`` pairs a row introduces, applied once it is
+#: written (writer) or fully decoded (reader).
+Fresh = List[Tuple[Any, Any]]
 
 _encode = json.JSONEncoder(separators=(",", ":")).encode
 
-_SPAN_FIELDS = ("id", "parent", "ts", "dur", "cat", "name")
-_INSTANT_FIELDS = ("parent", "ts", "cat", "name")
+#: Values each per-segment table (threads, labels, args) interns at
+#: most; later new values are written inline, so a run with unique args
+#: (cache keys, unit ids) keeps the writer's tables bounded.
+TABLE_LIMIT = 4096
+
+_SPAN_FIELDS = ("id", "parent", "ts", "dur")
+_INSTANT_FIELDS = ("parent", "ts")
 _KEYS = {
     "span": frozenset(
-        ("t", "pid", "tid", "thread", "mode", "args") + _SPAN_FIELDS
+        ("t", "pid", "tid", "thread", "mode", "cat", "name", "args")
+        + _SPAN_FIELDS
     ),
     "instant": frozenset(
-        ("t", "pid", "tid", "thread", "args") + _INSTANT_FIELDS
+        ("t", "pid", "tid", "thread", "cat", "name", "args")
+        + _INSTANT_FIELDS
     ),
 }
 _TAGS = {"sync": "s", "async": "a"}
-#: Row tag -> (the record's fixed keys, its fields after the thread).
+#: Row tag -> (the record's fixed keys, its fields between the thread
+#: and the label).
 _ROWS: Dict[str, Tuple[Record, Tuple[str, ...]]] = {
     "s": ({"t": "span", "mode": "sync"}, _SPAN_FIELDS),
     "a": ({"t": "span", "mode": "async"}, _SPAN_FIELDS),
@@ -96,6 +120,8 @@ class TelemetrySidecar:
         self.segment_seq: Optional[int] = None
         self._mono_ns = 0
         self._threads: Dict[Tuple[Any, Any, Any], int] = {}
+        self._labels: Dict[Tuple[str, str], int] = {}
+        self._args: Dict[str, int] = {}
 
     def open_segment(self, run_id: Optional[str] = None) -> int:
         """Append (and flush) this process's segment header."""
@@ -112,7 +138,7 @@ class TelemetrySidecar:
             # starts a line of its own: rows decode against it.
             self._fh.write("\n")
         self.segment_seq = seq
-        self._threads = {}
+        self._threads, self._labels, self._args = {}, {}, {}
         # Captured back-to-back: the segment's only wall-clock, used
         # solely at export time to align monotonic spans.
         unix_ns = time.time_ns()
@@ -127,9 +153,12 @@ class TelemetrySidecar:
         })
         return seq
 
-    def _row(self, record: Record) -> Optional[List[Any]]:
-        """``record`` as a row, or None for anything that is not a
-        tracer span or instant (written as an object line instead)."""
+    def _line(
+        self, record: Record
+    ) -> Optional[Tuple[str, Fresh]]:
+        """``record``'s row text and the ``(table, key)`` pairs the row
+        introduces, or None for anything that is not a tracer span or
+        instant (written as an object line instead)."""
         kind = record.get("t")
         if kind == "span":
             tag = _TAGS.get(record.get("mode"))
@@ -140,36 +169,46 @@ class TelemetrySidecar:
         if tag is None or record.keys() != _KEYS[kind]:
             return None
         ts, dur, args = record["ts"], record.get("dur", 0), record["args"]
+        span_id, parent = record.get("id", 0), record["parent"]
         pid, tid, name = thread = (
             record["pid"], record["tid"], record["thread"]
         )
-        if not (type(ts) is type(dur) is type(pid) is type(tid) is int
-                and type(name) is str and type(args) is dict):
+        label = (record["cat"], record["name"])
+        if not (type(ts) is type(dur) is type(pid) is type(tid)
+                is type(span_id) is int
+                and (parent is None or type(parent) is int)
+                and type(name) is type(label[0]) is type(label[1]) is str
+                and type(args) is dict):
             return None
-        index = self._threads.get(thread)
-        row = [tag, list(thread) if index is None else index]
-        if tag == "i":
-            row += (record["parent"], ts - self._mono_ns, record["cat"],
-                    record["name"])
-        else:
-            row += (record["id"], record["parent"], ts - self._mono_ns, dur,
-                    record["cat"], record["name"])
+        # Every field but the interned values is an int or null, so the
+        # row is formatted directly; only args go through the encoder,
+        # once, and that text is both their key and their inline form.
+        fresh: Fresh = []
+        parent = "null" if parent is None else parent
+        ts -= self._mono_ns
+        fields = (f"{parent},{ts}" if tag == "i"
+                  else f"{span_id},{parent},{ts},{dur}")
+        text = (f'["{tag}",{_slot(self._threads, thread, fresh)},{fields},'
+                f"{_slot(self._labels, label, fresh)}")
         if args:
-            row.append(args)
-        return row
+            text += "," + _slot(self._args, _encode(args), fresh)
+        return text + "]", fresh
 
     def write(self, record: Record) -> None:
         """Append one record; flushed so a SIGKILL loses ≤1 line."""
         if self._fh is None:
             return
         try:
-            row = self._row(record)
-            self._fh.write(_encode(record if row is None else row) + "\n")
+            line = self._line(record)
+            self._fh.write(
+                (_encode(record) if line is None else line[0]) + "\n"
+            )
             self._fh.flush()
         except (OSError, TypeError, ValueError, RecursionError):
             return  # telemetry must never take the run down
-        if row is not None and type(row[1]) is list:
-            self._threads[tuple(row[1])] = len(self._threads)
+        for table, key in line[1] if line is not None else ():
+            if len(table) < TABLE_LIMIT:
+                table[key] = len(table)
 
     def write_metrics(self, snapshot: Dict[str, Any]) -> None:
         """Append this segment's metrics snapshot to ``metrics.json``
@@ -201,36 +240,90 @@ class TelemetrySidecar:
             self._fh = None
 
 
+def _slot(table: Dict[Any, int], key: Any, fresh: Fresh) -> str:
+    """What a row carries for ``key``: its index in ``table``, else the
+    value in full (a tuple as a JSON list, args text as it is), noting
+    in ``fresh`` that the row introduces ``key``."""
+    index = table.get(key)
+    if index is None:
+        fresh.append((table, key))
+        return _encode(list(key)) if type(key) is tuple else key
+    return str(index)
+
+
+def _is_thread(value: Any) -> bool:
+    return type(value) is list and len(value) == 3
+
+
+def _is_label(value: Any) -> bool:
+    return (type(value) is list and len(value) == 2
+            and type(value[0]) is type(value[1]) is str)
+
+
+def _is_args(value: Any) -> bool:
+    return type(value) is dict
+
+
+def _lookup(
+    value: Any,
+    table: List[Any],
+    introduces: Callable[[Any], bool],
+    fresh: Fresh,
+) -> Any:
+    """The value an interned slot holding ``value`` stands for, or None:
+    an index into ``table``, or a value ``introduces`` accepts, which
+    is noted in ``fresh``."""
+    if type(value) is int:
+        return table[value] if 0 <= value < len(table) else None
+    if introduces(value):
+        fresh.append((table, value))
+        return value
+    return None
+
+
+Tables = Tuple[List[Any], List[Any], List[Any]]
+
+
 def _rebuild(
-    row: List[Any], mono_ns: Optional[int], threads: List[List[Any]]
+    row: List[Any], mono_ns: Optional[int], tables: Tables
 ) -> Optional[Record]:
     """The tracer record ``row`` encodes, or None if it encodes none.
 
-    ``threads`` is the segment's thread table; a row introducing a
-    thread appends to it, as the writer's did."""
+    ``tables`` are the segment's thread, label and args tables; a row
+    that introduces a value appends it to its table, as the writer's
+    did."""
     layout = _ROWS.get(row[0]) if row and type(row[0]) is str else None
     if layout is None or mono_ns is None:
         return None
     fixed, fields = layout
-    end = 2 + len(fields)
-    if len(row) not in (end, end + 1):
+    head, tail = row[2:2 + len(fields)], row[2 + len(fields):]
+    threads, labels, args = tables
+    fresh: Fresh = []
+    thread = _lookup(row[1], threads, _is_thread, fresh)
+    if tail and type(tail[0]) is str:
+        # Written before labels and args were interned: cat and name
+        # inline, then the args dict, if any.
+        label, tail = tail[:2], tail[2:]
+    else:
+        label = _lookup(tail[0], labels, _is_label, fresh) if tail else None
+        tail = tail[1:]
+        if len(tail) == 1:
+            # The table keeps its dict; each record gets a copy.
+            tail = [copy.deepcopy(_lookup(tail[0], args, _is_args, fresh))]
+    if thread is None or label is None or len(label) != 2 or len(tail) > 1:
         return None
-    thread = row[1]
-    introduced = type(thread) is list and len(thread) == 3
-    if type(thread) is int and 0 <= thread < len(threads):
-        thread = threads[thread]
-    elif not introduced:
-        return None
-    record = dict(zip(fields, row[2:end]), **fixed)
+    record = dict(zip(fields, head), **fixed)
     record["pid"], record["tid"], record["thread"] = thread
-    record["args"] = row[end] if len(row) > end else {}
+    record["cat"], record["name"] = label
+    record["args"] = tail[0] if tail else {}
     if not (type(record["ts"]) is type(record.get("dur", 0))
             is type(record["pid"]) is type(record["tid"]) is int
             and type(record["thread"]) is str
             and type(record["args"]) is dict):
         return None
-    if introduced:
-        threads.append(thread)
+    for table, value in fresh:
+        if len(table) < TABLE_LIMIT:
+            table.append(value)
     record["ts"] += mono_ns
     return record
 
@@ -250,18 +343,18 @@ def read_trace(path: str) -> List[Record]:
         return []
     records: List[Record] = []
     mono_ns: Optional[int] = None
-    threads: List[List[Any]] = []
+    tables: Tables = ([], [], [])
     for line in data.split(b"\n"):
         try:
             value = json.loads(line.decode("utf-8"))
         except (ValueError, RecursionError):
             continue  # torn tail from a SIGKILLed writer, or garbage
         if type(value) is list:
-            value = _rebuild(value, mono_ns, threads)
+            value = _rebuild(value, mono_ns, tables)
         elif type(value) is dict and value.get("t") == "segment":
             anchor = value.get("mono_ns")
             mono_ns = anchor if type(anchor) is int else None
-            threads = []
+            tables = ([], [], [])
         if type(value) is dict:
             records.append(value)
     return records

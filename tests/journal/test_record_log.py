@@ -27,6 +27,12 @@ def log_path(tmp_path):
 
 
 def test_append_then_replay_round_trips(log_path):
+    # A frame as earlier builds wrote it (``", "`` and ``": "``), then
+    # this build's compact frames: replay parses any JSON.
+    spaced = json.dumps({"kind": "UNIT_DISPATCHED", "unit": "u0",
+                         "attempt": 0}, sort_keys=True).encode("utf-8")
+    with open(log_path, "wb") as handle:
+        handle.write(_frame(spaced, b"", crc_ok=True))
     log = RecordLog(log_path)
     log.append("UNIT_DISPATCHED", unit="u1", attempt=0)
     log.append("UNIT_DONE", b"\x00raw\xffblob", unit="u1", wall=0.5,
@@ -35,15 +41,20 @@ def test_append_then_replay_round_trips(log_path):
     log.close()
     records, valid = replay_records(log_path)
     assert [r["kind"] for r in records] == [
-        "UNIT_DISPATCHED", "UNIT_DONE", "RUN_SEALED",
+        "UNIT_DISPATCHED", "UNIT_DISPATCHED", "UNIT_DONE", "RUN_SEALED",
     ]
-    assert records[1]["unit"] == "u1"
-    assert records[2]["digest"] == "final"
+    assert [r["unit"] for r in records[:2]] == ["u0", "u1"]
+    assert records[2]["unit"] == "u1"
+    assert records[3]["digest"] == "final"
     assert valid == os.path.getsize(log_path)
     # The blob rides in the frame raw (no base64), is handed over once
-    # on reopen, and is never part of the record metadata.
+    # on reopen, and is never part of the record metadata; appended
+    # frames are compact JSON.
     with open(log_path, "rb") as handle:
-        assert b"\x00raw\xffblob" in handle.read()
+        data = handle.read()
+    assert b"\x00raw\xffblob" in data
+    assert data.startswith(_frame(spaced, b"", crc_ok=True))
+    assert b'{"attempt":0,"kind":"UNIT_DISPATCHED","unit":"u1"}' in data
     reopened = RecordLog(log_path)
     assert reopened.records == records
     ((record, blob),) = reopened.take_blobs()

@@ -6,8 +6,17 @@ preceded rows: a traced pooled fleet run (4 nodes, 2 workers) stopped
 after its first journal commit and resumed once in a fresh process, so
 it holds two segments; its last line is torn in half.
 ``legacy_trace.chrome.json`` is that trace's ``chrome_trace`` output.
-Both are fixed: they pin what readers of old runs see, so neither is
-ever regenerated.
+
+``legacy_rows_trace.jsonl`` was recorded the same way (4 nodes, 2
+workers, killed after its first journal commit, resumed once) by the
+row writer that preceded interned labels and args: ``cat`` and ``name``
+inline on every row.  The killed segment's last line was torn in half
+before the resume, which ended it.  ``legacy_rows_trace.records
+.json`` and ``legacy_rows_trace.chrome.json`` are what that writer's
+own ``read_trace`` and ``chrome_trace`` made of it.
+
+All of these are fixed: they pin what readers of old runs see, so none
+is ever regenerated.
 """
 
 import json
@@ -31,6 +40,9 @@ from repro.obs.spans import Tracer
 HERE = os.path.dirname(__file__)
 LEGACY = os.path.join(HERE, "legacy_trace.jsonl")
 LEGACY_CHROME = os.path.join(HERE, "legacy_trace.chrome.json")
+LEGACY_ROWS = os.path.join(HERE, "legacy_rows_trace.jsonl")
+LEGACY_ROWS_RECORDS = os.path.join(HERE, "legacy_rows_trace.records.json")
+LEGACY_ROWS_CHROME = os.path.join(HERE, "legacy_rows_trace.chrome.json")
 
 _json = st.recursive(
     st.none() | st.booleans() | st.integers()
@@ -68,6 +80,34 @@ def _spans(records):
     return [r for r in records if r.get("t") != "segment"]
 
 
+def _compact(value):
+    return json.dumps(value, separators=(",", ":"))
+
+
+def _lines(directory):
+    """The JSON value of every complete line of ``directory``'s trace."""
+    values = []
+    with open(trace_path(directory), "rb") as fh:
+        for line in fh:
+            try:
+                values.append(json.loads(line))
+            except ValueError:
+                pass  # a torn line
+    return values
+
+
+def _introduced(rows):
+    """The labels and args texts ``rows`` carry in full, in order."""
+    labels, args = [], []
+    for row in rows:
+        at = 4 if row[0] == "i" else 6  # the label slot
+        if isinstance(row[at], list):
+            labels.append(tuple(row[at]))
+        if len(row) > at + 1 and isinstance(row[at + 1], dict):
+            args.append(_compact(row[at + 1]))
+    return labels, args
+
+
 def test_every_emitted_record_reads_back_equal(tmp_path):
     directory = str(tmp_path)
     # Worker attempts from another process, traced before this segment
@@ -85,7 +125,10 @@ def test_every_emitted_record_reads_back_equal(tmp_path):
                 args={"nested": {"a": [1, {"b": None}], "x": 2.5}},
             ):
                 tracer.instant("pool.dispatch", "pool", {"unit": "u1"})
+                tracer.instant("pool.dispatch", "pool", {"unit": "u1"})
                 tracer.instant("tick", "pool")
+                for value in (1, 1.0, True, 1):
+                    tracer.instant("tick", "pool", {"n": value})
             unit = tracer.begin("unit-é", cat="unit", attach=False)
             tracer.absorb(shipped)
             tracer.end(unit)
@@ -105,22 +148,37 @@ def test_every_emitted_record_reads_back_equal(tmp_path):
         with tracer.span("run", cat="run", args={"resumed": True}):
             tracer.absorb(shipped)
 
-    emitted = _segment(directory, first) + _segment(directory, second)
+    by_segment = [_segment(directory, first), _segment(directory, second)]
+    emitted = by_segment[0] + by_segment[1]
     records = read_trace(trace_path(directory))
     assert _spans(records) == emitted
+    # 1, 1.0 and true are equal in Python but are distinct args.
+    assert [type(r["args"]["n"]) for r in records if "n" in r.get(
+        "args", ())] == [int, float, bool, int]
     assert [h["seq"] for h in segments(records)] == [0, 1]
     assert {r["mode"] for r in emitted if r["t"] == "span"} == {
         "sync", "async"
     }
     assert any(r["t"] == "instant" and not r["args"] for r in emitted)
-    # One line per record; every tracer record is a row, and a thread
-    # is introduced once per segment.
-    with open(trace_path(directory), "rb") as fh:
-        lines = [json.loads(line) for line in fh]
+    # One line per record; every tracer record is a row, and a thread,
+    # a label and an args dict are each written in full once per
+    # segment.
+    lines = _lines(directory)
     assert len(lines) == len(records)
     rows = [line for line in lines if isinstance(line, list)]
     assert len(rows) == len(emitted)
     assert sum(isinstance(row[1], list) for row in rows) == 3 + 2
+    start = 0
+    for segment in by_segment:
+        labels, args = _introduced(rows[start:start + len(segment)])
+        start += len(segment)
+        assert sorted(labels) == sorted(
+            {(r["cat"], r["name"]) for r in segment}
+        )
+        assert sorted(args) == sorted(
+            {_compact(r["args"]) for r in segment if r["args"]}
+        )
+    assert start == len(rows)
 
 
 @given(name=st.text(), cat=st.text(), args=_args, attach=st.booleans(),
@@ -129,8 +187,10 @@ def test_every_emitted_record_reads_back_equal(tmp_path):
 def test_names_and_args_round_trip(name, cat, args, attach, instant_args):
     with tempfile.TemporaryDirectory() as directory:
         def body(tracer):
-            tracer.end(tracer.begin(name, cat, args, attach=attach))
-            tracer.instant(name, cat, instant_args)
+            for _ in range(2):  # every label and args dict again
+                tracer.end(tracer.begin(name, cat, args, attach=attach))
+                tracer.instant(name, cat, instant_args)
+            tracer.instant(cat, name, args)
 
         emitted = _segment(directory, body)
         assert _spans(read_trace(trace_path(directory))) == emitted
@@ -144,6 +204,10 @@ def test_records_the_tracer_does_not_emit_pass_through_as_objects(
         {"t": "span", "name": "x", "cat": "c", "pid": 1, "tid": 2,
          "thread": "T", "id": 1, "parent": None, "ts": 1.5, "dur": 1,
          "mode": "sync", "args": {}},
+        {"t": "instant", "name": "x", "cat": "c", "pid": 1, "tid": 2,
+         "thread": "T", "parent": "p", "ts": 1, "args": {}},
+        {"t": "instant", "name": 7, "cat": "c", "pid": 1, "tid": 2,
+         "thread": "T", "parent": None, "ts": 1, "args": {}},
         {"t": "note", "text": "free-form"},
     ]
     emitted = _segment(str(tmp_path), lambda tracer: tracer.absorb(odd))
@@ -158,21 +222,37 @@ def test_a_trace_written_before_rows_exports_as_recorded():
     assert chrome_trace(records) == expected
 
 
+def test_a_trace_of_uninterned_rows_reads_and_exports_as_recorded():
+    with open(LEGACY_ROWS_RECORDS, "r", encoding="utf-8") as fh:
+        expected_records = json.load(fh)
+    with open(LEGACY_ROWS_CHROME, "r", encoding="utf-8") as fh:
+        expected_chrome = json.load(fh)
+    records = read_trace(LEGACY_ROWS)
+    assert len(segments(records)) == 2
+    assert records == expected_records
+    assert chrome_trace(records) == expected_chrome
+
+
 def test_a_resumed_old_trace_appends_rows_after_its_torn_tail(tmp_path):
-    """A run traced by the old writer, resumed by this one: the torn
-    line is ended, the old records read as before, the new ones as
+    """A run traced by an older writer, resumed by this one: a torn
+    last line is ended, the old records read as before, the new ones as
     emitted."""
-    directory = str(tmp_path)
-    with open(LEGACY, "rb") as src, open(trace_path(directory), "wb") as dst:
-        dst.write(src.read())
-    old = read_trace(LEGACY)
-    emitted = _segment(
-        directory, lambda tracer: tracer.end(tracer.begin("run"))
-    )
-    records = read_trace(trace_path(directory))
-    assert records[:len(old)] == old
-    assert [h["seq"] for h in segments(records)] == [0, 1, 2]
-    assert _spans(records[len(old):]) == emitted
+    for legacy in (LEGACY, LEGACY_ROWS):
+        directory = str(tmp_path / os.path.basename(legacy))
+        os.mkdir(directory)
+        with open(legacy, "rb") as src, \
+                open(trace_path(directory), "wb") as dst:
+            dst.write(src.read())
+        old = read_trace(legacy)
+        emitted = _segment(directory, lambda tracer: [
+            tracer.instant("pool.dispatch", "pool", {"unit": "u1"}),
+            tracer.instant("pool.dispatch", "pool", {"unit": "u1"}),
+            tracer.end(tracer.begin("run")),
+        ])
+        records = read_trace(trace_path(directory))
+        assert records[:len(old)] == old
+        assert [h["seq"] for h in segments(records)] == [0, 1, 2]
+        assert _spans(records[len(old):]) == emitted
 
 
 _REAL = [
@@ -181,6 +261,9 @@ _REAL = [
     b'["s",[7,11,"MainThread"],2,1,40,9,"run","run",{"k":[1,2]}]',
     b'["i",0,1,45,"pool","pool.dispatch"]',
     b'["a",0,3,1,50,4,"unit","u"]',
+    b'["s",0,4,1,60,2,["run","run"],{"k":1}]',
+    b'["i",0,1,70,0,0]',
+    b'["a",0,5,1,80,3,1]',
 ]
 _ints = st.integers(min_value=-3, max_value=2 ** 64)
 _row = st.tuples(
@@ -262,3 +345,109 @@ def test_numbering_a_segment_rebuilds_no_row(tmp_path, monkeypatch):
     records = read_trace(trace_path(directory))
     assert [h["seq"] for h in segments(records)] == [0, 1, 2, 3]
     assert len(rebuilt) == 15  # the rows are there: 5 per segment
+
+
+class _FullDisk:
+    """A trace handle whose every write fails, as on a full disk."""
+
+    def write(self, text):
+        raise OSError(28, "No space left on device")
+
+
+def test_a_failed_write_advances_no_table(tmp_path):
+    """A row that introduces a thread, a label and an args dict but is
+    never written introduces none of them: the next row carries all
+    three in full again, so the reader rebuilds it."""
+    directory = str(tmp_path)
+    sidecar = TelemetrySidecar(directory)
+    sidecar.open_segment(run_id="codec")
+    recorder = _Recorder(sidecar)
+    tracer = Tracer(sink=recorder)
+    handle, sidecar._fh = sidecar._fh, _FullDisk()
+    tracer.instant("pool.dispatch", "pool", {"unit": "u1"})  # lost
+    sidecar._fh = handle
+    for _ in range(2):
+        tracer.instant("pool.dispatch", "pool", {"unit": "u1"})
+    sidecar.close()
+    assert _spans(read_trace(trace_path(directory))) == recorder.emitted[1:]
+    first, second = _lines(directory)[1:]
+    assert [type(slot) for slot in first[1:2] + first[4:]] == [
+        list, list, dict
+    ]
+    assert second[1:2] + second[4:] == [0, 0, 0]
+
+
+def test_a_torn_row_that_introduced_a_label_costs_only_itself(tmp_path):
+    """A segment killed while writing the row that introduced a label
+    and an args dict, then resumed: every complete row reads back, and
+    the resumed segment introduces both again."""
+    directory = str(tmp_path)
+
+    def body(tracer):
+        tracer.instant("pool.dispatch", "pool", {"unit": "u1"})
+        tracer.end(tracer.begin("journal.fsync", "journal", {"n": 1}))
+
+    killed = _segment(directory, body)
+    path = trace_path(directory)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    last = data.rindex(b"\n", 0, len(data) - 1) + 1
+    assert b'["journal","journal.fsync"],{"n":1}]' in data[last:]
+    with open(path, "wb") as fh:
+        fh.write(data[:last + (len(data) - last) // 2])
+    resumed = _segment(directory, body)
+    records = read_trace(path)
+    assert [h["seq"] for h in segments(records)] == [0, 1]
+    assert _spans(records) == killed[:-1] + resumed
+    rows = [line for line in _lines(directory) if isinstance(line, list)]
+    assert _introduced(rows[1:]) == (
+        [("pool", "pool.dispatch"), ("journal", "journal.fsync")],
+        ['{"unit":"u1"}', '{"n":1}'],
+    )
+
+
+def test_tables_stop_growing_at_the_limit_on_both_sides(
+    tmp_path, monkeypatch
+):
+    """Past ``TABLE_LIMIT`` values a new thread, label or args dict is
+    written in full every time and gets no index; the reader keeps the
+    same count, so an index past it names nothing."""
+    monkeypatch.setattr(sidecar_module, "TABLE_LIMIT", 2)
+    directory = str(tmp_path)
+    source = Tracer()
+    for k in range(4):
+        source.instant(f"label{k}", "cat", {"k": k})
+    distinct = [
+        {**record, "pid": record["pid"] + k}
+        for k, record in enumerate(source.drain())
+    ]
+    emitted = _segment(
+        directory, lambda tracer: tracer.absorb(distinct + distinct)
+    )
+    rows = [line for line in _lines(directory) if isinstance(line, list)]
+    # The thread, label and args slots: two values get indices.
+    assert [[type(row[slot]) for row in rows] for slot in (1, 4, 5)] == [
+        [list] * 4 + [int] * 2 + [list] * 2,
+        [list] * 4 + [int] * 2 + [list] * 2,
+        [dict] * 4 + [int] * 2 + [dict] * 2,
+    ]
+    with open(trace_path(directory), "a", encoding="utf-8") as fh:
+        for row in ([2, 0, 0], [0, 2, 0], [0, 0, 2], [1, 1, 1]):
+            fh.write(_compact(["i", row[0], None, 5] + row[1:]) + "\n")
+    records = _spans(read_trace(trace_path(directory)))
+    assert records[:-1] == emitted
+    assert (records[-1]["name"], records[-1]["args"]) == (
+        "label1", {"k": 1}
+    )
+
+
+def test_each_rebuilt_record_owns_its_args(tmp_path):
+    args = {"unit": "u1", "nested": {"a": [1]}}
+    _segment(str(tmp_path), lambda tracer: [
+        tracer.instant("pool.dispatch", "pool", args) for _ in range(3)
+    ])
+    first, second, third = _spans(read_trace(trace_path(str(tmp_path))))
+    second["args"]["nested"]["a"].append(2)
+    second["args"]["extra"] = True
+    assert first["args"] == third["args"] == args
+    assert args == {"unit": "u1", "nested": {"a": [1]}}
