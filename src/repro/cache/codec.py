@@ -35,8 +35,9 @@ dictionary (zlib checks its id), checks the digest when the caller
 kept one, parses JSON and builds only registered dataclasses.  Any
 failure — not deflate, wrong or missing dictionary, truncated, trailing
 bytes, past the cap, wrong digest, not UTF-8, not JSON, nested too
-deep, an unknown tag (named), fields other than the class's —
-raises the one :class:`CodecError`, so callers have one degrade path:
+deep, an unknown tag (named), fields other than the class's (the
+first stray one named) — raises the one :class:`CodecError`, so
+callers have one degrade path:
 the journal demotes the unit to not-done, the cache quarantines the
 object and misses.  :func:`decode_stored` also hands back the blob's
 :class:`Encoded`, so a cache hit is journaled without encoding it again.
@@ -233,8 +234,13 @@ def _untagged(obj: Dict[str, Any]) -> Any:
     cls = registry.classes.get(tag) if type(tag) is str else None
     if cls is None:
         raise CodecError(f"unknown tag {tag!r}")
-    if tuple(obj) != registry.fields[cls]:  # as encode wrote them
-        raise CodecError(f"fields do not match {tag}")
+    names = registry.fields[cls]
+    if tuple(obj) != names:  # as encode wrote them
+        stray = [name for name in obj if name not in names]
+        raise CodecError(
+            f"fields do not match {tag}"
+            + (f": no field {stray[0]!r}" if stray else "")
+        )
     for name in registry.tuples[cls]:
         if type(obj[name]) is not list:
             raise CodecError(f"{tag}.{name} is not a list")

@@ -151,6 +151,14 @@ def run_agent_node(
     if sink is not None:
         fleet_node.node.agent.runtime.log.attach_tracer(sink)
     result = fleet_node.run()
+    # The node has no fault window, so its first engagements count from
+    # t = 0: the first ever, under the names the vectors pin.
+    stats = fleet_node.node.agent.runtime.stats()
+    stats["model_safeguard_first_trigger_us"] = result.first_model_safeguard_us
+    stats["actuator_safeguard_first_trigger_us"] = (
+        result.first_actuator_safeguard_us
+    )
+    stats["first_fallback_us"] = result.first_fallback_us
     return {
         "perf_metric": result.perf_metric,
         "perf_value": result.perf_value,
@@ -158,7 +166,7 @@ def run_agent_node(
         "slo_violations": result.slo_violations,
         "safeguard_trips": dict(result.safeguard_trips),
         "action_histogram": dict(result.action_histogram),
-        "stats": dict(result.stats),
+        "stats": stats,
     }
 
 

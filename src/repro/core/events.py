@@ -11,8 +11,8 @@ occurrence: bump the per-kind counter (one dict keyed by
 :class:`EventKind`, whose hash is the C-level identity hash rather than
 ``Enum``'s Python-level ``hash(self._name_)``), update the few
 detail-derived aggregates the runtime reports (default-prediction
-count, action provenance histogram, fallback times), and forward the
-canonical :func:`encode_event` bytes to the attached sink, if any.
+count, action provenance histogram, first-fallback time), and forward
+the canonical :func:`encode_event` bytes to the attached sink, if any.
 Whoever needs individual events — the conformance digesters, a test —
 attaches a sink (:mod:`repro.sim.trace`) and decodes its payloads with
 :func:`decode_event`.
@@ -197,9 +197,8 @@ class EventLog:
         self._counts: Dict[EventKind, int] = {}
         self._default_sent = 0
         self._actions = {"model": 0, "default": 0, "none": 0}
+        self._fallback_from = 0
         self._first_fallback_us: Optional[int] = None
-        self._fallback_watch_from: Optional[int] = None
-        self._first_watched_fallback_us: Optional[int] = None
         self._tracer: Optional[Any] = None
 
     def attach_tracer(self, sink: Any) -> None:
@@ -229,14 +228,11 @@ class EventLog:
                     "default" if details.get("has_prediction") else "none"
                 )
                 self._actions[bucket] += 1
-                if self._first_fallback_us is None:
-                    self._first_fallback_us = now
                 if (
-                    self._fallback_watch_from is not None
-                    and self._first_watched_fallback_us is None
-                    and now >= self._fallback_watch_from
+                    self._first_fallback_us is None
+                    and now >= self._fallback_from
                 ):
-                    self._first_watched_fallback_us = now
+                    self._first_fallback_us = now
         elif kind is _PREDICTION_SENT and details.get("is_default"):
             self._default_sent += 1
         if self._tracer is not None:
@@ -262,31 +258,26 @@ class EventLog:
         return self._default_sent
 
     def first_fallback_us(self) -> Optional[int]:
-        """Time of the first non-model actuation (default or none).
+        """Time of the first non-model actuation (default or none) at or
+        after the fallback anchor, or ``None`` if there was none.
 
-        The first simulated instant the Actuator acted without a live
-        model prediction.  ``None`` if every action so far used one.
+        The anchor is t = 0 unless :meth:`watch_fallback_from` moved it,
+        so by default this is the first instant the Actuator ever acted
+        without a live model prediction.
         """
         return self._first_fallback_us
 
     def watch_fallback_from(self, start_us: int) -> None:
-        """Arm the fallback watch at ``start_us`` (a fault onset).
+        """Anchor :meth:`first_fallback_us` at ``start_us`` (a fault
+        onset).
 
         Warmup fallbacks routinely happen *before* a fault window (an
         agent with no telemetry yet acts on defaults), so the safety
-        campaigns' time-to-fallback anchor must be the first fallback
-        **at or after** the onset — not the first ever.  The watch is
-        O(1) per actuation; re-arming resets it.
+        campaigns' time-to-fallback counts only fallbacks **at or
+        after** the onset.  Re-anchoring forgets the stamp.
         """
-        self._fallback_watch_from = start_us
-        self._first_watched_fallback_us = None
-
-    def first_watched_fallback_us(self) -> Optional[int]:
-        """First fallback actuation at/after the armed watch point.
-
-        ``None`` while unarmed or until such an actuation happens.
-        """
-        return self._first_watched_fallback_us
+        self._fallback_from = start_us
+        self._first_fallback_us = None
 
     def action_histogram(self) -> Dict[str, int]:
         """``ACTUATION`` events bucketed by prediction provenance.

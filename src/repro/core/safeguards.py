@@ -83,20 +83,9 @@ class SafeguardState:
         """Whether the safeguard is currently triggered."""
         return self._active
 
-    @property
-    def first_triggered_at_us(self) -> Optional[int]:
-        """When this safeguard first engaged, or ``None`` if it never has.
-
-        Closed activation windows are recorded oldest-first, so the
-        earliest engagement is the first window's start — or the open
-        window's start if the safeguard triggered once and never cleared.
-        """
-        if self.windows:
-            return self.windows[0][0]
-        return self._activated_at
-
     def first_triggered_at_us_since(self, start_us: int) -> Optional[int]:
-        """First engagement at or after ``start_us``, or ``None``.
+        """First engagement at or after ``start_us``, or ``None``
+        (``start_us = 0``: the first engagement ever).
 
         The safety campaigns anchor time-to-fallback at the fault
         onset; safeguards that tripped during pre-fault warmup must not

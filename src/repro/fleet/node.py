@@ -222,9 +222,14 @@ def build_node(
 
 @dataclass
 class NodeResult:
-    """Everything the fleet aggregation needs from one node.
+    """Everything the fleet aggregation and the safety scoreboard need
+    from one node.
 
-    Plain picklable data only — results cross process boundaries.
+    Every field is typed data the durable codec stores as JSON
+    (:mod:`repro.cache.codec`).  The three ``first_*_us`` fields are the
+    node's first engagements — model safeguard, actuator safeguard, a
+    default/none actuation — at or after its fault onset (t = 0 on a
+    node with no fault window), ``None`` if there was none.
     """
 
     node_id: int
@@ -239,7 +244,11 @@ class NodeResult:
     slo_violations: int
     safeguard_trips: Dict[str, int] = field(default_factory=dict)
     action_histogram: Dict[str, int] = field(default_factory=dict)
-    stats: Dict[str, Any] = field(default_factory=dict)
+    first_model_safeguard_us: Optional[int] = None
+    first_actuator_safeguard_us: Optional[int] = None
+    first_fallback_us: Optional[int] = None
+    agent_kills: int = 0
+    agent_restarts: int = 0
 
     @property
     def slo_violation_rate(self) -> float:
@@ -290,7 +299,6 @@ class FleetNode:
         self.spec = spec
         self.duration_s = duration_s
         self._windows: List[bool] = []  # True = violated
-        self._fault_window_us = fault_window_us
         # The fleet's SLO watcher spawns before the agent.
         self.node = build_node(
             spec.agent,
@@ -309,11 +317,10 @@ class FleetNode:
                 fault_probability,
                 kind=fault_kind,
             )
-            # Time-to-fallback is anchored at the burst onset; warmup
-            # fallbacks before it must not satisfy the query.
-            self.node.agent.runtime.log.watch_fallback_from(
-                fault_window_us[0]
-            )
+        # The node's first engagements count from its fault onset (t = 0
+        # with no fault window): warmup fallbacks before it do not count.
+        self._fault_onset_us = fault_window_us[0] if fault_window_us else 0
+        self.node.agent.runtime.log.watch_fallback_from(self._fault_onset_us)
 
     @classmethod
     def from_run(cls, run: NodeRun) -> "FleetNode":
@@ -386,32 +393,7 @@ class FleetNode:
         self.node.run(self.duration_s)
         runtime = self.node.agent.runtime
         stats = runtime.stats()
-        # Safety-timing extras the sweep campaigns consume.  These live
-        # only in NodeResult.stats, which the fleet digest's canonical
-        # form deliberately excludes — pinned digests are unaffected.
-        stats["model_safeguard_first_trigger_us"] = (
-            runtime.model_safeguard.first_triggered_at_us
-        )
-        stats["actuator_safeguard_first_trigger_us"] = (
-            runtime.actuator_safeguard.first_triggered_at_us
-        )
-        stats["first_fallback_us"] = runtime.log.first_fallback_us()
-        if self._fault_window_us is not None:
-            # Engagement anchors for the sweep campaigns: the first
-            # signal *at or after* the burst onset (warmup fallbacks and
-            # pre-fault safeguard trips must not count as engagement).
-            onset_us = self._fault_window_us[0]
-            stats["model_safeguard_first_trigger_since_fault_us"] = (
-                runtime.model_safeguard.first_triggered_at_us_since(onset_us)
-            )
-            stats["actuator_safeguard_first_trigger_since_fault_us"] = (
-                runtime.actuator_safeguard.first_triggered_at_us_since(
-                    onset_us
-                )
-            )
-            stats["first_fallback_since_fault_us"] = (
-                runtime.log.first_watched_fallback_us()
-            )
+        onset_us = self._fault_onset_us
         try:
             perf = self.node.workload.performance()
             perf_metric, perf_value = perf.metric, float(perf.value)
@@ -434,5 +416,15 @@ class FleetNode:
                 "actuator": stats["actuator_safeguard_triggers"],
             },
             action_histogram=runtime.log.action_histogram(),
-            stats=stats,
+            first_model_safeguard_us=(
+                runtime.model_safeguard.first_triggered_at_us_since(onset_us)
+            ),
+            first_actuator_safeguard_us=(
+                runtime.actuator_safeguard.first_triggered_at_us_since(
+                    onset_us
+                )
+            ),
+            first_fallback_us=runtime.log.first_fallback_us(),
+            agent_kills=stats["agent_kills"],
+            agent_restarts=stats["agent_restarts"],
         )

@@ -3,7 +3,7 @@
 A :class:`SafetyRecord` reduces one cell's fleet simulation to the
 quantities the robustness question cares about: did the safeguards
 engage, how fast did the fleet fall back to safe behavior, and what did
-QoS pay?  Records are plain picklable data, pure in the cell's
+QoS pay?  Records are plain typed data, pure in the cell's
 coordinates.
 
 :class:`CampaignReport` aggregates records order-independently (cells
@@ -124,22 +124,16 @@ class SafetyRecord:
                 if result.rack not in racks:
                     continue
                 affected += 1
-                stats = result.stats
-                # Since-onset anchors (FleetNode exports them whenever a
-                # fault window is attached): the first safeguard trigger
-                # or fallback actuation *at or after* the burst onset —
-                # a node whose warmup already fell back before the fault
-                # still counts as engaged when the fault re-engages it.
+                # Each node's first engagements count from its fault
+                # onset: a node whose warmup already fell back before
+                # the fault still counts as engaged when the fault
+                # re-engages it.
                 candidates = [
                     t
                     for t in (
-                        stats.get(
-                            "model_safeguard_first_trigger_since_fault_us"
-                        ),
-                        stats.get(
-                            "actuator_safeguard_first_trigger_since_fault_us"
-                        ),
-                        stats.get("first_fallback_since_fault_us"),
+                        result.first_model_safeguard_us,
+                        result.first_actuator_safeguard_us,
+                        result.first_fallback_us,
                     )
                     if t is not None
                 ]
@@ -167,12 +161,8 @@ class SafetyRecord:
             action_histogram=dict(
                 sorted(aggregate.action_histogram.items())
             ),
-            agent_kills=sum(
-                r.stats.get("agent_kills", 0) for r in aggregate.results
-            ),
-            agent_restarts=sum(
-                r.stats.get("agent_restarts", 0) for r in aggregate.results
-            ),
+            agent_kills=sum(r.agent_kills for r in aggregate.results),
+            agent_restarts=sum(r.agent_restarts for r in aggregate.results),
             affected_nodes=affected,
             engaged_nodes=len(engagements),
             time_to_fallback_s=time_to_fallback,

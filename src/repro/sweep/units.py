@@ -11,7 +11,11 @@ result depends only on its :class:`~repro.fleet.config.NodeRun`
 distinct node run: :func:`run_node` is the worker entry point, and a
 node run's cache address (:func:`repro.cache.keys.sweep_unit_key` over
 :meth:`~repro.fleet.config.NodeRun.cache_payload`) is shared by every
-cell — in any campaign — that contains it.
+cell — in any campaign — that contains it.  A node run's result, cached
+and journaled as is, is the node's :class:`~repro.fleet.node.NodeResult`:
+its five typed safety fields (three first-engagement times, agent kills
+and restarts) are what :meth:`~repro.sweep.safety.SafetyRecord.from_fleet`
+reads besides the fleet aggregate.
 
 :func:`run_unit` simulates one whole cell serially and reduces it to a
 :class:`~repro.sweep.safety.SafetyRecord`: the per-cell oracle the
@@ -28,18 +32,7 @@ from repro.fleet.config import FaultPlan, FleetConfig, NodeRun
 from repro.fleet.node import FleetNode, NodeResult
 from repro.fleet.scenario import FleetScenario
 
-__all__ = ["RECORD_STATS", "SweepUnit", "run_node", "run_unit"]
-
-#: The :attr:`NodeResult.stats` keys :meth:`SafetyRecord.from_fleet`
-#: reads — all a node run's cached result keeps (the fleet digest reads
-#: no stats at all).
-RECORD_STATS = (
-    "model_safeguard_first_trigger_since_fault_us",
-    "actuator_safeguard_first_trigger_since_fault_us",
-    "first_fallback_since_fault_us",
-    "agent_kills",
-    "agent_restarts",
-)
+__all__ = ["SweepUnit", "run_node", "run_unit"]
 
 
 @dataclass(frozen=True)
@@ -149,16 +142,12 @@ class SweepUnit:
 
 
 def run_node(run: NodeRun) -> NodeResult:
-    """Simulate one node run; its result keeps only :data:`RECORD_STATS`.
+    """Simulate one node run.
 
     Pure in the run's coordinates (DESIGN.md §5), so any worker, in any
     order, produces a bit-identical result.
     """
-    result = FleetNode.from_run(run).run()
-    result.stats = {
-        key: result.stats[key] for key in RECORD_STATS if key in result.stats
-    }
-    return result
+    return FleetNode.from_run(run).run()
 
 
 def run_unit(unit: SweepUnit) -> "SafetyRecord":

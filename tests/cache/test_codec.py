@@ -32,14 +32,18 @@ PAYLOADS = st.recursive(
     max_leaves=24,
 )
 COUNTS = st.dictionaries(KEYS, st.integers(min_value=0), max_size=4)
-STATS = st.dictionaries(KEYS, PAYLOADS, max_size=3)
+TIMES = st.none() | st.integers(min_value=0)
 
 NODE_RESULTS = st.builds(
     NodeResult,
     perf_value=FLOATS,
     safeguard_trips=COUNTS,
     action_histogram=COUNTS,
-    stats=STATS,
+    first_model_safeguard_us=TIMES,
+    first_actuator_safeguard_us=TIMES,
+    first_fallback_us=TIMES,
+    agent_kills=st.integers(min_value=0),
+    agent_restarts=st.integers(min_value=0),
 )
 #: The four payload dataclasses a unit returns (alone, in lists, or
 #: inside plain containers).
@@ -150,12 +154,12 @@ class _Level(enum.IntEnum):
     ({1.5}, "type set"),
     (np.float64(1.5), "type float64"),
     (_Level.LOW, "type _Level"),
-    (NodeResult(0, 0, "s", "a", "w", 1, "m", 1.0, 0, 0, stats={"t": (1,)}),
-     "type tuple"),
+    (NodeResult(0, 0, "s", "a", "w", 1, "m", 1.0, 0, 0,
+                action_histogram={"t": (1,)}), "type tuple"),
     (SafetyRecord("u", "a", 1, 0, "none", 0.0, 0, 0, [0], 5, 0, 0, {}, {},
                   0, 0, 0, 0, None, "d"), "racks: not a tuple"),
 ], ids=["tuple", "nested-tuple", "int-key", "tag-key", "bytes", "set",
-        "numpy-float", "int-enum", "tuple-in-stats", "list-racks"])
+        "numpy-float", "int-enum", "tuple-in-histogram", "list-racks"])
 def test_encode_refuses_what_it_cannot_bring_back(payload, reason):
     with pytest.raises(codec.CodecError, match=reason):
         codec.encode(payload)
@@ -231,6 +235,32 @@ OTHER_DICTIONARY = b'{"$type":"Other","field":}'
 def test_each_failure_is_a_codec_error_naming_it(blob, reason):
     with pytest.raises(codec.CodecError, match=reason):
         codec.decode(blob)
+
+
+#: A NodeResult as the open-``stats`` layout wrote it: the typed fields
+#: were then one ``stats`` dict.
+_OLD_NODE_RESULT = (
+    '{"$type":"NodeResult","node_id":0,"rack":0,"sku":"s","agent":"a",'
+    '"workload":"w","sim_seconds":20,"perf_metric":"m","perf_value":1.0,'
+    '"slo_windows":4,"slo_violations":0,"safeguard_trips":{"model":1},'
+    '"action_histogram":{"model":3},"stats":{"agent_kills":1,'
+    '"agent_restarts":1,"first_fallback_since_fault_us":null}}'
+)
+
+
+def test_a_node_result_with_the_old_stats_field_is_refused():
+    """Deflated against today's dictionary, it still inflates and
+    parses: the field check refuses it, naming ``stats``, alone or in a
+    fleet chunk, so it is never read as a result with default fields."""
+    for text in (_OLD_NODE_RESULT, f"[{_OLD_NODE_RESULT}]"):
+        blob = _deflated(text)
+        with pytest.raises(
+            codec.CodecError,
+            match="fields do not match NodeResult: no field 'stats'",
+        ):
+            codec.decode(blob)
+        with pytest.raises(codec.CodecError, match="'stats'"):
+            codec.decode_stored(blob)
 
 
 def test_a_blob_without_a_dictionary_decodes_as_plain_json():

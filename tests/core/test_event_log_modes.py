@@ -67,9 +67,9 @@ def test_record_stamps_one_clock_read_per_event():
     kernel, sink = TickingKernel(), Sink()
     log = EventLog(kernel, agent="a")
     log.attach_tracer(sink)
-    log.watch_fallback_from(0)
+    log.watch_fallback_from(1)
     log.record(EventKind.ACTUATION, has_prediction=False)
     assert kernel.reads == 1
     assert sink.times == [1]
-    assert log.first_fallback_us() == log.first_watched_fallback_us() == 1
+    assert log.first_fallback_us() == 1
 

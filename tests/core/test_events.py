@@ -48,13 +48,21 @@ def _advance(kernel, until):
 
 
 def test_first_fallback_tracks_default_and_none_actions():
+    """With the anchor at t = 0 (the default, or re-anchored there) the
+    first fallback is the first ever, default or none."""
     kernel = Kernel()
     log = EventLog(kernel, agent="a")
     log.record(EventKind.ACTUATION, has_prediction=True, is_default=False)
     assert log.first_fallback_us() is None
+    _advance(kernel, SEC)
     log.record(EventKind.ACTUATION, has_prediction=True, is_default=True)
-    assert log.first_fallback_us() == kernel.now
+    assert log.first_fallback_us() == SEC
     assert log.action_histogram() == {"model": 1, "default": 1, "none": 0}
+    log.watch_fallback_from(0)
+    assert log.first_fallback_us() is None
+    _advance(kernel, 2 * SEC)
+    log.record(EventKind.ACTUATION, has_prediction=False)
+    assert log.first_fallback_us() == 2 * SEC
 
 
 def test_fallback_watch_ignores_warmup_fallbacks():
@@ -66,17 +74,17 @@ def test_fallback_watch_ignores_warmup_fallbacks():
     kernel = Kernel()
     log = EventLog(kernel, agent="a")
     log.watch_fallback_from(5 * SEC)
-    # Warmup fallback at t=0: recorded globally, ignored by the watch.
+    # Warmup fallback at t=0: before the anchor, ignored.
     log.record(EventKind.ACTUATION, has_prediction=False)
-    assert log.first_fallback_us() == 0
-    assert log.first_watched_fallback_us() is None
+    assert log.first_fallback_us() is None
+    assert log.action_histogram()["none"] == 1
     _advance(kernel, 6 * SEC)
     log.record(EventKind.ACTUATION, has_prediction=True, is_default=True)
-    assert log.first_watched_fallback_us() == 6 * SEC
-    # Later fallbacks don't move the anchor.
+    assert log.first_fallback_us() == 6 * SEC
+    # Later fallbacks don't move the stamp.
     _advance(kernel, 7 * SEC)
     log.record(EventKind.ACTUATION, has_prediction=False)
-    assert log.first_watched_fallback_us() == 6 * SEC
+    assert log.first_fallback_us() == 6 * SEC
 
 
 def test_safeguard_first_trigger_since_skips_warmup_windows():
@@ -84,12 +92,14 @@ def test_safeguard_first_trigger_since_skips_warmup_windows():
 
     kernel = Kernel()
     guard = SafeguardState(kernel, "g")
+    assert guard.first_triggered_at_us_since(0) is None
     guard.trigger()  # warmup trip at t=0
     guard.clear()
-    assert guard.first_triggered_at_us == 0
+    assert guard.first_triggered_at_us_since(0) == 0  # the first ever
     assert guard.first_triggered_at_us_since(1) is None
     kernel.run(until=4 * SEC)
     guard.trigger()  # post-onset trip, still open
+    assert guard.first_triggered_at_us_since(0) == 0
     assert guard.first_triggered_at_us_since(1) == 4 * SEC
     assert guard.first_triggered_at_us_since(5 * SEC) is None
     guard.clear()

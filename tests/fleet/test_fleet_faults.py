@@ -29,6 +29,12 @@ def _node(agent, workload, fault_kind=None, probability=1.0, seconds=20):
     )
 
 
+def _outcome(fleet_node):
+    """Run the node: its runtime counters and its action histogram."""
+    result = fleet_node.run()
+    return fleet_node.node.agent.runtime.stats(), result.action_histogram
+
+
 # -- windowed ----------------------------------------------------------------
 
 
@@ -61,15 +67,13 @@ def test_windowed_rejects_empty_and_inverted_windows():
 )
 def test_attach_burst_bad_data_each_agent_kind(agent, workload):
     """The burst changes behavior vs the same node without one."""
-    clean = _node(agent, workload).run()
-    faulted = _node(agent, workload, fault_kind="bad_data").run()
-    assert clean.node_id == faulted.node_id
+    clean = _node(agent, workload)
+    faulted = _node(agent, workload, fault_kind="bad_data")
+    assert clean.spec.node_id == faulted.spec.node_id
     # Corrupt telemetry must be observable somewhere: validation
     # failures, fallback actions, or (for memory) errored scans — the
     # two runs cannot be bit-identical.
-    assert (clean.stats, clean.action_histogram) != (
-        faulted.stats, faulted.action_histogram
-    )
+    assert _outcome(clean) != _outcome(faulted)
 
 
 @pytest.mark.parametrize(
@@ -78,11 +82,9 @@ def test_attach_burst_bad_data_each_agent_kind(agent, workload):
      ("memory", "ObjectStore")],
 )
 def test_attach_burst_dropout_each_agent_kind(agent, workload):
-    clean = _node(agent, workload).run()
-    faulted = _node(agent, workload, fault_kind="dropout").run()
-    assert (clean.stats, clean.action_histogram) != (
-        faulted.stats, faulted.action_histogram
-    )
+    clean = _node(agent, workload)
+    faulted = _node(agent, workload, fault_kind="dropout")
+    assert _outcome(clean) != _outcome(faulted)
 
 
 @pytest.mark.parametrize(
@@ -92,8 +94,8 @@ def test_attach_burst_dropout_each_agent_kind(agent, workload):
 )
 def test_attach_burst_crash_restart_each_agent_kind(agent, workload):
     faulted = _node(agent, workload, fault_kind="crash_restart").run()
-    assert faulted.stats["agent_kills"] == 1
-    assert faulted.stats["agent_restarts"] == 1
+    assert faulted.agent_kills == 1
+    assert faulted.agent_restarts == 1
 
 
 def test_crash_restart_probability_zero_never_crashes():
@@ -101,8 +103,8 @@ def test_crash_restart_probability_zero_never_crashes():
         "overclock", "Synthetic", fault_kind="crash_restart",
         probability=0.0,
     ).run()
-    assert result.stats["agent_kills"] == 0
-    assert result.stats["agent_restarts"] == 0
+    assert result.agent_kills == 0
+    assert result.agent_restarts == 0
 
 
 def test_attach_burst_rejects_unknown_agent_kind():

@@ -7,66 +7,63 @@ from repro.fleet.node import NodeResult
 from repro.fleet.scenario import FleetScenario
 
 
-def _run_one(agent, seconds, fault=None, seed=0, n_nodes=1, node_id=0):
+def _run_with_stats(fleet_node):
+    """Run the node: its result and its runtime counters."""
+    result = fleet_node.run()
+    return result, fleet_node.node.agent.runtime.stats()
+
+
+def _run_one(agent, seconds, fault=None):
     config = FleetConfig(
-        n_nodes=n_nodes,
-        agent=agent,
-        seed=seed,
-        duration_s=seconds,
-        fault=fault,
+        n_nodes=1, agent=agent, seed=0, duration_s=seconds, fault=fault
     )
-    return FleetScenario(config).build_node(node_id).run()
+    return _run_with_stats(FleetScenario(config).build_node(0))
 
 
 def test_overclock_node_produces_full_result():
-    result = _run_one("overclock", 30)
+    result, stats = _run_one("overclock", 30)
     assert isinstance(result, NodeResult)
     assert result.agent == "overclock"
     assert result.sim_seconds == 30
     assert result.slo_windows == 30_000_000 // 5_000_000
     assert 0.0 <= result.slo_violation_rate <= 1.0
-    assert result.stats["actuations"] > 0
+    assert stats["actuations"] > 0
     assert set(result.safeguard_trips) == {"model", "actuator"}
     assert set(result.action_histogram) == {"model", "default", "none"}
-    assert sum(result.action_histogram.values()) == (
-        result.stats["actuations"]
-    )
+    assert sum(result.action_histogram.values()) == stats["actuations"]
     assert not math.isnan(result.perf_value)
 
 
 def test_harvest_node_runs():
-    result = _run_one("harvest", 10)
+    result, stats = _run_one("harvest", 10)
     assert result.agent == "harvest"
     assert result.workload in ("image-dnn", "moses")
-    assert result.stats["actuations"] > 0
+    assert stats["actuations"] > 0
     assert result.perf_metric.startswith("p99")
 
 
 def test_memory_node_runs():
-    result = _run_one("memory", 20)
+    result, stats = _run_one("memory", 20)
     assert result.agent == "memory"
-    assert result.stats["epochs"] > 0
+    assert stats["epochs"] > 0
     assert result.slo_windows > 0
 
 
 def test_node_runs_are_reproducible():
-    a = _run_one("overclock", 20)
-    b = _run_one("overclock", 20)
+    a, _ = _run_one("overclock", 20)
+    b, _ = _run_one("overclock", 20)
     assert a == b
 
 
 def test_rack_burst_reaches_the_validation_safeguard():
     fault = FaultPlan(racks=(0,), start_s=5, duration_s=20,
                       probability=0.9)
-    clean = _run_one("overclock", 30)
-    faulted = _run_one("overclock", 30, fault=fault)
-    assert (
-        faulted.stats["validation_failures"]
-        > clean.stats["validation_failures"]
-    )
+    _, clean = _run_one("overclock", 30)
+    _, faulted = _run_one("overclock", 30, fault=fault)
+    assert faulted["validation_failures"] > clean["validation_failures"]
     # The guarded agent absorbs the burst: bad readings are discarded
     # (validation failures), not learned from.
-    assert faulted.stats["validation_failures"] > 0
+    assert faulted["validation_failures"] > 0
 
 
 def test_burst_spares_other_racks():
@@ -76,8 +73,8 @@ def test_burst_spares_other_racks():
         fault=fault,
     )
     scenario = FleetScenario(config)
-    spared = scenario.build_node(0).run()
-    hit = scenario.build_node(1).run()
+    _, spared = _run_with_stats(scenario.build_node(0))
+    _, hit = _run_with_stats(scenario.build_node(1))
     assert list(scenario.affected_nodes()) == [1]
-    assert spared.stats["validation_failures"] == 0
-    assert hit.stats["validation_failures"] > 0
+    assert spared["validation_failures"] == 0
+    assert hit["validation_failures"] > 0

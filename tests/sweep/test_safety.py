@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.sweep import CampaignReport, SafetyRecord
+from repro.sweep import (
+    CampaignReport,
+    CampaignSpec,
+    FaultAxis,
+    SafetyRecord,
+    SweepRunner,
+)
 
 
 def _record(**overrides):
@@ -163,3 +169,47 @@ def test_render_contains_cells_frontier_and_digest():
     assert "baseline" in text
     assert "frontier: fault=bad_data[5+10]r0 agent=overclock" in text
     assert f"campaign digest: {report.digest()}" in text
+
+
+#: Per cell: time_to_fallback_s, engaged_nodes, agent_kills,
+#: agent_restarts — the safety facts each node result feeds the record.
+_PINNED_RECORDS = {
+    "mixed/n4/x20s/seed0/bad_data@0.9[5+10]r0": (0.125, 1, 0, 0),
+    "mixed/n4/x20s/seed0/baseline": (None, 0, 0, 0),
+    "mixed/n4/x20s/seed0/crash_restart@1.0[5+10]r0": (10.8, 1, 2, 2),
+    "mixed/n4/x20s/seed1/bad_data@0.9[5+10]r0": (0.6, 2, 0, 0),
+    "mixed/n4/x20s/seed1/baseline": (None, 0, 0, 0),
+    "mixed/n4/x20s/seed1/crash_restart@1.0[5+10]r0": (None, 0, 2, 2),
+}
+_PINNED_DIGEST = (
+    "09070cdd1d81b724d9611eea7ab524b37aa8c16358ae4f2de76640163be7035b"
+)
+
+
+def test_campaign_safety_records_are_pinned():
+    """A small mixed campaign's per-cell safety facts and digest, pinned
+    as literals: a change to how a node reports its engagement times or
+    kill/restart counts must leave every record as it was."""
+    spec = CampaignSpec(
+        name="pin",
+        agents=("mixed",),
+        scales=(4,),
+        seeds=(0, 1),
+        duration_s=20,
+        rack_size=2,
+        faults=(
+            FaultAxis(kind="bad_data", intensities=(0.9,), start_s=5,
+                      duration_s=10, racks=(0,)),
+            FaultAxis(kind="crash_restart", intensities=(1.0,), start_s=5,
+                      duration_s=10, racks=(0,)),
+        ),
+    )
+    report = SweepRunner(spec, workers=1).run()
+    assert {
+        r.unit_id: (
+            r.time_to_fallback_s, r.engaged_nodes,
+            r.agent_kills, r.agent_restarts,
+        )
+        for r in report.records
+    } == _PINNED_RECORDS
+    assert report.digest() == _PINNED_DIGEST
