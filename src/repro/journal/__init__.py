@@ -5,14 +5,15 @@ runs, ``reproduce-all`` passes, robustness campaigns — resumable after
 the orchestrator dies at any instant, with bit-identical final
 digests:
 
-* :mod:`repro.journal.log` — the crc-framed record stream (a record
-  and its payload blob are one frame), append vs commit, and
-  torn-tail-tolerant replay;
+* :mod:`repro.journal.log` — the crc-framed stream of binary records
+  (a record and its payload blob are one frame), append vs commit,
+  and torn-tail-tolerant replay;
 * :mod:`repro.journal.lease` — run ownership as a kernel ``flock``
   (one orchestrator per run, dropped by the kernel when its holder
   dies);
-* :mod:`repro.journal.run` — the :class:`RunJournal`: atomic manifest,
-  which record kinds commit before they return, idempotent replay,
+* :mod:`repro.journal.run` — the :class:`RunJournal`: atomic manifest
+  (whose unit list names the log's units), which record kinds commit
+  before they return, the one reader of a log, idempotent replay,
   deterministic run ids;
 * :mod:`repro.journal.pipelines` — the per-kind table (config payloads,
   journal openers with unit lists expanded exactly as the pipeline

@@ -15,6 +15,9 @@ table purely from the run's durable journal records, so the breakdown
 works for interrupted runs too; units slower than 3x the median wall
 are flagged as outliers.
 
+A run journaled in another build's log format is listed and shown by
+that format, with no counts and no timing: its log is not read.
+
 ``resume`` rebuilds the pipeline from the run's manifest alone (fleet
 config, artifact selection, or campaign spec — whatever the original
 command expanded) and re-opens the journal in resume mode: every
@@ -39,9 +42,9 @@ from repro.flags import (
     add_workers_flag,
 )
 from repro.journal.lease import Lease, LeaseHeldError
-from repro.journal.log import replay_records
+from repro.journal.log import LOG_FORMAT
 from repro.journal.registry import RunInfo, list_runs, resolve_run
-from repro.journal.run import runs_root
+from repro.journal.run import LogView, load_log, runs_root
 from repro.obs.sidecar import read_trace, segments, trace_path
 
 __all__ = [
@@ -111,15 +114,28 @@ def _cache_root(args: argparse.Namespace) -> str:
     return args.cache_dir or default_cache_dir()
 
 
+def _progress(info: RunInfo) -> str:
+    """The run's unit counts, or, for a log this build does not read,
+    its format and what to do with it."""
+    if not info.readable:
+        return (
+            f"log format {info.manifest.get('log_format')!r}, not this "
+            f"build's {LOG_FORMAT}: not read (`repro runs prune` it)"
+        )
+    return (
+        f"{info.done_units}/{info.total_units} done "
+        f"({info.executed_units} executed, {info.cached_units} cached, "
+        f"{info.quarantined_units} quarantined)"
+    )
+
+
 def _render_info(info: RunInfo) -> str:
     age = ""
     if info.created_at:
         age = f" age={max(0.0, time.time() - info.created_at):.0f}s"
     return (
         f"{info.run_id}  {info.kind:<9} {info.status:<11} "
-        f"{info.done_units}/{info.total_units} done "
-        f"({info.executed_units} executed, {info.cached_units} cached, "
-        f"{info.quarantined_units} quarantined){age}"
+        f"{_progress(info)}{age}"
     )
 
 
@@ -135,53 +151,33 @@ def _cmd_runs_list(args: argparse.Namespace) -> int:
     return 0
 
 
-def timing_rows(records: List[dict]) -> List[dict]:
+def timing_rows(view: LogView) -> List[dict]:
     """Per-unit timing breakdown from durable journal records.
 
     Purely record-driven — no sidecar needed — so it reconstructs the
     same table for interrupted runs.  Each row is
     ``{"unit", "wall", "attempts", "source", "fault", "outlier"}``
-    where ``source`` is executed/cached/quarantined/pending, ``fault``
-    is a quarantined unit's recorded fault kind (else ``None``), and
-    ``outlier`` marks executed walls above ``OUTLIER_FACTOR`` x the
-    median executed wall.  Rows sort slowest-first (walls first, then
-    the rest in journal order).
+    where ``source`` is the unit's :attr:`~repro.journal.run.UnitLog.
+    source` (executed/cached/quarantined/pending), ``wall`` a completed
+    unit's journaled wall (else ``None``), ``fault`` a quarantined
+    unit's recorded fault kind (else ``None``), and ``outlier`` marks
+    executed walls above ``OUTLIER_FACTOR`` x the median executed wall.
+    Rows sort slowest-first (walls first, then the rest in journal
+    order).
     """
-    attempts: dict = {}
-    outcome: dict = {}
-    order: List[str] = []
-    for record in records:
-        unit = record.get("unit")
-        if not isinstance(unit, str):
-            continue
-        if unit not in attempts and unit not in outcome:
-            order.append(unit)
-        kind = record.get("kind")
-        if kind == "UNIT_DISPATCHED":
-            attempts[unit] = attempts.get(unit, 0) + 1
-        elif kind == "UNIT_DONE":
-            wall = record.get("wall")
-            outcome[unit] = (
-                float(wall) if isinstance(wall, (int, float)) else None,
-                "executed" if record.get("executed", True) else "cached",
-                None,
-            )
-        elif kind == "UNIT_QUARANTINED":
-            outcome[unit] = (None, "quarantined", record.get("fault"))
     rows = []
-    for unit in order:
-        wall, source, fault = outcome.get(unit, (None, "pending", None))
+    for unit, entry in view.units.items():
+        source = entry.source
         rows.append({
             "unit": unit,
-            "wall": wall,
-            "attempts": attempts.get(unit, 0),
+            "wall": None if entry.done is None else entry.done["wall"],
+            "attempts": entry.attempts,
             "source": source,
-            "fault": fault,
+            "fault": entry.fault if source == "quarantined" else None,
             "outlier": False,
         })
     executed_walls = sorted(
-        row["wall"] for row in rows
-        if row["source"] == "executed" and row["wall"] is not None
+        row["wall"] for row in rows if row["source"] == "executed"
     )
     if executed_walls:
         mid = len(executed_walls) // 2
@@ -193,7 +189,6 @@ def timing_rows(records: List[dict]) -> List[dict]:
             for row in rows:
                 if (
                     row["source"] == "executed"
-                    and row["wall"] is not None
                     and row["wall"] > OUTLIER_FACTOR * median
                 ):
                     row["outlier"] = True
@@ -207,11 +202,8 @@ def timing_rows(records: List[dict]) -> List[dict]:
     return rows
 
 
-def _print_timing(info: RunInfo) -> None:
-    records, _valid = replay_records(
-        os.path.join(info.directory, "log.bin")
-    )
-    rows = timing_rows(records)
+def _print_timing(info: RunInfo, view: LogView) -> None:
+    rows = timing_rows(view)
     if not rows:
         print("  timing: no unit records journaled yet")
         return
@@ -252,11 +244,7 @@ def _cmd_runs_show(args: argparse.Namespace) -> int:
         return 1
     print(f"run {info.run_id} ({info.kind}) — {info.status}")
     print(f"  directory: {info.directory}")
-    print(
-        f"  units: {info.done_units}/{info.total_units} done "
-        f"({info.executed_units} executed, {info.cached_units} cached, "
-        f"{info.quarantined_units} quarantined)"
-    )
+    print(f"  units: {_progress(info)}")
     if info.sealed_digest is not None:
         print(f"  sealed digest: {info.sealed_digest}")
     plan = info.manifest.get("plan", {})
@@ -266,8 +254,9 @@ def _cmd_runs_show(args: argparse.Namespace) -> int:
     config = info.manifest.get("config", {})
     for key in sorted(config):
         print(f"  config.{key} = {config[key]!r}")
-    if getattr(args, "timing", False):
-        _print_timing(info)
+    view = load_log(info.directory, info.manifest) if args.timing else None
+    if view is not None:
+        _print_timing(info, view)
     return 0
 
 

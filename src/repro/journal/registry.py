@@ -12,6 +12,11 @@ status is:
 * ``running``: a live process holds the run's lease lock;
 * ``interrupted``: no seal and no lock holder — the orchestrator died
   (or released without sealing); the run is resumable.
+
+A run whose manifest names another build's ``log_format`` is listed
+with that format and no counts: its log is not read (it could only be
+misread), so it is never ``sealed``, and resuming it is refused
+(:func:`~repro.journal.run.check_resumable`).
 """
 
 from __future__ import annotations
@@ -21,8 +26,8 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 from repro.journal.lease import lease_held
-from repro.journal.log import replay_records
-from repro.journal.run import read_manifest, runs_root
+from repro.journal.log import LOG_FORMAT
+from repro.journal.run import load_log, read_manifest, runs_root
 
 __all__ = [
     "RunInfo",
@@ -50,33 +55,33 @@ class RunInfo:
     directory: str
     manifest: Dict[str, Any]
 
+    @property
+    def readable(self) -> bool:
+        """Whether this build reads the run's log: its manifest's
+        ``log_format`` is this build's (otherwise every count is 0)."""
+        return self.manifest.get("log_format") == LOG_FORMAT
+
 
 def inspect_run(cache_root: str, run_id: str) -> Optional[RunInfo]:
     """Durable state of one run, or ``None`` if it has no manifest
     (:func:`~repro.journal.run.read_manifest`).
 
-    The one place run counts are computed: a replay of the run's
-    ``log.bin`` (record metadata only — blobs are skipped), the same
-    for sealed and unsealed runs.
+    The one place run counts are computed: the run's ``log.bin`` read
+    against its manifest (:func:`~repro.journal.run.load_log`; blobs
+    are not decoded), the same for sealed and unsealed runs.  A log of
+    another format is not read and counts nothing.
     """
     root = runs_root(cache_root)
     directory = os.path.join(root, run_id)
     manifest = read_manifest(directory)
     if manifest is None:
         return None
-    records, _valid = replay_records(os.path.join(directory, "log.bin"))
-    known = set(manifest.get("units", []))
-    done: Dict[str, bool] = {}
-    quarantined = set()
-    sealed_digest: Optional[str] = None
-    for record in records:
-        kind = record.get("kind")
-        if kind == "UNIT_DONE" and record.get("unit") in known:
-            done[record["unit"]] = bool(record.get("executed", True))
-        elif kind == "UNIT_QUARANTINED" and record.get("unit") in known:
-            quarantined.add(record["unit"])
-        elif kind == "RUN_SEALED":
-            sealed_digest = record.get("digest")
+    view = load_log(directory, manifest)
+    sources = (
+        [] if view is None
+        else [entry.source for entry in view.units.values()]
+    )
+    sealed_digest = None if view is None else view.sealed_digest
     if sealed_digest is not None:
         status = "sealed"
     elif lease_held(os.path.join(root, f"{run_id}.lease")):
@@ -88,10 +93,10 @@ def inspect_run(cache_root: str, run_id: str) -> Optional[RunInfo]:
         kind=str(manifest.get("kind", "?")),
         status=status,
         total_units=len(manifest.get("units", [])),
-        done_units=len(done),
-        quarantined_units=len(quarantined - set(done)),
-        executed_units=sum(1 for executed in done.values() if executed),
-        cached_units=sum(1 for executed in done.values() if not executed),
+        done_units=sources.count("executed") + sources.count("cached"),
+        quarantined_units=sources.count("quarantined"),
+        executed_units=sources.count("executed"),
+        cached_units=sources.count("cached"),
         sealed_digest=sealed_digest,
         created_at=float(manifest.get("created_at", 0.0)),
         directory=directory,

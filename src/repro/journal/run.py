@@ -13,6 +13,14 @@ plus a sibling ``<cache>/runs/<run_id>.lease`` file whose kernel lock
 is the claim (:mod:`repro.journal.lease`; outside the directory, so
 wiping the directory for a fresh run cannot destroy a live claim).
 
+The manifest is the log's unit-name table: a record names its unit by
+the unit's index in ``manifest["units"]``, which is written durably
+before the first frame and never changes.  This module is the one
+place that maps ids to indices and back — :class:`RunJournal` on
+append, :func:`read_log` on every read, which drops a record whose
+index the manifest does not list; the journal's replay, the registry's
+counts and ``runs show --timing`` all read a log through it.
+
 Crash-consistency discipline — this class is the one place that sorts
 the record kinds into three durability classes (DESIGN.md §12):
 
@@ -51,16 +59,20 @@ from repro.cache.files import write_atomic
 from repro.cache.keys import code_salt, _canonical
 from repro.core.events import content_digest
 from repro.journal.lease import Lease
-from repro.journal.log import LOG_FORMAT, RecordLog
+from repro.journal.log import LOG_FORMAT, Frame, RecordLog, _read_frames
 
 __all__ = [
     "DoneItem",
+    "LogView",
     "RunJournal",
     "RunStats",
     "SealMismatchError",
+    "UnitLog",
     "check_resumable",
     "derive_run_id",
+    "load_log",
     "open_run",
+    "read_log",
     "read_manifest",
     "runs_root",
 ]
@@ -119,6 +131,13 @@ class RunJournal:
     replayed_quarantined: List[str] = field(default_factory=list)
     sealed_digest: Optional[str] = None
     _closed: bool = field(init=False, default=False)
+    _index: Dict[str, int] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self._index = {
+            unit_id: index
+            for index, unit_id in enumerate(self.manifest["units"])
+        }
 
     # -- queries -------------------------------------------------------------
 
@@ -135,11 +154,26 @@ class RunJournal:
 
     # -- recording -----------------------------------------------------------
 
+    def _unit(self, unit_id: str) -> int:
+        """``unit_id``'s index in the manifest, the name its records use.
+
+        Raises:
+            ValueError: the manifest does not list ``unit_id``.
+        """
+        try:
+            return self._index[unit_id]
+        except KeyError:
+            raise ValueError(
+                f"run {self.run_id}: unit {unit_id!r} is not in its manifest"
+            ) from None
+
     def record_dispatched(self, unit_id: str, attempt: int) -> None:
         """Dispatch intent: handed to the OS, durable with the next
         commit.  Nothing on replay trusts it (it feeds the attempts
         column of ``runs show --timing``)."""
-        self._log.append("UNIT_DISPATCHED", unit=unit_id, attempt=attempt)
+        self._log.append(
+            "UNIT_DISPATCHED", unit=self._unit(unit_id), attempt=attempt
+        )
 
     def record_done_many(self, items: Iterable[DoneItem]) -> None:
         """Durable completion of a batch: one frame per unit (record +
@@ -151,7 +185,7 @@ class RunJournal:
             self._log.append(
                 "UNIT_DONE",
                 blob,
-                unit=unit_id,
+                unit=self._unit(unit_id),
                 wall=float(wall_s),
                 digest=digest,
                 executed=bool(executed),
@@ -172,7 +206,9 @@ class RunJournal:
         self.record_done_many([(unit_id, payload, wall_s, executed)])
 
     def record_quarantined(self, unit_id: str, fault_kind: str) -> None:
-        self._log.append("UNIT_QUARANTINED", unit=unit_id, fault=fault_kind)
+        self._log.append(
+            "UNIT_QUARANTINED", unit=self._unit(unit_id), fault=fault_kind
+        )
         self._log.commit()
         self.stats.quarantined += 1
 
@@ -219,37 +255,95 @@ class RunJournal:
         self.close()
 
 
+@dataclass
+class UnitLog:
+    """What the log says of one manifest unit, folded in log order.
+
+    ``source`` is the unit's standing: ``executed`` or ``cached`` once
+    any ``UNIT_DONE`` landed (the last one counts, and a completion
+    outranks a quarantine whatever their order), else ``quarantined``
+    once a ``UNIT_QUARANTINED`` did, else ``pending``.
+    """
+
+    attempts: int = 0  # UNIT_DISPATCHED records
+    done: Optional[Dict[str, Any]] = None  # the last UNIT_DONE record
+    blob: Optional[memoryview] = None  # ... and its encoded result
+    fault: Optional[str] = None  # the last UNIT_QUARANTINED's fault
+
+    @property
+    def source(self) -> str:
+        if self.done is not None:
+            return "executed" if self.done["executed"] else "cached"
+        return "pending" if self.fault is None else "quarantined"
+
+
+@dataclass
+class LogView:
+    """A run's log read against its manifest (:func:`read_log`).
+
+    ``units`` holds every unit some record names, keyed by id, in the
+    order of each unit's first record.
+    """
+
+    units: Dict[str, UnitLog]
+    sealed_digest: Optional[str]
+
+
+def read_log(manifest: Dict[str, Any], frames: Iterable[Frame]) -> LogView:
+    """The one reader of a run's records: resolve each record's unit
+    index against ``manifest["units"]`` and fold the records per unit.
+    A record whose index the manifest does not list is dropped; the
+    last ``RUN_SEALED`` names the sealed digest."""
+    names = manifest["units"]
+    units: Dict[str, UnitLog] = {}
+    sealed_digest: Optional[str] = None
+    for record, blob in frames:
+        kind = record["kind"]
+        if kind == "RUN_SEALED":
+            sealed_digest = record["digest"]
+            continue
+        if record["unit"] >= len(names):
+            continue  # a unit this manifest does not list
+        entry = units.setdefault(names[record["unit"]], UnitLog())
+        if kind == "UNIT_DISPATCHED":
+            entry.attempts += 1
+        elif kind == "UNIT_DONE":
+            entry.done, entry.blob = record, blob
+        else:
+            entry.fault = record["fault"]
+    return LogView(units, sealed_digest)
+
+
+def load_log(directory: str, manifest: Dict[str, Any]) -> Optional[LogView]:
+    """:func:`read_log` over a run directory's ``log.bin``, read-only;
+    ``None``, with no byte of the log read, when the manifest's
+    ``log_format`` is not this build's."""
+    if manifest.get("log_format") != LOG_FORMAT:
+        return None
+    frames, _valid = _read_frames(os.path.join(directory, "log.bin"))
+    return read_log(manifest, frames)
+
+
 def _replay_into(journal: RunJournal) -> None:
-    """Rebuild completion state from the valid prefix of the log."""
-    quarantined: List[str] = []
-    known = set(journal.manifest["units"])
-    for record in journal._log.records:
-        kind = record.get("kind")
-        if kind == "UNIT_QUARANTINED" and record.get("unit") in known:
-            if record["unit"] not in quarantined:
-                quarantined.append(record["unit"])
-        elif kind == "RUN_SEALED":
-            journal.sealed_digest = record.get("digest")
-    # The log hands each replayed blob over once; the last UNIT_DONE of
-    # a unit wins and only that one is decoded.
-    done = {
-        record["unit"]: (record, blob)
-        for record, blob in journal._log.take_blobs()
-        if record.get("kind") == "UNIT_DONE" and record.get("unit") in known
-    }
-    for unit_id, (record, blob) in done.items():
-        digest = record.get("digest")
-        if not isinstance(digest, str):
-            continue  # a UNIT_DONE without its digest is not trusted
+    """Rebuild completion state from the valid prefix of the log.  The
+    log hands its replayed frames over once; only each unit's last
+    ``UNIT_DONE`` blob is decoded."""
+    view = read_log(journal.manifest, journal._log.take_frames())
+    journal.sealed_digest = view.sealed_digest
+    for unit_id, entry in view.units.items():
+        if entry.done is None:
+            continue
         try:
-            journal.replayed[unit_id] = codec.decode(blob, digest)
+            journal.replayed[unit_id] = codec.decode(
+                entry.blob, entry.done["digest"]
+            )
         except codec.CodecError:
             continue  # rotted payload: demote to not-done, re-execute
-        journal.replayed_walls[unit_id] = float(record.get("wall", 0.0))
+        journal.replayed_walls[unit_id] = entry.done["wall"]
     journal.stats.replayed = len(journal.replayed)
     journal.replayed_quarantined = [
-        unit_id for unit_id in quarantined
-        if unit_id not in journal.replayed
+        unit_id for unit_id, entry in view.units.items()
+        if entry.fault is not None and unit_id not in journal.replayed
     ]
 
 

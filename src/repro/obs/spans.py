@@ -31,6 +31,12 @@ Span records are flat JSON-serializable dicts::
 ``mode: "async"`` marks spans that overlap on one thread (concurrent
 in-flight units in the dispatch loop); the Chrome exporter renders
 them as async b/e pairs instead of stack slices.
+
+``args`` must come back from the sidecar exactly as emitted, so
+:meth:`Tracer.begin` and :meth:`Tracer.instant` refuse, with a
+``TypeError`` naming the argument, what JSON cannot return as it was:
+a tuple (it reads back as a list) or a dict key that is not a ``str``
+(it reads back as a string).
 """
 
 from __future__ import annotations
@@ -55,6 +61,46 @@ __all__ = [
 
 Record = Dict[str, Any]
 Sink = Callable[[Record], None]
+
+
+def _refuse_inexact(name: str, value: Any) -> None:
+    """Raise ``TypeError`` if the arg ``name``'s ``value`` is or holds a
+    tuple or a non-``str`` dict key, at any depth."""
+    kind = type(value)
+    if kind is tuple:
+        raise TypeError(
+            f"trace arg {name!r} holds a tuple, which reads back as a list"
+        )
+    if kind is dict:
+        for key in value:
+            if type(key) is not str:
+                raise TypeError(
+                    f"trace arg {name!r} holds a dict key of type "
+                    f"{type(key).__name__}, which reads back as a str"
+                )
+        value = value.values()
+    elif kind is not list:
+        return
+    for item in value:
+        _refuse_inexact(name, item)
+
+
+def _args(args: Optional[Dict[str, Any]]) -> Dict[str, Any]:
+    """A copy of ``args`` that JSON returns exactly.
+
+    Raises:
+        TypeError: an arg name is not a ``str``, or an arg holds a
+            tuple or a non-``str`` dict key.
+    """
+    copied = dict(args or ())
+    for name, value in copied.items():
+        if type(name) is not str:
+            raise TypeError(
+                f"trace arg name {name!r} is a {type(name).__name__}, "
+                f"not a str"
+            )
+        _refuse_inexact(name, value)
+    return copied
 
 
 class Span:
@@ -166,11 +212,15 @@ class Tracer:
         a *floating* (async) span: it still parents under the current
         top-of-stack, but does not become a parent itself — the mode
         used for overlapping in-flight unit spans in dispatch loops.
+
+        Raises:
+            TypeError: ``args`` holds what the sidecar cannot return
+                exactly (a tuple, a non-``str`` key); nothing opens.
         """
         stack = self._stack()
         parent = stack[-1] if stack else None
         span_ = Span(
-            name, cat, dict(args or ()), next(self._ids), parent,
+            name, cat, _args(args), next(self._ids), parent,
             "sync" if attach else "async",
         )
         if attach:
@@ -210,6 +260,7 @@ class Tracer:
         self, name: str, cat: str = "run",
         args: Optional[Dict[str, Any]] = None,
     ) -> None:
+        """Emit a point event (``args`` checked as :meth:`begin` does)."""
         stack = self._stack()
         self._emit({
             "t": "instant",
@@ -220,7 +271,7 @@ class Tracer:
             "thread": threading.current_thread().name,
             "parent": stack[-1] if stack else None,
             "ts": time.monotonic_ns(),
-            "args": dict(args or ()),
+            "args": _args(args),
         })
 
     def absorb(self, records: Iterable[Record]) -> None:

@@ -413,7 +413,7 @@ def _sweep_pass(root, monkeypatch):
                 objects.add(handle.read())
     log = RecordLog(log_path)
     blobs = {
-        bytes(blob) for record, blob in log.take_blobs()
+        bytes(blob) for record, blob in log.take_frames()
         if record["kind"] == "UNIT_DONE"
     }
     log.close()

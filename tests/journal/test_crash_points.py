@@ -5,7 +5,7 @@ taken apart frame by frame and the run is resumed from **every** state
 a crash could have left the log in:
 
 * the log cut at each frame's start, inside its header, inside its
-  JSON, inside its blob, and at its end (a SIGKILL mid-``write``, or a
+  record, inside its blob, and at its end (a SIGKILL mid-``write``, or a
   power loss that kept only part of an unsynced suffix);
 * for every cut that lies past the last commit (fsync) point before it,
   the same length with that unsynced span zero-filled instead (a power
@@ -25,7 +25,6 @@ all-hit pass over a warm cache, whose log is one batch — every
 completion frame under a single commit.
 """
 
-import json
 import os
 import shutil
 import struct
@@ -34,10 +33,10 @@ import time
 import pytest
 
 from repro.cache import ResultCache
-from repro.journal.log import RecordLog
+from repro.journal.log import RecordLog, _decode_record
 from repro.journal.pipelines import PIPELINES, baseline_digest, launch
 
-_HEADER = struct.Struct(">III")  # JSON length, blob length, crc32
+_HEADER = struct.Struct(">III")  # record length, blob length, crc32
 
 CASES = {
     "fleet": ("fleet", 1, {
@@ -58,19 +57,22 @@ CASES["sweep-2-workers"] = ("sweep", 2, CASES["sweep"][2])
 CASES["sweep-all-hit-batch"] = ("sweep", 1, CASES["sweep"][2])
 
 
-def _frames(data):
-    """``(unit or None, start, json_start, blob_start, end)`` per frame;
-    ``unit`` names the unit a ``UNIT_DONE`` frame completes."""
+def _frames(data, units):
+    """``(unit or None, start, record_start, blob_start, end)`` per
+    frame; ``unit`` names (from the manifest's ``units``) the unit a
+    ``UNIT_DONE`` frame completes."""
     frames = []
     offset = 0
     while offset < len(data):
-        json_length, blob_length, _crc = _HEADER.unpack_from(data, offset)
-        json_start = offset + _HEADER.size
-        blob_start = json_start + json_length
+        record_length, blob_length, _crc = _HEADER.unpack_from(data, offset)
+        record_start = offset + _HEADER.size
+        blob_start = record_start + record_length
         end = blob_start + blob_length
-        record = json.loads(data[json_start:blob_start])
-        unit = record["unit"] if record["kind"] == "UNIT_DONE" else None
-        frames.append((unit, offset, json_start, blob_start, end))
+        record = _decode_record(memoryview(data)[record_start:blob_start])
+        unit = (
+            units[record["unit"]] if record["kind"] == "UNIT_DONE" else None
+        )
+        frames.append((unit, offset, record_start, blob_start, end))
         offset = end
     assert offset == len(data)
     return frames
@@ -79,11 +81,11 @@ def _frames(data):
 def _crash_states(data, frames, commits):
     """Every ``(label, log bytes, surviving prefix length)`` to resume."""
     cuts = set()
-    for _unit, start, json_start, blob_start, end in frames:
+    for _unit, start, record_start, blob_start, end in frames:
         cuts.update((
             start,
             start + _HEADER.size // 2,
-            (json_start + blob_start) // 2,
+            (record_start + blob_start) // 2,
             end,
         ))
         if end > blob_start:
@@ -134,7 +136,7 @@ def test_every_crash_point_resumes_to_the_uninterrupted_digest(
     units = whole.units
     with open(os.path.join(whole.directory, "log.bin"), "rb") as handle:
         data = handle.read()
-    frames = _frames(data)
+    frames = _frames(data, units)
     assert sorted(u for u, *_ in frames if u) == sorted(units)
     if batch:
         # No intents: every hit's completion under one commit, the seal.

@@ -10,7 +10,13 @@ import pytest
 
 from repro.cache import codec
 from repro.journal.lease import LeaseHeldError
-from repro.journal.log import LOG_FORMAT, replay_records, set_kill_action
+from repro.journal.log import (
+    LOG_FORMAT,
+    _decode_record,
+    _encode_record,
+    replay_records,
+    set_kill_action,
+)
 from repro.journal.run import (
     SealMismatchError,
     derive_run_id,
@@ -18,7 +24,7 @@ from repro.journal.run import (
     runs_root,
 )
 
-_HEADER = struct.Struct(">III")  # JSON length, blob length, crc32
+_HEADER = struct.Struct(">III")  # record length, blob length, crc32
 
 CONFIG = {"n": 4, "agent": "overclock"}
 UNITS = ["u0", "u1", "u2"]
@@ -104,15 +110,16 @@ def test_resume_without_verification_adopts_manifest(tmp_path):
 
 
 def _done_frame(data, unit):
-    """``(frame start, blob start, blob end)`` of ``unit``'s UNIT_DONE."""
+    """``(frame start, blob start, blob end)`` of ``unit``'s UNIT_DONE
+    (``unit`` as its index in ``UNITS``, the name its records use)."""
     offset = 0
     while offset < len(data):
-        json_length, blob_length, _crc = _HEADER.unpack_from(data, offset)
-        json_start = offset + _HEADER.size
-        blob_start = json_start + json_length
+        record_length, blob_length, _crc = _HEADER.unpack_from(data, offset)
+        record_start = offset + _HEADER.size
+        blob_start = record_start + record_length
         end = blob_start + blob_length
-        record = json.loads(bytes(data[json_start:blob_start]))
-        if record["kind"] == "UNIT_DONE" and record["unit"] == unit:
+        record = _decode_record(memoryview(data)[record_start:blob_start])
+        if record == {**record, "kind": "UNIT_DONE", "unit": unit}:
             return offset, blob_start, end
         offset = end
     raise AssertionError(f"no UNIT_DONE for {unit}")
@@ -124,12 +131,12 @@ def _flip_blob_byte(log, unit, index, fix_crc):
     notice."""
     with open(log, "rb") as handle:
         data = bytearray(handle.read())
-    start, blob_start, end = _done_frame(data, unit)
+    start, blob_start, end = _done_frame(data, UNITS.index(unit))
     data[blob_start + index] ^= 0x01
     if fix_crc:
-        json_length, blob_length, _crc = _HEADER.unpack_from(data, start)
+        record_length, blob_length, _crc = _HEADER.unpack_from(data, start)
         data[start:start + _HEADER.size] = _HEADER.pack(
-            json_length, blob_length,
+            record_length, blob_length,
             zlib.crc32(bytes(data[start + _HEADER.size:end])),
         )
     with open(log, "wb") as handle:
@@ -162,7 +169,7 @@ def test_blobs_are_deflated_json_and_digest_it(tmp_path):
         log = os.path.join(journal.directory, "log.bin")
     with open(log, "rb") as handle:
         data = handle.read()
-    _start, blob_start, end = _done_frame(data, "u0")
+    _start, blob_start, end = _done_frame(data, 0)
     raw = json.dumps(payload, separators=(",", ":")).encode("utf-8")
     inflater = zlib.decompressobj(zdict=codec.dictionary())
     assert inflater.decompress(data[blob_start:end]) == raw
@@ -208,7 +215,7 @@ def test_a_blob_that_inflates_past_the_cap_is_not_done(
     with _open(tmp_path) as journal:
         journal.record_done("u0", "fine", 0.0)
         journal._log.append(
-            "UNIT_DONE", bomb, unit="u1", wall=0.0,
+            "UNIT_DONE", bomb, unit=1, wall=0.0,
             digest=hashlib.sha256(b"\0" * (1 << 20)).hexdigest(),
             executed=True,
         )
@@ -227,11 +234,11 @@ def test_blob_that_fails_its_digest_or_unpickle_is_not_done(tmp_path):
     with _open(tmp_path) as journal:
         journal.record_done("u0", "fine", 0.0)
         journal._log.append(
-            "UNIT_DONE", good, unit="u1", wall=0.0,
+            "UNIT_DONE", good, unit=1, wall=0.0,
             digest="0" * 64, executed=True,
         )
         journal._log.append(
-            "UNIT_DONE", zlib.compress(not_a_pickle), unit="u2", wall=0.0,
+            "UNIT_DONE", zlib.compress(not_a_pickle), unit=2, wall=0.0,
             digest=hashlib.sha256(not_a_pickle).hexdigest(), executed=True,
         )
     with _open(tmp_path, resume=True) as resumed:
@@ -315,6 +322,36 @@ def test_resealing_with_another_digest_names_both(tmp_path):
     assert [r["digest"] for r in records] == ["wrong-digest"]
 
 
+def test_a_record_past_the_manifest_is_ignored_by_every_reader(tmp_path):
+    """A record names its unit by manifest index; one whose index the
+    manifest does not list counts for none of the journal's replay, the
+    registry's counts and the ``runs show --timing`` rows."""
+    from repro.journal.cli import timing_rows
+    from repro.journal.registry import inspect_run
+    from repro.journal.run import load_log
+
+    blob, digest = codec.encode("stray")
+    with _open(tmp_path) as journal:
+        journal.record_dispatched("u0", 0)
+        journal.record_done("u0", "a", 0.5)
+        for index in (len(UNITS), 2**32 - 1):
+            journal._log.append("UNIT_DISPATCHED", unit=index, attempt=0)
+            journal._log.append("UNIT_DONE", blob, unit=index, wall=9.0,
+                                digest=digest, executed=True)
+            journal._log.append("UNIT_QUARANTINED", unit=index, fault="x")
+        journal.record_quarantined("u1", "crash")
+    assert len(replay_records(journal._log.path)[0]) == 9
+    with _open(tmp_path, resume=True) as resumed:
+        assert resumed.replayed == {"u0": "a"}
+        assert resumed.replayed_quarantined == ["u1"]
+    info = inspect_run(str(tmp_path), journal.run_id)
+    assert (info.total_units, info.done_units, info.executed_units,
+            info.quarantined_units) == (3, 1, 1, 1)
+    rows = timing_rows(load_log(journal.directory, journal.manifest))
+    assert [(row["unit"], row["attempts"], row["source"]) for row in rows] \
+        == [("u0", 1, "executed"), ("u1", 0, "quarantined")]
+
+
 def test_cache_hit_completion_counts_cached(tmp_path):
     with _open(tmp_path) as journal:
         journal.record_done("u0", 1, 0.0, executed=False)
@@ -343,7 +380,7 @@ def test_torn_final_record_drops_exactly_one_unit(tmp_path):
     log = os.path.join(journal.directory, "log.bin")
     records, _valid = replay_records(log)
     assert [r["unit"] for r in records if r["kind"] == "UNIT_DONE"] == [
-        "u0", "u1",
+        0, 1,
     ]
     with _open(tmp_path, resume=True) as resumed:
         assert resumed.is_done("u0")
@@ -366,7 +403,7 @@ def _edit_manifest(journal, edit):
 
 def test_manifest_records_the_log_format(tmp_path):
     with _open(tmp_path) as journal:
-        assert journal.manifest["log_format"] == LOG_FORMAT == 4
+        assert journal.manifest["log_format"] == LOG_FORMAT == 5
 
 
 def test_resume_refuses_a_journal_of_another_log_format(tmp_path):
@@ -384,7 +421,7 @@ def test_resume_refuses_a_journal_of_another_log_format(tmp_path):
     old_log = struct.pack(">II", len(body), zlib.crc32(body)) + body
     with open(os.path.join(journal.directory, "log.bin"), "wb") as handle:
         handle.write(old_log)
-    with pytest.raises(ValueError, match=r"log_format is None .* is 4"):
+    with pytest.raises(ValueError, match=r"log_format is None .* is 5"):
         _open(tmp_path, resume=True)
     assert _log_bytes(journal) == old_log
     with pytest.raises(ValueError, match="log_format"):  # explicit id too
@@ -414,7 +451,7 @@ def test_resume_refuses_a_format_2_journal_of_raw_pickles(tmp_path):
     ) + body + blob
     with open(os.path.join(journal.directory, "log.bin"), "wb") as handle:
         handle.write(old_log)
-    with pytest.raises(ValueError, match=r"log_format is 2 .* is 4"):
+    with pytest.raises(ValueError, match=r"log_format is 2 .* is 5"):
         _open(tmp_path, resume=True)
     assert _log_bytes(journal) == old_log
 
@@ -429,18 +466,23 @@ class _Marker:
         return (open, (self.path, "w"))
 
 
-def _bomb_log(journal, marker):
+def _bomb_log(journal, marker, binary):
     """Replace ``journal``'s log with one UNIT_DONE for u0 whose blob is
     a deflated pickle (format 3's encoding) that would create
-    ``marker``, under its right digest and crc."""
+    ``marker``, under its right digest and crc — its record JSON, as
+    format 3 wrote it, or ``binary``, as this build writes it."""
     import pickle
 
     raw = pickle.dumps(_Marker(str(marker)), protocol=pickle.HIGHEST_PROTOCOL)
     blob = zlib.compress(raw)
-    body = json.dumps(
-        {"kind": "UNIT_DONE", "unit": "u0", "wall": 0.1, "executed": True,
-         "digest": hashlib.sha256(raw).hexdigest()}, sort_keys=True,
-    ).encode("utf-8")
+    fields = {"wall": 0.1, "executed": True,
+              "digest": hashlib.sha256(raw).hexdigest()}
+    if binary:
+        body = _encode_record("UNIT_DONE", {"unit": 0, **fields})
+    else:
+        body = json.dumps(
+            {"kind": "UNIT_DONE", "unit": "u0", **fields}, sort_keys=True,
+        ).encode("utf-8")
     log = _HEADER.pack(
         len(body), len(blob), zlib.crc32(blob, zlib.crc32(body))
     ) + body + blob
@@ -451,19 +493,23 @@ def _bomb_log(journal, marker):
 
 def test_a_format_3_journal_of_deflated_pickles_runs_no_code(tmp_path):
     """Format 3 stored deflated pickles.  Resume refuses such a journal
-    before reading a blob; and the same blob inside a format-4 journal
-    is demoted, never unpickled."""
+    before reading a blob; and the same blob inside a journal of this
+    build's format is demoted, never unpickled."""
     marker = tmp_path / "ran"
     with _open(tmp_path) as journal:
         pass
     _edit_manifest(journal, lambda manifest: manifest.update(log_format=3))
-    old_log = _bomb_log(journal, marker)
-    with pytest.raises(ValueError, match=r"log_format is 3 .* is 4"):
+    old_log = _bomb_log(journal, marker, binary=False)
+    with pytest.raises(ValueError, match=r"log_format is 3 .* is 5"):
         _open(tmp_path, resume=True)
     assert _log_bytes(journal) == old_log
 
-    _edit_manifest(journal, lambda manifest: manifest.update(log_format=4))
+    _edit_manifest(
+        journal, lambda manifest: manifest.update(log_format=LOG_FORMAT)
+    )
+    _bomb_log(journal, marker, binary=True)
     with _open(tmp_path, resume=True) as resumed:
+        assert len(replay_records(resumed._log.path)[0]) == 1
         assert not resumed.is_done("u0") and resumed.stats.replayed == 0
     assert not marker.exists()
 

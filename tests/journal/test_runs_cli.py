@@ -1,4 +1,13 @@
-"""``repro runs`` and the journaled command flags, driven in-process."""
+"""``repro runs`` and the journaled command flags, driven in-process.
+
+``format4_run/`` holds one run directory (manifest and log) that the
+format-4 build wrote: a sealed one-chunk fleet run (2 nodes, 5 s), its
+records JSON naming each unit by id.  It is fixed: it pins what this
+build makes of an older build's journal, so it is never regenerated.
+"""
+
+import os
+import shutil
 
 import pytest
 
@@ -425,3 +434,55 @@ def test_runs_prune_refuses_a_run_claimed_after_the_scan(
         assert info.run_id == run_id and info.status == "sealed"
     finally:
         lease.release()
+
+
+FORMAT_4_RUN = os.path.join(os.path.dirname(__file__), "format4_run")
+
+
+def test_a_format_4_run_is_named_by_its_format_and_never_read(
+    capsys, cache_dir, monkeypatch
+):
+    """``runs list`` and ``runs show --timing`` name an older build's
+    log format instead of reading its records as zero (a sealed run
+    listed as ``interrupted 0/1``), and a resume is refused by that
+    format — all without reading a byte of its log."""
+    import repro.journal.log as log_module
+    import repro.journal.run as run_module
+    from repro.journal.registry import inspect_run
+
+    runs = os.path.join(cache_dir, "runs")
+    shutil.copytree(FORMAT_4_RUN, runs)
+    (run_id,) = os.listdir(runs)
+    log_path = os.path.join(runs, run_id, "log.bin")
+    with open(log_path, "rb") as handle:
+        before = handle.read()
+
+    def unread(path):
+        raise AssertionError(f"{path} was read")
+
+    monkeypatch.setattr(log_module, "_read_frames", unread)
+    monkeypatch.setattr(run_module, "_read_frames", unread)
+    named = (
+        "log format 4, not this build's 5: not read "
+        "(`repro runs prune` it)"
+    )
+    assert main(["runs", "list", "--cache-dir", cache_dir]) == 0
+    listing = capsys.readouterr().out
+    assert f"{run_id}  fleet     interrupted {named} age=" in listing
+    assert "done" not in listing
+    assert main(
+        ["runs", "show", run_id, "--timing", "--cache-dir", cache_dir]
+    ) == 0
+    shown = capsys.readouterr().out
+    assert f"  units: {named}\n" in shown
+    assert "timing" not in shown and "sealed digest" not in shown
+    info = inspect_run(cache_dir, run_id)
+    assert not info.readable and info.sealed_digest is None
+    with pytest.raises(SystemExit, match="journal log_format is 4 but this "
+                       "build's is 5; refusing to resume"):
+        main(["runs", "resume", run_id, "--cache-dir", cache_dir])
+    with open(log_path, "rb") as handle:
+        assert handle.read() == before
+    assert main(["runs", "prune", "--cache-dir", cache_dir]) == 0
+    assert f"pruned {run_id} (fleet, interrupted)" in capsys.readouterr().out
+    assert os.listdir(runs) == []

@@ -12,6 +12,7 @@ from repro.fleet.config import FleetConfig
 from repro.journal.cli import timing_rows
 from repro.journal.pipelines import open_fleet_journal
 from repro.journal.registry import list_runs
+from repro.journal.run import read_log
 from repro.obs import run_tracing, spans as obs
 from repro.obs.sidecar import read_metrics, read_trace, segments, trace_path
 from repro.resilience.pool import shared_pool_counters
@@ -172,25 +173,23 @@ def test_runs_show_timing_table(tmp_path, capsys):
 
 
 def test_timing_rows_sources_and_outlier_flag():
+    units = ["slow", "fast1", "fast2", "hit", "poison", "unfinished"]
     records = [
-        {"kind": "UNIT_DISPATCHED", "unit": "slow", "attempt": 0},
-        {"kind": "UNIT_DISPATCHED", "unit": "slow", "attempt": 1},
-        {"kind": "UNIT_DONE", "unit": "slow", "wall": 10.0,
-         "executed": True},
-        {"kind": "UNIT_DISPATCHED", "unit": "fast1", "attempt": 0},
-        {"kind": "UNIT_DONE", "unit": "fast1", "wall": 1.0,
-         "executed": True},
-        {"kind": "UNIT_DISPATCHED", "unit": "fast2", "attempt": 0},
-        {"kind": "UNIT_DONE", "unit": "fast2", "wall": 1.2,
-         "executed": True},
-        {"kind": "UNIT_DONE", "unit": "hit", "wall": 0.0,
-         "executed": False},
-        {"kind": "UNIT_DISPATCHED", "unit": "poison", "attempt": 0},
-        {"kind": "UNIT_QUARANTINED", "unit": "poison", "fault": "error"},
-        {"kind": "UNIT_DISPATCHED", "unit": "unfinished", "attempt": 0},
+        {"kind": "UNIT_DISPATCHED", "unit": 0, "attempt": 0},
+        {"kind": "UNIT_DISPATCHED", "unit": 0, "attempt": 1},
+        {"kind": "UNIT_DONE", "unit": 0, "wall": 10.0, "executed": True},
+        {"kind": "UNIT_DISPATCHED", "unit": 1, "attempt": 0},
+        {"kind": "UNIT_DONE", "unit": 1, "wall": 1.0, "executed": True},
+        {"kind": "UNIT_DISPATCHED", "unit": 2, "attempt": 0},
+        {"kind": "UNIT_DONE", "unit": 2, "wall": 1.2, "executed": True},
+        {"kind": "UNIT_DONE", "unit": 3, "wall": 0.0, "executed": False},
+        {"kind": "UNIT_DISPATCHED", "unit": 4, "attempt": 0},
+        {"kind": "UNIT_QUARANTINED", "unit": 4, "fault": "error"},
+        {"kind": "UNIT_DISPATCHED", "unit": 5, "attempt": 0},
         {"kind": "RUN_SEALED", "digest": "d"},
     ]
-    rows = {row["unit"]: row for row in timing_rows(records)}
+    view = read_log({"units": units}, [(r, b"") for r in records])
+    rows = {row["unit"]: row for row in timing_rows(view)}
     assert rows["slow"]["attempts"] == 2
     assert rows["slow"]["outlier"] is True  # 10.0 > 3 x median(1.2)
     assert rows["fast1"]["outlier"] is False
@@ -200,7 +199,7 @@ def test_timing_rows_sources_and_outlier_flag():
     assert rows["slow"]["fault"] is None
     assert rows["unfinished"]["source"] == "pending"
     # Slowest-first ordering, wall-less rows at the bottom.
-    ordered = [row["unit"] for row in timing_rows(records)]
+    ordered = [row["unit"] for row in timing_rows(view)]
     assert ordered[:3] == ["slow", "fast2", "fast1"]
     assert set(ordered[3:]) == {"hit", "poison", "unfinished"}
 

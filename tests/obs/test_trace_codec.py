@@ -196,6 +196,39 @@ def test_names_and_args_round_trip(name, cat, args, attach, instant_args):
         assert _spans(read_trace(trace_path(directory))) == emitted
 
 
+def test_args_json_cannot_return_exactly_are_refused_at_the_emitting_call(
+    tmp_path
+):
+    """A tuple reads back as a list and a non-``str`` key as a string,
+    so ``begin``, ``span`` and ``instant`` refuse them, naming the
+    argument, and emit nothing; what they accept reads back equal."""
+    import pytest
+
+    refused = [
+        ({"pair": (1, 2)}, "'pair' holds a tuple"),
+        ({"rows": [1, [2, (3,)]]}, "'rows' holds a tuple"),
+        ({"by_node": {1: "x"}}, "'by_node' holds a dict key of type int"),
+        ({"deep": {"a": [{"b": {None: 0}}]}},
+         "'deep' holds a dict key of type NoneType"),
+        ({3: "x"}, "arg name 3 is a int"),
+    ]
+
+    def body(tracer):
+        with tracer.span("run", cat="run", args={"ok": [1, {"k": [2]}]}):
+            for args, message in refused:
+                with pytest.raises(TypeError, match=message):
+                    tracer.begin("refused", cat="unit", args=args)
+                with pytest.raises(TypeError, match=message):
+                    tracer.span("refused", cat="unit", args=args)
+                with pytest.raises(TypeError, match=message):
+                    tracer.instant("refused", "unit", args)
+            tracer.instant("kept", "unit", {"n": {"k": [1.5, None]}})
+
+    emitted = _segment(str(tmp_path), body)
+    assert [r["name"] for r in emitted] == ["kept", "run"]
+    assert _spans(read_trace(trace_path(str(tmp_path)))) == emitted
+
+
 def test_records_the_tracer_does_not_emit_pass_through_as_objects(
     tmp_path
 ):
