@@ -127,7 +127,6 @@ class RunJournal:
     _log: RecordLog
     stats: RunStats = field(default_factory=RunStats)
     replayed: Dict[str, Any] = field(default_factory=dict)
-    replayed_walls: Dict[str, float] = field(default_factory=dict)
     replayed_quarantined: List[str] = field(default_factory=list)
     sealed_digest: Optional[str] = None
     _closed: bool = field(init=False, default=False)
@@ -339,7 +338,6 @@ def _replay_into(journal: RunJournal) -> None:
             )
         except codec.CodecError:
             continue  # rotted payload: demote to not-done, re-execute
-        journal.replayed_walls[unit_id] = entry.done["wall"]
     journal.stats.replayed = len(journal.replayed)
     journal.replayed_quarantined = [
         unit_id for unit_id, entry in view.units.items()

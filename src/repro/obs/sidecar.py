@@ -44,20 +44,41 @@ inline and get no index, on both sides.  The writer advances a table
 only once the row's line was written, so a failed write cannot desync
 writer and reader.
 
+Each row is then deflated into its segment's one raw-deflate stream
+(``zlib.compressobj(wbits=-15)``, zlib's defaults otherwise), created
+at :meth:`~TelemetrySidecar.open_segment`.  The row is sync-flushed,
+so it ends on a byte boundary, and the flush's constant tail
+``00 00 ff ff`` is dropped, as RFC 7692's permessage-deflate does; the
+line is the unpadded base64 of what is left, written as a JSON string.
+Headers and object lines stay plain JSON objects, and one record is
+still one flushed line, so the torn-tail rule and the segment count
+stay line-based.  :meth:`~TelemetrySidecar.write` holds one lock over
+the row's encoding, its compression, the write and the table advance,
+so two emitting threads never interleave in the stream or the tables.
+A failed write retires the stream: the rest of that segment is written
+as plain rows.
+
 :func:`read_trace` is the one decoder: it rebuilds rows into exactly
 the dicts the tracer emitted, each with an ``args`` dict of its own.
-It passes object lines (headers, and records written before rows
-existed) through unchanged, and still reads rows written before labels
+A ``str`` line is re-padded, given its tail back and inflated in its
+segment's stream; the first one that does not inflate to a row (one
+inflating to :data:`repro.cache.codec.MAX_INFLATED` bytes included)
+retires that stream, and the segment's later ``str`` lines are
+skipped.  Plain rows and object lines (headers, and records written
+before rows existed) read as before, as do rows written before labels
 and args were interned (``cat`` and ``name`` inline, a ``str`` in the
 label slot).
 """
 
 from __future__ import annotations
 
+import base64
 import copy
 import json
 import os
+import threading
 import time
+import zlib
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 __all__ = [
@@ -77,6 +98,10 @@ Record = Dict[str, Any]
 Fresh = List[Tuple[Any, Any]]
 
 _encode = json.JSONEncoder(separators=(",", ":")).encode
+
+#: What every sync flush ends with; dropped from each deflated row and
+#: given back before it is inflated (RFC 7692, section 7.2.1).
+_TAIL = b"\x00\x00\xff\xff"
 
 #: Values each per-segment table (threads, labels, args) interns at
 #: most; later new values are written inline, so a run with unique args
@@ -122,6 +147,8 @@ class TelemetrySidecar:
         self._threads: Dict[Tuple[Any, Any, Any], int] = {}
         self._labels: Dict[Tuple[str, str], int] = {}
         self._args: Dict[str, int] = {}
+        self._deflate: Any = None
+        self._lock = threading.Lock()
 
     def open_segment(self, run_id: Optional[str] = None) -> int:
         """Append (and flush) this process's segment header."""
@@ -139,6 +166,7 @@ class TelemetrySidecar:
             self._fh.write("\n")
         self.segment_seq = seq
         self._threads, self._labels, self._args = {}, {}, {}
+        self._deflate = zlib.compressobj(wbits=-15)
         # Captured back-to-back: the segment's only wall-clock, used
         # solely at export time to align monotonic spans.
         unix_ns = time.time_ns()
@@ -198,17 +226,29 @@ class TelemetrySidecar:
         """Append one record; flushed so a SIGKILL loses ≤1 line."""
         if self._fh is None:
             return
-        try:
-            line = self._line(record)
-            self._fh.write(
-                (_encode(record) if line is None else line[0]) + "\n"
-            )
-            self._fh.flush()
-        except (OSError, TypeError, ValueError, RecursionError):
-            return  # telemetry must never take the run down
-        for table, key in line[1] if line is not None else ():
-            if len(table) < TABLE_LIMIT:
-                table[key] = len(table)
+        with self._lock:
+            try:
+                line = self._line(record)
+                if line is None:
+                    text = _encode(record)
+                elif self._deflate is None:  # retired
+                    text = line[0]
+                else:
+                    packed = self._deflate.compress(line[0].encode())
+                    packed += self._deflate.flush(zlib.Z_SYNC_FLUSH)
+                    packed = base64.b64encode(packed[:-len(_TAIL)])
+                    text = '"' + packed.decode().rstrip("=") + '"'
+                self._fh.write(text + "\n")
+                self._fh.flush()
+            except (OSError, TypeError, ValueError, RecursionError,
+                    zlib.error):
+                # Telemetry must never take the run down.  The stream
+                # may now hold a row the file does not, so it retires.
+                self._deflate = None
+                return
+            for table, key in line[1] if line is not None else ():
+                if len(table) < TABLE_LIMIT:
+                    table[key] = len(table)
 
     def write_metrics(self, snapshot: Dict[str, Any]) -> None:
         """Append this segment's metrics snapshot to ``metrics.json``
@@ -328,13 +368,32 @@ def _rebuild(
     return record
 
 
+def _inflate(line: str, inflater: Any) -> Optional[List[Any]]:
+    """The row the deflated ``line`` holds, inflated in its segment's
+    stream ``inflater``, or None if it holds none."""
+    # Deferred: repro.cache imports the core, whose kernel imports obs.
+    from repro.cache import codec
+
+    try:
+        packed = base64.b64decode(line + "=" * (-len(line) % 4),
+                                  validate=True)
+        text = inflater.decompress(packed + _TAIL, codec.MAX_INFLATED)
+        if len(text) >= codec.MAX_INFLATED:
+            return None
+        row = json.loads(text.decode("utf-8"))
+    except (ValueError, RecursionError, zlib.error):
+        return None
+    return row if type(row) is list else None
+
+
 def read_trace(path: str) -> List[Record]:
     """Every record of a trace file, in append order.
 
-    Object lines pass through; row lines are rebuilt against the last
-    segment header.  Anything else — a torn tail, garbage, bytes that
-    are not UTF-8, a row with no header before it — is skipped
-    (crash tolerance).  A missing file reads as ``[]``.
+    Object lines pass through; row lines, plain or deflated, are
+    rebuilt against the last segment header.  Anything else — a torn
+    tail, garbage, bytes that are not UTF-8, a row with no header
+    before it, a deflated row after its stream was retired — is
+    skipped (crash tolerance).  A missing file reads as ``[]``.
     """
     try:
         with open(path, "rb") as fh:
@@ -344,17 +403,25 @@ def read_trace(path: str) -> List[Record]:
     records: List[Record] = []
     mono_ns: Optional[int] = None
     tables: Tables = ([], [], [])
+    inflater: Any = None
     for line in data.split(b"\n"):
         try:
             value = json.loads(line.decode("utf-8"))
         except (ValueError, RecursionError):
             continue  # torn tail from a SIGKILLed writer, or garbage
+        if type(value) is str:
+            # A deflated row: the first that holds none retires the
+            # stream, as later rows may refer back into it.
+            value = None if inflater is None else _inflate(value, inflater)
+            if value is None:
+                inflater = None
         if type(value) is list:
             value = _rebuild(value, mono_ns, tables)
         elif type(value) is dict and value.get("t") == "segment":
             anchor = value.get("mono_ns")
             mono_ns = anchor if type(anchor) is int else None
             tables = ([], [], [])
+            inflater = zlib.decompressobj(wbits=-15)
         if type(value) is dict:
             records.append(value)
     return records

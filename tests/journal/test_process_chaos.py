@@ -38,6 +38,27 @@ def _env(cache_dir):
     }
 
 
+def _wait_for_pool(proc, workers=2, timeout=60.0):
+    """Return once ``proc`` has forked its ``workers`` pool workers.
+
+    ``main`` installs its SIGTERM and SIGINT handling before the pool
+    exists, so a signal sent after this reaches the handler, never the
+    default disposition of an interpreter still importing ``repro``.
+    """
+    children = f"/proc/{proc.pid}/task/{proc.pid}/children"
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        assert proc.poll() is None, "fleet finished before the signal"
+        try:
+            with open(children, "r", encoding="ascii") as fh:
+                if len(fh.read().split()) >= workers:
+                    return
+        except OSError:
+            pass  # exited between the poll and the read: asserted next
+        time.sleep(0.02)
+    raise AssertionError(f"no {workers} pool workers within {timeout} s")
+
+
 def test_sigterm_unwinds_gracefully(tmp_path):
     """SIGTERM → pool shutdown, "repro: terminated", exit 143.
 
@@ -55,8 +76,7 @@ def test_sigterm_unwinds_gracefully(tmp_path):
         text=True,
     )
     try:
-        time.sleep(1.5)  # let the pool spin up and start simulating
-        assert proc.poll() is None, "fleet finished before the signal"
+        _wait_for_pool(proc)
         proc.send_signal(signal.SIGTERM)
         stderr = proc.communicate(timeout=60)[1]
     finally:
@@ -83,8 +103,7 @@ def test_sigint_unwinds_gracefully(tmp_path):
         text=True,
     )
     try:
-        time.sleep(1.5)  # let the pool spin up and start simulating
-        assert proc.poll() is None, "fleet finished before the signal"
+        _wait_for_pool(proc)
         proc.send_signal(signal.SIGINT)
         stderr = proc.communicate(timeout=60)[1]
     finally:

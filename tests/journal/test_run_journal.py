@@ -20,6 +20,7 @@ from repro.journal.log import (
 from repro.journal.run import (
     SealMismatchError,
     derive_run_id,
+    load_log,
     open_run,
     runs_root,
 )
@@ -76,7 +77,8 @@ def test_record_done_then_resume_replays_payload(tmp_path):
     with _open(tmp_path, resume=True) as resumed:
         assert resumed.is_done("u0")
         assert resumed.replayed["u0"] == {"rows": [1, 2, 3]}
-        assert resumed.replayed_walls["u0"] == 0.25
+        view = load_log(resumed.directory, resumed.manifest)
+        assert view.units["u0"].done["wall"] == 0.25
         assert resumed.stats.replayed == 1
         assert not resumed.is_done("u1")
 

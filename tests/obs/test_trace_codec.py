@@ -15,14 +15,25 @@ before the resume, which ended it.  ``legacy_rows_trace.records
 .json`` and ``legacy_rows_trace.chrome.json`` are what that writer's
 own ``read_trace`` and ``chrome_trace`` made of it.
 
+``interned_rows_trace.jsonl`` was recorded the same way (4 nodes, 2
+workers, killed after its first journal commit, its last line torn in
+half, resumed once) by the writer that preceded deflated rows: plain
+rows, threads, labels and args interned per segment.
+``interned_rows_trace.records.json`` and
+``interned_rows_trace.chrome.json`` are what that writer's own
+``read_trace`` and ``chrome_trace`` made of it.
+
 All of these are fixed: they pin what readers of old runs see, so none
 is ever regenerated.
 """
 
+import base64
 import json
 import os
+import sys
 import tempfile
 import threading
+import zlib
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -40,9 +51,13 @@ from repro.obs.spans import Tracer
 HERE = os.path.dirname(__file__)
 LEGACY = os.path.join(HERE, "legacy_trace.jsonl")
 LEGACY_CHROME = os.path.join(HERE, "legacy_trace.chrome.json")
-LEGACY_ROWS = os.path.join(HERE, "legacy_rows_trace.jsonl")
-LEGACY_ROWS_RECORDS = os.path.join(HERE, "legacy_rows_trace.records.json")
-LEGACY_ROWS_CHROME = os.path.join(HERE, "legacy_rows_trace.chrome.json")
+#: Each trace of rows an older writer left, with what its own reader
+#: and exporter made of it.
+ROW_FIXTURES = [
+    tuple(os.path.join(HERE, stem + suffix)
+          for suffix in (".jsonl", ".records.json", ".chrome.json"))
+    for stem in ("legacy_rows_trace", "interned_rows_trace")
+]
 
 _json = st.recursive(
     st.none() | st.booleans() | st.integers()
@@ -85,15 +100,30 @@ def _compact(value):
 
 
 def _lines(directory):
-    """The JSON value of every complete line of ``directory``'s trace."""
-    values = []
+    """The JSON value of every complete line of ``directory``'s trace,
+    each deflated row inflated to its row: unpadded base64 of one
+    sync-flushed step of its segment's raw-deflate stream, without the
+    flush's ``00 00 ff ff`` tail."""
+    values, stream = [], None
     with open(trace_path(directory), "rb") as fh:
         for line in fh:
             try:
-                values.append(json.loads(line))
+                value = json.loads(line)
             except ValueError:
-                pass  # a torn line
+                continue  # a torn line
+            if isinstance(value, dict) and value.get("t") == "segment":
+                stream = zlib.decompressobj(wbits=-15)
+            elif isinstance(value, str):
+                packed = base64.b64decode(value + "=" * (-len(value) % 4))
+                value = json.loads(stream.decompress(packed + b"\0\0\xff\xff"))
+            values.append(value)
     return values
+
+
+def _kinds(directory):
+    """The JSON type of every line of ``directory``'s trace."""
+    with open(trace_path(directory), "rb") as fh:
+        return [type(json.loads(line)) for line in fh]
 
 
 def _introduced(rows):
@@ -160,9 +190,13 @@ def test_every_emitted_record_reads_back_equal(tmp_path):
         "sync", "async"
     }
     assert any(r["t"] == "instant" and not r["args"] for r in emitted)
-    # One line per record; every tracer record is a row, and a thread,
-    # a label and an args dict are each written in full once per
-    # segment.
+    # One line per record; every tracer record is a deflated row, and a
+    # thread, a label and an args dict are each written in full once
+    # per segment.
+    assert _kinds(directory) == (
+        [dict] + [str] * len(by_segment[0]) + [dict]
+        + [str] * len(by_segment[1])
+    )
     lines = _lines(directory)
     assert len(lines) == len(records)
     rows = [line for line in lines if isinstance(line, list)]
@@ -255,22 +289,23 @@ def test_a_trace_written_before_rows_exports_as_recorded():
     assert chrome_trace(records) == expected
 
 
-def test_a_trace_of_uninterned_rows_reads_and_exports_as_recorded():
-    with open(LEGACY_ROWS_RECORDS, "r", encoding="utf-8") as fh:
-        expected_records = json.load(fh)
-    with open(LEGACY_ROWS_CHROME, "r", encoding="utf-8") as fh:
-        expected_chrome = json.load(fh)
-    records = read_trace(LEGACY_ROWS)
-    assert len(segments(records)) == 2
-    assert records == expected_records
-    assert chrome_trace(records) == expected_chrome
+def test_a_trace_of_older_rows_reads_and_exports_as_recorded():
+    for trace, recorded, chrome in ROW_FIXTURES:
+        with open(recorded, "r", encoding="utf-8") as fh:
+            expected_records = json.load(fh)
+        with open(chrome, "r", encoding="utf-8") as fh:
+            expected_chrome = json.load(fh)
+        records = read_trace(trace)
+        assert len(segments(records)) == 2
+        assert records == expected_records
+        assert chrome_trace(records) == expected_chrome
 
 
 def test_a_resumed_old_trace_appends_rows_after_its_torn_tail(tmp_path):
     """A run traced by an older writer, resumed by this one: a torn
     last line is ended, the old records read as before, the new ones as
     emitted."""
-    for legacy in (LEGACY, LEGACY_ROWS):
+    for legacy in [LEGACY] + [trace for trace, _, _ in ROW_FIXTURES]:
         directory = str(tmp_path / os.path.basename(legacy))
         os.mkdir(directory)
         with open(legacy, "rb") as src, \
@@ -297,7 +332,15 @@ _REAL = [
     b'["s",0,4,1,60,2,["run","run"],{"k":1}]',
     b'["i",0,1,70,0,0]',
     b'["a",0,5,1,80,3,1]',
+    # Deflated rows: one segment's stream, in order, then that segment
+    # whole (header and rows).
+    b'"ilYqVtKJNtcxNNRR8k3MzAvJKEpNTFGK1THSMdQxMdCx1IlWKirNU9IBk7E61UrZSl'
+    b'bRhjpGsbWxAAA"',
+    b'"ilbKVNIxAKkzBaoqyM/PASoDUXopmcUFiSXJGUqxsQAA"',
+    b'"ilZKBCkyBiozNdAxASoszcssASosBZpmEAsA"',
+    b'"gpthDiRiAQA"',
 ]
+_REAL.append(b"\n".join([_REAL[0]] + _REAL[-4:]))
 _ints = st.integers(min_value=-3, max_value=2 ** 64)
 _row = st.tuples(
     st.sampled_from(["s", "a", "i", "x", 0]),
@@ -410,6 +453,147 @@ def test_a_failed_write_advances_no_table(tmp_path):
     assert second[1:2] + second[4:] == [0, 0, 0]
 
 
+class _FailsOnce:
+    """A trace handle whose first write fails, as on a disk that was
+    briefly full; every later write goes through."""
+
+    def __init__(self, handle):
+        self.handle, self.failed = handle, False
+
+    def write(self, text):
+        if not self.failed:
+            self.failed = True
+            raise OSError(28, "No space left on device")
+        return self.handle.write(text)
+
+    def flush(self):
+        self.handle.flush()
+
+    def close(self):
+        self.handle.close()
+
+
+def test_a_failed_write_retires_the_stream(tmp_path):
+    """A deflated row that is never written leaves the writer's stream
+    ahead of the reader's, so the writer retires it: the rest of the
+    segment is plain rows, every one reads back, and they index the
+    values the deflated rows introduced, not the lost row's."""
+    directory = str(tmp_path)
+    sidecar = TelemetrySidecar(directory)
+    sidecar.open_segment(run_id="codec")
+    recorder = _Recorder(sidecar)
+    tracer = Tracer(sink=recorder)
+
+    def dispatches():
+        for unit in ("u0", "u1", "u0"):
+            tracer.instant("pool.dispatch", "pool", {"unit": unit})
+
+    dispatches()
+    sidecar._fh = _FailsOnce(sidecar._fh)
+    tracer.instant("journal.fsync", "journal", {"n": 1})  # lost
+    dispatches()
+    tracer.instant("journal.fsync", "journal", {"n": 1})
+    sidecar.close()
+    emitted = recorder.emitted
+    assert _spans(read_trace(trace_path(directory))) == (
+        emitted[:3] + emitted[4:]
+    )
+    assert _kinds(directory) == [dict] + [str] * 3 + [list] * 4
+    assert [row[1:2] + row[4:] for row in _lines(directory)[4:]] == [
+        [0, 0, 0], [0, 0, 1], [0, 0, 0],
+        [0, ["journal", "journal.fsync"], {"n": 1}],
+    ]
+
+
+def test_rows_from_two_threads_never_interleave(tmp_path):
+    """Two threads emit through one sidecar with the interpreter
+    switching threads as often as it can: every record of each reads
+    back, in its thread's order."""
+    directory = str(tmp_path)
+    sidecar = TelemetrySidecar(directory)
+    sidecar.open_segment(run_id="codec")
+    recorder = _Recorder(sidecar)
+    tracer = Tracer(sink=recorder)
+
+    def emit():
+        for k in range(500):
+            tracer.instant(f"tick{k % 5}", "pool", {"k": k % 7})
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=emit) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    sidecar.close()
+    records = _spans(read_trace(trace_path(directory)))
+    assert len(records) == len(recorder.emitted) == 1000
+    for thread in threads:
+        assert [r for r in records if r["tid"] == thread.ident] == [
+            r for r in recorder.emitted if r["tid"] == thread.ident
+        ]
+
+
+def test_a_garbage_deflated_line_retires_only_its_segments_stream(
+    tmp_path
+):
+    """A ``str`` line that does not inflate ends its segment's stream:
+    the segment's later deflated rows are skipped, its plain lines and
+    the next segment still read."""
+    directory = str(tmp_path)
+
+    def body(tracer):
+        for k in range(4):
+            tracer.instant("tick", "pool", {"k": k % 2})
+
+    first = _segment(directory, body)
+    path = trace_path(directory)
+    with open(path, "rb") as fh:
+        lines = fh.read().split(b"\n")
+    # After the header and two rows: not base64, so the stream is
+    # never fed it, yet the rows after it may refer to the row it was.
+    lines[3:3] = [b'"garbage!"']
+    lines[-1:] = [
+        b'{"t":"note","text":"plain"}',
+        b'["i",0,null,5,0,0]',  # a plain row: thread, label, args 0
+        b"",
+    ]
+    with open(path, "wb") as fh:
+        fh.write(b"\n".join(lines))
+    second = _segment(directory, body)
+    records = read_trace(path)
+    header = segments(records)[0]
+    plain = {**first[0], "parent": None, "ts": header["mono_ns"] + 5}
+    assert records[1:-len(second) - 1] == first[:2] + [
+        {"t": "note", "text": "plain"}, plain,
+    ]
+    assert _spans(records[-len(second):]) == second
+
+
+def test_a_row_inflating_past_the_cap_is_skipped(tmp_path, monkeypatch):
+    """A deflated row that inflates to the codec's ``MAX_INFLATED`` or
+    more is skipped and retires its segment's stream."""
+    from repro.cache import codec
+
+    directory = str(tmp_path)
+    first = _segment(directory, lambda tracer: [
+        tracer.instant("small", "pool"),
+        tracer.instant("big", "pool", {"pad": "x" * 2000}),
+        tracer.instant("small", "pool"),
+    ])
+    second = _segment(
+        directory, lambda tracer: tracer.instant("small", "pool")
+    )
+    path = trace_path(directory)
+    assert _spans(read_trace(path)) == first + second
+    monkeypatch.setattr(codec, "MAX_INFLATED", 1 << 10)
+    assert _spans(read_trace(path)) == first[:1] + second
+
+
 def test_a_torn_row_that_introduced_a_label_costs_only_itself(tmp_path):
     """A segment killed while writing the row that introduced a label
     and an args dict, then resumed: every complete row reads back, and
@@ -425,7 +609,10 @@ def test_a_torn_row_that_introduced_a_label_costs_only_itself(tmp_path):
     with open(path, "rb") as fh:
         data = fh.read()
     last = data.rindex(b"\n", 0, len(data) - 1) + 1
-    assert b'["journal","journal.fsync"],{"n":1}]' in data[last:]
+    assert _kinds(directory)[-1] is str
+    assert _lines(directory)[-1][-2:] == [
+        ["journal", "journal.fsync"], {"n": 1}
+    ]
     with open(path, "wb") as fh:
         fh.write(data[:last + (len(data) - last) // 2])
     resumed = _segment(directory, body)
