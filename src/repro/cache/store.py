@@ -18,10 +18,13 @@ garbage where a content-addressed object should be), counted in
 :attr:`CacheStats.corrupt`, and surfaced on the ``[cache:]`` CLI line;
 the unit then reruns and stores a fresh object (DESIGN.md §11).
 
-The store also keeps ``unit_timings.json`` — per-unit wall-time
-summaries (count/total/min/max/last) that the driver feeds back into
-longest-first dispatch via their ``last`` field (replacing the
-estimated-cost heuristic; DESIGN.md §8).
+The store also keeps ``unit_timings.json``: one number per unit, its
+last measured wall, which the driver feeds back into longest-first
+dispatch (replacing the estimated-cost heuristic; DESIGN.md §8).
+
+A get opens no span: the executor traces one ``cache.probe`` per pass,
+and :attr:`ResultCache.stats` and the journal's ``UNIT_DONE.executed``
+flag keep each probe's outcome (DESIGN.md §14).
 """
 
 from __future__ import annotations
@@ -127,30 +130,23 @@ class ResultCache:
         """
         path = self._object_path(key)
         self.last_hit = None
-        with obs.span("cache.get", cat="cache", key=key[:16]) as sp:
-            try:
-                with open(path, "rb") as handle:
-                    payload, stored = codec.decode_stored(handle.read())
-            except FileNotFoundError:
-                self.stats.misses += 1
-                if sp is not None:
-                    sp.args["outcome"] = "miss"
-                return default
-            except (OSError, codec.CodecError):
-                # Truncated, garbled, crafted, or stale-beyond-
-                # decoding: quarantine the evidence, then degrade to a
-                # miss, as journal replay does.
-                self._quarantine_object(key, path)
-                self.stats.misses += 1
-                self.stats.corrupt += 1
-                if sp is not None:
-                    sp.args["outcome"] = "corrupt"
-                return default
-            self.stats.hits += 1
-            self.last_hit = (key, stored)
-            if sp is not None:
-                sp.args["outcome"] = "hit"
-            return payload
+        try:
+            with open(path, "rb") as handle:
+                payload, stored = codec.decode_stored(handle.read())
+        except FileNotFoundError:
+            self.stats.misses += 1
+            return default
+        except (OSError, codec.CodecError):
+            # Truncated, garbled, crafted, or stale-beyond-decoding:
+            # quarantine the evidence, then degrade to a miss, as
+            # journal replay does.
+            self._quarantine_object(key, path)
+            self.stats.misses += 1
+            self.stats.corrupt += 1
+            return default
+        self.stats.hits += 1
+        self.last_hit = (key, stored)
+        return payload
 
     def _quarantine_object(self, key: str, path: str) -> None:
         """Move a corrupt object into quarantine (best-effort)."""
@@ -209,15 +205,14 @@ class ResultCache:
 
     # -- recorded unit timings ----------------------------------------------
 
-    #: Wall summary fields persisted per unit key.
-    TIMING_FIELDS = ("count", "total", "min", "max", "last")
-
     @property
     def _timings_path(self) -> str:
         return os.path.join(self.directory, "unit_timings.json")
 
-    def load_unit_timings(self) -> Dict[str, Dict[str, float]]:
-        """Persisted per-unit wall summaries (empty when none)."""
+    def _read_walls(self) -> Dict[str, float]:
+        """``unit_timings.json`` as ``{unit_id: wall}``.  A summary dict
+        an older build wrote reads as its ``last`` field, and an entry
+        that is not a number (``bool`` included) is skipped."""
         try:
             with open(self._timings_path, "r", encoding="utf-8") as handle:
                 data = json.load(handle)
@@ -225,41 +220,35 @@ class ResultCache:
             return {}
         if not isinstance(data, dict):
             return {}
-        out: Dict[str, Dict[str, float]] = {}
-        for key, summary in data.items():
-            if not isinstance(summary, dict):
-                continue
-            if not isinstance(summary.get("last"), (int, float)):
-                continue
-            out[str(key)] = {
-                name: summary[name]
-                for name in self.TIMING_FIELDS
-                if isinstance(summary.get(name), (int, float))
-            }
+        out: Dict[str, float] = {}
+        for key, wall in data.items():
+            if isinstance(wall, dict):
+                wall = wall.get("last")
+            if isinstance(wall, (int, float)) and not isinstance(wall, bool):
+                out[str(key)] = wall
         return out
 
-    def save_unit_timings(self, walls: Dict[str, float]) -> None:
-        """Fold one pass's executed walls (unit id → seconds) into the
-        persisted summaries — the one merge of ``unit_timings.json``.
+    def load_unit_timings(self) -> Dict[str, Dict[str, float]]:
+        """Each unit's last recorded wall as ``{unit_id: {"last":
+        wall}}`` (empty when none).  The file stores the bare number;
+        the ``last`` key is the shape every reader already indexes."""
+        return {
+            key: {"last": wall} for key, wall in self._read_walls().items()
+        }
 
-        Per unit, the count grows by one, the total by the wall, min/max
-        widen, and ``last`` — the value longest-first dispatch reads —
-        becomes this wall.  Atomic rewrite, same contract as object
-        stores.
-        """
-        merged = self.load_unit_timings()
+    def save_unit_timings(self, walls: Dict[str, float]) -> None:
+        """Record one pass's executed walls (unit id → seconds), each
+        replacing the unit's previous wall — the one merge of
+        ``unit_timings.json``.  Only the last wall is kept because it is
+        the only one longest-first dispatch reads.  Atomic rewrite, same
+        contract as object stores."""
+        merged = self._read_walls()
         for key, wall in walls.items():
-            wall = round(float(wall), 6)
-            prior = merged.get(key, {})
-            merged[key] = {
-                "count": int(prior.get("count", 0)) + 1,
-                "total": round(float(prior.get("total", 0.0)) + wall, 6),
-                "min": min(prior.get("min", wall), wall),
-                "max": max(prior.get("max", wall), wall),
-                "last": wall,
-            }
+            merged[key] = round(float(wall), 6)
         write_atomic(
             self._timings_path,
-            json.dumps(merged, indent=0, sort_keys=True).encode("utf-8"),
+            json.dumps(merged, sort_keys=True, separators=(",", ":")).encode(
+                "utf-8"
+            ),
             durable=False,
         )

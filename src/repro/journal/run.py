@@ -463,9 +463,9 @@ def open_run(
             }
             write_atomic(
                 os.path.join(directory, "manifest.json"),
-                json.dumps(manifest, sort_keys=True, indent=2).encode(
-                    "utf-8"
-                ),
+                json.dumps(
+                    manifest, sort_keys=True, separators=(",", ":")
+                ).encode("utf-8"),
                 durable=True,
             )
         journal = RunJournal(

@@ -265,7 +265,7 @@ class TelemetrySidecar:
         from repro.cache.files import write_atomic
 
         try:
-            data = json.dumps(payload, indent=2, sort_keys=True)
+            data = json.dumps(payload, sort_keys=True, separators=(",", ":"))
             write_atomic(self.metrics_path, data.encode("utf-8"),
                          durable=False)
         except (OSError, TypeError, ValueError):

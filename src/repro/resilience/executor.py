@@ -18,6 +18,7 @@ proxies and ``repro serve``'s event tap substitute freely;
 
 from __future__ import annotations
 
+import contextlib
 import threading
 import time
 from dataclasses import dataclass, field
@@ -175,7 +176,8 @@ def run_units(
     """
     outcome = UnitsOutcome(_journal=journal)
     key_of = plan.cache_key
-    if cache is None or key_of is None:
+    tiered = cache is not None and key_of is not None
+    if not tiered:
         cache, key_of = _NullCache(), (lambda _payload: "")
     if journal is None:
         journal = _NullJournal()
@@ -185,28 +187,35 @@ def run_units(
     pending: Dict[str, WorkUnit] = {}
     keys: Dict[str, str] = {}
     hits: List[Tuple[WorkUnit, Any, Any]] = []
-    for unit in plan.units:
-        unit_id = unit.unit_id
-        if journal.is_done(unit_id):
-            outcome.replayed += 1
-            on_result(unit, journal.replayed[unit_id], None)
-        elif unit_id in journal.replayed_quarantined:
-            outcome.holes.append(unit_id)
-            on_hole(unit)
-        else:
-            key = key_of(unit.payload)
-            payload = cache.get(key, _CACHE_MISS)
-            if payload is _CACHE_MISS:
-                pending[unit_id], keys[unit_id] = unit, key
-                continue
-            # The journal stores the bytes the hit was read from, so a
-            # hit is never encoded again.
-            stored = getattr(cache, "last_hit", None)
-            hits.append((
-                unit,
-                payload,
-                stored[1] if stored and stored[0] == key else payload,
-            ))
+    # One span for the whole probe: each unit's outcome is stored by the
+    # journal's `executed` flag and the cache's counters (DESIGN.md §14).
+    probe = (obs.span("cache.probe", cat="cache") if tiered
+             else contextlib.nullcontext())
+    with probe as sp:
+        for unit in plan.units:
+            unit_id = unit.unit_id
+            if journal.is_done(unit_id):
+                outcome.replayed += 1
+                on_result(unit, journal.replayed[unit_id], None)
+            elif unit_id in journal.replayed_quarantined:
+                outcome.holes.append(unit_id)
+                on_hole(unit)
+            else:
+                key = key_of(unit.payload)
+                payload = cache.get(key, _CACHE_MISS)
+                if payload is _CACHE_MISS:
+                    pending[unit_id], keys[unit_id] = unit, key
+                    continue
+                # The journal stores the bytes the hit was read from, so
+                # a hit is never encoded again.
+                stored = getattr(cache, "last_hit", None)
+                hits.append((
+                    unit,
+                    payload,
+                    stored[1] if stored and stored[0] == key else payload,
+                ))
+        if sp is not None:
+            sp.args.update(hits=len(hits), misses=len(pending))
     if hits:
         # One commit for every hit of the pass (an all-hit warm pass is
         # one fsync, not one per unit); the reducer hears of a hit only

@@ -83,6 +83,28 @@ def test_record_done_then_resume_replays_payload(tmp_path):
         assert not resumed.is_done("u1")
 
 
+def test_manifest_is_compact_json(tmp_path):
+    with _open(tmp_path) as journal:
+        path = os.path.join(journal.directory, "manifest.json")
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+        assert text == json.dumps(
+            journal.manifest, sort_keys=True, separators=(",", ":")
+        )
+
+
+def test_a_pretty_printed_manifest_still_resumes(tmp_path):
+    """An older build wrote the manifest with ``indent=2``."""
+    with _open(tmp_path) as journal:
+        journal.record_done("u0", {"rows": [1]}, 0.5)
+        path = os.path.join(journal.directory, "manifest.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(journal.manifest, handle, sort_keys=True, indent=2)
+    with _open(tmp_path, resume=True) as resumed:
+        assert resumed.replayed == {"u0": {"rows": [1]}}
+        assert resumed.units == UNITS
+
+
 def test_fresh_open_wipes_prior_journal(tmp_path):
     with _open(tmp_path) as journal:
         journal.record_done("u0", "payload", 0.0)

@@ -1,18 +1,20 @@
 """End-to-end observability: tracing never moves a digest, sidecars
 merge across process segments, and the CLI exports/inspects them."""
 
+import glob
 import json
 import os
 
 import pytest
 
+from repro.cache import ResultCache
 from repro.cli import main
-from repro.experiments.driver import FleetDriver
+from repro.experiments.driver import FleetDriver, reproduce_all, reproduce_plan
 from repro.fleet.config import FleetConfig
 from repro.journal.cli import timing_rows
-from repro.journal.pipelines import open_fleet_journal
+from repro.journal.pipelines import open_fleet_journal, open_reproduce_journal
 from repro.journal.registry import list_runs
-from repro.journal.run import read_log
+from repro.journal.run import load_log, read_log
 from repro.obs import run_tracing, spans as obs
 from repro.obs.sidecar import read_metrics, read_trace, segments, trace_path
 from repro.resilience.pool import shared_pool_counters
@@ -80,6 +82,24 @@ def test_resumed_run_appends_second_segment(tmp_path):
     assert [h["seq"] for h in heads] == [0, 1]
     metrics = read_metrics(os.path.join(directory, "metrics.json"))
     assert len(metrics["segments"]) == 2
+
+
+def test_metrics_json_is_compact_and_reads_a_pretty_printed_file(tmp_path):
+    _digest, directory = _run_fleet(str(tmp_path), True, workers=1)
+    path = os.path.join(directory, "metrics.json")
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    payload = json.loads(text)
+    assert text == json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    # An older build wrote metrics.json with indent=2: it still reads,
+    # and a resumed segment appends to it.
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+    assert read_metrics(path) == payload
+    with open_fleet_journal(str(tmp_path), FLEET, 1, resume=True) as journal:
+        with run_tracing(journal, kind="fleet", resumed=True):
+            FleetDriver(FLEET, workers=1, journal=journal).run()
+    assert [s["seq"] for s in read_metrics(path)["segments"]] == [0, 1]
 
 
 def test_malformed_metrics_json_cannot_fail_a_finished_run(tmp_path, capsys):
@@ -211,3 +231,68 @@ def test_no_trace_flag_on_cli_pipeline(tmp_path, monkeypatch, capsys):
     ) == 0
     (info,) = list_runs(str(tmp_path))
     assert not os.path.exists(trace_path(info.directory))
+
+
+# -- the cache probe: one span per pass ---------------------------------------
+
+ONLY = ["table1", "fig4"]  # three units
+SCALE = 0.05
+
+
+def _cached_pass(root):
+    """One traced ``reproduce_all`` through cache + journal; returns the
+    cache, the trace's span records and each unit's journaled
+    ``executed`` flag."""
+    cache = ResultCache(root)
+    with open_reproduce_journal(root, ONLY, SCALE) as journal:
+        with run_tracing(journal, kind="reproduce"):
+            reproduce_all(only=ONLY, scale=SCALE, cache=cache,
+                          journal=journal)
+        directory, manifest = journal.directory, journal.manifest
+    records = read_trace(trace_path(directory))
+    executed = {
+        unit: state.done["executed"]
+        for unit, state in load_log(directory, manifest).units.items()
+    }
+    return cache, [r for r in records if r.get("t") == "span"], executed
+
+
+def _probes(spans):
+    return [r["args"] for r in spans if r["name"] == "cache.probe"]
+
+
+def test_a_cached_pass_traces_one_probe_span(tmp_path):
+    root = str(tmp_path)
+    units = len(reproduce_plan(ONLY, SCALE).units)
+    cold_cache, cold, cold_executed = _cached_pass(root)
+    assert _probes(cold) == [{"hits": 0, "misses": units}]
+    warm_cache, warm, warm_executed = _cached_pass(root)
+    assert _probes(warm) == [{"hits": units, "misses": 0}]
+    # No span per key: each unit's outcome is the journal's `executed`
+    # flag, and the cache's counters total them.
+    assert not [r for r in cold + warm if r["name"] == "cache.get"]
+    assert sorted(cold_executed.values()) == [True] * units
+    assert sorted(warm_executed.values()) == [False] * units
+    assert (cold_cache.stats.misses, warm_cache.stats.hits) == (units, units)
+
+
+def test_a_corrupt_object_is_still_quarantined_and_counted(tmp_path):
+    root = str(tmp_path)
+    units = len(reproduce_plan(ONLY, SCALE).units)
+    _cached_pass(root)
+    victim = sorted(glob.glob(os.path.join(root, "objects", "*", "*")))[0]
+    with open(victim, "wb") as handle:
+        handle.write(b"not a deflated object")
+    cache, spans, _executed = _cached_pass(root)
+    assert _probes(spans) == [{"hits": units - 1, "misses": 1}]
+    assert (cache.stats.corrupt, cache.stats.misses) == (1, 1)
+    assert os.path.exists(
+        os.path.join(cache.quarantine_dir, os.path.basename(victim))
+    )
+
+
+def test_a_traced_fleet_run_writes_no_probe_span(tmp_path):
+    _digest, directory = _run_fleet(str(tmp_path), True, workers=1)
+    records = read_trace(trace_path(directory))
+    assert "unit" in {r.get("cat") for r in records}
+    assert "cache.probe" not in {r.get("name") for r in records}

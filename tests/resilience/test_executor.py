@@ -14,6 +14,7 @@ import pytest
 from repro.cache import ResultCache, codec
 from repro.journal.log import KILL_AFTER_ENV, replay_records, set_kill_action
 from repro.journal.pipelines import PIPELINES, baseline_digest, launch
+from repro.obs import spans as obs
 from repro.resilience import (
     ChaosPlan,
     DispatchCancelled,
@@ -301,6 +302,33 @@ def test_a_plan_without_a_cache_tier_never_touches_the_cache():
     log = []
     run_units(_plan(2, cache_key=None), _double, cache=FakeCache(log))
     assert log == []
+
+
+def _probe_spans(plan, **options):
+    """The ``cache.probe`` spans one traced :func:`run_units` emits."""
+    tracer = obs.activate(obs.Tracer())
+    try:
+        run_units(plan, _double, **options)
+    finally:
+        obs.deactivate()
+    return [
+        (record["cat"], record["args"]) for record in tracer.drain()
+        if record["name"] == "cache.probe"
+    ]
+
+
+def test_one_probe_span_counts_this_calls_probes_only():
+    log = []
+    assert _probe_spans(
+        _plan(4),
+        cache=FakeCache(log, {"key1": "hit"}),
+        journal=FakeJournal(log, replayed={"u0": 0}, quarantined=["u3"]),
+    ) == [("cache", {"hits": 1, "misses": 1})]
+
+
+def test_no_probe_span_without_a_cache_tier():
+    assert _probe_spans(_plan(2, cache_key=None), cache=FakeCache([])) == []
+    assert _probe_spans(_plan(2)) == []
 
 
 # -- (b) the contract every pipeline inherits --------------------------------
