@@ -24,28 +24,33 @@ Package map:
 * :mod:`repro.cli` — the ``python -m repro`` command line.
 """
 
-from repro.core import (
-    Actuator,
-    Model,
-    Prediction,
-    SafeguardPolicy,
-    Schedule,
-    SolRuntime,
-    run_agent,
-)
-from repro.sim import Kernel, RngStreams
+from importlib import import_module
+from typing import Any
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Actuator",
-    "Kernel",
-    "Model",
-    "Prediction",
-    "RngStreams",
-    "SafeguardPolicy",
-    "Schedule",
-    "SolRuntime",
-    "run_agent",
-    "__version__",
-]
+#: Re-exported name -> the module that defines it.  Resolved on first
+#: attribute access (PEP 562), so ``import repro.cli`` and the other
+#: control-plane modules load neither the simulation nor numpy.
+_EXPORTS = {
+    "Actuator": "repro.core",
+    "Kernel": "repro.sim",
+    "Model": "repro.core",
+    "Prediction": "repro.core",
+    "RngStreams": "repro.sim",
+    "SafeguardPolicy": "repro.core",
+    "Schedule": "repro.core",
+    "SolRuntime": "repro.core",
+    "run_agent": "repro.core",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str) -> Any:
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    value = getattr(import_module(module), name)
+    globals()[name] = value
+    return value

@@ -28,9 +28,7 @@ import platform
 import sys
 from typing import Any, Dict, List, Optional, Tuple
 
-import numpy as np
-
-from repro.core.events import content_digest
+from repro.digest import content_digest
 
 __all__ = ["code_salt", "sweep_unit_key", "unit_key"]
 
@@ -91,6 +89,8 @@ def code_salt() -> str:
     """
     global _code_salt_cache
     if _code_salt_cache is None:
+        import numpy as np  # here, so the control plane never loads it
+
         package_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         digest = hashlib.sha256()
         # Environment: a cache written under one numpy/Python/arch must

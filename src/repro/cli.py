@@ -55,12 +55,10 @@ import argparse
 import os
 import signal
 import sys
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.cache import ResultCache, default_cache_dir
 from repro.conformance.cli import add_conformance_parser, cmd_conformance
-from repro.experiments.driver import ARTIFACTS, ArtifactRun
-from repro.fleet.config import AGENT_KINDS
 from repro.flags import (
     add_cache_flags,
     add_fleet_flags,
@@ -72,6 +70,7 @@ from repro.flags import (
 )
 from repro.journal.cli import add_runs_parser, cmd_runs
 from repro.journal.lease import LeaseHeldError
+from repro.names import AGENT_KINDS, ARTIFACTS
 from repro.obs.cli import add_trace_parser, cmd_trace
 from repro.resilience import RetryPolicy, shutdown_shared_pool
 from repro.serve.cli import (
@@ -79,6 +78,9 @@ from repro.serve.cli import (
     cmd_serve,
     submission_config,
 )
+
+if TYPE_CHECKING:
+    from repro.experiments.driver import ArtifactRun
 
 __all__ = ["main"]
 

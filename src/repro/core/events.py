@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-import hashlib
 import json
 from typing import Any, Dict, Optional, Union
 
@@ -32,7 +31,6 @@ __all__ = [
     "EventKind",
     "EventLog",
     "canonical_scalar",
-    "content_digest",
     "encode_event",
     "decode_event",
 ]
@@ -96,14 +94,6 @@ def canonical_scalar(value: Any) -> str:
         return repr(float(value))
     except (TypeError, ValueError):
         return str(value)
-
-
-def content_digest(value: Any) -> str:
-    """The one content digest: sha256 hex of ``value`` as sorted-key
-    JSON.  Each caller hands in its own canonical form (floats already
-    exact, e.g. through :func:`canonical_scalar` or ``repr``)."""
-    payload = json.dumps(value, sort_keys=True)
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 def _canonical_detail(value: Any) -> Any:

@@ -21,7 +21,8 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.agents.memory import MemoryConfig, StaticScanController
-from repro.core.events import canonical_scalar, content_digest
+from repro.core.events import canonical_scalar
+from repro.digest import content_digest
 from repro.fleet.node import GEN5, Node, build_node
 from repro.node.memory import TieredMemory
 from repro.sim import Kernel

@@ -40,7 +40,7 @@ from typing import (
 )
 
 from repro.cache import ResultCache, unit_key
-from repro.core.events import content_digest
+from repro.digest import content_digest
 from repro.experiments import harvest, memory, overclock, tables
 from repro.experiments.common import ExperimentResult, experiment_digest
 from repro.obs import spans as obs
@@ -48,6 +48,7 @@ from repro.fleet.aggregate import FleetAggregate, FleetAggregateBuilder
 from repro.fleet.config import FleetConfig
 from repro.fleet.node import NodeResult
 from repro.fleet.scenario import FleetScenario
+from repro.names import ARTIFACTS
 from repro.resilience.chaos import ChaosPlan
 from repro.resilience.executor import Plan, WorkUnit, run_units
 from repro.resilience.policy import RetryPolicy
@@ -311,8 +312,9 @@ ARTIFACT_SPECS: Dict[
              lambda s: {"seconds": int(920 * s)}),
 }
 
-#: Canonical artifact order (paper order).
-ARTIFACTS: Tuple[str, ...] = tuple(ARTIFACT_SPECS)
+# The CLI offers repro.names.ARTIFACTS without importing this registry.
+if tuple(ARTIFACT_SPECS) != ARTIFACTS:
+    raise ImportError("ARTIFACT_SPECS must list names.ARTIFACTS, in order")
 
 
 def run_artifact(name: str, **kwargs: Any) -> ExperimentResult:

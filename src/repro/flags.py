@@ -6,8 +6,8 @@ Each group is declared here once and attached wherever it applies, so
 ``choices``) and differ only in the defaults their callers pass.  What
 the parsed values *mean* — how they become a pipeline config — is
 :data:`repro.journal.pipelines.PIPELINES`' ``config_from_args``; this
-module only spells the flags, and imports nothing ``repro.cli`` has not
-already loaded (in particular not the pipelines).
+module only spells the flags.  Its choices and defaults come from the
+leaf :mod:`repro.names`, so parsing argv imports no simulation.
 """
 
 from __future__ import annotations
@@ -15,8 +15,7 @@ from __future__ import annotations
 import argparse
 from typing import Optional
 
-from repro.experiments.driver import ARTIFACTS
-from repro.fleet.config import AGENT_KINDS, FAULT_KINDS, FleetConfig
+from repro.names import AGENT_KINDS, ARTIFACTS, DEFAULT_RACK_SIZE, FAULT_KINDS
 
 __all__ = [
     "add_cache_dir_flag",
@@ -53,10 +52,10 @@ def add_fleet_flags(
     parser.add_argument("--seed", type=int, default=0,
                         help="fleet: fleet seed (default: %(default)s)")
     if not burst:
-        parser.set_defaults(rack_size=FleetConfig.rack_size, fault_racks=None)
+        parser.set_defaults(rack_size=DEFAULT_RACK_SIZE, fault_racks=None)
         return
     parser.add_argument(
-        "--rack-size", type=int, default=FleetConfig.rack_size,
+        "--rack-size", type=int, default=DEFAULT_RACK_SIZE,
         help="nodes per rack (fault blast radius)",
     )
     parser.add_argument(

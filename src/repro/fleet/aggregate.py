@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Tuple
 
-from repro.core.events import content_digest
+from repro.digest import content_digest
 from repro.fleet.node import NodeResult
 
 __all__ = ["FleetAggregate", "FleetAggregateBuilder"]

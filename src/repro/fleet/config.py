@@ -14,6 +14,7 @@ from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
+from repro.names import AGENT_KINDS, DEFAULT_RACK_SIZE, FAULT_KINDS
 from repro.platform.taxonomy import NODE_SKUS, NodeSku
 from repro.sim.rng import stable_hash
 
@@ -21,14 +22,6 @@ __all__ = [
     "AGENT_KINDS", "FAULT_KINDS", "FaultPlan", "FleetConfig", "NodeRun",
     "NodeSpec",
 ]
-
-#: Agent kinds a fleet node can run ("mixed" draws one per node).
-AGENT_KINDS: Tuple[str, ...] = ("overclock", "harvest", "memory")
-
-#: Correlated fault kinds a :class:`FaultPlan` can inject (dispatched by
-#: :func:`repro.fleet.faults.attach_burst`): invalid telemetry values,
-#: telemetry dropout/stale reads, and whole-agent crash-restart.
-FAULT_KINDS: Tuple[str, ...] = ("bad_data", "dropout", "crash_restart")
 
 
 @dataclass(frozen=True)
@@ -98,7 +91,7 @@ class FleetConfig:
     agent: str = "overclock"
     seed: int = 0
     duration_s: int = 120
-    rack_size: int = 8
+    rack_size: int = DEFAULT_RACK_SIZE
     fault: Optional[FaultPlan] = None
 
     def __post_init__(self) -> None:

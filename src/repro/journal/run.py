@@ -57,7 +57,7 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 from repro.cache import codec
 from repro.cache.files import write_atomic
 from repro.cache.keys import code_salt, _canonical
-from repro.core.events import content_digest
+from repro.digest import content_digest
 from repro.journal.lease import Lease
 from repro.journal.log import LOG_FORMAT, Frame, RecordLog, _read_frames
 

@@ -39,6 +39,7 @@ import socket as socket_module
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from importlib import import_module
 from typing import Any, Deque, Dict, Optional
 
 from repro.journal.registry import interrupted_runs
@@ -136,6 +137,7 @@ class ServeServer:
         self._subscribers: Dict[str, list] = {}
         self._current: Optional[Job] = None
         self._shutdown = asyncio.Event()
+        self._stack_loaded = asyncio.Event()
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._started_log = False
 
@@ -329,8 +331,16 @@ class ServeServer:
 
     async def _scheduler(self) -> None:
         """Run admitted jobs one at a time (supervised_map is not
-        reentrant; the pool parallelism lives inside each job)."""
+        reentrant; the pool parallelism lives inside each job).  The
+        execution stack is imported first, off the loop, after the bind:
+        pings are answered meanwhile, and no pool forks mid-import."""
         assert self._queue is not None
+        try:
+            await asyncio.to_thread(import_module, "repro.journal.pipelines")
+        except Exception as exc:  # each job then fails with this error
+            self._log(f"[serve: execution stack failed to import: {exc}]")
+        finally:
+            self._stack_loaded.set()
         while not (self._draining and not self._backlog
                    and self._queue.empty()):
             job = await self._next_job()
@@ -518,6 +528,9 @@ class ServeServer:
             ))
             return False
         if verb == "submit":
+            # Admission validates against the pipelines; waiting here,
+            # not on the import lock, keeps the loop answering.
+            await self._stack_loaded.wait()
             await self._reply(writer, self._handle_submit(message))
             return False
         if verb == "status":

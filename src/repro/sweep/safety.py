@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from repro.core.events import content_digest
+from repro.digest import content_digest
 from repro.fleet.aggregate import FleetAggregate
 from repro.sim.units import SEC
 from repro.sweep.units import SweepUnit

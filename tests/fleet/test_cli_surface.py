@@ -7,6 +7,7 @@ nothing; the two intended differences are spelled out below.
 """
 
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -14,11 +15,18 @@ import sys
 
 import pytest
 
+from repro import names
 from repro.cli import _build_parser
-from repro.experiments.driver import ARTIFACTS
-from repro.fleet.config import AGENT_KINDS
+from repro.experiments.driver import ARTIFACT_SPECS, ARTIFACTS
+from repro.fleet import config as fleet_config
+from repro.fleet.config import AGENT_KINDS, FleetConfig
 
 SNAPSHOT = os.path.join(os.path.dirname(__file__), "cli_surface.json")
+
+#: The snapshot is never regenerated: a surface change shows up here.
+SNAPSHOT_SHA256 = (
+    "063f45b98149f99b9d654f82cf71daf8f4372c6785dcd3757a99e8b90c11171b"
+)
 
 #: What the shared declarations change on purpose: ``serve submit``
 #: rejects a bad agent / artifact name at parse time, like every other
@@ -102,3 +110,14 @@ def test_importing_the_cli_loads_no_bench_or_golden_model():
         check=True, capture_output=True, text=True, env=env,
     ).stdout
     assert out.strip() == "[]"
+
+
+def test_the_cli_names_have_one_source():
+    """``repro.names`` declares the choice lists and the rack-size
+    default; the registry and the fleet config use those objects."""
+    assert tuple(ARTIFACT_SPECS) == ARTIFACTS == names.ARTIFACTS
+    assert fleet_config.AGENT_KINDS is names.AGENT_KINDS
+    assert fleet_config.FAULT_KINDS is names.FAULT_KINDS
+    assert FleetConfig(n_nodes=1).rack_size == names.DEFAULT_RACK_SIZE
+    with open(SNAPSHOT, "rb") as handle:
+        assert hashlib.sha256(handle.read()).hexdigest() == SNAPSHOT_SHA256

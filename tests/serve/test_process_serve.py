@@ -14,6 +14,8 @@ import tempfile
 
 import pytest
 
+from repro.fleet.config import FleetConfig
+from repro.journal.pipelines import baseline_digest, fleet_payload
 from repro.serve.client import ServeClient, wait_for_server
 
 
@@ -72,6 +74,47 @@ def test_sigint_cancels_and_exits_130(tmp_path, socket_path):
             proc.wait()
     assert proc.returncode == 130, output
     assert "SIGINT" in output
+
+
+def test_a_job_submitted_at_the_first_ping_runs_to_the_baseline_digest(
+    tmp_path, socket_path
+):
+    """The server answers before its execution stack is imported; a
+    job admitted in that window still runs, after the import, to the
+    uninterrupted digest."""
+    payload = fleet_payload(
+        FleetConfig(n_nodes=4, agent="overclock", seed=3, duration_s=10)
+    )
+    proc = _start_server(str(tmp_path), socket_path)
+    try:
+        wait_for_server(socket_path, timeout=20.0)
+        client = ServeClient(socket_path, timeout=60.0)
+        reply = client.submit("fleet", payload, workers=2)
+        assert reply["ok"], reply
+        events = list(client.watch(reply["job_id"]))
+        assert client.drain()["ok"]
+        output = proc.communicate(timeout=30)[0]
+    finally:
+        if proc.poll() is None:  # pragma: no cover — hung server
+            proc.kill()
+            proc.wait()
+    assert events[-1]["event"] == "done", events
+    assert events[-1]["digest"] == baseline_digest("fleet", payload)
+    assert proc.returncode == 0, output
+
+
+def test_a_drain_straight_after_start_exits_0(tmp_path, socket_path):
+    proc = _start_server(str(tmp_path), socket_path)
+    try:
+        wait_for_server(socket_path, timeout=20.0)
+        assert ServeClient(socket_path, timeout=5.0).drain()["ok"]
+        output = proc.communicate(timeout=30)[0]
+    finally:
+        if proc.poll() is None:  # pragma: no cover — hung server
+            proc.kill()
+            proc.wait()
+    assert proc.returncode == 0, output
+    assert not os.path.exists(socket_path)
 
 
 def test_second_server_refuses_a_live_socket(tmp_path, socket_path):

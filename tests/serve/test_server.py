@@ -8,6 +8,7 @@ in the ``repro chaos serve`` harness and CI's serve-smoke job).
 """
 
 import asyncio
+import importlib
 import json
 import os
 import socket
@@ -229,6 +230,34 @@ def test_submit_runs_to_sealed_digest_and_streams_events(server_thread):
                        reply["run_id"])
     assert info is not None and info.status == "sealed"
     assert info.sealed_digest == baseline
+
+
+def test_admission_waits_for_the_execution_stack_and_pings_do_not(
+    server_thread, monkeypatch
+):
+    """The scheduler imports the pipelines after the bind; a submit in
+    that window is admitted once the import returns, and the event loop
+    answers pings meanwhile."""
+    release = threading.Event()
+
+    def held_import(name):
+        release.wait(30.0)
+        return importlib.import_module(name)
+
+    monkeypatch.setattr("repro.serve.server.import_module", held_import)
+    client = server_thread().start()
+    replies = []
+    submitter = threading.Thread(target=lambda: replies.append(
+        client.submit("fleet", fleet_payload(QUICK), workers=2)
+    ))
+    submitter.start()
+    time.sleep(0.2)
+    assert client.ping()["ok"]
+    assert replies == []  # not admitted before the stack is loaded
+    release.set()
+    submitter.join(30.0)
+    assert replies[0]["ok"], replies
+    assert client.wait(replies[0]["job_id"], timeout=60.0)["status"] == "done"
 
 
 def test_resubmit_of_sealed_run_replays_everything(server_thread):
