@@ -51,3 +51,14 @@ def fsyncs(monkeypatch):
 
     monkeypatch.setattr(os, "fsync", counting)
     return calls
+
+
+@pytest.fixture()
+def fast_backoff(monkeypatch):
+    """Real retry-backoff semantics at negligible wall time: the
+    dispatcher waits 10 ms before a first retry, doubling to a 50 ms
+    cap (the module constants of :mod:`repro.resilience.policy`)."""
+    from repro.resilience import policy
+
+    monkeypatch.setattr(policy, "BACKOFF_BASE_S", 0.01)
+    monkeypatch.setattr(policy, "BACKOFF_CAP_S", 0.05)

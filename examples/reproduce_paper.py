@@ -2,14 +2,15 @@
 
 This is the full evaluation driver.  Expect a few minutes of wall time;
 pass ``--quick`` for a shortened (less converged) pass and
-``--parallel`` to shard artifacts across worker processes.
+``--workers N`` to shard the ``(artifact, series)`` units across N
+worker processes.
 
-Run:  python examples/reproduce_paper.py [--quick] [--parallel]
+Run:  python examples/reproduce_paper.py [--quick] [--workers N]
 
-Equivalent CLI:  python -m repro reproduce-all [--quick] [--parallel]
+Equivalent CLI:  python -m repro reproduce-all [--quick] [--workers N]
 """
 
-import sys
+import argparse
 
 from repro.experiments.driver import reproduce_all
 
@@ -20,9 +21,13 @@ def _print_run(run):
 
 
 def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--quick", action="store_true")
+    parser.add_argument("--workers", type=int, default=1)
+    args = parser.parse_args()
     reproduce_all(
-        parallel="--parallel" in sys.argv,
-        scale=0.33 if "--quick" in sys.argv else 1.0,
+        workers=args.workers,
+        scale=0.33 if args.quick else 1.0,
         on_result=_print_run,
     )
 

@@ -43,6 +43,11 @@ __all__ = ["CacheStats", "ResultCache", "default_cache_dir"]
 #: Environment variable overriding the cache location.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
+#: Evidence objects a quarantining keeps (the newest); older ones are
+#: deleted, so a long-lived cache under recurring corruption cannot
+#: grow ``<cache>/quarantine/`` forever.
+QUARANTINE_KEEP = 64
+
 _MISS = object()
 
 
@@ -64,8 +69,7 @@ class CacheStats:
     ``corrupt`` counts present-but-unreadable objects that were moved
     to quarantine (each such get also counts as a miss — the unit
     reran).  ``pruned`` counts quarantined evidence files deleted to
-    keep the quarantine directory bounded
-    (:attr:`ResultCache.quarantine_keep`).
+    keep the quarantine directory bounded (:data:`QUARANTINE_KEEP`).
     """
 
     hits: int = 0
@@ -91,16 +95,13 @@ class CacheStats:
 class ResultCache:
     """Content-addressed payload store rooted at ``directory``.
 
-    ``quarantine_keep`` bounds the quarantine directory: each
-    quarantining keeps only the newest ``quarantine_keep`` evidence
-    objects and deletes older ones (counted in
-    :attr:`CacheStats.pruned`), so a long-lived cache under recurring
-    corruption cannot grow ``<cache>/quarantine/`` forever.
+    Each quarantining keeps only the newest :data:`QUARANTINE_KEEP`
+    evidence objects and deletes older ones (counted in
+    :attr:`CacheStats.pruned`).
     """
 
     directory: str = field(default_factory=default_cache_dir)
     stats: CacheStats = field(default_factory=CacheStats)
-    quarantine_keep: int = 64
     #: ``(key, stored form)`` of the payload the last :meth:`get`
     #: returned as a hit, else ``None``: a caller that journals the
     #: hit stores these bytes instead of encoding the payload again.
@@ -161,7 +162,7 @@ class ResultCache:
         self._prune_quarantine()
 
     def _prune_quarantine(self) -> None:
-        """Keep only the newest ``quarantine_keep`` evidence objects.
+        """Keep only the newest :data:`QUARANTINE_KEEP` evidence objects.
 
         Only evidence files of this encoding (``codec.SUFFIX``) are
         eligible; any other file an operator leaves here is not the
@@ -169,8 +170,6 @@ class ResultCache:
         Oldest-first by ``(mtime, name)``: deterministic even when a
         burst of corruption lands within one timestamp granule.
         """
-        if self.quarantine_keep < 0:
-            return  # unbounded by explicit request
         try:
             names = os.listdir(self.quarantine_dir)
         except OSError:
@@ -185,7 +184,7 @@ class ResultCache:
             except OSError:
                 continue  # raced a concurrent prune
         entries.sort()
-        excess = len(entries) - self.quarantine_keep
+        excess = len(entries) - QUARANTINE_KEEP
         for _mtime, _name, path in entries[:max(excess, 0)]:
             try:
                 os.unlink(path)

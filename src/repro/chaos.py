@@ -2,7 +2,8 @@
 launch ladder (:func:`repro.journal.pipelines.launch`, DESIGN.md §11.2).
 
 * :func:`worker_fault_proof` (DESIGN.md §11) — the target fault-free,
-  then under a seeded :class:`~repro.resilience.ChaosPlan`: every part
+  then under a seeded :class:`~repro.resilience.ChaosPlan` set in
+  ``$REPRO_CHAOS_PLAN`` for that launch only: every part
   of the faulted result must reproduce its baseline digest or name the
   exact quarantined units.  ``corrupt_cache`` instead runs cold through
   a write-corrupting cache and warm through a plain one.
@@ -31,7 +32,8 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence
 from repro.journal.log import KILL_AFTER_ENV
 from repro.journal.pipelines import PIPELINES, baseline_digest, launch
 from repro.journal.registry import RunInfo, inspect_run
-from repro.resilience import ChaosCache, ChaosPlan, RetryPolicy
+from repro.resilience.chaos import ChaosCache, ChaosPlan, activated
+from repro.resilience.policy import RetryPolicy
 
 __all__ = [
     "check_resumed",
@@ -105,7 +107,8 @@ def worker_fault_proof(
                     f"quarantined {stats.corrupt}"
                 )
         else:
-            faulted = run(open_cache=None, chaos=plan)
+            with activated(plan):
+                faulted = run(open_cache=None)
         records = faulted.quarantine
     for name, (digest, holes) in parts(faulted.result).items():
         if holes:

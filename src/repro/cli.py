@@ -5,7 +5,7 @@ Subcommands::
     repro list                      # artifacts and agent kinds
     repro run fig1 [fig2 ...]       # named table/figure reproductions
     repro fleet --nodes 64 --agent overclock --workers 8
-    repro reproduce-all [--parallel] [--quick] [--only ARTIFACT ...]
+    repro reproduce-all [--workers N] [--quick] [--only ARTIFACT ...]
                         [--no-cache] [--cache-dir PATH]
                         [--emit-experiments PATH]
     repro sweep run SPEC.toml [--workers 8] [--no-cache]
@@ -19,7 +19,7 @@ Subcommands::
     repro trace export RUN_ID [--output PATH]
     repro conformance list|record|check|diff
     repro bench [--suite kernel|ml|workloads|all] [--quick]
-                [--output PATH] [--check-against PATH]
+                [--output PATH]
     repro bench --compare NEW.json BASELINE.json
 
 ``fleet``, ``reproduce-all`` and ``sweep run`` are one function
@@ -28,7 +28,8 @@ Subcommands::
 (``journal.pipelines.launch``, DESIGN.md §11.2) composes result cache,
 run journal (``--resume`` / ``--no-journal``),
 telemetry sidecar (``--no-trace``) and the supervised dispatch policy
-(``--max-retries`` / ``--unit-timeout``) around the kind's driver;
+(``--max-retries`` / ``--unit-timeout``) around the kind's driver; each
+sizes its pool with ``--workers N`` (default 1: inline, pool-free).
 ``run`` is the same ladder with every layer off.
 Flag groups shared between subcommands are declared once, in
 :mod:`repro.flags`.
@@ -46,7 +47,12 @@ units and prints bit-identical digests (DESIGN.md §8, §9).
 injected worker-fault plan (DESIGN.md §11), or has its orchestrator
 (``--kill-parent``, §12) or server (``--kill-server``, §13) SIGKILLed
 mid-run, and must reproduce the fault-free digests bit-identically or
-report the exact quarantined units.
+report the exact quarantined units.  Any command runs under a worker
+fault plan set in ``$REPRO_CHAOS_PLAN`` (inline JSON); ``repro chaos
+--fault`` sets it around the faulted launch only.
+
+``bench`` writes its report to ``--output``; ``bench --compare NEW
+BASELINE`` is the one regression gate over two reports.
 """
 
 from __future__ import annotations
@@ -72,7 +78,6 @@ from repro.journal.cli import add_runs_parser, cmd_runs
 from repro.journal.lease import LeaseHeldError
 from repro.names import AGENT_KINDS, ARTIFACTS
 from repro.obs.cli import add_trace_parser, cmd_trace
-from repro.resilience import RetryPolicy, shutdown_shared_pool
 from repro.serve.cli import (
     add_serve_parser,
     cmd_serve,
@@ -81,6 +86,7 @@ from repro.serve.cli import (
 
 if TYPE_CHECKING:
     from repro.experiments.driver import ArtifactRun
+    from repro.resilience.policy import RetryPolicy
 
 __all__ = ["main"]
 
@@ -121,10 +127,10 @@ def _build_parser() -> argparse.ArgumentParser:
     rall = sub.add_parser(
         "reproduce-all", help="regenerate every table and figure"
     )
-    rall.add_argument("--parallel", action="store_true",
-                      help="shard the pass across worker processes")
     add_workers_flag(
-        rall, None, "pool size under --parallel (default: CPU count)"
+        rall, 1,
+        "worker processes for the (artifact, series) units "
+        "(default: %(default)s)",
     )
     rall.add_argument(
         "--quick", action="store_true",
@@ -265,11 +271,6 @@ def _build_parser() -> argparse.ArgumentParser:
              "(default: BENCH_<suite>.json)",
     )
     bench.add_argument(
-        "--check-against", metavar="PATH", default=None,
-        help="compare speedups to a committed baseline report and exit "
-             "non-zero on regression",
-    )
-    bench.add_argument(
         "--max-regression", type=float, default=0.25,
         help="allowed fractional speedup drop vs the baseline "
              "(default: %(default)s)",
@@ -342,6 +343,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _retry_policy(args: argparse.Namespace) -> RetryPolicy:
+    from repro.resilience.policy import RetryPolicy
+
     return RetryPolicy(
         max_retries=args.max_retries, unit_timeout_s=args.unit_timeout
     )
@@ -360,9 +363,6 @@ def _cmd_reproduce_all(args: argparse.Namespace) -> int:
             )
     if args.scale is None:
         args.scale = 0.33 if args.quick else 1.0
-    args.workers = (
-        (args.workers or os.cpu_count() or 1) if args.parallel else 1
-    )
     runs = _launch_command("reproduce", args).result
     if args.emit_experiments:
         text = render_experiments_markdown(runs, quick=args.quick)
@@ -465,7 +465,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
     from repro.journal.pipelines import PIPELINES
-    from repro.resilience import ChaosPlan
+    from repro.resilience.chaos import ChaosPlan
 
     if args.target == "serve":
         if args.kill_server is None or args.kill_server < 1:
@@ -581,25 +581,19 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     print(render_report(report))
     write_report(report, output)
     print(f"[wrote {output}]")
-    if args.check_against:
-        with open(args.check_against, "r", encoding="utf-8") as handle:
-            baseline = json.load(handle)
-        for warning in compare_warnings(report, baseline):
-            print(f"WARNING: {warning}", file=sys.stderr)
-        problems = compare_reports(
-            report, baseline, max_regression=args.max_regression,
-            gate=args.gate,
-        )
-        if problems:
-            for problem in problems:
-                print(f"REGRESSION: {problem}", file=sys.stderr)
-            return 1
-        print(f"[no regression vs {args.check_against}]")
     return 0
 
 
 def _raise_terminated(signum, frame) -> None:
     raise _Terminated()
+
+
+def _shutdown_pool() -> None:
+    """Reset the warm worker pool — imported here, not at module
+    import, so building the parser loads no ``multiprocessing``."""
+    from repro.resilience.pool import shutdown_shared_pool
+
+    shutdown_shared_pool()
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -646,11 +640,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         # The supervised dispatcher already tore the worker pool down on
         # its way out (DESIGN.md §11); resetting here as well covers a
         # Ctrl-C that lands outside any dispatch.  130 = 128 + SIGINT.
-        shutdown_shared_pool()
+        _shutdown_pool()
         print("repro: interrupted", file=sys.stderr)
         return 130
     except _Terminated:
-        shutdown_shared_pool()
+        _shutdown_pool()
         print("repro: terminated", file=sys.stderr)
         return 143
     finally:

@@ -8,7 +8,6 @@ Wired into the main CLI by :mod:`repro.cli`::
     repro conformance check  [--dir DIR] [--scenario NAME ...]
                              [--skip-golden]
     repro conformance diff IMPL_A IMPL_B [--scenario NAME ...]
-                           [--cadence N]
 
 ``record``/``check`` default to the committed corpus directory;
 ``check`` exits non-zero on the first conformance problem, ``diff``
@@ -76,10 +75,6 @@ def add_conformance_parser(sub: argparse._SubParsersAction) -> None:
         "--scenario", nargs="+", default=None, metavar="NAME",
         help="scenarios to replay (default: every scenario of the "
              "impls' family)",
-    )
-    diff.add_argument(
-        "--cadence", type=int, default=None,
-        help="checkpoint cadence override (events)",
     )
 
 
@@ -160,9 +155,7 @@ def _cmd_diff(args: argparse.Namespace) -> int:
     )
     diverged = 0
     for name in scenarios:
-        report = run_differential(
-            args.impl_a, args.impl_b, name, cadence=args.cadence
-        )
+        report = run_differential(args.impl_a, args.impl_b, name)
         print(report.render())
         if not report.equivalent:
             diverged += 1

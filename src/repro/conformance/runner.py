@@ -113,7 +113,6 @@ def run_differential(
     impl_a_name: str,
     impl_b_name: str,
     scenario_name: str,
-    cadence: Optional[int] = None,
 ) -> DivergenceReport:
     """Replay one scenario on two impls and localize any divergence."""
     spec = get_scenario(scenario_name)
@@ -126,7 +125,7 @@ def run_differential(
                 f"run scenario {scenario_name!r} "
                 f"(family {spec.family!r})"
             )
-    cadence = cadence or spec.cadence
+    cadence = spec.cadence
 
     digester_a = CheckpointDigester(cadence)
     digester_b = CheckpointDigester(cadence)

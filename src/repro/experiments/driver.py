@@ -30,7 +30,6 @@ driver.
 from __future__ import annotations
 
 import contextlib
-import os
 import threading
 from collections import Counter
 from dataclasses import dataclass
@@ -44,12 +43,11 @@ from repro.digest import content_digest
 from repro.experiments import harvest, memory, overclock, tables
 from repro.experiments.common import ExperimentResult, experiment_digest
 from repro.obs import spans as obs
-from repro.fleet.aggregate import FleetAggregate, FleetAggregateBuilder
+from repro.fleet.aggregate import FleetAggregate
 from repro.fleet.config import FleetConfig
 from repro.fleet.node import NodeResult
 from repro.fleet.scenario import FleetScenario
 from repro.names import ARTIFACTS
-from repro.resilience.chaos import ChaosPlan
 from repro.resilience.executor import Plan, WorkUnit, run_units
 from repro.resilience.policy import RetryPolicy
 from repro.resilience.pool import (
@@ -102,8 +100,6 @@ class FleetDriver:
             (default :class:`~repro.resilience.policy.RetryPolicy`()).
         quarantine: a list each poisoned chunk's record is
             appended to (optional).
-        chaos: fault-injection plan override (tests/harness only; the
-            ``REPRO_CHAOS_PLAN`` environment variable otherwise).
         journal: crash-consistent run ledger (DESIGN.md §12).  A
             journaled run uses the *manifest's* frozen chunk plan,
             replays journaled chunks instead of re-simulating them,
@@ -119,7 +115,6 @@ class FleetDriver:
         workers: int = 1,
         resilience: Optional[RetryPolicy] = None,
         quarantine: Optional[List[QuarantineRecord]] = None,
-        chaos: Optional[ChaosPlan] = None,
         journal: Any = None,
         cancel: Optional[threading.Event] = None,
     ) -> None:
@@ -129,7 +124,6 @@ class FleetDriver:
         self.workers = min(workers, config.n_nodes)
         self.resilience = resilience
         self.quarantine = quarantine
-        self.chaos = chaos
         self.journal = journal
         self.cancel = cancel
 
@@ -208,12 +202,11 @@ class FleetDriver:
         """Simulate the whole fleet and return the aggregate.
 
         Chunks run through :func:`~repro.resilience.executor.run_units`
-        (DESIGN.md §11.1); each finished chunk streams into a
-        :class:`FleetAggregateBuilder` as it lands.  The reduction is
-        order-independent and the builder canonicalizes node order, and
-        chunk shape cannot move a node's simulation (DESIGN.md §5), so
-        inline, pooled, and interrupted-then-resumed runs produce a
-        bit-identical digest.  Chunks that exhaust their retries are
+        (DESIGN.md §11.1), and the aggregate is built once from every
+        chunk's results.  :meth:`FleetAggregate.from_results`
+        canonicalizes node order, and chunk shape cannot move a node's
+        simulation (DESIGN.md §5), so inline, pooled, and
+        interrupted-then-resumed runs produce a bit-identical digest.  Chunks that exhaust their retries are
         quarantined — the aggregate reports their node ids as explicit
         ``holes`` instead of the run dying.
         """
@@ -221,7 +214,7 @@ class FleetDriver:
             "pipeline", cat="fleet",
             nodes=self.config.n_nodes, workers=self.workers,
         ):
-            builder = FleetAggregateBuilder()
+            results: List[NodeResult] = []
             hole_nodes: List[int] = []
             outcome = run_units(
                 self.plan(),
@@ -230,14 +223,11 @@ class FleetDriver:
                 journal=self.journal,
                 policy=self.resilience,
                 quarantine=self.quarantine,
-                chaos=self.chaos,
                 cancel=self.cancel,
-                on_result=lambda _unit, results, _wall: builder.add_many(
-                    results
-                ),
+                on_result=lambda _unit, chunk, _wall: results.extend(chunk),
                 on_hole=lambda unit: hole_nodes.extend(unit.payload[1]),
             )
-            aggregate = builder.build(holes=hole_nodes)
+            aggregate = FleetAggregate.from_results(results, hole_nodes)
             outcome.seal(aggregate.digest)
             return aggregate
 
@@ -612,26 +602,22 @@ class _ArtifactReducer:
 
 
 def reproduce_all(
-    parallel: bool = False,
-    workers: Optional[int] = None,
+    workers: int = 1,
     scale: float = 1.0,
     only: Optional[Sequence[str]] = None,
     on_result: Optional[Callable[[ArtifactRun], None]] = None,
     cache: Optional[ResultCache] = None,
     resilience: Optional[RetryPolicy] = None,
     quarantine: Optional[List[QuarantineRecord]] = None,
-    chaos: Optional[ChaosPlan] = None,
     journal: Any = None,
     cancel: Optional[threading.Event] = None,
 ) -> List[ArtifactRun]:
     """Regenerate every table and figure, serially or sharded.
 
     Args:
-        parallel: shard the pass across worker processes (one
-            ``(artifact, series)`` scenario per unit); otherwise units
-            run inline, pool-free.
-        workers: pool size (default: CPU count, capped at the number of
-            pending units).
+        workers: pool size for the ``(artifact, series)`` units (capped
+            at the number of pending units); ``1`` runs them inline,
+            pool-free.
         scale: duration scale; ``~0.33`` is the ``--quick`` pass.
         only: restrict to these artifact names (canonical order kept).
         on_result: called with each run as soon as it is available, in
@@ -645,7 +631,6 @@ def reproduce_all(
             (default :class:`RetryPolicy`(); DESIGN.md §11).
         quarantine: a list each poisoned unit's record is
             appended to (optional).
-        chaos: fault-injection plan override (tests/harness only).
         journal: crash-consistent run ledger (DESIGN.md §12): journaled
             units replay instead of executing (or probing the cache),
             completions are recorded durably, and the pass seals with
@@ -659,19 +644,18 @@ def reproduce_all(
         span.
     """
     with obs.span(
-        "pipeline", cat="reproduce", scale=scale, parallel=parallel
+        "pipeline", cat="reproduce", scale=scale, workers=workers
     ), _recorded_walls(cache) as (recorded_walls, executed_walls):
         plan = reproduce_plan(only, scale, recorded_walls)
         reducer = _ArtifactReducer(plan, on_result, executed_walls)
         outcome = run_units(
             plan,
             run_series_unit,
-            workers=(workers or os.cpu_count() or 1) if parallel else 1,
+            workers=workers,
             cache=cache,
             journal=journal,
             policy=resilience,
             quarantine=quarantine,
-            chaos=chaos,
             cancel=cancel,
             on_result=reducer.add,
             on_hole=reducer.hole,

@@ -16,7 +16,7 @@ from typing import Any, Dict, Iterable, List, Tuple
 from repro.digest import content_digest
 from repro.fleet.node import NodeResult
 
-__all__ = ["FleetAggregate", "FleetAggregateBuilder"]
+__all__ = ["FleetAggregate"]
 
 
 @dataclass
@@ -55,11 +55,67 @@ class FleetAggregate:
         return self.slo_violations / self.slo_windows
 
     @classmethod
-    def from_results(cls, results: Iterable[NodeResult]) -> "FleetAggregate":
-        builder = FleetAggregateBuilder()
-        for result in results:
-            builder.add(result)
-        return builder.build()
+    def from_results(
+        cls, results: Iterable[NodeResult], holes: Iterable[int] = ()
+    ) -> "FleetAggregate":
+        """Aggregate ``results`` in any order (canonical node order).
+
+        Every rollup is a sum or a keyed sum, so arrival order cannot
+        move a bit.  ``holes`` (node ids quarantined by the supervised
+        dispatcher) marks the aggregate partial; no results is legal
+        only when every node is a hole — an empty *complete* fleet is
+        still a caller bug.
+
+        Raises:
+            ValueError: a node id appears twice, or nothing to
+                aggregate.
+        """
+        ordered = sorted(results, key=lambda r: r.node_id)
+        holes = tuple(sorted(holes))
+        if not ordered and not holes:
+            raise ValueError("cannot aggregate an empty fleet")
+        if len({r.node_id for r in ordered}) != len(ordered):
+            raise ValueError("duplicate node results in aggregation")
+        trips = {"model": 0, "actuator": 0}
+        histogram = {"model": 0, "default": 0, "none": 0}
+        by_agent: Dict[str, Dict[str, Any]] = {}
+        by_rack: Dict[int, Dict[str, Any]] = {}
+        by_sku: Dict[str, int] = {}
+        for result in ordered:
+            for key in trips:
+                trips[key] += result.safeguard_trips.get(key, 0)
+            for key in histogram:
+                histogram[key] += result.action_histogram.get(key, 0)
+            agent = by_agent.setdefault(
+                result.agent,
+                {"nodes": 0, "slo_windows": 0, "slo_violations": 0,
+                 "safeguard_trips": 0},
+            )
+            agent["nodes"] += 1
+            agent["slo_windows"] += result.slo_windows
+            agent["slo_violations"] += result.slo_violations
+            agent["safeguard_trips"] += sum(result.safeguard_trips.values())
+            rack = by_rack.setdefault(
+                result.rack,
+                {"nodes": 0, "slo_windows": 0, "slo_violations": 0},
+            )
+            rack["nodes"] += 1
+            rack["slo_windows"] += result.slo_windows
+            rack["slo_violations"] += result.slo_violations
+            by_sku[result.sku] = by_sku.get(result.sku, 0) + 1
+        return cls(
+            n_nodes=len(ordered),
+            sim_seconds=ordered[0].sim_seconds if ordered else 0,
+            slo_windows=sum(r.slo_windows for r in ordered),
+            slo_violations=sum(r.slo_violations for r in ordered),
+            safeguard_trips=trips,
+            action_histogram=histogram,
+            by_agent=by_agent,
+            by_rack=by_rack,
+            by_sku=by_sku,
+            results=ordered,
+            holes=holes,
+        )
 
     # -- canonical form ------------------------------------------------------
 
@@ -170,92 +226,3 @@ class FleetAggregate:
             )
         lines.append(f"digest: {self.digest()}")
         return "\n".join(lines)
-
-
-class FleetAggregateBuilder:
-    """Streaming, order-independent reduction of :class:`NodeResult`s.
-
-    The parallel driver feeds results in whatever order worker chunks
-    finish; every accumulated quantity is a sum (or a keyed sum), so
-    arrival order cannot affect the outcome, and :meth:`build` sorts the
-    retained per-node list before constructing the aggregate.  Building
-    incrementally lets ``imap_unordered`` consumers fold each chunk as it
-    lands instead of materializing per-shard lists first.
-    """
-
-    def __init__(self) -> None:
-        self._results: List[NodeResult] = []
-        self._seen_ids: set = set()
-        self._trips = {"model": 0, "actuator": 0}
-        self._histogram = {"model": 0, "default": 0, "none": 0}
-        self._by_agent: Dict[str, Dict[str, Any]] = {}
-        self._by_rack: Dict[int, Dict[str, Any]] = {}
-        self._by_sku: Dict[str, int] = {}
-        self._slo_windows = 0
-        self._slo_violations = 0
-
-    def __len__(self) -> int:
-        return len(self._results)
-
-    def add(self, result: NodeResult) -> "FleetAggregateBuilder":
-        """Fold one node's result into the running aggregate."""
-        if result.node_id in self._seen_ids:
-            raise ValueError("duplicate node results in aggregation")
-        self._seen_ids.add(result.node_id)
-        self._results.append(result)
-        for key in self._trips:
-            self._trips[key] += result.safeguard_trips.get(key, 0)
-        for key in self._histogram:
-            self._histogram[key] += result.action_histogram.get(key, 0)
-        agent = self._by_agent.setdefault(
-            result.agent,
-            {"nodes": 0, "slo_windows": 0, "slo_violations": 0,
-             "safeguard_trips": 0},
-        )
-        agent["nodes"] += 1
-        agent["slo_windows"] += result.slo_windows
-        agent["slo_violations"] += result.slo_violations
-        agent["safeguard_trips"] += sum(result.safeguard_trips.values())
-        rack = self._by_rack.setdefault(
-            result.rack,
-            {"nodes": 0, "slo_windows": 0, "slo_violations": 0},
-        )
-        rack["nodes"] += 1
-        rack["slo_windows"] += result.slo_windows
-        rack["slo_violations"] += result.slo_violations
-        self._by_sku[result.sku] = self._by_sku.get(result.sku, 0) + 1
-        self._slo_windows += result.slo_windows
-        self._slo_violations += result.slo_violations
-        return self
-
-    def add_many(self, results: Iterable[NodeResult]) -> "FleetAggregateBuilder":
-        """Fold a batch of results (one worker chunk)."""
-        for result in results:
-            self.add(result)
-        return self
-
-    def build(self, holes: Iterable[int] = ()) -> FleetAggregate:
-        """Finalize into a :class:`FleetAggregate` (canonical node order).
-
-        ``holes`` (node ids quarantined by the supervised dispatcher)
-        marks the aggregate partial; a build with no results is legal
-        only when every node is a hole — an empty *complete* fleet is
-        still a caller bug.
-        """
-        holes = tuple(sorted(holes))
-        if not self._results and not holes:
-            raise ValueError("cannot aggregate an empty fleet")
-        ordered = sorted(self._results, key=lambda r: r.node_id)
-        return FleetAggregate(
-            n_nodes=len(ordered),
-            sim_seconds=ordered[0].sim_seconds if ordered else 0,
-            slo_windows=self._slo_windows,
-            slo_violations=self._slo_violations,
-            safeguard_trips=self._trips,
-            action_histogram=self._histogram,
-            by_agent=self._by_agent,
-            by_rack=self._by_rack,
-            by_sku=self._by_sku,
-            results=ordered,
-            holes=holes,
-        )

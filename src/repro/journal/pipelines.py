@@ -311,7 +311,7 @@ class Pipeline:
     are the manifest round trip; ``open_journal(cache_root, config,
     workers, **open_run_options)`` claims the run's journal;
     ``run(config, workers, cache, journal, *, resilience, quarantine,
-    chaos, cancel, on_result)`` hands all of that to the kind's driver
+    cancel, on_result)`` hands all of that to the kind's driver
     (``on_result`` streams finished pieces — only ``reproduce`` has any
     before the end); ``digest(result)`` is what the run seals with;
     ``parts(result)`` names each separately-digested piece as ``name →
@@ -362,8 +362,8 @@ PIPELINES: Dict[str, Pipeline] = {
         ),
         run=lambda selection, workers, cache, journal, **dispatch: (
             reproduce_all(
-                parallel=workers > 1, workers=workers, only=selection[0],
-                scale=selection[1], cache=cache, journal=journal, **dispatch
+                workers=workers, only=selection[0], scale=selection[1],
+                cache=cache, journal=journal, **dispatch
             )
         ),
         digest=runs_digest,
@@ -440,7 +440,6 @@ def launch(
     tap: Callable[[RunJournal], Any] = lambda journal: journal,
     trace: bool = True,
     policy: Any = None,
-    chaos: Any = None,
     cancel: Optional[threading.Event] = None,
     on_result: Optional[Callable[[Any], None]] = None,
     **span_args: Any,
@@ -481,8 +480,8 @@ def launch(
         with run_tracing(journal, enabled_=trace, kind=kind, **span_args):
             result = pipeline.run(
                 config, workers, cache, recorder,
-                resilience=policy, quarantine=quarantine, chaos=chaos,
-                cancel=cancel, on_result=on_result,
+                resilience=policy, quarantine=quarantine, cancel=cancel,
+                on_result=on_result,
             )
         wall_s = time.perf_counter() - started
     return Launch(

@@ -20,47 +20,45 @@ proves it under injected faults.  This package supplies that layer:
   ``repro chaos`` harness's building blocks.
 """
 
-from repro.resilience.chaos import (
-    CHAOS_FAULT_KINDS,
-    ChaosCache,
-    ChaosPlan,
-    active_plan,
-)
-from repro.resilience.executor import Plan, UnitsOutcome, WorkUnit, run_units
-from repro.resilience.policy import RetryPolicy
-from repro.resilience.pool import (
-    PoolCounters,
-    SupervisedPool,
-    shared_pool,
-    shared_pool_counters,
-    shutdown_shared_pool,
-)
-from repro.resilience.supervisor import (
-    AttemptFailure,
-    DispatchCancelled,
-    DispatchOutcome,
-    QuarantineRecord,
-    supervised_map,
-)
+from importlib import import_module
+from typing import Any
 
-__all__ = [
-    "AttemptFailure",
-    "CHAOS_FAULT_KINDS",
-    "ChaosCache",
-    "ChaosPlan",
-    "DispatchCancelled",
-    "DispatchOutcome",
-    "Plan",
-    "PoolCounters",
-    "QuarantineRecord",
-    "RetryPolicy",
-    "SupervisedPool",
-    "UnitsOutcome",
-    "WorkUnit",
-    "active_plan",
-    "run_units",
-    "shared_pool",
-    "shared_pool_counters",
-    "shutdown_shared_pool",
-    "supervised_map",
-]
+#: Re-exported name -> the submodule that defines it.  Resolved on
+#: first attribute access (PEP 562), so importing one submodule (the
+#: control plane needs only ``supervisor``'s exception) loads neither
+#: the worker pool nor ``multiprocessing``.
+_EXPORTS = {
+    "AttemptFailure": "supervisor",
+    "CHAOS_FAULT_KINDS": "chaos",
+    "ChaosCache": "chaos",
+    "ChaosPlan": "chaos",
+    "DispatchCancelled": "supervisor",
+    "DispatchOutcome": "supervisor",
+    "Plan": "executor",
+    "PoolCounters": "pool",
+    "QuarantineRecord": "supervisor",
+    "RetryPolicy": "policy",
+    "SupervisedPool": "pool",
+    "UnitsOutcome": "executor",
+    "WorkUnit": "executor",
+    "activated": "chaos",
+    "active_plan": "chaos",
+    "run_units": "executor",
+    "shared_pool": "pool",
+    "shared_pool_counters": "pool",
+    "shutdown_shared_pool": "pool",
+    "supervised_map": "supervisor",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str) -> Any:
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(
+            f"module 'repro.resilience' has no attribute {name!r}"
+        )
+    value = getattr(import_module(f"repro.resilience.{module}"), name)
+    globals()[name] = value
+    return value

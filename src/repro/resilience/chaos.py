@@ -19,29 +19,35 @@ description of which work units get which fault:
 Selection is a pure function of ``(seed, unit_id)`` — no RNG state, no
 wall clock — so a chaos run is exactly reproducible, and the committed
 chaos suite can assert the *exact* set of faulted/quarantined units.
-Faults normally fire only on attempt 0 (``fault_attempts``), proving
-that retries recover; units listed in ``poison_units`` fault on every
-attempt, proving that quarantine engages and the run degrades to an
-explicit hole rather than dying.
+Faults fire only on attempt 0, proving that retries recover; units
+listed in ``poison_units`` fault on every attempt, proving that
+quarantine engages and the run degrades to an explicit hole rather than
+dying.
 
 Worker-side faults are applied by :func:`apply_worker_fault`, which the
 supervised worker loop calls before executing each task.  It refuses to
 fire outside a worker process (``_IN_WORKER``), so an accidentally
 activated plan can never ``os._exit`` the main process.  Plans travel
 to workers inside the task tuple (not via environment inheritance, so
-a warm pool spawned before the plan existed still honors it); the
-``REPRO_CHAOS_PLAN`` environment variable (inline JSON) lets whole CLI
-invocations run under a plan without new flags.
+a warm pool spawned before the plan existed still honors it).
+
+The dispatcher has one source of plans: the ``REPRO_CHAOS_PLAN``
+environment variable (inline JSON, :func:`active_plan`), so any command
+runs under a plan without new flags, and ``repro chaos`` and the tests
+set it around the faulted run with :func:`activated`.  The fault's
+timings (:data:`HANG_S`, :data:`SLOW_S`, :data:`EXIT_CODE`) are module
+constants.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from dataclasses import dataclass, field, fields
+from typing import Any, Dict, Iterator, Optional, Tuple
 
 from repro.cache.store import ResultCache
 
@@ -49,6 +55,7 @@ __all__ = [
     "CHAOS_FAULT_KINDS",
     "ChaosCache",
     "ChaosPlan",
+    "activated",
     "active_plan",
     "apply_worker_fault",
 ]
@@ -57,6 +64,13 @@ CHAOS_FAULT_KINDS = ("crash", "hang", "corrupt_cache", "slow")
 
 #: Environment variable holding an inline JSON chaos plan.
 CHAOS_PLAN_ENV = "REPRO_CHAOS_PLAN"
+
+#: Sleep of a ``hang`` fault: far beyond any deadline.
+HANG_S = 3600.0
+#: Sleep of a ``slow`` fault: within any sane deadline.
+SLOW_S = 0.2
+#: Worker exit code of a ``crash`` fault (diagnostic only).
+EXIT_CODE = 23
 
 #: Set by the supervised worker bootstrap; worker-side faults refuse to
 #: fire when this is False (i.e. in the main process).
@@ -72,23 +86,14 @@ class ChaosPlan:
         probability: per-unit selection probability (hashed, not drawn:
             a unit is selected iff ``hash(seed, unit_id) < p``).
         seed: selection seed; changing it selects a different subset.
-        fault_attempts: zero-based attempts on which a selected unit
-            faults (default: first attempt only, so retries recover).
         poison_units: unit ids that fault on *every* attempt — these
             must end up quarantined, exactly and by name.
-        hang_s: sleep length for ``hang`` (far beyond any deadline).
-        slow_s: sleep length for ``slow`` (within any sane deadline).
-        exit_code: worker exit code for ``crash`` (diagnostic only).
     """
 
     kind: str
     probability: float = 0.0
     seed: int = 0
-    fault_attempts: Tuple[int, ...] = (0,)
     poison_units: Tuple[str, ...] = ()
-    hang_s: float = 3600.0
-    slow_s: float = 0.2
-    exit_code: int = 23
 
     def __post_init__(self) -> None:
         if self.kind not in CHAOS_FAULT_KINDS:
@@ -117,7 +122,7 @@ class ChaosPlan:
         """Whether attempt ``attempt`` of ``unit_id`` gets the fault."""
         if unit_id in self.poison_units:
             return True
-        return self.selects(unit_id) and attempt in self.fault_attempts
+        return attempt == 0 and self.selects(unit_id)
 
     # -- (de)serialization ---------------------------------------------------
 
@@ -126,28 +131,27 @@ class ChaosPlan:
             "kind": self.kind,
             "probability": self.probability,
             "seed": self.seed,
-            "fault_attempts": list(self.fault_attempts),
             "poison_units": list(self.poison_units),
-            "hang_s": self.hang_s,
-            "slow_s": self.slow_s,
-            "exit_code": self.exit_code,
         }
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "ChaosPlan":
+        """The plan ``data`` describes.
+
+        Raises:
+            ValueError: a key this plan does not read (a dropped field
+                would let a chaos run pass without testing anything).
+        """
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown chaos plan key(s): {unknown}")
         return cls(
             kind=str(data["kind"]),
             probability=float(data.get("probability", 0.0)),
             seed=int(data.get("seed", 0)),
-            fault_attempts=tuple(
-                int(a) for a in data.get("fault_attempts", (0,))
-            ),
             poison_units=tuple(
                 str(u) for u in data.get("poison_units", ())
             ),
-            hang_s=float(data.get("hang_s", 3600.0)),
-            slow_s=float(data.get("slow_s", 0.2)),
-            exit_code=int(data.get("exit_code", 23)),
         )
 
     def describe(self) -> str:
@@ -173,6 +177,21 @@ def active_plan() -> Optional[ChaosPlan]:
     return ChaosPlan.from_dict(json.loads(raw))
 
 
+@contextlib.contextmanager
+def activated(plan: ChaosPlan) -> Iterator[None]:
+    """Run the block under ``plan`` (``$REPRO_CHAOS_PLAN``), then put
+    back whatever the variable held before."""
+    previous = os.environ.get(CHAOS_PLAN_ENV)
+    os.environ[CHAOS_PLAN_ENV] = json.dumps(plan.to_dict())
+    try:
+        yield
+    finally:
+        if previous is None:
+            os.environ.pop(CHAOS_PLAN_ENV, None)
+        else:
+            os.environ[CHAOS_PLAN_ENV] = previous
+
+
 def apply_worker_fault(
     plan: Optional[Dict[str, Any]], unit_id: str, attempt: int
 ) -> None:
@@ -189,11 +208,11 @@ def apply_worker_fault(
     if not chaos.should_fault(unit_id, attempt):
         return
     if chaos.kind == "crash":
-        os._exit(chaos.exit_code)
+        os._exit(EXIT_CODE)
     elif chaos.kind == "hang":
-        time.sleep(chaos.hang_s)
+        time.sleep(HANG_S)
     elif chaos.kind == "slow":
-        time.sleep(chaos.slow_s)
+        time.sleep(SLOW_S)
 
 
 @dataclass

@@ -26,7 +26,6 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.cache import codec
 from repro.obs import spans as obs
-from repro.resilience.chaos import ChaosPlan
 from repro.resilience.policy import RetryPolicy
 from repro.resilience.pool import shared_pool, shutdown_shared_pool
 from repro.resilience.supervisor import QuarantineRecord, supervised_map
@@ -143,7 +142,6 @@ def run_units(
     journal: Any = None,
     policy: Optional[RetryPolicy] = None,
     quarantine: Optional[List[QuarantineRecord]] = None,
-    chaos: Optional[ChaosPlan] = None,
     cancel: Optional[threading.Event] = None,
     on_result: Callable[[WorkUnit, Any, Optional[float]], None] = _ignore,
     on_hole: Callable[[WorkUnit], None] = _ignore,
@@ -159,10 +157,10 @@ def run_units(
             in this process, pool-free.
         cache: result cache, or ``None``.
         journal: run journal, or ``None``.
-        policy / quarantine / chaos / cancel: supervised-dispatch
-            knobs (DESIGN.md §11); they only apply to pooled dispatch.
-            ``quarantine`` is a list each poisoned unit's record is
-            appended to.
+        policy / quarantine / cancel: supervised-dispatch knobs
+            (DESIGN.md §11); they only apply to pooled dispatch, as
+            does a ``$REPRO_CHAOS_PLAN`` fault plan.  ``quarantine`` is
+            a list each poisoned unit's record is appended to.
         on_result: ``(unit, payload, wall_s)`` for every satisfied unit
             — replayed units first, then the cache hits (after their
             one batch commit), then executed units in completion order;
@@ -264,7 +262,6 @@ def run_units(
             pool_shutdown=shutdown_shared_pool,
             policy=policy,
             quarantine=quarantine,
-            chaos=chaos,
             cancel=cancel,
             on_dispatch=dispatched,
             on_result=done,

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs import spans as obs
-from repro.resilience.chaos import ChaosPlan, active_plan
+from repro.resilience.chaos import active_plan
 from repro.resilience.policy import RetryPolicy
 
 __all__ = [
@@ -44,6 +44,10 @@ __all__ = [
     "QuarantineRecord",
     "supervised_map",
 ]
+
+#: Longest the dispatch loop blocks on the pool (or on a due backoff)
+#: before it re-checks deadlines and the cancel token.
+POLL_INTERVAL_S = 0.05
 
 
 class DispatchCancelled(RuntimeError):
@@ -126,12 +130,10 @@ def supervised_map(
     pool_shutdown: Callable[[], None],
     policy: Optional[RetryPolicy] = None,
     quarantine: Optional[List[QuarantineRecord]] = None,
-    chaos: Optional[ChaosPlan] = None,
     on_result: Optional[Callable[[str, Any], None]] = None,
     on_quarantine: Optional[Callable[[QuarantineRecord], None]] = None,
     on_dispatch: Optional[Callable[[str, int], None]] = None,
     context: str = "units",
-    poll_interval_s: float = 0.05,
     cancel: Optional[threading.Event] = None,
 ) -> DispatchOutcome:
     """Run every unit through the supervised pool; degrade, don't die.
@@ -150,8 +152,6 @@ def supervised_map(
         policy: retry policy (default :class:`RetryPolicy`()).
         quarantine: a list each poison unit's record is appended to
             (optional; the caller's report of this run).
-        chaos: fault-injection plan; default: the environment's
-            (:func:`repro.resilience.chaos.active_plan`).
         on_result: streamed ``(unit_id, result)`` callback, completion
             order.  Called *after* the workers the results freed have
             been refilled, so the caller's bookkeeping overlaps the
@@ -168,12 +168,17 @@ def supervised_map(
             worker is killed and :class:`DispatchCancelled` is raised
             with the shared pool left warm.
 
+    The fault-injection plan, if any, is the environment's
+    (``$REPRO_CHAOS_PLAN``, :func:`repro.resilience.chaos.active_plan`),
+    read once per call.
+
     Raises:
         DispatchCancelled: the cancel token was set mid-dispatch (or
             ``on_dispatch`` raised it); in-flight units are killed.
+        ValueError: duplicate unit ids, or a malformed chaos plan.
     """
     policy = policy if policy is not None else RetryPolicy()
-    plan = chaos if chaos is not None else active_plan()
+    plan = active_plan()
     plan_dict = plan.to_dict() if plan is not None else None
     payloads: Dict[str, Any] = {}
     for unit_id, payload in units:
@@ -283,14 +288,14 @@ def supervised_map(
                             0.0,
                             min(
                                 delayed[0][0] - time.monotonic(),
-                                poll_interval_s,
+                                POLL_INTERVAL_S,
                             ),
                         )
                     )
                 continue
             completed: List[Tuple[str, Any]] = []
             for kind, unit_id, attempt, _worker, payload in pool.poll(
-                timeout=poll_interval_s
+                timeout=POLL_INTERVAL_S
             ):
                 if kind == "spans":
                     # Worker-shipped attempt spans: pure telemetry.

@@ -19,6 +19,9 @@ from repro.serve.jobs import TERMINAL_STATUSES
 
 __all__ = ["ServeClient", "ServeUnavailable", "wait_for_server"]
 
+#: Seconds between :meth:`ServeClient.wait`'s ``status`` polls.
+WAIT_POLL_S = 0.2
+
 
 class ServeUnavailable(ConnectionError):
     """No server behind the socket (not listening, or died mid-reply)."""
@@ -161,9 +164,7 @@ class ServeClient:
         finally:
             sock.close()
 
-    def wait(
-        self, job_id: str, timeout: float = 300.0, poll_s: float = 0.2
-    ) -> Dict[str, Any]:
+    def wait(self, job_id: str, timeout: float = 300.0) -> Dict[str, Any]:
         """Poll ``status`` until the job is terminal; returns its view.
 
         Polling (rather than ``watch``) survives server restarts — the
@@ -178,7 +179,7 @@ class ServeClient:
             job = reply["job"]
             if job["status"] in TERMINAL_STATUSES:
                 return job
-            time.sleep(poll_s)
+            time.sleep(WAIT_POLL_S)
         raise TimeoutError(
             f"job {job_id} not terminal after {timeout:.1f}s"
         )

@@ -32,7 +32,6 @@ from repro.fleet.aggregate import FleetAggregate
 from repro.fleet.config import NodeRun
 from repro.fleet.node import NodeResult
 from repro.obs import spans as obs
-from repro.resilience.chaos import ChaosPlan
 from repro.resilience.executor import Plan, WorkUnit, run_units
 from repro.resilience.policy import RetryPolicy
 from repro.resilience.supervisor import QuarantineRecord
@@ -83,7 +82,6 @@ class SweepRunner:
         resilience: retry/backoff/deadline policy for pooled dispatch.
         quarantine: a list each poisoned node run's record is
             appended to (optional).
-        chaos: fault-injection plan override (tests/harness only).
         journal: crash-consistent run ledger (DESIGN.md §12): journaled
             node runs replay instead of probing the cache or executing,
             completions (cache hits included) are recorded durably, and
@@ -98,7 +96,6 @@ class SweepRunner:
         cache: Optional[ResultCache] = None,
         resilience: Optional[RetryPolicy] = None,
         quarantine: Optional[List[QuarantineRecord]] = None,
-        chaos: Optional[ChaosPlan] = None,
         journal: Any = None,
         cancel: Optional[threading.Event] = None,
     ) -> None:
@@ -109,7 +106,6 @@ class SweepRunner:
         self.cache = cache
         self.resilience = resilience
         self.quarantine = quarantine
-        self.chaos = chaos
         self.journal = journal
         self.cancel = cancel
 
@@ -136,7 +132,6 @@ class SweepRunner:
                 journal=self.journal,
                 policy=self.resilience,
                 quarantine=self.quarantine,
-                chaos=self.chaos,
                 cancel=self.cancel,
                 on_result=collect,
             )

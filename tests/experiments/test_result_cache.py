@@ -15,6 +15,7 @@ import pickle
 import pytest
 
 from repro.cache import ResultCache, code_salt, codec, unit_key
+from repro.cache import store
 from repro.cache.store import CACHE_DIR_ENV, default_cache_dir
 from repro.experiments import driver
 from repro.experiments.common import experiment_digest
@@ -307,7 +308,7 @@ def test_cached_rows_match_uncached_rows(tmp_path):
 def test_parallel_warm_pass_skips_the_pool(tmp_path, monkeypatch):
     cache = ResultCache(str(tmp_path))
     cold = reproduce_all(
-        only=["fig6-right"], scale=SCALE, parallel=True, workers=2,
+        only=["fig6-right"], scale=SCALE, workers=2,
         cache=cache,
     )
     # A fully-warm parallel pass must never touch the pool at all.
@@ -317,7 +318,7 @@ def test_parallel_warm_pass_skips_the_pool(tmp_path, monkeypatch):
     monkeypatch.setattr(executor, "shared_pool", poisoned_pool)
     warm_cache = ResultCache(str(tmp_path))
     warm = reproduce_all(
-        only=["fig6-right"], scale=SCALE, parallel=True, workers=2,
+        only=["fig6-right"], scale=SCALE, workers=2,
         cache=warm_cache,
     )
     assert warm_cache.stats.misses == 0
@@ -329,7 +330,7 @@ def test_parallel_cold_pass_stores_and_matches_serial(tmp_path):
     serial = reproduce_all(only=["fig2"], scale=0.1)
     cache = ResultCache(str(tmp_path))
     parallel = reproduce_all(
-        only=["fig2"], scale=0.1, parallel=True, workers=2, cache=cache
+        only=["fig2"], scale=0.1, workers=2, cache=cache
     )
     assert cache.stats.stores > 0
     assert _digests(serial) == _digests(parallel)
@@ -433,14 +434,15 @@ def test_atomic_writes_under_multi_process_contention(tmp_path):
 # -- quarantine bound --------------------------------------------------------
 
 
-def test_quarantine_dir_is_bounded_to_keep_newest(tmp_path):
+def test_quarantine_dir_is_bounded_to_keep_newest(tmp_path, monkeypatch):
+    monkeypatch.setattr(store, "QUARANTINE_KEEP", 3)
     keys = [f"{i:02x}" * 32 for i in range(5)]
-    cache = ResultCache(str(tmp_path), quarantine_keep=3)
+    cache = ResultCache(str(tmp_path))
     for key in keys:
         cache.put(key, [1])
         with open(cache._object_path(key), "wb") as handle:
             handle.write(b"garbage")
-    fresh = ResultCache(str(tmp_path), quarantine_keep=3)
+    fresh = ResultCache(str(tmp_path))
     for key in keys:
         assert fresh.get(key) is None  # every object corrupt → miss
     assert fresh.stats.corrupt == 5
@@ -453,10 +455,11 @@ def test_quarantine_dir_is_bounded_to_keep_newest(tmp_path):
     assert "pruned=2" in fresh.stats.render()
 
 
-def test_quarantine_prune_spares_the_units_log(tmp_path):
+def test_quarantine_prune_spares_the_units_log(tmp_path, monkeypatch):
     """Only ``*.jz`` evidence counts against the object bound: any
     other file in the quarantine directory is never collected."""
-    cache = ResultCache(str(tmp_path), quarantine_keep=1)
+    monkeypatch.setattr(store, "QUARANTINE_KEEP", 1)
+    cache = ResultCache(str(tmp_path))
     os.makedirs(cache.quarantine_dir, exist_ok=True)
     ledger = os.path.join(cache.quarantine_dir, "units.json")
     with open(ledger, "w", encoding="utf-8") as handle:
@@ -466,7 +469,7 @@ def test_quarantine_prune_spares_the_units_log(tmp_path):
         cache.put(key, [1])
         with open(cache._object_path(key), "wb") as handle:
             handle.write(b"garbage")
-    fresh = ResultCache(str(tmp_path), quarantine_keep=1)
+    fresh = ResultCache(str(tmp_path))
     for key in keys:
         fresh.get(key)
     assert os.path.exists(ledger)  # the ledger survived
@@ -476,22 +479,3 @@ def test_quarantine_prune_spares_the_units_log(tmp_path):
     ]
     assert len(evidence) == 1
     assert fresh.stats.pruned == 2
-
-
-def test_negative_quarantine_keep_disables_pruning(tmp_path):
-    keys = [f"{i:02x}" * 32 for i in range(4)]
-    cache = ResultCache(str(tmp_path), quarantine_keep=-1)
-    for key in keys:
-        cache.put(key, [1])
-        with open(cache._object_path(key), "wb") as handle:
-            handle.write(b"garbage")
-    fresh = ResultCache(str(tmp_path), quarantine_keep=-1)
-    for key in keys:
-        fresh.get(key)
-    evidence = [
-        name for name in os.listdir(fresh.quarantine_dir)
-        if name.endswith(codec.SUFFIX)
-    ]
-    assert len(evidence) == 4
-    assert fresh.stats.pruned == 0
-    assert "pruned" not in fresh.stats.render()

@@ -94,7 +94,6 @@ def _rows(runs):
 def test_sharded_golden_artifacts_keep_seed_digests():
     """Sub-artifact parallel pass reproduces the pinned seed digests."""
     runs = reproduce_all(
-        parallel=True,
         workers=2,
         only=list(GOLDEN_EXPERIMENT_DIGESTS),
         scale=GOLDEN_EXPERIMENT_SCALE,
@@ -108,7 +107,7 @@ def test_fig7_sharded_equals_serial():
     survives sharding: parallel rows == serial rows, bit for bit."""
     serial = reproduce_all(only=["fig7"], scale=0.25)
     parallel = reproduce_all(
-        parallel=True, workers=3, only=["fig7"], scale=0.25,
+        workers=3, only=["fig7"], scale=0.25,
     )
     assert _rows(serial) == _rows(parallel)
 
@@ -118,7 +117,7 @@ def test_fig2_sharded_equals_serial():
     sharding."""
     serial = reproduce_all(only=["fig2"], scale=0.1)
     parallel = reproduce_all(
-        parallel=True, workers=4, only=["fig2"], scale=0.1,
+        workers=4, only=["fig2"], scale=0.1,
     )
     assert _rows(serial) == _rows(parallel)
 
@@ -127,7 +126,7 @@ def test_streaming_stays_canonical_under_series_sharding():
     only = ["table1", "fig2", "fig4"]
     seen = []
     runs = reproduce_all(
-        parallel=True, workers=3, only=only, scale=0.1,
+        workers=3, only=only, scale=0.1,
         on_result=lambda run: seen.append(run.name),
     )
     assert [run.name for run in runs] == only

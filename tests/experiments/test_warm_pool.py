@@ -83,7 +83,7 @@ def test_reproduce_all_shares_the_fleet_pool():
     pool = warm._shared_pool
     assert pool is not None
     runs = reproduce_all(
-        only=["table1", "table2"], scale=0.05, parallel=True, workers=2
+        only=["table1", "table2"], scale=0.05, workers=2
     )
     assert [run.name for run in runs] == ["table1", "table2"]
     assert warm._shared_pool is pool  # same warm pool served the pass
@@ -100,7 +100,7 @@ def test_one_pool_serves_fleet_reproduce_and_sweep():
     FleetDriver(config, workers=2).run()
     pool = warm._shared_pool
     assert pool is not None
-    reproduce_all(only=["table1"], scale=0.05, parallel=True, workers=2)
+    reproduce_all(only=["table1"], scale=0.05, workers=2)
     assert warm._shared_pool is pool
     spec = CampaignSpec(
         name="warm-pool", agents=("overclock",), scales=(2,), seeds=(0,),

@@ -101,3 +101,43 @@ def test_fleet_rejects_unknown_fault_kind():
     with pytest.raises(SystemExit):
         main(["fleet", "--nodes", "2", "--fault-racks", "0",
               "--fault-kind", "meteor"])
+
+
+def test_reproduce_all_workers_alone_sizes_the_pool(capsys):
+    """``--workers N`` is the one pool-size setting: with N > 1 the pass
+    is sharded, no second flag needed."""
+    assert main(
+        ["reproduce-all", "--workers", "2", "--only", "table1", "table2",
+         "--scale", "0.05", "--no-journal"]
+    ) == 0
+    out = capsys.readouterr().out
+    assert "[reproduce-all: 2 artifacts, parallel/series," in out
+
+
+def test_emit_experiments_writes_the_measured_tables(tmp_path, capsys):
+    path = tmp_path / "EXPERIMENTS.md"
+    assert main(
+        ["reproduce-all", "--only", "table1", "--scale", "0.05",
+         "--no-journal", "--emit-experiments", str(path)]
+    ) == 0
+    assert f"[wrote {path}]" in capsys.readouterr().out
+    text = path.read_text(encoding="utf-8")
+    assert text.startswith("# Measured outputs")
+    assert "## table1" in text and "| class |" in text
+    assert "(full pass)" in text
+
+
+def test_emit_experiments_refuses_a_missing_directory_before_running(
+    tmp_path, monkeypatch
+):
+    from repro.journal import pipelines
+
+    def launch(*args, **kwargs):
+        raise AssertionError("a unit ran before the path was checked")
+
+    monkeypatch.setattr(pipelines, "launch", launch)
+    target = tmp_path / "missing" / "EXPERIMENTS.md"
+    with pytest.raises(SystemExit, match="is not a directory"):
+        main(["reproduce-all", "--only", "table1", "--no-journal",
+              "--emit-experiments", str(target)])
+    assert not target.parent.exists()

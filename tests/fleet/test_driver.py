@@ -130,7 +130,7 @@ def test_inline_pooled_and_resumed_fleets_match_the_bare_scenario(
 def test_reproduce_all_parallel_matches_serial_rows():
     only = ["table1", "table2"]
     serial = reproduce_all(only=only)
-    parallel = reproduce_all(parallel=True, workers=2, only=only)
+    parallel = reproduce_all(workers=2, only=only)
     assert [run.name for run in serial] == only
     assert [run.name for run in parallel] == only
     for s, p in zip(serial, parallel):

@@ -79,7 +79,7 @@ def test_parallel_reproduce_all_streams_canonical_order():
     only = ["table1", "table2", "fig6-left"]
     seen = []
     runs = reproduce_all(
-        parallel=True, workers=2, only=only,
+        workers=2, only=only,
         scale=GOLDEN_EXPERIMENT_SCALE,
         on_result=lambda run: seen.append(run.name),
     )

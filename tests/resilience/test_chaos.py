@@ -1,11 +1,12 @@
 """The chaos harness: seeded selection, the env plan, cache corruption."""
 
 import json
+import os
 
 import pytest
 
 from repro.cache import ResultCache
-from repro.resilience import ChaosCache, ChaosPlan, active_plan
+from repro.resilience import ChaosCache, ChaosPlan, activated, active_plan
 from repro.resilience.chaos import CHAOS_PLAN_ENV, apply_worker_fault
 
 
@@ -36,7 +37,7 @@ def test_probability_bounds():
 
 
 def test_faults_fire_on_configured_attempts_only():
-    plan = ChaosPlan(kind="crash", probability=1.0)  # attempts (0,)
+    plan = ChaosPlan(kind="crash", probability=1.0)  # attempt 0 only
     assert plan.should_fault("u", 0)
     assert not plan.should_fault("u", 1)  # the retry recovers
     poison = ChaosPlan(kind="crash", poison_units=("u",))
@@ -46,10 +47,17 @@ def test_faults_fire_on_configured_attempts_only():
 
 def test_plan_round_trips_through_dict():
     plan = ChaosPlan(
-        kind="hang", probability=0.25, seed=9,
-        fault_attempts=(0, 1), poison_units=("a", "b"), hang_s=12.0,
+        kind="hang", probability=0.25, seed=9, poison_units=("a", "b"),
     )
     assert ChaosPlan.from_dict(plan.to_dict()) == plan
+
+
+@pytest.mark.parametrize("key", ["hang_s", "fault_attempts", "kind_"])
+def test_a_plan_key_nothing_reads_is_refused(key):
+    """A dropped field would let a chaos run pass without testing what
+    its plan asked for."""
+    with pytest.raises(ValueError, match=key):
+        ChaosPlan.from_dict({"kind": "hang", key: 1})
 
 
 def test_active_plan_reads_the_environment(monkeypatch):
@@ -64,6 +72,20 @@ def test_active_plan_reads_the_environment(monkeypatch):
     monkeypatch.setenv(CHAOS_PLAN_ENV, "{broken")
     with pytest.raises(ValueError):
         active_plan()  # a silently-ignored plan would pass vacuously
+
+
+@pytest.mark.parametrize("before", [None, '{"kind": "slow"}'])
+def test_activated_sets_the_plan_for_its_block_only(monkeypatch, before):
+    if before is None:
+        monkeypatch.delenv(CHAOS_PLAN_ENV, raising=False)
+    else:
+        monkeypatch.setenv(CHAOS_PLAN_ENV, before)
+    plan = ChaosPlan(kind="crash", poison_units=("u",))
+    with pytest.raises(RuntimeError):
+        with activated(plan):
+            assert active_plan() == plan
+            raise RuntimeError("the faulted run failed")
+    assert os.environ.get(CHAOS_PLAN_ENV) == before
 
 
 def test_worker_faults_refuse_to_fire_in_the_main_process():

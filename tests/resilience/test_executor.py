@@ -21,11 +21,12 @@ from repro.resilience import (
     Plan,
     RetryPolicy,
     WorkUnit,
+    activated,
     run_units,
 )
 from repro.resilience.pool import shared_pool, shared_pool_counters
 
-FAST = RetryPolicy(max_retries=0, backoff_base_s=0.01, backoff_cap_s=0.05)
+FAST = RetryPolicy(max_retries=0)
 
 
 def _double(payload):
@@ -157,12 +158,12 @@ def test_put_happens_before_record_done():
 def test_quarantine_reports_the_hole_and_journals_it():
     log = []
     holes = []
-    outcome = run_units(
-        _plan(3), _double, workers=2, policy=FAST,
-        cache=FakeCache(log), journal=FakeJournal(log),
-        chaos=ChaosPlan(kind="crash", poison_units=("u1",)),
-        on_hole=lambda unit: holes.append(unit.unit_id),
-    )
+    with activated(ChaosPlan(kind="crash", poison_units=("u1",))):
+        outcome = run_units(
+            _plan(3), _double, workers=2, policy=FAST,
+            cache=FakeCache(log), journal=FakeJournal(log),
+            on_hole=lambda unit: holes.append(unit.unit_id),
+        )
     assert holes == outcome.holes == ["u1"]
     assert ("quarantined", "u1", "crash") in log
     assert not any(e[:2] == ("done", "u1") for e in log)
@@ -244,7 +245,9 @@ def _unrebuildable_u1(payload):
     return _Unrebuildable() if payload == 1 else payload * 2
 
 
-def test_an_undecodable_result_frame_is_a_hole_not_a_dead_pool():
+def test_an_undecodable_result_frame_is_a_hole_not_a_dead_pool(
+    fast_backoff,
+):
     """The pool knows which worker sent the frame, so the attempt it
     holds fails, retries, and is quarantined; the pool survives."""
     shared_pool(2)
@@ -253,8 +256,7 @@ def test_an_undecodable_result_frame_is_a_hole_not_a_dead_pool():
     seen = []
     outcome = run_units(
         _plan(4), _unrebuildable_u1, workers=2,
-        policy=RetryPolicy(max_retries=1, backoff_base_s=0.01,
-                           backoff_cap_s=0.05),
+        policy=RetryPolicy(max_retries=1),
         quarantine=quarantine,
         on_result=lambda unit, payload, wall: seen.append(unit.unit_id),
     )
@@ -268,7 +270,9 @@ def test_an_undecodable_result_frame_is_a_hole_not_a_dead_pool():
     assert after["respawns"] == before["respawns"]  # the workers were kept
 
 
-def test_a_task_the_worker_cannot_unpickle_is_a_hole_not_a_dead_worker():
+def test_a_task_the_worker_cannot_unpickle_is_a_hole_not_a_dead_worker(
+    fast_backoff,
+):
     """A task frame that will not rebuild in the worker fails the
     attempt it carried, retries, and is quarantined with the unpickle
     error; the worker lives on (no crash, no respawn)."""
@@ -282,8 +286,7 @@ def test_a_task_the_worker_cannot_unpickle_is_a_hole_not_a_dead_worker():
     seen = []
     outcome = run_units(
         plan, _double, workers=2,
-        policy=RetryPolicy(max_retries=1, backoff_base_s=0.01,
-                           backoff_cap_s=0.05),
+        policy=RetryPolicy(max_retries=1),
         quarantine=quarantine,
         on_result=lambda unit, payload, wall: seen.append((unit.unit_id,
                                                            payload)),

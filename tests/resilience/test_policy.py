@@ -3,21 +3,23 @@
 import pytest
 
 from repro.resilience import RetryPolicy
+from repro.resilience import policy as policy_module
 
 
 def test_backoff_is_deterministic_across_instances():
-    one = RetryPolicy(jitter_seed=7)
-    two = RetryPolicy(jitter_seed=7)
+    one = RetryPolicy()
+    two = RetryPolicy(max_retries=5)
     for attempt in range(5):
         assert one.backoff_delay("u", attempt) == two.backoff_delay(
             "u", attempt
         )
 
 
-def test_backoff_grows_exponentially_then_caps():
-    policy = RetryPolicy(
-        backoff_base_s=0.1, backoff_cap_s=0.4, jitter_frac=0.0
-    )
+def test_backoff_grows_exponentially_then_caps(monkeypatch):
+    monkeypatch.setattr(policy_module, "BACKOFF_BASE_S", 0.1)
+    monkeypatch.setattr(policy_module, "BACKOFF_CAP_S", 0.4)
+    monkeypatch.setattr(policy_module, "JITTER_FRAC", 0.0)
+    policy = RetryPolicy()
     assert policy.backoff_delay("u", 0) == pytest.approx(0.1)
     assert policy.backoff_delay("u", 1) == pytest.approx(0.2)
     assert policy.backoff_delay("u", 2) == pytest.approx(0.4)
@@ -25,16 +27,20 @@ def test_backoff_grows_exponentially_then_caps():
 
 
 def test_jitter_is_seeded_and_bounded():
-    policy = RetryPolicy(jitter_frac=0.25)
+    policy = RetryPolicy()
     draws = {
         (unit, attempt): policy.jitter(unit, attempt)
         for unit in ("a", "b", "c")
         for attempt in range(3)
     }
-    assert all(0.0 <= value < 0.25 for value in draws.values())
+    assert all(
+        0.0 <= value < policy_module.JITTER_FRAC for value in draws.values()
+    )
     assert len(set(draws.values())) > 1  # units draw independent jitter
-    reseeded = RetryPolicy(jitter_frac=0.25, jitter_seed=1)
-    assert reseeded.jitter("a", 0) != policy.jitter("a", 0)
+    delay = policy.backoff_delay("a", 0)
+    assert delay == pytest.approx(
+        policy_module.BACKOFF_BASE_S * (1.0 + draws[("a", 0)])
+    )
 
 
 def test_max_attempts_counts_the_first_run():
@@ -47,7 +53,3 @@ def test_validation():
         RetryPolicy(max_retries=-1)
     with pytest.raises(ValueError):
         RetryPolicy(unit_timeout_s=0)
-    with pytest.raises(ValueError):
-        RetryPolicy(backoff_base_s=-0.1)
-    with pytest.raises(ValueError):
-        RetryPolicy(jitter_frac=1.5)

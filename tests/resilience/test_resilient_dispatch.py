@@ -11,12 +11,15 @@ import pytest
 from repro.experiments.common import experiment_digest
 from repro.experiments.driver import FleetDriver, reproduce_all
 from repro.fleet.config import FleetConfig
-from repro.resilience import ChaosPlan, RetryPolicy
+from repro.resilience import ChaosPlan, RetryPolicy, activated
 from repro.sweep import CampaignSpec, FaultAxis, SweepRunner
 from repro.sweep.runner import sweep_plan
 
-FAST = RetryPolicy(max_retries=2, backoff_base_s=0.01, backoff_cap_s=0.05)
+pytestmark = pytest.mark.usefixtures("fast_backoff")
+
+FAST = RetryPolicy(max_retries=2)
 SCALE = 0.05
+CRASH_ALL = ChaosPlan(kind="crash", probability=1.0)
 
 
 def _digests(runs):
@@ -29,10 +32,8 @@ def _digests(runs):
 def test_fleet_digest_survives_worker_crashes():
     config = FleetConfig(n_nodes=8, agent="mixed", seed=5, duration_s=10)
     baseline = FleetDriver(config, workers=2).run()
-    chaotic = FleetDriver(
-        config, workers=2, resilience=FAST,
-        chaos=ChaosPlan(kind="crash", probability=1.0),
-    ).run()
+    with activated(CRASH_ALL):
+        chaotic = FleetDriver(config, workers=2, resilience=FAST).run()
     assert chaotic.digest() == baseline.digest()
     assert not chaotic.partial and chaotic.holes == ()
 
@@ -44,11 +45,9 @@ def test_fleet_poison_chunk_degrades_to_explicit_node_holes():
     chunks = driver.chunks()
     poison_id = f"chunk000(n{chunks[0][0]}+{len(chunks[0])})"
     log = []
-    driver = FleetDriver(
-        config, workers=2, resilience=FAST, quarantine=log,
-        chaos=ChaosPlan(kind="crash", poison_units=(poison_id,)),
-    )
-    aggregate = driver.run()
+    driver = FleetDriver(config, workers=2, resilience=FAST, quarantine=log)
+    with activated(ChaosPlan(kind="crash", poison_units=(poison_id,))):
+        aggregate = driver.run()
     assert aggregate.partial
     assert aggregate.holes == tuple(sorted(chunks[0]))
     assert "PARTIAL" in aggregate.render()
@@ -71,10 +70,10 @@ def test_fleet_aggregate_digest_is_unchanged_without_holes():
 
 def test_reproduce_all_digests_survive_crash_faults():
     baseline = reproduce_all(only=["fig6-left"], scale=SCALE)
-    chaotic = reproduce_all(
-        only=["fig6-left"], scale=SCALE, parallel=True, workers=2,
-        resilience=FAST, chaos=ChaosPlan(kind="crash", probability=1.0),
-    )
+    with activated(CRASH_ALL):
+        chaotic = reproduce_all(
+            only=["fig6-left"], scale=SCALE, workers=2, resilience=FAST,
+        )
     assert _digests(baseline) == _digests(chaotic)
     assert all(not run.partial for run in chaotic)
 
@@ -82,11 +81,11 @@ def test_reproduce_all_digests_survive_crash_faults():
 def test_reproduce_all_poison_unit_yields_partial_artifact():
     poison = f"fig6-left/image-dnn/on@{SCALE!r}"
     log = []
-    runs = reproduce_all(
-        only=["fig6-left", "table1"], scale=SCALE, parallel=True,
-        workers=2, resilience=FAST, quarantine=log,
-        chaos=ChaosPlan(kind="crash", poison_units=(poison,)),
-    )
+    with activated(ChaosPlan(kind="crash", poison_units=(poison,))):
+        runs = reproduce_all(
+            only=["fig6-left", "table1"], scale=SCALE, workers=2,
+            resilience=FAST, quarantine=log,
+        )
     by_name = {run.name: run for run in runs}
     partial = by_name["fig6-left"]
     assert partial.partial and partial.holes == (poison,)
@@ -122,10 +121,8 @@ def _spec():
 def test_sweep_digest_survives_crash_faults():
     spec = _spec()
     baseline = SweepRunner(spec, workers=2).run()
-    chaotic = SweepRunner(
-        spec, workers=2, resilience=FAST,
-        chaos=ChaosPlan(kind="crash", probability=1.0),
-    ).run()
+    with activated(CRASH_ALL):
+        chaotic = SweepRunner(spec, workers=2, resilience=FAST).run()
     assert chaotic.digest() == baseline.digest()
     assert not chaotic.partial and chaotic.holes == ()
 
@@ -136,10 +133,8 @@ def test_sweep_poison_cell_is_an_explicit_hole():
     # Node 0's baseline run belongs to the baseline cell only (node 0
     # is inside the burst's rack in both faulted cells).
     poison = baseline.node_runs()[0].unit_id()
-    report = SweepRunner(
-        spec, workers=2, resilience=FAST,
-        chaos=ChaosPlan(kind="crash", poison_units=(poison,)),
-    ).run()
+    with activated(ChaosPlan(kind="crash", poison_units=(poison,))):
+        report = SweepRunner(spec, workers=2, resilience=FAST).run()
     assert report.partial and report.holes == (baseline.unit_id(),)
     assert report.quarantined == (poison,)
     assert len(report.records) == len(spec.expand()) - 1
@@ -154,10 +149,8 @@ def test_sweep_executed_excludes_holes():
     spec = _spec()
     plan = sweep_plan(spec)
     poison = plan.unit_ids[-1]
-    report = SweepRunner(
-        spec, workers=2, resilience=FAST,
-        chaos=ChaosPlan(kind="crash", poison_units=(poison,)),
-    ).run()
+    with activated(ChaosPlan(kind="crash", poison_units=(poison,))):
+        report = SweepRunner(spec, workers=2, resilience=FAST).run()
     assert report.executed == len(plan.units) - 1
     assert report.from_cache == 0
 

@@ -6,8 +6,11 @@ from repro.resilience import (
     ChaosPlan,
     RetryPolicy,
     SupervisedPool,
+    activated,
     supervised_map,
 )
+
+pytestmark = pytest.mark.usefixtures("fast_backoff")
 
 
 def _double(payload):
@@ -40,8 +43,8 @@ def pool_env():
         pool.terminate()
 
 
-# Fast policy for tests: real backoff semantics, negligible wall time.
-FAST = RetryPolicy(max_retries=2, backoff_base_s=0.01, backoff_cap_s=0.05)
+# Real backoff semantics, negligible wall time (the fast_backoff fixture).
+FAST = RetryPolicy(max_retries=2)
 
 
 def test_plain_dispatch_completes_everything(pool_env):
@@ -103,11 +106,11 @@ def test_always_failing_unit_is_quarantined_with_history(pool_env):
 def test_crash_fault_is_retried_and_recovered(pool_env):
     factory, shutdown, _ = pool_env
     plan = ChaosPlan(kind="crash", probability=1.0)  # attempt 0 only
-    outcome = supervised_map(
-        _double, [(f"u{i}", i) for i in range(4)], workers=2,
-        pool_factory=factory, pool_shutdown=shutdown,
-        policy=FAST, chaos=plan,
-    )
+    with activated(plan):
+        outcome = supervised_map(
+            _double, [(f"u{i}", i) for i in range(4)], workers=2,
+            pool_factory=factory, pool_shutdown=shutdown, policy=FAST,
+        )
     assert outcome.results == {f"u{i}": 2 * i for i in range(4)}
     assert not outcome.partial
     assert outcome.retried == 4
@@ -117,11 +120,11 @@ def test_crash_fault_is_retried_and_recovered(pool_env):
 def test_poison_unit_quarantines_while_the_rest_complete(pool_env):
     factory, shutdown, _ = pool_env
     plan = ChaosPlan(kind="crash", poison_units=("u2",))
-    outcome = supervised_map(
-        _double, [(f"u{i}", i) for i in range(5)], workers=2,
-        pool_factory=factory, pool_shutdown=shutdown,
-        policy=FAST, chaos=plan,
-    )
+    with activated(plan):
+        outcome = supervised_map(
+            _double, [(f"u{i}", i) for i in range(5)], workers=2,
+            pool_factory=factory, pool_shutdown=shutdown, policy=FAST,
+        )
     assert outcome.holes == ["u2"]
     assert sorted(outcome.results) == ["u0", "u1", "u3", "u4"]
     (record,) = outcome.quarantined
@@ -130,16 +133,13 @@ def test_poison_unit_quarantines_while_the_rest_complete(pool_env):
 
 def test_hung_unit_is_killed_at_the_deadline(pool_env):
     factory, shutdown, _ = pool_env
-    plan = ChaosPlan(kind="hang", poison_units=("stuck",), hang_s=60.0)
-    policy = RetryPolicy(
-        max_retries=1, unit_timeout_s=0.3,
-        backoff_base_s=0.01, backoff_cap_s=0.05,
-    )
-    outcome = supervised_map(
-        _double, [("stuck", 1), ("fine", 2)], workers=2,
-        pool_factory=factory, pool_shutdown=shutdown,
-        policy=policy, chaos=plan,
-    )
+    plan = ChaosPlan(kind="hang", poison_units=("stuck",))
+    policy = RetryPolicy(max_retries=1, unit_timeout_s=0.3)
+    with activated(plan):
+        outcome = supervised_map(
+            _double, [("stuck", 1), ("fine", 2)], workers=2,
+            pool_factory=factory, pool_shutdown=shutdown, policy=policy,
+        )
     assert outcome.results == {"fine": 4}
     assert outcome.holes == ["stuck"]
     (record,) = outcome.quarantined

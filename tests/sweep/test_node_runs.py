@@ -11,7 +11,7 @@ and how a quarantined node run turns into report holes.
 import pytest
 
 from repro.fleet.config import FaultPlan, FleetConfig
-from repro.resilience import ChaosPlan, RetryPolicy
+from repro.resilience import ChaosPlan, RetryPolicy, activated
 from repro.sweep import (
     CampaignReport,
     CampaignSpec,
@@ -22,7 +22,7 @@ from repro.sweep import (
 )
 from repro.sweep.runner import sweep_plan
 
-FAST = RetryPolicy(max_retries=2, backoff_base_s=0.01, backoff_cap_s=0.05)
+FAST = RetryPolicy(max_retries=2)
 
 
 def _slots(spec):
@@ -132,7 +132,9 @@ def test_plan_lists_node_runs_in_first_appearance_order():
     assert all(unit.cost == spec.duration_s for unit in plan.units)
 
 
-def test_a_poisoned_node_run_holes_every_cell_that_contains_it():
+def test_a_poisoned_node_run_holes_every_cell_that_contains_it(
+    fast_backoff,
+):
     spec = CampaignSpec(
         name="poison",
         agents=("overclock",),
@@ -154,10 +156,10 @@ def test_a_poisoned_node_run_holes_every_cell_that_contains_it():
     )
     assert len(containing) == 2
     quarantine = []
-    report = SweepRunner(
-        spec, workers=2, resilience=FAST, quarantine=quarantine,
-        chaos=ChaosPlan(kind="crash", poison_units=(poison,)),
-    ).run()
+    with activated(ChaosPlan(kind="crash", poison_units=(poison,))):
+        report = SweepRunner(
+            spec, workers=2, resilience=FAST, quarantine=quarantine,
+        ).run()
     assert report.quarantined == (poison,)
     assert [record.unit_id for record in quarantine] == [poison]
     assert list(report.holes) == containing

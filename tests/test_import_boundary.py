@@ -54,6 +54,18 @@ def test_a_control_plane_module_loads_no_simulation(module):
     assert _python("-c", script).strip() == "[]"
 
 
+def test_the_cli_loads_no_worker_pool():
+    """Building the parser starts no pool, so it imports none: the pool
+    and ``multiprocessing`` load with the first pooled dispatch."""
+    script = (
+        "import sys, repro.cli\n"
+        "repro.cli._build_parser()\n"
+        "print(sorted(m for m in sys.modules if m in (\n"
+        "    'multiprocessing', 'pickle', 'repro.resilience.pool')))\n"
+    )
+    assert _python("-c", script).strip() == "[]"
+
+
 def test_repro_list_prints_what_it_always_printed():
     assert _python("-m", "repro", "list") == LIST_OUTPUT
 
