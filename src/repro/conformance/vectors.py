@@ -209,12 +209,17 @@ def save_vector(vector: KnownAnswerVector, directory: str) -> str:
 
 
 def read_json(path: str, what: str) -> Any:
-    """Parse one JSON file, failing closed: undecodable bytes, bad JSON
-    and nesting past the recursion limit are all a
-    :class:`VectorSchemaError` naming the file."""
+    """Parse one JSON file, failing closed: an unreadable file,
+    undecodable bytes, bad JSON and nesting past the recursion limit are
+    all a :class:`VectorSchemaError` naming the file."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
+    except OSError as error:
+        raise VectorSchemaError(
+            f"cannot read {what} {path} ({error.strerror or error}); "
+            "point --dir at the conformance corpus directory"
+        ) from None
     except (ValueError, RecursionError) as error:
         # ValueError covers JSONDecodeError and UnicodeDecodeError.
         reason = (

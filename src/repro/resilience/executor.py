@@ -28,7 +28,11 @@ from repro.cache import codec
 from repro.obs import spans as obs
 from repro.resilience.policy import RetryPolicy
 from repro.resilience.pool import shared_pool, shutdown_shared_pool
-from repro.resilience.supervisor import QuarantineRecord, supervised_map
+from repro.resilience.supervisor import (
+    DispatchCancelled,
+    QuarantineRecord,
+    supervised_map,
+)
 
 __all__ = ["Plan", "UnitsOutcome", "WorkUnit", "run_units"]
 
@@ -157,10 +161,12 @@ def run_units(
             in this process, pool-free.
         cache: result cache, or ``None``.
         journal: run journal, or ``None``.
-        policy / quarantine / cancel: supervised-dispatch knobs
-            (DESIGN.md §11); they only apply to pooled dispatch, as
-            does a ``$REPRO_CHAOS_PLAN`` fault plan.  ``quarantine`` is
-            a list each poisoned unit's record is appended to.
+        policy / quarantine: supervised-dispatch knobs (DESIGN.md
+            §11); they only apply to pooled dispatch, as does a
+            ``$REPRO_CHAOS_PLAN`` fault plan.  ``quarantine`` is a list
+            each poisoned unit's record is appended to.
+        cancel: cooperative stop switch, checked before each inline
+            unit and between polls of pooled dispatch.
         on_result: ``(unit, payload, wall_s)`` for every satisfied unit
             — replayed units first, then the cache hits (after their
             one batch commit), then executed units in completion order;
@@ -249,6 +255,10 @@ def run_units(
     queue = sorted(pending.values(), key=lambda unit: -unit.cost)
     if workers == 1 or len(queue) == 1:
         for unit in queue:
+            if cancel is not None and cancel.is_set():
+                raise DispatchCancelled(
+                    f"{plan.context} run cancelled before {unit.unit_id}"
+                )
             dispatched(unit.unit_id, 0)
             with obs.span(unit.unit_id, cat="unit", context=plan.context):
                 timed = _timed_call((unit_fn, unit.payload))

@@ -5,7 +5,8 @@ with explicit backpressure, one-at-a-time scheduling onto the warm
 shared worker pool, journal-backed execution (every job is a PR 8 run,
 so ``kill -9`` + restart adopts interrupted work with zero re-executed
 units), cooperative cancellation and deadlines, live drain on
-SIGTERM/SIGINT, and streamed per-job progress events.
+SIGTERM/SIGINT, and streamed per-job progress events read from one
+bounded backlog per job.
 
 The server itself (:mod:`repro.serve.server`, and with it ``asyncio``)
 is imported only by ``serve start`` and by whoever imports it by name:
@@ -16,7 +17,6 @@ from repro.serve.client import ServeClient, ServeUnavailable, wait_for_server
 from repro.serve.jobs import (
     JOB_KINDS,
     Job,
-    JobCancelled,
     JournalTap,
     execute_job,
 )
@@ -25,7 +25,6 @@ from repro.serve.protocol import MAX_LINE, PROTOCOL_VERSION, ProtocolError
 __all__ = [
     "JOB_KINDS",
     "Job",
-    "JobCancelled",
     "JournalTap",
     "MAX_LINE",
     "PROTOCOL_VERSION",

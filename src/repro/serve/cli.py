@@ -75,9 +75,6 @@ def add_serve_parser(sub: argparse._SubParsersAction) -> None:
         help="SIGTERM grace before in-flight jobs are cancelled "
              "(default: %(default)ss)",
     )
-    add_workers_flag(
-        start, 2, "pool size for adopted jobs with no recorded worker count"
-    )
 
     submit = serve_sub.add_parser(
         "submit", help="submit one job and watch it"
@@ -173,7 +170,6 @@ def _cmd_start(args: argparse.Namespace) -> int:
         socket_path=args.socket,
         queue_limit=args.queue_limit,
         drain_grace_s=args.drain_grace,
-        default_workers=args.workers,
     )
     return asyncio.run(server.run())
 

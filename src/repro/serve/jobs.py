@@ -21,13 +21,12 @@ Execution happens in a worker thread (``asyncio.to_thread``); the
 server's event loop stays responsive.  Progress streams out through a
 :class:`JournalTap` — a delegating wrapper around the run journal whose
 record hooks double as event emitters, so "what the client sees" is
-exactly "what became durable", in order.  Cancellation is cooperative
-and two-pronged: the job's cancel event, passed down the launch
-ladder as ``cancel=``, stops pooled dispatch between poll iterations
-(in-flight workers killed, pool kept warm), and the tap's
-dispatch-intent hook stops inline (``workers=1``) execution between
-units.  Either way the journal is left unsealed — resumable — and the
-lease is released.
+exactly "what became durable", in order.  Cancellation is cooperative:
+the job's cancel event, passed down the launch ladder as ``cancel=``,
+is checked by :func:`~repro.resilience.executor.run_units` before each
+inline unit and by pooled dispatch between polls (in-flight workers
+killed, pool kept warm).  Either way the journal is left unsealed —
+resumable — and the lease is released.
 """
 
 from __future__ import annotations
@@ -39,13 +38,12 @@ from typing import Any, Callable, Dict, Iterable, Optional
 
 from repro.journal.registry import RunInfo
 from repro.journal.run import DoneItem, RunJournal, derive_run_id
-from repro.resilience.supervisor import DispatchCancelled
 from repro.serve import protocol
 
 __all__ = [
+    "DEFAULT_WORKERS",
     "JOB_KINDS",
     "Job",
-    "JobCancelled",
     "JournalTap",
     "execute_job",
     "job_from_run_info",
@@ -54,16 +52,15 @@ __all__ = [
 
 JOB_KINDS = ("fleet", "reproduce", "sweep")
 
+#: Pool size of a job whose submission or manifest names none.
+DEFAULT_WORKERS = 2
+
 #: Statuses a job can end in (no further events after these).
 TERMINAL_STATUSES = (
     "done", "failed", "cancelled", "expired", "drained",
 )
 
 Emit = Callable[..., None]
-
-
-class JobCancelled(DispatchCancelled):
-    """Inline-path cancellation, raised between units by the tap."""
 
 
 @dataclass
@@ -74,7 +71,7 @@ class Job:
     kind: str
     payload: Dict[str, Any]
     run_id: str
-    workers: int = 2
+    workers: int = DEFAULT_WORKERS
     deadline_s: Optional[float] = None
     adopted: bool = False
     status: str = "queued"
@@ -158,7 +155,7 @@ def job_from_submission(
     payload = _normalized_payload(kind, config)
     workers = message.get("workers")
     if workers is None:
-        workers = 2
+        workers = DEFAULT_WORKERS
     if not protocol.is_int(workers) or workers < 1:
         raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
     deadline_s = message.get("deadline_s")
@@ -187,7 +184,9 @@ def job_from_run_info(job_id: str, info: RunInfo) -> Job:
         kind=info.kind,
         payload=dict(info.manifest.get("config", {})),
         run_id=info.run_id,
-        workers=info.manifest.get("plan", {}).get("workers", 2),
+        workers=info.manifest.get("plan", {}).get(
+            "workers", DEFAULT_WORKERS
+        ),
         adopted=True,
     )
 
@@ -197,17 +196,15 @@ class JournalTap:
 
     Every attribute not overridden here reaches through to the wrapped
     :class:`RunJournal`, so the pipelines use the tap exactly like the
-    journal.  The overridden record hooks (a) forward to the journal
-    first — an event is only ever emitted for a record that is already
+    journal.  The overridden record hooks forward to the journal first,
+    so an event is only ever emitted for a record that is already
     durable; a batch is forwarded whole (one commit) and its ``unit``
-    events follow, in order — and (b) check the job's cancel flag on
-    dispatch intent, which is the between-units cancellation point for
-    inline (pool-free) execution paths.
+    events follow, in order.  Dispatch intents are not durable, so they
+    pass straight through and emit nothing.
     """
 
-    def __init__(self, journal: RunJournal, job: Job, emit: Emit) -> None:
+    def __init__(self, journal: RunJournal, emit: Emit) -> None:
         self._journal = journal
-        self._job = job
         self._emit = emit
 
     def __getattr__(self, name: str) -> Any:
@@ -220,14 +217,6 @@ class JournalTap:
             "total": len(self._journal.units),
             "done": stats.replayed + stats.executed + stats.cached,
         }
-
-    def record_dispatched(self, unit_id: str, attempt: int) -> None:
-        if self._job.cancel.is_set():
-            raise JobCancelled(
-                f"job {self._job.job_id} cancelled before dispatching "
-                f"{unit_id}"
-            )
-        self._journal.record_dispatched(unit_id, attempt)
 
     def record_done_many(self, items: Iterable[DoneItem]) -> None:
         items = list(items)
@@ -290,7 +279,7 @@ def execute_job(
             units=len(journal.units),
             replayed=journal.stats.replayed,
         )
-        return JournalTap(journal, job, emit)
+        return JournalTap(journal, emit)
 
     # The admission→execution span: the job's whole pipeline runs
     # under a traced root whose sidecar lands next to the journal

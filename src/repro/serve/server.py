@@ -2,13 +2,19 @@
 
 One server owns one cache root.  Clients connect over a local stream
 socket (:mod:`repro.serve.protocol`) and submit fleet / reproduce /
-sweep jobs; the server validates at admission time, queues onto a
-*bounded* admission queue (full queue → explicit backpressure reply
-with a retry-after hint, never unbounded buffering), and executes jobs
-one at a time on the process-wide warm
+sweep jobs; the server validates at admission time, queues onto one
+*bounded* deque of queued jobs (adopted runs first; a full queue gets an
+explicit backpressure reply with a retry-after hint, never unbounded
+buffering), and executes jobs one at a time on the process-wide warm
 :func:`~repro.resilience.pool.shared_pool` (``supervised_map`` is
 deliberately not reentrant, so the scheduler serializes — the pool
 itself still fans each job out across workers).
+
+Each job's bounded event backlog is the only event store: a ``watch``
+sends the entries newer than its ``since``.  Nothing polls: the
+scheduler, every ``watch`` and a drain wait on one server-wide wake-up
+(:meth:`ServeServer._wake`), which every event, admission and drain
+fires, and deadlines are ``loop.call_later`` timers.
 
 Crash tolerance is inherited, not bolted on: every job runs under a
 run journal opened in resume mode, so a ``kill -9`` of the server
@@ -33,6 +39,7 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import math
 import os
 import signal
 import socket as socket_module
@@ -57,7 +64,9 @@ from repro.serve.metrics import ServeMetrics
 
 __all__ = ["ServeServer"]
 
-#: Events retained per job for late ``watch`` subscribers.
+#: Events retained per job: the one event store ``watch`` reads.  A
+#: watcher that falls this far behind loses the rotated-out events
+#: (counted in ``metrics.events.dropped``), never server memory.
 EVENT_BACKLOG = 512
 
 #: Terminal jobs the server remembers (newest-finished kept): beyond it
@@ -66,32 +75,6 @@ EVENT_BACKLOG = 512
 #: registry.  Bounds server memory and the bare ``status`` reply
 #: (~384 bytes per view against ``protocol.MAX_LINE``).
 RETAINED_JOBS = 256
-
-#: Per-subscriber event queue bound; a subscriber this far behind a
-#: job's event stream starts losing the oldest events (counted in
-#: ``metrics.events.dropped``) rather than growing server memory.
-SUBSCRIBER_QUEUE = 1024
-
-
-class _Subscriber:
-    """One ``watch`` subscription: a bounded per-connection queue."""
-
-    def __init__(self) -> None:
-        self.queue: asyncio.Queue = asyncio.Queue(maxsize=SUBSCRIBER_QUEUE)
-        self.dropped = 0
-
-    def offer(self, message: Dict[str, Any]) -> bool:
-        """Enqueue without blocking; shed oldest on overflow."""
-        shed = False
-        while True:
-            try:
-                self.queue.put_nowait(message)
-                return shed
-            except asyncio.QueueFull:
-                with contextlib.suppress(asyncio.QueueEmpty):
-                    self.queue.get_nowait()
-                    self.dropped += 1
-                shed = True
 
 
 @dataclass
@@ -103,19 +86,17 @@ class ServeServer:
             under ``<cache_root>/runs/``).
         socket_path: listening socket (default
             ``<cache_root>/serve.sock``).
-        queue_limit: bounded admission queue size; submissions beyond
-            it get an explicit backpressure rejection.
+        queue_limit: bounded admission queue size (adopted jobs do not
+            count); submissions beyond it get an explicit backpressure
+            rejection.
         drain_grace_s: how long SIGTERM lets in-flight work finish
             before cancelling it.
-        default_workers: pool size for adopted jobs whose manifest
-            records none.
     """
 
     cache_root: str
     socket_path: Optional[str] = None
     queue_limit: int = 8
     drain_grace_s: float = 5.0
-    default_workers: int = 2
 
     exit_code: int = 0
     jobs: Dict[str, Job] = field(default_factory=dict)
@@ -130,16 +111,15 @@ class ServeServer:
         self._accepting = True
         self._draining = False
         self._job_seq = 0
-        self._queue: Optional[asyncio.Queue] = None
-        self._backlog: Deque[Job] = deque()  # adopted jobs, served first
+        self._queued: Deque[Job] = deque()  # adopted jobs first
         self._events: Dict[str, Deque[Dict[str, Any]]] = {}
         self._event_seq: Dict[str, int] = {}
-        self._subscribers: Dict[str, list] = {}
+        self._watchers: Dict[str, int] = {}
         self._current: Optional[Job] = None
+        self._changed = asyncio.Event()
         self._shutdown = asyncio.Event()
         self._stack_loaded = asyncio.Event()
         self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._started_log = False
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -147,7 +127,6 @@ class ServeServer:
     async def run(self) -> int:
         """Serve until drained or signalled; returns the exit code."""
         self._loop = asyncio.get_running_loop()
-        self._queue = asyncio.Queue(maxsize=self.queue_limit)
         self._install_signal_handlers()
         self._remove_stale_socket()
         os.makedirs(os.path.dirname(self.socket_path) or ".", exist_ok=True)
@@ -176,6 +155,12 @@ class ServeServer:
 
     def _log(self, line: str) -> None:
         print(line, flush=True)
+
+    def _wake(self) -> None:
+        """Wake everything waiting on :attr:`_changed` (the scheduler,
+        watchers, a drain) and arm a fresh event for the next wait."""
+        self._changed.set()
+        self._changed = asyncio.Event()
 
     def _install_signal_handlers(self) -> None:
         # add_signal_handler is main-thread-only; in-thread test servers
@@ -246,43 +231,32 @@ class ServeServer:
         self._draining = True
         self._accepting = False
         self.exit_code = exit_code
+        self._wake()  # an idle scheduler stops now
         asyncio.ensure_future(self._drain(grace_s))
 
     async def _drain(self, grace_s: float) -> None:
         """Stop admitting, settle in-flight work, then shut down."""
-        self._drop_queued(status="drained")
+        self._drop_queued()
         current = self._current
-        if current is not None and not current.terminal:
-            if grace_s > 0:
-                deadline = time.monotonic() + grace_s
-                while (
-                    time.monotonic() < deadline
-                    and self._current is current
-                    and not current.terminal
-                ):
-                    await asyncio.sleep(0.05)
-            if self._current is current and not current.terminal:
-                current.request_cancel("drain")
-        # The scheduler notices the empty queue + drain flag and stops;
-        # _finish_scheduler awaits the in-flight thread so the journal
-        # close (lease release) has happened before we exit.
+        if current is not None:
+            assert self._loop is not None
+            grace = self._loop.call_later(
+                grace_s, current.request_cancel, "drain"
+            )
+            while not current.terminal:  # its last event wakes us
+                await self._changed.wait()
+            grace.cancel()
+        # The scheduler stops after the job it was running; the
+        # _finish_scheduler await covers the job thread's journal close
+        # (lease release) before we exit.
         self._shutdown.set()
 
-    def _drop_queued(self, status: str) -> None:
-        """Mark every queued-not-started job terminal (journals never
+    def _drop_queued(self) -> None:
+        """Mark every queued-not-started job drained (journals never
         opened, so there is nothing to release)."""
-        for job in self._backlog:
-            if job.status == "queued":
-                self._finish(job, status, {"reason": "drain"})
-        self._backlog.clear()
-        if self._queue is not None:
-            while True:
-                try:
-                    job = self._queue.get_nowait()
-                except asyncio.QueueEmpty:
-                    break
-                if job.status == "queued":
-                    self._finish(job, status, {"reason": "drain"})
+        while self._queued:
+            self._finish(self._queued.popleft(), "drained",
+                         {"reason": "drain"})
 
     async def _finish_scheduler(self, scheduler: asyncio.Task) -> None:
         with contextlib.suppress(asyncio.CancelledError):
@@ -311,10 +285,8 @@ class ServeServer:
                 self._log(f"[serve: not adopting — {exc}]")
                 continue
             job = job_from_run_info(self._next_job_id(), info)
-            if job.workers < 1:
-                job.workers = self.default_workers
             self.jobs[job.job_id] = job
-            self._backlog.append(job)
+            self._queued.append(job)
             self.metrics.adopted += 1
             self._log(
                 f"[serve: adopted interrupted run {info.run_id} "
@@ -334,46 +306,33 @@ class ServeServer:
         reentrant; the pool parallelism lives inside each job).  The
         execution stack is imported first, off the loop, after the bind:
         pings are answered meanwhile, and no pool forks mid-import."""
-        assert self._queue is not None
         try:
             await asyncio.to_thread(import_module, "repro.journal.pipelines")
         except Exception as exc:  # each job then fails with this error
             self._log(f"[serve: execution stack failed to import: {exc}]")
         finally:
             self._stack_loaded.set()
-        while not (self._draining and not self._backlog
-                   and self._queue.empty()):
-            job = await self._next_job()
-            if job is None:
+        while not self._draining:
+            if not self._queued:
+                await self._changed.wait()
                 continue
-            if job.terminal:  # cancelled while queued
-                continue
+            job = self._queued.popleft()
             self._current = job
             try:
                 await self._run_job(job)
             finally:
                 self._current = None
-            if self._draining:
-                break
-
-    async def _next_job(self) -> Optional[Job]:
-        if self._backlog:
-            return self._backlog.popleft()
-        assert self._queue is not None
-        try:
-            return await asyncio.wait_for(self._queue.get(), timeout=0.2)
-        except asyncio.TimeoutError:
-            return None
 
     async def _run_job(self, job: Job) -> None:
         job.status = "running"
         job.started_at = time.time()
         self._emit(job, "running", {"kind": job.kind, "run_id": job.run_id})
-        watchdog: Optional[asyncio.Task] = None
-        if job.deadline_s is not None:
-            watchdog = asyncio.create_task(self._deadline(job))
         assert self._loop is not None
         loop = self._loop
+        deadline = loop.call_later(
+            math.inf if job.deadline_s is None else job.deadline_s,
+            self._expire, job,
+        )
 
         def emit_from_thread(kind: str, **fields: Any) -> None:
             loop.call_soon_threadsafe(self._emit, job, kind, fields)
@@ -412,14 +371,9 @@ class ServeServer:
                 f"sealed {job.digest}]"
             )
         finally:
-            if watchdog is not None:
-                watchdog.cancel()
-                with contextlib.suppress(asyncio.CancelledError):
-                    await watchdog
+            deadline.cancel()
 
-    async def _deadline(self, job: Job) -> None:
-        assert job.deadline_s is not None
-        await asyncio.sleep(job.deadline_s)
+    def _expire(self, job: Job) -> None:
         if not job.terminal:
             self._log(
                 f"[serve: job {job.job_id} exceeded "
@@ -430,7 +384,7 @@ class ServeServer:
     def _finish(self, job: Job, status: str, fields: Dict[str, Any]) -> None:
         """Move ``job`` to a terminal ``status``, emit its last event,
         and forget the oldest-finished jobs beyond :data:`RETAINED_JOBS`
-        — never one a ``watch`` is still subscribed to."""
+        — never one a ``watch`` is still following."""
         job.status = status
         job.finished_at = time.time()
         self._emit(job, status, fields)
@@ -442,7 +396,7 @@ class ServeServer:
         for old in finished:
             if excess <= 0:
                 break
-            if self._subscribers.get(old.job_id):
+            if old.job_id in self._watchers:
                 continue
             del self.jobs[old.job_id]
             self._events.pop(old.job_id, None)
@@ -461,9 +415,7 @@ class ServeServer:
         )
         backlog.append(message)
         self.metrics.events_emitted += 1
-        for subscriber in self._subscribers.get(job.job_id, []):
-            if subscriber.offer(message):
-                self.metrics.events_dropped += 1
+        self._wake()
 
     # ------------------------------------------------------------------
     # connection handling
@@ -537,10 +489,9 @@ class ServeServer:
             await self._reply(writer, self._handle_status(message))
             return False
         if verb == "metrics":
-            assert self._queue is not None
             snap = self.metrics.snapshot(
                 self.jobs.values(),
-                queue_depth=self._queue.qsize() + len(self._backlog),
+                queue_depth=len(self._queued),
                 queue_limit=self.queue_limit,
                 accepting=self._accepting,
                 draining=self._draining,
@@ -580,7 +531,6 @@ class ServeServer:
     def _handle_submit(self, message: Dict[str, Any]) -> Dict[str, Any]:
         if not self._accepting:
             return protocol.error("server is draining", draining=True)
-        assert self._queue is not None
         try:
             job = job_from_submission(self._next_job_id(), message)
         except ValueError as exc:
@@ -595,16 +545,16 @@ class ServeServer:
                     status=existing.status,
                     deduplicated=True,
                 )
-        depth = self._queue.qsize() + len(self._backlog)
-        try:
-            self._queue.put_nowait(job)
-        except asyncio.QueueFull:
+        depth = len(self._queued)
+        adopted = sum(queued.adopted for queued in self._queued)
+        if depth - adopted >= self.queue_limit:
             self.metrics.rejected += 1
             return protocol.backpressure(
                 retry_after_s=max(1.0, 0.5 * depth),
                 depth=depth,
                 limit=self.queue_limit,
             )
+        self._queued.append(job)
         self.jobs[job.job_id] = job
         self.metrics.submitted += 1
         self._emit(job, "queued", {
@@ -648,11 +598,11 @@ class ServeServer:
             return protocol.error(
                 f"job {job_id} already {job.status}", status=job.status
             )
-        if job.status == "queued":
-            job.request_cancel("client")
+        job.request_cancel("client")
+        if job.status == "queued":  # frees its queue slot at once
+            self._queued.remove(job)
             self._finish(job, "cancelled", {"reason": "client"})
             return protocol.ok(job_id=job_id, status="cancelled")
-        job.request_cancel("client")
         return protocol.ok(job_id=job_id, status="cancelling")
 
     async def _handle_watch(
@@ -676,26 +626,30 @@ class ServeServer:
         await self._reply(writer, protocol.ok(
             job_id=job_id, watching=True, since=since
         ))
-        subscriber = _Subscriber()
-        listeners = self._subscribers.setdefault(job_id, [])
-        listeners.append(subscriber)
+        # Send what the backlog holds past `since`, then sleep until the
+        # next event; a gap between two sends is events the backlog
+        # rotated out while this watcher was behind.
+        self._watchers[job_id] = self._watchers.get(job_id, 0) + 1
+        sent: Optional[int] = None
         try:
-            for past in list(self._events.get(job_id, ())):
-                if past["seq"] > since:
-                    await self._reply(writer, past)
-                    since = past["seq"]
-            while not (job.terminal and subscriber.queue.empty()):
-                try:
-                    message_out = await asyncio.wait_for(
-                        subscriber.queue.get(), timeout=0.2
-                    )
-                except asyncio.TimeoutError:
+            while True:
+                fresh = [
+                    past for past in self._events.get(job_id, ())
+                    if past["seq"] > since
+                ]
+                if not fresh:
+                    if job.terminal:
+                        return
+                    await self._changed.wait()
                     continue
-                if message_out["seq"] <= since:
-                    continue
-                await self._reply(writer, message_out)
-                since = message_out["seq"]
+                for message_out in fresh:
+                    if sent is not None:
+                        self.metrics.events_dropped += (
+                            message_out["seq"] - sent - 1
+                        )
+                    await self._reply(writer, message_out)
+                    since = sent = message_out["seq"]
         finally:
-            listeners.remove(subscriber)
-            if not listeners:
-                self._subscribers.pop(job_id, None)
+            self._watchers[job_id] -= 1
+            if not self._watchers[job_id]:
+                del self._watchers[job_id]

@@ -35,6 +35,19 @@ def test_check_fails_on_missing_vector(tmp_path, capsys):
     assert "NONCONFORMANT" in out
 
 
+def test_check_of_a_missing_corpus_directory_is_a_usage_error(tmp_path):
+    """Run outside the repository root, the default ``--dir`` names no
+    directory: the check ends in one ``repro: error:`` line naming the
+    file and ``--dir``, not a traceback."""
+    missing = tmp_path / "no-corpus"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["conformance", "check", "--dir", str(missing),
+              "--scenario", "kernel-churn-s3"])
+    message = str(exit_info.value.code)
+    assert message.startswith("repro: error: cannot read golden-digest")
+    assert str(missing) in message and "--dir" in message
+
+
 def test_diff_equivalent_impls_exits_zero(capsys):
     assert main([
         "conformance", "diff", "kernel:current", "kernel:seed",

@@ -182,13 +182,16 @@ def test_replayed_quarantine_is_a_hole_without_redispatch():
     assert ("dispatched", "u0") not in log
 
 
-def test_cancellation_leaves_the_journal_unsealed():
+@pytest.mark.parametrize("workers", [1, 2])
+def test_cancellation_leaves_the_journal_unsealed(workers):
+    """Inline and pooled runs check the same cancel event: once it is
+    set, no unit is recorded done and the run is not sealed."""
     log = []
     cancel = threading.Event()
     cancel.set()
     with pytest.raises(DispatchCancelled):
         run_units(
-            _plan(3), _double, workers=2, journal=FakeJournal(log),
+            _plan(3), _double, workers=workers, journal=FakeJournal(log),
             cancel=cancel,
         )
     assert not any(entry[0] in ("seal", "done") for entry in log)

@@ -5,11 +5,7 @@ import pytest
 from repro.fleet.config import FleetConfig
 from repro.journal.pipelines import fleet_payload, open_fleet_journal
 from repro.journal.run import derive_run_id
-from repro.serve.jobs import (
-    JobCancelled,
-    JournalTap,
-    job_from_submission,
-)
+from repro.serve.jobs import JournalTap, job_from_submission
 
 FLEET_CONFIG = fleet_payload(
     FleetConfig(n_nodes=4, agent="overclock", seed=3, duration_s=10)
@@ -80,10 +76,9 @@ def test_tap_delegates_and_emits_after_durable_write(tmp_path):
             n_nodes=2, agent="overclock", seed=0, duration_s=10
         ), workers=1,
     )
-    job = _submit()
     events = []
     tap = JournalTap(
-        journal, job, lambda kind, **fields: events.append((kind, fields))
+        journal, lambda kind, **fields: events.append((kind, fields))
     )
     try:
         unit = journal.units[0]
@@ -111,7 +106,7 @@ def test_tap_emits_no_unit_event_before_the_fsync_covering_it(
     )
     events = []
     tap = JournalTap(
-        journal, _submit(),
+        journal,
         lambda kind, **fields: events.append(
             (fields["unit"], len(fsyncs), fields["progress"]["done"])
         ),
@@ -132,19 +127,3 @@ def test_tap_emits_no_unit_event_before_the_fsync_covering_it(
     finally:
         journal.close()
 
-
-def test_tap_raises_job_cancelled_between_units(tmp_path):
-    journal = open_fleet_journal(
-        str(tmp_path), FleetConfig(
-            n_nodes=2, agent="overclock", seed=0, duration_s=10
-        ), workers=1,
-    )
-    job = _submit()
-    tap = JournalTap(journal, job, lambda kind, **fields: None)
-    try:
-        job.request_cancel("client")
-        with pytest.raises(JobCancelled):
-            tap.record_dispatched(journal.units[0], 1)
-        assert job.cancel_reason == "client"
-    finally:
-        journal.close()

@@ -360,6 +360,32 @@ def test_full_queue_gets_explicit_backpressure(server_thread):
             client.cancel(r["job_id"])
 
 
+def test_a_cancelled_queued_job_frees_its_queue_slot(server_thread):
+    """Cancelling a queued job takes it off the queue at once: with
+    ``queue_limit=1``, the next submission is admitted, and the queue
+    depth no longer counts the cancelled job."""
+    client = server_thread(queue_limit=1).start()
+    running = client.submit("fleet", fleet_payload(LONG), workers=2)
+    deadline = time.monotonic() + 30.0
+    while (client.status(running["job_id"])["job"]["status"] == "queued"
+           and time.monotonic() < deadline):
+        time.sleep(0.05)
+    queued = client.submit("fleet", fleet_payload(FleetConfig(
+        n_nodes=16, agent="overclock", seed=8, duration_s=3600,
+    )), workers=2)
+    assert queued["ok"], queued
+    assert client.cancel(queued["job_id"])["status"] == "cancelled"
+    assert client.metrics()["metrics"]["queue"]["depth"] == 0
+    third = client.submit("fleet", fleet_payload(FleetConfig(
+        n_nodes=16, agent="overclock", seed=9, duration_s=3600,
+    )), workers=2)
+    assert third["ok"], third
+    assert third["queue_depth"] == 1
+    for job in (third, running):
+        client.cancel(job["job_id"])
+        client.wait(job["job_id"])
+
+
 def test_cancel_leaves_run_resumable_and_releases_lease(
     server_thread, cache_root
 ):
@@ -448,7 +474,7 @@ def test_drain_releases_leases_and_second_server_adopts(
         journal.close()
     assert inspect_run(cache_root, run_id).status == "interrupted"
 
-    st = server_thread(default_workers=1)
+    st = server_thread()
     client = st.start()
     job = client.find_by_run(run_id)
     assert job is not None, "server did not adopt the interrupted run"
@@ -572,13 +598,13 @@ def test_finished_jobs_are_bounded_and_evicted_ids_are_unknown(
         job_ids.append(reply["job_id"])
     server = st.server
     assert len(server.jobs) == server_module.RETAINED_JOBS == 256
-    # Every per-job table shrank with it, and no subscriber list
-    # lingers once the last watch handler has unwound.
+    # Every per-job table shrank with it, and no watcher count lingers
+    # once the last watch handler has unwound.
     assert set(server._events) == set(server._event_seq) == set(server.jobs)
     deadline = time.monotonic() + 5.0
-    while server._subscribers and time.monotonic() < deadline:
+    while server._watchers and time.monotonic() < deadline:
         time.sleep(0.01)
-    assert server._subscribers == {}
+    assert server._watchers == {}
     assert list(server.jobs) == job_ids[-256:]  # oldest-finished went first
     listing = client.status()
     assert len(listing["jobs"]) == 256
@@ -603,7 +629,7 @@ def test_a_job_with_a_live_subscriber_is_never_evicted(cache_root):
             run_id=f"run{index}")
         for index in range(server_module.RETAINED_JOBS + 2)
     ]
-    server._subscribers[jobs[0].job_id] = [server_module._Subscriber()]
+    server._watchers[jobs[0].job_id] = 1
     for job in jobs:
         server.jobs[job.job_id] = job
         server._finish(job, "done", {})
@@ -612,6 +638,56 @@ def test_a_job_with_a_live_subscriber_is_never_evicted(cache_root):
     assert jobs[0].job_id in kept  # oldest, but watched: passed over
     assert jobs[1].job_id not in kept and jobs[2].job_id not in kept
     assert jobs[0].job_id in server._events
+
+
+def test_a_watcher_behind_the_backlog_counts_the_events_it_missed(
+    cache_root,
+):
+    """The per-job backlog is the only event store: a watcher stalled
+    while 601 events arrive resumes from the oldest one still held, and
+    ``events.dropped`` counts the 89 that rotated out past it."""
+    from repro.serve import server as server_module
+    from repro.serve.jobs import Job
+
+    class StalledWriter:
+        def __init__(self):
+            self.seqs = []
+            self.gate = asyncio.Event()
+            self.gate.set()
+
+        def write(self, line):
+            self.seqs.append(json.loads(line).get("seq"))
+
+        async def drain(self):
+            await self.gate.wait()
+
+    async def scenario():
+        server = ServeServer(cache_root=cache_root)
+        job = Job(job_id="job-0001", kind="fleet", payload={}, run_id="r")
+        server.jobs[job.job_id] = job
+        server._emit(job, "queued", {})
+        writer = StalledWriter()
+        watch = asyncio.ensure_future(server._handle_watch(
+            {"verb": "watch", "job_id": job.job_id}, writer
+        ))
+        while writer.seqs != [None, 1]:  # the ok reply, then seq 1
+            await asyncio.sleep(0)
+        writer.gate.clear()
+        server._emit(job, "unit", {})  # seq 2: sent, then stalled
+        while writer.seqs[-1] != 2:
+            await asyncio.sleep(0)
+        for _ in range(600):  # seqs 3..602
+            server._emit(job, "unit", {})
+        server._finish(job, "done", {})  # seq 603; the backlog holds 92..
+        writer.gate.set()
+        await watch
+        return server, writer.seqs
+
+    server, seqs = asyncio.run(asyncio.wait_for(scenario(), 30.0))
+    held = server_module.EVENT_BACKLOG
+    assert seqs == [None, 1, 2] + list(range(603 - held + 1, 604))
+    assert server.metrics.events_dropped == 603 - held - 2 == 89
+    assert server._watchers == {}
 
 
 def test_startup_skips_a_run_journaled_by_another_build(
@@ -672,7 +748,7 @@ def test_a_non_object_manifest_hides_no_other_interrupted_run(
     ) == 1
     assert "no journaled run '0123456789abcdef'" in capsys.readouterr().out
 
-    st = server_thread(default_workers=1)
+    st = server_thread()
     client = st.start()
     job = client.find_by_run(good)
     assert job is not None and job["adopted"] is True
@@ -724,7 +800,7 @@ def test_wrong_typed_manifest_fields_hide_no_other_interrupted_run(
         ) == 1
         assert f"no journaled run '{run_id}'" in capsys.readouterr().out
 
-    st = server_thread(default_workers=1)
+    st = server_thread()
     client = st.start()
     job = client.find_by_run(good)
     assert job is not None and job["adopted"] is True
