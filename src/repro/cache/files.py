@@ -1,9 +1,9 @@
 """The one IO seam: every whole-file write and every fsync.
 
 Callers choose ``durable`` (DESIGN.md §8): the run manifest is durable
-because replay trusts it; a cache object, ``unit_timings.json`` and
-``metrics.json`` are not, because losing one costs a miss or a
-snapshot, never a result.  ``os.fsync`` is looked up at call time, so
+because replay trusts it; a cache object and ``unit_timings.json``
+are not, because losing one costs a miss or a dispatch-order hint,
+never a result.  ``os.fsync`` is looked up at call time, so
 whatever swaps it sees every fsync.  Outside the code salt, and
 imports nothing from ``repro``.
 """

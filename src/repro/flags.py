@@ -147,8 +147,8 @@ def add_resilience_flags(parser: argparse.ArgumentParser) -> None:
 def add_trace_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--no-trace", dest="trace", action="store_false", default=True,
-        help="disable the telemetry sidecar (trace.jsonl/metrics.json "
-             "next to the run journal); results and digests are "
+        help="disable the telemetry sidecar (trace.jsonl next to the "
+             "run journal); results and digests are "
              "bit-identical either way (DESIGN.md §14)",
     )
 

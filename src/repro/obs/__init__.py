@@ -1,13 +1,13 @@
-"""repro.obs — unified observability: spans, sidecars, export.
+"""repro.obs — unified observability: spans, the sidecar, export.
 
 One layer answers "where did this run spend its time": a hierarchical
 span :mod:`tracer <repro.obs.spans>` (run → pipeline → unit → attempt,
-plus cache/journal/pool/serve internals), crash-tolerant
-:mod:`telemetry sidecars <repro.obs.sidecar>` written next to each run
-journal, and :mod:`exporters <repro.obs.export>` for Chrome/Perfetto
-traces and Prometheus text exposition.  The stack's counters are plain
+plus cache/journal/pool/serve internals), the crash-tolerant
+:mod:`telemetry sidecar <repro.obs.sidecar>` (``trace.jsonl``) written
+next to each run journal, and :mod:`exporters <repro.obs.export>` for
+Chrome/Perfetto traces and Prometheus text exposition.  The stack's counters are plain
 dataclass fields on their owners (``CacheStats``, ``PoolCounters``,
-``ServeMetrics``; DESIGN.md §14); this package only records them.
+``ServeMetrics``; DESIGN.md §14); this package only renders them.
 
 Telemetry is strictly out-of-band: records never enter unit payloads,
 cache keys, journal records, or digests, and this package is excluded
@@ -23,12 +23,11 @@ The one-call entry point for pipelines is :func:`run_tracing`::
 from __future__ import annotations
 
 import contextlib
-from typing import Any, Dict, Iterator, Optional
+from typing import Any, Iterator, Optional
 
 from repro.obs.export import chrome_trace, render_prometheus
 from repro.obs.sidecar import (
     TelemetrySidecar,
-    read_metrics,
     read_trace,
     segments,
     trace_path,
@@ -56,7 +55,6 @@ __all__ = [
     "deactivate",
     "enabled",
     "instant",
-    "read_metrics",
     "read_trace",
     "render_prometheus",
     "run_tracing",
@@ -78,8 +76,8 @@ def run_tracing(
     resumed run appends a fresh process segment), activates an ambient
     tracer whose sink is the sidecar, and wraps everything in a root
     ``run`` span.  On exit — success, failure, or cancellation — the
-    tracer is deactivated and the segment's metrics snapshot (the
-    shared pool counters) is appended to ``metrics.json``.
+    root span is closed, the tracer deactivated and the segment's file
+    closed.
 
     No-ops (yields ``None``) when disabled or when the run has no
     journal directory to attach sidecars to.
@@ -100,12 +98,4 @@ def run_tracing(
     finally:
         tracer.end(root)
         deactivate()
-        try:
-            # Deferred: resilience builds on this package's spans.
-            from repro.resilience.pool import shared_pool_counters
-
-            snapshot: Dict[str, Any] = {"pool": shared_pool_counters()}
-        except Exception as exc:  # telemetry must never fail a run
-            snapshot = {"error": f"{type(exc).__name__}: {exc}"}
-        sidecar.write_metrics(snapshot)
         sidecar.close()

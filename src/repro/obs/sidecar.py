@@ -1,23 +1,19 @@
-"""Journaled telemetry sidecars: ``trace.jsonl`` + ``metrics.json``.
+"""The journaled telemetry sidecar: ``trace.jsonl``.
 
-Each traced run writes two plain files *next to* its journal — never
+Each traced run writes one plain file *next to* its journal — never
 through it.  The journal's record log is a closed, digest-relevant
 set (``repro.journal.log.RECORD_KINDS``) with kill-injection counting
 appends; telemetry must not perturb either, so the sidecar appends to
-its own files in the same run directory:
+its own file in the same run directory.
 
-* ``trace.jsonl`` — one JSON value per line, one line per record.
-  Appends are flushed per record, so a SIGKILLed orchestrator loses at
-  most the record being written; readers skip torn or garbage lines
-  instead of failing.  A resumed run *appends* a new ``segment`` header
-  (fresh pid, fresh monotonic epoch) rather than truncating, so an
-  interrupted run's trace holds every process segment that worked on
-  it.
-* ``metrics.json`` — ``{"segments": [...]}``, rewritten atomically
-  (:func:`repro.cache.files.write_atomic`, not durable) at segment
-  close with that segment's counter snapshot appended.  A killed
-  segment simply contributes no metrics entry; its spans are still in
-  ``trace.jsonl``.
+``trace.jsonl`` holds one JSON value per line, one line per record.
+Appends are flushed per record, so a SIGKILLed orchestrator loses at
+most the record being written; readers skip torn or garbage lines
+instead of failing.  A resumed run *appends* a new ``segment`` header
+(fresh pid, fresh monotonic epoch) rather than truncating, so an
+interrupted run's trace holds every process segment that worked on it.
+What the pool did in a segment — dispatches, completions, crashes,
+kills, retries — is its ``pool.*`` instants and unit spans.
 
 Segment headers are JSON objects and carry the only wall-clock in the
 whole telemetry stream: a ``(unix_ns, mono_ns)`` anchor pair captured
@@ -83,14 +79,12 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 __all__ = [
     "TelemetrySidecar",
-    "read_metrics",
     "read_trace",
     "segments",
     "trace_path",
 ]
 
 TRACE_NAME = "trace.jsonl"
-METRICS_NAME = "metrics.json"
 
 Record = Dict[str, Any]
 #: The ``(table, value)`` pairs a row introduces, applied once it is
@@ -138,11 +132,8 @@ class TelemetrySidecar:
     """Appender for one process segment of a run's telemetry."""
 
     def __init__(self, directory: str) -> None:
-        self.directory = directory
         self.trace_path = trace_path(directory)
-        self.metrics_path = os.path.join(directory, METRICS_NAME)
         self._fh = None
-        self.segment_seq: Optional[int] = None
         self._mono_ns = 0
         self._threads: Dict[Tuple[Any, Any, Any], int] = {}
         self._labels: Dict[Tuple[str, str], int] = {}
@@ -164,7 +155,6 @@ class TelemetrySidecar:
             # End a killed segment's torn last line, so this header
             # starts a line of its own: rows decode against it.
             self._fh.write("\n")
-        self.segment_seq = seq
         self._threads, self._labels, self._args = {}, {}, {}
         self._deflate = zlib.compressobj(wbits=-15)
         # Captured back-to-back: the segment's only wall-clock, used
@@ -249,27 +239,6 @@ class TelemetrySidecar:
             for table, key in line[1] if line is not None else ():
                 if len(table) < TABLE_LIMIT:
                     table[key] = len(table)
-
-    def write_metrics(self, snapshot: Dict[str, Any]) -> None:
-        """Append this segment's metrics snapshot to ``metrics.json``
-        (a ``segments`` value that is not a list is treated as empty)."""
-        payload = read_metrics(self.metrics_path)
-        if not isinstance(payload.get("segments"), list):
-            payload["segments"] = []
-        payload["segments"].append({
-            "seq": self.segment_seq,
-            "pid": os.getpid(),
-            "metrics": snapshot,
-        })
-        # Deferred: repro.cache imports the core, whose kernel imports obs.
-        from repro.cache.files import write_atomic
-
-        try:
-            data = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-            write_atomic(self.metrics_path, data.encode("utf-8"),
-                         durable=False)
-        except (OSError, TypeError, ValueError):
-            pass
 
     def close(self) -> None:
         if self._fh is not None:
@@ -442,15 +411,6 @@ def _count_segments(data: bytes) -> int:
         if type(value) is dict and value.get("t") == "segment":
             count += 1
     return count
-
-
-def read_metrics(path: str) -> Dict[str, Any]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except (OSError, ValueError):
-        return {}
-    return payload if isinstance(payload, dict) else {}
 
 
 def segments(records: List[Record]) -> List[Record]:

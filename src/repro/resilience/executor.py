@@ -181,6 +181,7 @@ def run_units(
     outcome = UnitsOutcome(_journal=journal)
     key_of = plan.cache_key
     tiered = cache is not None and key_of is not None
+    keeps_bytes = tiered or journal is not None
     if not tiered:
         cache, key_of = _NullCache(), (lambda _payload: "")
     if journal is None:
@@ -236,7 +237,7 @@ def run_units(
 
     def done(unit_id: str, timed: Tuple[Any, float]) -> None:
         result, wall = timed
-        encoded = codec.encode(result)  # once, for both stores
+        encoded = codec.encode(result) if keeps_bytes else b""  # once
         # cache.put before record_done: a kill between the two leaves a
         # cached-but-unjournaled unit, which a resume loads from the
         # cache; the reverse could journal a unit whose put was lost.

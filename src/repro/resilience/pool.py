@@ -60,11 +60,10 @@ __all__ = [
 ]
 
 #: One worker outcome: ``(kind, task_id, attempt, worker_id, payload)``
-#: where ``kind`` is ``"done"`` (payload is the result), ``"error"``
-#: (payload is the rendered exception), or ``"spans"`` (payload is the
-#: worker-side tracer's drained span records for the attempt — pure
-#: telemetry, always written *before* the outcome frame and never
-#: counted as one).
+#: where ``kind`` is ``"done"`` (payload is the result) or ``"error"``
+#: (payload is the rendered exception).  Its frame, one per attempt,
+#: also carries the attempt's span records (``None`` untraced), which
+#: :meth:`SupervisedPool._drain` hands to the ambient tracer.
 WorkerEvent = Tuple[str, str, int, int, Any]
 
 _FRAME_HEADER = struct.Struct(">I")
@@ -75,6 +74,15 @@ def _pool_context() -> multiprocessing.context.BaseContext:
     if "fork" in multiprocessing.get_all_start_methods():
         return multiprocessing.get_context("fork")
     return multiprocessing.get_context("spawn")
+
+
+def _outcome_frame(event: WorkerEvent, spans: Any) -> bytes:
+    """``event`` pickled with its attempt's ``spans``, or without them
+    if they will not pickle: telemetry never costs an outcome."""
+    try:
+        return pickle.dumps((*event, spans), pickle.HIGHEST_PROTOCOL)
+    except Exception:  # noqa: BLE001 — any pickling fault
+        return pickle.dumps((*event, None), pickle.HIGHEST_PROTOCOL)
 
 
 def _write_frame(fd: int, payload: bytes) -> None:
@@ -134,7 +142,7 @@ def _worker_main(
             # worker holds and fills it in (``_drain``).
             _write_frame(event_fd, pickle.dumps((
                 "error", None, 0, worker_id,
-                f"undecodable task: {type(error).__name__}: {error}",
+                f"undecodable task: {type(error).__name__}: {error}", None,
             ), protocol=pickle.HIGHEST_PROTOCOL))
             continue
         if task is None:
@@ -151,31 +159,28 @@ def _worker_main(
                 "attempt", cat="pool",
                 args={"unit": task_id, "attempt": attempt},
             )
+        spans = None
         try:
-            chaos_module.apply_worker_fault(plan, task_id, attempt)
-            result = fn(payload)
-            event: WorkerEvent = ("done", task_id, attempt, worker_id, result)
-            frame = pickle.dumps(event, protocol=pickle.HIGHEST_PROTOCOL)
+            try:
+                chaos_module.apply_worker_fault(plan, task_id, attempt)
+                result = fn(payload)
+            finally:
+                if tracer is not None:
+                    tracer.end(attempt_span)
+                    obs.deactivate()
+                    spans = tracer.drain()
+            frame = _outcome_frame(
+                ("done", task_id, attempt, worker_id, result), spans
+            )
         except BaseException as error:  # noqa: BLE001 — report, don't die
+            # A fault, or a result that will not pickle.  The ended
+            # span's record shares its args dict.
             if attempt_span is not None:
                 attempt_span.args["error"] = type(error).__name__
-            event = (
+            frame = _outcome_frame((
                 "error", task_id, attempt, worker_id,
                 f"{type(error).__name__}: {error}",
-            )
-            frame = pickle.dumps(event, protocol=pickle.HIGHEST_PROTOCOL)
-        if tracer is not None:
-            tracer.end(attempt_span)
-            obs.deactivate()
-            try:
-                records = tracer.drain()
-                if records:
-                    _write_frame(event_fd, pickle.dumps(
-                        ("spans", task_id, attempt, worker_id, records),
-                        protocol=pickle.HIGHEST_PROTOCOL,
-                    ))
-            except (OSError, pickle.PicklingError, TypeError, ValueError):
-                pass  # telemetry loss must never lose the outcome
+            ), spans)
         _write_frame(event_fd, frame)
 
 
@@ -184,8 +189,8 @@ class PoolCounters:
     """Cumulative pool activity over the pool's lifetime.
 
     Plain fields (DESIGN.md §14), written only by the thread that
-    drives the pool and read by the ``repro serve`` ``metrics`` verb and
-    the telemetry sidecar alike — no dispatch decision reads them.
+    drives the pool and read by the ``repro serve`` ``metrics`` verb —
+    no dispatch decision reads them.
     ``submitted`` counts task hand-offs, ``completed``/``errored`` count
     parsed worker outcomes, ``crashes`` counts busy workers that died
     mid-task, ``kills`` counts targeted :meth:`SupervisedPool.kill_task`
@@ -319,7 +324,7 @@ class SupervisedPool:
         ``plan`` is an optional chaos-plan dict shipped inside the task
         (not via environment inheritance) so warm workers forked before
         the plan existed still honor it.  ``trace`` asks the worker to
-        record attempt spans and ship them back as a ``spans`` event.
+        record attempt spans and ship them back in its outcome frame.
         """
         for worker_id, worker in self._workers.items():
             if worker.task is None:
@@ -366,16 +371,19 @@ class SupervisedPool:
             frame = bytes(buffer[_FRAME_HEADER.size:end])
             del buffer[:end]
             try:
-                event = pickle.loads(frame)
+                loaded = pickle.loads(frame)
+                event, spans = loaded[:-1], loaded[-1]
             except Exception as error:  # noqa: BLE001 — any unpickle fault
                 # A frame that pickled in the worker but will not rebuild
                 # here: fail the attempt this worker holds (retry, then
                 # quarantine) and keep the worker.
-                event = (
+                event, spans = (
                     "error", None, 0, worker.worker_id,
                     f"undecodable worker frame: "
                     f"{type(error).__name__}: {error}",
-                )
+                ), None
+            if spans:  # absorbed even if stale: the attempt still ran
+                obs.absorb(spans)
             if event[1] is None:
                 # An outcome that cannot name its task (an undecodable
                 # frame either way) belongs to the one this worker holds.
@@ -383,15 +391,11 @@ class SupervisedPool:
                     continue
                 event = (event[0], *worker.task, *event[3:])
             events.append(event)
-        for event in events:
-            kind, task_id, attempt, _worker_id, _payload = event
-            if kind == "done":
+            if event[0] == "done":
                 self.counters.completed += 1
-            elif kind == "error":
-                self.counters.errored += 1
             else:
-                continue  # "spans": telemetry precedes the outcome
-            if worker.task == (task_id, attempt):
+                self.counters.errored += 1
+            if worker.task == event[1:3]:
                 worker.task = None
         return events
 

@@ -297,12 +297,6 @@ def supervised_map(
             for kind, unit_id, attempt, _worker, payload in pool.poll(
                 timeout=POLL_INTERVAL_S
             ):
-                if kind == "spans":
-                    # Worker-shipped attempt spans: pure telemetry.
-                    # Absorbed even for stale attempts — a killed
-                    # worker's measurements still happened.
-                    obs.absorb(payload)
-                    continue
                 state = inflight.get(unit_id)
                 if state is None or state[0] != attempt:
                     continue  # stale event from a killed worker

@@ -47,7 +47,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from importlib import import_module
-from typing import Any, Deque, Dict, Optional
+from typing import Any, Deque, Dict, List, Optional
 
 from repro.journal.registry import interrupted_runs
 from repro.journal.run import check_resumable
@@ -115,6 +115,7 @@ class ServeServer:
         self._events: Dict[str, Deque[Dict[str, Any]]] = {}
         self._event_seq: Dict[str, int] = {}
         self._watchers: Dict[str, int] = {}
+        self._finished: Deque[str] = deque()  # job ids, finish order
         self._current: Optional[Job] = None
         self._changed = asyncio.Event()
         self._shutdown = asyncio.Event()
@@ -388,20 +389,18 @@ class ServeServer:
         job.status = status
         job.finished_at = time.time()
         self._emit(job, status, fields)
-        finished = [done for done in self.jobs.values() if done.terminal]
-        excess = len(finished) - RETAINED_JOBS
-        if excess <= 0:
-            return
-        finished.sort(key=lambda done: done.finished_at)
-        for old in finished:
-            if excess <= 0:
-                break
-            if old.job_id in self._watchers:
+        self._finished.append(job.job_id)
+        watched: List[str] = []
+        while (self._finished
+               and len(self._finished) + len(watched) > RETAINED_JOBS):
+            old = self._finished.popleft()
+            if old in self._watchers:
+                watched.append(old)
                 continue
-            del self.jobs[old.job_id]
-            self._events.pop(old.job_id, None)
-            self._event_seq.pop(old.job_id, None)
-            excess -= 1
+            del self.jobs[old]
+            self._events.pop(old, None)
+            self._event_seq.pop(old, None)
+        self._finished.extendleft(reversed(watched))
 
     # ------------------------------------------------------------------
     # events

@@ -16,8 +16,9 @@ from repro.journal.pipelines import open_fleet_journal, open_reproduce_journal
 from repro.journal.registry import list_runs
 from repro.journal.run import load_log, read_log
 from repro.obs import run_tracing, spans as obs
-from repro.obs.sidecar import read_metrics, read_trace, segments, trace_path
-from repro.resilience.pool import shared_pool_counters
+from repro.obs.sidecar import read_trace, segments, trace_path
+from repro.resilience.chaos import CHAOS_PLAN_ENV
+from repro.resilience.pool import shared_pool, shared_pool_counters
 
 FLEET = FleetConfig(n_nodes=4, agent="overclock", seed=7, duration_s=10)
 
@@ -40,9 +41,6 @@ def _run_fleet(root, traced, workers=2):
 
 
 def test_tracing_on_vs_off_digests_bit_identical(tmp_path):
-    # The pool's counters are lifetime totals of the shared pool, which
-    # earlier tests may already have used.
-    submitted_before = shared_pool_counters()["submitted"]
     traced_digest, traced_dir = _run_fleet(str(tmp_path / "a"), True)
     plain_digest, plain_dir = _run_fleet(str(tmp_path / "b"), False)
     assert traced_digest == plain_digest
@@ -59,10 +57,9 @@ def test_tracing_on_vs_off_digests_bit_identical(tmp_path):
     # Worker attempts ran in other processes; their records merged in.
     pids = {r.get("pid") for r in records if r.get("t") == "span"}
     assert len(pids) > 1
-    metrics = read_metrics(os.path.join(traced_dir, "metrics.json"))
-    assert metrics["segments"][0]["metrics"]["pool"]["submitted"] == (
-        submitted_before + len(FleetDriver(FLEET, workers=2).chunks())
-    )
+    # What the pool did is in the trace too: one dispatch per chunk.
+    dispatches = [r for r in records if r.get("name") == "pool.dispatch"]
+    assert len(dispatches) == len(FleetDriver(FLEET, workers=2).chunks())
 
 
 def test_resumed_run_appends_second_segment(tmp_path):
@@ -80,40 +77,103 @@ def test_resumed_run_appends_second_segment(tmp_path):
     heads = segments(records)
     assert len(heads) == 2
     assert [h["seq"] for h in heads] == [0, 1]
-    metrics = read_metrics(os.path.join(directory, "metrics.json"))
-    assert len(metrics["segments"]) == 2
 
 
-def test_metrics_json_is_compact_and_reads_a_pretty_printed_file(tmp_path):
-    _digest, directory = _run_fleet(str(tmp_path), True, workers=1)
-    path = os.path.join(directory, "metrics.json")
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    payload = json.loads(text)
-    assert text == json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    # An older build wrote metrics.json with indent=2: it still reads,
-    # and a resumed segment appends to it.
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-    assert read_metrics(path) == payload
-    with open_fleet_journal(str(tmp_path), FLEET, 1, resume=True) as journal:
-        with run_tracing(journal, kind="fleet", resumed=True):
-            FleetDriver(FLEET, workers=1, journal=journal).run()
-    assert [s["seq"] for s in read_metrics(path)["segments"]] == [0, 1]
+RUN_FILES = ["log.bin", "manifest.json", "trace.jsonl"]
+
+
+def test_a_traced_run_directory_holds_exactly_its_three_files(
+    tmp_path, monkeypatch
+):
+    """Each file a traced run leaves has a reader: the manifest, the
+    record log and the trace.  A fleet, a reproduce and a sweep run."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    spec = os.path.join(
+        os.path.dirname(__file__), "..", "..", "examples", "campaigns",
+        "smoke.toml",
+    )
+    for argv in (
+        ["fleet", "--nodes", "4", "--seconds", "10", "--workers", "2"],
+        ["reproduce-all", "--only", *ONLY, "--scale", str(SCALE),
+         "--workers", "2"],
+        ["sweep", "run", spec, "--workers", "2"],
+    ):
+        assert main(argv) == 0
+    runs = list_runs(str(tmp_path))
+    assert sorted(info.kind for info in runs) == [
+        "fleet", "reproduce", "sweep"
+    ]
+    for info in runs:
+        assert sorted(os.listdir(info.directory)) == RUN_FILES
 
 
 def test_malformed_metrics_json_cannot_fail_a_finished_run(tmp_path, capsys):
+    """An older build wrote a ``metrics.json`` per traced run: a run
+    directory that still holds one (malformed, even) lists, shows,
+    resumes and exports, and the file is left as it was."""
     root = str(tmp_path)
     journal = open_fleet_journal(root, FLEET, 1)
-    journal.close()  # interrupted before any unit completed
+    with run_tracing(journal, kind="fleet"):
+        pass  # interrupted before any unit completed
+    journal.close()
     path = os.path.join(journal.directory, "metrics.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump({"segments": None}, fh)
+    assert main(["runs", "list", "--cache-dir", root]) == 0
+    assert journal.run_id in capsys.readouterr().out
     assert main(["runs", "resume", journal.run_id, "--cache-dir", root]) == 0
     assert "sealed]" in capsys.readouterr().out
-    (segment,) = read_metrics(path)["segments"]
-    assert sorted(segment) == ["metrics", "pid", "seq"]
-    assert segment["metrics"]["pool"]["size"] >= 0
+    assert main(
+        ["runs", "show", journal.run_id, "--timing", "--cache-dir", root]
+    ) == 0
+    assert "2 segment(s)" in capsys.readouterr().out
+    assert main(
+        ["trace", "export", journal.run_id, "--cache-dir", root,
+         "--output", str(tmp_path / "trace.json")]
+    ) == 0
+    with open(path, encoding="utf-8") as fh:
+        assert json.load(fh) == {"segments": None}
+    assert sorted(os.listdir(journal.directory)) == sorted(
+        RUN_FILES + ["metrics.json"]
+    )
+
+
+def test_a_crashing_fleet_runs_pool_counters_are_in_its_trace(
+    tmp_path, monkeypatch
+):
+    """Under a ``crash`` plan, what the pool did over a traced CLI run —
+    dispatches, completions, crashes, kills, respawns, errored
+    attempts — read from ``trace.jsonl`` alone equals the change in the
+    live pool counters over that run."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    monkeypatch.setenv(CHAOS_PLAN_ENV, json.dumps(
+        {"kind": "crash", "probability": 0.5, "seed": 1}
+    ))
+    shared_pool(2)  # the run reuses this pool, so its counters go on
+    before = shared_pool_counters()
+    assert main(
+        ["fleet", "--nodes", "8", "--seconds", "10", "--workers", "2"]
+    ) == 0
+    after = shared_pool_counters()
+    (info,) = list_runs(str(tmp_path))
+    records = read_trace(trace_path(info.directory))
+
+    def count(name):
+        return sum(r.get("name") == name for r in records)
+
+    attempts = [r for r in records if r.get("name") == "attempt"]
+    crashes, kills = count("pool.crash"), count("pool.kill")
+    from_trace = {
+        "submitted": count("pool.dispatch"),
+        "completed": sum("error" not in r["args"] for r in attempts),
+        "errored": sum("error" in r["args"] for r in attempts),
+        "crashes": crashes,
+        "kills": kills,
+        "respawns": crashes + kills,
+    }
+    assert from_trace == {key: after[key] - before[key] for key in from_trace}
+    units = [r for r in records if r.get("cat") == "unit"]
+    assert crashes > 0 and from_trace["completed"] == len(units)
 
 
 def test_a_non_utf8_trace_tail_does_not_block_resume(tmp_path, capsys):

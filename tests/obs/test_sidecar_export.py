@@ -6,7 +6,6 @@ import json
 from repro.obs.export import chrome_trace, render_prometheus
 from repro.obs.sidecar import (
     TelemetrySidecar,
-    read_metrics,
     read_trace,
     segments,
     trace_path,
@@ -21,7 +20,6 @@ def _traced_segment(directory, run_id, names):
     for name in names:
         with tracer.span(name):
             pass
-    sidecar.write_metrics({"pool": {"dispatched": len(names)}})
     sidecar.close()
     return sidecar
 
@@ -35,8 +33,7 @@ def test_segments_accumulate_across_reopens(tmp_path):
     assert all(h["run_id"] == "run-1" for h in heads)
     spans = [r for r in records if r["t"] == "span"]
     assert [s["name"] for s in spans] == ["a", "b", "c"]
-    metrics = read_metrics(str(tmp_path / "metrics.json"))
-    assert [s["seq"] for s in metrics["segments"]] == [0, 1]
+    assert [p.name for p in tmp_path.iterdir()] == ["trace.jsonl"]
 
 
 def test_torn_and_garbage_lines_are_skipped(tmp_path):
@@ -51,7 +48,6 @@ def test_torn_and_garbage_lines_are_skipped(tmp_path):
     assert names == ["a"]
     # A reader on a missing file degrades to empty, never raises.
     assert read_trace(str(tmp_path / "nope.jsonl")) == []
-    assert read_metrics(str(tmp_path / "nope.json")) == {}
 
 
 def test_chrome_export_round_trips_and_orders_spans(tmp_path):

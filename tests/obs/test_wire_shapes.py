@@ -4,9 +4,8 @@
 values) of every place the stack's counters leave the process: the
 serve ``metrics`` reply and its Prometheus exposition, the result
 cache's ``snapshot()`` and ``[cache:]`` line, the shared pool's
-counters, and one segment of a traced run's ``metrics.json``.  How the
-counters are held may change; what a client, a scraper or a sidecar
-reader sees may not.  Regenerate with ``PYTHONPATH=src python
+counters.  How the counters are held may change; what a client or a
+scraper sees may not.  Regenerate with ``PYTHONPATH=src python
 tests/obs/test_wire_shapes.py`` only for an intended wire change.
 """
 
@@ -17,8 +16,6 @@ import tempfile
 import threading
 
 from repro.cache.store import CacheStats
-from repro.journal.run import runs_root
-from repro.obs.sidecar import read_metrics
 from repro.resilience.pool import shared_pool_counters
 from repro.serve.client import ServeClient, wait_for_server
 from repro.serve.server import ServeServer
@@ -56,14 +53,11 @@ def _serve_one_job(cache_root):
             client.drain()
         finally:
             thread.join(30.0)
-    return reply["run_id"], metrics, prometheus
+    return metrics, prometheus
 
 
 def observed_shapes(cache_root):
-    run_id, metrics, prometheus = _serve_one_job(cache_root)
-    sidecar = read_metrics(
-        os.path.join(runs_root(cache_root), run_id, "metrics.json")
-    )
+    metrics, prometheus = _serve_one_job(cache_root)
     return {
         "serve_metrics": key_tree(metrics),
         "serve_prometheus_types": sorted(
@@ -73,7 +67,6 @@ def observed_shapes(cache_root):
         "cache_stats": key_tree(CacheStats().snapshot()),
         "cache_line": CacheStats().render(),
         "shared_pool_counters": key_tree(shared_pool_counters()),
-        "metrics_json_segment": key_tree(sidecar["segments"][-1]),
     }
 
 

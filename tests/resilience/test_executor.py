@@ -310,6 +310,27 @@ def test_a_plan_without_a_cache_tier_never_touches_the_cache():
     assert log == []
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_store_less_run_never_encodes_a_result(workers, monkeypatch):
+    """With neither a cache tier nor a journal no store takes a unit's
+    bytes, so none are encoded, inline or pooled; a store that does
+    take them still gets them."""
+    def refuse(payload):
+        raise AssertionError("encoded for no store")
+
+    monkeypatch.setattr(codec, "encode", refuse)
+    seen = []
+    outcome = run_units(
+        _plan(3), _double, workers=workers,
+        on_result=lambda unit, payload, wall: seen.append(payload),
+    )
+    assert outcome.executed == 3 and sorted(seen) == [0, 2, 4]
+    run_units(_plan(3, cache_key=None), _double, workers=workers,
+              cache=FakeCache([]))
+    with pytest.raises(AssertionError, match="encoded for no store"):
+        run_units(_plan(1), _double, journal=FakeJournal([]))
+
+
 def _probe_spans(plan, **options):
     """The ``cache.probe`` spans one traced :func:`run_units` emits."""
     tracer = obs.activate(obs.Tracer())

@@ -12,6 +12,7 @@ import time
 
 import pytest
 
+from repro.obs import spans as obs
 from repro.resilience import SupervisedPool
 
 
@@ -30,6 +31,15 @@ def _exit_hard(payload):
 def _nap(payload):
     time.sleep(payload)
     return payload
+
+
+def _odd_span(payload):
+    obs.instant("odd", cat="test", fn=lambda: None)  # will not pickle
+    return payload
+
+
+def _unpicklable_result(payload):
+    return lambda: payload
 
 
 def _poll_until(pool, want, deadline_s=10.0):
@@ -66,6 +76,36 @@ def test_unit_exception_is_an_error_event_not_a_death(pool):
     assert "RuntimeError: boom x" in message
     assert pool.size == 2  # nobody died
     assert pool.reap_crashed() == []
+
+
+def test_a_traced_attempt_ships_its_spans_in_its_outcome_frame(pool):
+    """One frame per attempt: the outcome carries the attempt's spans,
+    which reach the ambient tracer; spans that will not pickle are
+    dropped, never the outcome, and a result that will not pickle is
+    the attempt's error."""
+    tracer = obs.activate(obs.Tracer())
+    try:
+        pool.submit(_square, "a", 0, 4, None, trace=True)
+        (event,) = _poll_until(pool, want=1)
+        assert (event[0], event[1], event[4]) == ("done", "a", 16)
+        (attempt,) = tracer.drain()
+        assert (attempt["name"], attempt["args"]) == (
+            "attempt", {"unit": "a", "attempt": 0}
+        )
+        assert attempt["pid"] != os.getpid()
+        pool.submit(_odd_span, "b", 0, 5, None, trace=True)
+        (event,) = _poll_until(pool, want=1)
+        assert (event[0], event[1], event[4]) == ("done", "b", 5)
+        assert tracer.drain() == []
+        # A result that will not pickle fails its attempt, spans kept.
+        pool.submit(_unpicklable_result, "c", 0, 6, None, trace=True)
+        (event,) = _poll_until(pool, want=1)
+        assert (event[0], event[1]) == ("error", "c")
+        assert "pickle" in event[4]
+        (attempt,) = tracer.drain()
+        assert attempt["args"]["error"] == event[4].split(":")[0]
+    finally:
+        obs.deactivate()
 
 
 def test_crashed_worker_is_reaped_with_its_task(pool):

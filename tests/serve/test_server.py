@@ -230,6 +230,10 @@ def test_submit_runs_to_sealed_digest_and_streams_events(server_thread):
                        reply["run_id"])
     assert info is not None and info.status == "sealed"
     assert info.sealed_digest == baseline
+    # A traced job's run directory holds exactly the files it reads.
+    assert sorted(os.listdir(info.directory)) == [
+        "log.bin", "manifest.json", "trace.jsonl"
+    ]
 
 
 def test_admission_waits_for_the_execution_stack_and_pings_do_not(
