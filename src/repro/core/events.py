@@ -6,15 +6,18 @@ is recorded through :meth:`EventLog.record`.
 
 Counters plus one sink (DESIGN.md §6)
 -------------------------------------
-The log keeps no per-event history.  ``record`` does one thing per
-occurrence: bump the per-kind counter (one dict keyed by
-:class:`EventKind`, whose hash is the C-level identity hash rather than
-``Enum``'s Python-level ``hash(self._name_)``), update the few
-detail-derived aggregates the runtime reports (default-prediction
-count, action provenance histogram, first-fallback time), and forward
-the canonical :func:`encode_event` bytes to the attached sink, if any.
-Whoever needs individual events — the conformance digesters, a test —
-attaches a sink (:mod:`repro.sim.trace`) and decodes its payloads with
+The log keeps no per-event history and derives nothing from an event's
+details.  ``record`` does one thing per occurrence: bump the per-kind
+counter (one dict keyed by :class:`EventKind`, whose hash is the C-level
+identity hash rather than ``Enum``'s Python-level ``hash(self._name_)``)
+and, only when a sink is attached, read the clock and forward the
+canonical :func:`encode_event` bytes to it.  The safety facts an
+experiment reports live with whoever decides them: prediction
+provenance and the first fallback on
+:class:`~repro.core.runtime.SolRuntime`, safeguard windows on
+:class:`~repro.core.safeguards.SafeguardState`.  Whoever needs
+individual events — the conformance digesters, a test — attaches a
+sink (:mod:`repro.sim.trace`) and decodes its payloads with
 :func:`decode_event`.
 """
 
@@ -66,12 +69,6 @@ class EventKind(enum.Enum):
     # no Python frame: the per-kind counter dict is touched by every
     # ``EventLog.record`` (five times per SmartHarvest epoch).
     __hash__ = object.__hash__
-
-
-# The two kinds ``EventLog.record`` derives aggregates from, bound once
-# so the per-event dispatch is two identity tests on module globals.
-_ACTUATION = EventKind.ACTUATION
-_PREDICTION_SENT = EventKind.PREDICTION_SENT
 
 
 # -- canonical per-event encoding (conformance; DESIGN.md §10) --------------
@@ -174,7 +171,7 @@ def decode_event(payload: bytes) -> Dict[str, Any]:
 
 
 class EventLog:
-    """Per-kind counters, detail aggregates, and one optional event sink.
+    """Per-kind counters and one optional event sink.
 
     Args:
         kernel: owning kernel (timestamps).
@@ -185,10 +182,6 @@ class EventLog:
         self.kernel = kernel
         self.agent = agent
         self._counts: Dict[EventKind, int] = {}
-        self._default_sent = 0
-        self._actions = {"model": 0, "default": 0, "none": 0}
-        self._fallback_from = 0
-        self._first_fallback_us: Optional[int] = None
         self._tracer: Optional[Any] = None
 
     def attach_tracer(self, sink: Any) -> None:
@@ -202,78 +195,16 @@ class EventLog:
         self._tracer = sink
 
     def record(self, kind: EventKind, **details: Any) -> None:
-        """Record an occurrence stamped with the current simulation time.
-
-        The clock is read once, so the aggregates and the sink see the
-        same timestamp.
-        """
-        now = self.kernel.now
+        """Count one occurrence; with a sink attached, forward it stamped
+        with the current simulation time (the only clock read)."""
         counts = self._counts
         counts[kind] = counts.get(kind, 0) + 1
-        if kind is _ACTUATION:
-            if details.get("has_prediction") and not details.get("is_default"):
-                self._actions["model"] += 1
-            else:
-                bucket = (
-                    "default" if details.get("has_prediction") else "none"
-                )
-                self._actions[bucket] += 1
-                if (
-                    self._first_fallback_us is None
-                    and now >= self._fallback_from
-                ):
-                    self._first_fallback_us = now
-        elif kind is _PREDICTION_SENT and details.get("is_default"):
-            self._default_sent += 1
         if self._tracer is not None:
+            now = self.kernel.now
             self._tracer.on_event(
                 now, encode_event(now, kind, self.agent, details)
             )
 
-    def __len__(self) -> int:
-        return sum(self._counts.values())
-
     def count(self, kind: EventKind) -> int:
         """Number of events of one kind."""
         return self._counts.get(kind, 0)
-
-    def summary(self) -> Dict[str, int]:
-        """Event counts by kind (stable keys for experiment reports)."""
-        return {kind.value: n for kind, n in self._counts.items()}
-
-    # -- detail-derived aggregates ----------------------------------------
-
-    def default_predictions_sent(self) -> int:
-        """``PREDICTION_SENT`` events whose prediction was a default."""
-        return self._default_sent
-
-    def first_fallback_us(self) -> Optional[int]:
-        """Time of the first non-model actuation (default or none) at or
-        after the fallback anchor, or ``None`` if there was none.
-
-        The anchor is t = 0 unless :meth:`watch_fallback_from` moved it,
-        so by default this is the first instant the Actuator ever acted
-        without a live model prediction.
-        """
-        return self._first_fallback_us
-
-    def watch_fallback_from(self, start_us: int) -> None:
-        """Anchor :meth:`first_fallback_us` at ``start_us`` (a fault
-        onset).
-
-        Warmup fallbacks routinely happen *before* a fault window (an
-        agent with no telemetry yet acts on defaults), so the safety
-        campaigns' time-to-fallback counts only fallbacks **at or
-        after** the onset.  Re-anchoring forgets the stamp.
-        """
-        self._fallback_from = start_us
-        self._first_fallback_us = None
-
-    def action_histogram(self) -> Dict[str, int]:
-        """``ACTUATION`` events bucketed by prediction provenance.
-
-        Keys: ``"model"`` (a live model prediction), ``"default"`` (a
-        default/fallback prediction), ``"none"`` (acted without any
-        prediction — timeout or expiry path).
-        """
-        return dict(self._actions)

@@ -80,13 +80,19 @@ class SolRuntime:
             kernel, capacity=1, name=f"{name}.predictions"
         )
         self.log = EventLog(kernel, agent=name)
-        self.model_safeguard = SafeguardState(kernel, f"{name}.model")
-        self.actuator_safeguard = SafeguardState(kernel, f"{name}.actuator")
+        self.model_safeguard = SafeguardState(self.log, "model")
+        self.actuator_safeguard = SafeguardState(self.log, "actuator")
 
         self.epochs = 0
+        self.default_predictions = 0
+        #: actuations by prediction provenance (none: timeout or expiry)
+        self.actions = {"model": 0, "default": 0, "none": 0}
+        #: the first default/none actuation at or after fallback_from_us
+        #: (a fault onset: warmup fallbacks before it do not count)
+        self.fallback_from_us = 0
+        self.first_fallback_us: Optional[int] = None
         self._processes: List[Process] = []
         self._started = False
-        self._terminated = False
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -139,7 +145,6 @@ class SolRuntime:
             )
         if self.running:
             raise RuntimeError(f"agent {self.name!r} is still running")
-        self._terminated = False
         self._processes = self._spawn_loops()
         self.log.record(EventKind.AGENT_RESTARTED)
         return self
@@ -152,7 +157,6 @@ class SolRuntime:
         """
         for process in self._processes:
             process.kill()
-        self._terminated = True
         self.actuator.clean_up()
         self.log.record(EventKind.CLEANUP)
 
@@ -168,7 +172,7 @@ class SolRuntime:
         return {
             "epochs": self.epochs,
             "predictions_sent": self.log.count(EventKind.PREDICTION_SENT),
-            "default_predictions": self.log.default_predictions_sent(),
+            "default_predictions": self.default_predictions,
             "validation_failures": self.log.count(EventKind.VALIDATION_FAILED),
             "interceptions": self.log.count(EventKind.PREDICTION_INTERCEPTED),
             "short_circuits": self.log.count(EventKind.EPOCH_SHORT_CIRCUIT),
@@ -201,6 +205,8 @@ class SolRuntime:
             prediction = self._conclude_epoch(valid, crashed)
             if prediction is not None:
                 self.queue.put(prediction)
+                if prediction.is_default:
+                    self.default_predictions += 1
                 self.log.record(
                     EventKind.PREDICTION_SENT,
                     is_default=prediction.is_default,
@@ -297,16 +303,7 @@ class SolRuntime:
             return
         healthy = self.model.assess_model()
         self.log.record(EventKind.MODEL_ASSESSED, healthy=healthy)
-        if healthy:
-            if self.model_safeguard.clear():
-                self.log.record(
-                    EventKind.SAFEGUARD_CLEARED, safeguard="model"
-                )
-        else:
-            if self.model_safeguard.trigger():
-                self.log.record(
-                    EventKind.SAFEGUARD_TRIGGERED, safeguard="model"
-                )
+        self.model_safeguard.update(healthy)
 
     def _default_prediction(self, reason: str) -> Optional[Prediction]:
         try:
@@ -366,6 +363,7 @@ class SolRuntime:
                 continue
             try:
                 self.actuator.take_action(prediction)
+                self._count_action(prediction)
                 self.log.record(
                     EventKind.ACTUATION,
                     has_prediction=prediction is not None,
@@ -378,6 +376,16 @@ class SolRuntime:
                     EventKind.ACTUATOR_CRASH, phase="take_action",
                     error=repr(error),
                 )
+
+    def _count_action(self, prediction: Optional[Prediction]) -> None:
+        """Bucket one actuation by provenance; stamp the first fallback."""
+        if prediction is not None and not prediction.is_default:
+            self.actions["model"] += 1
+            return
+        self.actions["none" if prediction is None else "default"] += 1
+        now = self.kernel.now
+        if self.first_fallback_us is None and now >= self.fallback_from_us:
+            self.first_fallback_us = now
 
     # -- watchdog loop ------------------------------------------------------------
 
@@ -393,16 +401,9 @@ class SolRuntime:
                 )
                 healthy = False
             self.log.record(EventKind.ACTUATOR_ASSESSED, healthy=healthy)
+            self.actuator_safeguard.update(healthy)
             if healthy:
-                if self.actuator_safeguard.clear():
-                    self.log.record(
-                        EventKind.SAFEGUARD_CLEARED, safeguard="actuator"
-                    )
                 continue
-            if self.actuator_safeguard.trigger():
-                self.log.record(
-                    EventKind.SAFEGUARD_TRIGGERED, safeguard="actuator"
-                )
             try:
                 self.actuator.mitigate()
                 self.log.record(EventKind.MITIGATION)

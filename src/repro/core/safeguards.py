@@ -7,8 +7,11 @@ the evaluation harness can reproduce the paper's *unguarded* baselines
 blocking-actuator ablation (Figure 4).  Production deployments use the
 default: everything enabled.
 
-:class:`SafeguardState` tracks each safeguard's trigger history so the
-experiments can report how long an agent spent mitigating.
+:class:`SafeguardState` is the one owner of a safeguard's history: each
+verdict goes through :meth:`SafeguardState.update`, which opens or
+closes an activation window and records the transition event, so the
+experiments' trip counts, time-in-mitigation and first engagements are
+queries over the windows it keeps.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from repro.sim.kernel import Kernel
+from repro.core.events import EventKind, EventLog
 
 __all__ = ["SafeguardPolicy", "SafeguardState"]
 
@@ -63,25 +66,49 @@ class SafeguardPolicy:
 
 
 class SafeguardState:
-    """Trigger/clear bookkeeping for one safeguard.
+    """One safeguard's activation windows, recorded as they happen.
 
-    Records transition times so experiments can compute time-in-
-    mitigation, and exposes :attr:`active` for the runtime's halt logic.
+    Args:
+        log: the agent's event log (clock and transition events).
+        name: the ``safeguard`` detail on its transition events.
     """
 
-    def __init__(self, kernel: Kernel, name: str) -> None:
-        self.kernel = kernel
+    def __init__(self, log: EventLog, name: str) -> None:
+        self.log = log
         self.name = name
-        self._active = False
-        self._activated_at: Optional[int] = None
-        #: closed (start_us, end_us) activation windows
-        self.windows: List[Tuple[int, int]] = []
-        self.trigger_count = 0
+        #: (start_us, end_us) in time order; end is None while open
+        self.windows: List[Tuple[int, Optional[int]]] = []
 
     @property
     def active(self) -> bool:
         """Whether the safeguard is currently triggered."""
-        return self._active
+        return bool(self.windows) and self.windows[-1][1] is None
+
+    def update(self, healthy: bool) -> None:
+        """Open (unhealthy) or close (healthy) a window and record the
+        transition; a verdict that repeats the current state is a no-op."""
+        if self.active is not bool(healthy):
+            return
+        now = self.log.kernel.now
+        if healthy:
+            self.windows[-1] = (self.windows[-1][0], now)
+            self.log.record(EventKind.SAFEGUARD_CLEARED, safeguard=self.name)
+        else:
+            self.windows.append((now, None))
+            self.log.record(
+                EventKind.SAFEGUARD_TRIGGERED, safeguard=self.name
+            )
+
+    @property
+    def trigger_count(self) -> int:
+        """Times the safeguard engaged."""
+        return len(self.windows)
+
+    def active_duration_us(self) -> int:
+        """Total time spent triggered, an open window up to now."""
+        now = self.log.kernel.now
+        return sum((now if end is None else end) - start
+                   for start, end in self.windows)
 
     def first_triggered_at_us_since(self, start_us: int) -> Optional[int]:
         """First engagement at or after ``start_us``, or ``None``
@@ -89,39 +116,6 @@ class SafeguardState:
 
         The safety campaigns anchor time-to-fallback at the fault
         onset; safeguards that tripped during pre-fault warmup must not
-        satisfy the query.  Closed windows are recorded
-        chronologically, and an open window always starts after every
-        closed one, so a linear scan suffices (trigger counts are tiny).
+        satisfy the query.
         """
-        for window_start, _end in self.windows:
-            if window_start >= start_us:
-                return window_start
-        if self._activated_at is not None and self._activated_at >= start_us:
-            return self._activated_at
-        return None
-
-    def trigger(self) -> bool:
-        """Mark unsafe; returns ``True`` on a fresh transition."""
-        if self._active:
-            return False
-        self._active = True
-        self._activated_at = self.kernel.now
-        self.trigger_count += 1
-        return True
-
-    def clear(self) -> bool:
-        """Mark safe again; returns ``True`` on a fresh transition."""
-        if not self._active:
-            return False
-        self._active = False
-        assert self._activated_at is not None
-        self.windows.append((self._activated_at, self.kernel.now))
-        self._activated_at = None
-        return True
-
-    def active_duration_us(self) -> int:
-        """Total time spent triggered (including an open window)."""
-        total = sum(end - start for start, end in self.windows)
-        if self._active and self._activated_at is not None:
-            total += self.kernel.now - self._activated_at
-        return total
+        return next((s for s, _ in self.windows if s >= start_us), None)

@@ -7,10 +7,12 @@ memory node with its windowed SLO watcher, and a plain-text table
 renderer.  Experiments are deterministic given a seed; EXPERIMENTS.md
 records the measured outputs against the paper's.
 
-Experiments read ``runtime.stats()`` and the node's own counters; the
-agent's event log keeps no per-event history (DESIGN.md §6).  A caller
-that needs individual events attaches a sink to
-``node.agent.runtime.log`` before running the node.
+Experiments read ``runtime.stats()``, the runtime's and safeguards'
+own fields (action provenance, first fallback, activation windows) and
+the node's own counters; the agent's event log only counts and
+forwards, keeping no per-event history (DESIGN.md §6).  A caller that
+needs individual events attaches a sink to ``node.agent.runtime.log``
+before running the node.
 """
 
 from __future__ import annotations

@@ -320,7 +320,7 @@ class FleetNode:
         # The node's first engagements count from its fault onset (t = 0
         # with no fault window): warmup fallbacks before it do not count.
         self._fault_onset_us = fault_window_us[0] if fault_window_us else 0
-        self.node.agent.runtime.log.watch_fallback_from(self._fault_onset_us)
+        self.node.agent.runtime.fallback_from_us = self._fault_onset_us
 
     @classmethod
     def from_run(cls, run: NodeRun) -> "FleetNode":
@@ -415,7 +415,7 @@ class FleetNode:
                 "model": stats["model_safeguard_triggers"],
                 "actuator": stats["actuator_safeguard_triggers"],
             },
-            action_histogram=runtime.log.action_histogram(),
+            action_histogram=dict(runtime.actions),
             first_model_safeguard_us=(
                 runtime.model_safeguard.first_triggered_at_us_since(onset_us)
             ),
@@ -424,7 +424,7 @@ class FleetNode:
                     onset_us
                 )
             ),
-            first_fallback_us=runtime.log.first_fallback_us(),
+            first_fallback_us=runtime.first_fallback_us,
             agent_kills=stats["agent_kills"],
             agent_restarts=stats["agent_restarts"],
         )

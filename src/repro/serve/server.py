@@ -43,6 +43,7 @@ import math
 import os
 import signal
 import socket as socket_module
+import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -119,7 +120,7 @@ class ServeServer:
         self._current: Optional[Job] = None
         self._changed = asyncio.Event()
         self._shutdown = asyncio.Event()
-        self._stack_loaded = asyncio.Event()
+        self._stack_loaded = False
         self._loop: Optional[asyncio.AbstractEventLoop] = None
 
     # ------------------------------------------------------------------
@@ -141,6 +142,7 @@ class ServeServer:
             f"(cache {self.cache_root}, queue limit {self.queue_limit})]"
         )
         self._adopt_interrupted()
+        self._load_stack()
         scheduler = asyncio.create_task(self._scheduler())
         try:
             await self._shutdown.wait()
@@ -302,19 +304,37 @@ class ServeServer:
         self._job_seq += 1
         return f"job-{self._job_seq:04d}"
 
+    def _load_stack(self) -> None:
+        """Import the execution stack after the bind, on a daemon thread:
+        pings are answered meanwhile, no pool forks mid-import, and
+        shutdown joins neither the import nor its thread."""
+        loop = asyncio.get_running_loop()
+
+        def load() -> None:
+            error: Optional[Exception] = None
+            try:
+                import_module("repro.journal.pipelines")
+            except Exception as exc:  # each job then fails with this error
+                error = exc
+            with contextlib.suppress(RuntimeError):  # the loop has closed
+                loop.call_soon_threadsafe(self._stack_ready, error)
+
+        threading.Thread(
+            target=load, name="repro-serve-import", daemon=True
+        ).start()
+
+    def _stack_ready(self, error: Optional[Exception]) -> None:
+        if error is not None:
+            self._log(f"[serve: execution stack failed to import: {error}]")
+        self._stack_loaded = True
+        self._wake()
+
     async def _scheduler(self) -> None:
-        """Run admitted jobs one at a time (supervised_map is not
-        reentrant; the pool parallelism lives inside each job).  The
-        execution stack is imported first, off the loop, after the bind:
-        pings are answered meanwhile, and no pool forks mid-import."""
-        try:
-            await asyncio.to_thread(import_module, "repro.journal.pipelines")
-        except Exception as exc:  # each job then fails with this error
-            self._log(f"[serve: execution stack failed to import: {exc}]")
-        finally:
-            self._stack_loaded.set()
+        """Run admitted jobs one at a time, once the execution stack is
+        loaded (supervised_map is not reentrant; the pool parallelism
+        lives inside each job)."""
         while not self._draining:
-            if not self._queued:
+            if not (self._stack_loaded and self._queued):
                 await self._changed.wait()
                 continue
             job = self._queued.popleft()
@@ -480,8 +500,10 @@ class ServeServer:
             return False
         if verb == "submit":
             # Admission validates against the pipelines; waiting here,
-            # not on the import lock, keeps the loop answering.
-            await self._stack_loaded.wait()
+            # not on the import lock, keeps the loop answering.  A drain
+            # ends the wait: the submission is then refused.
+            while not self._stack_loaded and self._accepting:
+                await self._changed.wait()
             await self._reply(writer, self._handle_submit(message))
             return False
         if verb == "status":

@@ -143,6 +143,7 @@ def test_watchdog_crash_counts_as_unhealthy():
     kernel.run(until=3500 * MS)
     # a crashing assessment must fail safe: trigger + mitigate
     assert runtime.actuator_safeguard.active
+    assert runtime.actuator_safeguard.windows == [(1 * SEC, None)]
     assert len(actuator.mitigations) >= 1
 
 

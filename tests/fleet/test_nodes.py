@@ -2,9 +2,12 @@
 
 import math
 
-from repro.fleet.config import FaultPlan, FleetConfig
-from repro.fleet.node import NodeResult
+import pytest
+
+from repro.fleet.config import FaultPlan, FleetConfig, NodeSpec
+from repro.fleet.node import GEN5, FleetNode, NodeResult
 from repro.fleet.scenario import FleetScenario
+from repro.sim.units import SEC
 
 
 def _run_with_stats(fleet_node):
@@ -78,3 +81,32 @@ def test_burst_spares_other_racks():
     assert list(scenario.affected_nodes()) == [1]
     assert spared["validation_failures"] == 0
     assert hit["validation_failures"] > 0
+
+
+#: The node of the ``agent-harvest-image-dnn-s11`` conformance vector.
+HARVEST_S11 = NodeSpec(
+    node_id=0, rack=0, sku=GEN5, agent="harvest", workload="image-dnn",
+    seed=11,
+)
+
+
+@pytest.mark.parametrize("fault_window_us, firsts", [
+    # A zero-probability burst moves only the anchor: warmup engagements
+    # before t = 10 s do not count.
+    ((10 * SEC, 20 * SEC), (15_125_000, 17_300_000, 15_200_000)),
+    (None, (1_825_000, 2_050_000, 1_900_000)),
+])
+def test_first_engagements_count_from_the_fault_onset(
+    fault_window_us, firsts
+):
+    """First fallback / model safeguard / actuator safeguard, pinned."""
+    result = FleetNode(
+        HARVEST_S11, duration_s=60, fault_window_us=fault_window_us,
+        fault_probability=0.0,
+    ).run()
+    assert (
+        result.first_fallback_us,
+        result.first_model_safeguard_us,
+        result.first_actuator_safeguard_us,
+    ) == firsts
+    assert result.action_histogram == {"model": 848, "default": 27, "none": 0}

@@ -264,6 +264,41 @@ def test_admission_waits_for_the_execution_stack_and_pings_do_not(
     assert client.wait(replies[0]["job_id"], timeout=60.0)["status"] == "done"
 
 
+def test_a_drain_during_the_stack_import_joins_neither_it_nor_its_thread(
+    server_thread, monkeypatch
+):
+    """Shutdown does not wait for the execution-stack import: a drain
+    while it is still blocked returns exit 0, and a submit that was
+    waiting on the import is refused as draining."""
+    entered, release = threading.Event(), threading.Event()
+
+    def blocked_import(name):
+        entered.set()
+        release.wait(60.0)
+        return importlib.import_module(name)
+
+    monkeypatch.setattr("repro.serve.server.import_module", blocked_import)
+    server = server_thread()
+    client = server.start()
+    try:
+        assert entered.wait(10.0)
+        replies = []
+        submitter = threading.Thread(target=lambda: replies.append(
+            client.submit("fleet", fleet_payload(QUICK), workers=2)
+        ))
+        submitter.start()
+        time.sleep(0.2)
+        assert client.drain()["ok"]
+        server.thread.join(10.0)
+        assert not server.thread.is_alive(), "drain waited for the import"
+        assert not release.is_set()
+        assert server.exit_code == 0
+        submitter.join(10.0)
+        assert replies and replies[0].get("draining"), replies
+    finally:
+        release.set()
+
+
 def test_resubmit_of_sealed_run_replays_everything(server_thread):
     client = server_thread().start()
     first = client.submit("fleet", fleet_payload(QUICK), workers=2)
