@@ -13,17 +13,23 @@ it plants one violation in a scratch file and asserts the rule reports
 exactly that line.  A change that adds an invariant adds its rule and
 its plant here.
 
-One rule needs a fresh interpreter instead of a syntax tree: the
-control plane imports no simulation (DESIGN.md §13), checked by
+Two rules read the interpreter instead of a syntax tree.  Closed
+records (§9) asks ``typing.get_type_hints`` for the fields of the
+imported record classes, so quoted annotations, type aliases and
+inherited fields count as they do at run time.  The control plane
+imports no simulation (§13), checked in a fresh interpreter by
 ``test_a_control_plane_module_loads_no_simulation`` in
 ``tests/test_import_boundary.py``.
 """
 
 import ast
+import inspect
+import os
 import re
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, List, Tuple
+from typing import Any, Dict, Iterator, List, Tuple
 
 import pytest
 
@@ -47,14 +53,13 @@ class Module:
     ``repro.x.f``.  ``calls`` holds every call with its resolved
     callee, ``words`` every identifier (names, attributes, definitions,
     parameters, keywords, imports) and ``strings`` every string
-    constant.  A file that is not Python has its lines as ``strings``.
+    constant.  A file that is not Python has its lines as ``strings``,
+    or none if it is binary.
     """
 
     path: str
     tree: ast.Module
     name: str = ""
-    #: Module-level ``X = value`` by qualified ``X``: type aliases.
-    assigned: Dict[str, ast.AST] = field(default_factory=dict)
     aliases: Dict[str, str] = field(default_factory=dict)
     refs: List[Tuple[int, str, ast.AST]] = field(default_factory=list)
     calls: List[Tuple[int, str, ast.Call]] = field(default_factory=list)
@@ -89,26 +94,20 @@ def _imported(node: ast.ImportFrom, package: List[str]) -> str:
 
 def read_module(root: Path, path: str) -> Module:
     """Read one file of ``root`` into a :class:`Module`."""
-    text = (root / path).read_text()
     if not path.endswith(".py"):
         module = Module(path, ast.Module(body=[], type_ignores=[]))
+        try:
+            text = (root / path).read_text()
+        except UnicodeDecodeError:  # binary, skipped as `grep -I` does
+            return module
         module.strings = [
             (n, line, None) for n, line in enumerate(text.splitlines(), 1)
         ]
         return module
     dotted = _dotted(path)
     package = dotted[:-1]  # of a module and of an __init__.py alike
-    module = Module(path, ast.parse(text, path), ".".join(
-        package if dotted[-1] == "__init__" else dotted))
-    for statement in module.tree.body:
-        if isinstance(statement, (ast.Assign, ast.AnnAssign)) and (
-                statement.value):
-            targets = statement.targets if isinstance(
-                statement, ast.Assign) else [statement.target]
-            for target in targets:
-                if isinstance(target, ast.Name):
-                    module.assigned[f"{module.name}.{target.id}"] = (
-                        statement.value)
+    module = Module(path, ast.parse((root / path).read_text(), path),
+                    ".".join(package if dotted[-1] == "__init__" else dotted))
     nodes = list(ast.walk(module.tree))
     for node in nodes:  # every alias first: a use may precede its import
         if isinstance(node, (ast.Import, ast.ImportFrom)):
@@ -222,15 +221,15 @@ def one_event_log_mode(index) -> Iterator[Site]:
 @rule("6")
 def safety_facts(index) -> Iterator[Site]:
     """Safety facts have one owner each (§6, §9): EventLog.record
-    derives nothing from an event's details, a safeguard records its
-    own transitions, and the runtime keeps action provenance and the
-    first fallback as fields."""
+    derives nothing from an event's details (no attribute or item of
+    ``details``, ``event.details`` or ``self.details`` is read), a
+    safeguard records its own transitions, and the runtime keeps action
+    provenance and the first fallback as fields."""
     events = "src/repro/core/events.py"
     for module in modules(index, under=events):
         for node in ast.walk(module.tree):
-            if isinstance(node, (ast.Attribute, ast.Subscript)) and (
-                    isinstance(node.value, ast.Name)
-                    and node.value.id == "details"):
+            if isinstance(node, (ast.Attribute, ast.Subscript)) and last(
+                    module.resolve(node.value)).endswith("details"):
                 yield module.path, node.lineno
     retired = re.compile(r"SAFEGUARD_(TRIGGERED|CLEARED)"
                          r"|watch_fallback_from|default_predictions_sent")
@@ -301,51 +300,25 @@ def compact_state(index) -> Iterator[Site]:
                 yield module.path, line
 
 
-def _mentions_any(index, module: Module, node: ast.AST, seen=()) -> bool:
-    """Whether a type mentions ``typing.Any``, also inside a quoted
-    annotation or a module-level alias such as ``JSON = Dict[str, Any]``
-    (here or in another indexed module), as ``get_type_hints`` sees it."""
-    for child in ast.walk(node):
-        if isinstance(child, ast.Constant) and isinstance(child.value, str):
-            try:
-                quoted = ast.parse(child.value, mode="eval")
-            except SyntaxError:
-                continue
-            if _mentions_any(index, module, quoted, seen):
-                return True
-        elif isinstance(child, (ast.Name, ast.Attribute)):
-            name = module.resolve(child)
-            if name == "typing.Any":
-                return True
-            for owner in index.values():
-                for key in (name, f"{module.name}.{name}"):
-                    value = owner.assigned.get(key)
-                    if value and key not in seen and _mentions_any(
-                            index, owner, value, (*seen, key)):
-                        return True
-    return False
+def _records():
+    from repro.fleet.node import NodeResult
+    from repro.sweep.safety import SafetyRecord
+    return NodeResult, SafetyRecord
 
 
 @rule("9")
-def closed_records(index) -> Iterator[Site]:
+def closed_records(index, records=None) -> Iterator[Site]:
     """A node result and a campaign cell's record hold typed fields
-    only, so what is stored is what its readers read: no field's type
-    mentions ``Any``, and neither class inherits fields."""
-    for path, name in (("src/repro/fleet/node.py", "NodeResult"),
-                       ("src/repro/sweep/safety.py", "SafetyRecord")):
-        module = index.get(path)
-        record = module and next((
-            node for node in ast.walk(module.tree)
-            if isinstance(node, ast.ClassDef) and node.name == name), None)
-        if not record:
-            yield path, 0
-            continue
-        if record.bases:
-            yield path, record.lineno
-        for statement in record.body:
-            if isinstance(statement, ast.AnnAssign) and _mentions_any(
-                    index, module, statement.annotation):
-                yield path, statement.lineno
+    only, so what is stored is what its readers read: no field's type,
+    inherited ones included, mentions ``Any``.  A site is the class
+    that declares the field."""
+    for record in records or _records():
+        for name, hint in typing.get_type_hints(record).items():
+            if "typing.Any" in repr(hint):
+                owner = next(cls for cls in record.__mro__
+                             if name in vars(cls).get("__annotations__", {}))
+                path = os.path.relpath(inspect.getsourcefile(owner), ROOT)
+                yield Path(path).as_posix(), inspect.getsourcelines(owner)[1]
 
 
 @rule("10")
@@ -393,6 +366,9 @@ def one_executor(index) -> Iterator[Site]:
     tap = ("record_done", "record_done_many", "record_quarantined")
     for module in modules(index, outside=(
             "src/repro/resilience/", "src/repro/journal/run.py")):
+        for line, text, _ in module.strings:  # getattr(j, "record_done")
+            if hook.search(text) or "supervised_map(" in text:
+                yield module.path, line
         for line, name, node in module.refs:
             if not (name.endswith("supervised_map")
                     or hook.search(last(name))):
@@ -477,18 +453,30 @@ def one_ownership_primitive(index) -> Iterator[Site]:
 def no_serve_polling(index) -> Iterator[Site]:
     """The serve scheduler, watch and drain wait on the server's
     wake-up event, and deadlines are loop timers: nothing sleeps or
-    waits with a sub-second timeout."""
+    waits with a sub-second timeout, passed by keyword or as a
+    parameter's default."""
     for module in modules(index, under="src/repro/serve/server.py"):
         for line, name, _ in module.refs:
             if name in ("asyncio.sleep", "time.sleep"):
                 yield module.path, line
-        for _, _, call in module.calls:
-            for keyword in call.keywords:
-                value = keyword.value
-                if keyword.arg == "timeout" and isinstance(
-                        value, ast.Constant) and isinstance(
-                        value.value, (int, float)) and value.value < 1:
-                    yield module.path, value.lineno
+        timeouts = [(keyword.arg, keyword.value)
+                    for _, _, call in module.calls for keyword in call.keywords]
+        for node in ast.walk(module.tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+                args = node.args
+                positional = args.posonlyargs + args.args
+                timeouts += zip(
+                    [arg.arg for arg in positional[len(positional)
+                                                   - len(args.defaults):]],
+                    args.defaults)
+                timeouts += zip([arg.arg for arg in args.kwonlyargs],
+                                args.kw_defaults)
+        for name, value in timeouts:
+            if (name or "").endswith("timeout") and isinstance(
+                    value, ast.Constant) and isinstance(
+                    value.value, (int, float)) and value.value < 1:
+                yield module.path, value.lineno
 
 
 @rule("14")
@@ -534,6 +522,11 @@ PLANTS = [
     (safety_facts, "src/repro/core/events.py",
      "def record(kind, **details):\n"
      "    return details.get('safeguard')  # planted\n"),
+    (safety_facts, "src/repro/core/events.py",
+     '"""Events."""\n'
+     "\n"
+     "def replay(event):\n"
+     "    return event.details.get('safeguard')  # planted\n"),
     (safety_facts, "src/repro/core/runtime.py",
      "from repro.core.events import EventKind as K\n"
      "\n"
@@ -557,14 +550,6 @@ PLANTS = [
      "\n"
      "def store(value):\n"
      "    return encode(value, indent=2)  # planted\n"),
-    (closed_records, "src/repro/sweep/safety.py",
-     "from typing import Any as Anything, Dict\n"
-     "\n"
-     "Extra = Dict[str, Anything]\n"
-     "\n"
-     "class SafetyRecord:\n"
-     "    cell: str\n"
-     "    extra: 'Extra'  # planted\n"),
     (one_golden_source, "src/repro/fleet/rogue.py",
      '"""Frozen models in production."""\n'
      "from ..conformance import reference as frozen  # planted\n"),
@@ -583,6 +568,9 @@ PLANTS = [
     (one_executor, "src/repro/serve/jobs.py",
      "def finish(journal, unit_id):\n"
      "    journal.record_dispatched(unit_id, 1)  # planted\n"),
+    (one_executor, "src/repro/sweep/rogue.py",
+     "def finish(journal, unit_id):\n"
+     "    getattr(journal, 'record_done')(unit_id)  # planted\n"),
     (one_cancel_check, "src/repro/serve/jobs.py",
      "def next_unit(job):\n"
      "    return not job.cancelled.is_set()  # planted\n"),
@@ -619,6 +607,12 @@ PLANTS = [
      "\n"
      "def drain(done: threading.Event):\n"
      "    return done.wait(timeout=0.05)  # planted\n"),
+    (no_serve_polling, "src/repro/serve/server.py",
+     "import asyncio\n"
+     "\n"
+     "\n"
+     "async def poll(wake, timeout=0.1):  # planted\n"
+     "    return await asyncio.wait_for(wake.wait(), timeout)\n"),
     (counters_are_fields, "src/repro/obs/rogue.py",
      "class Stats:\n"
      "    def __init__(self):\n"
@@ -646,5 +640,32 @@ def test_a_planted_violation_is_reported(index, tmp_path, check, path,
     assert found == [planted_site(path, source)]
 
 
+Extra = Dict[str, Any]
+
+
+class _Fields:
+    extra: "Extra"  # planted: Any through a quoted alias
+
+
+class _OpenRecord(_Fields):
+    cell: str
+
+
+def test_an_inherited_open_field_is_reported(index):
+    """The closed-records plant is a class, not a file: the rule reads
+    the types the interpreter resolves."""
+    found = violations(
+        lambda index: closed_records(index, [_OpenRecord]), index)
+    line = inspect.getsourcelines(_Fields)[1]
+    assert found == [f"tests/test_architecture.py:{line}"]
+
+
+def test_a_binary_file_is_skipped(tmp_path):
+    (tmp_path / "src/repro").mkdir(parents=True)
+    (tmp_path / "src/repro/blob.bin").write_bytes(b"\xff\xfemetrics.json")
+    assert read_module(tmp_path, "src/repro/blob.bin").strings == []
+
+
 def test_every_rule_has_a_plant():
-    assert {check for check, _, _ in PLANTS} == set(RULES)
+    planted = {check for check, _, _ in PLANTS} | {closed_records}
+    assert planted == set(RULES)
